@@ -28,7 +28,7 @@ from .evolve import (
     q_from_gamma,
     run,
 )
-from .iom import I_k_def, closed_I
+from .iom import I_k_def, ModeVector, closed_I, soliton_decay
 from .scalar import (
     BudgetError,
     ParamError,
@@ -44,16 +44,10 @@ from .soliton import (
     make_tau_minus,
     make_tau_plus,
     modes_from_series,
+    sample_decaying,
     soliton_spec_json,
 )
-from .verify import (
-    CheckConfig,
-    CheckReport,
-    run_suite,
-    _sample_decaying,
-    _soliton_decay,
-    _soliton_modes,
-)
+from .verify import CheckConfig, CheckReport, run_suite
 
 REPORT_SCHEMA = "toda-bo-report/1"
 
@@ -99,10 +93,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_iom(args) -> int:
     rng = random.Random(args.seed)
-    params, b = _sample_decaying(CheckConfig(seed=args.seed), rng, args.solitons)
+    params, b = sample_decaying(CheckConfig().s, rng, args.solitons)
     window = 2 * args.modes
-    mv = _soliton_modes(params, b, window)
-    decay = _soliton_decay(params, b, mv)
+    mv = ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+    decay = soliton_decay(params, b, mv)
     res = I_k_def(mv, args.k, args.modes, params.q, decay=decay)
     closed = closed_I(args.k, params)
     diff = abs(res.value - closed)
@@ -222,11 +216,20 @@ def _cmd_soliton(args) -> int:
 # #### parser ##################################################################
 
 
-def _unsigned(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
+def _bounded_int(lo: int, hi: int | None = None):
+    """argparse type for an integer in [lo, hi] (no upper limit when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            span = f">= {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,26 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run registered identity checks")
     v.add_argument("--identity", default="all", help="id, group, glob, or comma list")
-    v.add_argument("--solitons", type=int, default=3, help="max wave count")
-    v.add_argument("--samples", type=int, default=5, help="draws per wave count")
-    v.add_argument("--seed", type=_unsigned, default=7)
-    v.add_argument("--trunc-z", type=int, default=6, help="checked power window")
-    v.add_argument("--trunc-modes", type=int, default=12, help="mode cutoff")
-    v.add_argument("--trunc-deg", type=int, default=6, help="monomial degree cap")
+    nonneg, positive = _bounded_int(0), _bounded_int(1)
+    v.add_argument("--solitons", type=nonneg, default=3, help="max wave count")
+    v.add_argument("--samples", type=positive, default=5, help="draws per wave count")
+    v.add_argument("--seed", type=nonneg, default=7)
+    v.add_argument("--trunc-z", type=nonneg, default=6, help="checked power window")
+    v.add_argument("--trunc-modes", type=positive, default=12, help="mode cutoff")
+    v.add_argument("--trunc-deg", type=positive, default=6, help="monomial degree cap")
     v.add_argument("--timings", action="store_true", help="add wall-clock fields")
     v.add_argument("--out", default=None, help="report path (default stdout)")
     v.set_defaults(func=_cmd_verify)
 
     i = sub.add_parser("iom", help="truncated charge vs closed form at a sample")
     i.add_argument("--k", type=int, default=2, choices=(1, 2, 3))
-    i.add_argument("--solitons", type=int, default=1, choices=(1, 2, 3))
-    i.add_argument("--modes", type=int, default=48, help="enumeration cutoff")
-    i.add_argument("--seed", type=_unsigned, default=7)
+    i.add_argument("--solitons", type=int, default=1, choices=(1, 2))
+    i.add_argument("--modes", type=nonneg, default=48, help="enumeration cutoff")
+    i.add_argument("--seed", type=nonneg, default=7)
     i.add_argument("--out", default=None)
     i.set_defaults(func=_cmd_iom)
 
     e = sub.add_parser("evolve", help="integrate the truncated mode flow")
-    e.add_argument("--modes", type=int, default=64, help="mode window half-width")
+    e.add_argument(
+        "--modes", type=_bounded_int(1, 256), default=64, help="mode window half-width"
+    )
     e.add_argument("--dt", type=float, default=1e-3)
     e.add_argument("--steps", type=int, default=1000)
     e.add_argument("--gamma-re", type=float, default=0.1)
@@ -270,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="wave data fixes q itself; gamma applies to random data",
     )
     e.add_argument("--check-interval", type=int, default=10)
-    e.add_argument("--seed", type=_unsigned, default=0, help="random init seed")
+    e.add_argument("--seed", type=nonneg, default=0, help="random init seed")
     e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_evolve)
 
     s = sub.add_parser("soliton", help="render a wave data file to tau terms")
     s.add_argument("--spec", required=True, help="JSON file {s, eps, a, b}")
     s.add_argument("--eval", action="store_true", help="add values and mode table")
-    s.add_argument("--window", type=int, default=16, help="mode table half-width")
+    s.add_argument("--window", type=nonneg, default=16, help="mode table half-width")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_soliton)
     return p

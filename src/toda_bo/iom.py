@@ -50,6 +50,7 @@ from .modes import (
     build_xi,
     poly_mul,
 )
+from .soliton import decay_report, modes_from_series
 
 ENUM_BUDGET = 5_000_000
 
@@ -77,7 +78,7 @@ class ModeVector:
 
     @classmethod
     def from_series(cls, f, N: int) -> "ModeVector":
-        return cls(N, {n: f.coeff(-n) for n in range(-N, N + 1)})
+        return cls(N, modes_from_series(f, N))
 
     @classmethod
     def constant(cls, c, N: int) -> "ModeVector":
@@ -185,6 +186,17 @@ def fit_decay(modes: ModeVector, rho: Scalar) -> tuple[Scalar, Scalar]:
         if cand > h:
             h = cand
     return h, rho
+
+
+def soliton_decay(
+    params: ParamPoint, b_values, modes: ModeVector
+) -> tuple[Scalar, Scalar]:
+    """Decay model (H, rho) of a soliton field's modes.
+
+    rho is the slowest of the field's pole rates (the two decay margins of
+    decay_report) and q; H is fitted over the supplied window."""
+    rep = decay_report(params, b_values)
+    return fit_decay(modes, max(rep["outer_margin"], rep["inner_margin"], params.q))
 
 
 def I_k_def(

@@ -146,11 +146,10 @@ class AlphaPoly:
                 out.pop(red, None)
         return AlphaPoly(out)
 
-    def modes_present(self) -> set[int]:
-        s: set[int] = set()
-        for m in self.terms:
-            s.update(m)
-        return s
+    def diff_table(self) -> dict[int, "AlphaPoly"]:
+        """Partial derivatives by every mode present: {n: d/d alpha_n}."""
+        modes = {n for m in self.terms for n in m}
+        return {n: self.diff(n) for n in modes}
 
     def pruned(self, max_weight: int, max_deg: int) -> "AlphaPoly":
         out = {
@@ -175,9 +174,6 @@ class AlphaPoly:
                 continue
             total = v if total is None else total + v
         return total if total is not None else ZERO
-
-    def max_coeff_abs(self) -> Scalar:
-        return max((abs(c) for c in self.terms.values()), default=ZERO)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -271,9 +267,6 @@ class ModeContext:
     @property
     def q(self) -> Scalar:
         return self.s * self.s
-
-    def qpow(self, k: int) -> Scalar:
-        return self.q**k
 
     def one_minus_q(self, n: int) -> Scalar:
         v = 1 - self.q**n
@@ -512,7 +505,7 @@ class AlphaSeries:
     def exp(self) -> "AlphaSeries":
         if self.coeff((0,)).terms:
             raise ValueError("exp needs zero constant cell")
-        d = self._direction("exp")
+        self._direction("exp")
         N = self.ctx.trunc.n_modes
         one = AlphaSeries(self.ctx, self.vars, {(0,): AlphaPoly.one()}, self.guar)
         result, term = one, one
@@ -563,28 +556,33 @@ class AlphaSeries:
 # #### bracket and flows #######################################################
 
 
-def poisson_poly(
-    fp: AlphaPoly,
-    gp: AlphaPoly,
+def poisson_pairing(
+    dfs: dict[int, AlphaPoly],
+    dgs: dict[int, AlphaPoly],
     ctx: ModeContext,
     max_weight: int,
     max_deg: int,
 ) -> AlphaPoly:
-    """Bracket of two mode polynomials under the deformed pairing."""
-    fmodes = fp.modes_present()
-    gmodes = gp.modes_present()
-    acc = AlphaPoly.zero()
+    """Bracket {f, g} of two mode polynomials from their derivative tables.
+
+    dfs and dgs are f.diff_table() and g.diff_table(); the deformed pairing
+    sums (1 - q**n) (f_n g_{-n} - f_{-n} g_n) over n = 1..n_modes, with
+    every product capped at max_weight and max_deg.
+    """
+    acc = None
     for n in range(1, ctx.trunc.n_modes + 1):
         c = ctx.one_minus_q(n)
-        if n in fmodes and -n in gmodes:
-            t = poly_mul(fp.diff(n), gp.diff(-n), max_weight, max_deg)
+        if n in dfs and -n in dgs:
+            t = poly_mul(dfs[n], dgs[-n], max_weight, max_deg)
             if t.terms:
-                acc = acc + t * c
-        if -n in fmodes and n in gmodes:
-            t = poly_mul(fp.diff(-n), gp.diff(n), max_weight, max_deg)
+                t = t * c
+                acc = t if acc is None else acc + t
+        if -n in dfs and n in dgs:
+            t = poly_mul(dfs[-n], dgs[n], max_weight, max_deg)
             if t.terms:
-                acc = acc - t * c
-    return acc
+                t = t * (-c)
+                acc = t if acc is None else acc + t
+    return AlphaPoly.zero() if acc is None else acc
 
 
 def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
@@ -601,39 +599,17 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
     rvars = F.vars + G.vars
 
     # per-cell derivative tables, computed once
-    fcells = []
-    for sa, pa in F.coeffs.items():
-        modes = pa.modes_present()
-        dfs = {n: pa.diff(n) for n in modes}
-        fcells.append((sa, modes, dfs))
-    gcells = []
-    for sb, pb in G.coeffs.items():
-        modes = pb.modes_present()
-        dgs = {n: pb.diff(n) for n in modes}
-        gcells.append((sb, modes, dgs))
+    fcells = [(sa, sum(map(abs, sa)), pa.diff_table()) for sa, pa in F.coeffs.items()]
+    gcells = [(sb, sum(map(abs, sb)), pb.diff_table()) for sb, pb in G.coeffs.items()]
 
     out: dict[tuple[int, ...], AlphaPoly] = {}
-    for sa, fmodes, dfs in fcells:
-        base_a = sum(abs(x) for x in sa)
-        for sb, gmodes, dgs in gcells:
-            span = base_a + sum(abs(x) for x in sb)
+    for sa, span_a, dfs in fcells:
+        for sb, span_b, dgs in gcells:
+            span = span_a + span_b
             if span > N:
                 continue
-            wcap = N - span
-            acc = None
-            for n in range(1, N + 1):
-                c = ctx.one_minus_q(n)
-                if n in fmodes and -n in gmodes:
-                    t = poly_mul(dfs[n], dgs[-n], wcap, D)
-                    if t.terms:
-                        t = t * c
-                        acc = t if acc is None else acc + t
-                if -n in fmodes and n in gmodes:
-                    t = poly_mul(dfs[-n], dgs[n], wcap, D)
-                    if t.terms:
-                        t = t * (-c)
-                        acc = t if acc is None else acc + t
-            if acc is None or not acc.terms:
+            acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
+            if not acc.terms:
                 continue
             slot = sa + sb
             cur = out.get(slot)
@@ -824,27 +800,6 @@ def build_xi(ctx: ModeContext, var: str = "z") -> AlphaSeries:
         ctx, var, [(-n, n, -(ONE / ctx.s**n)) for n in range(1, N + 1)]
     )
     return (up.exp() * dn.exp()).scale(1 / ctx.eps)
-
-
-@lru_cache(maxsize=None)
-def build_eta_ratio(ctx: ModeContext, var: str = "z") -> AlphaSeries:
-    """The same field as build_eta via the dressing-series ratio
-    eps * tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z))."""
-    tp = build_tau(ctx, "+", var)
-    tm = build_tau(ctx, "-", var)
-    num = tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q)
-    return (num * tm.inv() * tp.inv()).scale(ctx.eps)
-
-
-@lru_cache(maxsize=None)
-def build_xi_ratio(ctx: ModeContext, var: str = "z") -> AlphaSeries:
-    """Dual field via the ratio
-    (1/eps) tau_-(z s) tau_+(z/s) / (tau_-(z/s) tau_+(z s))."""
-    tp = build_tau(ctx, "+", var)
-    tm = build_tau(ctx, "-", var)
-    num = tm.subs_scale(ctx.s) * tp.subs_scale(1 / ctx.s)
-    den_inv = tm.subs_scale(1 / ctx.s).inv() * tp.subs_scale(ctx.s).inv()
-    return (num * den_inv).scale(1 / ctx.eps)
 
 
 @lru_cache(maxsize=None)

@@ -97,24 +97,6 @@ def newton_p_from_e(e: list, *, one=ONE, zero=ZERO):
     return det_ring([[entry(i, j) for j in range(k)] for i in range(k)])
 
 
-def e_from_p(p: list, *, one=ONE) -> list:
-    """Elementary symmetric e_1..e_k from power sums p_1..p_k.
-
-    Triangular recurrence k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.
-    Inverse of newton_p_from_e; used as a cross-check oracle and by tests.
-    """
-    es = [one]
-    for k in range(1, len(p) + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = es[k - i] * p[i - 1]
-            if i % 2 == 0:
-                term = -term
-            acc = term if acc is None else acc + term
-        es.append(acc * Fraction(1, k))
-    return es[1:]
-
-
 def e_geometric_tail(x0: Scalar, q: Scalar, k: int) -> Scalar:
     """k-th elementary symmetric value of the alphabet (x0, q*x0, q**2*x0, ...).
 

@@ -14,13 +14,10 @@ the ring zero is carried explicitly by each series.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
-from .scalar import ONE, ZERO, BudgetError, Scalar
+from .scalar import ONE, ZERO, Scalar
 
 _INF = float("inf")
-
-MAX_MULTI_VARS = 4
 
 
 class LaurentSeries:
@@ -316,122 +313,3 @@ def _truncated_mul(f: LaurentSeries, g: LaurentSeries, lo: int, hi: int) -> Laur
                 v = out.get(d)
                 out[d] = c1 * c2 if v is None else v + c1 * c2
     return LaurentSeries(f.var, lo, hi, out, f.zero, f.tight_lo, f.tight_hi)
-
-
-class MultiSeries:
-    """Sparse several-variable Laurent data on a symmetric per-variable window.
-
-    Unlike LaurentSeries this carries no exactness bookkeeping: products
-    simply drop exponents outside the window.  It exists for kernel
-    manipulation and convergent (numerically truncated) evaluations, where
-    the caller owns the truncation-error argument.
-    """
-
-    __slots__ = ("vars", "window", "coeffs", "zero")
-
-    def __init__(self, vars, window, coeffs, zero=ZERO):
-        vars = tuple(vars)
-        if len(vars) > MAX_MULTI_VARS:
-            raise BudgetError(f"too many variables: {len(vars)} > {MAX_MULTI_VARS}")
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        for exps in coeffs:
-            if len(exps) != len(vars):
-                raise ValueError("exponent arity mismatch")
-            if any(abs(e) > window for e in exps):
-                raise ValueError("exponent outside window")
-        self.vars = vars
-        self.window = window
-        self.coeffs = {e: c for e, c in coeffs.items() if c != zero}
-        self.zero = zero
-
-    @classmethod
-    def constant(cls, vars, window, value, zero=ZERO):
-        return cls(vars, window, {(0,) * len(tuple(vars)): value}, zero)
-
-    def coeff(self, exps):
-        return self.coeffs.get(tuple(exps), self.zero)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v == self.zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return MultiSeries(self.vars, self.window, out, self.zero)
-
-    def __neg__(self):
-        return MultiSeries(
-            self.vars, self.window, {e: -c for e, c in self.coeffs.items()}, self.zero
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return MultiSeries(
-            self.vars, self.window, {e: v * c for e, v in self.coeffs.items()}, self.zero
-        )
-
-    def __mul__(self, other):
-        self._check(other)
-        w = self.window
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(abs(x) > w for x in e):
-                    continue
-                v = out.get(e)
-                out[e] = c1 * c2 if v is None else v + c1 * c2
-        return MultiSeries(self.vars, w, out, self.zero)
-
-    def _check(self, other):
-        if not isinstance(other, MultiSeries):
-            raise TypeError("MultiSeries expected")
-        if self.vars != other.vars or self.window != other.window:
-            raise ValueError("vars/window mismatch")
-
-    def dump(self) -> str:
-        lines = []
-        for e in sorted(self.coeffs):
-            mono = " ".join(f"{v}^{x}" for v, x in zip(self.vars, e) if x)
-            lines.append(f"{mono or '1'}: {self.coeffs[e]}")
-        return "\n".join(lines) or "0"
-
-
-def constant_term(ms: MultiSeries):
-    """The coefficient of the all-zeros exponent vector."""
-    return ms.coeff((0,) * len(ms.vars))
-
-
-def kernel_series(kind: str, i: str, j: str, N: int, q: Scalar) -> MultiSeries:
-    """Interaction kernel in the ratio w_j/w_i, truncated at order N.
-
-    kind='plus':  1 + (1 - 1/q) * sum_{m=1..N} (q   w_j/w_i)**m
-    kind='minus': 1 + (1 - q)   * sum_{m=1..N} (w_j/(q w_i))**m
-    The minus kind is the plus kind with q -> 1/q.
-    """
-    if i == j:
-        raise ValueError("kernel needs two distinct variables")
-    if kind == "plus":
-        qq = q
-    elif kind == "minus":
-        qq = 1 / q
-    else:
-        raise ValueError(f"unknown kernel kind: {kind}")
-    coeffs = {(0, 0): ONE}
-    lead = ONE - 1 / qq
-    for m in range(1, N + 1):
-        coeffs[(-m, m)] = lead * qq**m
-    return MultiSeries((i, j), N, coeffs, ZERO)
-
-
-def ratio_kernel_terms(kind: str, N: int, q: Scalar) -> dict[int, Scalar]:
-    """The same kernels as flat maps m -> coefficient of (w_j/w_i)**m."""
-    ms = kernel_series(kind, "i", "j", N, q)
-    return {m: c for (mi, m), c in ms.coeffs.items()}

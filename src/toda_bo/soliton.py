@@ -18,10 +18,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import ONE, ParamPoint, PoleError, Scalar, parse_scalar
+from .scalar import (
+    ONE,
+    ParamError,
+    ParamPoint,
+    PoleError,
+    Scalar,
+    parse_scalar,
+    sample_amplitudes,
+    sample_param_point,
+)
 from .series import LaurentSeries, series_inv
 
 Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
@@ -293,6 +303,38 @@ def decay_report(params: ParamPoint, b_values) -> dict:
     }
 
 
+def sample_decaying(
+    s: Scalar, rng: random.Random, n: int
+) -> tuple[ParamPoint, tuple[Scalar, ...]]:
+    """Draw (point, amplitudes) with n <= 2 waves whose modes decay geometrically.
+
+    The charge enumerations sum mode products against kernel weights, which
+    only converges when the tau-root annulus contains the unit circle; a
+    draw whose reflection factors outgrow its amplitudes is degenerate for
+    this purpose and is rejected.  At two waves the cross terms of the
+    reflection factors defeat unconstrained draws essentially always, so the
+    wave numbers are drawn with matched signs and magnitudes separated past
+    the q-orbit, which keeps the cross terms below one."""
+    if not 0 <= n <= 2:
+        raise ValueError("decaying samples are drawn for 0, 1 or 2 waves")
+    for _ in range(500):
+        if n < 2:
+            params = sample_param_point(rng, n, s=s)
+        else:
+            sign = rng.choice((1, -1))
+            a1 = sign * Fraction(rng.randint(9, 18), 64)
+            a2 = a1 * Fraction(rng.randint(6, 12), 64)
+            eps = sign * abs(a2) * Fraction(rng.randint(8, 15), 64)
+            try:
+                params = ParamPoint(Fraction(s), eps, (a1, a2))
+            except ParamError:
+                continue
+        b = sample_amplitudes(rng, n)
+        if decay_report(params, b)["ok"]:
+            return params, b
+    raise ParamError("no geometrically decaying sample found")
+
+
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     a = a[:]
     quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
@@ -399,26 +441,6 @@ def xi_series_from_taus(
 def modes_from_series(f: LaurentSeries, window: int) -> dict[int, Scalar]:
     """Mode map eta_n = [z**-n] f for |n| <= window."""
     return {n: f.coeff(-n) for n in range(-window, window + 1)}
-
-
-def alpha_from_taus(params: ParamPoint, b_values, window: int) -> dict[int, Scalar]:
-    """Recover modes alpha_{+-n} from the logarithms of the two tau series.
-
-    alpha_{-n} = -(1 - q**n) [z**+n] log tau_+
-    alpha_{+n} = -(1 - q**n) [z**-n] log tau_-
-    """
-    from .series import series_log
-
-    q = params.q
-    tp = make_tau_plus(params).to_series(b_values)
-    tm = make_tau_minus(params).to_series(b_values)
-    lp = series_log(tp, order=window)
-    lm = series_log(tm, order=window)
-    out: dict[int, Scalar] = {}
-    for n in range(1, window + 1):
-        out[-n] = -(1 - q**n) * lp.coeff(n)
-        out[n] = -(1 - q**n) * lm.coeff(-n)
-    return out
 
 
 # #### soliton specifications ##################################################

@@ -1,7 +1,10 @@
 """Mechanical verification of the identity inventory.
 
 Every identity the library claims is registered here under a stable string
-id and checked by one of three finishers:
+id, in one table (_REGISTRY) that lists the four groups -- bracket,
+soliton-exact, iom-numeric, lemma-t3 -- each with its runner and its ids.
+IDENTITY_IDS, GROUPS and dispatch are all derived from that table.  The
+runners use one of three finishers:
 
   exact      n-soliton tau identities compared coefficient-by-coefficient in
              the symbolic (z-power, amplitude-exponent) basis; residuals are
@@ -29,7 +32,7 @@ import random
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from fractions import Fraction
 
@@ -45,7 +48,7 @@ from .iom import (
     closed_I,
     closed_Ibar,
     closed_M,
-    fit_decay,
+    soliton_decay,
 )
 from .modes import (
     AlphaPoly,
@@ -95,79 +98,11 @@ from .soliton import (
     make_tau_plus,
     miwa_factor,
     miwa_shift,
+    sample_decaying,
     symbolic_scale,
     symbolic_sub,
     xi_series_from_taus,
 )
-
-IDENTITY_IDS: tuple[str, ...] = (
-    "eta-eta",
-    "xi-xi",
-    "eta-xi",
-    "eta-tau-",
-    "eta-tau+",
-    "xi-tau-",
-    "xi-tau+",
-    "hirota-t",
-    "hirota-tb",
-    "toda",
-    "toda-field",
-    "eta0-xi0",
-    "tau-shift-lemma",
-    "hm-pm-1",
-    "hm-pm-2",
-    "hm-3",
-    "to-1",
-    "to-2",
-    "to-3",
-    "conj-iom",
-    "m2-consistency",
-    "m3-consistency",
-    "lemma-3-2",
-    "lemma-3-3",
-    "lemma-3-4",
-    "lemma-3-5",
-    "prop-t2",
-    "prop-t3",
-)
-
-GROUPS: dict[str, tuple[str, ...]] = {
-    "all": IDENTITY_IDS,
-    "bracket": (
-        "eta-eta",
-        "xi-xi",
-        "eta-xi",
-        "eta-tau-",
-        "eta-tau+",
-        "xi-tau-",
-        "xi-tau+",
-        "hirota-t",
-        "hirota-tb",
-        "toda",
-        "toda-field",
-        "eta0-xi0",
-    ),
-    "soliton-exact": (
-        "tau-shift-lemma",
-        "hm-pm-1",
-        "hm-pm-2",
-        "hm-3",
-        "to-1",
-        "to-2",
-        "to-3",
-    ),
-    "lemma-t3": (
-        "lemma-3-2",
-        "lemma-3-3",
-        "lemma-3-4",
-        "lemma-3-5",
-        "prop-t2",
-        "prop-t3",
-    ),
-    "iom-numeric": ("conj-iom", "m2-consistency", "m3-consistency"),
-}
-
-T3_IDS = ("lemma-3-2", "lemma-3-3", "lemma-3-4", "lemma-3-5")
 
 CONVERGENT_TOL = Fraction(1, 10**10)
 
@@ -575,41 +510,11 @@ def _win_prop_t3(ctx):
     return [(X, a)]
 
 
-_WINDOWED = {
-    "eta-eta": (_win_eta_eta, "bracket"),
-    "xi-xi": (_win_xi_xi, "bracket"),
-    "eta-xi": (_win_eta_xi, "bracket"),
-    "eta-tau-": (lambda ctx: _win_field_tau(ctx, "eta", "-"), "bracket"),
-    "eta-tau+": (lambda ctx: _win_field_tau(ctx, "eta", "+"), "bracket"),
-    "xi-tau-": (lambda ctx: _win_field_tau(ctx, "xi", "-"), "bracket"),
-    "xi-tau+": (lambda ctx: _win_field_tau(ctx, "xi", "+"), "bracket"),
-    "eta0-xi0": (_win_eta0_xi0, "bracket"),
-    "hirota-t": (_win_hirota_t, "bracket"),
-    "hirota-tb": (_win_hirota_tb, "bracket"),
-    "toda": (_win_toda, "bracket"),
-    "toda-field": (_win_toda_field, "bracket"),
-    "lemma-3-2": (_win_lemma_3_2, "t3"),
-    "lemma-3-3": (_win_lemma_3_3, "t3"),
-    "lemma-3-4": (_win_lemma_3_4, "t3"),
-    "lemma-3-5": (_win_lemma_3_5, "t3"),
-    "prop-t2": (_win_prop_t2, "t3"),
-    "prop-t3": (_win_prop_t3, "t3"),
-}
-
-
-def _run_windowed(check_id: str, cfg: CheckConfig):
-    builder, family = _WINDOWED[check_id]
-    if family == "bracket":
-        ctx = _ctx_bracket(cfg)
-        zcap = cfg.trunc_z
-    else:
-        ctx = _ctx_t3(cfg)
-        zcap = cfg.t3_trunc_z
-    pairs = builder(ctx)
-    worst, passed, detail = _finish_windowed(pairs, zcap)
+def _run_windowed(build, ctx: ModeContext, zcap: int):
+    worst, passed, detail = _finish_windowed(build(ctx), zcap)
     params = {
-        "s": scalar_str(cfg.s),
-        "eps": scalar_str(cfg.eps),
+        "s": scalar_str(ctx.s),
+        "eps": scalar_str(ctx.eps),
         "trunc": {
             "z": zcap,
             "modes": ctx.trunc.n_modes,
@@ -617,6 +522,14 @@ def _run_windowed(check_id: str, cfg: CheckConfig):
         },
     }
     return "windowed", params, worst, passed, detail
+
+
+def _run_bracket_family(build, cfg: CheckConfig, rng: random.Random):
+    return _run_windowed(build, _ctx_bracket(cfg), cfg.trunc_z)
+
+
+def _run_t3_family(build, cfg: CheckConfig, rng: random.Random):
+    return _run_windowed(build, _ctx_t3(cfg), cfg.t3_trunc_z)
 
 
 # #### exact soliton finisher ##################################################
@@ -767,19 +680,7 @@ def _res_to_3(params, rng, tally):
     return symbolic_sub(symbolic_sub(lhs, rhs_a), rhs_b), {}
 
 
-_EXACT = {
-    "tau-shift-lemma": _res_tau_shift_lemma,
-    "hm-pm-1": _res_hm_pm_1,
-    "hm-pm-2": _res_hm_pm_2,
-    "hm-3": _res_hm_3,
-    "to-1": _res_to_1,
-    "to-2": _res_to_2,
-    "to-3": _res_to_3,
-}
-
-
-def _run_exact(check_id: str, cfg: CheckConfig, rng: random.Random):
-    residual_fn = _EXACT[check_id]
+def _run_exact(residual_fn, cfg: CheckConfig, rng: random.Random):
     worst = ZERO
     points = []
     tally = [0]
@@ -806,51 +707,7 @@ def _run_exact(check_id: str, cfg: CheckConfig, rng: random.Random):
 # #### convergent finisher #####################################################
 
 
-def _soliton_modes(params, b_values, window):
-    series = eta_series_from_taus(params, b_values, window)
-    return ModeVector(window, {m: series.coeff(-m) for m in range(-window, window + 1)})
-
-
-def _soliton_modes_bar(params, b_values, window):
-    series = xi_series_from_taus(params, b_values, window)
-    return ModeVector(window, {m: series.coeff(-m) for m in range(-window, window + 1)})
-
-
-def _soliton_decay(params, b_values, mv: ModeVector):
-    rep = decay_report(params, b_values)
-    rho = max(rep["outer_margin"], rep["inner_margin"], params.q)
-    return fit_decay(mv, rho)
-
-
-def _sample_decaying(cfg: CheckConfig, rng: random.Random, n: int):
-    """Draw (point, amplitudes) whose mode sequence decays geometrically.
-
-    The charge enumerations sum mode products against kernel weights, which
-    only converges when the tau-root annulus contains the unit circle; a
-    draw whose reflection factors outgrow its amplitudes is degenerate for
-    this purpose and is rejected.  At two waves the cross terms of the
-    reflection factors defeat unconstrained draws essentially always, so the
-    wave numbers are drawn with matched signs and magnitudes separated past
-    the q-orbit, which keeps the cross terms below one."""
-    for _ in range(500):
-        if n < 2:
-            params = sample_param_point(rng, n, s=cfg.s)
-        else:
-            sign = rng.choice((1, -1))
-            a1 = sign * Fraction(rng.randint(9, 18), 64)
-            a2 = a1 * Fraction(rng.randint(6, 12), 64)
-            eps = sign * abs(a2) * Fraction(rng.randint(8, 15), 64)
-            try:
-                params = ParamPoint(Fraction(cfg.s), eps, (a1, a2))
-            except ParamError:
-                continue
-        b = sample_amplitudes(rng, n)
-        if decay_report(params, b)["ok"]:
-            return params, b
-    raise ParamError("no geometrically decaying sample found")
-
-
-def _sample_alt_amplitudes(params, cfg: CheckConfig, rng: random.Random):
+def _sample_alt_amplitudes(params: ParamPoint, rng: random.Random):
     for _ in range(200):
         b = sample_amplitudes(rng, params.n)
         if decay_report(params, b)["ok"]:
@@ -896,10 +753,12 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
     points = []
     passed = True
     for n in range(1, min(2, max(1, cfg.solitons)) + 1):
-        params, b_main = _sample_decaying(cfg, rng, n)
-        b_alt = _sample_alt_amplitudes(params, cfg, rng)
-        mv = _soliton_modes(params, b_main, window)
-        mv_alt = _soliton_modes(params, b_alt, window)
+        params, b_main = sample_decaying(cfg.s, rng, n)
+        b_alt = _sample_alt_amplitudes(params, rng)
+        mv, mv_alt = (
+            ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+            for b in (b_main, b_alt)
+        )
         for k in (1, 2, 3):
             closed = closed_I(k, params)
             vals = {N: I_k_def(mv, k, N, params.q).value for N in cfg.iom_N}
@@ -923,7 +782,8 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
     bar_cutoffs = tuple(2 * N for N in cfg.iom_N)
     for a, b in _MIRROR_POINTS[: min(2, max(1, cfg.solitons))]:
         params = ParamPoint(cfg.s, Fraction(1, 8), a)
-        mv_bar = _soliton_modes_bar(params, b, window)
+        xi = xi_series_from_taus(params, b, window)
+        mv_bar = ModeVector.from_series(xi, window)
         for k in (1, 2):
             closed = closed_Ibar(k, params)
             ladder = [
@@ -1032,11 +892,11 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     formal_ok = _formal_newton_vs_kernel(cfg, k)
 
     # numeric leg: kernel formula on soliton modes within the tail tolerance
-    params, b = _sample_decaying(cfg, rng, 1)
+    params, b = sample_decaying(cfg.s, rng, 1)
     N = max(cfg.iom_N)
     window = 2 * N if k == 2 else 3 * N
-    mv = _soliton_modes(params, b, window)
-    decay = _soliton_decay(params, b, mv)
+    mv = ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+    decay = soliton_decay(params, b, mv)
     H, rho = decay
     q = params.q
     i_res = [I_k_def(mv, i, N, q, decay=decay) for i in range(1, k + 1)]
@@ -1078,18 +938,79 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
 # #### registry and entry points ###############################################
 
 
-def _execute(check_id: str, cfg: CheckConfig, rng: random.Random):
-    if check_id in _WINDOWED:
-        return _run_windowed(check_id, cfg)
-    if check_id in _EXACT:
-        return _run_exact(check_id, cfg, rng)
-    if check_id == "conj-iom":
-        return _run_conj_iom(cfg, rng)
-    if check_id == "m2-consistency":
-        return _run_m_consistency(cfg, rng, 2)
-    if check_id == "m3-consistency":
-        return _run_m_consistency(cfg, rng, 3)
-    raise KeyError(f"unknown identity id: {check_id}")
+def _run_convergent(run, cfg: CheckConfig, rng: random.Random):
+    return run(cfg, rng)
+
+
+# The one check table: (group, group runner, {id: builder}).  run_check
+# calls runner(builder, cfg, rng); a windowed group fixes its truncation
+# triple, the exact group samples soliton points, the convergent group
+# hands over to the builder.  Table order is the report order.
+_REGISTRY = (
+    (
+        "bracket",
+        _run_bracket_family,
+        {
+            "eta-eta": _win_eta_eta,
+            "xi-xi": _win_xi_xi,
+            "eta-xi": _win_eta_xi,
+            "eta-tau-": lambda ctx: _win_field_tau(ctx, "eta", "-"),
+            "eta-tau+": lambda ctx: _win_field_tau(ctx, "eta", "+"),
+            "xi-tau-": lambda ctx: _win_field_tau(ctx, "xi", "-"),
+            "xi-tau+": lambda ctx: _win_field_tau(ctx, "xi", "+"),
+            "hirota-t": _win_hirota_t,
+            "hirota-tb": _win_hirota_tb,
+            "toda": _win_toda,
+            "toda-field": _win_toda_field,
+            "eta0-xi0": _win_eta0_xi0,
+        },
+    ),
+    (
+        "soliton-exact",
+        _run_exact,
+        {
+            "tau-shift-lemma": _res_tau_shift_lemma,
+            "hm-pm-1": _res_hm_pm_1,
+            "hm-pm-2": _res_hm_pm_2,
+            "hm-3": _res_hm_3,
+            "to-1": _res_to_1,
+            "to-2": _res_to_2,
+            "to-3": _res_to_3,
+        },
+    ),
+    (
+        "iom-numeric",
+        _run_convergent,
+        {
+            "conj-iom": _run_conj_iom,
+            "m2-consistency": lambda cfg, rng: _run_m_consistency(cfg, rng, 2),
+            "m3-consistency": lambda cfg, rng: _run_m_consistency(cfg, rng, 3),
+        },
+    ),
+    (
+        "lemma-t3",
+        _run_t3_family,
+        {
+            "lemma-3-2": _win_lemma_3_2,
+            "lemma-3-3": _win_lemma_3_3,
+            "lemma-3-4": _win_lemma_3_4,
+            "lemma-3-5": _win_lemma_3_5,
+            "prop-t2": _win_prop_t2,
+            "prop-t3": _win_prop_t3,
+        },
+    ),
+)
+
+_CHECKS = {
+    check_id: (runner, build)
+    for _, runner, builds in _REGISTRY
+    for check_id, build in builds.items()
+}
+IDENTITY_IDS: tuple[str, ...] = tuple(_CHECKS)
+GROUPS: dict[str, tuple[str, ...]] = {
+    "all": IDENTITY_IDS,
+    **{group: tuple(builds) for group, _, builds in _REGISTRY},
+}
 
 
 def sub_seed(check_id: str, seed: int) -> int:
@@ -1102,13 +1023,14 @@ def run_check(check_id: str, config: CheckConfig | None = None) -> CheckReport:
     Failures of the machinery itself (size budget exceeded, degenerate
     parameters that could not be resampled away) produce a failing report
     with the diagnostic in detail, never a silent pass."""
-    if check_id not in IDENTITY_IDS:
+    if check_id not in _CHECKS:
         raise KeyError(f"unknown identity id: {check_id}")
+    runner, build = _CHECKS[check_id]
     cfg = config or CheckConfig()
     rng = random.Random(sub_seed(check_id, cfg.seed))
     t0 = time.perf_counter()
     try:
-        mode, params, worst, passed, detail = _execute(check_id, cfg, rng)
+        mode, params, worst, passed, detail = runner(build, cfg, rng)
     except (BudgetError, ParamError, PoleError) as exc:
         elapsed = (time.perf_counter() - t0) * 1000.0
         return CheckReport(
@@ -1148,7 +1070,7 @@ def resolve_selector(selector: str | None) -> list[str]:
             continue
         if token in GROUPS:
             chosen.update(GROUPS[token])
-        elif token in IDENTITY_IDS:
+        elif token in _CHECKS:
             chosen.add(token)
         elif any(ch in token for ch in "*?["):
             chosen.update(i for i in IDENTITY_IDS if fnmatch(i, token))
@@ -1176,26 +1098,3 @@ def run_suite(
     else:
         reports = [run_check(i, cfg) for i in ids]
     return reports
-
-
-def check_lemma_t3_family(
-    check_id: str,
-    trunc: ModeTrunc | None = None,
-    config: CheckConfig | None = None,
-) -> CheckReport:
-    """Run one quadratic-kernel lemma at an explicit truncation.
-
-    The flows realize the second and third bilinear derivatives through the
-    kernel-formula charges, so a too-small truncation can leave the residual
-    with no certified cells; that surfaces as an inconclusive failure."""
-    if check_id not in T3_IDS:
-        raise KeyError(f"not a quadratic-kernel lemma id: {check_id}")
-    cfg = config or CheckConfig()
-    if trunc is not None:
-        cfg = replace(
-            cfg,
-            t3_trunc_modes=trunc.n_modes,
-            t3_trunc_deg=trunc.d_deg,
-            t3_trunc_z=min(cfg.t3_trunc_z, trunc.n_modes),
-        )
-    return run_check(check_id, cfg)

@@ -46,6 +46,34 @@ def test_unknown_flag_exits_2(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iom", "--solitons", "3"],
+        ["iom", "--modes", "-1"],
+        ["evolve", "--modes", "0"],
+        ["evolve", "--modes", "257"],
+        ["verify", "--trunc-modes", "0"],
+        ["verify", "--trunc-deg", "0"],
+        ["verify", "--trunc-z", "-1"],
+        ["verify", "--samples", "0"],
+        ["verify", "--solitons", "-1"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--samples", "five"],
+        ["soliton", "--spec", "wave.json", "--window", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_integer_flags_exit_2(capsys, argv):
+    # each of these used to crash with a traceback, run with no cases, or
+    # run past the documented mode cap
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"toda-bo {argv[0]}: error: argument")
+
+
 def test_check_failure_exits_1(capsys):
     # a one-mode window certifies nothing, which is a failing (inconclusive) check
     argv = ["verify", "--identity", "eta-eta", "--trunc-z", "2"]

@@ -27,8 +27,10 @@ from toda_bo.iom import (
     closed_I,
     closed_Ibar,
     closed_M,
+    _kernel_coeff,
     fit_decay,
     power_geometric_tail,
+    soliton_decay,
 )
 from toda_bo.modes import (
     AlphaPoly,
@@ -43,11 +45,7 @@ from toda_bo.modes import (
     xi_zero,
 )
 from toda_bo.scalar import BudgetError, ParamPoint
-from toda_bo.soliton import (
-    decay_report,
-    eta_series_from_taus,
-    xi_series_from_taus,
-)
+from toda_bo.soliton import eta_series_from_taus, xi_series_from_taus
 
 CTX = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 6))
 P1 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
@@ -86,6 +84,17 @@ def test_mode_vector_validation():
 
 
 # #### enumerator vs literal sums ##############################################
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_kernel_coeff_multiplies_back(kind):
+    # K(m) expands the pair kernel (1 - w)/(1 - qq w) geometrically, so
+    # (1 - qq w) * sum_m K(m) w**m is 1 - w through order N; minus inverts q
+    N = 12
+    qq = Q if kind == "plus" else 1 / Q
+    K = [_kernel_coeff(qq, m) for m in range(N + 1)]
+    prod = [K[0]] + [K[m] - qq * K[m - 1] for m in range(1, N + 1)]
+    assert prod == [1, -1] + [0] * (N - 1)
 
 
 def test_first_charge_is_zero_mode():
@@ -305,16 +314,10 @@ def test_fit_decay_exact_geometric():
         fit_decay(mv, F(2))
 
 
-def soliton_decay(params, b, window):
-    rep = decay_report(params, b)
-    rho = max(rep["outer_margin"], rep["inner_margin"], params.q)
-    return fit_decay(eta_modes(params, b, window), rho), rho
-
-
 def test_tail_bounds_truncation_error():
     b = (F(1, 2),)
     mv = eta_modes(P1, b, 40)
-    (decay, rho) = soliton_decay(P1, b, 40)
+    decay = soliton_decay(P1, b, mv)
     small = I_k_def(mv, 2, 10, Q, decay=decay)
     large = I_k_def(mv, 2, 30, Q, decay=decay)
     assert small.tail is not None
@@ -325,7 +328,7 @@ def test_tail_bounds_truncation_error():
 def test_tail_covers_out_of_window_modes():
     b = (F(1, 2),)
     narrow = eta_modes(P1, b, 12)
-    (decay, _) = soliton_decay(P1, b, 12)
+    decay = soliton_decay(P1, b, narrow)
     res = I_k_def(narrow, 3, 10, Q, decay=decay)
     wide = I_k_def(eta_modes(P1, b, 24), 3, 10, Q)
     assert abs(res.value - wide.value) <= res.tail

@@ -15,7 +15,6 @@ from toda_bo.scalar import (
     PoleError,
     ZERO,
     det_ring,
-    e_from_p,
     e_geometric_tail,
     newton_p_from_e,
     parse_scalar,
@@ -175,6 +174,19 @@ def test_newton_p_from_e_root_oracle():
         for j in range(1, k + 1):
             power_sum = sum(r**j for r in roots)
             assert newton_p_from_e(es[:j]) == power_sum
+
+
+def e_from_p(p: list) -> list:
+    """Elementary e_1..e_k from power sums p_1..p_k by the triangular
+    recurrence k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i; an independent
+    inverse of newton_p_from_e's determinant."""
+    es = [ONE]
+    for k in range(1, len(p) + 1):
+        acc = sum(
+            (es[k - i] * p[i - 1] * (-1) ** (i - 1) for i in range(1, k + 1)), ZERO
+        )
+        es.append(acc / k)
+    return es[1:]
 
 
 def test_newton_round_trip_with_inverse_relation():

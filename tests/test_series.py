@@ -15,13 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_bo.scalar import ONE, ZERO, BudgetError
+from toda_bo.scalar import ONE, ZERO
 from toda_bo.series import (
     LaurentSeries,
-    MultiSeries,
-    constant_term,
-    kernel_series,
-    ratio_kernel_terms,
     series_exp,
     series_inv,
     series_log,
@@ -269,89 +265,3 @@ def test_exp_log_round_trip():
 def test_log_requires_unit_constant():
     with pytest.raises(ValueError):
         series_log(poly({0: 3, 1: 1}))
-
-
-# #### kernels #################################################################
-
-
-def test_kernel_plus_small_coefficients():
-    q = F(1, 4)
-    k = kernel_series("plus", "w1", "w2", 2, q)
-    assert k.coeff((0, 0)) == ONE
-    assert k.coeff((-1, 1)) == (1 - 1 / q) * q
-    assert k.coeff((-2, 2)) == (1 - 1 / q) * q**2
-    assert k.coeff((1, -1)) == ZERO
-
-
-def test_kernel_multiply_back():
-    # kernel('plus') * (1 - q w2/w1) should equal 1 - w2/w1 through the window
-    q = F(1, 3)
-    N = 12
-    k = kernel_series("plus", "w1", "w2", N, q)
-    denom = MultiSeries(("w1", "w2"), N, {(0, 0): ONE, (-1, 1): -q})
-    prod = k * denom
-    expect = MultiSeries(("w1", "w2"), N, {(0, 0): ONE, (-1, 1): -ONE})
-    assert prod.coeffs == expect.coeffs
-
-
-def test_kernel_minus_is_plus_with_inverted_q():
-    q = F(2, 5)
-    a = kernel_series("minus", "u", "v", 9, q)
-    b = kernel_series("plus", "u", "v", 9, 1 / q)
-    assert a.coeffs == b.coeffs
-
-
-def test_kernel_minus_multiply_back():
-    q = F(1, 3)
-    N = 10
-    k = kernel_series("minus", "w1", "w2", N, q)
-    denom = MultiSeries(("w1", "w2"), N, {(0, 0): ONE, (-1, 1): -1 / q})
-    prod = k * denom
-    assert prod.coeffs == {(0, 0): ONE, (-1, 1): -ONE}
-
-
-def test_ratio_kernel_terms_flat_map():
-    q = F(1, 2)
-    t = ratio_kernel_terms("plus", 3, q)
-    assert t == {0: ONE, 1: (1 - 2) * q, 2: -q**2, 3: -q**3}
-
-
-def test_kernel_rejects_bad_kind_and_vars():
-    with pytest.raises(ValueError):
-        kernel_series("neutral", "a", "b", 3, F(1, 2))
-    with pytest.raises(ValueError):
-        kernel_series("plus", "a", "a", 3, F(1, 2))
-
-
-# #### multiseries mechanics ###################################################
-
-
-def test_multiseries_mul_drops_outside_window():
-    m = MultiSeries(("x",), 2, {(2,): ONE})
-    p = m * m  # exponent 4 exceeds window
-    assert p.coeffs == {}
-
-
-def test_multiseries_add_and_scale():
-    a = MultiSeries(("x", "y"), 3, {(1, 0): F(2)})
-    b = MultiSeries(("x", "y"), 3, {(1, 0): F(-2), (0, 1): ONE})
-    assert (a + b).coeffs == {(0, 1): ONE}
-    assert a.scale(F(1, 2)).coeffs == {(1, 0): ONE}
-
-
-def test_multiseries_var_budget():
-    with pytest.raises(BudgetError):
-        MultiSeries(("a", "b", "c", "d", "e"), 1, {})
-
-
-def test_constant_term():
-    m = MultiSeries(("x", "y"), 2, {(0, 0): F(5), (1, -1): ONE})
-    assert constant_term(m) == F(5)
-    assert constant_term(MultiSeries(("x",), 1, {(1,): ONE})) == ZERO
-
-
-def test_multiseries_window_validation():
-    with pytest.raises(ValueError):
-        MultiSeries(("x",), 2, {(3,): ONE})
-    with pytest.raises(ValueError):
-        MultiSeries(("x", "y"), 2, {(1,): ONE})

@@ -8,17 +8,17 @@ windows are validated by exact cross-multiplication, never by tolerance.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from toda_bo.scalar import ParamPoint, PoleError
-from toda_bo.series import series_exp, LaurentSeries
+from toda_bo.series import series_exp, series_log, LaurentSeries
 from toda_bo.soliton import (
     BilinearOp,
     SolitonTau,
     SolitonTerm,
-    alpha_from_taus,
     bilinear,
     d_factor,
     decay_report,
@@ -31,6 +31,7 @@ from toda_bo.soliton import (
     miwa_shift,
     modes_from_series,
     parse_soliton_spec,
+    sample_decaying,
     soliton_spec_json,
     symbolic_scale,
     symbolic_sub,
@@ -231,6 +232,20 @@ def test_modes_from_series():
     assert m[3] == eta.coeff(-3)
 
 
+def alpha_from_taus(params, b_values, window):
+    """Modes alpha_{+-n} recovered from the logarithms of the two tau series:
+    alpha_{-n} = -(1 - q**n) [z**+n] log tau_+,
+    alpha_{+n} = -(1 - q**n) [z**-n] log tau_-."""
+    q = params.q
+    lp = series_log(make_tau_plus(params).to_series(b_values), order=window)
+    lm = series_log(make_tau_minus(params).to_series(b_values), order=window)
+    out = {}
+    for n in range(1, window + 1):
+        out[-n] = -(1 - q**n) * lp.coeff(n)
+        out[n] = -(1 - q**n) * lm.coeff(-n)
+    return out
+
+
 def test_alpha_round_trip():
     params, b = P2, (F(1, 2), F(1, 3))
     q = params.q
@@ -255,6 +270,21 @@ def test_decay_report():
     assert rep["inner_margin"] < F(3, 10)
     bad = decay_report(P1, (F(2),))
     assert not bad["ok"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_sample_decaying_draws_decaying_points(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        params, b = sample_decaying(F(1, 2), rng, n)
+        assert params.s == F(1, 2) and params.n == len(b) == n
+        assert decay_report(params, b)["ok"]
+
+
+def test_sample_decaying_rejects_unsupported_wave_counts():
+    for n in (-1, 3):
+        with pytest.raises(ValueError):
+            sample_decaying(F(1, 2), random.Random(0), n)
 
 
 # #### specifications ##########################################################

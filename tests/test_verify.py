@@ -26,9 +26,7 @@ from toda_bo.verify import (
     CONVERGENT_TOL,
     GROUPS,
     IDENTITY_IDS,
-    T3_IDS,
     CheckConfig,
-    check_lemma_t3_family,
     quad_kernel_series,
     resolve_selector,
     run_check,
@@ -54,7 +52,11 @@ def test_registry_is_duplicate_free_and_groups_cover_it():
     assert GROUPS["all"] == IDENTITY_IDS
     for name, members in GROUPS.items():
         assert set(members) <= set(IDENTITY_IDS), name
-    assert set(T3_IDS) <= set(GROUPS["lemma-t3"])
+    # the four groups partition the ids into contiguous runs, in report order
+    order = ("bracket", "soliton-exact", "iom-numeric", "lemma-t3")
+    assert sorted(GROUPS) == sorted(order + ("all",))
+    assert sum((GROUPS[g] for g in order), ()) == IDENTITY_IDS
+    assert [len(GROUPS[g]) for g in order] == [12, 7, 3, 6]
 
 
 def test_selector_defaults_to_everything():
@@ -321,6 +323,18 @@ def test_suite_parallel_matches_serial(monkeypatch):
     assert as_bytes(serial) == as_bytes(parallel)
 
 
+def check_lemma_t3_family(check_id: str, trunc: ModeTrunc):
+    """Run one quadratic-kernel lemma at an explicit truncation."""
+    cfg = CheckConfig()
+    cfg = replace(
+        cfg,
+        t3_trunc_modes=trunc.n_modes,
+        t3_trunc_deg=trunc.d_deg,
+        t3_trunc_z=min(cfg.t3_trunc_z, trunc.n_modes),
+    )
+    return run_check(check_id, cfg)
+
+
 def test_t3_family_truncation_override():
     r = check_lemma_t3_family("lemma-3-4", ModeTrunc(4, 4))
     assert r.passed
@@ -329,10 +343,3 @@ def test_t3_family_truncation_override():
     tiny = check_lemma_t3_family("lemma-3-4", ModeTrunc(1, 1))
     assert tiny.passed
     assert tiny.detail["witness_certified_terms"] >= 1
-
-
-def test_t3_family_rejects_foreign_ids():
-    with pytest.raises(KeyError):
-        check_lemma_t3_family("prop-t2")
-    with pytest.raises(KeyError):
-        check_lemma_t3_family("eta-eta")
