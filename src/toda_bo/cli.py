@@ -7,8 +7,9 @@ and writes JSON-lines snapshots, `soliton` renders a wave data file to exact
 tau coefficients.  Report bytes are a pure function of the flags and seed;
 the only exception is `--timings`, which adds wall-clock fields.
 
-Exit codes: 0 everything passed, 1 a check or run failed, 2 usage trouble
-(unknown flag, unknown identity, unreadable input file).
+Exit codes: 0 everything passed, 1 a check or run failed (an unexpected
+exception prints one `internal error` line), 2 usage trouble (unknown flag,
+unknown identity, unreadable input file).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .evolve import (
     DEFAULT_POINT,
@@ -47,7 +47,7 @@ from .soliton import (
     sample_decaying,
     soliton_spec_json,
 )
-from .verify import CheckConfig, CheckReport, run_suite
+from .verify import S, CheckConfig, CheckReport, UnknownIdentity, run_suite
 
 REPORT_SCHEMA = "toda-bo-report/1"
 
@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_iom(args) -> int:
     rng = random.Random(args.seed)
-    params, b = sample_decaying(CheckConfig().s, rng, args.solitons)
+    params, b = sample_decaying(S, rng, args.solitons)
     window = 2 * args.modes
     mv = ModeVector.from_series(eta_series_from_taus(params, b, window), window)
     decay = soliton_decay(params, b, mv)
@@ -297,8 +297,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"toda-bo: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except UnknownIdentity as exc:
+        print(f"toda-bo: {exc.args[0]}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"toda-bo: {exc}", file=sys.stderr)
@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"toda-bo: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"toda-bo: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,25 +22,6 @@ import numpy as np
 from .scalar import ParamPoint
 from .soliton import eta_series_from_taus, modes_from_series
 
-__all__ = [
-    "BlowUpError",
-    "DEFAULT_AMPLITUDES",
-    "DEFAULT_POINT",
-    "RandomInit",
-    "RunConfig",
-    "SolitonInit",
-    "State",
-    "analytic_soliton_modes",
-    "bo_rhs",
-    "conserved_pair",
-    "initial_state",
-    "kernel",
-    "order_ratio",
-    "q_from_gamma",
-    "rk4_step",
-    "run",
-]
-
 
 class BlowUpError(RuntimeError):
     """Trajectory left the configured norm bound (or went non-finite)."""
@@ -57,10 +38,16 @@ _Q_TOL = 1e-9
 def q_from_gamma(gamma: complex) -> complex:
     """Deformation parameter from the lattice spacing, q = e^(2*pi*i*gamma).
 
-    The upper half plane (including the real axis) keeps |q| <= 1."""
+    The upper half plane (including the real axis) keeps |q| <= 1; the flow
+    also divides by q, so q must not underflow."""
+    if not cmath.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if gamma.imag < -_Q_TOL:
         raise ValueError("gamma must satisfy Im(gamma) >= 0")
-    return cmath.exp(2j * cmath.pi * gamma)
+    q = cmath.exp(2j * cmath.pi * gamma)
+    if q == 0 or not cmath.isfinite(1 / q):
+        raise ValueError("Im(gamma) too large: q underflows to zero")
+    return q
 
 
 @dataclass(frozen=True)
@@ -277,23 +264,3 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
     }
     return records, summary
 
-
-def order_ratio(s: State, dt: float, steps: int) -> float:
-    """Step-halving ratio |y_h - y_{h/2}| / |y_{h/2} - y_{h/4}| over one horizon.
-
-    A fourth-order one-step method gives 16 in the smooth regime."""
-
-    def advance(h: float, n: int) -> np.ndarray:
-        cur = s
-        for _ in range(n):
-            cur = rk4_step(cur, h)
-        return cur.modes
-
-    y1 = advance(dt, steps)
-    y2 = advance(dt / 2, 2 * steps)
-    y4 = advance(dt / 4, 4 * steps)
-    e12 = float(np.abs(y1 - y2).max())
-    e24 = float(np.abs(y2 - y4).max())
-    if e24 == 0.0:
-        raise ValueError("horizon too short: refinement error vanished")
-    return e12 / e24

@@ -39,11 +39,8 @@ from .scalar import (
     Scalar,
     e_geometric_tail,
     newton_p_from_e,
-    scalar_decimal,
-    scalar_str,
 )
 from .modes import (
-    AlphaPoly,
     AlphaSeries,
     ModeContext,
     build_eta,
@@ -79,12 +76,6 @@ class ModeVector:
     @classmethod
     def from_series(cls, f, N: int) -> "ModeVector":
         return cls(N, modes_from_series(f, N))
-
-    @classmethod
-    def constant(cls, c, N: int) -> "ModeVector":
-        vals = {m: ZERO for m in range(-N, N + 1)}
-        vals[0] = c
-        return cls(N, vals)
 
     def covers(self, m: int) -> bool:
         return m in self.values
@@ -147,22 +138,6 @@ class IomResult:
     value: object
     N: int
     tail: Scalar | None = None
-    kind: str = "plus"
-
-    def to_json(self) -> dict:
-        out = {
-            "k": self.k,
-            "N": self.N,
-            "kind": self.kind,
-            "value": scalar_str(self.value),
-            "value_decimal": scalar_decimal(self.value),
-        }
-        if self.tail is None:
-            out["tail"] = None
-        else:
-            out["tail"] = scalar_str(self.tail)
-            out["tail_decimal"] = scalar_decimal(self.tail)
-        return out
 
 
 def _kernel_coeff(qq: Scalar, m: int) -> Scalar:
@@ -205,23 +180,19 @@ def I_k_def(
     N: int,
     q: Scalar,
     *,
-    kind: str = "plus",
     decay: tuple[Scalar, Scalar] | None = None,
     mul=operator.mul,
 ) -> IomResult:
     """Constant term of k field copies against pair kernels, truncated at N.
 
-    kind selects the kernel orientation; "minus" is the "plus" enumeration
-    with the deformation parameter inverted.  Pair exponents m_{ij} <= N
+    The pair kernel is (1 - w)/(1 - q w); the mirror orientation is the
+    same enumeration at 1/q (Ibar_k_def).  Pair exponents m_{ij} <= N
     contribute the mode product at indices given by the net exponent flow
     through each position.  Missing modes raise unless a decay model (H,
     rho) is given, in which case they are charged to the tail bound.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if kind not in ("plus", "minus"):
-        raise ValueError("kind must be plus or minus")
-    qq = q if kind == "plus" else 1 / q
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     p = len(pairs)
     if (N + 1) ** p > ENUM_BUDGET:
@@ -230,7 +201,7 @@ def I_k_def(
         h, rho = decay
         if not 0 < rho < 1:
             raise ValueError("decay ratio must lie in (0, 1)")
-    ktab = [_kernel_coeff(qq, m) for m in range(N + 1)]
+    ktab = [_kernel_coeff(q, m) for m in range(N + 1)]
     total = None
     tail = ZERO
     for ms in itertools.product(range(N + 1), repeat=p):
@@ -257,25 +228,25 @@ def I_k_def(
     if total is None:
         total = ZERO
     if p == 0 or decay is None:
-        return IomResult(k, total, N, tail if (decay or p == 0) else None, kind)
+        return IomResult(k, total, N, tail if (decay or p == 0) else None)
     # Dropped kernel shells: every vector with some exponent M > N.  Within
-    # a shell the coefficient product carries |qq|**(sum m) and the mode
+    # a shell the coefficient product carries |q|**(sum m) and the mode
     # product is bounded by H**k rho**(sum |flow|); the cut-flow argument
     # gives sum |flow| >= 2M and sum m <= (k-1) * max cut flow, hence the
     # two candidate shell ratios below.  Shell M holds at most p (M+1)**(p-1)
     # vectors.
-    kappa = max(ONE, abs(ONE - 1 / qq))
+    kappa = max(ONE, abs(ONE - 1 / q))
     candidates = []
-    if abs(qq) < 1:
-        candidates.append(abs(qq))
-    rescue = abs(qq) ** (k - 1) * rho**2
+    if abs(q) < 1:
+        candidates.append(abs(q))
+    rescue = abs(q) ** (k - 1) * rho**2
     if rescue < 1:
         candidates.append(rescue)
     if not candidates:
-        return IomResult(k, total, N, None, kind)
+        return IomResult(k, total, N, None)
     r = min(candidates)
     tail += kappa**p * h**k * p * power_geometric_tail(p - 1, r, N)
-    return IomResult(k, total, N, tail, kind)
+    return IomResult(k, total, N, tail)
 
 
 def Ibar_k_def(
@@ -287,8 +258,9 @@ def Ibar_k_def(
     decay: tuple[Scalar, Scalar] | None = None,
     mul=operator.mul,
 ) -> IomResult:
-    """Mirror-orientation charge over the dual field's modes."""
-    return I_k_def(xi, k, N, q, kind="minus", decay=decay, mul=mul)
+    """Mirror-orientation charge over the dual field's modes: the kernel
+    enumeration of I_k_def at the inverted deformation parameter."""
+    return I_k_def(xi, k, N, 1 / q, decay=decay, mul=mul)
 
 
 # #### quadratic and cubic kernel formulas #####################################
@@ -316,13 +288,19 @@ def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
 
 
 @lru_cache(maxsize=None)
-def _mode_table(ctx: ModeContext, side: str) -> ModeVector:
+def mode_table(ctx: ModeContext, side: str = "eta", span: int = 1) -> ModeVector:
+    """Mode polynomials of the eta (or xi) field for |m| <= span * n_modes.
+
+    Modes past n_modes are identically zero in the truncated model (their
+    true content is all heavier than the truncation), so a wider table just
+    records zero polynomials; the cubic charge reads indices up to 2 N."""
     field = build_eta(ctx) if side == "eta" else build_xi(ctx)
-    N = ctx.trunc.n_modes
-    return ModeVector(N, {m: field.mode(m) for m in range(-N, N + 1)})
+    W = span * ctx.trunc.n_modes
+    return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
 
 
-def _capped_mul(ctx: ModeContext):
+def capped_mul(ctx: ModeContext):
+    """Mode-polynomial product pruned to the context's weight and degree caps."""
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     return lambda a, b: poly_mul(a, b, max_weight=N, max_deg=D)
 
@@ -331,7 +309,7 @@ def _capped_mul(ctx: ModeContext):
 def M2_functional(ctx: ModeContext, side: str = "eta") -> AlphaSeries:
     """Quadratic charge as a mode-polynomial functional (full guarantee)."""
     q = ctx.q if side == "eta" else 1 / ctx.q
-    poly = M2_kernel(_mode_table(ctx, side), ctx.trunc.n_modes, q, _capped_mul(ctx))
+    poly = M2_kernel(mode_table(ctx, side), ctx.trunc.n_modes, q, capped_mul(ctx))
     return AlphaSeries.functional(ctx, poly)
 
 
@@ -339,7 +317,7 @@ def M2_functional(ctx: ModeContext, side: str = "eta") -> AlphaSeries:
 def M3_functional(ctx: ModeContext, side: str = "eta") -> AlphaSeries:
     """Cubic charge as a mode-polynomial functional (full guarantee)."""
     q = ctx.q if side == "eta" else 1 / ctx.q
-    poly = M3_kernel(_mode_table(ctx, side), ctx.trunc.n_modes, q, _capped_mul(ctx))
+    poly = M3_kernel(mode_table(ctx, side), ctx.trunc.n_modes, q, capped_mul(ctx))
     return AlphaSeries.functional(ctx, poly)
 
 
@@ -399,6 +377,20 @@ def closed_M(i: int, p: ParamPoint, bar: bool = False) -> Scalar:
 # #### Newton map ##############################################################
 
 
+def newton_normalizers(q: Scalar, k: int) -> list[Scalar]:
+    """Triangular prefactors q**(j(j-1)/2) / prod_{i<=j}(1 - q**i), j = 1..k,
+    that turn the j-th charge into elementary symmetric data."""
+    out = []
+    denom = ONE
+    for j in range(1, k + 1):
+        f = ONE - q**j
+        if f == 0:
+            raise PoleError(f"q**{j} == 1")
+        denom *= f
+        out.append(q ** (j * (j - 1) // 2) / denom)
+    return out
+
+
 def M_from_I(i_values: list, p: ParamPoint, bar: bool = False, *, one=ONE, zero=ZERO):
     """Newton-determinant combination of the first k charges.
 
@@ -411,13 +403,6 @@ def M_from_I(i_values: list, p: ParamPoint, bar: bool = False, *, one=ONE, zero=
     if k == 0:
         raise ValueError("need at least one charge value")
     q = 1 / p.q if bar else p.q
-    e = []
-    denom = ONE
-    for j in range(1, k + 1):
-        f = ONE - q**j
-        if f == 0:
-            raise PoleError(f"q**{j} == 1")
-        denom *= f
-        e.append(i_values[j - 1] * (q ** (j * (j - 1) // 2) / denom))
+    e = [v * w for v, w in zip(i_values, newton_normalizers(q, k))]
     p_k = newton_p_from_e(e, one=one, zero=zero)
     return p_k * ((ONE - q**k) * Fraction(1, k))

@@ -31,11 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .scalar import ONE, ZERO, PoleError, Scalar
+from .scalar import ONE, PoleError, Scalar
 
 Monomial = tuple[int, ...]  # sorted mode indices, each nonzero
-
-CHECK_BALANCE = True
 
 
 def mono_weight(m: Monomial) -> int:
@@ -73,15 +71,6 @@ class AlphaPoly:
     @classmethod
     def one(cls) -> "AlphaPoly":
         return cls({(): ONE})
-
-    @classmethod
-    def gen(cls, n: int) -> "AlphaPoly":
-        if n == 0:
-            raise ValueError("mode index must be nonzero")
-        return cls({(n,): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -159,22 +148,6 @@ class AlphaPoly:
         }
         return AlphaPoly(out) if len(out) != len(self.terms) else self
 
-    def evaluate(self, values) -> Scalar:
-        """Substitute numeric mode values (missing modes read as zero)."""
-        total = None
-        for m, c in self.terms.items():
-            v = c
-            for n in m:
-                x = values.get(n)
-                if not x:
-                    v = None
-                    break
-                v = v * x
-            if v is None:
-                continue
-            total = v if total is None else total + v
-        return total if total is not None else ZERO
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -202,17 +175,6 @@ def poly_mul(
     if not a.terms or not b.terms:
         return AlphaPoly.zero()
     out: dict[Monomial, Scalar] = {}
-    if max_weight is None and max_deg is None:
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = tuple(sorted(m1 + m2))
-                v = out.get(m)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return AlphaPoly(out)
     wcap = float("inf") if max_weight is None else max_weight
     dcap = float("inf") if max_deg is None else max_deg
     bs = sorted(b.terms.items(), key=lambda kv: mono_weight(kv[0]))
@@ -351,14 +313,11 @@ class AlphaSeries:
                 clean[slot] = p
         self.coeffs = clean
         self.guar = guar
-        if CHECK_BALANCE:
-            for slot, poly in clean.items():
-                off = sum(slot)
-                for m in poly.terms:
-                    if mono_sigma(m) != -off:
-                        raise AssertionError(
-                            f"balance violated at slot {slot}: monomial {m}"
-                        )
+        for slot, poly in clean.items():
+            off = sum(slot)
+            for m in poly.terms:
+                if mono_sigma(m) != -off:
+                    raise AssertionError(f"balance violated at slot {slot}: monomial {m}")
 
     # -- constructors --------------------------------------------------------
 
@@ -367,10 +326,6 @@ class AlphaSeries:
         if guar is None:
             guar = Guarantee(ctx.trunc.n_modes, ctx.trunc.n_modes, ctx.trunc.d_deg)
         return cls(ctx, (), {(): poly}, guar)
-
-    @classmethod
-    def zero(cls, ctx, vars=()):
-        return cls(ctx, vars, {}, Guarantee(ctx.trunc.n_modes, ctx.trunc.n_modes, ctx.trunc.d_deg))
 
     # -- access ----------------------------------------------------------------
 
@@ -514,23 +469,6 @@ class AlphaSeries:
             if term.is_zero():
                 break
             result = result + term
-        return result._with(result.coeffs, self.guar)
-
-    def log(self) -> "AlphaSeries":
-        if self.coeff((0,)) != AlphaPoly.one():
-            raise ValueError("log needs unit constant cell")
-        u = self - AlphaSeries(self.ctx, self.vars, {(0,): AlphaPoly.one()}, self.guar)
-        if u.is_zero():
-            return self._with({})
-        u._direction("log")
-        N = self.ctx.trunc.n_modes
-        result = self._with({})
-        term = AlphaSeries(self.ctx, self.vars, {(0,): AlphaPoly.one()}, self.guar)
-        for k in range(1, N + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            result = result + term.scale(Fraction(1 if k % 2 else -1, k))
         return result._with(result.coeffs, self.guar)
 
     def inv(self) -> "AlphaSeries":

@@ -13,8 +13,6 @@ the ring zero is carried explicitly by each series.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalar import ONE, ZERO, Scalar
 
 _INF = float("inf")
@@ -48,10 +46,6 @@ class LaurentSeries:
         else:
             lo = hi = 0
         return cls(var, lo, hi, nz, zero, tight_lo=True, tight_hi=True)
-
-    @classmethod
-    def constant(cls, var, value, zero=ZERO):
-        return cls.poly(var, {0: value}, zero)
 
     def copy_with(self, coeffs, lo=None, hi=None, tight_lo=None, tight_hi=None):
         return LaurentSeries(
@@ -91,13 +85,6 @@ class LaurentSeries:
             return max(self.coeffs)
         return self.lo - 1 if not self.tight_lo else -_INF
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def dump(self) -> str:
-        lines = [f"{self.var}^{d}: {self.coeffs[d]}" for d in sorted(self.coeffs)]
-        return "\n".join(lines) or "0"
-
     def __repr__(self):
         flags = ("[" if self.tight_lo else "(") + (")" if not self.tight_hi else "]")
         return f"<series {self.var} {self.lo}..{self.hi} {flags} {len(self.coeffs)} terms>"
@@ -113,12 +100,6 @@ class LaurentSeries:
             and self.tight_hi == other.tight_hi
             and self.coeffs == other.coeffs
         )
-
-    def agrees_with(self, other) -> bool:
-        """Coefficientwise equality on the intersection of known ranges."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return all(self.coeff(d) == other.coeff(d) for d in range(lo, hi + 1))
 
     # -- ring operations -----------------------------------------------------
 
@@ -214,25 +195,6 @@ def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     )
 
 
-def _onesided_direction(f: LaurentSeries, kind: str) -> int:
-    """+1 for a power series in var, -1 for one in 1/var; raise otherwise."""
-    if f.tight_lo and f._pot_lo() >= 0:
-        return 1
-    if f.tight_hi and f._pot_hi() <= 0:
-        return -1
-    raise ValueError(f"{kind} needs one-sided support touching degree 0")
-
-
-def _resolve_order(f: LaurentSeries, d: int, order: int | None, what: str) -> int:
-    """Largest one-sided order the input data supports, or validate a request."""
-    natural = f.hi if d > 0 else -f.lo
-    if order is None:
-        return natural
-    if order > natural and not (f.tight_hi if d > 0 else f.tight_lo):
-        raise ValueError(f"{what}: order {order} exceeds known data ({natural})")
-    return order
-
-
 def series_inv(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSeries:
     """Inverse of a one-sided series with unit constant term.
 
@@ -242,8 +204,18 @@ def series_inv(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSe
     """
     if f.coeff(0) != one:
         raise ValueError("constant term must be one (normalize first)")
-    d = _onesided_direction(f, "series_inv")
-    order = _resolve_order(f, d, order, "series_inv")
+    # d = +1 for a power series in var, -1 for one in 1/var
+    if f.tight_lo and f._pot_lo() >= 0:
+        d = 1
+    elif f.tight_hi and f._pot_hi() <= 0:
+        d = -1
+    else:
+        raise ValueError("series_inv needs one-sided support touching degree 0")
+    natural = f.hi if d > 0 else -f.lo
+    if order is None:
+        order = natural
+    elif order > natural and not (f.tight_hi if d > 0 else f.tight_lo):
+        raise ValueError(f"series_inv: order {order} exceeds known data ({natural})")
     out = {0: one}
     for k in range(1, order + 1):
         acc = None
@@ -262,54 +234,3 @@ def series_inv(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSe
         tight_lo=d > 0, tight_hi=d < 0,
     )
 
-
-def series_exp(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSeries:
-    """exp of a one-sided series with zero constant term, exact to its order."""
-    if f.coeff(0) != f.zero:
-        raise ValueError("exp needs zero constant term")
-    if f.is_zero():
-        return LaurentSeries(f.var, 0, 0, {0: one}, f.zero, True, True)
-    d = _onesided_direction(f, "series_exp")
-    order = _resolve_order(f, d, order, "series_exp")
-    lo, hi = (0, order) if d > 0 else (-order, 0)
-    result = LaurentSeries(f.var, lo, hi, {0: one}, f.zero, d > 0, d < 0)
-    term = LaurentSeries(f.var, lo, hi, {0: one}, f.zero, d > 0, d < 0)
-    for k in range(1, order + 1):
-        term = _truncated_mul(term, f, lo, hi).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        result = result + term
-    return result
-
-
-def series_log(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSeries:
-    """log of a one-sided series with unit constant term, exact to its order."""
-    if f.coeff(0) != one:
-        raise ValueError("log needs unit constant term")
-    u = f - LaurentSeries(f.var, 0, 0, {0: one}, f.zero, True, True)
-    if u.is_zero():
-        return LaurentSeries(f.var, 0, 0, {}, f.zero, True, True)
-    d = _onesided_direction(u, "series_log")
-    order = _resolve_order(u, d, order, "series_log")
-    lo, hi = (0, order) if d > 0 else (-order, 0)
-    result = LaurentSeries(f.var, lo, hi, {}, f.zero, d > 0, d < 0)
-    term = LaurentSeries(f.var, lo, hi, {0: one}, f.zero, d > 0, d < 0)
-    for k in range(1, order + 1):
-        term = _truncated_mul(term, u, lo, hi)
-        if term.is_zero():
-            break
-        signed = term.scale(Fraction(1 if k % 2 else -1, k))
-        result = result + signed
-    return result
-
-
-def _truncated_mul(f: LaurentSeries, g: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
-    """One-sided product clipped to [lo, hi]; callers guarantee exactness."""
-    out = {}
-    for d1, c1 in f.coeffs.items():
-        for d2, c2 in g.coeffs.items():
-            d = d1 + d2
-            if lo <= d <= hi:
-                v = out.get(d)
-                out[d] = c1 * c2 if v is None else v + c1 * c2
-    return LaurentSeries(f.var, lo, hi, out, f.zero, f.tight_lo, f.tight_hi)

@@ -45,9 +45,12 @@ from .iom import (
     M3_kernel,
     M_from_I,
     ModeVector,
+    capped_mul,
     closed_I,
     closed_Ibar,
     closed_M,
+    mode_table,
+    newton_normalizers,
     soliton_decay,
 )
 from .modes import (
@@ -73,7 +76,6 @@ from .modes import (
 from .scalar import (
     ONE,
     ZERO,
-    BudgetError,
     ParamError,
     ParamPoint,
     PoleError,
@@ -106,15 +108,29 @@ from .soliton import (
 
 CONVERGENT_TOL = Fraction(1, 10**10)
 
+# Deformation parameter of every check (q = S**2) and the field coupling of
+# the mode-algebra contexts and the mirror-charge points.
+S = Fraction(1, 2)
+EPS = Fraction(1, 8)
+
+# The quadratic-kernel lemmas run at their own, smaller truncation triple
+# (z window, modes, degree): their flows cost a cubic charge bracket per cell.
+T3_TRUNC_Z, T3_TRUNC_MODES, T3_TRUNC_DEG = 3, 6, 6
+
+# Kernel cutoff ladder of the convergent charge checks.
+IOM_CUTOFFS = (16, 32, 48)
+
+
+class UnknownIdentity(KeyError):
+    """A selector token that is neither an id, a group, nor a glob pattern."""
+
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Knobs shared by every check; construct once, pass everywhere.
+    """The command-line knobs shared by every check.
 
-    The main truncation triple governs the bracket-family checks; the
-    quadratic-kernel lemmas run at their own (smaller) triple because their
-    flows cost a cubic charge bracket per cell.  iom_N is the cutoff ladder
-    for the convergent checks.
+    The truncation triple governs the bracket-family checks; solitons bounds
+    the wave count of the exact soliton checks and of conj-iom.
     """
 
     seed: int = 7
@@ -123,12 +139,6 @@ class CheckConfig:
     trunc_z: int = 6
     trunc_modes: int = 12
     trunc_deg: int = 6
-    t3_trunc_z: int = 3
-    t3_trunc_modes: int = 6
-    t3_trunc_deg: int = 6
-    iom_N: tuple[int, ...] = (16, 32, 48)
-    s: Scalar = Fraction(1, 2)
-    eps: Scalar = Fraction(1, 8)
     timings: bool = False
 
 
@@ -171,11 +181,11 @@ def _sgn(n: int) -> int:
 
 
 def _ctx_bracket(cfg: CheckConfig) -> ModeContext:
-    return ModeContext(cfg.s, cfg.eps, ModeTrunc(cfg.trunc_modes, cfg.trunc_deg))
+    return ModeContext(S, EPS, ModeTrunc(cfg.trunc_modes, cfg.trunc_deg))
 
 
-def _ctx_t3(cfg: CheckConfig) -> ModeContext:
-    return ModeContext(cfg.s, cfg.eps, ModeTrunc(cfg.t3_trunc_modes, cfg.t3_trunc_deg))
+def _ctx_t3() -> ModeContext:
+    return ModeContext(S, EPS, ModeTrunc(T3_TRUNC_MODES, T3_TRUNC_DEG))
 
 
 def _finish_windowed(pairs, zcap: int):
@@ -529,7 +539,7 @@ def _run_bracket_family(build, cfg: CheckConfig, rng: random.Random):
 
 
 def _run_t3_family(build, cfg: CheckConfig, rng: random.Random):
-    return _run_windowed(build, _ctx_t3(cfg), cfg.t3_trunc_z)
+    return _run_windowed(build, _ctx_t3(), T3_TRUNC_Z)
 
 
 # #### exact soliton finisher ##################################################
@@ -687,7 +697,7 @@ def _run_exact(residual_fn, cfg: CheckConfig, rng: random.Random):
     checked = 0
     for n in range(0, cfg.solitons + 1):
         for _ in range(cfg.samples):
-            params = sample_param_point(rng, n, s=cfg.s)
+            params = sample_param_point(rng, n, s=S)
             res, draws = residual_fn(params, rng, tally)
             checked += 1
             m = _sym_max_abs(res)
@@ -695,7 +705,7 @@ def _run_exact(residual_fn, cfg: CheckConfig, rng: random.Random):
                 worst = m
             points.append({"n": n, "point": params.to_json(), **draws})
     params_d = {
-        "s": scalar_str(cfg.s),
+        "s": scalar_str(S),
         "samples": cfg.samples,
         "soliton_range": [0, cfg.solitons],
         "points": points,
@@ -746,14 +756,18 @@ _MIRROR_POINTS = (
 
 
 def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
-    window = 2 * max(cfg.iom_N)
-    top = max(cfg.iom_N)
+    """Charge ladders against the closed forms: plus side at 1..min(2,
+    solitons) sampled waves, mirror side at as many pinned points.  With
+    solitons == 0 only the zero-wave plus point runs."""
+    window = 2 * max(IOM_CUTOFFS)
+    top = max(IOM_CUTOFFS)
     worst = ZERO
     cases = []
     points = []
     passed = True
-    for n in range(1, min(2, max(1, cfg.solitons)) + 1):
-        params, b_main = sample_decaying(cfg.s, rng, n)
+    waves = range(1, min(2, cfg.solitons) + 1) if cfg.solitons else (0,)
+    for n in waves:
+        params, b_main = sample_decaying(S, rng, n)
         b_alt = _sample_alt_amplitudes(params, rng)
         mv, mv_alt = (
             ModeVector.from_series(eta_series_from_taus(params, b, window), window)
@@ -761,8 +775,8 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
         )
         for k in (1, 2, 3):
             closed = closed_I(k, params)
-            vals = {N: I_k_def(mv, k, N, params.q).value for N in cfg.iom_N}
-            ladder = [abs(vals[N] - closed) for N in cfg.iom_N]
+            vals = {N: I_k_def(mv, k, N, params.q).value for N in IOM_CUTOFFS}
+            ladder = [abs(vals[N] - closed) for N in IOM_CUTOFFS]
             ok = _ladder_ok(ladder)
             amp_diff = abs(I_k_def(mv_alt, k, top, params.q).value - vals[top])
             amp_ok = amp_diff <= CONVERGENT_TOL
@@ -779,9 +793,9 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
                 }
             )
         points.append(params.to_json())
-    bar_cutoffs = tuple(2 * N for N in cfg.iom_N)
-    for a, b in _MIRROR_POINTS[: min(2, max(1, cfg.solitons))]:
-        params = ParamPoint(cfg.s, Fraction(1, 8), a)
+    bar_cutoffs = tuple(2 * N for N in IOM_CUTOFFS)
+    for a, b in _MIRROR_POINTS[: min(2, cfg.solitons)]:
+        params = ParamPoint(S, EPS, a)
         xi = xi_series_from_taus(params, b, window)
         mv_bar = ModeVector.from_series(xi, window)
         for k in (1, 2):
@@ -804,8 +818,8 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
             )
         points.append(params.to_json())
     params_d = {
-        "s": scalar_str(cfg.s),
-        "iom_N": list(cfg.iom_N),
+        "s": scalar_str(S),
+        "iom_N": list(IOM_CUTOFFS),
         "mirror_N": list(bar_cutoffs),
         "tolerance": scalar_decimal(CONVERGENT_TOL),
         "points": points,
@@ -814,20 +828,10 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
     return "convergent", params_d, worst, passed, detail
 
 
-def _newton_normalizers(p: ParamPoint, k: int, bar: bool):
-    q = 1 / p.q if bar else p.q
-    out = []
-    denom = ONE
-    for j in range(1, k + 1):
-        denom *= 1 - q**j
-        out.append(q ** (j * (j - 1) // 2) / denom)
-    return out
-
-
 def _newton_error_bound(i_vals, tails, p: ParamPoint, k: int) -> Fraction:
     """Worst-case shift of the Newton charge when each input charge moves by
     its tail bound; exact rational arithmetic on explicit monomial bounds."""
-    w = _newton_normalizers(p, k, bar=False)
+    w = newton_normalizers(p.q, k)
     e = [abs(v) * abs(wj) for v, wj in zip(i_vals, w)]
     d = [Fraction(t) * abs(wj) for t, wj in zip(tails, w)]
     q = p.q
@@ -856,16 +860,13 @@ def _kernel_tail_m3(H, rho, q, N) -> Fraction:
     return H**3 * x ** (N + 1) * (1 + x) / (1 - x) ** 2
 
 
-def _formal_newton_vs_kernel(cfg: CheckConfig, k: int) -> bool:
+def _formal_newton_vs_kernel(k: int) -> bool:
     """Mode-polynomial route equality on the pruned weight window."""
-    ctx = _ctx_t3(cfg)
+    ctx = _ctx_t3()
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
-    span = 2 if k == 3 else 1
-    field = build_eta(ctx)
-    W = span * N
-    mv = ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
-    capped = lambda a, b: poly_mul(a, b, max_weight=N, max_deg=D)
-    stub = ParamPoint(cfg.s, cfg.eps)
+    mv = mode_table(ctx, "eta", 2 if k == 3 else 1)
+    capped = capped_mul(ctx)
+    stub = ParamPoint(S, EPS)
     vals = [I_k_def(mv, i, N, ctx.q, mul=capped).value for i in range(1, k + 1)]
     newton = M_from_I(vals, stub, one=AlphaPoly.one(), zero=AlphaPoly.zero())
     kern = M2_kernel(mv, N, ctx.q) if k == 2 else M3_kernel(mv, N, ctx.q)
@@ -877,7 +878,7 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     exact_pts = 0
     exact_ok = True
     for j in range(20):
-        params = sample_param_point(rng, j % 3, s=cfg.s)
+        params = sample_param_point(rng, j % 3, s=S)
         for bar in (False, True):
             closed_list = [
                 (closed_Ibar if bar else closed_I)(i, params) for i in range(1, 5)
@@ -889,11 +890,11 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
         exact_pts += 1
 
     # formal leg: kernel formula == determinant route on the weight window
-    formal_ok = _formal_newton_vs_kernel(cfg, k)
+    formal_ok = _formal_newton_vs_kernel(k)
 
     # numeric leg: kernel formula on soliton modes within the tail tolerance
-    params, b = sample_decaying(cfg.s, rng, 1)
-    N = max(cfg.iom_N)
+    params, b = sample_decaying(S, rng, 1)
+    N = max(IOM_CUTOFFS)
     window = 2 * N if k == 2 else 3 * N
     mv = ModeVector.from_series(eta_series_from_taus(params, b, window), window)
     decay = soliton_decay(params, b, mv)
@@ -918,7 +919,7 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     passed = exact_ok and formal_ok and numeric_ok
     worst = diff if exact_ok else ONE
     params_d = {
-        "s": scalar_str(cfg.s),
+        "s": scalar_str(S),
         "k": k,
         "cutoff": N,
         "point": params.to_json(),
@@ -1020,18 +1021,19 @@ def sub_seed(check_id: str, seed: int) -> int:
 def run_check(check_id: str, config: CheckConfig | None = None) -> CheckReport:
     """Run one registered identity check and return its report.
 
-    Failures of the machinery itself (size budget exceeded, degenerate
-    parameters that could not be resampled away) produce a failing report
-    with the diagnostic in detail, never a silent pass."""
+    Any exception inside the check (size budget exceeded, degenerate
+    parameters that could not be resampled away, a broken invariant)
+    produces a failing report with the diagnostic in detail, never a silent
+    pass and never an aborted suite."""
     if check_id not in _CHECKS:
-        raise KeyError(f"unknown identity id: {check_id}")
+        raise UnknownIdentity(f"unknown identity id: {check_id}")
     runner, build = _CHECKS[check_id]
     cfg = config or CheckConfig()
     rng = random.Random(sub_seed(check_id, cfg.seed))
     t0 = time.perf_counter()
     try:
         mode, params, worst, passed, detail = runner(build, cfg, rng)
-    except (BudgetError, ParamError, PoleError) as exc:
+    except Exception as exc:
         elapsed = (time.perf_counter() - t0) * 1000.0
         return CheckReport(
             check_id,
@@ -1060,7 +1062,7 @@ def resolve_selector(selector: str | None) -> list[str]:
 
     Accepts a group name, an exact id, a glob pattern, or a comma list of
     those.  A pattern that matches nothing contributes nothing; a literal
-    token that is neither id, group, nor pattern raises KeyError."""
+    token that is neither id, group, nor pattern raises UnknownIdentity."""
     if selector is None or selector == "":
         selector = "all"
     chosen: set[str] = set()
@@ -1075,7 +1077,7 @@ def resolve_selector(selector: str | None) -> list[str]:
         elif any(ch in token for ch in "*?["):
             chosen.update(i for i in IDENTITY_IDS if fnmatch(i, token))
         else:
-            raise KeyError(f"unknown identity id: {token}")
+            raise UnknownIdentity(f"unknown identity id: {token}")
     return [i for i in IDENTITY_IDS if i in chosen]
 
 

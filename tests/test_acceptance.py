@@ -2,7 +2,8 @@
 tolerances and budgets, each announcing a single PASS/FAIL line.
 
 These tests re-run the real machinery end to end (no fixtures shared with
-the unit suites) so a green run here is the contract: exact soliton
+the unit suites; the step-halving oracle comes from test_evolve) so a green
+run here is the contract: exact soliton
 identities at up to three waves, exact window certification of the bracket
 and kernel-lemma families at the published truncations, the convergent
 charge ladders, the charge-consistency legs, the integrator error and
@@ -16,8 +17,10 @@ import time
 from fractions import Fraction
 
 from toda_bo.cli import main
-from toda_bo.evolve import RunConfig, SolitonInit, initial_state, order_ratio, run
+from toda_bo.evolve import RunConfig, SolitonInit, initial_state, run
 from toda_bo.verify import CheckConfig, run_check, run_suite
+
+from test_evolve import order_ratio
 
 TOL = Fraction(1, 10**10)
 

@@ -9,6 +9,8 @@ invocations with identical flags and seed.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -17,10 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from toda_bo import cli
 from toda_bo.cli import build_parser, emit_report, main
 from toda_bo.scalar import ParamPoint
 from toda_bo.soliton import make_tau_plus
+from toda_bo.verify import GROUPS
 
 SMALL_WIN = ["--trunc-z", "4", "--trunc-modes", "8", "--trunc-deg", "4"]
 
@@ -72,6 +77,68 @@ def test_out_of_range_integer_flags_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"toda-bo {argv[0]}: error: argument")
+
+
+def test_internal_error_exits_1_with_one_line(capsys, monkeypatch):
+    # only an unknown selector means usage trouble; any other escaping
+    # exception is a failed run
+    def broken(selector, config):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    rc, out, err = run_main(capsys, ["verify", "--identity", "eta-eta"])
+    assert rc == 1
+    assert out == ""
+    assert err == "toda-bo: internal error: KeyError: 'missing table entry'\n"
+
+
+def _flag(name, values):
+    return st.sampled_from(values).map(lambda v: [name, str(v)])
+
+
+_GAMMA = ["0.1", "0", "0.05", "-0.2", "120", "1e308", "nan", "inf", "-inf"]
+_EVOLVE = st.tuples(
+    st.just(["evolve"]),
+    _flag("--modes", range(0, 9)),
+    _flag("--steps", range(0, 21)),
+    _flag("--dt", ["0.001", "0.01", "0.5", "50", "0", "-0.1", "nan", "inf"]),
+    _flag("--gamma-re", _GAMMA),
+    _flag("--gamma-im", _GAMMA),
+    _flag("--init", ["random", "soliton"]),
+    _flag("--check-interval", [0, 3, 10]),
+)
+_IOM = st.tuples(
+    st.just(["iom"]),
+    _flag("--k", [0, 1, 2, 3]),
+    _flag("--modes", range(-1, 9)),
+    _flag("--solitons", [0, 1, 2, 3]),
+    _flag("--seed", range(0, 50)),
+)
+_VERIFY = st.tuples(
+    st.just(["verify", "--samples", "1"]),
+    _flag("--identity", list(GROUPS["soliton-exact"]) + ["bogus", "zz-*", "hm-*,bogus"]),
+    _flag("--solitons", [-1, 0, 1, 2]),
+    _flag("--seed", range(0, 50)),
+)
+_STRAY = st.sampled_from([[], [], [], ["--bogus"], ["7"], ["--k"], ["--eval"], ["-3"]])
+
+
+@given(
+    st.one_of(_EVOLVE, _IOM, _VERIFY).map(lambda parts: sum(parts, [])),
+    _STRAY,
+)
+@example(["evolve", "--init", "random", "--gamma-re", "nan", "--steps", "2"], [])
+@example(["evolve", "--init", "random", "--gamma-im", "inf", "--steps", "2"], [])
+@settings(max_examples=100, deadline=None)
+def test_any_flag_combination_exits_cleanly(argv, stray):
+    # the contract: a result or a documented exit code, never an exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with np.errstate(all="ignore"):
+            rc = main(argv + stray)
+    assert rc in (0, 1, 2), (rc, err.getvalue())
+    if rc == 2:
+        assert err.getvalue().startswith(("usage:", "toda-bo")), err.getvalue()
 
 
 def test_check_failure_exits_1(capsys):

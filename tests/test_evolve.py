@@ -30,10 +30,8 @@ from toda_bo.evolve import (
     State,
     analytic_soliton_modes,
     bo_rhs,
-    conserved_pair,
     initial_state,
     kernel,
-    order_ratio,
     q_from_gamma,
     rk4_step,
     run,
@@ -71,8 +69,10 @@ def test_q_from_gamma_half_plane():
     q = q_from_gamma(0.1 + 0.05j)
     assert abs(q) == pytest.approx(math.exp(-2 * math.pi * 0.05))
     assert cmath.phase(q) == pytest.approx(2 * math.pi * 0.1)
-    with pytest.raises(ValueError):
-        q_from_gamma(0.1 - 0.2j)
+    # non-finite gamma, or q too small to divide by
+    for gamma in (0.1 - 0.2j, complex(math.nan, 0.05), complex(0.1, math.inf), 0.1 + 120j):
+        with pytest.raises(ValueError):
+            q_from_gamma(gamma)
 
 
 def test_state_validation():
@@ -206,6 +206,25 @@ def test_triangular_closed_forms(q):
     assert abs(s.mode(1) - eta1) <= 1e-12 * abs(eta1)
     assert abs(s.mode(2) - eta2) <= 1e-9 * abs(eta2)
     assert s.mode(-1) == 0
+
+
+def order_ratio(s: State, dt: float, steps: int) -> float:
+    """Step-halving ratio |y_h - y_{h/2}| / |y_{h/2} - y_{h/4}| over one horizon.
+
+    A fourth-order one-step method gives 16 in the smooth regime."""
+
+    def advance(h: float, n: int) -> np.ndarray:
+        cur = s
+        for _ in range(n):
+            cur = rk4_step(cur, h)
+        return cur.modes
+
+    y1 = advance(dt, steps)
+    y2 = advance(dt / 2, 2 * steps)
+    y4 = advance(dt / 4, 4 * steps)
+    e24 = float(np.abs(y2 - y4).max())
+    assert e24 > 0, "horizon too short: refinement error vanished"
+    return float(np.abs(y1 - y2).max()) / e24
 
 
 def test_rk4_is_fourth_order():

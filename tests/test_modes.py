@@ -60,6 +60,11 @@ def assert_certified_zero(series):
     assert not bad, f"nonzero certified cells: {bad[:3]}"
 
 
+def gen(n: int) -> AlphaPoly:
+    """The mode alpha_n as a polynomial."""
+    return AlphaPoly({(n,): F(1)})
+
+
 def poisson_poly(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
     """Uncapped bracket of two mode polynomials, through the pairing that
     bracket() applies cell by cell."""
@@ -97,18 +102,13 @@ def alpha_polys():
 # #### polynomial layer ########################################################
 
 
-def test_gen_rejects_zero_mode():
-    with pytest.raises(ValueError):
-        AlphaPoly.gen(0)
-
-
 def test_poly_arithmetic_smalls():
-    a = AlphaPoly.gen(1)
-    b = AlphaPoly.gen(-2)
+    a = gen(1)
+    b = gen(-2)
     p = (a + b) * (a - b)
     assert p == poly_mul(a, a) - poly_mul(b, b)
-    assert (a - a).is_zero()
-    assert AlphaPoly.const(0).is_zero()
+    assert a - a == 0
+    assert AlphaPoly.const(0) == AlphaPoly.zero()
     assert a * 2 - a - a == 0
 
 
@@ -116,7 +116,7 @@ def test_poly_diff():
     # d/da1 of a1^2 a_-2 = 2 a1 a_-2; d/da2 kills it
     p = AlphaPoly({(-2, 1, 1): F(3)})
     assert p.diff(1) == AlphaPoly({(-2, 1): F(6)})
-    assert p.diff(2).is_zero()
+    assert p.diff(2) == 0
     assert p.diff(-2) == AlphaPoly({(1, 1): F(3)})
 
 
@@ -126,12 +126,6 @@ def test_poly_mul_caps():
     assert (1, 2, 2) in full.terms and (2, 2, 2, 2) in full.terms
     capped = poly_mul(p, p, max_weight=3, max_deg=2)
     assert capped == AlphaPoly({(1, 1): F(1)})
-
-
-def test_poly_evaluate():
-    p = AlphaPoly({(-1, 1): F(2), (): F(3)})
-    assert p.evaluate({1: F(1, 2), -1: F(4)}) == 2 * F(1, 2) * 4 + 3
-    assert p.evaluate({1: F(1, 2)}) == 3  # missing mode reads as zero
 
 
 def test_mono_invariants():
@@ -144,12 +138,12 @@ def test_mono_invariants():
 
 def test_bracket_defining_pairs():
     for n in (1, 2, 3):
-        got = poisson_poly(AlphaPoly.gen(n), AlphaPoly.gen(-n))
+        got = poisson_poly(gen(n), gen(-n))
         assert got == AlphaPoly.const(1 - Q**n)
-        got = poisson_poly(AlphaPoly.gen(-n), AlphaPoly.gen(n))
+        got = poisson_poly(gen(-n), gen(n))
         assert got == AlphaPoly.const(-(1 - Q**n))
-    assert poisson_poly(AlphaPoly.gen(1), AlphaPoly.gen(2)).is_zero()
-    assert poisson_poly(AlphaPoly.gen(1), AlphaPoly.gen(1)).is_zero()
+    assert poisson_poly(gen(1), gen(2)) == 0
+    assert poisson_poly(gen(1), gen(1)) == 0
 
 
 @given(alpha_polys(), alpha_polys())
@@ -173,7 +167,7 @@ def test_bracket_leibniz(f, g, h):
 def test_bracket_jacobi(f, g, h):
     pb = poisson_poly
     total = pb(f, pb(g, h)) + pb(g, pb(h, f)) + pb(h, pb(f, g))
-    assert total.is_zero()
+    assert total == 0
 
 
 # #### guarantee calculus ######################################################
@@ -193,7 +187,7 @@ def test_guarantee_rules():
 
 def test_series_balance_enforced():
     with pytest.raises(AssertionError):
-        AlphaSeries(CTX, ("z",), {(1,): AlphaPoly.gen(1)}, Guarantee(6, 6, 6))
+        AlphaSeries(CTX, ("z",), {(1,): gen(1)}, Guarantee(6, 6, 6))
 
 
 def test_series_pruning():
@@ -201,7 +195,7 @@ def test_series_pruning():
     s = AlphaSeries(
         CTX,
         ("z",),
-        {(4,): AlphaPoly.gen(-4), (1,): AlphaPoly.gen(-1)},
+        {(4,): gen(-4), (1,): gen(-1)},
         Guarantee(6, 6, 6),
     )
     assert sorted(s.coeffs) == [(1,)]
@@ -221,9 +215,9 @@ def test_multivar_same_var_product_certifies_nothing():
 def test_tau_plus_low_coefficients():
     tp = build_tau(CTX, "+")
     assert tp.coeff((0,)) == AlphaPoly.one()
-    assert tp.coeff((1,)) == AlphaPoly.gen(-1) * (-1 / (1 - Q))
-    expect2 = AlphaPoly.gen(-2) * (-1 / (1 - Q**2)) + poly_mul(
-        AlphaPoly.gen(-1), AlphaPoly.gen(-1)
+    assert tp.coeff((1,)) == gen(-1) * (-1 / (1 - Q))
+    expect2 = gen(-2) * (-1 / (1 - Q**2)) + poly_mul(
+        gen(-1), gen(-1)
     ) * (F(1, 2) / (1 - Q) ** 2)
     assert tp.coeff((2,)) == expect2
     assert all(s[0] >= 0 for s in tp.coeffs)
@@ -241,9 +235,16 @@ def test_tau_minus_mirrors_plus():
 
 
 def test_log_tau_recovers_linear_form():
-    lg = build_tau(CTX, "+").log()
+    # log coefficients L_n of tau_+ = sum c_n z**n from z d/dz tau = tau z d/dz L:
+    # n L_n = n c_n - sum_{0<j<n} j L_j c_{n-j}
+    tp = build_tau(CTX, "+")
+    lg = {}
     for n in range(1, 4):
-        assert lg.coeff((n,)) == AlphaPoly.gen(-n) * (-1 / (1 - Q**n))
+        acc = tp.coeff((n,)) * n
+        for j in range(1, n):
+            acc = acc - poly_mul(lg[j], tp.coeff((n - j,))) * j
+        lg[n] = acc * F(1, n)
+        assert lg[n] == gen(-n) * (-1 / (1 - Q**n))
 
 
 def test_exp_needs_one_sided_support():
@@ -253,8 +254,8 @@ def test_exp_needs_one_sided_support():
 
 
 def test_phi_builders():
-    assert build_phi(CTX, "+").coeff((2,)) == AlphaPoly.gen(-2)
-    assert build_phi(CTX, "-").coeff((-2,)) == -AlphaPoly.gen(2)
+    assert build_phi(CTX, "+").coeff((2,)) == gen(-2)
+    assert build_phi(CTX, "-").coeff((-2,)) == -gen(2)
 
 
 def test_eta_exponential_equals_dressing_ratio():

@@ -14,7 +14,6 @@ from fractions import Fraction as F
 import pytest
 
 from toda_bo.scalar import ParamPoint, PoleError
-from toda_bo.series import series_exp, series_log, LaurentSeries
 from toda_bo.soliton import (
     BilinearOp,
     SolitonTau,
@@ -192,6 +191,13 @@ def test_to_series_single_wave():
         make_tau_plus(P1).to_series((F(0),))
 
 
+def agrees(f, g) -> bool:
+    """Coefficientwise equality of two series on the intersection of their
+    known windows."""
+    lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
+    return all(f.coeff(d) == g.coeff(d) for d in range(lo, hi + 1))
+
+
 def test_eta_window_cross_multiplies_exactly():
     for params, b in ((P1, (F(1, 2),)), (P2, (F(1, 2), F(1, 3)))):
         q = params.q
@@ -200,7 +206,7 @@ def test_eta_window_cross_multiplies_exactly():
         tm = make_tau_minus(params).to_series(b)
         lhs = eta * tm * tp
         rhs = (tm.shift_arg(1 / q) * tp.shift_arg(q)).scale(params.eps)
-        assert lhs.agrees_with(rhs)
+        assert agrees(lhs, rhs)
 
 
 def test_xi_window_cross_multiplies_exactly():
@@ -211,7 +217,7 @@ def test_xi_window_cross_multiplies_exactly():
         tm = make_tau_minus(params).to_series(b)
         lhs = xi * tm.shift_arg(1 / s) * tp.shift_arg(s)
         rhs = (tm.shift_arg(s) * tp.shift_arg(1 / s)).scale(1 / params.eps)
-        assert lhs.agrees_with(rhs)
+        assert agrees(lhs, rhs)
 
 
 def test_zero_mode_is_amplitude_independent():
@@ -230,37 +236,6 @@ def test_modes_from_series():
     assert set(m) == set(range(-6, 7))
     assert m[0] == eta.coeff(0)
     assert m[3] == eta.coeff(-3)
-
-
-def alpha_from_taus(params, b_values, window):
-    """Modes alpha_{+-n} recovered from the logarithms of the two tau series:
-    alpha_{-n} = -(1 - q**n) [z**+n] log tau_+,
-    alpha_{+n} = -(1 - q**n) [z**-n] log tau_-."""
-    q = params.q
-    lp = series_log(make_tau_plus(params).to_series(b_values), order=window)
-    lm = series_log(make_tau_minus(params).to_series(b_values), order=window)
-    out = {}
-    for n in range(1, window + 1):
-        out[-n] = -(1 - q**n) * lp.coeff(n)
-        out[n] = -(1 - q**n) * lm.coeff(-n)
-    return out
-
-
-def test_alpha_round_trip():
-    params, b = P2, (F(1, 2), F(1, 3))
-    q = params.q
-    W = 10
-    al = alpha_from_taus(params, b, W)
-    up = LaurentSeries.poly(
-        "z", {n: -al[-n] / (1 - q**n) for n in range(1, W + 1)}
-    )
-    rebuilt = series_exp(up, order=W)
-    assert rebuilt.agrees_with(make_tau_plus(params).to_series(b))
-    dn = LaurentSeries.poly(
-        "z", {-n: -al[n] / (1 - q**n) for n in range(1, W + 1)}
-    )
-    rebuilt_m = series_exp(dn, order=W)
-    assert rebuilt_m.agrees_with(make_tau_minus(params).to_series(b))
 
 
 def test_decay_report():

@@ -19,13 +19,17 @@ from zlib import crc32
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toda_bo import iom, verify
 from toda_bo.iom import closed_M
-from toda_bo.modes import ModeTrunc, apply_ratio_kernel, bracket, build_eta
+from toda_bo.modes import ModeContext, ModeTrunc, apply_ratio_kernel, bracket, build_eta
 from toda_bo.scalar import ParamPoint
 from toda_bo.verify import (
     CONVERGENT_TOL,
+    EPS,
     GROUPS,
     IDENTITY_IDS,
+    S,
+    T3_TRUNC_Z,
     CheckConfig,
     quad_kernel_series,
     resolve_selector,
@@ -35,8 +39,10 @@ from toda_bo.verify import (
     _ctx_bracket,
     _finish_windowed,
     _ladder_ok,
+    _run_windowed,
     _sgn,
     _win_eta_eta,
+    _win_lemma_3_4,
 )
 
 # small enough to keep every run here well under a second
@@ -288,11 +294,40 @@ def test_m2_consistency_three_legs():
     assert r.detail["numeric_pass"]
 
 
-def test_enumeration_budget_overflow_reports_error():
-    r = run_check("conj-iom", CheckConfig(iom_N=(16, 171)))
+def test_enumeration_budget_overflow_reports_error(monkeypatch):
+    # k = 3 at the lowest cutoff enumerates 17**3 vectors, over this budget
+    monkeypatch.setattr(iom, "ENUM_BUDGET", 1000)
+    r = run_check("conj-iom", CheckConfig())
     assert not r.passed
     assert r.mode == "error"
     assert "BudgetError" in r.detail["error"]
+
+
+def test_conj_iom_without_solitons_runs_only_the_vacuum(monkeypatch):
+    # every rung is exactly zero at the zero-wave point: the constant field
+    # eps has charge eps**k at any cutoff
+    monkeypatch.setattr(verify, "IOM_CUTOFFS", (4, 8))
+    r = run_check("conj-iom", CheckConfig(solitons=0))
+    assert r.passed and r.mode == "convergent"
+    assert r.params["points"] and all(pt["a"] == [] for pt in r.params["points"])
+    assert [c["kind"] for c in r.detail["cases"]] == ["plus"] * 3
+    assert r.residual["is_exact_zero"]
+
+
+def test_crashing_check_becomes_an_error_report(monkeypatch):
+    runner, _ = verify._CHECKS["eta0-xi0"]
+
+    def broken(ctx):
+        raise AssertionError("balance violated")
+
+    monkeypatch.setitem(verify._CHECKS, "eta0-xi0", (runner, broken))
+    cfg = replace(WIN, samples=1, solitons=0)
+    reports = run_suite("eta-eta,eta0-xi0,to-1", cfg)
+    assert [r.id for r in reports] == ["eta-eta", "eta0-xi0", "to-1"]
+    by_id = {r.id: r for r in reports}
+    assert by_id["eta0-xi0"].mode == "error" and not by_id["eta0-xi0"].passed
+    assert by_id["eta0-xi0"].detail == {"error": "AssertionError: balance violated"}
+    assert by_id["eta-eta"].passed and by_id["to-1"].passed
 
 
 # #### suite and determinism ###################################################
@@ -323,23 +358,21 @@ def test_suite_parallel_matches_serial(monkeypatch):
     assert as_bytes(serial) == as_bytes(parallel)
 
 
-def check_lemma_t3_family(check_id: str, trunc: ModeTrunc):
-    """Run one quadratic-kernel lemma at an explicit truncation."""
-    cfg = CheckConfig()
-    cfg = replace(
-        cfg,
-        t3_trunc_modes=trunc.n_modes,
-        t3_trunc_deg=trunc.d_deg,
-        t3_trunc_z=min(cfg.t3_trunc_z, trunc.n_modes),
+def lemma_3_4_at(trunc: ModeTrunc):
+    """lemma-3-4 through the windowed finisher at an explicit truncation:
+    (passed, params, detail)."""
+    ctx = ModeContext(S, EPS, trunc)
+    _, params, _, passed, detail = _run_windowed(
+        _win_lemma_3_4, ctx, min(T3_TRUNC_Z, trunc.n_modes)
     )
-    return run_check(check_id, cfg)
+    return passed, params, detail
 
 
 def test_t3_family_truncation_override():
-    r = check_lemma_t3_family("lemma-3-4", ModeTrunc(4, 4))
-    assert r.passed
-    assert r.params["trunc"] == {"z": 3, "modes": 4, "deg": 4}
+    passed, params, _ = lemma_3_4_at(ModeTrunc(4, 4))
+    assert passed
+    assert params["trunc"] == {"z": 3, "modes": 4, "deg": 4}
     # the certified window shrinks to the constant sector but stays nonempty
-    tiny = check_lemma_t3_family("lemma-3-4", ModeTrunc(1, 1))
-    assert tiny.passed
-    assert tiny.detail["witness_certified_terms"] >= 1
+    passed, _, detail = lemma_3_4_at(ModeTrunc(1, 1))
+    assert passed
+    assert detail["witness_certified_terms"] >= 1
