@@ -19,15 +19,7 @@ import json
 import random
 import sys
 
-from .evolve import (
-    DEFAULT_POINT,
-    BlowUpError,
-    RandomInit,
-    RunConfig,
-    SolitonInit,
-    q_from_gamma,
-    run,
-)
+from .evolve import BlowUpError, RandomInit, RunConfig, SolitonInit, q_from_gamma, run
 from .iom import I_k_def, ModeVector, closed_I, soliton_decay
 from .scalar import (
     BudgetError,
@@ -119,24 +111,18 @@ def _cmd_iom(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    if args.init == "soliton":
-        init: SolitonInit | RandomInit = SolitonInit()
-        q = complex(float(DEFAULT_POINT.q))  # gamma flags are moot here
-    else:
-        init = RandomInit(seed=args.seed)
-        try:
-            q = q_from_gamma(complex(args.gamma_re, args.gamma_im))
-        except ValueError as exc:
-            print(f"toda-bo: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.init == "soliton":
+            init: SolitonInit | RandomInit = SolitonInit()  # gamma flags are moot
+        else:
+            q = q_from_gamma(complex(args.gamma_re, args.gamma_im))
+            init = RandomInit(args.seed, q)
         cfg = RunConfig(
             n_modes=args.modes,
             dt=args.dt,
             steps=args.steps,
             check_interval=args.check_interval,
             init=init,
-            q=None if args.init == "soliton" else q,
         )
     except ValueError as exc:
         print(f"toda-bo: {exc}", file=sys.stderr)
@@ -152,7 +138,7 @@ def _cmd_evolve(args) -> int:
             "init": args.init,
             "seed": args.seed if args.init == "random" else None,
             "gamma": [args.gamma_re, args.gamma_im] if args.init == "random" else None,
-            "q": [q.real, q.imag],
+            "q": [init.q.real, init.q.imag],
         },
     }
     lines = [json.dumps(header)]

@@ -24,13 +24,14 @@ from .soliton import eta_series_from_taus, modes_from_series
 
 
 class BlowUpError(RuntimeError):
-    """Trajectory left the configured norm bound (or went non-finite)."""
+    """A mode's modulus exceeded BLOWUP (or went non-finite)."""
 
 
 # one decaying wave, safely inside the sampling box |a| <= 1/4, |eps| <= 1/8,
 # with tau roots away from the unit circle on both sides
 DEFAULT_POINT = ParamPoint(Fraction(1, 2), Fraction(1, 8), (Fraction(5, 36),))
 DEFAULT_AMPLITUDES = (Fraction(1, 2),)
+BLOWUP = 1e6
 
 _Q_TOL = 1e-9
 
@@ -131,43 +132,45 @@ def conserved_pair(s: State) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class SolitonInit:
-    """Exact wave data rendered to doubles; q is taken from the point."""
+    """The default wave data rendered to doubles; q is taken from the point."""
 
-    point: ParamPoint = DEFAULT_POINT
-    b: tuple = DEFAULT_AMPLITUDES
+    @property
+    def q(self) -> complex:
+        return complex(float(DEFAULT_POINT.q))
 
 
 @dataclass(frozen=True)
 class RandomInit:
-    """Seeded complex modes with |eta_m| ~ amplitude * decay**|m|."""
+    """Seeded complex modes with |eta_m| ~ 0.25 * 0.5**|m|, flowing at q."""
 
-    seed: int = 0
-    decay: float = 0.5
-    amplitude: float = 0.25
+    seed: int
+    q: complex
 
 
-def initial_state(init, N: int, q: complex | None = None) -> State:
+def _exact_modes(point: ParamPoint, b, N: int) -> np.ndarray:
+    """The field's exact modes for |m| <= N, rendered to doubles."""
+    table = modes_from_series(eta_series_from_taus(point, b, N), N)
+    return np.array(
+        [complex(table[m]) for m in range(-N, N + 1)], dtype=np.complex128
+    )
+
+
+def initial_state(init, N: int) -> State:
     if isinstance(init, SolitonInit):
-        series = eta_series_from_taus(init.point, init.b, N)
-        table = modes_from_series(series, N)
-        modes = np.array(
-            [complex(table[m]) for m in range(-N, N + 1)], dtype=np.complex128
-        )
-        return State(N, modes, 0.0, complex(init.point.q))
+        modes = _exact_modes(DEFAULT_POINT, DEFAULT_AMPLITUDES, N)
+        return State(N, modes, 0.0, init.q)
     if isinstance(init, RandomInit):
-        if q is None:
-            raise ValueError("random initial data needs an explicit q")
         rng = _random.Random(init.seed)
         modes = np.array(
             [
-                init.amplitude
-                * init.decay ** abs(m)
+                0.25
+                * 0.5 ** abs(m)
                 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                 for m in range(-N, N + 1)
             ],
             dtype=np.complex128,
         )
-        return State(N, modes, 0.0, q)
+        return State(N, modes, 0.0, init.q)
     raise TypeError(f"unknown initial data spec: {init!r}")
 
 
@@ -184,11 +187,7 @@ def analytic_soliton_modes(
         Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
         for a, b in zip(point.a, b0)
     )
-    series = eta_series_from_taus(point, bt, N)
-    table = modes_from_series(series, N)
-    return np.array(
-        [complex(table[m]) for m in range(-N, N + 1)], dtype=np.complex128
-    )
+    return _exact_modes(point, bt, N)
 
 
 # #### trajectory driver #######################################################
@@ -201,8 +200,6 @@ class RunConfig:
     steps: int = 1000
     check_interval: int = 10
     init: SolitonInit | RandomInit = field(default_factory=SolitonInit)
-    q: complex | None = None  # only consulted for random initial data
-    blowup: float = 1e6
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -230,8 +227,8 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
     {t, modes, I1, I2}; the summary carries the conservation drifts and,
     for wave initial data, the worst mode error against the analytic
     trajectory."""
-    state = initial_state(config.init, config.n_modes, config.q)
-    soliton = config.init if isinstance(config.init, SolitonInit) else None
+    state = initial_state(config.init, config.n_modes)
+    soliton = isinstance(config.init, SolitonInit)
     i1_0, i2_0 = conserved_pair(state)
     i2_scale = max(abs(i2_0), 1e-300)
     records = [_record(state)]
@@ -240,16 +237,16 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
     mode_err = 0.0
     for k in range(1, config.steps + 1):
         state = rk4_step(state, config.dt)
-        if np.abs(state.modes).max() > config.blowup:
-            raise BlowUpError(f"mode norm exceeded {config.blowup} at t={state.t}")
+        if np.abs(state.modes).max() > BLOWUP:
+            raise BlowUpError(f"mode norm exceeded {BLOWUP} at t={state.t}")
         if k % config.check_interval == 0 or k == config.steps:
             records.append(_record(state))
             i1, i2 = conserved_pair(state)
             eta0_drift = max(eta0_drift, abs(i1 - i1_0))
             i2_drift = max(i2_drift, abs(i2 - i2_0) / i2_scale)
-            if soliton is not None:
+            if soliton:
                 ref = analytic_soliton_modes(
-                    soliton.point, soliton.b, state.t, config.n_modes
+                    DEFAULT_POINT, DEFAULT_AMPLITUDES, state.t, config.n_modes
                 )
                 mode_err = max(mode_err, float(np.abs(state.modes - ref).max()))
     summary = {
@@ -260,7 +257,7 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
         "samples": len(records),
         "eta0_drift": eta0_drift,
         "i2_rel_drift": i2_drift,
-        "max_mode_error": mode_err if soliton is not None else None,
+        "max_mode_error": mode_err if soliton else None,
     }
     return records, summary
 

@@ -35,18 +35,13 @@ from .scalar import (
     ZERO,
     BudgetError,
     ParamPoint,
-    PoleError,
     Scalar,
     e_geometric_tail,
     newton_p_from_e,
+    power_sum_extended,
+    q_pochhammer,
 )
-from .modes import (
-    AlphaSeries,
-    ModeContext,
-    build_eta,
-    build_xi,
-    poly_mul,
-)
+from .modes import AlphaSeries, ModeContext, build_eta, poly_mul
 from .soliton import decay_report, modes_from_series
 
 ENUM_BUDGET = 5_000_000
@@ -249,18 +244,10 @@ def I_k_def(
     return IomResult(k, total, N, tail)
 
 
-def Ibar_k_def(
-    xi: ModeVector,
-    k: int,
-    N: int,
-    q: Scalar,
-    *,
-    decay: tuple[Scalar, Scalar] | None = None,
-    mul=operator.mul,
-) -> IomResult:
+def Ibar_k_def(xi: ModeVector, k: int, N: int, q: Scalar) -> IomResult:
     """Mirror-orientation charge over the dual field's modes: the kernel
     enumeration of I_k_def at the inverted deformation parameter."""
-    return I_k_def(xi, k, N, 1 / q, decay=decay, mul=mul)
+    return I_k_def(xi, k, N, 1 / q)
 
 
 # #### quadratic and cubic kernel formulas #####################################
@@ -288,13 +275,13 @@ def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
 
 
 @lru_cache(maxsize=None)
-def mode_table(ctx: ModeContext, side: str = "eta", span: int = 1) -> ModeVector:
-    """Mode polynomials of the eta (or xi) field for |m| <= span * n_modes.
+def mode_table(ctx: ModeContext, span: int = 1) -> ModeVector:
+    """Mode polynomials of the eta field for |m| <= span * n_modes.
 
     Modes past n_modes are identically zero in the truncated model (their
     true content is all heavier than the truncation), so a wider table just
     records zero polynomials; the cubic charge reads indices up to 2 N."""
-    field = build_eta(ctx) if side == "eta" else build_xi(ctx)
+    field = build_eta(ctx)
     W = span * ctx.trunc.n_modes
     return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
 
@@ -306,18 +293,16 @@ def capped_mul(ctx: ModeContext):
 
 
 @lru_cache(maxsize=None)
-def M2_functional(ctx: ModeContext, side: str = "eta") -> AlphaSeries:
+def M2_functional(ctx: ModeContext) -> AlphaSeries:
     """Quadratic charge as a mode-polynomial functional (full guarantee)."""
-    q = ctx.q if side == "eta" else 1 / ctx.q
-    poly = M2_kernel(mode_table(ctx, side), ctx.trunc.n_modes, q, capped_mul(ctx))
+    poly = M2_kernel(mode_table(ctx), ctx.trunc.n_modes, ctx.q, capped_mul(ctx))
     return AlphaSeries.functional(ctx, poly)
 
 
 @lru_cache(maxsize=None)
-def M3_functional(ctx: ModeContext, side: str = "eta") -> AlphaSeries:
+def M3_functional(ctx: ModeContext) -> AlphaSeries:
     """Cubic charge as a mode-polynomial functional (full guarantee)."""
-    q = ctx.q if side == "eta" else 1 / ctx.q
-    poly = M3_kernel(mode_table(ctx, side), ctx.trunc.n_modes, q, capped_mul(ctx))
+    poly = M3_kernel(mode_table(ctx), ctx.trunc.n_modes, ctx.q, capped_mul(ctx))
     return AlphaSeries.functional(ctx, poly)
 
 
@@ -346,12 +331,7 @@ def closed_I(k: int, p: ParamPoint) -> Scalar:
     if k == 0:
         return ONE
     q = p.q
-    pref = q ** (-k * (k - 1) // 2)
-    for i in range(1, k + 1):
-        f = ONE - q**i
-        if f == 0:
-            raise PoleError(f"q**{i} == 1")
-        pref *= f
+    pref = q ** (-k * (k - 1) // 2) * q_pochhammer(q, k)
     x0 = q**p.n * p.eps
     total = ZERO
     for j in range(k + 1):
@@ -366,8 +346,6 @@ def closed_Ibar(k: int, p: ParamPoint) -> Scalar:
 
 def closed_M(i: int, p: ParamPoint, bar: bool = False) -> Scalar:
     """Power-sum-route closed value (1 - q**i)/i times the extended power sum."""
-    from .scalar import power_sum_extended
-
     if i < 1:
         raise ValueError("i must be >= 1")
     pt = p.inverted() if bar else p
@@ -380,15 +358,7 @@ def closed_M(i: int, p: ParamPoint, bar: bool = False) -> Scalar:
 def newton_normalizers(q: Scalar, k: int) -> list[Scalar]:
     """Triangular prefactors q**(j(j-1)/2) / prod_{i<=j}(1 - q**i), j = 1..k,
     that turn the j-th charge into elementary symmetric data."""
-    out = []
-    denom = ONE
-    for j in range(1, k + 1):
-        f = ONE - q**j
-        if f == 0:
-            raise PoleError(f"q**{j} == 1")
-        denom *= f
-        out.append(q ** (j * (j - 1) // 2) / denom)
-    return out
+    return [q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1)]
 
 
 def M_from_I(i_values: list, p: ParamPoint, bar: bool = False, *, one=ONE, zero=ZERO):

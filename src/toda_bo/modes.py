@@ -381,20 +381,20 @@ class AlphaSeries:
             return self._with({})
         return self._with({s: p * c for s, p in self.coeffs.items()})
 
-    def subs_scale(self, c: Scalar, var: int = 0) -> "AlphaSeries":
-        """Substitute variable var -> c * variable: cell at slot k gains c**k."""
+    def subs_scale(self, c: Scalar) -> "AlphaSeries":
+        """Substitute the first variable v -> c * v: cell at slot k gains c**k."""
         if not self.vars:
             raise ValueError("no variables to rescale")
         out = {}
         for slot, p in self.coeffs.items():
-            out[slot] = p * (Fraction(c) ** slot[var])
+            out[slot] = p * (Fraction(c) ** slot[0])
         return self._with(out)
 
-    def slice_sign(self, sign: int, var: int = 0) -> "AlphaSeries":
-        """Keep only cells whose slot in the given variable has strict sign."""
+    def slice_sign(self, sign: int) -> "AlphaSeries":
+        """Keep only cells whose slot in the first variable has strict sign."""
         if sign not in (1, -1):
             raise ValueError("sign must be +-1")
-        out = {s: p for s, p in self.coeffs.items() if sign * s[var] > 0}
+        out = {s: p for s, p in self.coeffs.items() if sign * s[0] > 0}
         return self._with(out)
 
     def _align(self, other: "AlphaSeries"):

@@ -31,6 +31,9 @@ class BudgetError(RuntimeError):
     """A computation would exceed its configured size budget."""
 
 
+GUARD_RANGE = 8
+
+
 def scalar_str(x: Scalar) -> str:
     """Render as 'p/q' in lowest terms; integers render as 'k/1'."""
     return f"{x.numerator}/{x.denominator}"
@@ -41,10 +44,10 @@ def parse_scalar(text: str) -> Scalar:
     return Fraction(text)
 
 
-def scalar_decimal(x: Scalar, digits: int = 30) -> str:
-    """Decimal rendering with `digits` significant digits, round-half-even."""
+def scalar_decimal(x: Scalar) -> str:
+    """Decimal rendering with 30 significant digits, round-half-even."""
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 30
         d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
     return str(d)
 
@@ -97,6 +100,17 @@ def newton_p_from_e(e: list, *, one=ONE, zero=ZERO):
     return det_ring([[entry(i, j) for j in range(k)] for i in range(k)])
 
 
+def q_pochhammer(q: Scalar, k: int) -> Scalar:
+    """prod_{i=1..k}(1 - q**i); raises PoleError when a factor vanishes."""
+    out = ONE
+    for i in range(1, k + 1):
+        f = ONE - q**i
+        if f == 0:
+            raise PoleError(f"q**{i} == 1")
+        out *= f
+    return out
+
+
 def e_geometric_tail(x0: Scalar, q: Scalar, k: int) -> Scalar:
     """k-th elementary symmetric value of the alphabet (x0, q*x0, q**2*x0, ...).
 
@@ -106,13 +120,7 @@ def e_geometric_tail(x0: Scalar, q: Scalar, k: int) -> Scalar:
         raise ValueError("k must be >= 0")
     if k == 0:
         return ONE
-    denom = ONE
-    for i in range(1, k + 1):
-        f = ONE - q**i
-        if f == 0:
-            raise PoleError(f"q**{i} == 1")
-        denom *= f
-    return x0**k * q ** (k * (k - 1) // 2) / denom
+    return x0**k * q ** (k * (k - 1) // 2) / q_pochhammer(q, k)
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,12 @@ class ParamPoint:
     The constraints keep every interaction coefficient, shift factor and tau
     denominator used downstream finite: a entries distinct and separated by
     the q-multiplication orbit, and q**m * eps clear of every a entry for
-    |m| <= guard_range.
+    |m| <= GUARD_RANGE.
     """
 
     s: Scalar
     eps: Scalar
     a: tuple[Scalar, ...] = ()
-    guard_range: int = 8
 
     def __post_init__(self) -> None:
         s, eps = self.s, self.eps
@@ -145,7 +152,7 @@ class ParamPoint:
                 aj = a[j]
                 if ai == aj or ai == q * aj or aj == q * ai:
                     raise ParamError("a entries hit an interaction pole")
-        for m in range(-self.guard_range, self.guard_range + 1):
+        for m in range(-GUARD_RANGE, GUARD_RANGE + 1):
             qm_eps = q**m * eps
             if any(qm_eps == ai for ai in a):
                 raise ParamError("q**m * eps hits an a entry")
@@ -164,9 +171,7 @@ class ParamPoint:
         The mirrored closed forms for the bar-side charges are plain closed
         forms evaluated here; validity of the guards transfers exactly.
         """
-        return ParamPoint(
-            1 / self.s, 1 / self.eps, tuple(1 / x for x in self.a), self.guard_range
-        )
+        return ParamPoint(1 / self.s, 1 / self.eps, tuple(1 / x for x in self.a))
 
     def to_json(self) -> dict:
         return {
@@ -195,7 +200,6 @@ def sample_param_point(
     rng: random.Random,
     n: int,
     s: Scalar = Fraction(1, 2),
-    guard_range: int = 8,
 ) -> ParamPoint:
     """Draw a valid point with |a_k| in [1/8, 1/4] and |eps| in [1/16, 1/8].
 
@@ -212,7 +216,7 @@ def sample_param_point(
         den = rng.randint(8 * num, 16 * num)
         eps = Fraction(rng.choice((1, -1)) * num, den)
         try:
-            return ParamPoint(s, eps, tuple(a), guard_range)
+            return ParamPoint(s, eps, tuple(a))
         except ParamError:
             continue
     raise ParamError("sampler failed to find a valid point")

@@ -1,14 +1,10 @@
-"""Windowed Laurent series over a generic coefficient ring.
+"""Windowed Laurent series with exact rational coefficients.
 
 A series stores coefficients only inside a finite window [lo, hi]; degrees
 outside the window are *unknown*, not zero, unless the corresponding tight
 flag says the exact object has no support there.  Every operation computes
 the largest window on which its result is provably exact given the input
 windows, so "exact within window" is an invariant, never a hope.
-
-Coefficients may be any commutative-ring values supporting +, -, * and
-equality with the ring zero (Fractions and mode polynomials both qualify);
-the ring zero is carried explicitly by each series.
 """
 
 from __future__ import annotations
@@ -19,9 +15,9 @@ _INF = float("inf")
 
 
 class LaurentSeries:
-    __slots__ = ("var", "lo", "hi", "coeffs", "zero", "tight_lo", "tight_hi")
+    __slots__ = ("var", "lo", "hi", "coeffs", "tight_lo", "tight_hi")
 
-    def __init__(self, var, lo, hi, coeffs, zero=ZERO, tight_lo=False, tight_hi=False):
+    def __init__(self, var, lo, hi, coeffs, tight_lo=False, tight_hi=False):
         if lo > hi:
             raise ValueError("empty window")
         bad = [d for d in coeffs if d < lo or d > hi]
@@ -30,32 +26,25 @@ class LaurentSeries:
         self.var = var
         self.lo = lo
         self.hi = hi
-        self.coeffs = {d: c for d, c in coeffs.items() if c != zero}
-        self.zero = zero
+        self.coeffs = {d: c for d, c in coeffs.items() if c}
         self.tight_lo = tight_lo
         self.tight_hi = tight_hi
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def poly(cls, var, coeffs, zero=ZERO):
+    def poly(cls, var, coeffs):
         """Exact Laurent polynomial: support fully known, both sides tight."""
-        nz = {d: c for d, c in coeffs.items() if c != zero}
+        nz = {d: c for d, c in coeffs.items() if c}
         if nz:
             lo, hi = min(nz), max(nz)
         else:
             lo = hi = 0
-        return cls(var, lo, hi, nz, zero, tight_lo=True, tight_hi=True)
+        return cls(var, lo, hi, nz, tight_lo=True, tight_hi=True)
 
-    def copy_with(self, coeffs, lo=None, hi=None, tight_lo=None, tight_hi=None):
+    def copy_with(self, coeffs):
         return LaurentSeries(
-            self.var,
-            self.lo if lo is None else lo,
-            self.hi if hi is None else hi,
-            coeffs,
-            self.zero,
-            self.tight_lo if tight_lo is None else tight_lo,
-            self.tight_hi if tight_hi is None else tight_hi,
+            self.var, self.lo, self.hi, coeffs, self.tight_lo, self.tight_hi
         )
 
     # -- inspection ----------------------------------------------------------
@@ -63,11 +52,11 @@ class LaurentSeries:
     def coeff(self, d):
         """Coefficient at degree d; degrees outside the known range raise."""
         if self.lo <= d <= self.hi:
-            return self.coeffs.get(d, self.zero)
+            return self.coeffs.get(d, ZERO)
         if d < self.lo and self.tight_lo:
-            return self.zero
+            return ZERO
         if d > self.hi and self.tight_hi:
-            return self.zero
+            return ZERO
         raise IndexError(f"degree {d} outside guaranteed window [{self.lo},{self.hi}]")
 
     def _pot_lo(self):
@@ -130,10 +119,10 @@ class LaurentSeries:
         out = {}
         for d in range(rlo, rhi + 1):
             v = f.coeff(d) + g.coeff(d)
-            if v != f.zero:
+            if v:
                 out[d] = v
         return LaurentSeries(
-            f.var, rlo, rhi, out, f.zero,
+            f.var, rlo, rhi, out,
             tight_lo=f.tight_lo and g.tight_lo,
             tight_hi=f.tight_hi and g.tight_hi,
         )
@@ -164,7 +153,7 @@ def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     plo_g, phi_g = g._pot_lo(), g._pot_hi()
     if plo_f > phi_f or plo_g > phi_g:
         # one factor is the exact zero function
-        return LaurentSeries(f.var, 0, 0, {}, f.zero, tight_lo=True, tight_hi=True)
+        return LaurentSeries(f.var, 0, 0, {}, tight_lo=True, tight_hi=True)
 
     khi = min(
         _INF if f.tight_hi else f.hi + plo_g,
@@ -189,20 +178,20 @@ def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
                 v = out.get(d)
                 out[d] = c1 * c2 if v is None else v + c1 * c2
     return LaurentSeries(
-        f.var, rlo, rhi, out, f.zero,
+        f.var, rlo, rhi, out,
         tight_lo=klo <= new_plo,
         tight_hi=khi >= new_phi,
     )
 
 
-def series_inv(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSeries:
+def series_inv(f: LaurentSeries, order: int | None = None) -> LaurentSeries:
     """Inverse of a one-sided series with unit constant term.
 
     Exact to the input's one-sided order (or to a larger requested order when
     the input is an exact polynomial); the far side of the result window is
     open, inverses being generically infinite.
     """
-    if f.coeff(0) != one:
+    if f.coeff(0) != ONE:
         raise ValueError("constant term must be one (normalize first)")
     # d = +1 for a power series in var, -1 for one in 1/var
     if f.tight_lo and f._pot_lo() >= 0:
@@ -216,7 +205,7 @@ def series_inv(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSe
         order = natural
     elif order > natural and not (f.tight_hi if d > 0 else f.tight_lo):
         raise ValueError(f"series_inv: order {order} exceeds known data ({natural})")
-    out = {0: one}
+    out = {0: ONE}
     for k in range(1, order + 1):
         acc = None
         for j in range(1, k + 1):
@@ -225,12 +214,11 @@ def series_inv(f: LaurentSeries, one=ONE, order: int | None = None) -> LaurentSe
                 continue
             t = c * out[d * (k - j)]
             acc = t if acc is None else acc + t
-        if acc is not None and acc != f.zero:
+        if acc:
             out[d * k] = -acc
-    out = {k: v for k, v in out.items() if v != f.zero or k == 0}
     lo, hi = (0, order) if d > 0 else (-order, 0)
     return LaurentSeries(
-        f.var, lo, hi, out, f.zero,
+        f.var, lo, hi, out,
         tight_lo=d > 0, tight_hi=d < 0,
     )
 

@@ -50,15 +50,6 @@ class SolitonTau:
     params: ParamPoint
     terms: tuple[SolitonTerm, ...]
 
-    def scale(self, c: Scalar) -> "SolitonTau":
-        return SolitonTau(
-            self.sign,
-            self.params,
-            tuple(
-                SolitonTerm(t.z_power, t.b_exp, t.coeff * c) for t in self.terms
-            ),
-        )
-
     def subs_scale(self, c: Scalar) -> "SolitonTau":
         """Substitute z -> c * z."""
         return SolitonTau(
@@ -82,7 +73,7 @@ class SolitonTau:
                 out.pop(k, None)
         return out
 
-    def to_series(self, b_values, var: str = "z") -> LaurentSeries:
+    def to_series(self, b_values) -> LaurentSeries:
         """Evaluate the amplitudes, leaving an exact Laurent polynomial."""
         b_values = tuple(Fraction(b) for b in b_values)
         if len(b_values) != self.params.n:
@@ -95,7 +86,7 @@ class SolitonTau:
             for b, e in zip(b_values, t.b_exp):
                 v *= b**e
             coeffs[t.z_power] = coeffs.get(t.z_power, Fraction(0)) + v
-        return LaurentSeries.poly(var, coeffs)
+        return LaurentSeries.poly("z", coeffs)
 
 
 # #### construction ############################################################
@@ -406,6 +397,20 @@ def _annulus_ratio(
     return LaurentSeries(var, -window, window, {d: c for d, c in coeffs.items() if c})
 
 
+def _tau_ratio(
+    params: ParamPoint, b_values, window: int, up: Scalar, down: Scalar, scale: Scalar
+) -> LaurentSeries:
+    """Laurent window of scale tau_-(z/up) tau_+(z up) / (tau_-(z/down)
+    tau_+(z down))."""
+    if params.n == 0:
+        return LaurentSeries("z", -window, window, {0: scale})
+    tp = make_tau_plus(params).to_series(b_values)
+    tm = make_tau_minus(params).to_series(b_values)
+    num = tm.shift_arg(1 / up) * tp.shift_arg(up)
+    den_m, den_p = tm.shift_arg(1 / down), tp.shift_arg(down)
+    return _annulus_ratio(num, den_m, den_p, window).scale(scale)
+
+
 def eta_series_from_taus(
     params: ParamPoint, b_values, window: int
 ) -> LaurentSeries:
@@ -414,28 +419,14 @@ def eta_series_from_taus(
     Exact coefficients of the rational function; they are the field's modes
     whenever the decay margins are below one.
     """
-    if params.n == 0:
-        return LaurentSeries("z", -window, window, {0: params.eps})
-    q = params.q
-    tp = make_tau_plus(params).to_series(b_values)
-    tm = make_tau_minus(params).to_series(b_values)
-    num = tm.shift_arg(1 / q) * tp.shift_arg(q)
-    return _annulus_ratio(num, tm, tp, window).scale(params.eps)
+    return _tau_ratio(params, b_values, window, params.q, ONE, params.eps)
 
 
 def xi_series_from_taus(
     params: ParamPoint, b_values, window: int
 ) -> LaurentSeries:
     """Laurent window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs))."""
-    if params.n == 0:
-        return LaurentSeries("z", -window, window, {0: 1 / params.eps})
-    s = params.s
-    tp = make_tau_plus(params).to_series(b_values)
-    tm = make_tau_minus(params).to_series(b_values)
-    num = tm.shift_arg(s) * tp.shift_arg(1 / s)
-    den_m = tm.shift_arg(1 / s)
-    den_p = tp.shift_arg(s)
-    return _annulus_ratio(num, den_m, den_p, window).scale(1 / params.eps)
+    return _tau_ratio(params, b_values, window, 1 / params.s, params.s, 1 / params.eps)
 
 
 def modes_from_series(f: LaurentSeries, window: int) -> dict[int, Scalar]:
@@ -446,15 +437,31 @@ def modes_from_series(f: LaurentSeries, window: int) -> dict[int, Scalar]:
 # #### soliton specifications ##################################################
 
 
-def parse_soliton_spec(spec: dict) -> tuple[ParamPoint, tuple[Scalar, ...]]:
-    """Read {"s": ..., "eps": ..., "a": [...], "b": [...]} with exact entries."""
+def _spec_entry(x) -> Scalar:
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ValueError(f"soliton spec entry {x!r} is not a string or an integer")
     try:
-        s = parse_scalar(spec["s"])
-        eps = parse_scalar(spec["eps"])
-        a = tuple(parse_scalar(x) for x in spec["a"])
-        b = tuple(parse_scalar(x) for x in spec["b"])
+        return parse_scalar(x)
+    except ZeroDivisionError:
+        raise ValueError(f"soliton spec entry {x!r} has a zero denominator") from None
+
+
+def parse_soliton_spec(spec) -> tuple[ParamPoint, tuple[Scalar, ...]]:
+    """Read {"s": ..., "eps": ..., "a": [...], "b": [...]} with exact entries.
+
+    Each entry is a string such as "1/3" or an integer; any other document
+    raises ValueError."""
+    if not isinstance(spec, dict):
+        raise ValueError("soliton spec must be a JSON object")
+    try:
+        s, eps, a, b = (spec[key] for key in ("s", "eps", "a", "b"))
     except KeyError as e:
         raise ValueError(f"soliton spec missing field {e}") from None
+    if not (isinstance(a, list) and isinstance(b, list)):
+        raise ValueError("soliton spec fields a and b must be lists")
+    s, eps = _spec_entry(s), _spec_entry(eps)
+    a = tuple(_spec_entry(x) for x in a)
+    b = tuple(_spec_entry(x) for x in b)
     if len(b) != len(a):
         raise ValueError("soliton spec needs one amplitude per wave number")
     if any(x == 0 for x in b):

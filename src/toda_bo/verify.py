@@ -21,17 +21,14 @@ Reports are plain dataclasses with JSON-safe fields.  run_suite resolves a
 selector (id, group name, comma list, or glob), runs the checks sorted in
 registry order, and is deterministic for a fixed seed: each check derives
 its private RNG from crc32(id) xor seed, so suite composition does not
-shift anyone's samples.  TODA_BO_THREADS > 1 distributes checks over a
-process pool; reports are merged back in registry order.
+shift anyone's samples.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from fractions import Fraction
@@ -251,7 +248,7 @@ def _eta_sides(ctx: ModeContext):
     return e, ep, em
 
 
-def quad_kernel_series(ctx: ModeContext, pick: str, var: str = "z") -> AlphaSeries:
+def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     """Constant term (in the inner variable) of a geometric-kernel-dressed
     field bilinear, as a one-variable series.
 
@@ -267,7 +264,7 @@ def quad_kernel_series(ctx: ModeContext, pick: str, var: str = "z") -> AlphaSeri
     weight halves (a contributing mode pair sits at slot span up to the
     output monomial weight).
     """
-    e = build_eta(ctx, var)
+    e = build_eta(ctx, "z")
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     q = ctx.q
     out: dict[tuple[int, ...], AlphaPoly] = {}
@@ -295,7 +292,7 @@ def quad_kernel_series(ctx: ModeContext, pick: str, var: str = "z") -> AlphaSeri
                 out[key] = acc
             else:
                 out.pop(key, None)
-    return AlphaSeries(ctx, (var,), out, e.guar.kern_derate())
+    return AlphaSeries(ctx, ("z",), out, e.guar.kern_derate())
 
 
 def _affine_bilinear(ctx, m_func, mult, f, g):
@@ -864,7 +861,7 @@ def _formal_newton_vs_kernel(k: int) -> bool:
     """Mode-polynomial route equality on the pruned weight window."""
     ctx = _ctx_t3()
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
-    mv = mode_table(ctx, "eta", 2 if k == 3 else 1)
+    mv = mode_table(ctx, 2 if k == 3 else 1)
     capped = capped_mul(ctx)
     stub = ParamPoint(S, EPS)
     vals = [I_k_def(mv, i, N, ctx.q, mul=capped).value for i in range(1, k + 1)]
@@ -1081,22 +1078,8 @@ def resolve_selector(selector: str | None) -> list[str]:
     return [i for i in IDENTITY_IDS if i in chosen]
 
 
-def _pool_entry(args) -> CheckReport:
-    check_id, cfg = args
-    return run_check(check_id, cfg)
-
-
 def run_suite(
     selector: str | None = None, config: CheckConfig | None = None
 ) -> list[CheckReport]:
     cfg = config or CheckConfig()
-    ids = resolve_selector(selector)
-    if not ids:
-        return []
-    threads = int(os.environ.get("TODA_BO_THREADS", "1") or "1")
-    if threads > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_pool_entry, [(i, cfg) for i in ids]))
-    else:
-        reports = [run_check(i, cfg) for i in ids]
-    return reports
+    return [run_check(i, cfg) for i in resolve_selector(selector)]

@@ -12,9 +12,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -120,23 +122,52 @@ _VERIFY = st.tuples(
     _flag("--solitons", [-1, 0, 1, 2]),
     _flag("--seed", range(0, 50)),
 )
+# "SPEC" in argv stands for a file holding the drawn wave spec document
+_SPEC_ENTRY = st.one_of(
+    st.sampled_from(["1/2", "1/8", "5/36", "-1/7", "1/3", "0", "1", "1/0", "x"]),
+    st.integers(-2, 2),
+    st.booleans(),
+    st.none(),
+    st.just(0.5),
+)
+_SPEC_LIST = st.one_of(st.lists(_SPEC_ENTRY, max_size=2), _SPEC_ENTRY)
+_SPEC = st.one_of(
+    st.fixed_dictionaries(
+        {"s": _SPEC_ENTRY, "eps": _SPEC_ENTRY, "a": _SPEC_LIST, "b": _SPEC_LIST}
+    ),
+    st.dictionaries(st.sampled_from(["s", "eps", "a", "b"]), _SPEC_ENTRY, max_size=3),
+    _SPEC_LIST,
+)
+_SOLITON = st.tuples(
+    st.just(["soliton", "--spec", "SPEC"]),
+    _flag("--window", range(-1, 9)),
+    st.sampled_from([[], ["--eval"]]),
+)
 _STRAY = st.sampled_from([[], [], [], ["--bogus"], ["7"], ["--k"], ["--eval"], ["-3"]])
 
 
 @given(
-    st.one_of(_EVOLVE, _IOM, _VERIFY).map(lambda parts: sum(parts, [])),
+    st.one_of(_EVOLVE, _IOM, _VERIFY, _SOLITON).map(lambda parts: sum(parts, [])),
     _STRAY,
+    _SPEC,
 )
-@example(["evolve", "--init", "random", "--gamma-re", "nan", "--steps", "2"], [])
-@example(["evolve", "--init", "random", "--gamma-im", "inf", "--steps", "2"], [])
+@example(["evolve", "--init", "random", "--gamma-re", "nan", "--steps", "2"], [], [])
+@example(["evolve", "--init", "random", "--gamma-im", "inf", "--steps", "2"], [], [])
+@example(["soliton", "--spec", "SPEC"], [], {"s": "1/2", "eps": "1/8", "a": ["1/0"], "b": []})
 @settings(max_examples=100, deadline=None)
-def test_any_flag_combination_exits_cleanly(argv, stray):
+def test_any_flag_combination_exits_cleanly(argv, stray, spec):
     # the contract: a result or a documented exit code, never an exception
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with np.errstate(all="ignore"):
-            rc = main(argv + stray)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wave.json")
+        with open(path, "w") as f:
+            json.dump(spec, f)
+        argv = [path if a == "SPEC" else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with np.errstate(all="ignore"):
+                rc = main(argv + stray)
     assert rc in (0, 1, 2), (rc, err.getvalue())
+    assert "internal error" not in err.getvalue(), err.getvalue()
     if rc == 2:
         assert err.getvalue().startswith(("usage:", "toda-bo")), err.getvalue()
 
@@ -309,6 +340,30 @@ def test_soliton_bad_spec_exits_2(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["soliton", "--spec", str(garbled)]) == 2
+
+
+_WAVE = {"s": "1/2", "eps": "1/8", "a": ["5/36"], "b": ["1/2"]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        "x",
+        {**_WAVE, "s": None},
+        {**_WAVE, "a": 5},
+        {**_WAVE, "a": ["1/0"]},
+        {**_WAVE, "b": [True]},
+        {**_WAVE, "eps": 0.125},
+    ],
+    ids=["list", "string", "null-s", "int-a", "zero-denominator", "bool-b", "float-eps"],
+)
+def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, doc):
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_main(capsys, ["soliton", "--spec", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("toda-bo: bad wave spec: ") and err.count("\n") == 1, err
 
 
 # #### installed entry point ###################################################

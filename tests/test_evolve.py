@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toda_bo import evolve
 from toda_bo.evolve import (
     BlowUpError,
     DEFAULT_AMPLITUDES,
@@ -244,17 +245,16 @@ def test_soliton_state_matches_exact_pipeline_at_t0():
 
 
 def test_random_state_is_seeded_and_decaying():
-    a = initial_state(RandomInit(seed=5), 12, Q_COMPLEX)
-    b = initial_state(RandomInit(seed=5), 12, Q_COMPLEX)
-    c = initial_state(RandomInit(seed=6), 12, Q_COMPLEX)
+    a = initial_state(RandomInit(5, Q_COMPLEX), 12)
+    b = initial_state(RandomInit(5, Q_COMPLEX), 12)
+    c = initial_state(RandomInit(6, Q_COMPLEX), 12)
     assert np.array_equal(a.modes, b.modes)
     assert not np.array_equal(a.modes, c.modes)
     for m in range(-12, 13):
         assert abs(a.mode(m)) <= 0.25 * 0.5 ** abs(m) * math.sqrt(2) + 1e-15
-    with pytest.raises(ValueError):
-        initial_state(RandomInit(seed=5), 12)  # q is required
+    assert a.q == Q_COMPLEX
     with pytest.raises(TypeError):
-        initial_state(object(), 12, Q_COMPLEX)
+        initial_state(object(), 12)
 
 
 def test_run_config_validation():
@@ -288,8 +288,7 @@ def test_run_random_reports_no_mode_error():
         dt=1e-3,
         steps=20,
         check_interval=5,
-        init=RandomInit(seed=2),
-        q=Q_COMPLEX,
+        init=RandomInit(2, Q_COMPLEX),
     )
     records, summary = run(cfg)
     assert summary["max_mode_error"] is None
@@ -298,7 +297,8 @@ def test_run_random_reports_no_mode_error():
     assert len(records) == 5
 
 
-def test_blow_up_guard_trips():
-    cfg = RunConfig(n_modes=16, dt=1e-3, steps=5, blowup=1e-3)
+def test_blow_up_guard_trips(monkeypatch):
+    monkeypatch.setattr(evolve, "BLOWUP", 1e-3)
+    cfg = RunConfig(n_modes=16, dt=1e-3, steps=5)
     with pytest.raises(BlowUpError):
         run(cfg)

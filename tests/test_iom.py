@@ -39,6 +39,7 @@ from toda_bo.modes import (
     ModeTrunc,
     bracket,
     build_eta,
+    build_xi,
     eta_zero,
     mono_weight,
     xi_zero,
@@ -55,6 +56,12 @@ Q = F(1, 4)
 
 def eta_modes(params, b, window) -> ModeVector:
     return ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+
+
+def xi_table(ctx: ModeContext) -> ModeVector:
+    """Mode polynomials of the xi field for |m| <= n_modes."""
+    field, N = build_xi(ctx), ctx.trunc.n_modes
+    return ModeVector(N, {m: field.mode(m) for m in range(-N, N + 1)})
 
 
 def xi_modes(params, b, window) -> ModeVector:
@@ -218,7 +225,7 @@ def test_m3_from_newton_matches_kernel_formula_on_window():
 
 
 def test_mbar_newton_matches_kernel_on_window():
-    mv = mode_table(CTX, side="xi")
+    mv = xi_table(CTX)
     N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
     qbar = 1 / CTX.q
     vals = [Ibar_k_def(mv, k, N, CTX.q).value for k in (1, 2)]
@@ -239,9 +246,7 @@ def certified_zero(series: AlphaSeries) -> bool:
 def test_charges_commute_on_certified_window():
     N, q = CTX.trunc.n_modes, CTX.q
     i2 = AlphaSeries.functional(CTX, I_k_def(mode_table(CTX), 2, N, q).value)
-    i2bar = AlphaSeries.functional(
-        CTX, Ibar_k_def(mode_table(CTX, "xi"), 2, N, q).value
-    )
+    i2bar = AlphaSeries.functional(CTX, Ibar_k_def(xi_table(CTX), 2, N, q).value)
     pairs = [
         (eta_zero(CTX), i2),
         (xi_zero(CTX), i2bar),

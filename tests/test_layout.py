@@ -1,9 +1,12 @@
-"""Source layout: no private imports across modules, no callerless code.
+"""Source layout: no private imports across modules, no callerless code,
+no unused option, no unused import.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
 package has a caller in the package: code that only tests use lives in the
-tests.  Both rules are checked on the syntax tree of every package module.
+tests.  Every default is overridden by some call in the package; one that
+no call overrides is a constant.  Every module uses what it imports.  The
+rules are checked on the syntax tree of every package module.
 """
 
 from __future__ import annotations
@@ -72,3 +75,96 @@ def test_every_definition_has_a_caller_in_the_package():
         )
     ]
     assert callerless == []
+
+
+def _defaulted(tree: ast.Module):
+    """(call name, parameter, positional index or None, def) for every
+    defaulted parameter of a def and every defaulted dataclass field.
+
+    A method is called through an attribute of that name, __init__ and a
+    dataclass through the class name; the positional index leaves out
+    self/cls, and keyword-only parameters have none."""
+    methods = {
+        id(sub): cls
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for sub in cls.body
+        if isinstance(sub, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            cls = methods.get(id(node))
+            call = cls.name if cls and node.name == "__init__" else node.name
+            static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+            skip = 1 if cls and not static else 0
+            args = node.args.posonlyargs + node.args.args
+            first = len(args) - len(node.args.defaults)
+            for index in range(first, len(args)):
+                yield call, args[index].arg, index - skip, node
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield call, arg.arg, None, node
+        elif isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            for index, f in enumerate(fields):
+                if f.value is not None:
+                    yield node.name, f.target.id, index, f
+
+
+def _entry_points() -> set[tuple[str, str]]:
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    targets = [
+        line.split("=", 1)[1].strip().strip('"')
+        for line in section.splitlines()
+        if "=" in line
+    ]
+    return {
+        (module.rsplit(".", 1)[-1] + ".py", func)
+        for module, func in (t.split(":") for t in targets)
+    }
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller_in_the_package():
+    # a default that no call in the package overrides is a constant in
+    # disguise; the console-script entry point's parameters are its only
+    # outside callers
+    modules = parsed_modules()
+    calls = []
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.append((name, len(node.args), {k.arg for k in node.keywords}))
+    entry = _entry_points()
+    assert entry, "pyproject.toml names no console script"
+    unset = [
+        f"{name}:{node.lineno} {call}({param})"
+        for name, tree in modules.items()
+        for call, param, index, node in _defaulted(tree)
+        if (name, call) not in entry
+        and not any(
+            c == call and ((index is not None and npos > index) or param in kws)
+            for c, npos, kws in calls
+        )
+    ]
+    assert unset == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in parsed_modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []

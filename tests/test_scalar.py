@@ -103,7 +103,7 @@ def _long_division_digits(x: Fraction, digits: int) -> str:
     ],
 )
 def test_scalar_decimal_long_division_oracle(x):
-    rendered = scalar_decimal(x, digits=30)
+    rendered = scalar_decimal(x)
     got = decimal.Decimal(rendered)
     mantissa = "".join(map(str, got.as_tuple().digits)).rstrip("0") or "0"
     want = _long_division_digits(x, 30).rstrip("0") or "0"
@@ -112,7 +112,7 @@ def test_scalar_decimal_long_division_oracle(x):
 
 @given(rationals.filter(lambda x: x != 0))
 def test_scalar_decimal_relative_error(x):
-    d = decimal.Decimal(scalar_decimal(x, digits=30))
+    d = decimal.Decimal(scalar_decimal(x))
     back = Fraction(d)
     ulp = Fraction(10) ** (d.adjusted() - 29)
     assert abs(back - x) <= ulp / 2

@@ -50,7 +50,7 @@ def test_mul_inverse_monomials():
 
 def test_mul_by_exact_zero():
     f = poly({})
-    g = LaurentSeries("z", -5, 5, {2: F(7)}, ZERO)
+    g = LaurentSeries("z", -5, 5, {2: F(7)})
     h = f * g
     assert not h.coeffs and h.tight_lo and h.tight_hi
 
@@ -87,8 +87,8 @@ def test_ring_axioms_on_polynomials(da, db, dc):
 
 def test_mul_onesided_by_onesided_keeps_order():
     # two power series known to order 8: product known exactly to order 8
-    f = LaurentSeries("z", 0, 8, {0: ONE, 1: F(2)}, ZERO, tight_lo=True)
-    g = LaurentSeries("z", 0, 8, {0: ONE, 3: F(5)}, ZERO, tight_lo=True)
+    f = LaurentSeries("z", 0, 8, {0: ONE, 1: F(2)}, tight_lo=True)
+    g = LaurentSeries("z", 0, 8, {0: ONE, 3: F(5)}, tight_lo=True)
     h = f * g
     assert (h.lo, h.hi) == (0, 8)
     assert h.tight_lo and not h.tight_hi
@@ -98,7 +98,7 @@ def test_mul_onesided_by_onesided_keeps_order():
 def test_mul_window_by_tight_poly_shrinks_both_ends():
     # untight window [-6, 6] times exact support {1, 2}: exactness region is
     # [2 - 6, 1 + 6]; support bound widens the stored window no further.
-    f = LaurentSeries("z", -6, 6, {d: ONE for d in range(-6, 7)}, ZERO)
+    f = LaurentSeries("z", -6, 6, {d: ONE for d in range(-6, 7)})
     g = poly({1: 1, 2: 1})
     h = f * g
     assert (h.lo, h.hi) == (-4, 7)
@@ -106,15 +106,15 @@ def test_mul_window_by_tight_poly_shrinks_both_ends():
 
 
 def test_mul_two_untight_windows_collapse():
-    f = LaurentSeries("z", -2, 2, {0: ONE}, ZERO)
-    g = LaurentSeries("z", -2, 2, {0: ONE}, ZERO)
+    f = LaurentSeries("z", -2, 2, {0: ONE})
+    g = LaurentSeries("z", -2, 2, {0: ONE})
     with pytest.raises(ValueError):
         series_mul(f, g)
 
 
 def test_add_intersects_known_ranges():
-    f = LaurentSeries("z", -3, 5, {0: ONE}, ZERO, tight_lo=True)
-    g = LaurentSeries("z", -1, 9, {1: F(4)}, ZERO, tight_hi=True)
+    f = LaurentSeries("z", -3, 5, {0: ONE}, tight_lo=True)
+    g = LaurentSeries("z", -1, 9, {1: F(4)}, tight_hi=True)
     h = f + g
     assert (h.lo, h.hi) == (-1, 5)
     assert not h.tight_lo and not h.tight_hi
@@ -130,7 +130,7 @@ def test_add_tight_windows_take_union():
 
 
 def test_coeff_outside_window():
-    f = LaurentSeries("z", 0, 4, {1: ONE}, ZERO, tight_lo=True)
+    f = LaurentSeries("z", 0, 4, {1: ONE}, tight_lo=True)
     assert f.coeff(-3) == ZERO  # tight side: provably absent
     assert f.coeff(2) == ZERO  # inside window: stored zero
     with pytest.raises(IndexError):
@@ -186,7 +186,7 @@ def test_inv_requires_unit_constant():
 
 
 def test_inv_order_cannot_exceed_untight_data():
-    f = LaurentSeries("z", 0, 4, {0: ONE, 1: F(3)}, ZERO, tight_lo=True)
+    f = LaurentSeries("z", 0, 4, {0: ONE, 1: F(3)}, tight_lo=True)
     g = series_inv(f)  # natural order 4
     assert g.hi == 4
     with pytest.raises(ValueError):

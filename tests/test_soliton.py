@@ -80,7 +80,7 @@ def test_two_wave_interaction():
 
 
 def test_d_factor_poles():
-    bad = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),), guard_range=0)
+    bad = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
     with pytest.raises(PoleError):
         d_factor(bad, 0, F(1, 5))
 

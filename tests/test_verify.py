@@ -349,15 +349,6 @@ def test_suite_bytes_are_reproducible():
     )
 
 
-def test_suite_parallel_matches_serial(monkeypatch):
-    cfg = CheckConfig()
-    serial = run_suite("lemma-3-4,lemma-3-5,prop-t2", cfg)
-    monkeypatch.setenv("TODA_BO_THREADS", "2")
-    parallel = run_suite("lemma-3-4,lemma-3-5,prop-t2", cfg)
-    as_bytes = lambda reps: json.dumps([r.to_json() for r in reps], sort_keys=True)
-    assert as_bytes(serial) == as_bytes(parallel)
-
-
 def lemma_3_4_at(trunc: ModeTrunc):
     """lemma-3-4 through the windowed finisher at an explicit truncation:
     (passed, params, detail)."""
