@@ -6,7 +6,29 @@ each kernel geometrically turns the constant term into a finite sum over
 pair exponent vectors; the exponent flow through position i selects the
 mode index of the i-th field copy.  Two kernel orientations exist and are
 mirror images of one another under inverting the deformation parameter, so
-a single enumerator serves both.
+a single sum serves both.
+
+The pair kernel is geometric: K(0) = 1 and K(m) = (1 - 1/q) q**m for
+m >= 1.  So the last pair (k-2, k-1) is summed once per pair of partial
+flows A, B into those two positions, in the table
+
+    S(A, B) = sum_{m=0..N} K(m) eta[A-m] eta[B+m] = eta[A] eta[B] + T(A, B),
+    T(A, B) = sum_{m=1..N} K(m) eta[A-m] eta[B+m],
+
+and every vector of the other p - 1 pairs costs one lookup.  Along an
+anti-diagonal A + B = s, T moves in O(1):
+
+    T(A+1, B-1) = K(1) eta[A] eta[B] + q (T(A, B) - K(N) eta[A-N] eta[B+N]).
+
+This is the reindexing m -> m + 1 of the finite sum, with K(m+1) = q K(m)
+for m >= 1: the m = 0 term enters with K(1) and the m = N term leaves.
+Each diagonal starts from one direct sum.  The charge I_k thus costs
+(N+1)**(p-1) vectors plus O((k-1)**2 N**2) table products, so I_3 is
+O(N**2) instead of O(N**3).  The identity uses only ring operations, so the
+result is the same element as the literal sum over all (N+1)**p vectors:
+the same Fraction, and the same mode polynomial under a capped product
+(pruning by weight and degree drops an ideal, because both add under
+multiplication, so pruned products and sums commute with it).
 
 The charge combinations obtained through the Newton determinant from the
 normalized k-point charges admit closed forms at soliton points; both the
@@ -23,7 +45,6 @@ quadratic and cubic builders inherit the primitive guarantee unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,10 +73,12 @@ ENUM_BUDGET = 5_000_000
 
 @dataclass(frozen=True)
 class ModeVector:
-    """Fourier modes values[m] for |m| <= N; entries may be any ring scalar.
+    """Fourier modes values[m] for every |m| <= N; entries may be any ring
+    scalar.
 
-    Indices absent from the map are *unknown*, not zero; consumers either
-    refuse them or charge them to a decay-model tail bound.
+    The window is complete: values holds exactly the indices -N..N.  Modes
+    outside it are unknown, not zero; consumers either refuse them or charge
+    them to a decay-model tail bound.
     """
 
     N: int
@@ -64,16 +87,17 @@ class ModeVector:
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("window must be nonnegative")
-        for m in self.values:
-            if abs(m) > self.N:
-                raise ValueError(f"mode index {m} outside window {self.N}")
+        window = set(range(-self.N, self.N + 1))
+        if set(self.values) != window:
+            odd = sorted(set(self.values) ^ window, key=abs)[0]
+            raise ValueError(
+                f"mode table must hold exactly the indices -{self.N}..{self.N}"
+                f" (index {odd} is {'missing' if odd in window else 'outside'})"
+            )
 
     @classmethod
     def from_series(cls, f, N: int) -> "ModeVector":
         return cls(N, modes_from_series(f, N))
-
-    def covers(self, m: int) -> bool:
-        return m in self.values
 
     def __getitem__(self, m: int):
         return self.values[m]
@@ -169,6 +193,81 @@ def soliton_decay(
     return fit_decay(modes, max(rep["outer_margin"], rep["inner_margin"], params.q))
 
 
+def _exponent_vectors(pairs, k: int, ktab: list):
+    """(prod of ktab[m], flow) for every exponent vector over pairs, where
+    the exponent m of pair (i, j) moves flow m from position i to j."""
+    if not pairs:
+        yield ONE, [0] * k
+        return
+    i, j = pairs[-1]
+    for coeff, flow in _exponent_vectors(pairs[:-1], k, ktab):
+        for m, km in enumerate(ktab):
+            out = flow.copy()
+            out[i] -= m
+            out[j] += m
+            yield coeff * km, out
+
+
+def _kernel_sum(field: dict, k: int, ktab: list, r: Scalar, mul):
+    """Sum over all pair exponents m_ij in 0..N of prod ktab[m_ij] *
+    prod field[flow_i], for k >= 2 and a geometric kernel: ktab[m+1] =
+    r ktab[m] for m >= 1.
+
+    field holds every index the flows reach, |index| <= (k-1) N.  The last
+    pair is summed from the table S(A, B) over the partial flows into the
+    last two positions, built one anti-diagonal at a time (module
+    docstring); the other pairs are enumerated."""
+    N = len(ktab) - 1
+    L = (k - 2) * N
+    zero = field[0] * ZERO
+    S = {}
+    for s in range(2 * L + 1):
+        A = max(0, s - L)
+        B = s - A
+        T = zero
+        for m in range(1, N + 1):
+            T = T + mul(field[A - m], field[B + m]) * ktab[m]
+        while True:
+            ab = mul(field[A], field[B])
+            S[A, B] = ab + T
+            if A == min(s, L):
+                break
+            T = ab * ktab[1] + (T - mul(field[A - N], field[B + N]) * ktab[N]) * r
+            A, B = A + 1, B - 1
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    total = zero
+    for coeff, flow in _exponent_vectors(pairs[:-1], k, ktab):
+        term = S[flow[-2], flow[-1]]
+        for e in flow[:-2]:
+            term = mul(field[e], term)
+        total = total + term * coeff
+    return total
+
+
+def _shell_tail(k: int, N: int, q: Scalar, h: Scalar, rho: Scalar) -> Scalar | None:
+    """Bound on the dropped kernel shells: every vector with some exponent
+    M > N, for k >= 2 and modes bounded by H rho**|m|; None when neither
+    shell ratio converges.
+
+    Within a shell the coefficient product carries |q|**(sum m) and the mode
+    product is bounded by H**k rho**(sum |flow|); the cut-flow argument
+    gives sum |flow| >= 2M and sum m <= (k-1) * max cut flow, hence the two
+    candidate shell ratios below.  Shell M holds at most p (M+1)**(p-1)
+    vectors."""
+    p = k * (k - 1) // 2
+    kappa = max(ONE, abs(ONE - 1 / q))
+    candidates = []
+    if abs(q) < 1:
+        candidates.append(abs(q))
+    rescue = abs(q) ** (k - 1) * rho**2
+    if rescue < 1:
+        candidates.append(rescue)
+    if not candidates:
+        return None
+    r = min(candidates)
+    return kappa**p * h**k * p * power_geometric_tail(p - 1, r, N)
+
+
 def I_k_def(
     eta: ModeVector,
     k: int,
@@ -181,67 +280,51 @@ def I_k_def(
     """Constant term of k field copies against pair kernels, truncated at N.
 
     The pair kernel is (1 - w)/(1 - q w); the mirror orientation is the
-    same enumeration at 1/q (Ibar_k_def).  Pair exponents m_{ij} <= N
-    contribute the mode product at indices given by the net exponent flow
-    through each position.  Missing modes raise unless a decay model (H,
-    rho) is given, in which case they are charged to the tail bound.
+    same sum at 1/q (Ibar_k_def).  Pair exponents m_{ij} <= N contribute the
+    mode product at indices given by the net exponent flow through each
+    position; a k >= 2 charge reaches |flow| <= (k-1) N.  The last pair is
+    summed from an anti-diagonal table (module docstring), so the work is
+    (N+1)**(p-1) vectors plus O((k-1)**2 N**2) table products for p pairs.
+    Modes outside the window raise unless a decay model (H, rho) is given;
+    then they count as zero in the value and are charged to the tail bound.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    p = len(pairs)
+    p = k * (k - 1) // 2
     if (N + 1) ** p > ENUM_BUDGET:
         raise BudgetError(f"(N+1)**{p} exponent vectors exceed the budget")
     if decay is not None:
         h, rho = decay
         if not 0 < rho < 1:
             raise ValueError("decay ratio must lie in (0, 1)")
+    if p == 0:
+        return IomResult(k, eta[0], N, ZERO)
+    W, reach = eta.N, (k - 1) * N
+    if reach > W and decay is None:
+        raise ValueError(
+            f"mode {-reach} outside window {W}; "
+            "supply a decay model or widen the modes"
+        )
+    zero = eta[0] * ZERO
+    field = {e: eta[e] if abs(e) <= W else zero for e in range(-reach, reach + 1)}
     ktab = [_kernel_coeff(q, m) for m in range(N + 1)]
-    total = None
-    tail = ZERO
-    for ms in itertools.product(range(N + 1), repeat=p):
-        coeff = ONE
-        flow = [0] * k
-        for (i, j), m in zip(pairs, ms):
-            if m:
-                coeff *= ktab[m]
-                flow[i] -= m
-                flow[j] += m
-        if all(eta.covers(e) for e in flow):
-            term = eta[flow[0]]
-            for e in flow[1:]:
-                term = mul(term, eta[e])
-            term = term * coeff
-            total = term if total is None else total + term
-        elif decay is None:
-            raise ValueError(
-                f"mode {max(flow, key=abs)} outside window {eta.N}; "
-                "supply a decay model or widen the modes"
-            )
-        else:
-            tail += abs(coeff) * h**k * rho ** sum(abs(e) for e in flow)
-    if total is None:
-        total = ZERO
-    if p == 0 or decay is None:
-        return IomResult(k, total, N, tail if (decay or p == 0) else None)
-    # Dropped kernel shells: every vector with some exponent M > N.  Within
-    # a shell the coefficient product carries |q|**(sum m) and the mode
-    # product is bounded by H**k rho**(sum |flow|); the cut-flow argument
-    # gives sum |flow| >= 2M and sum m <= (k-1) * max cut flow, hence the
-    # two candidate shell ratios below.  Shell M holds at most p (M+1)**(p-1)
-    # vectors.
-    kappa = max(ONE, abs(ONE - 1 / q))
-    candidates = []
-    if abs(q) < 1:
-        candidates.append(abs(q))
-    rescue = abs(q) ** (k - 1) * rho**2
-    if rescue < 1:
-        candidates.append(rescue)
-    if not candidates:
+    total = _kernel_sum(field, k, ktab, q, mul)
+    if decay is None:
         return IomResult(k, total, N, None)
-    r = min(candidates)
-    tail += kappa**p * h**k * p * power_geometric_tail(p - 1, r, N)
-    return IomResult(k, total, N, tail)
+    # Modes outside the window: the same sum with |K| over the bound field
+    # H rho**|e|, taken over every index minus taken over the window only,
+    # is the sum of |coeff| H**k rho**(sum |flow|) over the vectors that
+    # leave the window.
+    tail = ZERO
+    if reach > W:
+        bound = {e: h * rho ** abs(e) for e in range(-reach, reach + 1)}
+        inside = {e: v if abs(e) <= W else ZERO for e, v in bound.items()}
+        atab = [abs(x) for x in ktab]
+        tail = _kernel_sum(bound, k, atab, abs(q), operator.mul) - _kernel_sum(
+            inside, k, atab, abs(q), operator.mul
+        )
+    shells = _shell_tail(k, N, q, h, rho)
+    return IomResult(k, total, N, None if shells is None else tail + shells)
 
 
 def Ibar_k_def(xi: ModeVector, k: int, N: int, q: Scalar) -> IomResult:

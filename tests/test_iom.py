@@ -1,7 +1,8 @@
-"""Charges: kernel enumeration vs literal formulas, closed forms, Newton map.
+"""Charges: kernel sums vs literal formulas, closed forms, Newton map.
 
-Oracles: quadratic/cubic sums are written out literally where compared to the
-generic enumerator; closed forms at k=1,2 are transcribed as independent
+Oracles: the charge is compared with the literal enumeration of every pair
+exponent vector (`literal_charge`), and quadratic/cubic sums are written out
+literally; closed forms at k=1,2 are transcribed as independent
 expressions; the n=0 point pins the geometric-tail normalization against the
 constant-field value; Newton consistency is checked both on exact closed
 values and on mode polynomials.
@@ -9,6 +10,8 @@ values and on mode polynomials.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +30,8 @@ from toda_bo.iom import (
     closed_Ibar,
     closed_M,
     _kernel_coeff,
+    _shell_tail,
+    capped_mul,
     fit_decay,
     mode_table,
     power_geometric_tail,
@@ -77,12 +82,14 @@ def constant_modes(c, N: int) -> ModeVector:
 
 
 def test_mode_vector_validation():
-    with pytest.raises(ValueError):
-        ModeVector(2, {3: F(1)})
+    with pytest.raises(ValueError, match="index 3 is outside"):
+        ModeVector(2, {m: F(1) for m in range(-2, 4)})
+    with pytest.raises(ValueError, match="index 0 is missing"):
+        ModeVector(2, {m: F(1) for m in (-2, -1, 1, 2)})
     with pytest.raises(ValueError):
         ModeVector(-1, {})
     mv = constant_modes(F(1, 8), 4)
-    assert mv[0] == F(1, 8) and mv[3] == 0 and mv.covers(-4) and not mv.covers(5)
+    assert mv[0] == F(1, 8) and mv[3] == 0 and set(mv.values) == set(range(-4, 5))
 
 
 # #### enumerator vs literal sums ##############################################
@@ -115,21 +122,85 @@ def test_second_charge_literal_sum():
     assert I_k_def(mv, 2, N, Q).value == expect
 
 
-def test_third_charge_matches_direct_triple_sum():
-    mv = eta_modes(P1, (F(1, 2),), 12)
-    N = 4
+def literal_charge(eta, k, N, q, decay=None, mul=operator.mul):
+    """The charge by enumerating every pair exponent vector: the value over
+    the vectors inside the window and, with a decay model (H, rho), the sum
+    of |coeff| H**k rho**(sum |flow|) over the vectors that leave it."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    value, outside = None, F(0)
+    for ms in itertools.product(range(N + 1), repeat=len(pairs)):
+        coeff, flow = F(1), [0] * k
+        for (i, j), m in zip(pairs, ms):
+            coeff *= 1 if m == 0 else (1 - 1 / q) * q**m
+            flow[i] -= m
+            flow[j] += m
+        if all(abs(e) <= eta.N for e in flow):
+            term = eta[flow[0]]
+            for e in flow[1:]:
+                term = mul(term, eta[e])
+            value = term * coeff if value is None else value + term * coeff
+        else:
+            h, rho = decay
+            outside += abs(coeff) * h**k * rho ** sum(abs(e) for e in flow)
+    return value, outside
 
-    def coeff(q, m):
-        return F(1) if m == 0 else (1 - 1 / q) * q**m
 
-    expect = F(0)
-    for m12 in range(N + 1):
-        for m13 in range(N + 1):
-            for m23 in range(N + 1):
-                c = coeff(Q, m12) * coeff(Q, m13) * coeff(Q, m23)
-                e1, e2, e3 = -m12 - m13, m12 - m23, m13 + m23
-                expect += c * mv[e1] * mv[e2] * mv[e3]
-    assert I_k_def(mv, 3, N, Q).value == expect
+CTX_SMALL = ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 4))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+@pytest.mark.parametrize("case", ["covering", "narrow-decay", "capped-poly"])
+def test_charge_matches_literal_enumeration(k, kind, case):
+    # value and tail are the same exact element as the literal sum over all
+    # (N+1)**(k(k-1)/2) vectors: Fractions on soliton modes, with and without
+    # modes outside the window, and mode polynomials under the capped product
+    qq = Q if kind == "plus" else 1 / Q
+    modes = eta_modes if kind == "plus" else xi_modes
+    decay, mul = None, operator.mul
+    if case == "capped-poly":
+        N = CTX_SMALL.trunc.n_modes
+        mv = mode_table(CTX_SMALL, span=max(1, k - 1))
+        mul = capped_mul(CTX_SMALL)
+    else:
+        N = 3 if k < 4 else 2
+        mv = modes(P1, (F(1, 2),), (k - 1) * N if case == "covering" else N - 1)
+        if case == "narrow-decay":
+            decay = fit_decay(mv, F(1, 10))
+    res = I_k_def(mv, k, N, qq, decay=decay, mul=mul)
+    value, outside = literal_charge(mv, k, N, qq, decay, mul)
+    assert res.value == value
+    if k == 1:
+        assert res.tail == 0
+    elif decay is None:
+        assert res.tail is None
+    else:
+        assert outside > 0
+        assert res.tail == outside + _shell_tail(k, N, qq, *decay)
+
+
+def test_third_charge_work_is_quadratic_in_the_cutoff():
+    # the literal enumeration makes 2 products per vector, 2 (N+1)**3 in all
+    calls = 0
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return a * b
+
+    N = 24
+    mv = eta_modes(P1, (F(1, 2),), 2 * N)
+    res = I_k_def(mv, 3, N, Q, mul=counting_mul)
+    assert res.value == I_k_def(mv, 3, N, Q).value
+    assert 0 < calls <= 6 * (N + 1) ** 2
+
+
+def test_out_of_window_mode_is_named_without_decay():
+    # I_3 reaches |flow| <= 2N: N = 4 fits the window 8, N = 5 does not
+    mv = eta_modes(P1, (F(1, 2),), 8)
+    I_k_def(mv, 3, 4, Q)
+    with pytest.raises(ValueError, match="mode -10 outside window 8"):
+        I_k_def(mv, 3, 5, Q)
 
 
 def test_constant_field_powers():
