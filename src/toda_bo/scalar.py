@@ -35,12 +35,18 @@ GUARD_RANGE = 8
 
 
 def scalar_str(x: Scalar) -> str:
-    """Render as 'p/q' in lowest terms; integers render as 'k/1'."""
-    return f"{x.numerator}/{x.denominator}"
+    """Render as 'p/q' in lowest terms; integers render as 'k/1'.
+
+    The digits come from `decimal`, which the interpreter's int-to-str digit
+    limit does not bind, so every exact value renders."""
+    return f"{decimal.Decimal(x.numerator)}/{decimal.Decimal(x.denominator)}"
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of scalar_str; also accepts plain integers like '3'."""
+    """Inverse of scalar_str; also accepts plain integers like '3'.
+
+    Reads untrusted spec text, so the interpreter's digit limit stays in
+    force: past it, ValueError."""
     return Fraction(text)
 
 

@@ -5,9 +5,22 @@ outside the window are *unknown*, not zero, unless the corresponding tight
 flag says the exact object has no support there.  Every operation computes
 the largest window on which its result is provably exact given the input
 windows, so "exact within window" is an invariant, never a hope.
+
+Division runs on Python ints.  For a one-sided t with unit constant term,
+L the lcm of t's denominators and T_j = t_j L, the recurrence C_0 = 1,
+C_k = -sum_j T_j L**(j-1) C_{k-j} is integral and [w**k] 1/t = C_k / L**k:
+it is the Fraction recurrence c_k = -sum_j t_j c_{k-j} multiplied through by
+L**k.  With H the lcm of h's denominators, each degree e of h / t is then one
+integer numerator over H L**top, top the largest inverse index its sum
+reaches (e - min h, unless the order cuts it), and becomes a Fraction once:
+one gcd per output degree instead of one per product and partial sum.
+Integer arithmetic is exact and lowest terms are unique, so the coefficients
+are the same rationals the term-by-term product gives.
 """
 
 from __future__ import annotations
+
+import math
 
 from .scalar import ONE, ZERO, Scalar
 
@@ -140,21 +153,18 @@ class LaurentSeries:
         return self.copy_with({d: v * c**d for d, v in self.coeffs.items()})
 
 
-def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Product, keeping exactly the provably complete degrees.
+def _product_window(f: LaurentSeries, g: LaurentSeries):
+    """(lo, hi, tight_lo, tight_hi) of f * g, or None when a factor is the
+    exact zero function.
 
     Degree k survives only if every split k = d1 + d2 with d1 in f's
     potential support and d2 in g's potential support uses stored (or
     provably absent) coefficients on both sides.
     """
-    if f.var != g.var:
-        raise ValueError("variable mismatch")
     plo_f, phi_f = f._pot_lo(), f._pot_hi()
     plo_g, phi_g = g._pot_lo(), g._pot_hi()
     if plo_f > phi_f or plo_g > phi_g:
-        # one factor is the exact zero function
-        return LaurentSeries(f.var, 0, 0, {}, tight_lo=True, tight_hi=True)
-
+        return None
     khi = min(
         _INF if f.tight_hi else f.hi + plo_g,
         _INF if g.tight_hi else g.hi + plo_f,
@@ -169,7 +179,17 @@ def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     rhi = min(khi, new_phi)
     if rlo > rhi or rlo == -_INF or rhi == _INF:
         raise ValueError("window collapse in mul")
-    rlo, rhi = int(rlo), int(rhi)
+    return int(rlo), int(rhi), klo <= new_plo, khi >= new_phi
+
+
+def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
+    """Product, keeping exactly the provably complete degrees."""
+    if f.var != g.var:
+        raise ValueError("variable mismatch")
+    window = _product_window(f, g)
+    if window is None:
+        return LaurentSeries(f.var, 0, 0, {}, tight_lo=True, tight_hi=True)
+    rlo, rhi, tight_lo, tight_hi = window
     out = {}
     for d1, c1 in f.coeffs.items():
         for d2, c2 in g.coeffs.items():
@@ -177,48 +197,63 @@ def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
             if rlo <= d <= rhi:
                 v = out.get(d)
                 out[d] = c1 * c2 if v is None else v + c1 * c2
-    return LaurentSeries(
-        f.var, rlo, rhi, out,
-        tight_lo=klo <= new_plo,
-        tight_hi=khi >= new_phi,
-    )
+    return LaurentSeries(f.var, rlo, rhi, out, tight_lo=tight_lo, tight_hi=tight_hi)
 
 
-def series_inv(f: LaurentSeries, order: int | None = None) -> LaurentSeries:
-    """Inverse of a one-sided series with unit constant term.
+def series_div(h: LaurentSeries, t: LaurentSeries, order: int) -> LaurentSeries:
+    """h / t for a one-sided t with unit constant term, 1/t taken to `order`.
 
-    Exact to the input's one-sided order (or to a larger requested order when
-    the input is an exact polynomial); the far side of the result window is
-    open, inverses being generically infinite.
+    The result is h times the inverse of t, which is exact to t's one-sided
+    order (or further when t is an exact polynomial) and open on its far
+    side, inverses being generically infinite; window and tight flags are
+    those of that product.  The inverse and the product run on Python ints
+    (see the module docstring), so each output degree costs one Fraction.
     """
-    if f.coeff(0) != ONE:
+    if t.coeff(0) != ONE:
         raise ValueError("constant term must be one (normalize first)")
     # d = +1 for a power series in var, -1 for one in 1/var
-    if f.tight_lo and f._pot_lo() >= 0:
+    if t.tight_lo and t._pot_lo() >= 0:
         d = 1
-    elif f.tight_hi and f._pot_hi() <= 0:
+    elif t.tight_hi and t._pot_hi() <= 0:
         d = -1
     else:
-        raise ValueError("series_inv needs one-sided support touching degree 0")
-    natural = f.hi if d > 0 else -f.lo
-    if order is None:
-        order = natural
-    elif order > natural and not (f.tight_hi if d > 0 else f.tight_lo):
-        raise ValueError(f"series_inv: order {order} exceeds known data ({natural})")
-    out = {0: ONE}
-    for k in range(1, order + 1):
-        acc = None
-        for j in range(1, k + 1):
-            c = f.coeffs.get(d * j)
-            if c is None or (d * (k - j)) not in out:
-                continue
-            t = c * out[d * (k - j)]
-            acc = t if acc is None else acc + t
-        if acc:
-            out[d * k] = -acc
+        raise ValueError("series_div needs a one-sided divisor touching degree 0")
+    natural = t.hi if d > 0 else -t.lo
+    if order > natural and not (t.tight_hi if d > 0 else t.tight_lo):
+        raise ValueError(f"series_div: order {order} exceeds known data ({natural})")
+    if h.var != t.var:
+        raise ValueError("variable mismatch")
+    # 1/t has the window, tight flags and potential support of this stand-in
     lo, hi = (0, order) if d > 0 else (-order, 0)
-    return LaurentSeries(
-        f.var, lo, hi, out,
-        tight_lo=d > 0, tight_hi=d < 0,
-    )
+    inverse = LaurentSeries(t.var, lo, hi, {0: ONE}, tight_lo=d > 0, tight_hi=d < 0)
+    window = _product_window(h, inverse)
+    if window is None:
+        return LaurentSeries(h.var, 0, 0, {}, tight_lo=True, tight_hi=True)
+    rlo, rhi, tight_lo, tight_hi = window
 
+    # [var**(d k)] 1/t = C[k] / L**k with C[0] = 1 and
+    # C[k] = -sum_j T_j L**(j-1) C[k-j], where T_j = t_j L
+    tj = [(j, t.coeffs[d * j]) for j in range(1, order + 1) if d * j in t.coeffs]
+    L = math.lcm(*(c.denominator for _, c in tj))
+    lpow = [1]
+    for _ in range(order):
+        lpow.append(lpow[-1] * L)
+    steps = [(j, c.numerator * (L // c.denominator) * lpow[j - 1]) for j, c in tj]
+    inv = [1]
+    for k in range(1, order + 1):
+        inv.append(-sum(p * inv[k - j] for j, p in steps if j <= k))
+
+    # [var**e] h/t = sum over d1 of h_{d1} [var**(e-d1)] 1/t, on the common
+    # denominator H L**top, top the largest inverse index the sum reaches
+    H = math.lcm(*(c.denominator for c in h.coeffs.values()))
+    hn = [(d1, c.numerator * (H // c.denominator)) for d1, c in h.coeffs.items()]
+    out = {}
+    for e in range(rlo, rhi + 1):
+        terms = [(n, d * (e - d1)) for d1, n in hn if 0 <= d * (e - d1) <= order]
+        if not terms:
+            continue
+        top = max(k for _, k in terms)
+        num = sum(n * inv[k] * lpow[top - k] for n, k in terms)
+        if num:
+            out[e] = Scalar(num, H * lpow[top])
+    return LaurentSeries(h.var, rlo, rhi, out, tight_lo=tight_lo, tight_hi=tight_hi)

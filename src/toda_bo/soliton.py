@@ -32,7 +32,7 @@ from .scalar import (
     sample_amplitudes,
     sample_param_point,
 )
-from .series import LaurentSeries, series_inv
+from .series import LaurentSeries, series_div
 
 Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
 
@@ -378,7 +378,15 @@ def _annulus_ratio(
 
     The two inverses cannot be convolved directly, so the reciprocal is
     split as z**deg * u / tp + v / tm with u, v from the Bezout identity of
-    the (coprime) polynomial forms of the two factors.
+    the (coprime) polynomial forms of the two factors.  Each part is one
+    series_div: the inverse of tp (tm) is the integer recurrence
+    C_k = -sum_j T_j L**(j-1) C_{k-j}, T_j = t_j L with L the lcm of the
+    factor's denominators, and each degree e of the part is one integer
+    numerator over H L**top, H the lcm of the denominators of num * u
+    (num * v) and top = e - min (max - e downward) the deepest inverse
+    coefficient it uses.  That numerator is reduced once, to the same
+    rational the Fraction product reaches, since integer sums are exact and
+    lowest terms unique.
     """
     var = num.var
     n_m = -tm.lo
@@ -388,9 +396,7 @@ def _annulus_ratio(
     up = LaurentSeries.poly(var, {i + n_m: c for i, c in enumerate(u) if c})
     vp = LaurentSeries.poly(var, {i: c for i, c in enumerate(v) if c})
     order = window + 2 * n_m + 2 * tp.hi + 2
-    part_up = num * up * series_inv(tp, order=order)
-    part_dn = num * vp * series_inv(tm, order=order)
-    out = part_up + part_dn
+    out = series_div(num * up, tp, order) + series_div(num * vp, tm, order)
     if out.lo > -window or out.hi < window:
         raise ValueError("window too small after inversion")
     coeffs = {d: out.coeff(d) for d in range(-window, window + 1)}
@@ -401,14 +407,15 @@ def _tau_ratio(
     params: ParamPoint, b_values, window: int, up: Scalar, down: Scalar, scale: Scalar
 ) -> LaurentSeries:
     """Laurent window of scale tau_-(z/up) tau_+(z up) / (tau_-(z/down)
-    tau_+(z down))."""
+    tau_+(z down)); scale multiplies the numerator's few terms, not the
+    2 window + 1 output coefficients."""
     if params.n == 0:
         return LaurentSeries("z", -window, window, {0: scale})
     tp = make_tau_plus(params).to_series(b_values)
     tm = make_tau_minus(params).to_series(b_values)
-    num = tm.shift_arg(1 / up) * tp.shift_arg(up)
+    num = (tm.shift_arg(1 / up) * tp.shift_arg(up)).scale(scale)
     den_m, den_p = tm.shift_arg(1 / down), tp.shift_arg(down)
-    return _annulus_ratio(num, den_m, den_p, window).scale(scale)
+    return _annulus_ratio(num, den_m, den_p, window)
 
 
 def eta_series_from_taus(

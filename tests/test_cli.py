@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,12 @@ from hypothesis import example, given, settings, strategies as st
 from toda_bo import cli
 from toda_bo.cli import build_parser, emit_report, main
 from toda_bo.scalar import ParamPoint
-from toda_bo.soliton import make_tau_plus
+from toda_bo.soliton import (
+    eta_series_from_taus,
+    make_tau_plus,
+    modes_from_series,
+    parse_soliton_spec,
+)
 from toda_bo.verify import GROUPS
 
 SMALL_WIN = ["--trunc-z", "4", "--trunc-modes", "8", "--trunc-deg", "4"]
@@ -364,6 +370,26 @@ def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, doc):
     rc, out, err = run_main(capsys, ["soliton", "--spec", str(path)])
     assert (rc, out) == (2, "")
     assert err.startswith("toda-bo: bad wave spec: ") and err.count("\n") == 1, err
+
+
+def test_soliton_renders_values_past_the_digit_limit(tmp_path, capsys):
+    # the wide mode table of a tiny amplitude holds numerators and
+    # denominators past the interpreter's int-to-str digit limit
+    spec = {**_WAVE, "b": ["1/99999999999999999999"]}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(spec))
+    argv = ["soliton", "--spec", str(path), "--eval", "--window", "256"]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, err) == (0, "")
+    params, b = parse_soliton_spec(spec)
+    want = modes_from_series(eta_series_from_taus(params, b, 256), 256)
+    got, longest = {}, 0
+    for m, mode in json.loads(out)["eta_modes"].items():
+        p, q = mode["value"].split("/")
+        got[int(m)] = Fraction(int(Decimal(p)), int(Decimal(q)))
+        longest = max(longest, len(p), len(q))
+    assert got == want
+    assert longest > sys.get_int_max_str_digits()
 
 
 # #### installed entry point ###################################################

@@ -1,11 +1,14 @@
 """Window calculus and ring behaviour of the Laurent series layer.
 
 Oracle notes: product coefficients are checked against a naive convolution
-written inline; inverse coefficients against closed forms (geometric series).
+written inline; inverse coefficients against closed forms (geometric series);
+the integer division `series_div` against `literal_div`, the product with the
+Fraction recurrence for the inverse written out term by term.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toda_bo.evolve import DEFAULT_POINT
 from toda_bo.scalar import ONE, ZERO
-from toda_bo.series import LaurentSeries, series_inv, series_mul
+from toda_bo.series import LaurentSeries, series_div, series_mul
+from toda_bo.soliton import make_tau_minus, make_tau_plus
 
 
 def poly(coeffs):
@@ -148,12 +153,44 @@ def test_shift_arg_scales_by_powers():
     assert g.coeffs == {-1: F(1, 2), 0: F(1), 2: F(4)}
 
 
-# #### inverse #################################################################
+# #### division ################################################################
+
+
+def literal_inv(t: LaurentSeries, order: int) -> LaurentSeries:
+    """1/t by the Fraction recurrence c_k = -sum_j t_j c_{k-j}, one term at a
+    time, for a one-sided t with unit constant term."""
+    if t.coeff(0) != ONE:
+        raise ValueError("constant term must be one")
+    if t.tight_lo and t._pot_lo() >= 0:
+        d = 1
+    elif t.tight_hi and t._pot_hi() <= 0:
+        d = -1
+    else:
+        raise ValueError("two-sided support")
+    natural = t.hi if d > 0 else -t.lo
+    if order > natural and not (t.tight_hi if d > 0 else t.tight_lo):
+        raise ValueError("order exceeds known data")
+    out = {0: ONE}
+    for k in range(1, order + 1):
+        acc = ZERO
+        for j in range(1, k + 1):
+            acc += t.coeffs.get(d * j, ZERO) * out.get(d * (k - j), ZERO)
+        if acc:
+            out[d * k] = -acc
+    lo, hi = (0, order) if d > 0 else (-order, 0)
+    return LaurentSeries(t.var, lo, hi, out, tight_lo=d > 0, tight_hi=d < 0)
+
+
+def literal_div(h: LaurentSeries, t: LaurentSeries, order: int) -> LaurentSeries:
+    return series_mul(h, literal_inv(t, order))
+
+
+ONE_SERIES = poly({0: 1})
 
 
 def test_inv_geometric_series():
     f = poly({0: 1, 1: -1})
-    g = series_inv(f, order=16)
+    g = series_div(ONE_SERIES, f, 16)
     assert (g.lo, g.hi, g.tight_lo, g.tight_hi) == (0, 16, True, False)
     assert all(g.coeff(k) == ONE for k in range(17))
 
@@ -164,7 +201,7 @@ def test_inv_multiply_back_is_one():
         f = LaurentSeries.poly(
             "z", {0: ONE, **{d: F(rng.randint(-4, 4)) for d in range(1, 5)}}
         )
-        g = series_inv(f, order=16)
+        g = series_div(ONE_SERIES, f, 16)
         h = f * g
         assert (h.lo, h.hi) == (0, 16)
         assert h.coeffs == {0: ONE}
@@ -172,7 +209,7 @@ def test_inv_multiply_back_is_one():
 
 def test_inv_downward_orientation():
     f = LaurentSeries.poly("z", {0: ONE, -1: F(1, 2)})
-    g = series_inv(f, order=12)
+    g = series_div(ONE_SERIES, f, 12)
     assert (g.lo, g.hi, g.tight_lo, g.tight_hi) == (-12, 0, False, True)
     assert g.coeff(-3) == F(-1, 8)
     assert (f * g).coeffs == {0: ONE}
@@ -180,14 +217,102 @@ def test_inv_downward_orientation():
 
 def test_inv_requires_unit_constant():
     with pytest.raises(ValueError):
-        series_inv(poly({0: 2}))
+        series_div(ONE_SERIES, poly({0: 2}), 0)
     with pytest.raises(ValueError):
-        series_inv(poly({-1: 1, 0: 1, 1: 1}), order=4)
+        series_div(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}), 4)
 
 
 def test_inv_order_cannot_exceed_untight_data():
     f = LaurentSeries("z", 0, 4, {0: ONE, 1: F(3)}, tight_lo=True)
-    g = series_inv(f)  # natural order 4
+    g = series_div(ONE_SERIES, f, 4)  # the natural order
     assert g.hi == 4
     with pytest.raises(ValueError):
-        series_inv(f, order=9)
+        series_div(ONE_SERIES, f, 9)
+
+
+rationals = st.builds(
+    F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 12, 2**20 + 7])
+)
+
+
+@st.composite
+def division_cases(draw):
+    """(h, t, order): t one-sided with unit constant term, in either
+    orientation, exact or known only to its window; h an exact polynomial
+    or a one-sided window."""
+    d = draw(st.sampled_from([1, -1]))
+    deg = draw(st.integers(0, 5))
+    t_coeffs = {0: ONE, **{d * j: draw(rationals) for j in range(1, deg + 1)}}
+    if draw(st.booleans()):
+        t = LaurentSeries.poly("z", t_coeffs)
+        order = draw(st.integers(0, 14))
+    else:
+        reach = draw(st.integers(deg, 8))
+        lo, hi = (0, reach) if d > 0 else (-reach, 0)
+        t = LaurentSeries("z", lo, hi, t_coeffs, tight_lo=d > 0, tight_hi=d < 0)
+        order = draw(st.integers(0, reach))
+    h_coeffs = draw(st.dictionaries(st.integers(-4, 4), rationals, max_size=5))
+    if draw(st.booleans()):
+        h = LaurentSeries.poly("z", h_coeffs)
+    else:
+        # a window open on the far side of either orientation
+        s = draw(st.sampled_from([1, -1]))
+        h = LaurentSeries("z", -4, 4, h_coeffs, tight_lo=s > 0, tight_hi=s < 0)
+    return h, t, order
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(division_cases())
+@settings(max_examples=200, deadline=None)
+def test_div_equals_literal_product_with_inverse(case):
+    # LaurentSeries equality covers the window, both tight flags and every
+    # coefficient; a window collapse must raise on both sides
+    h, t, order = case
+    assert outcome(series_div, h, t, order) == outcome(literal_div, h, t, order)
+
+
+@pytest.mark.parametrize(
+    "t, order",
+    [
+        (poly({0: 2, 1: 1}), 4),
+        (poly({-1: 1, 0: 1, 1: 1}), 4),
+        (LaurentSeries("z", -3, 0, {0: ONE, -1: F(1, 3)}, tight_hi=True), 5),
+    ],
+    ids=["non-unit-constant", "two-sided", "order-past-data"],
+)
+def test_div_rejects_what_the_literal_inverse_rejects(t, order):
+    h = poly({-1: F(2, 3), 0: 1, 2: F(-5, 7)})
+    with pytest.raises(ValueError):
+        literal_inv(t, order)
+    with pytest.raises(ValueError):
+        series_div(h, t, order)
+
+
+def test_div_builds_one_fraction_per_output_degree(monkeypatch):
+    # the evolve reference's traffic at W = 64: the numerator of one wave
+    # over its upper tau, with a float-lifted amplitude (49-bit denominator);
+    # the literal product builds several Fractions per term of each degree
+    b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
+    tp = make_tau_plus(DEFAULT_POINT).to_series(b)
+    tm = make_tau_minus(DEFAULT_POINT).to_series(b)
+    h = tm.shift_arg(1 / DEFAULT_POINT.q) * tp.shift_arg(DEFAULT_POINT.q)
+    order = 64 + 2 * -tm.lo + 2 * tp.hi + 2
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", counting_new)
+        out = series_div(h, tp, order)
+    assert out == literal_div(h, tp, order)
+    assert 0 < built <= (out.hi - out.lo + 1) + len(h.coeffs) + len(tp.coeffs)

@@ -3,16 +3,20 @@
 Oracle notes: small-n term tables are hand expansions of the subset sums;
 the finite-shift route and the reflection-factor route must reproduce each
 other through the shift identity (two independent code paths); numeric field
-windows are validated by exact cross-multiplication, never by tolerance.
+windows are validated by exact cross-multiplication, never by tolerance, and
+must equal the same pipeline run with the literal Fraction division.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from toda_bo import soliton
+from toda_bo.evolve import DEFAULT_AMPLITUDES, DEFAULT_POINT
 from toda_bo.scalar import ParamPoint, PoleError
 from toda_bo.soliton import (
     BilinearOp,
@@ -36,6 +40,8 @@ from toda_bo.soliton import (
     symbolic_sub,
     xi_series_from_taus,
 )
+
+from test_series import literal_div
 
 P0 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=())
 P1 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
@@ -218,6 +224,40 @@ def test_xi_window_cross_multiplies_exactly():
         lhs = xi * tm.shift_arg(1 / s) * tp.shift_arg(s)
         rhs = (tm.shift_arg(s) * tp.shift_arg(1 / s)).scale(1 / params.eps)
         assert agrees(lhs, rhs)
+
+
+@pytest.fixture
+def literal_pipeline(monkeypatch):
+    """Run a tau-ratio builder once as shipped and once with every division
+    done as the literal product with the Fraction-recurrence inverse."""
+
+    def both(build, *args):
+        fast = build(*args)
+        with monkeypatch.context() as m:
+            m.setattr(soliton, "series_div", literal_div)
+            return fast, build(*args)
+
+    return both
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tau_ratios_equal_the_literal_pipeline(literal_pipeline, n):
+    rng = random.Random(7)
+    for window in (8, 16, 48):
+        params, b = sample_decaying(F(1, 2), rng, n)
+        for build in (eta_series_from_taus, xi_series_from_taus):
+            fast, literal = literal_pipeline(build, params, b, window)
+            assert fast == literal
+            assert (fast.lo, fast.hi) == (-window, window)
+
+
+def test_evolve_reference_equals_the_literal_pipeline(literal_pipeline):
+    # the amplitude as the evolve reference lifts it from a double
+    b = (F(float(DEFAULT_AMPLITUDES[0]) * math.exp(0.75 * 5 / 36 * 0.37)),)
+    assert b[0].denominator.bit_length() > 40
+    for build in (eta_series_from_taus, xi_series_from_taus):
+        fast, literal = literal_pipeline(build, DEFAULT_POINT, b, 64)
+        assert fast == literal
 
 
 def test_zero_mode_is_amplitude_independent():
