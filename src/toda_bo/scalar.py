@@ -45,8 +45,8 @@ def scalar_str(x: Scalar) -> str:
 def parse_scalar(text: str) -> Scalar:
     """Inverse of scalar_str; also accepts plain integers like '3'.
 
-    Reads untrusted spec text, so the interpreter's digit limit stays in
-    force: past it, ValueError."""
+    Reads untrusted spec text, so the interpreter's int-to-str digit limit,
+    where the interpreter has one, stays in force: past it, ValueError."""
     return Fraction(text)
 
 

@@ -6,14 +6,15 @@ flag says the exact object has no support there.  Every operation computes
 the largest window on which its result is provably exact given the input
 windows, so "exact within window" is an invariant, never a hope.
 
-Division runs on Python ints.  For a one-sided t with unit constant term,
-L the lcm of t's denominators and T_j = t_j L, the recurrence C_0 = 1,
-C_k = -sum_j T_j L**(j-1) C_{k-j} is integral and [w**k] 1/t = C_k / L**k:
-it is the Fraction recurrence c_k = -sum_j t_j c_{k-j} multiplied through by
-L**k.  With H the lcm of h's denominators, each degree e of h / t is then one
-integer numerator over H L**top, top the largest inverse index its sum
-reaches (e - min h, unless the order cuts it), and becomes a Fraction once:
-one gcd per output degree instead of one per product and partial sum.
+Division runs on Python ints.  series_inv inverts a one-sided t with unit
+constant term: with L the lcm of t's denominators and T_j = t_j L, the
+recurrence C_0 = 1, C_k = -sum_j T_j L**(j-1) C_{k-j} is integral and
+[w**k] 1/t = C_k / L**k: it is the Fraction recurrence
+c_k = -sum_j t_j c_{k-j} multiplied through by L**k.  series_div(h, t)
+multiplies by h: with H the lcm of h's denominators, each degree e of h / t
+is one integer numerator over H L**top, top the largest inverse index its
+sum reaches (e - min h, unless the order cuts it), and becomes a Fraction
+once: one gcd per output degree instead of one per product and partial sum.
 Integer arithmetic is exact and lowest terms are unique, so the coefficients
 are the same rationals the term-by-term product gives.
 """
@@ -200,39 +201,26 @@ def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(f.var, rlo, rhi, out, tight_lo=tight_lo, tight_hi=tight_hi)
 
 
-def series_div(h: LaurentSeries, t: LaurentSeries, order: int) -> LaurentSeries:
-    """h / t for a one-sided t with unit constant term, 1/t taken to `order`.
+def series_inv(t: LaurentSeries, order: int):
+    """Inverse of a one-sided t with unit constant term, to `order`, on
+    Python ints: (d, C, P) with [var**(d k)] 1/t = C[k] / P[k], P[k] = L**k.
 
-    The result is h times the inverse of t, which is exact to t's one-sided
-    order (or further when t is an exact polynomial) and open on its far
-    side, inverses being generically infinite; window and tight flags are
-    those of that product.  The inverse and the product run on Python ints
-    (see the module docstring), so each output degree costs one Fraction.
+    d is +1 for a power series in var and -1 for one in 1/var.  The inverse
+    is exact to t's one-sided order, or to any order when t is an exact
+    polynomial.
     """
     if t.coeff(0) != ONE:
         raise ValueError("constant term must be one (normalize first)")
-    # d = +1 for a power series in var, -1 for one in 1/var
     if t.tight_lo and t._pot_lo() >= 0:
         d = 1
     elif t.tight_hi and t._pot_hi() <= 0:
         d = -1
     else:
-        raise ValueError("series_div needs a one-sided divisor touching degree 0")
+        raise ValueError("series_inv needs one-sided support touching degree 0")
     natural = t.hi if d > 0 else -t.lo
     if order > natural and not (t.tight_hi if d > 0 else t.tight_lo):
-        raise ValueError(f"series_div: order {order} exceeds known data ({natural})")
-    if h.var != t.var:
-        raise ValueError("variable mismatch")
-    # 1/t has the window, tight flags and potential support of this stand-in
-    lo, hi = (0, order) if d > 0 else (-order, 0)
-    inverse = LaurentSeries(t.var, lo, hi, {0: ONE}, tight_lo=d > 0, tight_hi=d < 0)
-    window = _product_window(h, inverse)
-    if window is None:
-        return LaurentSeries(h.var, 0, 0, {}, tight_lo=True, tight_hi=True)
-    rlo, rhi, tight_lo, tight_hi = window
-
-    # [var**(d k)] 1/t = C[k] / L**k with C[0] = 1 and
-    # C[k] = -sum_j T_j L**(j-1) C[k-j], where T_j = t_j L
+        raise ValueError(f"series_inv: order {order} exceeds known data ({natural})")
+    # C[0] = 1 and C[k] = -sum_j T_j L**(j-1) C[k-j], where T_j = t_j L
     tj = [(j, t.coeffs[d * j]) for j in range(1, order + 1) if d * j in t.coeffs]
     L = math.lcm(*(c.denominator for _, c in tj))
     lpow = [1]
@@ -242,6 +230,27 @@ def series_div(h: LaurentSeries, t: LaurentSeries, order: int) -> LaurentSeries:
     inv = [1]
     for k in range(1, order + 1):
         inv.append(-sum(p * inv[k - j] for j, p in steps if j <= k))
+    return d, inv, lpow
+
+
+def series_div(h: LaurentSeries, t: LaurentSeries, order: int) -> LaurentSeries:
+    """h / t for a one-sided t with unit constant term, 1/t taken to `order`.
+
+    The result is h times series_inv(t, order), which is open on its far
+    side, inverses being generically infinite; window and tight flags are
+    those of that product.  The product runs on Python ints (see the module
+    docstring), so each output degree costs one Fraction.
+    """
+    d, inv, lpow = series_inv(t, order)
+    if h.var != t.var:
+        raise ValueError("variable mismatch")
+    # 1/t has the window, tight flags and potential support of this stand-in
+    lo, hi = (0, order) if d > 0 else (-order, 0)
+    inverse = LaurentSeries(t.var, lo, hi, {0: ONE}, tight_lo=d > 0, tight_hi=d < 0)
+    window = _product_window(h, inverse)
+    if window is None:
+        return LaurentSeries(h.var, 0, 0, {}, tight_lo=True, tight_hi=True)
+    rlo, rhi, tight_lo, tight_hi = window
 
     # [var**e] h/t = sum over d1 of h_{d1} [var**(e-d1)] 1/t, on the common
     # denominator H L**top, top the largest inverse index the sum reaches

@@ -379,14 +379,7 @@ def _annulus_ratio(
     The two inverses cannot be convolved directly, so the reciprocal is
     split as z**deg * u / tp + v / tm with u, v from the Bezout identity of
     the (coprime) polynomial forms of the two factors.  Each part is one
-    series_div: the inverse of tp (tm) is the integer recurrence
-    C_k = -sum_j T_j L**(j-1) C_{k-j}, T_j = t_j L with L the lcm of the
-    factor's denominators, and each degree e of the part is one integer
-    numerator over H L**top, H the lcm of the denominators of num * u
-    (num * v) and top = e - min (max - e downward) the deepest inverse
-    coefficient it uses.  That numerator is reduced once, to the same
-    rational the Fraction product reaches, since integer sums are exact and
-    lowest terms unique.
+    series_div.
     """
     var = num.var
     n_m = -tm.lo

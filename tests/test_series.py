@@ -2,8 +2,9 @@
 
 Oracle notes: product coefficients are checked against a naive convolution
 written inline; inverse coefficients against closed forms (geometric series);
-the integer division `series_div` against `literal_div`, the product with the
-Fraction recurrence for the inverse written out term by term.
+the integer inverse `series_inv` against `literal_inv`, the Fraction
+recurrence written out term by term, and the integer division `series_div`
+against `literal_div`, the product with that inverse.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from toda_bo.evolve import DEFAULT_POINT
 from toda_bo.scalar import ONE, ZERO
-from toda_bo.series import LaurentSeries, series_div, series_mul
+from toda_bo.series import LaurentSeries, series_div, series_inv, series_mul
 from toda_bo.soliton import make_tau_minus, make_tau_plus
 
 
@@ -259,6 +260,24 @@ def division_cases(draw):
         s = draw(st.sampled_from([1, -1]))
         h = LaurentSeries("z", -4, 4, h_coeffs, tight_lo=s > 0, tight_hi=s < 0)
     return h, t, order
+
+
+@given(division_cases())
+@settings(max_examples=100, deadline=None)
+def test_inv_integer_form_equals_literal_inverse(case):
+    # series_inv's C[k] / L**k are the literal inverse's coefficients
+    _, t, order = case
+    expected = outcome(literal_inv, t, order)
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            series_inv(t, order)
+        return
+    d, inv, lpow = series_inv(t, order)
+    assert len(inv) == len(lpow) == order + 1
+    assert all(type(c) is int and type(p) is int for c, p in zip(inv, lpow))
+    assert {d * k: F(c, p) for k, (c, p) in enumerate(zip(inv, lpow)) if c} == (
+        expected.coeffs
+    )
 
 
 def outcome(fn, *args):
