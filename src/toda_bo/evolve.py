@@ -210,8 +210,7 @@ class RunConfig:
             raise ValueError("check interval must be >= 1")
 
 
-def _record(s: State) -> dict:
-    i1, i2 = conserved_pair(s)
+def _record(s: State, i1: complex, i2: complex) -> dict:
     return {
         "t": s.t,
         "modes": [[float(z.real), float(z.imag)] for z in s.modes],
@@ -231,7 +230,7 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
     soliton = isinstance(config.init, SolitonInit)
     i1_0, i2_0 = conserved_pair(state)
     i2_scale = max(abs(i2_0), 1e-300)
-    records = [_record(state)]
+    records = [_record(state, i1_0, i2_0)]
     eta0_drift = 0.0
     i2_drift = 0.0
     mode_err = 0.0
@@ -240,8 +239,8 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
         if np.abs(state.modes).max() > BLOWUP:
             raise BlowUpError(f"mode norm exceeded {BLOWUP} at t={state.t}")
         if k % config.check_interval == 0 or k == config.steps:
-            records.append(_record(state))
             i1, i2 = conserved_pair(state)
+            records.append(_record(state, i1, i2))
             eta0_drift = max(eta0_drift, abs(i1 - i1_0))
             i2_drift = max(i2_drift, abs(i2 - i2_0) / i2_scale)
             if soliton:

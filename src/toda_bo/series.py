@@ -130,11 +130,13 @@ class LaurentSeries:
         rhi = int(min(khi, max(f.hi, g.hi)))
         if rlo > rhi:
             raise ValueError("window collapse in add")
-        out = {}
-        for d in range(rlo, rhi + 1):
-            v = f.coeff(d) + g.coeff(d)
-            if v:
-                out[d] = v
+        # every degree of [rlo, rhi] is stored or provably zero on both
+        # sides, so the stored coefficients inside it are the whole sum
+        out = {d: c for d, c in f.coeffs.items() if rlo <= d <= rhi}
+        for d, c in g.coeffs.items():
+            if rlo <= d <= rhi:
+                v = out.get(d)
+                out[d] = c if v is None else v + c
         return LaurentSeries(
             f.var, rlo, rhi, out,
             tight_lo=f.tight_lo and g.tight_lo,

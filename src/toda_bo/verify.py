@@ -4,7 +4,9 @@ Every identity the library claims is registered here under a stable string
 id, in one table (_REGISTRY) that lists the four groups -- bracket,
 soliton-exact, iom-numeric, lemma-t3 -- each with its runner and its ids.
 IDENTITY_IDS, GROUPS and dispatch are all derived from that table.  The
-runners use one of three finishers:
+order-k Toda equations are a second table (TODA_EQUATIONS), read by both
+the exact to-k and the windowed prop-tk checks.  The runners use one of
+three finishers:
 
   exact      n-soliton tau identities compared coefficient-by-coefficient in
              the symbolic (z-power, amplitude-exponent) basis; residuals are
@@ -116,6 +118,20 @@ T3_TRUNC_Z, T3_TRUNC_MODES, T3_TRUNC_DEG = 3, 6, 6
 
 # Kernel cutoff ladder of the convergent charge checks.
 IOM_CUTOFFS = (16, 32, 48)
+
+# The order-k bilinear equation of the Toda reduction, k: (lhs, rhs).  A term
+# (c, o, p) stands for c (D_o + o M_o)**p, D_o the Hirota derivative of the
+# order-o flow and M_o its charge; power 0 is the plain product.  The lhs
+# terms act on tau_-(z).tau_+(z), the rhs terms on eps tau_-(z/q).tau_+(qz).
+# The exact to-k and the windowed prop-tk checks both read this table.
+TODA_EQUATIONS = {
+    1: (((ONE, 1, 1),), ((ONE, 1, 0),)),
+    2: (((ONE, 2, 1),), ((ONE, 1, 1),)),
+    3: (
+        ((ONE, 3, 1), (Fraction(1, 8), 1, 3)),
+        ((Fraction(3, 4), 2, 1), (Fraction(3, 8), 1, 2)),
+    ),
+}
 
 
 class UnknownIdentity(KeyError):
@@ -264,22 +280,17 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     weight halves (a contributing mode pair sits at slot span up to the
     output monomial weight).
     """
+    if pick not in ("pp", "pm", "mp", "mm"):
+        raise ValueError("pick must be one of pp, pm, mp, mm")
+    # with signs (sg, tg) from pick: eta_{sg r} eta_{tg s - sg r} at slot -tg s
+    sg, tg = (1 if c == "p" else -1 for c in pick)
     e = build_eta(ctx, "z")
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     q = ctx.q
     out: dict[tuple[int, ...], AlphaPoly] = {}
     for r in range(1, N + 1):
         for s in range(1, N + 1):
-            if pick == "pp":
-                m1, m2, slot = e.mode(r), e.mode(s - r), -s
-            elif pick == "pm":
-                m1, m2, slot = e.mode(r), e.mode(-r - s), s
-            elif pick == "mp":
-                m1, m2, slot = e.mode(-r), e.mode(r + s), -s
-            elif pick == "mm":
-                m1, m2, slot = e.mode(-r), e.mode(r - s), s
-            else:
-                raise ValueError("pick must be one of pp, pm, mp, mm")
+            m1, m2, slot = e.mode(sg * r), e.mode(tg * s - sg * r), -tg * s
             if not (m1.terms and m2.terms):
                 continue
             p = poly_mul(m1, m2, N - abs(slot), D) * q ** (r + s)
@@ -295,9 +306,14 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     return AlphaSeries(ctx, ("z",), out, e.guar.kern_derate())
 
 
-def _affine_bilinear(ctx, m_func, mult, f, g):
-    """(D + mult*M) f.g where D is the Hirota derivative of M's flow."""
-    return hirota_affine_power((m_func, "left"), m_func.scale(mult), 1, f, g)
+_CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}
+
+
+def _toda_term(ctx, order: int, power: int, f, g):
+    """(D_order + order M_order)**power f.g, a TODA_EQUATIONS term on the mode
+    algebra, with D_order the Hirota derivative of M_order's flow."""
+    M = _CHARGE_FUNCTIONALS[order](ctx)
+    return hirota_affine_power((M, "left"), M.scale(order), power, f, g)
 
 
 # per-identity windowed builders; each returns a list of (residual, witness)
@@ -341,18 +357,12 @@ def _win_field_tau(ctx, field: str, sign: str):
     tau = build_tau(ctx, sign, "z")
     lhs = bracket(src, tau)
     N = ctx.trunc.n_modes
-    s = ctx.s
-    if field == "eta":
-        coeff = lambda n: ONE
-    else:
-        coeff = lambda n: s**-n
-    if sign == "-":
-        # kernel in (w/z)**n with n > 0; eta keeps it, xi flips the sign
-        terms = {n: (coeff(n) if field == "eta" else -coeff(n)) for n in range(1, N + 1)}
-        pair = (1, 0)
-    else:
-        terms = {n: (-coeff(n) if field == "eta" else coeff(n)) for n in range(1, N + 1)}
-        pair = (0, 1)
+    # kernel in (w/z)**n for tau_-, (z/w)**n for tau_+, n > 0: weight 1 for
+    # eta and s**-n for xi, negated for xi and for tau_+
+    r = ONE if field == "eta" else 1 / ctx.s
+    sgn = (1 if field == "eta" else -1) * (1 if sign == "-" else -1)
+    terms = {n: sgn * r**n for n in range(1, N + 1)}
+    pair = (1, 0) if sign == "-" else (0, 1)
     rhs = apply_ratio_kernel(src * tau, terms, pair)
     return [(lhs - rhs, lhs)]
 
@@ -411,9 +421,9 @@ def _win_toda_field(ctx):
 
 def _win_lemma_3_2(ctx):
     tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    m1, m2f, m3f = eta_zero(ctx), M2_functional(ctx), M3_functional(ctx)
+    m1, m2f = eta_zero(ctx), M2_functional(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = _affine_bilinear(ctx, m3f, 3, tm, tp)
+    lhs = _toda_term(ctx, 3, 1, tm, tp)
     inner = (
         _as_var(m2f + (m1 * m1).scale(Fraction(1, 2)), "z")
         + _as_var(m1, "z") * (ep + em)
@@ -430,7 +440,7 @@ def _win_lemma_3_3(ctx):
     m1 = eta_zero(ctx)
     m2f = M2_functional(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = hirota_affine_power((m1, "left"), m1, 3, tm, tp)
+    lhs = _toda_term(ctx, 1, 3, tm, tp)
     kpp = quad_kernel_series(ctx, "pp")
     kpm = quad_kernel_series(ctx, "pm")
     kmp = quad_kernel_series(ctx, "mp")
@@ -454,7 +464,7 @@ def _win_lemma_3_4(ctx):
     f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
     m1, m2f = eta_zero(ctx), M2_functional(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = _affine_bilinear(ctx, m2f, 2, f, g)
+    lhs = _toda_term(ctx, 2, 1, f, g)
     ksum = (
         quad_kernel_series(ctx, "pp")
         + quad_kernel_series(ctx, "pm")
@@ -472,7 +482,7 @@ def _win_lemma_3_5(ctx):
     f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
     m1 = eta_zero(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = hirota_affine_power((m1, "left"), m1, 2, f, g)
+    lhs = _toda_term(ctx, 1, 2, f, g)
     kpp = quad_kernel_series(ctx, "pp")
     kpm = quad_kernel_series(ctx, "pm")
     kmp = quad_kernel_series(ctx, "mp")
@@ -488,33 +498,20 @@ def _win_lemma_3_5(ctx):
     return [(lhs - rhs, lhs)]
 
 
-def _win_prop_t2(ctx):
+def _win_prop(ctx, k: int):
+    """The order-k equation of TODA_EQUATIONS; its first lhs term is the
+    witness."""
     tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
     q = ctx.q
-    f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
-    m1, m2f = eta_zero(ctx), M2_functional(ctx)
-    lhs = _affine_bilinear(ctx, m2f, 2, tm, tp)
-    rhs = _affine_bilinear(ctx, m1, 1, f, g).scale(ctx.eps)
-    return [(lhs - rhs, lhs)]
-
-
-def _win_prop_t3(ctx):
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    q = ctx.q
-    f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
-    m1, m2f, m3f = eta_zero(ctx), M2_functional(ctx), M3_functional(ctx)
-    eps = ctx.eps
-    a = _affine_bilinear(ctx, m3f, 3, tm, tp)
-    b = hirota_affine_power((m1, "left"), m1, 3, tm, tp)
-    c2 = _affine_bilinear(ctx, m2f, 2, f, g)
-    c1 = hirota_affine_power((m1, "left"), m1, 2, f, g)
-    X = (
-        a
-        + b.scale(Fraction(1, 8))
-        - c2.scale(Fraction(3, 4) * eps)
-        - c1.scale(Fraction(3, 8) * eps)
-    )
-    return [(X, a)]
+    sides = (tm, tp, ONE), (tm.subs_scale(1 / q), tp.subs_scale(q), -ctx.eps)
+    parts = [
+        (w * c, _toda_term(ctx, o, p, f, g))
+        for (f, g, w), terms in zip(sides, TODA_EQUATIONS[k])
+        for c, o, p in terms
+    ]
+    (c0, wit), *rest = parts
+    X = sum((T.scale(c) for c, T in rest), wit.scale(c0))
+    return [(X, wit)]
 
 
 def _run_windowed(build, ctx: ModeContext, zcap: int):
@@ -550,35 +547,25 @@ def _sym_prod(f: SolitonTau, g: SolitonTau) -> Symbolic:
     return bilinear(f, g, [])
 
 
-def _draw_t_shift(rng, params: ParamPoint, tally: list) -> Scalar:
+def _draw_shift(rng, params: ParamPoint, kind: str, tally: list) -> Scalar:
+    """A shift amount off every pole of the kind's Miwa factors, and for tbar
+    of the reflection factors too; tally[0] counts the rejected draws."""
     for _ in range(100):
         x = sample_shift_amount(rng)
         try:
             for k in range(params.n):
-                miwa_factor(params, k, "t", x)
+                miwa_factor(params, k, kind, x)
+                if kind == "tbar":
+                    d_factor(params, k, x)
         except PoleError:
             tally[0] += 1
             continue
         return x
-    raise ParamError("could not draw a pole-free t shift")
-
-
-def _draw_tbar_shift(rng, params: ParamPoint, tally: list) -> Scalar:
-    for _ in range(100):
-        x = sample_shift_amount(rng)
-        try:
-            for k in range(params.n):
-                miwa_factor(params, k, "tbar", x)
-                d_factor(params, k, x)
-        except PoleError:
-            tally[0] += 1
-            continue
-        return x
-    raise ParamError("could not draw a pole-free tbar shift")
+    raise ParamError(f"could not draw a pole-free {kind} shift")
 
 
 def _res_tau_shift_lemma(params, rng, tally):
-    beta = _draw_tbar_shift(rng, params, tally)
+    beta = _draw_shift(rng, params, "tbar", tally)
     n = params.n
     lhs = miwa_shift(make_tau_plus(params), "tbar", beta, -1).symbolic()
     pref = interaction_coeff(params, tuple(range(n)))
@@ -590,13 +577,13 @@ def _res_tau_shift_lemma(params, rng, tally):
 
 
 def _res_hm_pm_1(params, rng, tally):
-    alpha = _draw_t_shift(rng, params, tally)
+    alpha = _draw_shift(rng, params, "t", tally)
     q, eps, n = params.q, params.eps, params.n
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     lhs = _sym_prod(miwa_shift(tm, "t", alpha), tp)
     c = 1 - alpha * q**n * eps
-    for ak in params.a:
-        c *= (1 - alpha * ak) / (1 - alpha * q * ak)
+    for k in range(n):
+        c /= miwa_factor(params, k, "t", alpha)
     r1 = symbolic_scale(_sym_prod(tm, miwa_shift(tp, "t", alpha)), c)
     r2 = symbolic_scale(
         _sym_prod(miwa_shift(tm, "t", alpha).subs_scale(1 / q), tp.subs_scale(q)),
@@ -606,13 +593,13 @@ def _res_hm_pm_1(params, rng, tally):
 
 
 def _res_hm_pm_2(params, rng, tally):
-    beta = _draw_tbar_shift(rng, params, tally)
+    beta = _draw_shift(rng, params, "tbar", tally)
     q, eps, n = params.q, params.eps, params.n
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     lhs = _sym_prod(miwa_shift(tm, "tbar", beta).subs_scale(1 / q), tp)
     c = 1 - beta / (q**n * eps)
-    for ak in params.a:
-        c *= (1 - beta / ak) / (1 - beta / (q * ak))
+    for k in range(n):
+        c /= miwa_factor(params, k, "tbar", beta)
     r1 = symbolic_scale(
         _sym_prod(tm.subs_scale(1 / q), miwa_shift(tp, "tbar", beta)), c
     )
@@ -623,8 +610,8 @@ def _res_hm_pm_2(params, rng, tally):
 
 
 def _res_hm_3(params, rng, tally):
-    alpha = _draw_t_shift(rng, params, tally)
-    beta = _draw_tbar_shift(rng, params, tally)
+    alpha = _draw_shift(rng, params, "t", tally)
+    beta = _draw_shift(rng, params, "tbar", tally)
     q = params.q
     out: Symbolic = {}
     for tau in (make_tau_plus(params), make_tau_minus(params)):
@@ -642,49 +629,17 @@ def _res_hm_3(params, rng, tally):
     return out, {"alpha": scalar_str(alpha), "beta": scalar_str(beta)}
 
 
-def _to_ops(params, spec):
-    return [
-        BilinearOp("t", order, mult * closed_M(order, params), power)
-        for order, mult, power in spec
-    ]
-
-
-def _res_to_1(params, rng, tally):
+def _res_to(params, k: int):
+    """Residual of the order-k equation of TODA_EQUATIONS on soliton taus."""
     tp, tm = make_tau_plus(params), make_tau_minus(params)
-    q, eps = params.q, params.eps
-    lhs = bilinear(tm, tp, _to_ops(params, [(1, 1, 1)]))
-    rhs = symbolic_scale(
-        _sym_prod(tm.subs_scale(1 / q), tp.subs_scale(q)), eps
-    )
-    return symbolic_sub(lhs, rhs), {}
-
-
-def _res_to_2(params, rng, tally):
-    tp, tm = make_tau_plus(params), make_tau_minus(params)
-    q, eps = params.q, params.eps
-    lhs = bilinear(tm, tp, _to_ops(params, [(2, 2, 1)]))
-    sh_m, sh_p = tm.subs_scale(1 / q), tp.subs_scale(q)
-    rhs = symbolic_scale(bilinear(sh_m, sh_p, _to_ops(params, [(1, 1, 1)])), eps)
-    return symbolic_sub(lhs, rhs), {}
-
-
-def _res_to_3(params, rng, tally):
-    tp, tm = make_tau_plus(params), make_tau_minus(params)
-    q, eps = params.q, params.eps
-    lhs = symbolic_sub(
-        bilinear(tm, tp, _to_ops(params, [(3, 3, 1)])),
-        symbolic_scale(
-            bilinear(tm, tp, _to_ops(params, [(1, 1, 3)])), Fraction(-1, 8)
-        ),
-    )
-    sh_m, sh_p = tm.subs_scale(1 / q), tp.subs_scale(q)
-    rhs_a = symbolic_scale(
-        bilinear(sh_m, sh_p, _to_ops(params, [(2, 2, 1)])), Fraction(3, 4) * eps
-    )
-    rhs_b = symbolic_scale(
-        bilinear(sh_m, sh_p, _to_ops(params, [(1, 1, 2)])), Fraction(3, 8) * eps
-    )
-    return symbolic_sub(symbolic_sub(lhs, rhs_a), rhs_b), {}
+    q = params.q
+    sides = (tm, tp, ONE), (tm.subs_scale(1 / q), tp.subs_scale(q), -params.eps)
+    res: Symbolic = {}
+    for (f, g, w), terms in zip(sides, TODA_EQUATIONS[k]):
+        for c, o, p in terms:
+            op = BilinearOp("t", o, o * closed_M(o, params), p)
+            res = symbolic_sub(res, symbolic_scale(bilinear(f, g, [op]), -w * c))
+    return res, {}
 
 
 def _run_exact(residual_fn, cfg: CheckConfig, rng: random.Random):
@@ -971,9 +926,9 @@ _REGISTRY = (
             "hm-pm-1": _res_hm_pm_1,
             "hm-pm-2": _res_hm_pm_2,
             "hm-3": _res_hm_3,
-            "to-1": _res_to_1,
-            "to-2": _res_to_2,
-            "to-3": _res_to_3,
+            "to-1": lambda params, rng, tally: _res_to(params, 1),
+            "to-2": lambda params, rng, tally: _res_to(params, 2),
+            "to-3": lambda params, rng, tally: _res_to(params, 3),
         },
     ),
     (
@@ -993,8 +948,8 @@ _REGISTRY = (
             "lemma-3-3": _win_lemma_3_3,
             "lemma-3-4": _win_lemma_3_4,
             "lemma-3-5": _win_lemma_3_5,
-            "prop-t2": _win_prop_t2,
-            "prop-t3": _win_prop_t3,
+            "prop-t2": lambda ctx: _win_prop(ctx, 2),
+            "prop-t3": lambda ctx: _win_prop(ctx, 3),
         },
     ),
 )

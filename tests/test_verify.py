@@ -5,12 +5,15 @@ order-one charge against the bare coupling; the quadratic-kernel expansions
 are cross-checked through the mode-negation involution that swaps their
 orientation pairs; negative controls push a known-nonzero series and a
 deliberately wrong kernel through the windowed finisher, which must report
-violations instead of passing.  Determinism is asserted on serialized bytes,
-serial and across the process pool.
+violations instead of passing, and one wrong coefficient in the order-3 Toda
+equation table must fail both the exact and the windowed check that read it.
+Determinism is asserted on serialized bytes of repeated runs, and the CLI
+report of two groups is pinned to its sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction as F
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toda_bo import iom, verify
+from toda_bo.cli import main
 from toda_bo.iom import closed_M
 from toda_bo.modes import ModeContext, ModeTrunc, apply_ratio_kernel, bracket, build_eta
 from toda_bo.scalar import ParamPoint
@@ -37,12 +41,14 @@ from toda_bo.verify import (
     run_suite,
     sub_seed,
     _ctx_bracket,
+    _ctx_t3,
     _finish_windowed,
     _ladder_ok,
     _run_windowed,
     _sgn,
     _win_eta_eta,
     _win_lemma_3_4,
+    _win_prop,
 )
 
 # small enough to keep every run here well under a second
@@ -269,6 +275,32 @@ def test_exact_identities_vanish_identically(check_id):
     assert len(r.params["points"]) == 3
 
 
+# #### Toda equation table ####################################################
+
+
+def test_order_one_equation_holds_on_the_mode_algebra():
+    # no windowed check reads order 1 (hirota-t states it with another
+    # witness), but the table's order 1 holds there as well
+    worst, passed, detail = _finish_windowed(_win_prop(_ctx_t3(), 1), T3_TRUNC_Z)
+    assert passed and worst == 0
+    assert detail["witness_certified_terms"] > 0
+
+
+def test_one_wrong_table_coefficient_fails_both_layers(monkeypatch):
+    assert run_check("to-3", SOL).passed and run_check("prop-t3").passed
+    lhs, rhs = verify.TODA_EQUATIONS[3]
+    wrong = tuple((F(3, 7) if c == F(3, 8) else c, o, p) for c, o, p in rhs)
+    assert wrong != rhs
+    monkeypatch.setitem(verify.TODA_EQUATIONS, 3, (lhs, wrong))
+    exact = run_check("to-3", SOL)
+    assert not exact.passed and exact.mode == "exact"
+    assert not exact.residual["is_exact_zero"]
+    assert F(exact.residual["max_abs"]) > 0
+    windowed = run_check("prop-t3")
+    assert not windowed.passed and windowed.mode == "windowed"
+    assert windowed.detail["violations"] > 0
+
+
 # #### convergent finisher #####################################################
 
 
@@ -367,3 +399,12 @@ def test_t3_family_truncation_override():
     passed, _, detail = lemma_3_4_at(ModeTrunc(1, 1))
     assert passed
     assert detail["witness_certified_terms"] >= 1
+
+
+def test_exact_and_t3_groups_report_bytes_are_pinned(capsys):
+    rc = main(["verify", "--identity", "soliton-exact,lemma-t3", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "148f476ba28faec12956d6e26791ebfcb3c700bd7d6dfe09f17e2700d8f04cb9"
+    )
