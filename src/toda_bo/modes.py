@@ -21,6 +21,17 @@ region of its inputs.  Brackets cost one degree and cap the budget at the
 operands' certified weight; kernel and delta expansions halve the certified
 weight; products and linear maps preserve everything.
 
+Products run on Python ints.  Each operand cell becomes rows (monomial,
+weight, degree, numerator) over D, the lcm of its denominators, sorted by
+weight so a weight cap ends a scan early.  sum_products adds c * a * b over
+its terms into one integer per result monomial, every term scaled to the
+lcm of the terms' denominators, and divides once: one Fraction per stored
+monomial.  poly_mul, the bracket's pairing over all n, each result slot of
+a series product and each target slot of a kernel application are one
+sum_products each.  Integer sums are exact and lowest terms are unique, so
+the coefficients are the rationals the term-by-term Fraction sum gives,
+and a sum that cancels to zero is not stored.
+
 Returned series share structure: treat them as immutable.
 """
 
@@ -29,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import itemgetter
 
 from .scalar import ONE, PoleError, Scalar
 
@@ -37,7 +49,7 @@ Monomial = tuple[int, ...]  # sorted mode indices, each nonzero
 
 
 def mono_weight(m: Monomial) -> int:
-    return sum(abs(n) for n in m)
+    return sum(map(abs, m))
 
 
 def mono_sigma(m: Monomial) -> int:
@@ -118,28 +130,6 @@ class AlphaPoly:
 
     __rmul__ = __mul__
 
-    def diff(self, n: int) -> "AlphaPoly":
-        """Formal partial derivative with respect to alpha_n."""
-        out = {}
-        for m, c in self.terms.items():
-            k = m.count(n)
-            if not k:
-                continue
-            i = m.index(n)
-            red = m[:i] + m[i + 1:]
-            v = out.get(red)
-            v = c * k if v is None else v + c * k
-            if v:
-                out[red] = v
-            else:
-                out.pop(red, None)
-        return AlphaPoly(out)
-
-    def diff_table(self) -> dict[int, "AlphaPoly"]:
-        """Partial derivatives by every mode present: {n: d/d alpha_n}."""
-        modes = {n for m in self.terms for n in m}
-        return {n: self.diff(n) for n in modes}
-
     def pruned(self, max_weight: int, max_deg: int) -> "AlphaPoly":
         out = {
             m: c
@@ -161,42 +151,64 @@ class AlphaPoly:
         return " + ".join(bits)
 
 
+Rows = tuple[list[tuple[Monomial, int, int, int]], int]
+
+
+def poly_rows(p: AlphaPoly) -> Rows:
+    """p as (rows, D): D the lcm of p's denominators and one row
+    (monomial, weight, degree, numerator over D) per term, by weight."""
+    D = lcm(*(c.denominator for c in p.terms.values()))
+    rows = [
+        (m, mono_weight(m), len(m), c.numerator * (D // c.denominator))
+        for m, c in p.terms.items()
+    ]
+    rows.sort(key=itemgetter(1))
+    return rows, D
+
+
+def sum_products(
+    terms: list[tuple[Scalar, Rows, Rows]], max_weight: float, max_deg: float
+) -> AlphaPoly:
+    """Sum of c * a * b over terms (c, a, b), a and b as poly_rows, keeping
+    result monomials of weight <= max_weight and degree <= max_deg.
+
+    The integer product kernel: every term is brought to the lcm of the
+    terms' denominators by an integer scale, and each result monomial is
+    one Fraction.  Rows are sorted by weight so a cap violation breaks
+    the loop early."""
+    dens = [c.denominator * da * db for c, (_, da), (_, db) in terms]
+    den = lcm(*dens)
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for (c, (ra, _), (rb, _)), d in zip(terms, dens):
+        scale = c.numerator * (den // d)
+        for m1, w1, d1, c1 in ra:
+            wrem, drem = max_weight - w1, max_deg - d1
+            if wrem < 0:
+                break
+            if drem < 0:
+                continue
+            c1 *= scale
+            for m2, w2, d2, c2 in rb:
+                if w2 > wrem:
+                    break
+                if d2 > drem:
+                    continue
+                m = tuple(sorted(m1 + m2))
+                acc[m] = get(m, 0) + c1 * c2
+    return AlphaPoly({m: Fraction(v, den) for m, v in acc.items() if v})
+
+
 def poly_mul(
     a: AlphaPoly,
     b: AlphaPoly,
     max_weight: int | None = None,
     max_deg: int | None = None,
 ) -> AlphaPoly:
-    """Product with optional weight/degree caps applied to result monomials.
-
-    Pairs are scanned with the second factor sorted by weight so a cap
-    violation breaks the inner loop early.
-    """
-    if not a.terms or not b.terms:
-        return AlphaPoly.zero()
-    out: dict[Monomial, Scalar] = {}
+    """Product with optional weight/degree caps applied to result monomials."""
     wcap = float("inf") if max_weight is None else max_weight
     dcap = float("inf") if max_deg is None else max_deg
-    bs = sorted(b.terms.items(), key=lambda kv: mono_weight(kv[0]))
-    bw = [mono_weight(m) for m, _ in bs]
-    for m1, c1 in a.terms.items():
-        w1 = mono_weight(m1)
-        d1 = len(m1)
-        if w1 > wcap or d1 > dcap:
-            continue
-        for (m2, c2), w2 in zip(bs, bw):
-            if w1 + w2 > wcap:
-                break
-            if d1 + len(m2) > dcap:
-                continue
-            m = tuple(sorted(m1 + m2))
-            v = out.get(m)
-            v = c1 * c2 if v is None else v + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return AlphaPoly(out)
+    return sum_products([(1, poly_rows(a), poly_rows(b))], wcap, dcap)
 
 
 # #### context and guarantees ##################################################
@@ -429,22 +441,19 @@ class AlphaSeries:
             raise ValueError("overlapping but unequal variables")
         N = self.ctx.trunc.n_modes
         D = self.ctx.trunc.d_deg
-        out: dict[tuple[int, ...], AlphaPoly] = {}
+        brows = [(sb, poly_rows(pb)) for sb, pb in other.coeffs.items()]
+        terms: dict[tuple[int, ...], list] = {}
         for sa, pa in self.coeffs.items():
-            for sb, pb in other.coeffs.items():
+            ra = poly_rows(pa)
+            for sb, rb in brows:
                 slot = combine(sa, sb)
-                span = sum(abs(x) for x in slot)
-                if span > N:
-                    continue
-                prod = poly_mul(pa, pb, N - span, D)
-                if not prod.terms:
-                    continue
-                cur = out.get(slot)
-                r = prod if cur is None else cur + prod
-                if r.terms:
-                    out[slot] = r
-                else:
-                    out.pop(slot, None)
+                if sum(map(abs, slot)) <= N:
+                    terms.setdefault(slot, []).append((1, ra, rb))
+        out = {}
+        for slot, ts in terms.items():
+            prod = sum_products(ts, N - sum(map(abs, slot)), D)
+            if prod.terms:
+                out[slot] = prod
         return AlphaSeries(self.ctx, rvars, out, guar)
 
     # -- one-sided analytic operations -------------------------------------------
@@ -477,50 +486,68 @@ class AlphaSeries:
         d = self._direction("inv")
         N = self.ctx.trunc.n_modes
         D = self.ctx.trunc.d_deg
+        frows = {s[0]: poly_rows(p) for s, p in self.coeffs.items()}
         out = {(0,): AlphaPoly.one()}
+        grows = {0: poly_rows(out[(0,)])}
         for k in range(1, N + 1):
-            acc = AlphaPoly.zero()
-            for j in range(1, k + 1):
-                fj = self.coeffs.get((d * j,))
-                gk = out.get((d * (k - j),))
-                if fj is None or gk is None:
-                    continue
-                acc = acc + poly_mul(fj, gk, N - k, D)
+            terms = [
+                (-1, frows[d * j], grows[k - j])
+                for j in range(1, k + 1)
+                if d * j in frows and k - j in grows
+            ]
+            acc = sum_products(terms, N - k, D)
             if acc.terms:
-                out[(d * k,)] = -acc
+                out[(d * k,)] = acc
+                grows[k] = poly_rows(acc)
         return self._with(out)
 
 
 # #### bracket and flows #######################################################
 
 
+def diff_rows(p: AlphaPoly) -> dict[int, Rows]:
+    """Partial derivatives of p by every mode present, {n: d/d alpha_n},
+    as rows over p's own lcm: the operand form of poisson_pairing.
+
+    d/d alpha_n takes each monomial holding n to one distinct monomial, so
+    no two terms meet, and lowering every weight by |n| keeps the order."""
+    rows, D = poly_rows(p)
+    table: dict[int, list] = {}
+    for m, w, d, c in rows:
+        for n in set(m):
+            i = m.index(n)
+            row = (m[:i] + m[i + 1:], w - abs(n), d - 1, c * m.count(n))
+            table.setdefault(n, []).append(row)
+    return {n: (r, D) for n, r in table.items()}
+
+
+@lru_cache(maxsize=None)
+def _pairing_scales(ctx: ModeContext) -> list[tuple[int, Scalar, Scalar]]:
+    """(n, 1 - q**n, its negative) for n = 1..n_modes."""
+    scales = [(n, ctx.one_minus_q(n)) for n in range(1, ctx.trunc.n_modes + 1)]
+    return [(n, c, -c) for n, c in scales]
+
+
 def poisson_pairing(
-    dfs: dict[int, AlphaPoly],
-    dgs: dict[int, AlphaPoly],
+    dfs: dict[int, Rows],
+    dgs: dict[int, Rows],
     ctx: ModeContext,
     max_weight: int,
     max_deg: int,
 ) -> AlphaPoly:
-    """Bracket {f, g} of two mode polynomials from their derivative tables.
+    """Bracket {f, g} of two mode polynomials from their derivative rows.
 
-    dfs and dgs are f.diff_table() and g.diff_table(); the deformed pairing
-    sums (1 - q**n) (f_n g_{-n} - f_{-n} g_n) over n = 1..n_modes, with
-    every product capped at max_weight and max_deg.
+    dfs and dgs are diff_rows(f) and diff_rows(g); the deformed pairing
+    sums (1 - q**n) (f_n g_{-n} - f_{-n} g_n) over n = 1..n_modes in one
+    sum_products, with every product capped at max_weight and max_deg.
     """
-    acc = None
-    for n in range(1, ctx.trunc.n_modes + 1):
-        c = ctx.one_minus_q(n)
+    terms = []
+    for n, c, minus_c in _pairing_scales(ctx):
         if n in dfs and -n in dgs:
-            t = poly_mul(dfs[n], dgs[-n], max_weight, max_deg)
-            if t.terms:
-                t = t * c
-                acc = t if acc is None else acc + t
+            terms.append((c, dfs[n], dgs[-n]))
         if -n in dfs and n in dgs:
-            t = poly_mul(dfs[-n], dgs[n], max_weight, max_deg)
-            if t.terms:
-                t = t * (-c)
-                acc = t if acc is None else acc + t
-    return AlphaPoly.zero() if acc is None else acc
+            terms.append((minus_c, dfs[-n], dgs[n]))
+    return sum_products(terms, max_weight, max_deg)
 
 
 def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
@@ -536,26 +563,21 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
     D = ctx.trunc.d_deg
     rvars = F.vars + G.vars
 
-    # per-cell derivative tables, computed once
-    fcells = [(sa, sum(map(abs, sa)), pa.diff_table()) for sa, pa in F.coeffs.items()]
-    gcells = [(sb, sum(map(abs, sb)), pb.diff_table()) for sb, pb in G.coeffs.items()]
-
+    # G's derivative rows once per cell, F's per outer cell (holding both
+    # sides' rows at once costs memory); each slot pair (sa, sb) is its own
+    # result slot sa + sb
+    gcells = [(sb, sum(map(abs, sb)), diff_rows(pb)) for sb, pb in G.coeffs.items()]
     out: dict[tuple[int, ...], AlphaPoly] = {}
-    for sa, span_a, dfs in fcells:
+    for sa, pa in F.coeffs.items():
+        span_a = sum(map(abs, sa))
+        dfs = diff_rows(pa)
         for sb, span_b, dgs in gcells:
             span = span_a + span_b
             if span > N:
                 continue
             acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
-            if not acc.terms:
-                continue
-            slot = sa + sb
-            cur = out.get(slot)
-            r = acc if cur is None else cur + acc
-            if r.terms:
-                out[slot] = r
-            else:
-                out.pop(slot, None)
+            if acc.terms:
+                out[sa + sb] = acc
     return AlphaSeries(ctx, rvars, out, F.guar.after_bracket(G.guar))
 
 
@@ -623,8 +645,13 @@ def apply_ratio_kernel(
     """
     ia, ib = pair
     N = F.ctx.trunc.n_modes
-    out: dict[tuple[int, ...], AlphaPoly] = {}
+    D = F.ctx.trunc.d_deg
+    # target-major: each target slot sums k * cell (times the unit row) over
+    # its own lcm, capped at the weight its span leaves
+    unit = poly_rows(AlphaPoly.one())
+    by_tgt: dict[tuple[int, ...], list] = {}
     for slot, poly in F.coeffs.items():
+        rows = poly_rows(poly)
         for l, k in terms.items():
             if not k:
                 continue
@@ -633,14 +660,12 @@ def apply_ratio_kernel(
             tgt[ib] += l
             if abs(tgt[ia]) > N or abs(tgt[ib]) > N:
                 continue
-            tgt = tuple(tgt)
-            add = poly * k
-            cur = out.get(tgt)
-            r = add if cur is None else cur + add
-            if r.terms:
-                out[tgt] = r
-            else:
-                out.pop(tgt, None)
+            by_tgt.setdefault(tuple(tgt), []).append((k, rows, unit))
+    out = {}
+    for tgt, ts in by_tgt.items():
+        poly = sum_products(ts, N - sum(map(abs, tgt)), D)
+        if poly.terms:
+            out[tgt] = poly
     return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
 
 
@@ -657,18 +682,9 @@ def delta_mul(c: Scalar, G: AlphaSeries, new_var: str) -> AlphaSeries:
     c = Fraction(c)
     out: dict[tuple[int, int], AlphaPoly] = {}
     for (g,), poly in G.coeffs.items():
-        for b in range(-N, N + 1):
-            a = g - b
-            if abs(a) > N:
-                continue
-            add = poly * c**b
-            if not add.terms:
-                continue
-            tgt = (a, b)
-            cur = out.get(tgt)
-            r = add if cur is None else cur + add
-            if r.terms:
-                out[tgt] = r
+        # the cell (a, b) has the one source g = a + b
+        for b in range(max(-N, g - N), min(N, g + N) + 1):
+            out[(g - b, b)] = poly * c**b
     return AlphaSeries(G.ctx, (G.vars[0], new_var), out, G.guar.kern_derate())
 
 

@@ -34,6 +34,7 @@ import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from fractions import Fraction
+from functools import lru_cache
 
 from .iom import (
     I_k_def,
@@ -69,7 +70,8 @@ from .modes import (
     hirota,
     hirota_affine_power,
     mono_weight,
-    poly_mul,
+    poly_rows,
+    sum_products,
     xi_zero,
 )
 from .scalar import (
@@ -264,6 +266,7 @@ def _eta_sides(ctx: ModeContext):
     return e, ep, em
 
 
+@lru_cache(maxsize=None)
 def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     """Constant term (in the inner variable) of a geometric-kernel-dressed
     field bilinear, as a one-variable series.
@@ -287,31 +290,33 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     e = build_eta(ctx, "z")
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     q = ctx.q
-    out: dict[tuple[int, ...], AlphaPoly] = {}
+    rows = {-k: poly_rows(p) for (k,), p in e.coeffs.items()}  # by mode index
+    terms: dict[int, list] = {}
     for r in range(1, N + 1):
         for s in range(1, N + 1):
-            m1, m2, slot = e.mode(sg * r), e.mode(tg * s - sg * r), -tg * s
-            if not (m1.terms and m2.terms):
-                continue
-            p = poly_mul(m1, m2, N - abs(slot), D) * q ** (r + s)
-            if not p.terms:
-                continue
-            key = (slot,)
-            cur = out.get(key)
-            acc = p if cur is None else cur + p
-            if acc.terms:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            m1, m2 = sg * r, tg * s - sg * r
+            if m1 in rows and m2 in rows:
+                terms.setdefault(-tg * s, []).append((q ** (r + s), rows[m1], rows[m2]))
+    out = {}
+    for slot, ts in terms.items():
+        p = sum_products(ts, N - abs(slot), D)
+        if p.terms:
+            out[(slot,)] = p
     return AlphaSeries(ctx, ("z",), out, e.guar.kern_derate())
 
 
 _CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}
 
 
-def _toda_term(ctx, order: int, power: int, f, g):
+@lru_cache(maxsize=None)
+def _toda_term(ctx, order: int, power: int, shifted: bool):
     """(D_order + order M_order)**power f.g, a TODA_EQUATIONS term on the mode
-    algebra, with D_order the Hirota derivative of M_order's flow."""
+    algebra, with D_order the Hirota derivative of M_order's flow; f.g is
+    tau_-(z).tau_+(z), or tau_-(z/q).tau_+(qz) when shifted.  Cached per
+    context: the lhs of lemma-3-2..3-5 are four terms of prop-t3."""
+    f, g = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    if shifted:
+        f, g = f.subs_scale(1 / ctx.q), g.subs_scale(ctx.q)
     M = _CHARGE_FUNCTIONALS[order](ctx)
     return hirota_affine_power((M, "left"), M.scale(order), power, f, g)
 
@@ -423,7 +428,7 @@ def _win_lemma_3_2(ctx):
     tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
     m1, m2f = eta_zero(ctx), M2_functional(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 3, 1, tm, tp)
+    lhs = _toda_term(ctx, 3, 1, False)
     inner = (
         _as_var(m2f + (m1 * m1).scale(Fraction(1, 2)), "z")
         + _as_var(m1, "z") * (ep + em)
@@ -440,7 +445,7 @@ def _win_lemma_3_3(ctx):
     m1 = eta_zero(ctx)
     m2f = M2_functional(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 1, 3, tm, tp)
+    lhs = _toda_term(ctx, 1, 3, False)
     kpp = quad_kernel_series(ctx, "pp")
     kpm = quad_kernel_series(ctx, "pm")
     kmp = quad_kernel_series(ctx, "mp")
@@ -464,7 +469,7 @@ def _win_lemma_3_4(ctx):
     f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
     m1, m2f = eta_zero(ctx), M2_functional(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 2, 1, f, g)
+    lhs = _toda_term(ctx, 2, 1, True)
     ksum = (
         quad_kernel_series(ctx, "pp")
         + quad_kernel_series(ctx, "pm")
@@ -482,7 +487,7 @@ def _win_lemma_3_5(ctx):
     f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
     m1 = eta_zero(ctx)
     e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 1, 2, f, g)
+    lhs = _toda_term(ctx, 1, 2, True)
     kpp = quad_kernel_series(ctx, "pp")
     kpm = quad_kernel_series(ctx, "pm")
     kmp = quad_kernel_series(ctx, "mp")
@@ -501,12 +506,10 @@ def _win_lemma_3_5(ctx):
 def _win_prop(ctx, k: int):
     """The order-k equation of TODA_EQUATIONS; its first lhs term is the
     witness."""
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    q = ctx.q
-    sides = (tm, tp, ONE), (tm.subs_scale(1 / q), tp.subs_scale(q), -ctx.eps)
+    sides = (False, ONE), (True, -ctx.eps)
     parts = [
-        (w * c, _toda_term(ctx, o, p, f, g))
-        for (f, g, w), terms in zip(sides, TODA_EQUATIONS[k])
+        (w * c, _toda_term(ctx, o, p, shifted))
+        for (shifted, w), terms in zip(sides, TODA_EQUATIONS[k])
         for c, o, p in terms
     ]
     (c0, wit), *rest = parts

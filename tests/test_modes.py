@@ -5,7 +5,9 @@ Jacobi/Leibniz/antisymmetry run as property tests with uncapped products;
 builder coefficients are checked against hand expansions of the generating
 exponentials; the exponential builders of each field must agree cell by
 cell with the dressing-ratio route written out below, which cross-validates
-exp, inv and rescaling at once.
+exp, inv and rescaling at once.  The integer product kernels are checked
+against the term-by-term Fraction loops they replaced, and one bracket's
+Fraction constructions are counted.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from toda_bo.modes import (
     build_tau,
     build_xi,
     delta_mul,
+    diff_rows,
     eta_zero,
     flow,
     hirota,
@@ -65,10 +68,18 @@ def gen(n: int) -> AlphaPoly:
     return AlphaPoly({(n,): F(1)})
 
 
+def deriv(p: AlphaPoly, n: int) -> AlphaPoly:
+    """d/d alpha_n of p, read back from the rows that bracket() pairs."""
+    if n not in (table := diff_rows(p)):
+        return AlphaPoly.zero()
+    rows, D = table[n]
+    return AlphaPoly({m: F(c, D) for m, _, _, c in rows})
+
+
 def poisson_poly(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
     """Uncapped bracket of two mode polynomials, through the pairing that
     bracket() applies cell by cell."""
-    return poisson_pairing(f.diff_table(), g.diff_table(), CTX, BIG, BIG)
+    return poisson_pairing(diff_rows(f), diff_rows(g), CTX, BIG, BIG)
 
 
 def build_eta_ratio(ctx: ModeContext, var: str = "z") -> AlphaSeries:
@@ -115,9 +126,9 @@ def test_poly_arithmetic_smalls():
 def test_poly_diff():
     # d/da1 of a1^2 a_-2 = 2 a1 a_-2; d/da2 kills it
     p = AlphaPoly({(-2, 1, 1): F(3)})
-    assert p.diff(1) == AlphaPoly({(-2, 1): F(6)})
-    assert p.diff(2) == 0
-    assert p.diff(-2) == AlphaPoly({(1, 1): F(3)})
+    assert deriv(p, 1) == AlphaPoly({(-2, 1): F(6)})
+    assert deriv(p, 2) == 0
+    assert deriv(p, -2) == AlphaPoly({(1, 1): F(3)})
 
 
 def test_poly_mul_caps():
@@ -168,6 +179,231 @@ def test_bracket_jacobi(f, g, h):
     pb = poisson_poly
     total = pb(f, pb(g, h)) + pb(g, pb(h, f)) + pb(h, pb(f, g))
     assert total == 0
+
+
+# #### integer kernels against the Fraction loops ###########################
+#
+# The literal_* functions are the term-by-term Fraction loops that poly_mul,
+# poisson_pairing, bracket, AlphaSeries.__mul__ and apply_ratio_kernel ran
+# before they moved onto integer numerators; the kernels must equal them
+# exactly, zero sums included (never stored).
+
+
+def literal_poly_mul(a, b, max_weight=None, max_deg=None):
+    out = {}
+    wcap = float("inf") if max_weight is None else max_weight
+    dcap = float("inf") if max_deg is None else max_deg
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if mono_weight(m1) + mono_weight(m2) > wcap or len(m1) + len(m2) > dcap:
+                continue
+            m = tuple(sorted(m1 + m2))
+            v = out.get(m)
+            v = c1 * c2 if v is None else v + c1 * c2
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return AlphaPoly(out)
+
+
+def literal_diff(p, n):
+    out = {}
+    for m, c in p.terms.items():
+        if n in m:
+            i = m.index(n)
+            out[m[:i] + m[i + 1:]] = c * m.count(n)
+    return AlphaPoly(out)
+
+
+def literal_pairing(f, g, ctx, max_weight, max_deg):
+    acc = AlphaPoly.zero()
+    for n in range(1, ctx.trunc.n_modes + 1):
+        c = ctx.one_minus_q(n)
+        for sign in (1, -1):
+            fn, gn = literal_diff(f, sign * n), literal_diff(g, -sign * n)
+            acc = acc + literal_poly_mul(fn, gn, max_weight, max_deg) * (sign * c)
+    return acc
+
+
+def literal_bracket(Fs, Gs):
+    ctx = Fs.ctx
+    N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
+    out = {}
+    for sa, pa in Fs.coeffs.items():
+        for sb, pb in Gs.coeffs.items():
+            span = sum(map(abs, sa + sb))
+            if span <= N:
+                acc = literal_pairing(pa, pb, ctx, N - span, D)
+                if acc.terms:
+                    out[sa + sb] = acc
+    return AlphaSeries(ctx, Fs.vars + Gs.vars, out, Fs.guar.after_bracket(Gs.guar))
+
+
+def literal_series_mul(A, B):
+    N, D = A.ctx.trunc.n_modes, A.ctx.trunc.d_deg
+    same = A.vars == B.vars
+    out = {}
+    for sa, pa in A.coeffs.items():
+        for sb, pb in B.coeffs.items():
+            slot = tuple(x + y for x, y in zip(sa, sb)) if same else sa + sb
+            span = sum(map(abs, slot))
+            if span <= N:
+                prod = literal_poly_mul(pa, pb, N - span, D)
+                r = out.get(slot, AlphaPoly.zero()) + prod
+                if r.terms:
+                    out[slot] = r
+                else:
+                    out.pop(slot, None)
+    return out
+
+
+def literal_ratio_kernel(Fs, terms, pair):
+    ia, ib = pair
+    N = Fs.ctx.trunc.n_modes
+    out = {}
+    for slot, poly in Fs.coeffs.items():
+        for l, k in terms.items():
+            tgt = list(slot)
+            tgt[ia] -= l
+            tgt[ib] += l
+            if k and abs(tgt[ia]) <= N and abs(tgt[ib]) <= N:
+                r = out.get(tuple(tgt), AlphaPoly.zero()) + poly * k
+                if r.terms:
+                    out[tuple(tgt)] = r
+                else:
+                    out.pop(tuple(tgt), None)
+    return AlphaSeries(Fs.ctx, Fs.vars, out, Fs.guar.kern_derate())
+
+
+def scalars():
+    """Nonzero ints and Fractions of either sign."""
+    return st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    ).filter(bool)
+
+
+def mixed_polys(max_size=5):
+    monos = st.lists(
+        st.integers(-3, 3).filter(bool), min_size=0, max_size=3
+    ).map(lambda xs: tuple(sorted(xs)))
+    return st.dictionaries(monos, scalars(), max_size=max_size).map(AlphaPoly)
+
+
+def caps():
+    """A weight cap and a degree cap, each possibly absent."""
+    return (
+        st.one_of(st.none(), st.integers(0, 8)),
+        st.one_of(st.none(), st.integers(0, 5)),
+    )
+
+
+def balanced_series():
+    """Two-variable series on CTX: each term sits at a slot (a, b) with
+    a + b = -sigma(monomial), as balance requires."""
+    cell = st.tuples(st.integers(-2, 2), mixed_polys(1))
+
+    def build(cells):
+        coeffs = {}
+        for a, poly in cells:
+            for m, c in poly.terms.items():
+                slot = (a, -mono_sigma(m) - a)
+                coeffs[slot] = coeffs.get(slot, AlphaPoly.zero()) + AlphaPoly({m: c})
+        return AlphaSeries(CTX, ("z", "w"), coeffs, Guarantee(6, 6, 6))
+
+    return st.lists(cell, max_size=8).map(build)
+
+
+@given(mixed_polys(), mixed_polys(), *caps())
+@settings(max_examples=60)
+def test_poly_mul_equals_fraction_loop(a, b, wcap, dcap):
+    got = poly_mul(a, b, wcap, dcap)
+    assert got.terms == literal_poly_mul(a, b, wcap, dcap).terms
+    assert all(got.terms.values())
+
+
+def test_poly_mul_cancelled_sums_are_not_stored():
+    a, b = gen(1), gen(-2) * F(3, 4)
+    got = poly_mul(a + b, a - b)
+    assert got.terms == {(1, 1): 1, (-2, -2): -F(9, 16)}
+    assert poly_mul(AlphaPoly({(1,): 2}), AlphaPoly({(-1,): 3, (2,): -1})) == (
+        AlphaPoly({(-1, 1): F(6), (1, 2): F(-2)})
+    )
+
+
+@given(mixed_polys(), mixed_polys(), st.sampled_from([BIG, 0, 2, 4]), st.integers(0, 4))
+@settings(max_examples=60)
+def test_pairing_equals_fraction_loop(f, g, wcap, dcap):
+    got = poisson_pairing(diff_rows(f), diff_rows(g), CTX, wcap, dcap)
+    assert got.terms == literal_pairing(f, g, CTX, wcap, dcap).terms
+    assert all(got.terms.values())
+
+
+def test_pairing_cancelled_sums_are_not_stored():
+    # {f, f} = 0 term by term: the n and -n halves cancel in one accumulator
+    f = AlphaPoly({(-1, 1): F(2, 3), (-2, 2): -1})
+    assert poisson_poly(f, f).terms == {}
+    assert literal_pairing(f, f, CTX, BIG, BIG).terms == {}
+
+
+@given(
+    balanced_series(),
+    st.dictionaries(st.integers(-4, 4), scalars() | st.just(0), max_size=4),
+    st.sampled_from([(0, 1), (1, 0)]),
+)
+@settings(max_examples=60)
+def test_ratio_kernel_equals_fraction_loop(Fs, terms, pair):
+    got = apply_ratio_kernel(Fs, terms, pair)
+    want = literal_ratio_kernel(Fs, terms, pair)
+    assert got.coeffs == want.coeffs and got.guar == want.guar
+
+
+def test_ratio_kernel_cancelled_target_is_not_stored():
+    m = AlphaPoly({(-1, 1): F(1, 3)})
+    Fs = AlphaSeries(CTX, ("z", "w"), {(1, -1): m, (-1, 1): m}, Guarantee(6, 6, 6))
+    got = apply_ratio_kernel(Fs, {1: F(2), -1: -2}, (0, 1))
+    assert (0, 0) not in got.coeffs
+    assert got.coeffs == literal_ratio_kernel(Fs, {1: F(2), -1: -2}, (0, 1)).coeffs
+
+
+@pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 4)])
+def test_field_kernels_equal_fraction_loops(trunc):
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    ez, ew, xw = build_eta(ctx, "z"), build_eta(ctx, "w"), build_xi(ctx, "w")
+    for lhs, rhs in ((ez, ew), (ez, xw), (xw, ez)):
+        assert bracket(lhs, rhs).coeffs == literal_bracket(lhs, rhs).coeffs
+    xz = build_xi(ctx, "z")
+    assert (ez * xw).coeffs == literal_series_mul(ez, xw)
+    assert (ez * xz).coeffs == literal_series_mul(ez, xz)
+    N = trunc.n_modes
+    # eta-eta's kernel: sgn(l) (1 - q**|l|)
+    kernel = {l: ctx.one_minus_q(abs(l)) * (l // abs(l)) for l in range(-N, N + 1) if l}
+    prod = ez * ew
+    assert apply_ratio_kernel(prod, kernel, (0, 1)).coeffs == (
+        literal_ratio_kernel(prod, kernel, (0, 1)).coeffs
+    )
+
+
+def test_bracket_builds_one_fraction_per_output_monomial(monkeypatch):
+    # the Fraction loop built several Fractions per pair of terms (2576
+    # for 122 stored monomials here); the integer kernel builds one per
+    # stored monomial, plus a few per entry of the context's (1 - q**n) table
+    ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 6))
+    ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", counting_new)
+        out = bracket(ez, ew)
+    stored = sum(len(p.terms) for p in out.coeffs.values())
+    assert 0 < stored <= built <= stored + 5 * ctx.trunc.n_modes
 
 
 # #### guarantee calculus ######################################################

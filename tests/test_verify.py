@@ -8,7 +8,8 @@ deliberately wrong kernel through the windowed finisher, which must report
 violations instead of passing, and one wrong coefficient in the order-3 Toda
 equation table must fail both the exact and the windowed check that read it.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
-report of two groups is pinned to its sha256.
+reports of the exact and lemma-t3 groups and of the bracket group are pinned
+to their sha256.
 """
 
 from __future__ import annotations
@@ -407,4 +408,14 @@ def test_exact_and_t3_groups_report_bytes_are_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "148f476ba28faec12956d6e26791ebfcb3c700bd7d6dfe09f17e2700d8f04cb9"
+    )
+
+
+def test_bracket_group_report_bytes_are_pinned(capsys):
+    # the twelve bracket-family records, through the mode-algebra kernels
+    rc = main(["verify", "--identity", "bracket", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d0ead7731063299ff1e4952534cb4a26c7464b9eb711bb42d733bcd0dad08861"
     )
