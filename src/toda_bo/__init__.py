@@ -3,7 +3,7 @@ spectral integrator for a q-deformed Benjamin-Ono system.
 
 Layout:
   scalar   exact rationals, parameter points, symmetric-function helpers
-  series   windowed Laurent series with exact rational coefficients
+  series   exact Laurent polynomials and the tau-ratio division
   modes    Poisson algebra on mode symbols, field constructors, Hirota ops
   soliton  exact n-soliton tau functions with diagonal time action
   iom      integrals of motion (kernel definitions, Newton forms, closed forms)

@@ -22,6 +22,7 @@ import sys
 from .evolve import BlowUpError, RandomInit, RunConfig, SolitonInit, q_from_gamma, run
 from .iom import I_k_def, ModeVector, closed_I, soliton_decay
 from .scalar import (
+    ZERO,
     BudgetError,
     ParamError,
     PoleError,
@@ -158,7 +159,7 @@ def _tau_terms(tau: SolitonTau) -> list[dict]:
 def _tau_values(tau: SolitonTau, b) -> dict:
     series = tau.to_series(b)
     powers = sorted({zp for zp, _ in tau.symbolic()})
-    return {f"z^{zp}": scalar_str(series.coeff(zp)) for zp in powers}
+    return {f"z^{zp}": scalar_str(series.get(zp, ZERO)) for zp in powers}
 
 
 def _cmd_soliton(args) -> int:

@@ -94,30 +94,34 @@ class AlphaPoly:
             return self.terms == AlphaPoly.const(other).terms
         return NotImplemented
 
-    def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
+    def _plus(self, other: "AlphaPoly", sub: bool) -> "AlphaPoly":
+        """self + other, or self - other when sub, in one pass."""
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         a, b = self.terms, other.terms
-        if len(a) < len(b):
+        if not sub and len(a) < len(b):
             a, b = b, a
         out = dict(a)
         for m, c in b.items():
             v = out.get(m)
             if v is None:
-                out[m] = c
+                out[m] = -c if sub else c
             else:
-                v = v + c
+                v = v - c if sub else v + c
                 if v:
                     out[m] = v
                 else:
                     del out[m]
         return AlphaPoly(out)
 
+    def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
+        return self._plus(other, False)
+
     def __neg__(self) -> "AlphaPoly":
         return AlphaPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
-        return self + (-other)
+        return self._plus(other, True)
 
     def __mul__(self, other):
         if isinstance(other, AlphaPoly):
@@ -369,23 +373,30 @@ class AlphaSeries:
     def _with(self, coeffs, guar=None):
         return AlphaSeries(self.ctx, self.vars, coeffs, guar or self.guar)
 
-    def __add__(self, other: "AlphaSeries") -> "AlphaSeries":
+    def _plus(self, other: "AlphaSeries", sub: bool) -> "AlphaSeries":
+        """self + other, or self - other when sub, cell by cell in one pass."""
         self._align(other)
         out = dict(self.coeffs)
         for slot, p in other.coeffs.items():
             q = out.get(slot)
-            r = p if q is None else q + p
+            if q is None:
+                r = -p if sub else p
+            else:
+                r = q - p if sub else q + p
             if r.terms:
                 out[slot] = r
             else:
                 out.pop(slot, None)
         return self._with(out, self.guar.meet(other.guar))
 
+    def __add__(self, other: "AlphaSeries") -> "AlphaSeries":
+        return self._plus(other, False)
+
     def __neg__(self):
         return self._with({s: -p for s, p in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "AlphaSeries") -> "AlphaSeries":
+        return self._plus(other, True)
 
     def scale(self, c: Scalar) -> "AlphaSeries":
         c = Fraction(c)

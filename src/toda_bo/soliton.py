@@ -12,6 +12,13 @@ b_k by exp((1 - q**i) t_i a_k**i) (barred flows use inverted weights), so
 every term is a joint eigenvector of all flows.  Bilinear derivatives
 therefore reduce to per-term-pair eigenvalue arithmetic, and finite shift
 operations multiply each b_k by an explicit rational factor.
+
+With its amplitudes filled in, a tau object is an exact Laurent polynomial
+in z (see series).  The field eps tau_-(z/q) tau_+(qz) / (tau_-(z) tau_+(z))
+and its dual are expanded on the unit circle: a Bezout split of the
+reciprocal gives one series_div per tau factor, each asked for degrees
+-window..window.  The result holds every such degree, zeros included, each
+exact; a mode read past the window raises.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from fractions import Fraction
 
 from .scalar import (
     ONE,
+    ZERO,
     ParamError,
     ParamPoint,
     PoleError,
@@ -32,7 +40,7 @@ from .scalar import (
     sample_amplitudes,
     sample_param_point,
 )
-from .series import LaurentSeries, series_div
+from .series import Laurent, series_div, series_mul
 
 Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
 
@@ -73,7 +81,7 @@ class SolitonTau:
                 out.pop(k, None)
         return out
 
-    def to_series(self, b_values) -> LaurentSeries:
+    def to_series(self, b_values) -> Laurent:
         """Evaluate the amplitudes, leaving an exact Laurent polynomial."""
         b_values = tuple(Fraction(b) for b in b_values)
         if len(b_values) != self.params.n:
@@ -86,7 +94,7 @@ class SolitonTau:
             for b, e in zip(b_values, t.b_exp):
                 v *= b**e
             coeffs[t.z_power] = coeffs.get(t.z_power, Fraction(0)) + v
-        return LaurentSeries.poly("z", coeffs)
+        return {d: c for d, c in coeffs.items() if c}
 
 
 # #### construction ############################################################
@@ -371,50 +379,53 @@ def _poly_bezout(f: list, g: list) -> tuple[list, list]:
     return [x / c for x in s0], [x / c for x in t0]
 
 
-def _annulus_ratio(
-    num: LaurentSeries, tm: LaurentSeries, tp: LaurentSeries, window: int
-) -> LaurentSeries:
-    """num / (tm * tp) expanded where tm inverts downward and tp upward.
+def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laurent:
+    """Degrees -window..window of num / (tm * tp), expanded where tm inverts
+    downward and tp upward.
 
     The two inverses cannot be convolved directly, so the reciprocal is
     split as z**deg * u / tp + v / tm with u, v from the Bezout identity of
     the (coprime) polynomial forms of the two factors.  Each part is one
     series_div.
     """
-    var = num.var
-    n_m = -tm.lo
-    f = [tm.coeff(i - n_m) for i in range(n_m + 1)]
-    g = [tp.coeff(j) for j in range(tp.hi + 1)]
+    n_m = -min(tm)
+    f = [tm.get(i - n_m, ZERO) for i in range(n_m + 1)]
+    g = [tp.get(j, ZERO) for j in range(max(tp) + 1)]
     u, v = _poly_bezout(f, g)
-    up = LaurentSeries.poly(var, {i + n_m: c for i, c in enumerate(u) if c})
-    vp = LaurentSeries.poly(var, {i: c for i, c in enumerate(v) if c})
-    order = window + 2 * n_m + 2 * tp.hi + 2
-    out = series_div(num * up, tp, order) + series_div(num * vp, tm, order)
-    if out.lo > -window or out.hi < window:
-        raise ValueError("window too small after inversion")
-    coeffs = {d: out.coeff(d) for d in range(-window, window + 1)}
-    return LaurentSeries(var, -window, window, {d: c for d, c in coeffs.items() if c})
+    up = {i + n_m: c for i, c in enumerate(u) if c}
+    vp = {i: c for i, c in enumerate(v) if c}
+    out = dict.fromkeys(range(-window, window + 1), ZERO)
+    for part in (
+        series_div(series_mul(num, up), tp, -window, window),
+        series_div(series_mul(num, vp), tm, -window, window),
+    ):
+        for e, c in part.items():
+            out[e] += c
+    return out
+
+
+def _subs(p: Laurent, c: Scalar) -> Laurent:
+    """p(c z): the coefficient at degree d picks up c**d."""
+    return {d: v * c**d for d, v in p.items()}
 
 
 def _tau_ratio(
     params: ParamPoint, b_values, window: int, up: Scalar, down: Scalar, scale: Scalar
-) -> LaurentSeries:
-    """Laurent window of scale tau_-(z/up) tau_+(z up) / (tau_-(z/down)
-    tau_+(z down)); scale multiplies the numerator's few terms, not the
-    2 window + 1 output coefficients."""
+) -> Laurent:
+    """Degrees -window..window of scale tau_-(z/up) tau_+(z up) /
+    (tau_-(z/down) tau_+(z down)), zeros included; scale multiplies the
+    numerator's few terms, not the 2 window + 1 output coefficients."""
     if params.n == 0:
-        return LaurentSeries("z", -window, window, {0: scale})
+        return {d: scale if d == 0 else ZERO for d in range(-window, window + 1)}
     tp = make_tau_plus(params).to_series(b_values)
     tm = make_tau_minus(params).to_series(b_values)
-    num = (tm.shift_arg(1 / up) * tp.shift_arg(up)).scale(scale)
-    den_m, den_p = tm.shift_arg(1 / down), tp.shift_arg(down)
-    return _annulus_ratio(num, den_m, den_p, window)
+    num = series_mul(_subs(tm, 1 / up), _subs(tp, up))
+    num = {d: c * scale for d, c in num.items()}
+    return _annulus_ratio(num, _subs(tm, 1 / down), _subs(tp, down), window)
 
 
-def eta_series_from_taus(
-    params: ParamPoint, b_values, window: int
-) -> LaurentSeries:
-    """Laurent window of eps tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z)).
+def eta_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
+    """Degrees -window..window of eps tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z)).
 
     Exact coefficients of the rational function; they are the field's modes
     whenever the decay margins are below one.
@@ -422,16 +433,15 @@ def eta_series_from_taus(
     return _tau_ratio(params, b_values, window, params.q, ONE, params.eps)
 
 
-def xi_series_from_taus(
-    params: ParamPoint, b_values, window: int
-) -> LaurentSeries:
-    """Laurent window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs))."""
+def xi_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
+    """Degrees -window..window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs))."""
     return _tau_ratio(params, b_values, window, 1 / params.s, params.s, 1 / params.eps)
 
 
-def modes_from_series(f: LaurentSeries, window: int) -> dict[int, Scalar]:
-    """Mode map eta_n = [z**-n] f for |n| <= window."""
-    return {n: f.coeff(-n) for n in range(-window, window + 1)}
+def modes_from_series(f: Laurent, window: int) -> dict[int, Scalar]:
+    """Mode map eta_n = [z**-n] f for |n| <= window; a degree f was not
+    built for raises KeyError."""
+    return {n: f[-n] for n in range(-window, window + 1)}
 
 
 # #### soliton specifications ##################################################

@@ -10,6 +10,7 @@ invocations with identical flags and seed.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -294,13 +295,13 @@ def test_evolve_bad_gamma_or_dt_exits_2(capsys):
     argv = ["evolve", "--init", "random", "--gamma-im", "-0.2", "--steps", "2"]
     assert main(argv + ["--modes", "4"]) == 2
     assert main(["evolve", "--dt", "-0.1", "--steps", "2", "--modes", "4"]) == 2
+    assert main(["evolve", "--dt", "inf", "--steps", "2", "--modes", "4"]) == 2
 
 
 def test_evolve_blow_up_exits_1(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc, _, err = run_main(
-            capsys, ["evolve", "--modes", "8", "--dt", "50", "--steps", "10"]
-        )
+    rc, _, err = run_main(
+        capsys, ["evolve", "--modes", "8", "--dt", "50", "--steps", "10"]
+    )
     assert rc == 1
     assert "toda-bo:" in err
 
@@ -409,6 +410,45 @@ def test_entry_point_process_exit_codes(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"schema":"toda-bo-report/1","checks":[]}\n'
+
+
+def test_evolve_blow_up_process_prints_one_line(tmp_path):
+    # run unwrapped, so numpy's overflow warnings would reach stderr
+    script = shutil.which("toda-bo")
+    cmd = [script] if script else [sys.executable, "-m", "toda_bo.cli"]
+    for dt, rc in (("1e200", 1), ("inf", 2)):
+        argv = ["evolve", "--modes", "8", "--dt", dt, "--steps", "10"]
+        proc = subprocess.run(cmd + argv, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (rc, ""), proc.stderr
+        assert proc.stderr.startswith("toda-bo: "), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# #### pinned tau-ratio outputs ################################################
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["soliton", "--spec", "SPEC", "--eval", "--window", "64"],
+            "8c0a5a0a5f15e650926957c027ba048783cc04f237033044def4912778e2ffb3",
+        ),
+        (
+            ["iom", "--k", "3", "--solitons", "2", "--modes", "48", "--seed", "7"],
+            "6f0113ec0ac4536d5fa218fb4e8593273834adb4e230599fe221f5ceb5fd6917",
+        ),
+    ],
+    ids=["soliton-eval-w64", "iom-k3-two-waves"],
+)
+def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    # both read the exact tau ratio; SPEC is README's one-wave spec
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(_WAVE))
+    argv = [str(path) if a == "SPEC" else a for a in argv]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parser_defaults_match_acceptance_runs():

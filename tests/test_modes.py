@@ -437,6 +437,24 @@ def test_series_pruning():
     assert sorted(s.coeffs) == [(1,)]
 
 
+def test_series_difference_equals_sum_with_negation():
+    # X - Y subtracts in one pass; it must give X + (-Y)'s cells and guarantee
+    ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
+    eta, tp, tm = build_eta(ctx, "z"), build_tau(ctx, "+", "z"), build_tau(ctx, "-", "z")
+    narrow = AlphaSeries(ctx, tp.vars, tp.coeffs, Guarantee(2, 2, 2))
+    for x, y in ((eta, tp), (tp, eta), (tm, tp), (eta, narrow), (narrow, tm), (tp, tp * tm)):
+        diff, want = x - y, x + (-y)
+        assert diff.coeffs == want.coeffs
+        assert diff.guar == want.guar
+        assert diff.coeffs
+    assert (eta - eta).coeffs == {}
+    assert (tp - tp).coeffs == {}
+    for slot, p in eta.coeffs.items():
+        q = tp.coeff(slot)
+        assert p - q == p + (-q)
+        assert not (p - p).terms
+
+
 def test_multivar_same_var_product_certifies_nothing():
     e = build_eta(CTX, "z")
     x = build_xi(CTX, "w")

@@ -1,10 +1,13 @@
-"""Window calculus and ring behaviour of the Laurent series layer.
+"""Exact Laurent polynomials and the tau-ratio division.
 
 Oracle notes: product coefficients are checked against a naive convolution
-written inline; inverse coefficients against closed forms (geometric series);
+written inline; inverse coefficients against closed forms (geometric series)
+and by multiplying back on the degrees where every contribution is known;
 the integer inverse `series_inv` against `literal_inv`, the Fraction
 recurrence written out term by term, and the integer division `series_div`
-against `literal_div`, the product with that inverse.
+against `literal_div`, the product with that inverse taken to an order from
+a generous bound of its own (the asked degrees' and h's largest moduli),
+not from the order series_div derives.
 """
 
 from __future__ import annotations
@@ -19,12 +22,23 @@ from hypothesis import strategies as st
 
 from toda_bo.evolve import DEFAULT_POINT
 from toda_bo.scalar import ONE, ZERO
-from toda_bo.series import LaurentSeries, series_div, series_inv, series_mul
+from toda_bo.series import series_div, series_inv, series_mul
 from toda_bo.soliton import make_tau_minus, make_tau_plus
 
 
 def poly(coeffs):
-    return LaurentSeries.poly("z", {d: F(c) for d, c in coeffs.items()})
+    return {d: F(c) for d, c in coeffs.items() if c}
+
+
+def add(f, g):
+    out = dict(f)
+    for d, c in g.items():
+        out[d] = out.get(d, ZERO) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def subs(p, c):
+    return {d: v * c**d for d, v in p.items()}
 
 
 def naive_conv(a: dict, b: dict) -> dict:
@@ -35,30 +49,20 @@ def naive_conv(a: dict, b: dict) -> dict:
     return {d: c for d, c in out.items() if c != 0}
 
 
-# #### polynomial products (tight windows) ####################################
+# #### products ################################################################
 
 
 def test_mul_difference_of_squares():
-    f = poly({0: 1, 1: 1})
-    g = poly({0: 1, 1: -1})
-    h = f * g
-    assert h.coeffs == {0: F(1), 2: F(-1)}
-    assert (h.lo, h.hi, h.tight_lo, h.tight_hi) == (0, 2, True, True)
+    assert series_mul(poly({0: 1, 1: 1}), poly({0: 1, 1: -1})) == {0: F(1), 2: F(-1)}
 
 
 def test_mul_inverse_monomials():
-    f = poly({-1: 3})
-    g = poly({1: F(1, 3)})
-    h = f * g
-    assert h.coeffs == {0: F(1)}
-    assert h.tight_lo and h.tight_hi
+    assert series_mul(poly({-1: 3}), poly({1: F(1, 3)})) == {0: F(1)}
 
 
 def test_mul_by_exact_zero():
-    f = poly({})
-    g = LaurentSeries("z", -5, 5, {2: F(7)})
-    h = f * g
-    assert not h.coeffs and h.tight_lo and h.tight_hi
+    assert series_mul({}, poly({2: 7})) == {}
+    assert series_mul(poly({-1: 2, 3: 5}), {}) == {}
 
 
 @given(
@@ -67,10 +71,8 @@ def test_mul_by_exact_zero():
 )
 @settings(max_examples=60)
 def test_mul_matches_naive_convolution(da, db):
-    a = {d: F(c) for d, c in da.items()}
-    b = {d: F(c) for d, c in db.items()}
-    h = LaurentSeries.poly("z", a) * LaurentSeries.poly("z", b)
-    assert h.coeffs == naive_conv(a, b)
+    a, b = poly(da), poly(db)
+    assert series_mul(a, b) == naive_conv(a, b)
 
 
 @given(
@@ -80,110 +82,43 @@ def test_mul_matches_naive_convolution(da, db):
 )
 @settings(max_examples=40)
 def test_ring_axioms_on_polynomials(da, db, dc):
-    f = poly(da)
-    g = poly(db)
-    h = poly(dc)
-    assert ((f * g) * h).coeffs == (f * (g * h)).coeffs
-    assert ((f + g) * h).coeffs == (f * h + g * h).coeffs
-    assert (f * g).coeffs == (g * f).coeffs
-
-
-# #### window propagation ######################################################
-
-
-def test_mul_onesided_by_onesided_keeps_order():
-    # two power series known to order 8: product known exactly to order 8
-    f = LaurentSeries("z", 0, 8, {0: ONE, 1: F(2)}, tight_lo=True)
-    g = LaurentSeries("z", 0, 8, {0: ONE, 3: F(5)}, tight_lo=True)
-    h = f * g
-    assert (h.lo, h.hi) == (0, 8)
-    assert h.tight_lo and not h.tight_hi
-    assert h.coeffs == {0: F(1), 1: F(2), 3: F(5), 4: F(10)}
-
-
-def test_mul_window_by_tight_poly_shrinks_both_ends():
-    # untight window [-6, 6] times exact support {1, 2}: exactness region is
-    # [2 - 6, 1 + 6]; support bound widens the stored window no further.
-    f = LaurentSeries("z", -6, 6, {d: ONE for d in range(-6, 7)})
-    g = poly({1: 1, 2: 1})
-    h = f * g
-    assert (h.lo, h.hi) == (-4, 7)
-    assert not h.tight_lo and not h.tight_hi
-
-
-def test_mul_two_untight_windows_collapse():
-    f = LaurentSeries("z", -2, 2, {0: ONE})
-    g = LaurentSeries("z", -2, 2, {0: ONE})
-    with pytest.raises(ValueError):
-        series_mul(f, g)
-
-
-def test_add_intersects_known_ranges():
-    f = LaurentSeries("z", -3, 5, {0: ONE}, tight_lo=True)
-    g = LaurentSeries("z", -1, 9, {1: F(4)}, tight_hi=True)
-    h = f + g
-    assert (h.lo, h.hi) == (-1, 5)
-    assert not h.tight_lo and not h.tight_hi
-    assert h.coeffs == {0: F(1), 1: F(4)}
-
-
-def test_add_tight_windows_take_union():
-    f = poly({-2: 1})
-    g = poly({3: 1})
-    h = f + g
-    assert (h.lo, h.hi, h.tight_lo, h.tight_hi) == (-2, 3, True, True)
-    assert h.coeffs == {-2: F(1), 3: F(1)}
-
-
-def test_coeff_outside_window():
-    f = LaurentSeries("z", 0, 4, {1: ONE}, tight_lo=True)
-    assert f.coeff(-3) == ZERO  # tight side: provably absent
-    assert f.coeff(2) == ZERO  # inside window: stored zero
-    with pytest.raises(IndexError):
-        f.coeff(5)
-
-
-def test_var_mismatch_rejected():
-    with pytest.raises(ValueError):
-        series_mul(poly({0: 1}), LaurentSeries.poly("w", {0: ONE}))
-
-
-def test_shift_arg_scales_by_powers():
-    f = poly({-1: 1, 0: 1, 2: 1})
-    g = f.shift_arg(F(2))
-    assert g.coeffs == {-1: F(1, 2), 0: F(1), 2: F(4)}
+    f, g, h = poly(da), poly(db), poly(dc)
+    assert series_mul(series_mul(f, g), h) == series_mul(f, series_mul(g, h))
+    assert series_mul(add(f, g), h) == add(series_mul(f, h), series_mul(g, h))
+    assert series_mul(f, g) == series_mul(g, f)
 
 
 # #### division ################################################################
 
 
-def literal_inv(t: LaurentSeries, order: int) -> LaurentSeries:
+def literal_inv(t: dict, order: int) -> dict:
     """1/t by the Fraction recurrence c_k = -sum_j t_j c_{k-j}, one term at a
     time, for a one-sided t with unit constant term."""
-    if t.coeff(0) != ONE:
+    if t.get(0) != ONE:
         raise ValueError("constant term must be one")
-    if t.tight_lo and t._pot_lo() >= 0:
+    if min(t) >= 0:
         d = 1
-    elif t.tight_hi and t._pot_hi() <= 0:
+    elif max(t) <= 0:
         d = -1
     else:
         raise ValueError("two-sided support")
-    natural = t.hi if d > 0 else -t.lo
-    if order > natural and not (t.tight_hi if d > 0 else t.tight_lo):
-        raise ValueError("order exceeds known data")
     out = {0: ONE}
     for k in range(1, order + 1):
         acc = ZERO
         for j in range(1, k + 1):
-            acc += t.coeffs.get(d * j, ZERO) * out.get(d * (k - j), ZERO)
+            acc += t.get(d * j, ZERO) * out.get(d * (k - j), ZERO)
         if acc:
             out[d * k] = -acc
-    lo, hi = (0, order) if d > 0 else (-order, 0)
-    return LaurentSeries(t.var, lo, hi, out, tight_lo=d > 0, tight_hi=d < 0)
+    return out
 
 
-def literal_div(h: LaurentSeries, t: LaurentSeries, order: int) -> LaurentSeries:
-    return series_mul(h, literal_inv(t, order))
+def literal_div(h: dict, t: dict, lo: int, hi: int) -> dict:
+    """The degrees lo..hi of h times the literal inverse.  A degree e of the
+    product takes inverse indices |e - d1| <= |e| + |d1|, so an inverse to
+    the largest |lo|, |hi| plus h's largest |degree| completes every one."""
+    order = max(abs(lo), abs(hi)) + max(map(abs, h), default=0) + 2
+    prod = naive_conv(h, literal_inv(t, order))
+    return {e: c for e, c in prod.items() if lo <= e <= hi}
 
 
 ONE_SERIES = poly({0: 1})
@@ -191,44 +126,36 @@ ONE_SERIES = poly({0: 1})
 
 def test_inv_geometric_series():
     f = poly({0: 1, 1: -1})
-    g = series_div(ONE_SERIES, f, 16)
-    assert (g.lo, g.hi, g.tight_lo, g.tight_hi) == (0, 16, True, False)
-    assert all(g.coeff(k) == ONE for k in range(17))
+    assert series_div(ONE_SERIES, f, 0, 16) == {k: ONE for k in range(17)}
+    # an upward inverse has no degree below h's lowest
+    assert series_div(ONE_SERIES, f, -5, 3) == {k: ONE for k in range(4)}
+    assert series_div(poly({2: 1}), f, -5, 1) == {}
 
 
 def test_inv_multiply_back_is_one():
+    # f * (1/f) on degrees 0..16: each takes 1/f at 0..16 and nothing else
     rng = random.Random(7)
     for _ in range(10):
-        f = LaurentSeries.poly(
-            "z", {0: ONE, **{d: F(rng.randint(-4, 4)) for d in range(1, 5)}}
-        )
-        g = series_div(ONE_SERIES, f, 16)
-        h = f * g
-        assert (h.lo, h.hi) == (0, 16)
-        assert h.coeffs == {0: ONE}
+        f = {0: ONE, **poly({d: rng.randint(-4, 4) for d in range(1, 5)})}
+        g = series_div(ONE_SERIES, f, 0, 16)
+        prod = series_mul(f, g)
+        assert {e: c for e, c in prod.items() if e <= 16} == {0: ONE}
 
 
 def test_inv_downward_orientation():
-    f = LaurentSeries.poly("z", {0: ONE, -1: F(1, 2)})
-    g = series_div(ONE_SERIES, f, 12)
-    assert (g.lo, g.hi, g.tight_lo, g.tight_hi) == (-12, 0, False, True)
-    assert g.coeff(-3) == F(-1, 8)
-    assert (f * g).coeffs == {0: ONE}
+    f = poly({0: 1, -1: F(1, 2)})
+    g = series_div(ONE_SERIES, f, -12, 0)
+    assert g == {-k: F(-1, 2) ** k for k in range(13)}
+    assert g[-3] == F(-1, 8)
+    prod = series_mul(f, g)
+    assert {e: c for e, c in prod.items() if e >= -12} == {0: ONE}
 
 
 def test_inv_requires_unit_constant():
     with pytest.raises(ValueError):
-        series_div(ONE_SERIES, poly({0: 2}), 0)
+        series_div(ONE_SERIES, poly({0: 2}), 0, 0)
     with pytest.raises(ValueError):
-        series_div(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}), 4)
-
-
-def test_inv_order_cannot_exceed_untight_data():
-    f = LaurentSeries("z", 0, 4, {0: ONE, 1: F(3)}, tight_lo=True)
-    g = series_div(ONE_SERIES, f, 4)  # the natural order
-    assert g.hi == 4
-    with pytest.raises(ValueError):
-        series_div(ONE_SERIES, f, 9)
+        series_div(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}), -4, 4)
 
 
 rationals = st.builds(
@@ -238,79 +165,54 @@ rationals = st.builds(
 
 @st.composite
 def division_cases(draw):
-    """(h, t, order): t one-sided with unit constant term, in either
-    orientation, exact or known only to its window; h an exact polynomial
-    or a one-sided window."""
+    """(h, t, lo, hi): t one-sided with unit constant term in either
+    orientation, h any Laurent polynomial, lo..hi any range around it
+    (possibly empty, possibly off h's reach)."""
     d = draw(st.sampled_from([1, -1]))
     deg = draw(st.integers(0, 5))
-    t_coeffs = {0: ONE, **{d * j: draw(rationals) for j in range(1, deg + 1)}}
-    if draw(st.booleans()):
-        t = LaurentSeries.poly("z", t_coeffs)
-        order = draw(st.integers(0, 14))
-    else:
-        reach = draw(st.integers(deg, 8))
-        lo, hi = (0, reach) if d > 0 else (-reach, 0)
-        t = LaurentSeries("z", lo, hi, t_coeffs, tight_lo=d > 0, tight_hi=d < 0)
-        order = draw(st.integers(0, reach))
-    h_coeffs = draw(st.dictionaries(st.integers(-4, 4), rationals, max_size=5))
-    if draw(st.booleans()):
-        h = LaurentSeries.poly("z", h_coeffs)
-    else:
-        # a window open on the far side of either orientation
-        s = draw(st.sampled_from([1, -1]))
-        h = LaurentSeries("z", -4, 4, h_coeffs, tight_lo=s > 0, tight_hi=s < 0)
-    return h, t, order
+    t = {0: ONE, **poly({d * j: draw(rationals) for j in range(1, deg + 1)})}
+    h = poly(draw(st.dictionaries(st.integers(-4, 4), rationals, max_size=5)))
+    lo = draw(st.integers(-14, 10))
+    hi = draw(st.integers(lo - 1, 14))
+    return h, t, lo, hi
 
 
 @given(division_cases())
 @settings(max_examples=100, deadline=None)
 def test_inv_integer_form_equals_literal_inverse(case):
     # series_inv's C[k] / L**k are the literal inverse's coefficients
-    _, t, order = case
-    expected = outcome(literal_inv, t, order)
-    if expected is ValueError:
-        with pytest.raises(ValueError):
-            series_inv(t, order)
-        return
+    _, t, lo, hi = case
+    order = hi - lo + 1
     d, inv, lpow = series_inv(t, order)
+    assert d == (1 if min(t) >= 0 else -1)
     assert len(inv) == len(lpow) == order + 1
     assert all(type(c) is int and type(p) is int for c, p in zip(inv, lpow))
     assert {d * k: F(c, p) for k, (c, p) in enumerate(zip(inv, lpow)) if c} == (
-        expected.coeffs
+        literal_inv(t, order)
     )
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc)
 
 
 @given(division_cases())
 @settings(max_examples=200, deadline=None)
 def test_div_equals_literal_product_with_inverse(case):
-    # LaurentSeries equality covers the window, both tight flags and every
-    # coefficient; a window collapse must raise on both sides
-    h, t, order = case
-    assert outcome(series_div, h, t, order) == outcome(literal_div, h, t, order)
+    # every asked degree, exactly, and nothing outside lo..hi or zero
+    h, t, lo, hi = case
+    out = series_div(h, t, lo, hi)
+    assert out == literal_div(h, t, lo, hi)
+    assert all(lo <= e <= hi and c for e, c in out.items())
 
 
 @pytest.mark.parametrize(
-    "t, order",
-    [
-        (poly({0: 2, 1: 1}), 4),
-        (poly({-1: 1, 0: 1, 1: 1}), 4),
-        (LaurentSeries("z", -3, 0, {0: ONE, -1: F(1, 3)}, tight_hi=True), 5),
-    ],
-    ids=["non-unit-constant", "two-sided", "order-past-data"],
+    "t",
+    [poly({0: 2, 1: 1}), poly({-1: 1, 0: 1, 1: 1}), poly({1: 1})],
+    ids=["non-unit-constant", "two-sided", "no-constant"],
 )
-def test_div_rejects_what_the_literal_inverse_rejects(t, order):
+def test_div_rejects_what_the_literal_inverse_rejects(t):
     h = poly({-1: F(2, 3), 0: 1, 2: F(-5, 7)})
     with pytest.raises(ValueError):
-        literal_inv(t, order)
+        literal_inv(t, 4)
     with pytest.raises(ValueError):
-        series_div(h, t, order)
+        series_div(h, t, -4, 4)
 
 
 def test_div_builds_one_fraction_per_output_degree(monkeypatch):
@@ -318,10 +220,10 @@ def test_div_builds_one_fraction_per_output_degree(monkeypatch):
     # over its upper tau, with a float-lifted amplitude (49-bit denominator);
     # the literal product builds several Fractions per term of each degree
     b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
+    q = DEFAULT_POINT.q
     tp = make_tau_plus(DEFAULT_POINT).to_series(b)
     tm = make_tau_minus(DEFAULT_POINT).to_series(b)
-    h = tm.shift_arg(1 / DEFAULT_POINT.q) * tp.shift_arg(DEFAULT_POINT.q)
-    order = 64 + 2 * -tm.lo + 2 * tp.hi + 2
+    h = series_mul(subs(tm, 1 / q), subs(tp, q))
     built = 0
     new = F.__new__
 
@@ -332,6 +234,6 @@ def test_div_builds_one_fraction_per_output_degree(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(F, "__new__", counting_new)
-        out = series_div(h, tp, order)
-    assert out == literal_div(h, tp, order)
-    assert 0 < built <= (out.hi - out.lo + 1) + len(h.coeffs) + len(tp.coeffs)
+        out = series_div(h, tp, -64, 64)
+    assert out == literal_div(h, tp, -64, 64)
+    assert 0 < built <= 129 + len(h) + len(tp)
