@@ -30,7 +30,7 @@ the same Fraction, and the same mode polynomial under a capped product
 (pruning by weight and degree drops an ideal, because both add under
 multiplication, so pruned products and sums commute with it).
 
-The charge combinations obtained through the Newton determinant from the
+The charge combinations obtained through Newton's identities from the
 normalized k-point charges admit closed forms at soliton points; both the
 closed forms and the quadratic/cubic kernel formulas live here so callers
 can cross-check the independent routes.
@@ -444,18 +444,17 @@ def newton_normalizers(q: Scalar, k: int) -> list[Scalar]:
     return [q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1)]
 
 
-def M_from_I(i_values: list, p: ParamPoint, bar: bool = False, *, one=ONE, zero=ZERO):
-    """Newton-determinant combination of the first k charges.
+def M_from_I(i_values: list, p: ParamPoint, bar: bool = False):
+    """Newton's-identities combination of the first k charges.
 
     Normalizes each charge by its triangular prefactor, feeds the list as
-    elementary symmetric data to the power-sum determinant, and rescales.
-    Generic over the value ring; pass that ring's one/zero for polynomial
-    entries.
+    elementary symmetric data to Newton's identities for the power sum, and
+    rescales.  Generic over the value ring: Fractions or mode polynomials.
     """
     k = len(i_values)
     if k == 0:
         raise ValueError("need at least one charge value")
     q = 1 / p.q if bar else p.q
     e = [v * w for v, w in zip(i_values, newton_normalizers(q, k))]
-    p_k = newton_p_from_e(e, one=one, zero=zero)
+    p_k = newton_p_from_e(e)
     return p_k * ((ONE - q**k) * Fraction(1, k))

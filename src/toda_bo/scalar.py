@@ -58,52 +58,24 @@ def scalar_decimal(x: Scalar) -> str:
     return str(d)
 
 
-def det_ring(rows: list) -> object:
-    """Determinant by first-column cofactor expansion.
-
-    Entries may live in any commutative ring supporting +, unary -, and *.
-    Division-free, so polynomial entries are fine; cost is irrelevant at the
-    k <= 6 sizes used here.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for i, row in enumerate(rows):
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = row[0] * det_ring(minor)
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def newton_p_from_e(e: list, *, one=ONE, zero=ZERO):
+def newton_p_from_e(e: list):
     """Power sum p_k from elementary symmetric values e_1..e_k.
 
-    Expands the k x k determinant whose first column is (i+1)*e_{i+1}, with a
-    unit superdiagonal and constant diagonals e_{i-j+1} elsewhere.  Works over
-    any commutative ring; pass that ring's `one` and `zero`.
+    Newton's identities p_m = sum_{i<m} (-1)**(i-1) e_i p_{m-i}
+    + (-1)**(m-1) m e_m, for m = 1..k.  Division-free and free of ring
+    constants, so any commutative ring with +, - and * works, mode
+    polynomials included.
     """
-    k = len(e)
-    if k == 0:
+    if not e:
         raise ValueError("need at least e_1")
-
-    def entry(i: int, j: int):
-        if j == 0:
-            return e[i] * (i + 1)
-        m = i - j + 1
-        if m < 0:
-            return zero
-        if m == 0:
-            return one
-        return e[m - 1]
-
-    return det_ring([[entry(i, j) for j in range(k)] for i in range(k)])
+    p: list = []
+    for m in range(1, len(e) + 1):
+        acc = e[m - 1] * m if m % 2 else -(e[m - 1] * m)
+        for i in range(1, m):
+            t = e[i - 1] * p[m - i - 1]
+            acc = acc + t if i % 2 else acc - t
+        p.append(acc)
+    return p[-1]
 
 
 def q_pochhammer(q: Scalar, k: int) -> Scalar:

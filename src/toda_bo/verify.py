@@ -5,7 +5,8 @@ id, in one table (_REGISTRY) that lists the four groups -- bracket,
 soliton-exact, iom-numeric, lemma-t3 -- each with its runner and its ids.
 IDENTITY_IDS, GROUPS and dispatch are all derived from that table.  The
 order-k Toda equations are a second table (TODA_EQUATIONS), read by both
-the exact to-k and the windowed prop-tk checks.  The runners use one of
+the exact to-k and the windowed prop-tk checks, and lemmas 3.2-3.5 a third
+(LEMMA_T3), whose coefficients one builder reads.  The runners use one of
 three finishers:
 
   exact      n-soliton tau identities compared coefficient-by-coefficient in
@@ -34,7 +35,7 @@ import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .iom import (
     I_k_def,
@@ -54,7 +55,6 @@ from .iom import (
     soliton_decay,
 )
 from .modes import (
-    AlphaPoly,
     AlphaSeries,
     ModeContext,
     ModeTrunc,
@@ -133,6 +133,22 @@ TODA_EQUATIONS = {
         ((ONE, 3, 1), (Fraction(1, 8), 1, 3)),
         ((Fraction(3, 4), 2, 1), (Fraction(3, 8), 1, 2)),
     ),
+}
+
+
+# Lemmas 3.2-3.5, the Hamiltonian-structure forms of four terms of the
+# order-3 equation, id: ((order, power, shifted), coefficients).  The lhs is
+# the TODA_EQUATIONS term (D_order + order M_order)**power on
+# tau_-(z).tau_+(z), or on tau_-(z/q).tau_+(qz) when shifted.  The rhs is that
+# product times inner, and also times eta(z) when unshifted; inner weighs the
+# basis (M_2, M_1**2, M_1 (e_+ + e_-), e_+ e_-, pp, pm, mp, mm) by the
+# coefficients: M_k the charges, e_+- one-sided field slices (_lemma_basis),
+# pp..mm the quad_kernel_series orientations.
+LEMMA_T3 = {
+    "lemma-3-2": ((3, 1, False), (1, Fraction(1, 2), 1, 1, 1, 0, 0, 1)),
+    "lemma-3-3": ((1, 3, False), (4, -1, 1, -2, 1, 3, 3, 1)),
+    "lemma-3-4": ((2, 1, True), (2, 0, 1, 0, 1, 1, 1, 1)),
+    "lemma-3-5": ((1, 2, True), (0, 1, 1, 2, 1, -1, -1, 1)),
 }
 
 
@@ -257,15 +273,6 @@ def _as_var(F: AlphaSeries, var: str) -> AlphaSeries:
     return AlphaSeries(F.ctx, (var,), {(0,): F.functional_value()}, F.guar)
 
 
-def _eta_sides(ctx: ModeContext):
-    """One-sided field slices entering the quadratic-kernel lemmas:
-    positive-power part at argument scaled by q, negative-power part at 1/q."""
-    e = build_eta(ctx, "z")
-    ep = e.slice_sign(1).subs_scale(ctx.q)
-    em = e.slice_sign(-1).subs_scale(1 / ctx.q)
-    return e, ep, em
-
-
 @lru_cache(maxsize=None)
 def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     """Constant term (in the inner variable) of a geometric-kernel-dressed
@@ -319,6 +326,24 @@ def _toda_term(ctx, order: int, power: int, shifted: bool):
         f, g = f.subs_scale(1 / ctx.q), g.subs_scale(ctx.q)
     M = _CHARGE_FUNCTIONALS[order](ctx)
     return hirota_affine_power((M, "left"), M.scale(order), power, f, g)
+
+
+@lru_cache(maxsize=None)
+def _lemma_basis(ctx: ModeContext) -> tuple[AlphaSeries, ...]:
+    """The eight series LEMMA_T3's coefficients weigh, in its order.  e_+ is
+    the positive-power part of eta at argument qz, e_- its negative-power
+    part at z/q.  Cached per context: all four lemmas read it."""
+    e = build_eta(ctx, "z")
+    ep = e.slice_sign(1).subs_scale(ctx.q)
+    em = e.slice_sign(-1).subs_scale(1 / ctx.q)
+    m1 = eta_zero(ctx)
+    return (
+        _as_var(M2_functional(ctx), "z"),
+        _as_var(m1 * m1, "z"),
+        _as_var(m1, "z") * (ep + em),
+        ep * em,
+        *(quad_kernel_series(ctx, pick) for pick in ("pp", "pm", "mp", "mm")),
+    )
 
 
 # per-identity windowed builders; each returns a list of (residual, witness)
@@ -424,82 +449,17 @@ def _win_toda_field(ctx):
     return pairs
 
 
-def _win_lemma_3_2(ctx):
+def _win_lemma(ctx, lemma_id: str):
+    """The lemma of LEMMA_T3 named lemma_id; its lhs is the witness."""
+    (order, power, shifted), coeffs = LEMMA_T3[lemma_id]
+    lhs = _toda_term(ctx, order, power, shifted)
+    first, *rest = (b.scale(c) for b, c in zip(_lemma_basis(ctx), coeffs) if c)
+    inner = sum(rest, first)
     tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    m1, m2f = eta_zero(ctx), M2_functional(ctx)
-    e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 3, 1, False)
-    inner = (
-        _as_var(m2f + (m1 * m1).scale(Fraction(1, 2)), "z")
-        + _as_var(m1, "z") * (ep + em)
-        + ep * em
-        + quad_kernel_series(ctx, "pp")
-        + quad_kernel_series(ctx, "mm")
-    )
-    rhs = (e * inner) * (tm * tp)
-    return [(lhs - rhs, lhs)]
-
-
-def _win_lemma_3_3(ctx):
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    m1 = eta_zero(ctx)
-    m2f = M2_functional(ctx)
-    e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 1, 3, False)
-    kpp = quad_kernel_series(ctx, "pp")
-    kpm = quad_kernel_series(ctx, "pm")
-    kmp = quad_kernel_series(ctx, "mp")
-    kmm = quad_kernel_series(ctx, "mm")
-    ksum = kpp + kpm + kmp + kmm
-    kdif = kpp - kpm - kmp + kmm
-    inner = (
-        _as_var(m2f.scale(4) - m1 * m1, "z")
-        + _as_var(m1, "z") * (ep + em)
-        - (ep * em).scale(2)
-        + ksum.scale(2)
-        - kdif
-    )
-    rhs = (e * inner) * (tm * tp)
-    return [(lhs - rhs, lhs)]
-
-
-def _win_lemma_3_4(ctx):
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    q = ctx.q
-    f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
-    m1, m2f = eta_zero(ctx), M2_functional(ctx)
-    e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 2, 1, True)
-    ksum = (
-        quad_kernel_series(ctx, "pp")
-        + quad_kernel_series(ctx, "pm")
-        + quad_kernel_series(ctx, "mp")
-        + quad_kernel_series(ctx, "mm")
-    )
-    inner = _as_var(m2f.scale(2), "z") + _as_var(m1, "z") * (ep + em) + ksum
-    rhs = inner * (f * g)
-    return [(lhs - rhs, lhs)]
-
-
-def _win_lemma_3_5(ctx):
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
-    q = ctx.q
-    f, g = tm.subs_scale(1 / q), tp.subs_scale(q)
-    m1 = eta_zero(ctx)
-    e, ep, em = _eta_sides(ctx)
-    lhs = _toda_term(ctx, 1, 2, True)
-    kpp = quad_kernel_series(ctx, "pp")
-    kpm = quad_kernel_series(ctx, "pm")
-    kmp = quad_kernel_series(ctx, "mp")
-    kmm = quad_kernel_series(ctx, "mm")
-    kdif = kpp - kpm - kmp + kmm
-    inner = (
-        _as_var(m1 * m1, "z")
-        + _as_var(m1, "z") * (ep + em)
-        + (ep * em).scale(2)
-        + kdif
-    )
-    rhs = inner * (f * g)
+    if shifted:
+        rhs = inner * (tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q))
+    else:
+        rhs = (build_eta(ctx, "z") * inner) * (tm * tp)
     return [(lhs - rhs, lhs)]
 
 
@@ -823,13 +783,13 @@ def _formal_newton_vs_kernel(k: int) -> bool:
     capped = capped_mul(ctx)
     stub = ParamPoint(S, EPS)
     vals = [I_k_def(mv, i, N, ctx.q, mul=capped).value for i in range(1, k + 1)]
-    newton = M_from_I(vals, stub, one=AlphaPoly.one(), zero=AlphaPoly.zero())
+    newton = M_from_I(vals, stub)
     kern = M2_kernel(mv, N, ctx.q) if k == 2 else M3_kernel(mv, N, ctx.q)
     return newton.pruned(N, D) == kern.pruned(N, D)
 
 
 def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
-    # exact leg: the determinant route reproduces the closed charges
+    # exact leg: the Newton-identities route reproduces the closed charges
     exact_pts = 0
     exact_ok = True
     for j in range(20):
@@ -844,7 +804,7 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
                     exact_ok = False
         exact_pts += 1
 
-    # formal leg: kernel formula == determinant route on the weight window
+    # formal leg: kernel formula == Newton-identities route on the weight window
     formal_ok = _formal_newton_vs_kernel(k)
 
     # numeric leg: kernel formula on soliton modes within the tail tolerance
@@ -947,10 +907,7 @@ _REGISTRY = (
         "lemma-t3",
         _run_t3_family,
         {
-            "lemma-3-2": _win_lemma_3_2,
-            "lemma-3-3": _win_lemma_3_3,
-            "lemma-3-4": _win_lemma_3_4,
-            "lemma-3-5": _win_lemma_3_5,
+            **{lid: partial(_win_lemma, lemma_id=lid) for lid in LEMMA_T3},
             "prop-t2": lambda ctx: _win_prop(ctx, 2),
             "prop-t3": lambda ctx: _win_prop(ctx, 3),
         },

@@ -38,7 +38,6 @@ from toda_bo.iom import (
     soliton_decay,
 )
 from toda_bo.modes import (
-    AlphaPoly,
     AlphaSeries,
     ModeContext,
     ModeTrunc,
@@ -279,7 +278,7 @@ def test_m2_from_newton_matches_kernel_formula_exactly():
     N, q = CTX.trunc.n_modes, CTX.q
     i1 = I_k_def(mv, 1, N, q).value
     i2 = I_k_def(mv, 2, N, q).value
-    newton = M_from_I([i1, i2], P1, one=AlphaPoly.one(), zero=AlphaPoly.zero())
+    newton = M_from_I([i1, i2], P1)
     assert newton == M2_kernel(mv, N, q)
 
 
@@ -291,7 +290,7 @@ def test_m3_from_newton_matches_kernel_formula_on_window():
     mv = mode_table(CTX, span=2)
     N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
     vals = [I_k_def(mv, k, N, q).value for k in (1, 2, 3)]
-    newton = M_from_I(vals, P1, one=AlphaPoly.one(), zero=AlphaPoly.zero())
+    newton = M_from_I(vals, P1)
     assert newton.pruned(N, D) == M3_kernel(mv, N, q).pruned(N, D)
 
 
@@ -300,7 +299,7 @@ def test_mbar_newton_matches_kernel_on_window():
     N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
     qbar = 1 / CTX.q
     vals = [Ibar_k_def(mv, k, N, CTX.q).value for k in (1, 2)]
-    newton = M_from_I(vals, P1, bar=True, one=AlphaPoly.one(), zero=AlphaPoly.zero())
+    newton = M_from_I(vals, P1, bar=True)
     assert newton.pruned(N, D) == M2_kernel(mv, N, qbar).pruned(N, D)
 
 

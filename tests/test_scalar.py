@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toda_bo.iom import I_k_def, mode_table
+from toda_bo.modes import AlphaPoly, ModeContext, ModeTrunc
 from toda_bo.scalar import (
     ONE,
     ParamError,
     ParamPoint,
     PoleError,
     ZERO,
-    det_ring,
     e_geometric_tail,
     newton_p_from_e,
     parse_scalar,
@@ -125,20 +126,58 @@ def test_scalar_decimal_exact_small():
 
 
 # #########################################################################
-# determinant and Newton identities
+# Newton identities, against the determinant form
 # #########################################################################
 
-def test_det_ring_small():
-    assert det_ring([[F(5)]]) == 5
-    assert det_ring([[F(1), F(2)], [F(3), F(4)]]) == -2
-    assert det_ring([[F(2), F(0), F(1)], [F(1), F(1), F(0)], [F(0), F(3), F(1)]]) == 5
+def det_cofactor(rows: list):
+    """Determinant by first-column cofactor expansion; division-free."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for i, row in enumerate(rows):
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = row[0] * det_cofactor(minor)
+        if i % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
-def test_det_ring_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        det_ring([])
-    with pytest.raises(ValueError):
-        det_ring([[F(1), F(2)]])
+def newton_det(e: list, one, zero):
+    """p_k as the k x k determinant with first column (i+1) e_{i+1}, a unit
+    superdiagonal and constant diagonals e_{i-j+1} below it."""
+    k = len(e)
+
+    def entry(i, j):
+        if j == 0:
+            return e[i] * (i + 1)
+        m = i - j + 1
+        return zero if m < 0 else one if m == 0 else e[m - 1]
+
+    return det_cofactor([[entry(i, j) for j in range(k)] for i in range(k)])
+
+
+def test_det_cofactor_small():
+    assert det_cofactor([[F(5)]]) == 5
+    assert det_cofactor([[F(1), F(2)], [F(3), F(4)]]) == -2
+    assert det_cofactor([[F(2), F(0), F(1)], [F(1), F(1), F(0)], [F(0), F(3), F(1)]]) == 5
+
+
+@given(st.lists(rationals, min_size=1, max_size=6))
+def test_newton_p_from_e_equals_determinant(e):
+    assert newton_p_from_e(e) == newton_det(e, ONE, ZERO)
+
+
+def test_newton_p_from_e_on_mode_polynomials_equals_determinant():
+    # charges I_1..I_3 of a mode table: the recurrence needs no ring constants
+    ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
+    mv = mode_table(ctx, span=2)
+    e = [I_k_def(mv, k, 4, ctx.q).value for k in (1, 2, 3)]
+    assert all(len(x.terms) > 1 for x in e)
+    for j in range(1, 4):
+        p = newton_p_from_e(e[:j])
+        assert p == newton_det(e[:j], AlphaPoly.one(), AlphaPoly.zero())
+        assert p.terms
 
 
 def _elementary_from_roots(roots):
@@ -178,8 +217,9 @@ def test_newton_p_from_e_root_oracle():
 
 def e_from_p(p: list) -> list:
     """Elementary e_1..e_k from power sums p_1..p_k by the triangular
-    recurrence k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i; an independent
-    inverse of newton_p_from_e's determinant."""
+    recurrence k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i, the divided
+    direction of Newton's identities; an independent inverse of
+    newton_p_from_e."""
     es = [ONE]
     for k in range(1, len(p) + 1):
         acc = sum(

@@ -5,11 +5,12 @@ order-one charge against the bare coupling; the quadratic-kernel expansions
 are cross-checked through the mode-negation involution that swaps their
 orientation pairs; negative controls push a known-nonzero series and a
 deliberately wrong kernel through the windowed finisher, which must report
-violations instead of passing, and one wrong coefficient in the order-3 Toda
-equation table must fail both the exact and the windowed check that read it.
+violations instead of passing, one wrong coefficient in the order-3 Toda
+equation table must fail both the exact and the windowed check that read it,
+and one wrong coefficient in the lemma table must fail its windowed check.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
-reports of the exact and lemma-t3 groups and of the bracket group are pinned
-to their sha256.
+reports of the exact and lemma-t3 groups, of the bracket group and of the
+m2/m3-consistency checks are pinned to their sha256.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from toda_bo.verify import (
     _run_windowed,
     _sgn,
     _win_eta_eta,
-    _win_lemma_3_4,
+    _win_lemma,
     _win_prop,
 )
 
@@ -302,6 +303,17 @@ def test_one_wrong_table_coefficient_fails_both_layers(monkeypatch):
     assert windowed.detail["violations"] > 0
 
 
+def test_one_wrong_lemma_coefficient_fails(monkeypatch):
+    assert run_check("lemma-3-3").passed
+    shape, coeffs = verify.LEMMA_T3["lemma-3-3"]
+    wrong = coeffs[:5] + (2,) + coeffs[6:]  # pm: 3 -> 2
+    assert wrong != coeffs
+    monkeypatch.setitem(verify.LEMMA_T3, "lemma-3-3", (shape, wrong))
+    rep = run_check("lemma-3-3")
+    assert not rep.passed and rep.mode == "windowed"
+    assert rep.detail["violations"] > 0
+
+
 # #### convergent finisher #####################################################
 
 
@@ -387,7 +399,7 @@ def lemma_3_4_at(trunc: ModeTrunc):
     (passed, params, detail)."""
     ctx = ModeContext(S, EPS, trunc)
     _, params, _, passed, detail = _run_windowed(
-        _win_lemma_3_4, ctx, min(T3_TRUNC_Z, trunc.n_modes)
+        lambda c: _win_lemma(c, "lemma-3-4"), ctx, min(T3_TRUNC_Z, trunc.n_modes)
     )
     return passed, params, detail
 
@@ -408,6 +420,17 @@ def test_exact_and_t3_groups_report_bytes_are_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "148f476ba28faec12956d6e26791ebfcb3c700bd7d6dfe09f17e2700d8f04cb9"
+    )
+
+
+def test_m_consistency_report_bytes_are_pinned(capsys):
+    # the exact and formal legs run M_from_I over Fractions and over mode
+    # polynomials
+    rc = main(["verify", "--identity", "m2-consistency,m3-consistency", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "682b66a0cbee81472deac8a986bbba490aec5317b9b0f67c774574e7d71dc6a2"
     )
 
 
