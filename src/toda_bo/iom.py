@@ -22,13 +22,27 @@ anti-diagonal A + B = s, T moves in O(1):
 
 This is the reindexing m -> m + 1 of the finite sum, with K(m+1) = q K(m)
 for m >= 1: the m = 0 term enters with K(1) and the m = N term leaves.
-Each diagonal starts from one direct sum.  The charge I_k thus costs
-(N+1)**(p-1) vectors plus O((k-1)**2 N**2) table products, so I_3 is
-O(N**2) instead of O(N**3).  The identity uses only ring operations, so the
-result is the same element as the literal sum over all (N+1)**p vectors:
-the same Fraction, and the same mode polynomial under a capped product
-(pruning by weight and degree drops an ideal, because both add under
-multiplication, so pruned products and sums commute with it).
+Each diagonal starts from one direct sum.  Vectors whose flows into the
+first k - 2 positions agree share those positions' mode product, so each
+vector costs a lookup and a scalar product, and each distinct outer flow
+k - 2 mode products.  The charge I_k thus costs (N+1)**(p-1) vectors plus
+O((k-1)**2 N**2) table products, so I_3 is O(N**2) instead of O(N**3).  The
+identity uses only ring operations, so the result is the same element as
+the literal sum over all (N+1)**p vectors: the same Fraction, and the same
+mode polynomial under a capped product (pruning by weight and degree drops
+an ideal, because both add under multiplication, so pruned products and
+sums commute with it).
+
+Over Fractions every term of such a sum shares one known denominator, so
+the sums run on Python ints.  With the field scaled by D, the lcm of its
+denominators, and the coefficient table by E, the lcm of its own, a sum of
+degree k in the field and p in the table is an integer at scale D**k E**p
+and becomes one Fraction at the end, instead of one reduced Fraction (one
+gcd) per product.  The anti-diagonal step multiplies by r = q, which does
+not stay integral by itself; but the T it yields is again a sum of scaled
+integer products, so the product by r is an exact division, and a
+remainder raises rather than rounds.  The quadratic and cubic kernel
+formulas run the same way over a table of q's powers.
 
 The charge combinations obtained through Newton's identities from the
 normalized k-point charges admit closed forms at soliton points; both the
@@ -197,7 +211,7 @@ def _exponent_vectors(pairs, k: int, ktab: list):
     """(prod of ktab[m], flow) for every exponent vector over pairs, where
     the exponent m of pair (i, j) moves flow m from position i to j."""
     if not pairs:
-        yield ONE, [0] * k
+        yield 1, [0] * k
         return
     i, j = pairs[-1]
     for coeff, flow in _exponent_vectors(pairs[:-1], k, ktab):
@@ -208,7 +222,19 @@ def _exponent_vectors(pairs, k: int, ktab: list):
             yield coeff * km, out
 
 
-def _kernel_sum(field: dict, k: int, ktab: list, r: Scalar, mul):
+def _times(x, r: Fraction):
+    """x * r.  On a Python int (the Fraction path of _exact_sum) the
+    product is known to be an integer, so it is an exact division, and a
+    remainder raises instead of rounding."""
+    if not isinstance(x, int):
+        return x * r
+    y, rem = divmod(x * r.numerator, r.denominator)
+    if rem:
+        raise ArithmeticError(f"{x} * {r} is not an integer")
+    return y
+
+
+def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
     """Sum over all pair exponents m_ij in 0..N of prod ktab[m_ij] *
     prod field[flow_i], for k >= 2 and a geometric kernel: ktab[m+1] =
     r ktab[m] for m >= 1.
@@ -219,7 +245,7 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Scalar, mul):
     docstring); the other pairs are enumerated."""
     N = len(ktab) - 1
     L = (k - 2) * N
-    zero = field[0] * ZERO
+    zero = field[0] * 0
     S = {}
     for s in range(2 * L + 1):
         A = max(0, s - L)
@@ -229,19 +255,48 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Scalar, mul):
             T = T + mul(field[A - m], field[B + m]) * ktab[m]
         while True:
             ab = mul(field[A], field[B])
-            S[A, B] = ab + T
+            S[A, B] = ab * ktab[0] + T
             if A == min(s, L):
                 break
-            T = ab * ktab[1] + (T - mul(field[A - N], field[B + N]) * ktab[N]) * r
+            dropped = mul(field[A - N], field[B + N]) * ktab[N]
+            T = ab * ktab[1] + _times(T - dropped, r)
             A, B = A + 1, B - 1
+    # vectors with the same flows into the first k - 2 positions share
+    # their mode product, so each distinct outer flow costs k - 2 products
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    total = zero
+    inner = {}
     for coeff, flow in _exponent_vectors(pairs[:-1], k, ktab):
-        term = S[flow[-2], flow[-1]]
-        for e in flow[:-2]:
+        outer = tuple(flow[:-2])
+        term = S[flow[-2], flow[-1]] * coeff
+        acc = inner.get(outer)
+        inner[outer] = term if acc is None else acc + term
+    total = zero
+    for outer, term in inner.items():
+        for e in outer:
             term = mul(field[e], term)
-        total = total + term * coeff
+        total = total + term
     return total
+
+
+def _numerators(values: list) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over L, the lcm of their
+    denominators, and L."""
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def _exact_sum(kernel, field: dict, table: list, k: int, p: int, mul):
+    """kernel(field, table, mul), on Python ints when the field holds
+    Fractions: kernel, a sum of terms of degree k in the field and p in the
+    table, runs on the field scaled by D and the table by E (the lcms of
+    their denominators), and its total over D**k E**p is the value.  Any
+    other field (mode polynomials) runs kernel as given."""
+    if not all(isinstance(v, Fraction) for v in field.values()):
+        return kernel(field, table, mul)
+    values, D = _numerators(list(field.values()))
+    tab, E = _numerators(table)
+    total = kernel(dict(zip(field, values)), tab, operator.mul)
+    return Fraction(total, D**k * E**p)
 
 
 def _shell_tail(k: int, N: int, q: Scalar, h: Scalar, rho: Scalar) -> Scalar | None:
@@ -287,6 +342,13 @@ def I_k_def(
     (N+1)**(p-1) vectors plus O((k-1)**2 N**2) table products for p pairs.
     Modes outside the window raise unless a decay model (H, rho) is given;
     then they count as zero in the value and are charged to the tail bound.
+
+    A field of Fractions, and the tail's bound fields, are summed on
+    Python ints: the field scaled by D and the kernel table by E (the lcms
+    of their denominators) make the charge one Fraction, total / (D**k
+    E**p).  The table's step by r = q is then an exact division, since the
+    T it yields is again a sum of integer products; a remainder raises.
+    mul multiplies mode values that are not Fractions (mode polynomials).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -308,7 +370,14 @@ def I_k_def(
     zero = eta[0] * ZERO
     field = {e: eta[e] if abs(e) <= W else zero for e in range(-reach, reach + 1)}
     ktab = [_kernel_coeff(q, m) for m in range(N + 1)]
-    total = _kernel_sum(field, k, ktab, q, mul)
+
+    def charge(field, ktab, r, mul):
+        def kernel(f, t, mul):
+            return _kernel_sum(f, k, t, r, mul)
+
+        return _exact_sum(kernel, field, ktab, k, p, mul)
+
+    total = charge(field, ktab, q, mul)
     if decay is None:
         return IomResult(k, total, N, None)
     # Modes outside the window: the same sum with |K| over the bound field
@@ -320,8 +389,8 @@ def I_k_def(
         bound = {e: h * rho ** abs(e) for e in range(-reach, reach + 1)}
         inside = {e: v if abs(e) <= W else ZERO for e, v in bound.items()}
         atab = [abs(x) for x in ktab]
-        tail = _kernel_sum(bound, k, atab, abs(q), operator.mul) - _kernel_sum(
-            inside, k, atab, abs(q), operator.mul
+        tail = charge(bound, atab, abs(q), operator.mul) - charge(
+            inside, atab, abs(q), operator.mul
         )
     shells = _shell_tail(k, N, q, h, rho)
     return IomResult(k, total, N, None if shells is None else tail + shells)
@@ -337,24 +406,36 @@ def Ibar_k_def(xi: ModeVector, k: int, N: int, q: Scalar) -> IomResult:
 
 
 def M2_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
-    """Half the squared zero mode plus the geometric off-diagonal sum."""
+    """Half the squared zero mode plus the geometric off-diagonal sum, over
+    a table of q's powers; on integer numerators for a Fraction field."""
     if eta.N < N:
         raise ValueError("mode window too small")
-    total = Fraction(1, 2) * mul(eta[0], eta[0])
-    for m in range(1, N + 1):
-        total = total + q**m * mul(eta[-m], eta[m])
-    return total
+
+    def kernel(f, qtab, mul):
+        cross = f[0] * 0
+        for m in range(1, N + 1):
+            cross = cross + qtab[m] * mul(f[-m], f[m])
+        return Fraction(1, 2) * qtab[0] * mul(f[0], f[0]) + cross
+
+    field = {m: eta[m] for m in range(-N, N + 1)}
+    return _exact_sum(kernel, field, [q**m for m in range(N + 1)], 2, 1, mul)
 
 
 def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
-    """Cubic charge: third of the zero-mode cube plus the double kernel sum."""
+    """Cubic charge: third of the zero-mode cube plus the double kernel sum,
+    over a table of q's powers; on integer numerators for a Fraction field."""
     if eta.N < N:
         raise ValueError("mode window too small")
-    total = Fraction(1, 3) * mul(mul(eta[0], eta[0]), eta[0])
-    for r in range(0, N + 1):
-        for s in range(1, N + 1):
-            total = total + q ** (r + s) * mul(mul(eta[-r], eta[r - s]), eta[s])
-    return total
+
+    def kernel(f, qtab, mul):
+        cross = f[0] * 0
+        for r in range(0, N + 1):
+            for s in range(1, N + 1):
+                cross = cross + qtab[r + s] * mul(mul(f[-r], f[r - s]), f[s])
+        return Fraction(1, 3) * qtab[0] * mul(mul(f[0], f[0]), f[0]) + cross
+
+    field = {m: eta[m] for m in range(-N, N + 1)}
+    return _exact_sum(kernel, field, [q**j for j in range(2 * N + 1)], 3, 1, mul)
 
 
 @lru_cache(maxsize=None)
@@ -427,12 +508,12 @@ def closed_Ibar(k: int, p: ParamPoint) -> Scalar:
     return closed_I(k, p.inverted())
 
 
-def closed_M(i: int, p: ParamPoint, bar: bool = False) -> Scalar:
-    """Power-sum-route closed value (1 - q**i)/i times the extended power sum."""
+def closed_M(i: int, p: ParamPoint) -> Scalar:
+    """Power-sum-route closed value (1 - q**i)/i times the extended power
+    sum; the mirror value is the same at p.inverted()."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    pt = p.inverted() if bar else p
-    return (ONE - pt.q**i) * Fraction(1, i) * power_sum_extended(i, pt)
+    return (ONE - p.q**i) * Fraction(1, i) * power_sum_extended(i, p)
 
 
 # #### Newton map ##############################################################
@@ -444,17 +525,18 @@ def newton_normalizers(q: Scalar, k: int) -> list[Scalar]:
     return [q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1)]
 
 
-def M_from_I(i_values: list, p: ParamPoint, bar: bool = False):
+def M_from_I(i_values: list, p: ParamPoint):
     """Newton's-identities combination of the first k charges.
 
     Normalizes each charge by its triangular prefactor, feeds the list as
     elementary symmetric data to Newton's identities for the power sum, and
     rescales.  Generic over the value ring: Fractions or mode polynomials.
+    The mirror charges combine at p.inverted().
     """
     k = len(i_values)
     if k == 0:
         raise ValueError("need at least one charge value")
-    q = 1 / p.q if bar else p.q
+    q = p.q
     e = [v * w for v, w in zip(i_values, newton_normalizers(q, k))]
     p_k = newton_p_from_e(e)
     return p_k * ((ONE - q**k) * Fraction(1, k))

@@ -130,10 +130,11 @@ class ParamPoint:
                 aj = a[j]
                 if ai == aj or ai == q * aj or aj == q * ai:
                     raise ParamError("a entries hit an interaction pole")
-        for m in range(-GUARD_RANGE, GUARD_RANGE + 1):
-            qm_eps = q**m * eps
-            if any(qm_eps == ai for ai in a):
+        qm_eps = eps / q**GUARD_RANGE  # q**m * eps for m = -GUARD_RANGE, ...
+        for _ in range(2 * GUARD_RANGE + 1):
+            if qm_eps in a:
                 raise ParamError("q**m * eps hits an a entry")
+            qm_eps *= q
 
     @property
     def q(self) -> Scalar:

@@ -7,12 +7,14 @@ Division runs on Python ints.  series_inv inverts a one-sided t with unit
 constant term: with L the lcm of t's denominators and T_j = t_j L, the
 recurrence C_0 = 1, C_k = -sum_j T_j L**(j-1) C_{k-j} is integral and
 [w**k] 1/t = C_k / L**k, the Fraction recurrence c_k = -sum_j t_j c_{k-j}
-multiplied through by L**k.  series_div(h, t, lo, hi) returns degrees lo..hi
-of h / t: with H the lcm of h's denominators, degree e is one integer
-numerator over H L**top, top the largest inverse index its sum reaches, and
-becomes a Fraction once.  The inverse is taken as far as an asked degree
-reaches from h's far end, so each returned coefficient is the whole finite
-sum of its contributions: exact, with no window to track.
+multiplied through by L**k.  series_div(parts, lo, hi) returns degrees
+lo..hi of a sum of quotients h / t.  In each quotient, with H the lcm of h's
+denominators, degree e is one integer numerator over H L**top, top the
+largest inverse index its sum reaches; the quotients' numerators at e are
+summed over the product of their denominators, and the sum becomes a
+Fraction once.  Each inverse is taken as far as an asked degree reaches
+from h's far end, so each returned coefficient is the whole finite sum of
+its contributions: exact, with no window to track.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ def series_inv(t: Laurent, order: int):
     return d, inv, lpow
 
 
-def series_div(h: Laurent, t: Laurent, lo: int, hi: int) -> Laurent:
-    """The nonzero [var**e] h / t for lo <= e <= hi, 1/t expanded on t's
-    side; on Python ints, one Fraction per output degree (module docstring).
-    """
+def _quotient(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
+    """Degrees lo..hi of h / t, 1/t expanded on t's side, as unreduced
+    integer pairs (numerator, denominator); zeros left out."""
     # the largest inverse index any asked degree reaches from a degree of h
     if min(t, default=0) >= 0:
         order = hi - min(h, default=hi)
@@ -76,7 +77,7 @@ def series_div(h: Laurent, t: Laurent, lo: int, hi: int) -> Laurent:
     # denominator H L**top, top the largest inverse index the sum reaches
     H = math.lcm(*(c.denominator for c in h.values()))
     hn = [(d1, c.numerator * (H // c.denominator)) for d1, c in h.items()]
-    out: Laurent = {}
+    out = {}
     for e in range(lo, hi + 1):
         terms = [(n, d * (e - d1)) for d1, n in hn if 0 <= d * (e - d1) <= order]
         if not terms:
@@ -84,5 +85,23 @@ def series_div(h: Laurent, t: Laurent, lo: int, hi: int) -> Laurent:
         top = max(k for _, k in terms)
         num = sum(n * inv[k] * lpow[top - k] for n, k in terms)
         if num:
-            out[e] = Scalar(num, H * lpow[top])
+            out[e] = (num, H * lpow[top])
+    return out
+
+
+def series_div(parts, lo: int, hi: int) -> Laurent:
+    """The nonzero [var**e] of the sum of h / t over parts (h, t), for
+    lo <= e <= hi, each 1/t expanded on its t's side; on Python ints, one
+    Fraction per output degree (module docstring).
+    """
+    quotients = [_quotient(h, t, lo, hi) for h, t in parts]
+    out: Laurent = {}
+    for e in range(lo, hi + 1):
+        num, den = 0, 1
+        for q in quotients:
+            if e in q:
+                n, d = q[e]
+                num, den = num * d + n * den, den * d
+        if num:
+            out[e] = Scalar(num, den)
     return out

@@ -16,9 +16,9 @@ operations multiply each b_k by an explicit rational factor.
 With its amplitudes filled in, a tau object is an exact Laurent polynomial
 in z (see series).  The field eps tau_-(z/q) tau_+(qz) / (tau_-(z) tau_+(z))
 and its dual are expanded on the unit circle: a Bezout split of the
-reciprocal gives one series_div per tau factor, each asked for degrees
--window..window.  The result holds every such degree, zeros included, each
-exact; a mode read past the window raises.
+reciprocal gives one quotient per tau factor, and one series_div sums the
+two over degrees -window..window.  The result holds every such degree,
+zeros included, each exact; a mode read past the window raises.
 """
 
 from __future__ import annotations
@@ -234,16 +234,24 @@ def bilinear(f: SolitonTau, g: SolitonTau, ops) -> Symbolic:
 
     Each term pair is a joint eigenvector: D contributes the eigenvalue
     difference, so (D + shift)**power contributes an exact scalar factor.
+    The eigenvalues are taken once per term and op, the shift joined to
+    f's side, and each pair combines them.
     """
     ops = list(ops)
+    lams = [
+        [flow_eigenvalue(f.params, t, op.kind, op.order) + op.shift for op in ops]
+        for t in f.terms
+    ]
+    mus = [
+        [flow_eigenvalue(g.params, t, op.kind, op.order) for op in ops]
+        for t in g.terms
+    ]
     out: Symbolic = {}
-    for tf in f.terms:
-        for tg in g.terms:
+    for tf, lam in zip(f.terms, lams):
+        for tg, mu in zip(g.terms, mus):
             c = tf.coeff * tg.coeff
-            for op in ops:
-                lam = flow_eigenvalue(f.params, tf, op.kind, op.order)
-                mu = flow_eigenvalue(g.params, tg, op.kind, op.order)
-                c *= (lam - mu + op.shift) ** op.power
+            for op, lam_s, mu_s in zip(ops, lam, mu):
+                c *= (lam_s - mu_s) ** op.power
             if not c:
                 continue
             key = (
@@ -385,8 +393,8 @@ def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laure
 
     The two inverses cannot be convolved directly, so the reciprocal is
     split as z**deg * u / tp + v / tm with u, v from the Bezout identity of
-    the (coprime) polynomial forms of the two factors.  Each part is one
-    series_div.
+    the (coprime) polynomial forms of the two factors.  One series_div sums
+    the two parts, one Fraction per degree.
     """
     n_m = -min(tm)
     f = [tm.get(i - n_m, ZERO) for i in range(n_m + 1)]
@@ -394,14 +402,10 @@ def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laure
     u, v = _poly_bezout(f, g)
     up = {i + n_m: c for i, c in enumerate(u) if c}
     vp = {i: c for i, c in enumerate(v) if c}
-    out = dict.fromkeys(range(-window, window + 1), ZERO)
-    for part in (
-        series_div(series_mul(num, up), tp, -window, window),
-        series_div(series_mul(num, vp), tm, -window, window),
-    ):
-        for e, c in part.items():
-            out[e] += c
-    return out
+    out = series_div(
+        [(series_mul(num, up), tp), (series_mul(num, vp), tm)], -window, window
+    )
+    return {e: out.get(e, ZERO) for e in range(-window, window + 1)}
 
 
 def _subs(p: Laurent, c: Scalar) -> Laurent:

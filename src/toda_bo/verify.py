@@ -794,13 +794,11 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     exact_ok = True
     for j in range(20):
         params = sample_param_point(rng, j % 3, s=S)
-        for bar in (False, True):
-            closed_list = [
-                (closed_Ibar if bar else closed_I)(i, params) for i in range(1, 5)
-            ]
+        # the mirror side is the plain side at the inverted point
+        for pt in (params, params.inverted()):
+            closed_list = [closed_I(i, pt) for i in range(1, 5)]
             for kk in range(1, 5):
-                lhs = M_from_I(closed_list[:kk], params, bar=bar)
-                if lhs != closed_M(kk, params, bar=bar):
+                if M_from_I(closed_list[:kk], pt) != closed_M(kk, pt):
                     exact_ok = False
         exact_pts += 1
 

@@ -426,6 +426,17 @@ def test_evolve_blow_up_process_prints_one_line(tmp_path):
 
 # #### pinned tau-ratio outputs ################################################
 
+# iom --k K --solitons N --modes 48 --seed 7, by (K, N)
+_WAVES = {"1": "one-wave", "2": "two-waves"}
+_IOM_DIGESTS = {
+    ("1", "1"): "a66a052f47c3ea533db2a8467f1492d692d6e4665f8f25d9f7cfaec55358f31a",
+    ("1", "2"): "d57427aa2275794fcd22938ebbb1d503d5c8bceee77f8f59368f926cfc465449",
+    ("2", "1"): "ad473f3996feefbe3b732c1e6d0522c65506d71fad37543a04afec381f0b1173",
+    ("2", "2"): "563ab1e48fe76c8329fbac6ca18a57d28e40a349e53ef99427ac97d0b77725ce",
+    ("3", "1"): "6e8f2c154b124b54c65e83d7f88b3b6e16705cc9abb6f8c4eaa2b4c5f4b89643",
+    ("3", "2"): "6f0113ec0ac4536d5fa218fb4e8593273834adb4e230599fe221f5ceb5fd6917",
+}
+
 
 @pytest.mark.parametrize(
     "argv, digest",
@@ -434,15 +445,19 @@ def test_evolve_blow_up_process_prints_one_line(tmp_path):
             ["soliton", "--spec", "SPEC", "--eval", "--window", "64"],
             "8c0a5a0a5f15e650926957c027ba048783cc04f237033044def4912778e2ffb3",
         ),
+    ]
+    + [
         (
-            ["iom", "--k", "3", "--solitons", "2", "--modes", "48", "--seed", "7"],
-            "6f0113ec0ac4536d5fa218fb4e8593273834adb4e230599fe221f5ceb5fd6917",
-        ),
+            ["iom", "--k", k, "--solitons", n, "--modes", "48", "--seed", "7"],
+            digest,
+        )
+        for (k, n), digest in _IOM_DIGESTS.items()
     ],
-    ids=["soliton-eval-w64", "iom-k3-two-waves"],
+    ids=["soliton-eval-w64"] + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
 )
 def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # both read the exact tau ratio; SPEC is README's one-wave spec
+    # all read the exact tau ratio; SPEC is README's one-wave spec; the iom
+    # runs carry the charge value and its tail bound
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(_WAVE))
     argv = [str(path) if a == "SPEC" else a for a in argv]

@@ -17,6 +17,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toda_bo import iom
 from toda_bo.iom import (
     Ibar_k_def,
     I_k_def,
@@ -31,6 +32,7 @@ from toda_bo.iom import (
     closed_M,
     _kernel_coeff,
     _shell_tail,
+    _times,
     capped_mul,
     fit_decay,
     mode_table,
@@ -178,20 +180,74 @@ def test_charge_matches_literal_enumeration(k, kind, case):
         assert res.tail == outside + _shell_tail(k, N, qq, *decay)
 
 
-def test_third_charge_work_is_quadratic_in_the_cutoff():
-    # the literal enumeration makes 2 products per vector, 2 (N+1)**3 in all
+def test_third_charge_work_is_quadratic_in_the_cutoff(monkeypatch):
+    # the literal enumeration makes 2 products per vector, 2 (N+1)**3 in all;
+    # a Fraction field is summed on its integer numerators, so the count is
+    # of the mode products the one kernel sum makes on that path
     calls = 0
+    kernel_sum = iom._kernel_sum
 
-    def counting_mul(a, b):
-        nonlocal calls
-        calls += 1
-        return a * b
+    def counting_sum(field, k, ktab, r, mul):
+        assert all(type(v) is int for v in field.values())
+
+        def counting_mul(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        return kernel_sum(field, k, ktab, r, counting_mul)
 
     N = 24
     mv = eta_modes(P1, (F(1, 2),), 2 * N)
-    res = I_k_def(mv, 3, N, Q, mul=counting_mul)
-    assert res.value == I_k_def(mv, 3, N, Q).value
+    expect = I_k_def(mv, 3, N, Q).value
+    monkeypatch.setattr(iom, "_kernel_sum", counting_sum)
+    assert I_k_def(mv, 3, N, Q).value == expect
     assert 0 < calls <= 6 * (N + 1) ** 2
+
+
+def test_anti_diagonal_step_on_integers_is_exact_or_raises():
+    assert _times(12, F(3, 4)) == 9
+    assert _times(-12, F(-3, 4)) == 9
+    assert _times(F(1, 3), F(3, 4)) == F(1, 4)
+    with pytest.raises(ArithmeticError):
+        _times(13, F(3, 4))
+
+
+@st.composite
+def rational_fields(draw):
+    """(modes, k, N, kernel parameter, decay): modes with unrelated
+    denominators on a window that covers the charge's reach, or, with a
+    decay model, one that may not."""
+    k = draw(st.integers(2, 4))
+    N = draw(st.integers(1, 3 if k < 4 else 2))
+    reach = (k - 1) * N
+    decay = None
+    if draw(st.booleans()):
+        decay = (F(draw(st.integers(1, 9)), 4), F(draw(st.integers(1, 7)), 8))
+        W = draw(st.integers(0, reach))
+    else:
+        W = draw(st.integers(reach, reach + 1))
+    value = st.builds(F, st.integers(-60, 60), st.integers(1, 97))
+    modes = ModeVector(W, {m: draw(value) for m in range(-W, W + 1)})
+    q = F(draw(st.integers(1, 9)), draw(st.integers(2, 11)))
+    if draw(st.booleans()):
+        q = 1 / q
+    return modes, k, N, q, decay
+
+
+@given(rational_fields())
+@settings(max_examples=80, deadline=None)
+def test_integer_charge_equals_literal_enumeration(case):
+    # the integer sum at q and at 1/q, value and tail, is the literal sum
+    mv, k, N, q, decay = case
+    res = I_k_def(mv, k, N, q, decay=decay)
+    value, outside = literal_charge(mv, k, N, q, decay)
+    assert res.value == value
+    if decay is None:
+        assert res.tail is None
+    else:
+        shells = _shell_tail(k, N, q, *decay)
+        assert res.tail == (None if shells is None else outside + shells)
 
 
 def test_out_of_window_mode_is_named_without_decay():
@@ -208,6 +264,50 @@ def test_constant_field_powers():
         assert I_k_def(mv, k, 8, Q).value == F(1, 8) ** k
     assert M2_kernel(mv, 8, Q) == F(1, 8) ** 2 / 2
     assert M3_kernel(mv, 8, Q) == F(1, 8) ** 3 / 3
+
+
+def literal_m2(eta, N, q, mul=operator.mul):
+    """The quadratic kernel charge one term at a time, q**m per term."""
+    total = F(1, 2) * mul(eta[0], eta[0])
+    for m in range(1, N + 1):
+        total = total + q**m * mul(eta[-m], eta[m])
+    return total
+
+
+def literal_m3(eta, N, q, mul=operator.mul):
+    """The cubic kernel charge one term at a time, q**(r+s) per term."""
+    total = F(1, 3) * mul(mul(eta[0], eta[0]), eta[0])
+    for r in range(0, N + 1):
+        for s in range(1, N + 1):
+            total = total + q ** (r + s) * mul(mul(eta[-r], eta[r - s]), eta[s])
+    return total
+
+
+@given(
+    N=st.integers(0, 6),
+    extra=st.integers(0, 2),
+    q=st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 11)),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_m2_m3_kernels_equal_the_term_by_term_sums(N, extra, q, data):
+    # Fraction modes with unrelated denominators, summed on integer numerators
+    W = N + extra
+    value = st.builds(F, st.integers(-60, 60), st.integers(1, 97))
+    mv = ModeVector(W, {m: data.draw(value) for m in range(-W, W + 1)})
+    assert M2_kernel(mv, N, q) == literal_m2(mv, N, q)
+    assert M3_kernel(mv, N, q) == literal_m3(mv, N, q)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_m2_m3_kernels_on_mode_polynomials_equal_the_term_by_term_sums(kind):
+    # the functional path: mode polynomials, capped and uncapped products
+    N = CTX_SMALL.trunc.n_modes
+    mv = mode_table(CTX_SMALL)
+    qq = CTX_SMALL.q if kind == "plus" else 1 / CTX_SMALL.q
+    for mul in (capped_mul(CTX_SMALL), operator.mul):
+        assert M2_kernel(mv, N, qq, mul) == literal_m2(mv, N, qq, mul)
+        assert M3_kernel(mv, N, qq, mul) == literal_m3(mv, N, qq, mul)
 
 
 def test_minus_orientation_is_inverted_plus():
@@ -250,16 +350,16 @@ def test_closed_matches_constant_field_at_empty_point():
 def test_closed_M_base_cases():
     for params in (P0, P1, P2):
         assert closed_M(1, params) == closed_I(1, params)
-        assert closed_M(1, params, bar=True) == closed_Ibar(1, params)
+        assert closed_M(1, params.inverted()) == closed_Ibar(1, params)
 
 
 def test_newton_closed_consistency():
+    # the mirror charges combine at the inverted point
     for params in (P0, P1, P2):
-        for bar in (False, True):
-            close = closed_Ibar if bar else closed_I
+        for pt, close in ((params, closed_I), (params.inverted(), closed_Ibar)):
             vals = [close(j, params) for j in range(1, 5)]
             for k in (1, 2, 3, 4):
-                assert M_from_I(vals[:k], params, bar) == closed_M(k, params, bar)
+                assert M_from_I(vals[:k], pt) == closed_M(k, pt)
 
 
 # #### functional route ########################################################
@@ -299,7 +399,7 @@ def test_mbar_newton_matches_kernel_on_window():
     N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
     qbar = 1 / CTX.q
     vals = [Ibar_k_def(mv, k, N, CTX.q).value for k in (1, 2)]
-    newton = M_from_I(vals, P1, bar=True)
+    newton = M_from_I(vals, P1.inverted())
     assert newton.pruned(N, D) == M2_kernel(mv, N, qbar).pruned(N, D)
 
 

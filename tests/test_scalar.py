@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from toda_bo.iom import I_k_def, mode_table
 from toda_bo.modes import AlphaPoly, ModeContext, ModeTrunc
 from toda_bo.scalar import (
+    GUARD_RANGE,
     ONE,
     ParamError,
     ParamPoint,
@@ -331,6 +332,18 @@ def test_param_point_guards():
     with pytest.raises(ParamError):
         # eps * q**2 hits a_1
         ParamPoint(s=F(1, 2), eps=F(1, 5), a=(F(1, 80),))
+
+
+def test_param_point_guard_covers_exactly_the_guard_range():
+    # q**m * eps is refused as a wave number for |m| <= GUARD_RANGE only
+    s, eps = F(1, 2), F(1, 8)
+    for m in range(-GUARD_RANGE - 2, GUARD_RANGE + 3):
+        a = (s ** (2 * m) * eps,)
+        if abs(m) <= GUARD_RANGE:
+            with pytest.raises(ParamError):
+                ParamPoint(s=s, eps=eps, a=a)
+        else:
+            assert ParamPoint(s=s, eps=eps, a=a).a == a
 
 
 def test_param_point_inverted_round_trip():

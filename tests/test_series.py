@@ -7,7 +7,8 @@ the integer inverse `series_inv` against `literal_inv`, the Fraction
 recurrence written out term by term, and the integer division `series_div`
 against `literal_div`, the product with that inverse taken to an order from
 a generous bound of its own (the asked degrees' and h's largest moduli),
-not from the order series_div derives.
+not from the order series_div derives; a sum of quotients against the sum
+of their literal divisions.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ ONE_SERIES = poly({0: 1})
 
 def test_inv_geometric_series():
     f = poly({0: 1, 1: -1})
-    assert series_div(ONE_SERIES, f, 0, 16) == {k: ONE for k in range(17)}
+    assert series_div([(ONE_SERIES, f)], 0, 16) == {k: ONE for k in range(17)}
     # an upward inverse has no degree below h's lowest
-    assert series_div(ONE_SERIES, f, -5, 3) == {k: ONE for k in range(4)}
-    assert series_div(poly({2: 1}), f, -5, 1) == {}
+    assert series_div([(ONE_SERIES, f)], -5, 3) == {k: ONE for k in range(4)}
+    assert series_div([(poly({2: 1}), f)], -5, 1) == {}
 
 
 def test_inv_multiply_back_is_one():
@@ -137,14 +138,14 @@ def test_inv_multiply_back_is_one():
     rng = random.Random(7)
     for _ in range(10):
         f = {0: ONE, **poly({d: rng.randint(-4, 4) for d in range(1, 5)})}
-        g = series_div(ONE_SERIES, f, 0, 16)
+        g = series_div([(ONE_SERIES, f)], 0, 16)
         prod = series_mul(f, g)
         assert {e: c for e, c in prod.items() if e <= 16} == {0: ONE}
 
 
 def test_inv_downward_orientation():
     f = poly({0: 1, -1: F(1, 2)})
-    g = series_div(ONE_SERIES, f, -12, 0)
+    g = series_div([(ONE_SERIES, f)], -12, 0)
     assert g == {-k: F(-1, 2) ** k for k in range(13)}
     assert g[-3] == F(-1, 8)
     prod = series_mul(f, g)
@@ -153,9 +154,9 @@ def test_inv_downward_orientation():
 
 def test_inv_requires_unit_constant():
     with pytest.raises(ValueError):
-        series_div(ONE_SERIES, poly({0: 2}), 0, 0)
+        series_div([(ONE_SERIES, poly({0: 2}))], 0, 0)
     with pytest.raises(ValueError):
-        series_div(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}), -4, 4)
+        series_div([(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}))], -4, 4)
 
 
 rationals = st.builds(
@@ -197,8 +198,18 @@ def test_inv_integer_form_equals_literal_inverse(case):
 def test_div_equals_literal_product_with_inverse(case):
     # every asked degree, exactly, and nothing outside lo..hi or zero
     h, t, lo, hi = case
-    out = series_div(h, t, lo, hi)
+    out = series_div([(h, t)], lo, hi)
     assert out == literal_div(h, t, lo, hi)
+    assert all(lo <= e <= hi and c for e, c in out.items())
+
+
+@given(division_cases(), division_cases())
+@settings(max_examples=100, deadline=None)
+def test_div_of_two_parts_equals_the_sum_of_literal_divisions(one, two):
+    # both parts on the first case's degrees, in either orientation each
+    (h1, t1, lo, hi), (h2, t2, _, _) = one, two
+    out = series_div([(h1, t1), (h2, t2)], lo, hi)
+    assert out == add(literal_div(h1, t1, lo, hi), literal_div(h2, t2, lo, hi))
     assert all(lo <= e <= hi and c for e, c in out.items())
 
 
@@ -212,13 +223,14 @@ def test_div_rejects_what_the_literal_inverse_rejects(t):
     with pytest.raises(ValueError):
         literal_inv(t, 4)
     with pytest.raises(ValueError):
-        series_div(h, t, -4, 4)
+        series_div([(h, t)], -4, 4)
 
 
 def test_div_builds_one_fraction_per_output_degree(monkeypatch):
     # the evolve reference's traffic at W = 64: the numerator of one wave
-    # over its upper tau, with a float-lifted amplitude (49-bit denominator);
-    # the literal product builds several Fractions per term of each degree
+    # over its upper and over its lower tau, with a float-lifted amplitude
+    # (49-bit denominator); the literal product builds several Fractions per
+    # term of each degree, and adding the two quotients one more
     b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
     q = DEFAULT_POINT.q
     tp = make_tau_plus(DEFAULT_POINT).to_series(b)
@@ -234,6 +246,6 @@ def test_div_builds_one_fraction_per_output_degree(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(F, "__new__", counting_new)
-        out = series_div(h, tp, -64, 64)
-    assert out == literal_div(h, tp, -64, 64)
-    assert 0 < built <= 129 + len(h) + len(tp)
+        out = series_div([(h, tp), (h, tm)], -64, 64)
+    assert out == add(literal_div(h, tp, -64, 64), literal_div(h, tm, -64, 64))
+    assert 0 < built <= 129

@@ -15,6 +15,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bo import soliton
 from toda_bo.evolve import DEFAULT_AMPLITUDES, DEFAULT_POINT
@@ -43,7 +45,7 @@ from toda_bo.soliton import (
     xi_series_from_taus,
 )
 
-from test_series import literal_div, subs
+from test_series import add, literal_div, subs
 
 P0 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=())
 P1 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
@@ -179,6 +181,68 @@ def test_bilinear_affine_power_expands():
     assert symbolic_sub(expect, d2) == {}
 
 
+def literal_bilinear(f, g, ops):
+    """bilinear with both eigenvalues taken afresh for every term pair."""
+    out = {}
+    for tf in f.terms:
+        for tg in g.terms:
+            c = tf.coeff * tg.coeff
+            for op in ops:
+                lam = flow_eigenvalue(f.params, tf, op.kind, op.order)
+                mu = flow_eigenvalue(g.params, tg, op.kind, op.order)
+                c *= (lam - mu + op.shift) ** op.power
+            key = (
+                tf.z_power + tg.z_power,
+                tuple(x + y for x, y in zip(tf.b_exp, tg.b_exp)),
+            )
+            out[key] = out.get(key, F(0)) + c
+    return {k: v for k, v in out.items() if v}
+
+
+@given(
+    n=st.integers(0, 3),
+    ops=st.lists(
+        st.builds(
+            BilinearOp,
+            st.sampled_from(["t", "tbar"]),
+            st.integers(1, 3),
+            st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
+            st.integers(1, 3),
+        ),
+        max_size=3,
+    ),
+    shifted=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_bilinear_equals_the_per_pair_loop(n, ops, shifted):
+    params = (P0, P1, P2, P3)[n]
+    tp, tm = make_tau_plus(params), make_tau_minus(params)
+    if shifted:
+        tm, tp = tm.subs_scale(1 / params.q), tp.subs_scale(params.q)
+    assert bilinear(tm, tp, ops) == literal_bilinear(tm, tp, ops)
+    assert bilinear(tp, tm, ops) == literal_bilinear(tp, tm, ops)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
+    # 2**n terms on each side: 2 * 2**n eigenvalues per op, not 2 * 4**n
+    params = (P0, P1, P2, P3)[n]
+    tp, tm = make_tau_plus(params), make_tau_minus(params)
+    assert len(tp.terms) == len(tm.terms) == 2**n
+    ops = [BilinearOp("t", 1, F(1, 3), 2), BilinearOp("tbar", 2)]
+    expect = literal_bilinear(tm, tp, ops)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return flow_eigenvalue(*args)
+
+    monkeypatch.setattr(soliton, "flow_eigenvalue", counting)
+    assert bilinear(tm, tp, ops) == expect
+    assert calls == 2 * 2**n * len(ops)
+
+
 def test_subs_scale_powers():
     tau = make_tau_plus(P2).subs_scale(F(3))
     sym = tau.symbolic()
@@ -240,6 +304,13 @@ def test_xi_window_cross_multiplies_exactly():
         assert lhs == on_range({d: c / params.eps for d, c in rhs.items()}, lhs)
 
 
+def literal_div_sum(parts, lo, hi):
+    out = {}
+    for h, t in parts:
+        out = add(out, literal_div(h, t, lo, hi))
+    return out
+
+
 @pytest.fixture
 def literal_pipeline(monkeypatch):
     """Run a tau-ratio builder once as shipped and once with every division
@@ -248,7 +319,7 @@ def literal_pipeline(monkeypatch):
     def both(build, *args):
         fast = build(*args)
         with monkeypatch.context() as m:
-            m.setattr(soliton, "series_div", literal_div)
+            m.setattr(soliton, "series_div", literal_div_sum)
             return fast, build(*args)
 
     return both

@@ -9,8 +9,8 @@ violations instead of passing, one wrong coefficient in the order-3 Toda
 equation table must fail both the exact and the windowed check that read it,
 and one wrong coefficient in the lemma table must fail its windowed check.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
-reports of the exact and lemma-t3 groups, of the bracket group and of the
-m2/m3-consistency checks are pinned to their sha256.
+reports of the exact and lemma-t3 groups, of the bracket group, of the
+m2/m3-consistency checks and of conj-iom are pinned to their sha256.
 """
 
 from __future__ import annotations
@@ -431,6 +431,17 @@ def test_m_consistency_report_bytes_are_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "682b66a0cbee81472deac8a986bbba490aec5317b9b0f67c774574e7d71dc6a2"
+    )
+
+
+def test_conj_iom_report_bytes_are_pinned(capsys):
+    # the charge ladders at N = 16, 32, 48 and the mirror ladders; the
+    # benchmark's verify workload leaves this check out
+    rc = main(["verify", "--identity", "conj-iom", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b01630257376375209cba57c8ec865c5262136e9a33a254ff57cb5f007630cea"
     )
 
 
