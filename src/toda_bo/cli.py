@@ -88,7 +88,7 @@ def _cmd_iom(args) -> int:
     rng = random.Random(args.seed)
     params, b = sample_decaying(S, rng, args.solitons)
     window = 2 * args.modes
-    mv = ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+    mv = ModeVector.from_series(eta_series_from_taus(params, b, window))
     decay = soliton_decay(params, b, mv)
     res = I_k_def(mv, args.k, args.modes, params.q, decay=decay)
     closed = closed_I(args.k, params)
@@ -178,9 +178,7 @@ def _cmd_soliton(args) -> int:
         }
         if args.eval:
             rep = decay_report(params, b)
-            table = modes_from_series(
-                eta_series_from_taus(params, b, args.window), args.window
-            )
+            table = modes_from_series(eta_series_from_taus(params, b, args.window))
             doc["tau_plus_values"] = _tau_values(tp, b)
             doc["tau_minus_values"] = _tau_values(tm, b)
             doc["eta_modes"] = {

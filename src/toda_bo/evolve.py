@@ -149,7 +149,7 @@ class RandomInit:
 
 def _exact_modes(point: ParamPoint, b, N: int) -> np.ndarray:
     """The field's exact modes for |m| <= N, rendered to doubles."""
-    table = modes_from_series(eta_series_from_taus(point, b, N), N)
+    table = modes_from_series(eta_series_from_taus(point, b, N))
     return np.array(
         [complex(table[m]) for m in range(-N, N + 1)], dtype=np.complex128
     )

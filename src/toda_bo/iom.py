@@ -49,6 +49,12 @@ normalized k-point charges admit closed forms at soliton points; both the
 closed forms and the quadratic/cubic kernel formulas live here so callers
 can cross-check the independent routes.
 
+Truncation bounds live beside what they bound, for modes under a decay
+model |mode m| <= H rho**|m|: _shell_tail bounds the kernel shells that
+I_k_def drops past its cutoff, kernel_tail what M2_kernel and M3_kernel
+drop, and newton_error_bound how far M_from_I moves when each charge moves
+by its tail bound.
+
 Soundness of the functional (mode-polynomial) builders at full claimed
 weight: a weight-w output monomial factors as mu_1..mu_j with each factor
 weight at least the absolute mode index it came from, so every contributing
@@ -69,6 +75,7 @@ from .scalar import (
     ONE,
     ZERO,
     BudgetError,
+    ParamError,
     ParamPoint,
     Scalar,
     e_geometric_tail,
@@ -110,8 +117,8 @@ class ModeVector:
             )
 
     @classmethod
-    def from_series(cls, f, N: int) -> "ModeVector":
-        return cls(N, modes_from_series(f, N))
+    def from_series(cls, f) -> "ModeVector":
+        return cls(max(f), modes_from_series(f))
 
     def __getitem__(self, m: int):
         return self.values[m]
@@ -120,39 +127,23 @@ class ModeVector:
 # #### exact geometric-polynomial tails ########################################
 
 
-def _stirling2(j: int) -> list[list[Scalar]]:
-    s = [[ONE]]
-    for n in range(1, j + 1):
-        row = [ZERO] * (n + 1)
-        for t in range(1, n + 1):
-            below = s[n - 1]
-            row[t] = (below[t] if t < n else ZERO) * t + below[t - 1]
-        s.append(row)
-    return s
-
-
 def power_geometric_tail(j: int, r: Scalar, N: int) -> Scalar:
     """Exact sum over M > N of (M+1)**j * r**M, for 0 <= r < 1.
 
-    sum_t t**i r**t collapses to factorial/geometric closed form through
-    Stirling numbers; the shifted power splits binomially.
+    With M = N + 1 + t the sum is r**(N+1) sum_i C(j, i) (N+2)**(j-i) S_i,
+    S_i = sum_{t>=0} t**i r**t.  S_0 = 1/(1 - r), and shifting t -> t + 1
+    gives (1 - r) S_i = r sum_{l<i} C(i, l) S_l.
     """
     if not 0 <= r < 1:
         raise ValueError("ratio must lie in [0, 1)")
-    if r == 0:
-        return ZERO
-    s2 = _stirling2(j)
-    t_full = [ONE / (ONE - r)]
+    S = [ONE / (ONE - r)]
     for i in range(1, j + 1):
-        acc = ZERO
-        for l in range(1, i + 1):
-            acc += s2[i][l] * math.factorial(l) * r**l / (ONE - r) ** (l + 1)
-        t_full.append(acc)
-    c = N + 2
-    total = ZERO
-    for i in range(j + 1):
-        total += math.comb(j, i) * Fraction(c) ** (j - i) * t_full[i]
-    return r ** (N + 1) * total
+        lower = sum((math.comb(i, l) * S[l] for l in range(i)), ZERO)
+        S.append(r * lower / (ONE - r))
+    c = Fraction(N + 2)
+    return r ** (N + 1) * sum(
+        (math.comb(j, i) * c ** (j - i) * S[i] for i in range(j + 1)), ZERO
+    )
 
 
 # #### k-point kernel charges ##################################################
@@ -167,10 +158,8 @@ class IomResult:
     any modes outside the supplied window, assuming |mode m| <= H rho**|m|.
     """
 
-    k: int
     value: object
-    N: int
-    tail: Scalar | None = None
+    tail: Scalar | None
 
 
 def _kernel_coeff(qq: Scalar, m: int) -> Scalar:
@@ -335,7 +324,7 @@ def I_k_def(
     """Constant term of k field copies against pair kernels, truncated at N.
 
     The pair kernel is (1 - w)/(1 - q w); the mirror orientation is the
-    same sum at 1/q (Ibar_k_def).  Pair exponents m_{ij} <= N contribute the
+    same sum at 1/q.  Pair exponents m_{ij} <= N contribute the
     mode product at indices given by the net exponent flow through each
     position; a k >= 2 charge reaches |flow| <= (k-1) N.  The last pair is
     summed from an anti-diagonal table (module docstring), so the work is
@@ -360,7 +349,7 @@ def I_k_def(
         if not 0 < rho < 1:
             raise ValueError("decay ratio must lie in (0, 1)")
     if p == 0:
-        return IomResult(k, eta[0], N, ZERO)
+        return IomResult(eta[0], ZERO)
     W, reach = eta.N, (k - 1) * N
     if reach > W and decay is None:
         raise ValueError(
@@ -379,7 +368,7 @@ def I_k_def(
 
     total = charge(field, ktab, q, mul)
     if decay is None:
-        return IomResult(k, total, N, None)
+        return IomResult(total, None)
     # Modes outside the window: the same sum with |K| over the bound field
     # H rho**|e|, taken over every index minus taken over the window only,
     # is the sum of |coeff| H**k rho**(sum |flow|) over the vectors that
@@ -393,13 +382,7 @@ def I_k_def(
             inside, atab, abs(q), operator.mul
         )
     shells = _shell_tail(k, N, q, h, rho)
-    return IomResult(k, total, N, None if shells is None else tail + shells)
-
-
-def Ibar_k_def(xi: ModeVector, k: int, N: int, q: Scalar) -> IomResult:
-    """Mirror-orientation charge over the dual field's modes: the kernel
-    enumeration of I_k_def at the inverted deformation parameter."""
-    return I_k_def(xi, k, N, 1 / q)
+    return IomResult(total, None if shells is None else tail + shells)
 
 
 # #### quadratic and cubic kernel formulas #####################################
@@ -436,6 +419,25 @@ def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
 
     field = {m: eta[m] for m in range(-N, N + 1)}
     return _exact_sum(kernel, field, [q**j for j in range(2 * N + 1)], 3, 1, mul)
+
+
+def kernel_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scalar:
+    """Bound on what M2_kernel (k = 2) or M3_kernel (k = 3) drops past N for
+    modes |eta[m]| <= H rho**|m|: each dropped term is at most H**k x**(its q
+    power), x = q rho**2 or q rho, and M3 drops at most 2u - 1 pairs at q
+    power N + u.  Raises ParamError unless 0 < x < 1."""
+    h, rho = decay
+    if k == 2:
+        x = q * rho * rho
+        if not 0 < x < 1:
+            raise ParamError("kernel tail needs q rho**2 inside the unit interval")
+        return h * h * x ** (N + 1) / (1 - x)
+    if k == 3:
+        x = q * rho
+        if not 0 < x < 1:
+            raise ParamError("kernel tail needs q rho inside the unit interval")
+        return h**3 * x ** (N + 1) * (1 + x) / (1 - x) ** 2
+    raise ValueError("kernel tail implemented for k in {2, 3}")
 
 
 @lru_cache(maxsize=None)
@@ -503,11 +505,6 @@ def closed_I(k: int, p: ParamPoint) -> Scalar:
     return pref * total
 
 
-def closed_Ibar(k: int, p: ParamPoint) -> Scalar:
-    """Mirror charge: the closed form at the inverted point."""
-    return closed_I(k, p.inverted())
-
-
 def closed_M(i: int, p: ParamPoint) -> Scalar:
     """Power-sum-route closed value (1 - q**i)/i times the extended power
     sum; the mirror value is the same at p.inverted()."""
@@ -540,3 +537,25 @@ def M_from_I(i_values: list, p: ParamPoint):
     e = [v * w for v, w in zip(i_values, newton_normalizers(q, k))]
     p_k = newton_p_from_e(e)
     return p_k * ((ONE - q**k) * Fraction(1, k))
+
+
+def newton_error_bound(results: list[IomResult], p: ParamPoint) -> Scalar:
+    """Worst-case shift of M_from_I over k = len(results) in {2, 3} charges
+    when each moves by its tail bound, on explicit monomial bounds; a result
+    without a tail bound raises ParamError."""
+    if any(r.tail is None for r in results):
+        raise ParamError("charge tail bound unavailable at this decay rate")
+    k = len(results)
+    q = p.q
+    w = newton_normalizers(q, k)
+    e = [abs(r.value) * abs(wj) for r, wj in zip(results, w)]
+    d = [r.tail * abs(wj) for r, wj in zip(results, w)]
+    if k == 2:
+        c = abs(1 - q**2) / 2
+        return c * (2 * (e[0] + d[0]) * d[0] + 2 * d[1])
+    if k == 3:
+        c = abs(1 - q**3) / 3
+        cube = 3 * (e[0] + d[0]) ** 2 * d[0]
+        cross = 3 * (e[0] * d[1] + e[1] * d[0] + d[0] * d[1])
+        return c * (cube + cross + 3 * d[2])
+    raise ValueError("error bound implemented for k in {2, 3}")

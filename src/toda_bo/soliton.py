@@ -54,14 +54,12 @@ class SolitonTerm:
 
 @dataclass(frozen=True)
 class SolitonTau:
-    sign: str
     params: ParamPoint
     terms: tuple[SolitonTerm, ...]
 
     def subs_scale(self, c: Scalar) -> "SolitonTau":
         """Substitute z -> c * z."""
         return SolitonTau(
-            self.sign,
             self.params,
             tuple(
                 SolitonTerm(t.z_power, t.b_exp, t.coeff * Fraction(c) ** t.z_power)
@@ -138,7 +136,7 @@ def make_tau_plus(params: ParamPoint) -> SolitonTau:
         for subset in itertools.combinations(range(n), r):
             e = tuple(1 if k in subset else 0 for k in range(n))
             terms.append(SolitonTerm(r, e, interaction_coeff(params, subset)))
-    return SolitonTau("+", params, tuple(terms))
+    return SolitonTau(params, tuple(terms))
 
 
 def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> SolitonTau:
@@ -158,7 +156,7 @@ def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> SolitonTau
             for k in subset:
                 c *= d_factor(params, k, beta)
             terms.append(SolitonTerm(-r, e, c))
-    return SolitonTau("-", params, tuple(terms))
+    return SolitonTau(params, tuple(terms))
 
 
 # #### finite shifts and flows #################################################
@@ -198,7 +196,7 @@ def miwa_shift(
         for f, e in zip(facs, t.b_exp):
             c *= f**e
         terms.append(SolitonTerm(t.z_power, t.b_exp, c))
-    return SolitonTau(tau.sign, tau.params, tuple(terms))
+    return SolitonTau(tau.params, tuple(terms))
 
 
 def flow_eigenvalue(
@@ -442,10 +440,11 @@ def xi_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
     return _tau_ratio(params, b_values, window, 1 / params.s, params.s, 1 / params.eps)
 
 
-def modes_from_series(f: Laurent, window: int) -> dict[int, Scalar]:
-    """Mode map eta_n = [z**-n] f for |n| <= window; a degree f was not
-    built for raises KeyError."""
-    return {n: f[-n] for n in range(-window, window + 1)}
+def modes_from_series(f: Laurent) -> dict[int, Scalar]:
+    """Mode map eta_n = [z**-n] f for |n| <= W = max(f), the window of a tau
+    ratio (which stores every degree -W..W); a missing degree raises KeyError."""
+    W = max(f)
+    return {n: f[-n] for n in range(-W, W + 1)}
 
 
 # #### soliton specifications ##################################################

@@ -39,7 +39,6 @@ from functools import lru_cache, partial
 
 from .iom import (
     I_k_def,
-    Ibar_k_def,
     M2_functional,
     M2_kernel,
     M3_functional,
@@ -48,10 +47,10 @@ from .iom import (
     ModeVector,
     capped_mul,
     closed_I,
-    closed_Ibar,
     closed_M,
+    kernel_tail,
     mode_table,
-    newton_normalizers,
+    newton_error_bound,
     soliton_decay,
 )
 from .modes import (
@@ -534,7 +533,7 @@ def _res_tau_shift_lemma(params, rng, tally):
     pref = interaction_coeff(params, tuple(range(n)))
     for k in range(n):
         pref *= 1 / miwa_factor(params, k, "tbar", beta)
-    pref_tau = SolitonTau("+", params, (SolitonTerm(n, (1,) * n, pref),))
+    pref_tau = SolitonTau(params, (SolitonTerm(n, (1,) * n, pref),))
     rhs = _sym_prod(pref_tau, make_tau_minus(params, beta))
     return symbolic_sub(lhs, rhs), {"beta": scalar_str(beta)}
 
@@ -670,6 +669,12 @@ _MIRROR_POINTS = (
 )
 
 
+def _ladder(mv: ModeVector, k: int, cutoffs, q: Scalar, closed: Scalar):
+    """The charge I_k of mv at each cutoff, and their distances to closed."""
+    vals = [I_k_def(mv, k, N, q).value for N in cutoffs]
+    return vals, [abs(v - closed) for v in vals]
+
+
 def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
     """Charge ladders against the closed forms: plus side at 1..min(2,
     solitons) sampled waves, mirror side at as many pinned points.  With
@@ -679,23 +684,17 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
     worst = ZERO
     cases = []
     points = []
-    passed = True
     waves = range(1, min(2, cfg.solitons) + 1) if cfg.solitons else (0,)
     for n in waves:
         params, b_main = sample_decaying(S, rng, n)
         b_alt = _sample_alt_amplitudes(params, rng)
         mv, mv_alt = (
-            ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+            ModeVector.from_series(eta_series_from_taus(params, b, window))
             for b in (b_main, b_alt)
         )
         for k in (1, 2, 3):
-            closed = closed_I(k, params)
-            vals = {N: I_k_def(mv, k, N, params.q).value for N in IOM_CUTOFFS}
-            ladder = [abs(vals[N] - closed) for N in IOM_CUTOFFS]
-            ok = _ladder_ok(ladder)
-            amp_diff = abs(I_k_def(mv_alt, k, top, params.q).value - vals[top])
-            amp_ok = amp_diff <= CONVERGENT_TOL
-            passed = passed and ok and amp_ok
+            vals, ladder = _ladder(mv, k, IOM_CUTOFFS, params.q, closed_I(k, params))
+            amp_diff = abs(I_k_def(mv_alt, k, top, params.q).value - vals[-1])
             worst = max(worst, ladder[-1], amp_diff)
             cases.append(
                 {
@@ -704,23 +703,17 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
                     "kind": "plus",
                     "ladder": [scalar_decimal(r) for r in ladder],
                     "amplitude_diff": scalar_decimal(amp_diff),
-                    "pass": ok and amp_ok,
+                    "pass": _ladder_ok(ladder) and amp_diff <= CONVERGENT_TOL,
                 }
             )
         points.append(params.to_json())
     bar_cutoffs = tuple(2 * N for N in IOM_CUTOFFS)
     for a, b in _MIRROR_POINTS[: min(2, cfg.solitons)]:
         params = ParamPoint(S, EPS, a)
-        xi = xi_series_from_taus(params, b, window)
-        mv_bar = ModeVector.from_series(xi, window)
+        inv = params.inverted()
+        mv = ModeVector.from_series(xi_series_from_taus(params, b, window))
         for k in (1, 2):
-            closed = closed_Ibar(k, params)
-            ladder = [
-                abs(Ibar_k_def(mv_bar, k, N, params.q).value - closed)
-                for N in bar_cutoffs
-            ]
-            ok = _ladder_ok(ladder)
-            passed = passed and ok
+            _, ladder = _ladder(mv, k, bar_cutoffs, inv.q, closed_I(k, inv))
             worst = max(worst, ladder[-1])
             cases.append(
                 {
@@ -728,7 +721,7 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
                     "k": k,
                     "kind": "minus",
                     "ladder": [scalar_decimal(r) for r in ladder],
-                    "pass": ok,
+                    "pass": _ladder_ok(ladder),
                 }
             )
         points.append(params.to_json())
@@ -740,52 +733,19 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
         "points": points,
     }
     detail = {"cases": cases}
+    passed = all(case["pass"] for case in cases)
     return "convergent", params_d, worst, passed, detail
 
 
-def _newton_error_bound(i_vals, tails, p: ParamPoint, k: int) -> Fraction:
-    """Worst-case shift of the Newton charge when each input charge moves by
-    its tail bound; exact rational arithmetic on explicit monomial bounds."""
-    w = newton_normalizers(p.q, k)
-    e = [abs(v) * abs(wj) for v, wj in zip(i_vals, w)]
-    d = [Fraction(t) * abs(wj) for t, wj in zip(tails, w)]
-    q = p.q
-    if k == 2:
-        c = abs(1 - q**2) / 2
-        return c * (2 * (e[0] + d[0]) * d[0] + 2 * d[1])
-    if k == 3:
-        c = abs(1 - q**3) / 3
-        cube = 3 * (e[0] + d[0]) ** 2 * d[0]
-        cross = 3 * (e[0] * d[1] + e[1] * d[0] + d[0] * d[1])
-        return c * (cube + cross + 3 * d[2])
-    raise ValueError("error bound implemented for k in {2, 3}")
-
-
-def _kernel_tail_m2(H, rho, q, N) -> Fraction:
-    x = q * rho * rho
-    if not 0 < x < 1:
-        raise ParamError("kernel tail needs q rho**2 inside the unit interval")
-    return H * H * x ** (N + 1) / (1 - x)
-
-
-def _kernel_tail_m3(H, rho, q, N) -> Fraction:
-    x = q * rho
-    if not 0 < x < 1:
-        raise ParamError("kernel tail needs q rho inside the unit interval")
-    return H**3 * x ** (N + 1) * (1 + x) / (1 - x) ** 2
-
-
 def _formal_newton_vs_kernel(k: int) -> bool:
-    """Mode-polynomial route equality on the pruned weight window."""
+    """Newton route against the cached kernel functional, on the pruned window."""
     ctx = _ctx_t3()
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     mv = mode_table(ctx, 2 if k == 3 else 1)
     capped = capped_mul(ctx)
-    stub = ParamPoint(S, EPS)
     vals = [I_k_def(mv, i, N, ctx.q, mul=capped).value for i in range(1, k + 1)]
-    newton = M_from_I(vals, stub)
-    kern = M2_kernel(mv, N, ctx.q) if k == 2 else M3_kernel(mv, N, ctx.q)
-    return newton.pruned(N, D) == kern.pruned(N, D)
+    newton = M_from_I(vals, ParamPoint(S, EPS))
+    return newton.pruned(N, D) == _CHARGE_FUNCTIONALS[k](ctx).functional_value()
 
 
 def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
@@ -809,23 +769,13 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     params, b = sample_decaying(S, rng, 1)
     N = max(IOM_CUTOFFS)
     window = 2 * N if k == 2 else 3 * N
-    mv = ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+    mv = ModeVector.from_series(eta_series_from_taus(params, b, window))
     decay = soliton_decay(params, b, mv)
-    H, rho = decay
     q = params.q
     i_res = [I_k_def(mv, i, N, q, decay=decay) for i in range(1, k + 1)]
     newton_val = M_from_I([r.value for r in i_res], params)
-    kern_val = (
-        M2_kernel(mv, N, q) if k == 2 else M3_kernel(mv, N, q)
-    )
-    tails = [r.tail for r in i_res]
-    if any(t is None for t in tails):
-        raise ParamError("charge tail bound unavailable at this decay rate")
-    prop = _newton_error_bound([r.value for r in i_res], tails, params, k)
-    kern_tail = (
-        _kernel_tail_m2(H, rho, q, N) if k == 2 else _kernel_tail_m3(H, rho, q, N)
-    )
-    tol = prop + kern_tail
+    kern_val = M2_kernel(mv, N, q) if k == 2 else M3_kernel(mv, N, q)
+    tol = newton_error_bound(i_res, params) + kernel_tail(k, N, q, decay)
     diff = abs(kern_val - newton_val)
     numeric_ok = diff <= tol
 
@@ -852,14 +802,10 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
 # #### registry and entry points ###############################################
 
 
-def _run_convergent(run, cfg: CheckConfig, rng: random.Random):
-    return run(cfg, rng)
-
-
 # The one check table: (group, group runner, {id: builder}).  run_check
 # calls runner(builder, cfg, rng); a windowed group fixes its truncation
 # triple, the exact group samples soliton points, the convergent group
-# hands over to the builder.  Table order is the report order.
+# calls the builder as the runner.  Table order is the report order.
 _REGISTRY = (
     (
         "bracket",
@@ -894,7 +840,7 @@ _REGISTRY = (
     ),
     (
         "iom-numeric",
-        _run_convergent,
+        lambda run, cfg, rng: run(cfg, rng),
         {
             "conj-iom": _run_conj_iom,
             "m2-consistency": lambda cfg, rng: _run_m_consistency(cfg, rng, 2),

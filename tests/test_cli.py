@@ -383,7 +383,7 @@ def test_soliton_renders_values_past_the_digit_limit(tmp_path, capsys):
     rc, out, err = run_main(capsys, argv)
     assert (rc, err) == (0, "")
     params, b = parse_soliton_spec(spec)
-    want = modes_from_series(eta_series_from_taus(params, b, 256), 256)
+    want = modes_from_series(eta_series_from_taus(params, b, 256))
     got, longest = {}, 0
     for m, mode in json.loads(out)["eta_modes"].items():
         p, q = mode["value"].split("/")

@@ -11,7 +11,9 @@ values and on mode polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from toda_bo import iom
 from toda_bo.iom import (
-    Ibar_k_def,
     I_k_def,
     M2_functional,
     M2_kernel,
@@ -28,14 +29,15 @@ from toda_bo.iom import (
     M_from_I,
     ModeVector,
     closed_I,
-    closed_Ibar,
     closed_M,
     _kernel_coeff,
     _shell_tail,
     _times,
     capped_mul,
     fit_decay,
+    kernel_tail,
     mode_table,
+    newton_error_bound,
     power_geometric_tail,
     soliton_decay,
 )
@@ -50,8 +52,8 @@ from toda_bo.modes import (
     mono_weight,
     xi_zero,
 )
-from toda_bo.scalar import BudgetError, ParamPoint
-from toda_bo.soliton import eta_series_from_taus, xi_series_from_taus
+from toda_bo.scalar import BudgetError, ParamError, ParamPoint
+from toda_bo.soliton import eta_series_from_taus, sample_decaying, xi_series_from_taus
 
 CTX = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 6))
 P1 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
@@ -61,7 +63,7 @@ Q = F(1, 4)
 
 
 def eta_modes(params, b, window) -> ModeVector:
-    return ModeVector.from_series(eta_series_from_taus(params, b, window), window)
+    return ModeVector.from_series(eta_series_from_taus(params, b, window))
 
 
 def xi_table(ctx: ModeContext) -> ModeVector:
@@ -71,7 +73,7 @@ def xi_table(ctx: ModeContext) -> ModeVector:
 
 
 def xi_modes(params, b, window) -> ModeVector:
-    return ModeVector.from_series(xi_series_from_taus(params, b, window), window)
+    return ModeVector.from_series(xi_series_from_taus(params, b, window))
 
 
 def constant_modes(c, N: int) -> ModeVector:
@@ -310,13 +312,6 @@ def test_m2_m3_kernels_on_mode_polynomials_equal_the_term_by_term_sums(kind):
         assert M3_kernel(mv, N, qq, mul) == literal_m3(mv, N, qq, mul)
 
 
-def test_minus_orientation_is_inverted_plus():
-    mv = xi_modes(P1, (F(1, 2),), 12)
-    a = Ibar_k_def(mv, 2, 6, Q).value
-    b = I_k_def(mv, 2, 6, 1 / Q).value
-    assert a == b
-
-
 def test_budget_guard():
     mv = constant_modes(F(1), 8)
     with pytest.raises(BudgetError):
@@ -344,20 +339,20 @@ def test_closed_small_k_literals(params):
 def test_closed_matches_constant_field_at_empty_point():
     for k in (1, 2, 3, 4):
         assert closed_I(k, P0) == P0.eps**k
-        assert closed_Ibar(k, P0) == (1 / P0.eps) ** k
+        assert closed_I(k, P0.inverted()) == (1 / P0.eps) ** k
 
 
 def test_closed_M_base_cases():
     for params in (P0, P1, P2):
         assert closed_M(1, params) == closed_I(1, params)
-        assert closed_M(1, params.inverted()) == closed_Ibar(1, params)
+        assert closed_M(1, params.inverted()) == closed_I(1, params.inverted())
 
 
 def test_newton_closed_consistency():
     # the mirror charges combine at the inverted point
     for params in (P0, P1, P2):
-        for pt, close in ((params, closed_I), (params.inverted(), closed_Ibar)):
-            vals = [close(j, params) for j in range(1, 5)]
+        for pt in (params, params.inverted()):
+            vals = [closed_I(j, pt) for j in range(1, 5)]
             for k in (1, 2, 3, 4):
                 assert M_from_I(vals[:k], pt) == closed_M(k, pt)
 
@@ -398,7 +393,7 @@ def test_mbar_newton_matches_kernel_on_window():
     mv = xi_table(CTX)
     N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
     qbar = 1 / CTX.q
-    vals = [Ibar_k_def(mv, k, N, CTX.q).value for k in (1, 2)]
+    vals = [I_k_def(mv, k, N, qbar).value for k in (1, 2)]
     newton = M_from_I(vals, P1.inverted())
     assert newton.pruned(N, D) == M2_kernel(mv, N, qbar).pruned(N, D)
 
@@ -416,7 +411,7 @@ def certified_zero(series: AlphaSeries) -> bool:
 def test_charges_commute_on_certified_window():
     N, q = CTX.trunc.n_modes, CTX.q
     i2 = AlphaSeries.functional(CTX, I_k_def(mode_table(CTX), 2, N, q).value)
-    i2bar = AlphaSeries.functional(CTX, Ibar_k_def(xi_table(CTX), 2, N, q).value)
+    i2bar = AlphaSeries.functional(CTX, I_k_def(xi_table(CTX), 2, N, 1 / q).value)
     pairs = [
         (eta_zero(CTX), i2),
         (xi_zero(CTX), i2bar),
@@ -467,6 +462,37 @@ def test_power_tail_telescopes(j, num, N):
     assert left > 0
 
 
+def stirling_power_tail(j: int, r, N: int):
+    """sum_{M>N} (M+1)**j r**M through the Stirling numbers of the second
+    kind: sum_t t**i r**t = sum_l S(i, l) l! r**l / (1 - r)**(l+1)."""
+    s2 = [[F(1)]]
+    for n in range(1, j + 1):
+        row = [F(0)] * (n + 1)
+        for t in range(1, n + 1):
+            row[t] = (s2[n - 1][t] if t < n else 0) * t + s2[n - 1][t - 1]
+        s2.append(row)
+    t_full = [1 / (1 - r)]
+    for i in range(1, j + 1):
+        t_full.append(
+            sum(
+                s2[i][l] * math.factorial(l) * r**l / (1 - r) ** (l + 1)
+                for l in range(1, i + 1)
+            )
+        )
+    total = sum(math.comb(j, i) * F(N + 2) ** (j - i) * t_full[i] for i in range(j + 1))
+    return r ** (N + 1) * total
+
+
+@given(
+    j=st.integers(min_value=0, max_value=6),
+    r=st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100),
+    N=st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=80, deadline=None)
+def test_power_tail_recurrence_equals_stirling_form(j, r, N):
+    assert power_geometric_tail(j, r, N) == stirling_power_tail(j, r, N)
+
+
 def test_power_tail_geometric_base_case():
     r = F(1, 3)
     assert power_geometric_tail(0, r, 5) == r**6 / (1 - r)
@@ -493,6 +519,30 @@ def test_tail_bounds_truncation_error():
     assert small.tail is not None
     assert abs(small.value - large.value) <= small.tail
     assert abs(large.value - closed_I(2, P1)) <= large.tail
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_kernel_tails_bound_truncation_error(seed, n):
+    # the modes past the cutoff lie inside the window, where the fitted
+    # decay model bounds them, so M_k(N) - M_k(60) is part of what N drops
+    params, b = sample_decaying(F(1, 2), random.Random(seed), n)
+    mv = eta_modes(params, b, 60)
+    decay = soliton_decay(params, b, mv)
+    q = params.q
+    for k, kernel in ((2, M2_kernel), (3, M3_kernel)):
+        far = kernel(mv, 60, q)
+        for N in (8, 16):
+            assert abs(kernel(mv, N, q) - far) <= kernel_tail(k, N, q, decay)
+
+
+def test_tail_bounds_refuse_what_they_cannot_bound():
+    mv = eta_modes(P1, (F(1, 2),), 16)
+    with pytest.raises(ParamError, match="charge tail bound unavailable"):
+        newton_error_bound([I_k_def(mv, k, 8, Q) for k in (1, 2)], P1)
+    for k, rho in ((2, F(2)), (2, F(3)), (3, F(4)), (3, F(5))):
+        with pytest.raises(ParamError, match="unit interval"):
+            kernel_tail(k, 8, Q, (F(1), rho))
 
 
 def test_tail_covers_out_of_window_modes():
@@ -526,7 +576,8 @@ def test_convergence_toward_closed_value():
     assert resid[1] < resid[0] / 4
     mvx = xi_modes(P1, b, 40)
     residbar = [
-        abs(Ibar_k_def(mvx, 2, N, Q).value - closed_Ibar(2, P1)) for N in (8, 16)
+        abs(I_k_def(mvx, 2, N, 1 / Q).value - closed_I(2, P1.inverted()))
+        for N in (8, 16)
     ]
     assert residbar[1] < residbar[0] / 4
 

@@ -1,12 +1,13 @@
 """Source layout: no private imports across modules, no callerless code,
-no unused option, no unused import.
+no unused option, no unread field, no unused import.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
 package has a caller in the package: code that only tests use lives in the
 tests.  Every default is overridden by some call in the package; one that
-no call overrides is a constant.  Every module uses what it imports.  The
-rules are checked on the syntax tree of every package module.
+no call overrides is a constant.  Every dataclass field is read somewhere
+in the package.  Every module uses what it imports.  The rules are checked
+on the syntax tree of every package module.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def test_every_definition_has_a_caller_in_the_package():
     assert callerless == []
 
 
+def _is_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+    )
+
+
 def _defaulted(tree: ast.Module):
     """(call name, parameter, positional index or None, def) for every
     defaulted parameter of a def and every defaulted dataclass field.
@@ -104,9 +111,7 @@ def _defaulted(tree: ast.Module):
             for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
                 if default is not None:
                     yield call, arg.arg, None, node
-        elif isinstance(node, ast.ClassDef) and any(
-            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
-        ):
+        elif _is_dataclass(node):
             fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
             for index, f in enumerate(fields):
                 if f.value is not None:
@@ -152,6 +157,36 @@ def test_every_defaulted_parameter_is_passed_by_a_caller_in_the_package():
         )
     ]
     assert unset == []
+
+
+def test_every_dataclass_field_is_read():
+    # a read is an attribute load with the field's name anywhere in the
+    # package; a load passed straight to its own class's constructor only
+    # copies the field, so it does not count.  Fields match by name alone,
+    # so this errs towards passing
+    fields, loads = [], []
+    for name, tree in parsed_modules().items():
+        copied_into = {
+            id(arg): getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for arg in node.args + [k.value for k in node.keywords]
+        }
+        for node in ast.walk(tree):
+            if _is_dataclass(node):
+                fields += [
+                    (f"{name}:{sub.lineno}", node.name, sub.target.id)
+                    for sub in node.body
+                    if isinstance(sub, ast.AnnAssign)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((node.attr, copied_into.get(id(node))))
+    unread = [
+        f"{where} {cls}.{field}"
+        for where, cls, field in fields
+        if not any(attr == field and into != cls for attr, into in loads)
+    ]
+    assert unread == []
 
 
 def test_every_import_is_used():

@@ -121,9 +121,7 @@ def shift_identity_residual(params: ParamPoint, beta):
     pref = interaction_coeff(params, tuple(range(n)))
     for k in range(n):
         pref *= 1 / miwa_factor(params, k, "tbar", beta)
-    prefactor = SolitonTau(
-        "+", params, (SolitonTerm(n, (1,) * n, pref),)
-    ).symbolic()
+    prefactor = SolitonTau(params, (SolitonTerm(n, (1,) * n, pref),)).symbolic()
     rhs = sym_mul(prefactor, make_tau_minus(params, beta).symbolic())
     return symbolic_sub(lhs, rhs)
 
@@ -360,21 +358,23 @@ def test_tau_ratio_keeps_zero_degrees():
     # no waves: the ratio is the constant eps, every other degree a stored 0
     eta = eta_series_from_taus(P0, (), 5)
     assert eta == {d: P0.eps if d == 0 else F(0) for d in range(-5, 6)}
-    assert modes_from_series(eta, 5)[4] == 0
+    assert modes_from_series(eta)[4] == 0
 
 
 def test_modes_from_series():
     eta = eta_series_from_taus(P1, (F(1, 2),), 6)
-    m = modes_from_series(eta, 6)
+    m = modes_from_series(eta)
     assert set(m) == set(range(-6, 7))
     assert m[0] == eta[0]
     assert m[3] == eta[-3]
 
 
 def test_mode_read_past_the_window_raises():
+    # the window is max(f); a degree missing inside it is never read as zero
     eta = eta_series_from_taus(P1, (F(1, 2),), 6)
+    del eta[-3]
     with pytest.raises(KeyError):
-        modes_from_series(eta, 7)
+        modes_from_series(eta)
 
 
 def test_decay_report():
