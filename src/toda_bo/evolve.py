@@ -12,6 +12,7 @@ diagnostic instead of being absorbed by adaptivity.
 from __future__ import annotations
 
 import cmath
+import operator
 import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,11 +149,11 @@ class RandomInit:
 
 
 def _exact_modes(point: ParamPoint, b, N: int) -> np.ndarray:
-    """The field's exact modes for |m| <= N, rendered to doubles."""
-    table = modes_from_series(eta_series_from_taus(point, b, N))
-    return np.array(
-        [complex(table[m]) for m in range(-N, N + 1)], dtype=np.complex128
-    )
+    """The field's exact modes for |m| <= N, each rounded once to the nearest
+    double straight from its exact integer pair (num / den is correctly
+    rounded, so it equals float(Fraction(num, den)) without the gcd)."""
+    table = modes_from_series(eta_series_from_taus(point, b, N, operator.truediv))
+    return np.array([table[m] for m in range(-N, N + 1)], dtype=np.complex128)
 
 
 def initial_state(init, N: int) -> State:
@@ -181,7 +182,8 @@ def analytic_soliton_modes(
 
     The advanced amplitudes are floats; they are lifted back to exact
     rationals (binary floats are rational) so the exact tau pipeline can
-    produce the modes, then everything is rendered back to doubles."""
+    produce the modes.  The modes are exact up to the one rounding of each
+    to the nearest double, taken from its unreduced integer pair."""
     q = float(point.q)
     bt = tuple(
         Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)

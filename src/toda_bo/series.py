@@ -11,10 +11,14 @@ multiplied through by L**k.  series_div(parts, lo, hi) returns degrees
 lo..hi of a sum of quotients h / t.  In each quotient, with H the lcm of h's
 denominators, degree e is one integer numerator over H L**top, top the
 largest inverse index its sum reaches; the quotients' numerators at e are
-summed over the product of their denominators, and the sum becomes a
-Fraction once.  Each inverse is taken as far as an asked degree reaches
-from h's far end, so each returned coefficient is the whole finite sum of
-its contributions: exact, with no window to track.
+summed over the product of their denominators, and that unreduced pair
+(num, den) is handed to the caller's constructor once: Fraction(num, den)
+keeps the coefficient exact, and num / den rounds it straight to the
+nearest double (CPython's int true division is correctly rounded, so it is
+float(Fraction(num, den)) without the gcd).  Each inverse is taken as far
+as an asked degree reaches from h's far end, so each returned coefficient
+is the whole finite sum of its contributions: exact, with no window to
+track.
 """
 
 from __future__ import annotations
@@ -89,10 +93,11 @@ def _quotient(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
     return out
 
 
-def series_div(parts, lo: int, hi: int) -> Laurent:
+def series_div(parts, lo: int, hi: int, make=Scalar) -> Laurent:
     """The nonzero [var**e] of the sum of h / t over parts (h, t), for
     lo <= e <= hi, each 1/t expanded on its t's side; on Python ints, one
-    Fraction per output degree (module docstring).
+    make(num, den) per output degree from its unreduced integer pair
+    (module docstring).
     """
     quotients = [_quotient(h, t, lo, hi) for h, t in parts]
     out: Laurent = {}
@@ -103,5 +108,5 @@ def series_div(parts, lo: int, hi: int) -> Laurent:
                 n, d = q[e]
                 num, den = num * d + n * den, den * d
         if num:
-            out[e] = Scalar(num, den)
+            out[e] = make(num, den)
     return out

@@ -18,13 +18,17 @@ in z (see series).  The field eps tau_-(z/q) tau_+(qz) / (tau_-(z) tau_+(z))
 and its dual are expanded on the unit circle: a Bezout split of the
 reciprocal gives one quotient per tau factor, and one series_div sums the
 two over degrees -window..window.  The result holds every such degree,
-zeros included, each exact; a mode read past the window raises.
+zeros included; a mode read past the window raises.  Each coefficient is
+built once from its unreduced integer pair (num, den) by the caller's
+constructor: Fraction keeps it exact, and true division rounds it once to
+the nearest double, which is what the float reference in evolve needs.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,42 +231,71 @@ class BilinearOp:
     power: int = 1
 
 
-def bilinear(f: SolitonTau, g: SolitonTau, ops) -> Symbolic:
-    """Apply a product of affine bilinear derivative operators to f.g.
+def bilinear(f: SolitonTau, g: SolitonTau, terms) -> Symbolic:
+    """Apply sum_i c_i prod(ops_i), a linear combination of products of
+    affine bilinear derivative operators, to f.g; terms holds (c_i, ops_i).
 
     Each term pair is a joint eigenvector: D contributes the eigenvalue
-    difference, so (D + shift)**power contributes an exact scalar factor.
-    The eigenvalues are taken once per term and op, the shift joined to
-    f's side, and each pair combines them.
+    difference, so (D + shift)**power contributes an exact scalar factor and
+    the combination the weighted sum of its products.  The eigenvalues are
+    taken once per term and distinct op, the shift joined to f's side.  Each
+    op's values share one denominator, and so do f's and g's coefficients,
+    so the term pairs are walked once, on Python ints, and each output key
+    is one Fraction.
     """
-    ops = list(ops)
+    keys = list(
+        dict.fromkeys((op.kind, op.order, op.shift) for _, ops in terms for op in ops)
+    )
+    slot = {key: i for i, key in enumerate(keys)}
     lams = [
-        [flow_eigenvalue(f.params, t, op.kind, op.order) + op.shift for op in ops]
+        [flow_eigenvalue(f.params, t, kind, order) + sh for kind, order, sh in keys]
         for t in f.terms
     ]
     mus = [
-        [flow_eigenvalue(g.params, t, op.kind, op.order) for op in ops]
+        [flow_eigenvalue(g.params, t, kind, order) for kind, order, _ in keys]
         for t in g.terms
     ]
-    out: Symbolic = {}
+    # op i's eigenvalues as integer numerators over one denominator D_i
+    dens = [
+        math.lcm(*(row[i].denominator for row in lams + mus)) for i in range(len(keys))
+    ]
+    lams, mus = (
+        [[x.numerator * (d // x.denominator) for x, d in zip(r, dens)] for r in rows]
+        for rows in (lams, mus)
+    )
+    # c prod((n_i / D_i)**p) as an integer over the products' common denominator
+    plan = [
+        (c, [(slot[op.kind, op.order, op.shift], op.power) for op in ops])
+        for c, ops in terms
+    ]
+    tdens = [
+        c.denominator * math.prod(dens[i] ** p for i, p in factors)
+        for c, factors in plan
+    ]
+    den = math.lcm(*tdens)
+    plan = [(c.numerator * (den // t), factors) for (c, factors), t in zip(plan, tdens)]
+    # the tau coefficients as integer numerators over one denominator a side
+    cf, cg = (math.lcm(*(t.coeff.denominator for t in h.terms)) for h in (f, g))
+    gnums = [t.coeff.numerator * (cg // t.coeff.denominator) for t in g.terms]
+    acc: dict = {}
     for tf, lam in zip(f.terms, lams):
-        for tg, mu in zip(g.terms, mus):
-            c = tf.coeff * tg.coeff
-            for op, lam_s, mu_s in zip(ops, lam, mu):
-                c *= (lam_s - mu_s) ** op.power
+        nf = tf.coeff.numerator * (cf // tf.coeff.denominator)
+        for tg, ng, mu in zip(g.terms, gnums, mus):
+            diff = [x - y for x, y in zip(lam, mu)]
+            c = 0
+            for w, factors in plan:
+                for i, power in factors:
+                    w *= diff[i] ** power
+                c += w
             if not c:
                 continue
             key = (
                 tf.z_power + tg.z_power,
                 tuple(x + y for x, y in zip(tf.b_exp, tg.b_exp)),
             )
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+            acc[key] = acc.get(key, 0) + c * nf * ng
+    den *= cf * cg
+    return {key: Scalar(n, den) for key, n in acc.items() if n}
 
 
 def symbolic_sub(a: Symbolic, b: Symbolic) -> Symbolic:
@@ -385,14 +418,17 @@ def _poly_bezout(f: list, g: list) -> tuple[list, list]:
     return [x / c for x in s0], [x / c for x in t0]
 
 
-def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laurent:
+def _annulus_ratio(
+    num: Laurent, tm: Laurent, tp: Laurent, window: int, make
+) -> Laurent:
     """Degrees -window..window of num / (tm * tp), expanded where tm inverts
     downward and tp upward.
 
     The two inverses cannot be convolved directly, so the reciprocal is
     split as z**deg * u / tp + v / tm with u, v from the Bezout identity of
     the (coprime) polynomial forms of the two factors.  One series_div sums
-    the two parts, one Fraction per degree.
+    the two parts, and each degree, a zero one too, is make(num, den) of its
+    exact unreduced integer pair.
     """
     n_m = -min(tm)
     f = [tm.get(i - n_m, ZERO) for i in range(n_m + 1)]
@@ -401,9 +437,10 @@ def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laure
     up = {i + n_m: c for i, c in enumerate(u) if c}
     vp = {i: c for i, c in enumerate(v) if c}
     out = series_div(
-        [(series_mul(num, up), tp), (series_mul(num, vp), tm)], -window, window
+        [(series_mul(num, up), tp), (series_mul(num, vp), tm)], -window, window, make
     )
-    return {e: out.get(e, ZERO) for e in range(-window, window + 1)}
+    zero = make(0, 1)
+    return {e: out.get(e, zero) for e in range(-window, window + 1)}
 
 
 def _subs(p: Laurent, c: Scalar) -> Laurent:
@@ -412,32 +449,47 @@ def _subs(p: Laurent, c: Scalar) -> Laurent:
 
 
 def _tau_ratio(
-    params: ParamPoint, b_values, window: int, up: Scalar, down: Scalar, scale: Scalar
+    params: ParamPoint,
+    b_values,
+    window: int,
+    up: Scalar,
+    down: Scalar,
+    scale: Scalar,
+    make,
 ) -> Laurent:
     """Degrees -window..window of scale tau_-(z/up) tau_+(z up) /
-    (tau_-(z/down) tau_+(z down)), zeros included; scale multiplies the
-    numerator's few terms, not the 2 window + 1 output coefficients."""
+    (tau_-(z/down) tau_+(z down)), zeros included, each make(num, den);
+    scale multiplies the numerator's few terms, not the 2 window + 1 output
+    coefficients."""
     if params.n == 0:
-        return {d: scale if d == 0 else ZERO for d in range(-window, window + 1)}
+        const, zero = make(scale.numerator, scale.denominator), make(0, 1)
+        return {d: const if d == 0 else zero for d in range(-window, window + 1)}
     tp = make_tau_plus(params).to_series(b_values)
     tm = make_tau_minus(params).to_series(b_values)
     num = series_mul(_subs(tm, 1 / up), _subs(tp, up))
     num = {d: c * scale for d, c in num.items()}
-    return _annulus_ratio(num, _subs(tm, 1 / down), _subs(tp, down), window)
+    return _annulus_ratio(num, _subs(tm, 1 / down), _subs(tp, down), window, make)
 
 
-def eta_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
+def eta_series_from_taus(
+    params: ParamPoint, b_values, window: int, make=Scalar
+) -> Laurent:
     """Degrees -window..window of eps tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z)).
 
-    Exact coefficients of the rational function; they are the field's modes
+    The coefficients of the rational function, each make(num, den) of its
+    exact unreduced integer pair: exact Fractions by default, correctly
+    rounded doubles with operator.truediv.  They are the field's modes
     whenever the decay margins are below one.
     """
-    return _tau_ratio(params, b_values, window, params.q, ONE, params.eps)
+    return _tau_ratio(params, b_values, window, params.q, ONE, params.eps, make)
 
 
 def xi_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
-    """Degrees -window..window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs))."""
-    return _tau_ratio(params, b_values, window, 1 / params.s, params.s, 1 / params.eps)
+    """Degrees -window..window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs)),
+    exact."""
+    return _tau_ratio(
+        params, b_values, window, 1 / params.s, params.s, 1 / params.eps, Scalar
+    )
 
 
 def modes_from_series(f: Laurent) -> dict[int, Scalar]:

@@ -506,7 +506,7 @@ def _sym_max_abs(sym: Symbolic) -> Scalar:
 
 
 def _sym_prod(f: SolitonTau, g: SolitonTau) -> Symbolic:
-    return bilinear(f, g, [])
+    return bilinear(f, g, [(ONE, [])])
 
 
 def _draw_shift(rng, params: ParamPoint, kind: str, tally: list) -> Scalar:
@@ -592,15 +592,18 @@ def _res_hm_3(params, rng, tally):
 
 
 def _res_to(params, k: int):
-    """Residual of the order-k equation of TODA_EQUATIONS on soliton taus."""
+    """Residual of the order-k equation of TODA_EQUATIONS on soliton taus:
+    one bilinear walk per side over all its terms, each M_o taken once."""
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     q = params.q
+    equation = TODA_EQUATIONS[k]
+    orders = {o for terms in equation for _, o, _ in terms}
+    shift = {o: o * closed_M(o, params) for o in orders}
     sides = (tm, tp, ONE), (tm.subs_scale(1 / q), tp.subs_scale(q), -params.eps)
     res: Symbolic = {}
-    for (f, g, w), terms in zip(sides, TODA_EQUATIONS[k]):
-        for c, o, p in terms:
-            op = BilinearOp("t", o, o * closed_M(o, params), p)
-            res = symbolic_sub(res, symbolic_scale(bilinear(f, g, [op]), -w * c))
+    for (f, g, w), terms in zip(sides, equation):
+        side = [(-w * c, [BilinearOp("t", o, shift[o], p)]) for c, o, p in terms]
+        res = symbolic_sub(res, bilinear(f, g, side))
     return res, {}
 
 

@@ -445,6 +445,10 @@ _IOM_DIGESTS = {
             ["soliton", "--spec", "SPEC", "--eval", "--window", "64"],
             "8c0a5a0a5f15e650926957c027ba048783cc04f237033044def4912778e2ffb3",
         ),
+        (
+            ["evolve"],
+            "b2521ec4c2ffd682d63780058da00d0ce223fd64a9c46c62a2cda0a2708f7f52",
+        ),
     ]
     + [
         (
@@ -453,11 +457,14 @@ _IOM_DIGESTS = {
         )
         for (k, n), digest in _IOM_DIGESTS.items()
     ],
-    ids=["soliton-eval-w64"] + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
+    ids=["soliton-eval-w64", "evolve-default"]
+    + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
 )
 def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # all read the exact tau ratio; SPEC is README's one-wave spec; the iom
-    # runs carry the charge value and its tail bound
+    # all read the tau ratio; SPEC is README's one-wave spec; the default
+    # evolve run renders its reference modes to doubles and reports the
+    # worst error against them; the iom runs carry the charge value and its
+    # tail bound
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(_WAVE))
     argv = [str(path) if a == "SPEC" else a for a in argv]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from toda_bo.evolve import (
     rk4_step,
     run,
 )
+from toda_bo.soliton import eta_series_from_taus, modes_from_series
 
 Q_COMPLEX = q_from_gamma(0.1 + 0.05j)
 
@@ -242,6 +244,24 @@ def test_soliton_state_matches_exact_pipeline_at_t0():
     ref = analytic_soliton_modes(DEFAULT_POINT, DEFAULT_AMPLITUDES, 0.0, 16)
     assert np.array_equal(s.modes, ref)
     assert s.q == complex(float(DEFAULT_POINT.q))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_reference_modes_are_the_exact_modes_rounded_once(t):
+    # the reference rounds each mode straight from its unreduced integer
+    # pair; it must be complex() of the exact Fraction mode, bit for bit
+    N = 64
+    ref = analytic_soliton_modes(DEFAULT_POINT, DEFAULT_AMPLITUDES, t, N)
+    q = float(DEFAULT_POINT.q)
+    bt = tuple(
+        Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
+        for a, b in zip(DEFAULT_POINT.a, DEFAULT_AMPLITUDES)
+    )
+    exact = modes_from_series(eta_series_from_taus(DEFAULT_POINT, bt, N))
+    assert all(type(c) is Fraction for c in exact.values())
+    want = np.array([complex(exact[m]) for m in range(-N, N + 1)])
+    assert np.array_equal(ref, want)
+    assert ref.tobytes() == want.tobytes()
 
 
 def test_random_state_is_seeded_and_decaying():

@@ -8,12 +8,14 @@ recurrence written out term by term, and the integer division `series_div`
 against `literal_div`, the product with that inverse taken to an order from
 a generous bound of its own (the asked degrees' and h's largest moduli),
 not from the order series_div derives; a sum of quotients against the sum
-of their literal divisions.
+of their literal divisions.  The doubles series_div builds by true division
+of its unreduced pairs are checked against float() of the Fraction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -226,11 +228,15 @@ def test_div_rejects_what_the_literal_inverse_rejects(t):
         series_div([(h, t)], -4, 4)
 
 
-def test_div_builds_one_fraction_per_output_degree(monkeypatch):
+@pytest.mark.parametrize(
+    "make, most", [(F, 129), (operator.truediv, 0)], ids=["fraction", "truediv"]
+)
+def test_div_builds_one_fraction_per_output_degree(monkeypatch, make, most):
     # the evolve reference's traffic at W = 64: the numerator of one wave
     # over its upper and over its lower tau, with a float-lifted amplitude
     # (49-bit denominator); the literal product builds several Fractions per
-    # term of each degree, and adding the two quotients one more
+    # term of each degree, and adding the two quotients one more.  Rounded
+    # by true division, a degree builds no Fraction at all
     b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
     q = DEFAULT_POINT.q
     tp = make_tau_plus(DEFAULT_POINT).to_series(b)
@@ -246,6 +252,39 @@ def test_div_builds_one_fraction_per_output_degree(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(F, "__new__", counting_new)
-        out = series_div([(h, tp), (h, tm)], -64, 64)
-    assert out == add(literal_div(h, tp, -64, 64), literal_div(h, tm, -64, 64))
-    assert 0 < built <= 129
+        out = series_div([(h, tp), (h, tm)], -64, 64, make)
+    want = add(literal_div(h, tp, -64, 64), literal_div(h, tm, -64, 64))
+    assert out == {e: make(c.numerator, c.denominator) for e, c in want.items()}
+    assert all(type(c) is type(make(1, 2)) for c in out.values())
+    assert (0 < built if most else built == 0) and built <= most
+
+
+@given(
+    st.integers(-(2**4000), 2**4000),
+    st.integers(-(2**4000), 2**4000).filter(bool),
+)
+@settings(max_examples=200, deadline=None)
+def test_int_true_division_is_the_fraction_rounding(n, d):
+    # CPython rounds int / int correctly, so the unreduced pair gives the
+    # double of the reduced one; both overflow together
+    try:
+        want = float(F(n, d))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            n / d
+        return
+    assert n / d == want
+    if n:
+        assert repr(n / d) == repr(want)
+
+
+@given(
+    st.integers(1, 2**4000),
+    st.integers(-(2**60), 2**60),
+    st.integers(0, 2**4000),
+)
+@settings(max_examples=200, deadline=None)
+def test_int_true_division_rounds_near_ties_like_the_fraction(d, k, r):
+    # quotients k + r/d straddle the 53-bit mantissa, and r = d/2 is a tie
+    n = k * d + (d // 2 if r % 3 == 0 else r % d)
+    assert repr(n / d) == repr(float(F(n, d)))

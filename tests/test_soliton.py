@@ -152,15 +152,15 @@ def test_flow_eigenvalue_values():
 def test_bilinear_no_ops_is_product():
     tp = make_tau_plus(P2)
     tm = make_tau_minus(P2)
-    assert bilinear(tm, tp, []) == sym_mul(tm.symbolic(), tp.symbolic())
+    assert bilinear(tm, tp, [(F(1), [])]) == sym_mul(tm.symbolic(), tp.symbolic())
 
 
 def test_bilinear_single_derivative_antisymmetric():
     tp = make_tau_plus(P2)
     tm = make_tau_minus(P2)
     op = BilinearOp("t", 1)
-    a = bilinear(tm, tp, [op])
-    b = bilinear(tp, tm, [op])
+    a = bilinear(tm, tp, [(F(1), [op])])
+    b = bilinear(tp, tm, [(F(1), [op])])
     assert symbolic_sub(a, symbolic_scale(b, F(-1))) == {}
 
 
@@ -168,10 +168,10 @@ def test_bilinear_affine_power_expands():
     tp = make_tau_plus(P1)
     tm = make_tau_minus(P1)
     m = F(3, 7)
-    sq = bilinear(tm, tp, [BilinearOp("t", 1, m, 2)])
-    d2 = bilinear(tm, tp, [BilinearOp("t", 1, F(0), 2)])
-    d1 = bilinear(tm, tp, [BilinearOp("t", 1)])
-    d0 = bilinear(tm, tp, [])
+    sq = bilinear(tm, tp, [(F(1), [BilinearOp("t", 1, m, 2)])])
+    d2 = bilinear(tm, tp, [(F(1), [BilinearOp("t", 1, F(0), 2)])])
+    d1 = bilinear(tm, tp, [(F(1), [BilinearOp("t", 1)])])
+    d0 = bilinear(tm, tp, [(F(1), [])])
     expect = symbolic_sub(
         sq, symbolic_sub({}, symbolic_scale(d1, -2 * m))
     )  # sq - 2m d1 ...
@@ -217,8 +217,41 @@ def test_bilinear_equals_the_per_pair_loop(n, ops, shifted):
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     if shifted:
         tm, tp = tm.subs_scale(1 / params.q), tp.subs_scale(params.q)
-    assert bilinear(tm, tp, ops) == literal_bilinear(tm, tp, ops)
-    assert bilinear(tp, tm, ops) == literal_bilinear(tp, tm, ops)
+    assert bilinear(tm, tp, [(F(1), ops)]) == literal_bilinear(tm, tp, ops)
+    assert bilinear(tp, tm, [(F(1), ops)]) == literal_bilinear(tp, tm, ops)
+
+
+_OPS = st.builds(
+    BilinearOp,
+    st.sampled_from(["t", "tbar"]),
+    st.integers(1, 3),
+    st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
+    st.integers(0, 3),
+)
+
+
+@given(
+    n=st.integers(0, 2),
+    terms=st.lists(
+        st.tuples(
+            st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
+            st.lists(_OPS, max_size=2),
+        ),
+        max_size=3,
+    ),
+    shifted=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_bilinear_combination_is_the_weighted_sum_of_its_products(n, terms, shifted):
+    # one walk over the term pairs equals one literal walk per product
+    params = (P0, P1, P2)[n]
+    tp, tm = make_tau_plus(params), make_tau_minus(params)
+    if shifted:
+        tm, tp = tm.subs_scale(1 / params.q), tp.subs_scale(params.q)
+    expect = {}
+    for c, ops in terms:
+        expect = symbolic_sub(expect, symbolic_scale(literal_bilinear(tm, tp, ops), -c))
+    assert bilinear(tm, tp, terms) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -237,7 +270,11 @@ def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
         return flow_eigenvalue(*args)
 
     monkeypatch.setattr(soliton, "flow_eigenvalue", counting)
-    assert bilinear(tm, tp, ops) == expect
+    assert bilinear(tm, tp, [(F(1), ops)]) == expect
+    assert calls == 2 * 2**n * len(ops)
+    # an op shared by two products of a combination is taken once too
+    calls = 0
+    bilinear(tm, tp, [(F(1), ops[:1]), (F(1, 8), ops)])
     assert calls == 2 * 2**n * len(ops)
 
 
@@ -302,17 +339,18 @@ def test_xi_window_cross_multiplies_exactly():
         assert lhs == on_range({d: c / params.eps for d, c in rhs.items()}, lhs)
 
 
-def literal_div_sum(parts, lo, hi):
+def literal_div_sum(parts, lo, hi, make):
     out = {}
     for h, t in parts:
         out = add(out, literal_div(h, t, lo, hi))
-    return out
+    return {e: make(c.numerator, c.denominator) for e, c in out.items()}
 
 
 @pytest.fixture
 def literal_pipeline(monkeypatch):
     """Run a tau-ratio builder once as shipped and once with every division
-    done as the literal product with the Fraction-recurrence inverse."""
+    done as the literal product with the Fraction-recurrence inverse; both
+    build exact Fractions, the literal side from the reduced pair."""
 
     def both(build, *args):
         fast = build(*args)
