@@ -30,7 +30,7 @@ from .scalar import (
     scalar_str,
 )
 from .soliton import (
-    SolitonTau,
+    Symbolic,
     decay_report,
     eta_series_from_taus,
     load_soliton_spec,
@@ -39,6 +39,7 @@ from .soliton import (
     modes_from_series,
     sample_decaying,
     soliton_spec_json,
+    tau_series,
 )
 from .verify import S, CheckConfig, CheckReport, UnknownIdentity, run_suite
 
@@ -149,16 +150,16 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _tau_terms(tau: SolitonTau) -> list[dict]:
-    out = []
-    for (zp, b_exp), coeff in sorted(tau.symbolic().items()):
-        out.append({"z": zp, "b_exp": list(b_exp), "coeff": scalar_str(coeff)})
-    return out
+def _tau_terms(tau: Symbolic) -> list[dict]:
+    return [
+        {"z": zp, "b_exp": list(b_exp), "coeff": scalar_str(coeff)}
+        for (zp, b_exp), coeff in sorted(tau.items())
+    ]
 
 
-def _tau_values(tau: SolitonTau, b) -> dict:
-    series = tau.to_series(b)
-    powers = sorted({zp for zp, _ in tau.symbolic()})
+def _tau_values(tau: Symbolic, b) -> dict:
+    series = tau_series(tau, b)
+    powers = sorted({zp for zp, _ in tau})
     return {f"z^{zp}": scalar_str(series.get(zp, ZERO)) for zp in powers}
 
 

@@ -80,6 +80,7 @@ from .scalar import (
     Scalar,
     e_geometric_tail,
     newton_p_from_e,
+    numerators,
     power_sum_extended,
     q_pochhammer,
 )
@@ -267,13 +268,6 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
     return total
 
 
-def _numerators(values: list) -> tuple[list[int], int]:
-    """Integer numerators of Fractions over L, the lcm of their
-    denominators, and L."""
-    L = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (L // v.denominator) for v in values], L
-
-
 def _exact_sum(kernel, field: dict, table: list, k: int, p: int, mul):
     """kernel(field, table, mul), on Python ints when the field holds
     Fractions: kernel, a sum of terms of degree k in the field and p in the
@@ -282,8 +276,8 @@ def _exact_sum(kernel, field: dict, table: list, k: int, p: int, mul):
     other field (mode polynomials) runs kernel as given."""
     if not all(isinstance(v, Fraction) for v in field.values()):
         return kernel(field, table, mul)
-    values, D = _numerators(list(field.values()))
-    tab, E = _numerators(table)
+    values, D = numerators(field.values())
+    tab, E = numerators(table)
     total = kernel(dict(zip(field, values)), tab, operator.mul)
     return Fraction(total, D**k * E**p)
 

@@ -161,6 +161,7 @@ Rows = tuple[list[tuple[Monomial, int, int, int]], int]
 def poly_rows(p: AlphaPoly) -> Rows:
     """p as (rows, D): D the lcm of p's denominators and one row
     (monomial, weight, degree, numerator over D) per term, by weight."""
+    # inline: scalar.numerators' extra list pass measured ~5 % slower here
     D = lcm(*(c.denominator for c in p.terms.values()))
     rows = [
         (m, mono_weight(m), len(m), c.numerator * (D // c.denominator))

@@ -9,6 +9,7 @@ q = s**2, keeping all arithmetic rational.
 from __future__ import annotations
 
 import decimal
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,13 @@ def scalar_decimal(x: Scalar) -> str:
         ctx.prec = 30
         d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
     return str(d)
+
+
+def numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over L, the lcm of their
+    denominators, and L."""
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def newton_p_from_e(e: list):

@@ -23,9 +23,7 @@ track.
 
 from __future__ import annotations
 
-import math
-
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, numerators
 
 Laurent = dict[int, Scalar]
 
@@ -57,11 +55,11 @@ def series_inv(t: Laurent, order: int):
         raise ValueError("series_inv needs one-sided support touching degree 0")
     # C[0] = 1 and C[k] = -sum_j T_j L**(j-1) C[k-j], where T_j = t_j L
     tj = [(j, t[d * j]) for j in range(1, order + 1) if d * j in t]
-    L = math.lcm(*(c.denominator for _, c in tj))
+    nums, L = numerators([c for _, c in tj])
     lpow = [1]
     for _ in range(order):
         lpow.append(lpow[-1] * L)
-    steps = [(j, c.numerator * (L // c.denominator) * lpow[j - 1]) for j, c in tj]
+    steps = [(j, n * lpow[j - 1]) for (j, _), n in zip(tj, nums)]
     inv = [1]
     for k in range(1, order + 1):
         inv.append(-sum(p * inv[k - j] for j, p in steps if j <= k))
@@ -79,8 +77,8 @@ def _quotient(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
     d, inv, lpow = series_inv(t, order)
     # [var**e] h/t = sum over d1 of h_{d1} [var**(e-d1)] 1/t, on the common
     # denominator H L**top, top the largest inverse index the sum reaches
-    H = math.lcm(*(c.denominator for c in h.values()))
-    hn = [(d1, c.numerator * (H // c.denominator)) for d1, c in h.items()]
+    hnums, H = numerators(h.values())
+    hn = list(zip(h, hnums))
     out = {}
     for e in range(lo, hi + 1):
         terms = [(n, d * (e - d1)) for d1, n in hn if 0 <= d * (e - d1) <= order]

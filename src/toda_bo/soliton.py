@@ -1,10 +1,12 @@
 """Exact multi-soliton dressing data.
 
-A soliton tau object is a finite sum of terms c * z**p * prod_k b_k**e_k
-with exact rational c and integer exponents; the amplitudes b_k stay formal,
-so identities can be checked as polynomial identities in the b's.  The plus
-and minus objects are indexed by subsets of the n wave numbers a_k, with
-pairwise interaction coefficients and (on the minus side) reflection
+A soliton tau is a finite sum of terms c * z**p * prod_k b_k**e_k with
+exact rational c and integer exponents, held as a plain dict (Symbolic)
+{(p, (e_1..e_n)): c} of its nonzero terms; the amplitudes b_k stay formal,
+so identities can be checked as polynomial identities in the b's.  A dict
+carries no parameter point: whatever needs one takes it as an argument.
+The plus and minus taus are indexed by subsets of the n wave numbers a_k,
+with pairwise interaction coefficients and (on the minus side) reflection
 factors evaluated at beta = q**n * eps.
 
 Time dependence enters through the amplitudes: the flow of order i scales
@@ -13,7 +15,7 @@ every term is a joint eigenvector of all flows.  Bilinear derivatives
 therefore reduce to per-term-pair eigenvalue arithmetic, and finite shift
 operations multiply each b_k by an explicit rational factor.
 
-With its amplitudes filled in, a tau object is an exact Laurent polynomial
+With its amplitudes filled in, a tau is an exact Laurent polynomial
 in z (see series).  The field eps tau_-(z/q) tau_+(qz) / (tau_-(z) tau_+(z))
 and its dual are expanded on the unit circle: a Bezout split of the
 reciprocal gives one quotient per tau factor, and one series_div sums the
@@ -40,6 +42,7 @@ from .scalar import (
     ParamPoint,
     PoleError,
     Scalar,
+    numerators,
     parse_scalar,
     sample_amplitudes,
     sample_param_point,
@@ -49,54 +52,24 @@ from .series import Laurent, series_div, series_mul
 Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
 
 
-@dataclass(frozen=True)
-class SolitonTerm:
-    z_power: int
-    b_exp: tuple[int, ...]
-    coeff: Scalar
+def tau_subs(tau: Symbolic, c: Scalar) -> Symbolic:
+    """Substitute z -> c * z."""
+    return {(z, e): v * c**z for (z, e), v in tau.items()}
 
 
-@dataclass(frozen=True)
-class SolitonTau:
-    params: ParamPoint
-    terms: tuple[SolitonTerm, ...]
-
-    def subs_scale(self, c: Scalar) -> "SolitonTau":
-        """Substitute z -> c * z."""
-        return SolitonTau(
-            self.params,
-            tuple(
-                SolitonTerm(t.z_power, t.b_exp, t.coeff * Fraction(c) ** t.z_power)
-                for t in self.terms
-            ),
-        )
-
-    def symbolic(self) -> Symbolic:
-        out: Symbolic = {}
-        for t in self.terms:
-            k = (t.z_power, t.b_exp)
-            v = out.get(k)
-            v = t.coeff if v is None else v + t.coeff
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return out
-
-    def to_series(self, b_values) -> Laurent:
-        """Evaluate the amplitudes, leaving an exact Laurent polynomial."""
-        b_values = tuple(Fraction(b) for b in b_values)
-        if len(b_values) != self.params.n:
-            raise ValueError("amplitude count mismatch")
-        if any(b == 0 for b in b_values):
-            raise ValueError("amplitudes must be nonzero")
-        coeffs: dict[int, Scalar] = {}
-        for t in self.terms:
-            v = t.coeff
-            for b, e in zip(b_values, t.b_exp):
-                v *= b**e
-            coeffs[t.z_power] = coeffs.get(t.z_power, Fraction(0)) + v
-        return {d: c for d, c in coeffs.items() if c}
+def tau_series(tau: Symbolic, b_values) -> Laurent:
+    """Evaluate the amplitudes, leaving an exact Laurent polynomial."""
+    b_values = tuple(Fraction(b) for b in b_values)
+    if any(len(e) != len(b_values) for _, e in tau):
+        raise ValueError("amplitude count mismatch")
+    if any(b == 0 for b in b_values):
+        raise ValueError("amplitudes must be nonzero")
+    coeffs: dict[int, Scalar] = {}
+    for (z, e), v in tau.items():
+        for b, x in zip(b_values, e):
+            v *= b**x
+        coeffs[z] = coeffs.get(z, Fraction(0)) + v
+    return {d: c for d, c in coeffs.items() if c}
 
 
 # #### construction ############################################################
@@ -132,18 +105,18 @@ def d_factor(params: ParamPoint, k: int, beta: Scalar) -> Scalar:
     return val
 
 
-def make_tau_plus(params: ParamPoint) -> SolitonTau:
+def make_tau_plus(params: ParamPoint) -> Symbolic:
     """Upper tau: sum over subsets I of z**|I| C_I prod_{k in I} b_k."""
     n = params.n
-    terms = []
+    tau = {}
     for r in range(n + 1):
         for subset in itertools.combinations(range(n), r):
             e = tuple(1 if k in subset else 0 for k in range(n))
-            terms.append(SolitonTerm(r, e, interaction_coeff(params, subset)))
-    return SolitonTau(params, tuple(terms))
+            tau[r, e] = interaction_coeff(params, subset)
+    return tau
 
 
-def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> SolitonTau:
+def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> Symbolic:
     """Lower tau: subsets weighted by reflection factors and inverse amplitudes.
 
     beta defaults to q**n * eps; other values arise from finite shifts of the
@@ -152,15 +125,15 @@ def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> SolitonTau
     n = params.n
     if beta is None:
         beta = params.q**n * params.eps
-    terms = []
+    tau = {}
     for r in range(n + 1):
         for subset in itertools.combinations(range(n), r):
             e = tuple(-1 if k in subset else 0 for k in range(n))
             c = interaction_coeff(params, subset)
             for k in subset:
                 c *= d_factor(params, k, beta)
-            terms.append(SolitonTerm(-r, e, c))
-    return SolitonTau(params, tuple(terms))
+            tau[-r, e] = c
+    return tau
 
 
 # #### finite shifts and flows #################################################
@@ -186,30 +159,28 @@ def miwa_factor(params: ParamPoint, k: int, kind: str, amount: Scalar) -> Scalar
 
 
 def miwa_shift(
-    tau: SolitonTau, kind: str, amount: Scalar, direction: int = 1
-) -> SolitonTau:
+    params: ParamPoint, tau: Symbolic, kind: str, amount: Scalar, direction: int = 1
+) -> Symbolic:
     """Finite shift of the time sequence by +-[amount]."""
     if direction not in (1, -1):
         raise ValueError("direction must be +-1")
-    facs = [miwa_factor(tau.params, k, kind, amount) for k in range(tau.params.n)]
-    if direction < 0:
-        facs = [1 / f for f in facs]
-    terms = []
-    for t in tau.terms:
-        c = t.coeff
-        for f, e in zip(facs, t.b_exp):
-            c *= f**e
-        terms.append(SolitonTerm(t.z_power, t.b_exp, c))
-    return SolitonTau(tau.params, tuple(terms))
+    facs = [miwa_factor(params, k, kind, amount) ** direction for k in range(params.n)]
+    out = {}
+    for (z, e), c in tau.items():
+        for f, x in zip(facs, e):
+            c *= f**x
+        out[z, e] = c
+    return out
 
 
 def flow_eigenvalue(
-    params: ParamPoint, term: SolitonTerm, kind: str, order: int
+    params: ParamPoint, b_exp: tuple[int, ...], kind: str, order: int
 ) -> Scalar:
-    """Logarithmic derivative of a term along the flow of the given order."""
+    """Logarithmic derivative of the term with amplitude exponents b_exp
+    along the flow of the given order."""
     q = params.q
     total = Fraction(0)
-    for a, e in zip(params.a, term.b_exp):
+    for a, e in zip(params.a, b_exp):
         if not e:
             continue
         if kind == "t":
@@ -231,7 +202,7 @@ class BilinearOp:
     power: int = 1
 
 
-def bilinear(f: SolitonTau, g: SolitonTau, terms) -> Symbolic:
+def bilinear(params: ParamPoint, f: Symbolic, g: Symbolic, terms) -> Symbolic:
     """Apply sum_i c_i prod(ops_i), a linear combination of products of
     affine bilinear derivative operators, to f.g; terms holds (c_i, ops_i).
 
@@ -248,12 +219,12 @@ def bilinear(f: SolitonTau, g: SolitonTau, terms) -> Symbolic:
     )
     slot = {key: i for i, key in enumerate(keys)}
     lams = [
-        [flow_eigenvalue(f.params, t, kind, order) + sh for kind, order, sh in keys]
-        for t in f.terms
+        [flow_eigenvalue(params, e, kind, order) + sh for kind, order, sh in keys]
+        for _, e in f
     ]
     mus = [
-        [flow_eigenvalue(g.params, t, kind, order) for kind, order, _ in keys]
-        for t in g.terms
+        [flow_eigenvalue(params, e, kind, order) for kind, order, _ in keys]
+        for _, e in g
     ]
     # op i's eigenvalues as integer numerators over one denominator D_i
     dens = [
@@ -275,12 +246,11 @@ def bilinear(f: SolitonTau, g: SolitonTau, terms) -> Symbolic:
     den = math.lcm(*tdens)
     plan = [(c.numerator * (den // t), factors) for (c, factors), t in zip(plan, tdens)]
     # the tau coefficients as integer numerators over one denominator a side
-    cf, cg = (math.lcm(*(t.coeff.denominator for t in h.terms)) for h in (f, g))
-    gnums = [t.coeff.numerator * (cg // t.coeff.denominator) for t in g.terms]
+    fnums, cf = numerators(f.values())
+    gnums, cg = numerators(g.values())
     acc: dict = {}
-    for tf, lam in zip(f.terms, lams):
-        nf = tf.coeff.numerator * (cf // tf.coeff.denominator)
-        for tg, ng, mu in zip(g.terms, gnums, mus):
+    for (zf, ef), nf, lam in zip(f, fnums, lams):
+        for (zg, eg), ng, mu in zip(g, gnums, mus):
             diff = [x - y for x, y in zip(lam, mu)]
             c = 0
             for w, factors in plan:
@@ -289,31 +259,10 @@ def bilinear(f: SolitonTau, g: SolitonTau, terms) -> Symbolic:
                 c += w
             if not c:
                 continue
-            key = (
-                tf.z_power + tg.z_power,
-                tuple(x + y for x, y in zip(tf.b_exp, tg.b_exp)),
-            )
+            key = (zf + zg, tuple(x + y for x, y in zip(ef, eg)))
             acc[key] = acc.get(key, 0) + c * nf * ng
     den *= cf * cg
     return {key: Scalar(n, den) for key, n in acc.items() if n}
-
-
-def symbolic_sub(a: Symbolic, b: Symbolic) -> Symbolic:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        w = -v if w is None else w - v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def symbolic_scale(a: Symbolic, c: Scalar) -> Symbolic:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 # #### numeric field reconstruction ############################################
@@ -464,8 +413,8 @@ def _tau_ratio(
     if params.n == 0:
         const, zero = make(scale.numerator, scale.denominator), make(0, 1)
         return {d: const if d == 0 else zero for d in range(-window, window + 1)}
-    tp = make_tau_plus(params).to_series(b_values)
-    tm = make_tau_minus(params).to_series(b_values)
+    tp = tau_series(make_tau_plus(params), b_values)
+    tm = tau_series(make_tau_minus(params), b_values)
     num = series_mul(_subs(tm, 1 / up), _subs(tp, up))
     num = {d: c * scale for d, c in num.items()}
     return _annulus_ratio(num, _subs(tm, 1 / down), _subs(tp, down), window, make)

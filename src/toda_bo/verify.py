@@ -9,9 +9,10 @@ the exact to-k and the windowed prop-tk checks, and lemmas 3.2-3.5 a third
 (LEMMA_T3), whose coefficients one builder reads.  The runners use one of
 three finishers:
 
-  exact      n-soliton tau identities compared coefficient-by-coefficient in
-             the symbolic (z-power, amplitude-exponent) basis; residuals are
-             exact rationals and must vanish identically.
+  exact      n-soliton tau identities as row builders: lists of weighted
+             bilinear rows at a point and explicit shifts, summed in the
+             symbolic (z-power, amplitude-exponent) basis; each sum must
+             vanish identically.
   windowed   mode-algebra identities compared cell-by-cell on the certified
              region of the truncation Guarantee; a nonzero certified cell is
              a genuine counterexample, an empty certified region is reported
@@ -88,8 +89,6 @@ from .scalar import (
 )
 from .soliton import (
     BilinearOp,
-    SolitonTau,
-    SolitonTerm,
     Symbolic,
     bilinear,
     d_factor,
@@ -101,8 +100,7 @@ from .soliton import (
     miwa_factor,
     miwa_shift,
     sample_decaying,
-    symbolic_scale,
-    symbolic_sub,
+    tau_subs,
     xi_series_from_taus,
 )
 
@@ -501,14 +499,6 @@ def _run_t3_family(build, cfg: CheckConfig, rng: random.Random):
 # #### exact soliton finisher ##################################################
 
 
-def _sym_max_abs(sym: Symbolic) -> Scalar:
-    return max((abs(c) for c in sym.values()), default=ZERO)
-
-
-def _sym_prod(f: SolitonTau, g: SolitonTau) -> Symbolic:
-    return bilinear(f, g, [(ONE, [])])
-
-
 def _draw_shift(rng, params: ParamPoint, kind: str, tally: list) -> Scalar:
     """A shift amount off every pole of the kind's Miwa factors, and for tbar
     of the reflection factors too; tally[0] counts the rejected draws."""
@@ -526,100 +516,119 @@ def _draw_shift(rng, params: ParamPoint, kind: str, tally: list) -> Scalar:
     raise ParamError(f"could not draw a pole-free {kind} shift")
 
 
-def _res_tau_shift_lemma(params, rng, tally):
-    beta = _draw_shift(rng, params, "tbar", tally)
+# Row builders of the exact identities.  builder(params, *shifts) returns a
+# list of residuals, each a list of rows (f, g, terms) whose sum of
+# bilinear(params, f, g, terms) vanishes identically; a plain product has
+# terms [(c, [])].
+
+
+def _rows_tau_shift_lemma(params, beta):
     n = params.n
-    lhs = miwa_shift(make_tau_plus(params), "tbar", beta, -1).symbolic()
+    lhs = miwa_shift(params, make_tau_plus(params), "tbar", beta, -1)
     pref = interaction_coeff(params, tuple(range(n)))
     for k in range(n):
         pref *= 1 / miwa_factor(params, k, "tbar", beta)
-    pref_tau = SolitonTau(params, (SolitonTerm(n, (1,) * n, pref),))
-    rhs = _sym_prod(pref_tau, make_tau_minus(params, beta))
-    return symbolic_sub(lhs, rhs), {"beta": scalar_str(beta)}
+    return [
+        [
+            (lhs, {(0, (0,) * n): ONE}, [(ONE, [])]),
+            ({(n, (1,) * n): pref}, make_tau_minus(params, beta), [(-ONE, [])]),
+        ]
+    ]
 
 
-def _res_hm_pm_1(params, rng, tally):
-    alpha = _draw_shift(rng, params, "t", tally)
+def _rows_hm_pm_1(params, alpha):
     q, eps, n = params.q, params.eps, params.n
     tp, tm = make_tau_plus(params), make_tau_minus(params)
-    lhs = _sym_prod(miwa_shift(tm, "t", alpha), tp)
+    tm_a = miwa_shift(params, tm, "t", alpha)
     c = 1 - alpha * q**n * eps
     for k in range(n):
         c /= miwa_factor(params, k, "t", alpha)
-    r1 = symbolic_scale(_sym_prod(tm, miwa_shift(tp, "t", alpha)), c)
-    r2 = symbolic_scale(
-        _sym_prod(miwa_shift(tm, "t", alpha).subs_scale(1 / q), tp.subs_scale(q)),
-        alpha * eps,
-    )
-    return symbolic_sub(symbolic_sub(lhs, r1), r2), {"alpha": scalar_str(alpha)}
+    return [
+        [
+            (tm_a, tp, [(ONE, [])]),
+            (tm, miwa_shift(params, tp, "t", alpha), [(-c, [])]),
+            (tau_subs(tm_a, 1 / q), tau_subs(tp, q), [(-alpha * eps, [])]),
+        ]
+    ]
 
 
-def _res_hm_pm_2(params, rng, tally):
-    beta = _draw_shift(rng, params, "tbar", tally)
+def _rows_hm_pm_2(params, beta):
     q, eps, n = params.q, params.eps, params.n
     tp, tm = make_tau_plus(params), make_tau_minus(params)
-    lhs = _sym_prod(miwa_shift(tm, "tbar", beta).subs_scale(1 / q), tp)
+    tm_b = miwa_shift(params, tm, "tbar", beta)
     c = 1 - beta / (q**n * eps)
     for k in range(n):
         c /= miwa_factor(params, k, "tbar", beta)
-    r1 = symbolic_scale(
-        _sym_prod(tm.subs_scale(1 / q), miwa_shift(tp, "tbar", beta)), c
-    )
-    r2 = symbolic_scale(
-        _sym_prod(miwa_shift(tm, "tbar", beta), tp.subs_scale(1 / q)), beta / eps
-    )
-    return symbolic_sub(symbolic_sub(lhs, r1), r2), {"beta": scalar_str(beta)}
+    return [
+        [
+            (tau_subs(tm_b, 1 / q), tp, [(ONE, [])]),
+            (tau_subs(tm, 1 / q), miwa_shift(params, tp, "tbar", beta), [(-c, [])]),
+            (tm_b, tau_subs(tp, 1 / q), [(-beta / eps, [])]),
+        ]
+    ]
 
 
-def _res_hm_3(params, rng, tally):
-    alpha = _draw_shift(rng, params, "t", tally)
-    beta = _draw_shift(rng, params, "tbar", tally)
+def _rows_hm_3(params, alpha, beta):
+    """One residual per tau."""
     q = params.q
-    out: Symbolic = {}
+    residuals = []
     for tau in (make_tau_plus(params), make_tau_minus(params)):
-        ta = miwa_shift(tau, "t", alpha)
-        tb = miwa_shift(tau, "tbar", beta)
-        tab = miwa_shift(ta, "tbar", beta)
-        lhs = _sym_prod(ta, tb)
-        r1 = symbolic_scale(_sym_prod(tau, tab), 1 - alpha * beta)
-        r2 = symbolic_scale(
-            _sym_prod(ta.subs_scale(1 / q), tb.subs_scale(q)), alpha * beta
+        ta = miwa_shift(params, tau, "t", alpha)
+        tb = miwa_shift(params, tau, "tbar", beta)
+        tab = miwa_shift(params, ta, "tbar", beta)
+        residuals.append(
+            [
+                (ta, tb, [(ONE, [])]),
+                (tau, tab, [(-(1 - alpha * beta), [])]),
+                (tau_subs(ta, 1 / q), tau_subs(tb, q), [(-alpha * beta, [])]),
+            ]
         )
-        res = symbolic_sub(symbolic_sub(lhs, r1), r2)
-        if _sym_max_abs(res) > _sym_max_abs(out):
-            out = res
-    return out, {"alpha": scalar_str(alpha), "beta": scalar_str(beta)}
+    return residuals
 
 
-def _res_to(params, k: int):
-    """Residual of the order-k equation of TODA_EQUATIONS on soliton taus:
-    one bilinear walk per side over all its terms, each M_o taken once."""
+def _rows_to(params, k: int):
+    """The order-k equation of TODA_EQUATIONS on soliton taus: one row per
+    side, holding all its terms, each M_o taken once."""
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     q = params.q
     equation = TODA_EQUATIONS[k]
     orders = {o for terms in equation for _, o, _ in terms}
     shift = {o: o * closed_M(o, params) for o in orders}
-    sides = (tm, tp, ONE), (tm.subs_scale(1 / q), tp.subs_scale(q), -params.eps)
-    res: Symbolic = {}
-    for (f, g, w), terms in zip(sides, equation):
-        side = [(-w * c, [BilinearOp("t", o, shift[o], p)]) for c, o, p in terms]
-        res = symbolic_sub(res, bilinear(f, g, side))
-    return res, {}
+    sides = (tm, tp, ONE), (tau_subs(tm, 1 / q), tau_subs(tp, q), -params.eps)
+    return [
+        [
+            (f, g, [(w * c, [BilinearOp("t", o, shift[o], p)]) for c, o, p in terms])
+            for (f, g, w), terms in zip(sides, equation)
+        ]
+    ]
 
 
-def _run_exact(residual_fn, cfg: CheckConfig, rng: random.Random):
+def _residual_max(params: ParamPoint, residuals) -> Scalar:
+    """The largest |coefficient| of any residual, each the sum of its rows."""
+    worst = ZERO
+    for rows in residuals:
+        total: Symbolic = {}
+        for f, g, terms in rows:
+            for key, c in bilinear(params, f, g, terms).items():
+                total[key] = total.get(key, ZERO) + c
+        worst = max([worst, *map(abs, total.values())])
+    return worst
+
+
+def _run_exact(check, cfg: CheckConfig, rng: random.Random):
+    """check is (shift kinds, row builder); the shifts are drawn in the
+    listed order, a t shift reported as alpha and a tbar shift as beta."""
+    kinds, build = check
+    names = ["alpha" if kind == "t" else "beta" for kind in kinds]
     worst = ZERO
     points = []
     tally = [0]
-    checked = 0
     for n in range(0, cfg.solitons + 1):
         for _ in range(cfg.samples):
             params = sample_param_point(rng, n, s=S)
-            res, draws = residual_fn(params, rng, tally)
-            checked += 1
-            m = _sym_max_abs(res)
-            if m > worst:
-                worst = m
+            shifts = [_draw_shift(rng, params, kind, tally) for kind in kinds]
+            worst = max(worst, _residual_max(params, build(params, *shifts)))
+            draws = dict(zip(names, map(scalar_str, shifts)))
             points.append({"n": n, "point": params.to_json(), **draws})
     params_d = {
         "s": scalar_str(S),
@@ -627,7 +636,7 @@ def _run_exact(residual_fn, cfg: CheckConfig, rng: random.Random):
         "soliton_range": [0, cfg.solitons],
         "points": points,
     }
-    detail = {"cases": checked, "rejected_draws": tally[0]}
+    detail = {"cases": len(points), "rejected_draws": tally[0]}
     return "exact", params_d, worst, worst == 0, detail
 
 
@@ -807,8 +816,9 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
 
 # The one check table: (group, group runner, {id: builder}).  run_check
 # calls runner(builder, cfg, rng); a windowed group fixes its truncation
-# triple, the exact group samples soliton points, the convergent group
-# calls the builder as the runner.  Table order is the report order.
+# triple, the exact group samples soliton points and the shifts of its
+# (shift kinds, row builder) pairs, the convergent group calls the builder
+# as the runner.  Table order is the report order.
 _REGISTRY = (
     (
         "bracket",
@@ -832,13 +842,11 @@ _REGISTRY = (
         "soliton-exact",
         _run_exact,
         {
-            "tau-shift-lemma": _res_tau_shift_lemma,
-            "hm-pm-1": _res_hm_pm_1,
-            "hm-pm-2": _res_hm_pm_2,
-            "hm-3": _res_hm_3,
-            "to-1": lambda params, rng, tally: _res_to(params, 1),
-            "to-2": lambda params, rng, tally: _res_to(params, 2),
-            "to-3": lambda params, rng, tally: _res_to(params, 3),
+            "tau-shift-lemma": (("tbar",), _rows_tau_shift_lemma),
+            "hm-pm-1": (("t",), _rows_hm_pm_1),
+            "hm-pm-2": (("tbar",), _rows_hm_pm_2),
+            "hm-3": (("t", "tbar"), _rows_hm_3),
+            **{f"to-{k}": ((), partial(_rows_to, k=k)) for k in TODA_EQUATIONS},
         },
     ),
     (

@@ -1,13 +1,15 @@
 """Source layout: no private imports across modules, no callerless code,
-no unused option, no unread field, no unused import.
+no unused option, no unread field, no unused import, no lambda that drops
+an argument.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
 package has a caller in the package: code that only tests use lives in the
 tests.  Every default is overridden by some call in the package; one that
 no call overrides is a constant.  Every dataclass field is read somewhere
-in the package.  Every module uses what it imports.  The rules are checked
-on the syntax tree of every package module.
+in the package.  Every module uses what it imports.  Every lambda reads
+each of its parameters.  The rules are checked on the syntax tree of every
+package module.
 """
 
 from __future__ import annotations
@@ -203,3 +205,22 @@ def test_every_import_is_used():
                 if bound not in used:
                     unused.append(f"{name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_no_lambda_discards_a_parameter():
+    # a lambda that ignores an argument adapts a call to a signature that
+    # asks for more than its callee needs; the callee, or a partial, is the
+    # plainer form
+    discarded = []
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Lambda):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [x for x in (a.vararg, a.kwarg) if x is not None]
+            read = {n.id for n in ast.walk(node.body) if isinstance(n, ast.Name)}
+            discarded += [
+                f"{name}:{node.lineno} {p.arg}" for p in params if p.arg not in read
+            ]
+    assert discarded == []

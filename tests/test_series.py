@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from toda_bo.evolve import DEFAULT_POINT
 from toda_bo.scalar import ONE, ZERO
 from toda_bo.series import series_div, series_inv, series_mul
-from toda_bo.soliton import make_tau_minus, make_tau_plus
+from toda_bo.soliton import make_tau_minus, make_tau_plus, tau_series
 
 
 def poly(coeffs):
@@ -239,8 +239,8 @@ def test_div_builds_one_fraction_per_output_degree(monkeypatch, make, most):
     # by true division, a degree builds no Fraction at all
     b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
     q = DEFAULT_POINT.q
-    tp = make_tau_plus(DEFAULT_POINT).to_series(b)
-    tm = make_tau_minus(DEFAULT_POINT).to_series(b)
+    tp = tau_series(make_tau_plus(DEFAULT_POINT), b)
+    tm = tau_series(make_tau_minus(DEFAULT_POINT), b)
     h = series_mul(subs(tm, 1 / q), subs(tp, q))
     built = 0
     new = F.__new__

@@ -1,4 +1,4 @@
-"""Soliton tau objects: construction, shifts, bilinear flows, reconstruction.
+"""Soliton taus: construction, shifts, bilinear flows, reconstruction.
 
 Oracle notes: small-n term tables are hand expansions of the subset sums;
 the finite-shift route and the reflection-factor route must reproduce each
@@ -24,8 +24,6 @@ from toda_bo.scalar import ParamPoint, PoleError
 from toda_bo.series import series_mul
 from toda_bo.soliton import (
     BilinearOp,
-    SolitonTau,
-    SolitonTerm,
     bilinear,
     d_factor,
     decay_report,
@@ -40,8 +38,8 @@ from toda_bo.soliton import (
     parse_soliton_spec,
     sample_decaying,
     soliton_spec_json,
-    symbolic_scale,
-    symbolic_sub,
+    tau_series,
+    tau_subs,
     xi_series_from_taus,
 )
 
@@ -62,26 +60,35 @@ def sym_mul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+def sym_lin(*parts):
+    """The sum of c * a over parts (c, a), zeros dropped."""
+    out = {}
+    for c, a in parts:
+        for k, v in a.items():
+            out[k] = out.get(k, F(0)) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 # #### construction ############################################################
 
 
 def test_empty_point_taus_are_one():
-    assert make_tau_plus(P0).symbolic() == {(0, ()): 1}
-    assert make_tau_minus(P0).symbolic() == {(0, ()): 1}
+    assert make_tau_plus(P0) == {(0, ()): 1}
+    assert make_tau_minus(P0) == {(0, ()): 1}
 
 
 def test_single_wave_shapes():
     q, eps, a = P1.q, P1.eps, P1.a[0]
-    assert make_tau_plus(P1).symbolic() == {(0, (0,)): 1, (1, (1,)): 1}
+    assert make_tau_plus(P1) == {(0, (0,)): 1, (1, (1,)): 1}
     d1 = (1 - eps / a) / (1 - q * eps / a)
-    assert make_tau_minus(P1).symbolic() == {(0, (0,)): 1, (-1, (-1,)): d1}
+    assert make_tau_minus(P1) == {(0, (0,)): 1, (-1, (-1,)): d1}
 
 
 def test_two_wave_interaction():
     q = P2.q
     a0, a1 = P2.a
     c = (a0 - a1) ** 2 / ((a0 - q * a1) * (a0 - a1 / q))
-    sym = make_tau_plus(P2).symbolic()
+    sym = make_tau_plus(P2)
     assert sym[(0, (0, 0))] == 1
     assert sym[(1, (1, 0))] == 1 and sym[(1, (0, 1))] == 1
     assert sym[(2, (1, 1))] == c
@@ -110,20 +117,19 @@ def test_miwa_factors():
 def test_miwa_shift_composes_to_identity():
     tau = make_tau_plus(P2)
     for kind in ("t", "tbar"):
-        back = miwa_shift(miwa_shift(tau, kind, F(1, 11), 1), kind, F(1, 11), -1)
-        assert back.symbolic() == tau.symbolic()
+        there = miwa_shift(P2, tau, kind, F(1, 11), 1)
+        assert miwa_shift(P2, there, kind, F(1, 11), -1) == tau
 
 
 def shift_identity_residual(params: ParamPoint, beta):
     """Shifted upper tau vs reflection-factor expansion; zero iff they agree."""
     n = params.n
-    lhs = miwa_shift(make_tau_plus(params), "tbar", beta, -1).symbolic()
+    lhs = miwa_shift(params, make_tau_plus(params), "tbar", beta, -1)
     pref = interaction_coeff(params, tuple(range(n)))
     for k in range(n):
         pref *= 1 / miwa_factor(params, k, "tbar", beta)
-    prefactor = SolitonTau(params, (SolitonTerm(n, (1,) * n, pref),)).symbolic()
-    rhs = sym_mul(prefactor, make_tau_minus(params, beta).symbolic())
-    return symbolic_sub(lhs, rhs)
+    rhs = sym_mul({(n, (1,) * n): pref}, make_tau_minus(params, beta))
+    return sym_lin((1, lhs), (-1, rhs))
 
 
 @pytest.mark.parametrize("params", [P1, P2, P3], ids=["n1", "n2", "n3"])
@@ -135,7 +141,7 @@ def test_shift_identity_exact(params):
 def test_default_beta_matches_shift_identity():
     # the lower tau's default spectral point is q**n eps
     beta = P2.q**2 * P2.eps
-    assert make_tau_minus(P2).symbolic() == make_tau_minus(P2, beta).symbolic()
+    assert make_tau_minus(P2) == make_tau_minus(P2, beta)
 
 
 # #### bilinear flows ##########################################################
@@ -144,55 +150,49 @@ def test_default_beta_matches_shift_identity():
 def test_flow_eigenvalue_values():
     q = P2.q
     a0, a1 = P2.a
-    t = SolitonTerm(0, (1, -2), F(1))
-    assert flow_eigenvalue(P2, t, "t", 2) == (1 - q**2) * (a0**2 - 2 * a1**2)
-    assert flow_eigenvalue(P2, t, "tbar", 1) == (1 - 1 / q) * (1 / a0 - 2 / a1)
+    e = (1, -2)
+    assert flow_eigenvalue(P2, e, "t", 2) == (1 - q**2) * (a0**2 - 2 * a1**2)
+    assert flow_eigenvalue(P2, e, "tbar", 1) == (1 - 1 / q) * (1 / a0 - 2 / a1)
 
 
 def test_bilinear_no_ops_is_product():
     tp = make_tau_plus(P2)
     tm = make_tau_minus(P2)
-    assert bilinear(tm, tp, [(F(1), [])]) == sym_mul(tm.symbolic(), tp.symbolic())
+    assert bilinear(P2, tm, tp, [(F(1), [])]) == sym_mul(tm, tp)
 
 
 def test_bilinear_single_derivative_antisymmetric():
     tp = make_tau_plus(P2)
     tm = make_tau_minus(P2)
     op = BilinearOp("t", 1)
-    a = bilinear(tm, tp, [(F(1), [op])])
-    b = bilinear(tp, tm, [(F(1), [op])])
-    assert symbolic_sub(a, symbolic_scale(b, F(-1))) == {}
+    a = bilinear(P2, tm, tp, [(F(1), [op])])
+    b = bilinear(P2, tp, tm, [(F(1), [op])])
+    assert sym_lin((1, a), (1, b)) == {}
 
 
 def test_bilinear_affine_power_expands():
     tp = make_tau_plus(P1)
     tm = make_tau_minus(P1)
     m = F(3, 7)
-    sq = bilinear(tm, tp, [(F(1), [BilinearOp("t", 1, m, 2)])])
-    d2 = bilinear(tm, tp, [(F(1), [BilinearOp("t", 1, F(0), 2)])])
-    d1 = bilinear(tm, tp, [(F(1), [BilinearOp("t", 1)])])
-    d0 = bilinear(tm, tp, [(F(1), [])])
-    expect = symbolic_sub(
-        sq, symbolic_sub({}, symbolic_scale(d1, -2 * m))
-    )  # sq - 2m d1 ...
-    expect = symbolic_sub(expect, symbolic_scale(d0, m * m))
-    assert symbolic_sub(expect, d2) == {}
+    sq = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1, m, 2)])])
+    d2 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1, F(0), 2)])])
+    d1 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1)])])
+    d0 = bilinear(P1, tm, tp, [(F(1), [])])
+    # sq - 2m d1 - m**2 d0 - d2
+    assert sym_lin((1, sq), (-2 * m, d1), (-m * m, d0), (-1, d2)) == {}
 
 
-def literal_bilinear(f, g, ops):
+def literal_bilinear(params, f, g, ops):
     """bilinear with both eigenvalues taken afresh for every term pair."""
     out = {}
-    for tf in f.terms:
-        for tg in g.terms:
-            c = tf.coeff * tg.coeff
+    for (zf, ef), cf in f.items():
+        for (zg, eg), cg in g.items():
+            c = cf * cg
             for op in ops:
-                lam = flow_eigenvalue(f.params, tf, op.kind, op.order)
-                mu = flow_eigenvalue(g.params, tg, op.kind, op.order)
+                lam = flow_eigenvalue(params, ef, op.kind, op.order)
+                mu = flow_eigenvalue(params, eg, op.kind, op.order)
                 c *= (lam - mu + op.shift) ** op.power
-            key = (
-                tf.z_power + tg.z_power,
-                tuple(x + y for x, y in zip(tf.b_exp, tg.b_exp)),
-            )
+            key = (zf + zg, tuple(x + y for x, y in zip(ef, eg)))
             out[key] = out.get(key, F(0)) + c
     return {k: v for k, v in out.items() if v}
 
@@ -216,9 +216,10 @@ def test_bilinear_equals_the_per_pair_loop(n, ops, shifted):
     params = (P0, P1, P2, P3)[n]
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     if shifted:
-        tm, tp = tm.subs_scale(1 / params.q), tp.subs_scale(params.q)
-    assert bilinear(tm, tp, [(F(1), ops)]) == literal_bilinear(tm, tp, ops)
-    assert bilinear(tp, tm, [(F(1), ops)]) == literal_bilinear(tp, tm, ops)
+        tm, tp = tau_subs(tm, 1 / params.q), tau_subs(tp, params.q)
+    for f, g in ((tm, tp), (tp, tm)):
+        want = literal_bilinear(params, f, g, ops)
+        assert bilinear(params, f, g, [(F(1), ops)]) == want
 
 
 _OPS = st.builds(
@@ -247,11 +248,9 @@ def test_bilinear_combination_is_the_weighted_sum_of_its_products(n, terms, shif
     params = (P0, P1, P2)[n]
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     if shifted:
-        tm, tp = tm.subs_scale(1 / params.q), tp.subs_scale(params.q)
-    expect = {}
-    for c, ops in terms:
-        expect = symbolic_sub(expect, symbolic_scale(literal_bilinear(tm, tp, ops), -c))
-    assert bilinear(tm, tp, terms) == expect
+        tm, tp = tau_subs(tm, 1 / params.q), tau_subs(tp, params.q)
+    expect = sym_lin(*((c, literal_bilinear(params, tm, tp, ops)) for c, ops in terms))
+    assert bilinear(params, tm, tp, terms) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -259,9 +258,9 @@ def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
     # 2**n terms on each side: 2 * 2**n eigenvalues per op, not 2 * 4**n
     params = (P0, P1, P2, P3)[n]
     tp, tm = make_tau_plus(params), make_tau_minus(params)
-    assert len(tp.terms) == len(tm.terms) == 2**n
+    assert len(tp) == len(tm) == 2**n
     ops = [BilinearOp("t", 1, F(1, 3), 2), BilinearOp("tbar", 2)]
-    expect = literal_bilinear(tm, tp, ops)
+    expect = literal_bilinear(params, tm, tp, ops)
     calls = 0
 
     def counting(*args):
@@ -270,18 +269,17 @@ def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
         return flow_eigenvalue(*args)
 
     monkeypatch.setattr(soliton, "flow_eigenvalue", counting)
-    assert bilinear(tm, tp, [(F(1), ops)]) == expect
+    assert bilinear(params, tm, tp, [(F(1), ops)]) == expect
     assert calls == 2 * 2**n * len(ops)
     # an op shared by two products of a combination is taken once too
     calls = 0
-    bilinear(tm, tp, [(F(1), ops[:1]), (F(1, 8), ops)])
+    bilinear(params, tm, tp, [(F(1), ops[:1]), (F(1, 8), ops)])
     assert calls == 2 * 2**n * len(ops)
 
 
 def test_subs_scale_powers():
-    tau = make_tau_plus(P2).subs_scale(F(3))
-    sym = tau.symbolic()
-    base = make_tau_plus(P2).symbolic()
+    sym = tau_subs(make_tau_plus(P2), F(3))
+    base = make_tau_plus(P2)
     for (z, e), c in sym.items():
         assert c == base[(z, e)] * F(3) ** z
 
@@ -290,12 +288,12 @@ def test_subs_scale_powers():
 
 
 def test_to_series_single_wave():
-    f = make_tau_plus(P1).to_series((F(1, 2),))
+    f = tau_series(make_tau_plus(P1), (F(1, 2),))
     assert f == {0: F(1), 1: F(1, 2)}
     with pytest.raises(ValueError):
-        make_tau_plus(P1).to_series((F(1, 2), F(1, 3)))
+        tau_series(make_tau_plus(P1), (F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
-        make_tau_plus(P1).to_series((F(0),))
+        tau_series(make_tau_plus(P1), (F(0),))
 
 
 def window_times(f: dict, window: int, p: dict) -> dict:
@@ -319,8 +317,8 @@ def test_eta_window_cross_multiplies_exactly():
     for params, b in ((P1, (F(1, 2),)), (P2, (F(1, 2), F(1, 3)))):
         q = params.q
         eta = eta_series_from_taus(params, b, 12)
-        tp = make_tau_plus(params).to_series(b)
-        tm = make_tau_minus(params).to_series(b)
+        tp = tau_series(make_tau_plus(params), b)
+        tm = tau_series(make_tau_minus(params), b)
         lhs = window_times(eta, 12, series_mul(tm, tp))
         rhs = series_mul(subs(tm, 1 / q), subs(tp, q))
         assert len(lhs) >= 20
@@ -331,8 +329,8 @@ def test_xi_window_cross_multiplies_exactly():
     for params, b in ((P1, (F(1, 2),)), (P2, (F(1, 2), F(1, 3)))):
         s = params.s
         xi = xi_series_from_taus(params, b, 12)
-        tp = make_tau_plus(params).to_series(b)
-        tm = make_tau_minus(params).to_series(b)
+        tp = tau_series(make_tau_plus(params), b)
+        tm = tau_series(make_tau_minus(params), b)
         lhs = window_times(xi, 12, series_mul(subs(tm, 1 / s), subs(tp, s)))
         rhs = series_mul(subs(tm, s), subs(tp, 1 / s))
         assert len(lhs) >= 20

@@ -7,7 +7,10 @@ orientation pairs; negative controls push a known-nonzero series and a
 deliberately wrong kernel through the windowed finisher, which must report
 violations instead of passing, one wrong coefficient in the order-3 Toda
 equation table must fail both the exact and the windowed check that read it,
-and one wrong coefficient in the lemma table must fail its windowed check.
+one wrong coefficient in the lemma table must fail its windowed check, and
+one row weight of each Miwa identity scaled by 7/6 must fail its exact
+check.  The Miwa row builders are also run at explicit shifts far outside
+the sampler's range.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
 reports of the exact and lemma-t3 groups, of the bracket group, of the
 m2/m3-consistency checks and of conj-iom are pinned to their sha256.
@@ -46,6 +49,7 @@ from toda_bo.verify import (
     _ctx_t3,
     _finish_windowed,
     _ladder_ok,
+    _residual_max,
     _run_windowed,
     _sgn,
     _win_eta_eta,
@@ -275,6 +279,53 @@ def test_exact_identities_vanish_identically(check_id):
     assert r.detail["cases"] == 3
     assert r.detail["rejected_draws"] >= 0
     assert len(r.params["points"]) == 3
+
+
+_MIWA_IDS = ("tau-shift-lemma", "hm-pm-1", "hm-pm-2", "hm-3")
+
+
+def one_row_scaled(build):
+    """build with the weights of its first residual's last row times 7/6."""
+
+    def wrong(params, *shifts):
+        residuals = build(params, *shifts)
+        f, g, terms = residuals[0][-1]
+        residuals[0][-1] = (f, g, [(c * F(7, 6), ops) for c, ops in terms])
+        return residuals
+
+    return wrong
+
+
+@pytest.mark.parametrize("check_id", _MIWA_IDS)
+def test_one_scaled_row_weight_fails_the_exact_check(monkeypatch, check_id):
+    assert run_check(check_id, SOL).passed
+    runner, (kinds, build) = verify._CHECKS[check_id]
+    monkeypatch.setitem(
+        verify._CHECKS, check_id, (runner, (kinds, one_row_scaled(build)))
+    )
+    rep = run_check(check_id, SOL)
+    assert not rep.passed and rep.mode == "exact"
+    assert not rep.residual["is_exact_zero"]
+    assert F(rep.residual["max_abs"]) > 0
+
+
+_WAVES = (F(1, 5), F(-1, 7), F(2, 9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_miwa_builders_vanish_at_explicit_far_shifts(n):
+    # the sampler keeps |shift| <= 1/8; the identities hold at any shift off
+    # the poles, here up to 39/11, with hm-3's tbar shift fixed at 3/13
+    params = ParamPoint(S, EPS, _WAVES[:n])
+    far = [(-1) ** k * F(k, 11) for k in range(1, 40)]
+    checked = 0
+    for check_id in _MIWA_IDS:
+        kinds, build = verify._CHECKS[check_id][1]
+        for x in far:
+            shifts = (x, F(3, 13))[: len(kinds)]
+            assert _residual_max(params, build(params, *shifts)) == 0, (check_id, x)
+            checked += 1
+    assert checked == 4 * 39
 
 
 # #### Toda equation table ####################################################
