@@ -21,16 +21,20 @@ region of its inputs.  Brackets cost one degree and cap the budget at the
 operands' certified weight; kernel and delta expansions halve the certified
 weight; products and linear maps preserve everything.
 
-Products run on Python ints.  Each operand cell becomes rows (monomial,
-weight, degree, numerator) over D, the lcm of its denominators, sorted by
-weight so a weight cap ends a scan early.  sum_products adds c * a * b over
-its terms into one integer per result monomial, every term scaled to the
-lcm of the terms' denominators, and divides once: one Fraction per stored
-monomial.  poly_mul, the bracket's pairing over all n, each result slot of
-a series product and each target slot of a kernel application are one
-sum_products each.  Integer sums are exact and lowest terms are unique, so
-the coefficients are the rationals the term-by-term Fraction sum gives,
-and a sum that cancels to zero is not stored.
+The algebra runs on Python ints.  A mode polynomial is integer numerators
+over one denominator, the lcm of its reduced coefficient denominators.
+Each operand cell becomes rows (monomial, weight, degree, numerator) over
+that denominator, sorted by weight so a weight cap ends a scan early.
+sum_products adds c * a * b over its terms into one integer per result
+monomial, every term scaled to the lcm of the terms' denominators, and
+reduces the result by one gcd.  poly_mul, the bracket's pairing over all
+n, each result slot of a series product and each target slot of a kernel
+application are one sum_products each; sums, negation, scalar multiples
+and pruning work on the numerators too.  No Fraction is built until a
+coefficient is read (AlphaPoly.coeff), which the windowed finisher does
+for a violating cell only.  Integer sums are exact and the reduced form is
+unique, so the coefficients are the rationals the term-by-term Fraction
+sum gives, and a sum that cancels to zero is not stored.
 
 Returned series share structure: treat them as immutable.
 """
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 
 from .scalar import ONE, PoleError, Scalar
@@ -60,65 +64,80 @@ def mono_sigma(m: Monomial) -> int:
 
 
 class AlphaPoly:
-    """Polynomial in the modes with Fraction coefficients.
+    """Polynomial in the modes with rational coefficients, held as integer
+    numerators over one denominator.
 
-    Keys are sorted tuples of nonzero mode indices; values are exact
-    rationals.  Zero coefficients are never stored.
+    nums maps sorted tuples of nonzero mode indices to nonzero ints; den > 0
+    is the lcm of the reduced coefficient denominators, so the coefficient
+    of m is nums[m] / den.  The constructor divides out gcd(den, *nums),
+    which leaves exactly that lcm (lcm_i den / gcd(den, n_i) equals
+    den / gcd(den, n_1, ..., n_k)): the form is canonical and == compares
+    values.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
-        self.terms = terms if terms is not None else {}
+    def __init__(self, nums: dict[Monomial, int], den: int):
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
+        self.nums = nums
+        self.den = den
 
     @classmethod
     def zero(cls) -> "AlphaPoly":
-        return cls({})
+        return cls({}, 1)
 
     @classmethod
     def const(cls, c: Scalar) -> "AlphaPoly":
         c = Fraction(c)
-        return cls({(): c} if c else {})
+        return cls({(): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls) -> "AlphaPoly":
-        return cls({(): ONE})
+        return cls({(): 1}, 1)
+
+    def coeff(self, m: Monomial) -> Fraction:
+        """The coefficient of monomial m, as a Fraction."""
+        return Fraction(self.nums.get(m, 0), self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, AlphaPoly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == AlphaPoly.const(other).terms
+            other = AlphaPoly.const(other)
+        if isinstance(other, AlphaPoly):
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def _plus(self, other: "AlphaPoly", sub: bool) -> "AlphaPoly":
-        """self + other, or self - other when sub, in one pass."""
+        """self + other, or self - other when sub, in one pass over the
+        lcm of the two denominators."""
         if not isinstance(other, AlphaPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not sub and len(a) < len(b):
+        a, b = self, other
+        if not sub and len(a.nums) < len(b.nums):
             a, b = b, a
-        out = dict(a)
-        for m, c in b.items():
-            v = out.get(m)
-            if v is None:
-                out[m] = -c if sub else c
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        out = dict(a.nums) if sa == 1 else {m: v * sa for m, v in a.nums.items()}
+        if sub:
+            sb = -sb
+        for m, v in b.nums.items():
+            v = out.get(m, 0) + v * sb
+            if v:
+                out[m] = v
             else:
-                v = v - c if sub else v + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return AlphaPoly(out)
+                del out[m]
+        return AlphaPoly(out, den)
 
     def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
         return self._plus(other, False)
 
     def __neg__(self) -> "AlphaPoly":
-        return AlphaPoly({m: -c for m, c in self.terms.items()})
+        return AlphaPoly({m: -v for m, v in self.nums.items()}, self.den)
 
     def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
         return self._plus(other, True)
@@ -129,29 +148,29 @@ class AlphaPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return AlphaPoly.zero()
-            return AlphaPoly({m: c * other for m, c in self.terms.items()})
+            c = other.numerator
+            return AlphaPoly(
+                {m: v * c for m, v in self.nums.items()}, self.den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def pruned(self, max_weight: int, max_deg: int) -> "AlphaPoly":
         out = {
-            m: c
-            for m, c in self.terms.items()
+            m: v
+            for m, v in self.nums.items()
             if len(m) <= max_deg and mono_weight(m) <= max_weight
         }
-        return AlphaPoly(out) if len(out) != len(self.terms) else self
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+        return AlphaPoly(out, self.den) if len(out) != len(self.nums) else self
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
-        for m, c in self.sorted_terms():
+        for m in sorted(self.nums):
             mono = "*".join(f"a[{n}]" for n in m) or "1"
-            bits.append(f"({c})*{mono}")
+            bits.append(f"({self.coeff(m)})*{mono}")
         return " + ".join(bits)
 
 
@@ -159,16 +178,11 @@ Rows = tuple[list[tuple[Monomial, int, int, int]], int]
 
 
 def poly_rows(p: AlphaPoly) -> Rows:
-    """p as (rows, D): D the lcm of p's denominators and one row
-    (monomial, weight, degree, numerator over D) per term, by weight."""
-    # inline: scalar.numerators' extra list pass measured ~5 % slower here
-    D = lcm(*(c.denominator for c in p.terms.values()))
-    rows = [
-        (m, mono_weight(m), len(m), c.numerator * (D // c.denominator))
-        for m, c in p.terms.items()
-    ]
+    """p as (rows, den): one row (monomial, weight, degree, numerator over
+    den) per term, sorted by weight."""
+    rows = [(m, mono_weight(m), len(m), v) for m, v in p.nums.items()]
     rows.sort(key=itemgetter(1))
-    return rows, D
+    return rows, p.den
 
 
 def sum_products(
@@ -178,9 +192,10 @@ def sum_products(
     result monomials of weight <= max_weight and degree <= max_deg.
 
     The integer product kernel: every term is brought to the lcm of the
-    terms' denominators by an integer scale, and each result monomial is
-    one Fraction.  Rows are sorted by weight so a cap violation breaks
-    the loop early."""
+    terms' denominators by an integer scale, each result monomial is one
+    integer over that lcm, and the sum is one AlphaPoly with no Fraction
+    built.  Rows are sorted by weight so a cap violation breaks the loop
+    early."""
     dens = [c.denominator * da * db for c, (_, da), (_, db) in terms]
     den = lcm(*dens)
     acc: dict[Monomial, int] = {}
@@ -201,7 +216,7 @@ def sum_products(
                     continue
                 m = tuple(sorted(m1 + m2))
                 acc[m] = get(m, 0) + c1 * c2
-    return AlphaPoly({m: Fraction(v, den) for m, v in acc.items() if v})
+    return AlphaPoly({m: v for m, v in acc.items() if v}, den)
 
 
 def poly_mul(
@@ -308,33 +323,49 @@ class AlphaSeries:
     +-n_modes) to mode polynomials.  Cells violating the global pruning rule
     (slot l1-norm + weight > n_modes, or degree > d_deg) are discarded on
     construction; the Guarantee says which surviving cells are certified.
+    Results of the algebra below already meet the rule and are built by
+    capped, which skips the pruning pass; both paths check balance on every
+    stored monomial.
     """
 
     __slots__ = ("ctx", "vars", "coeffs", "guar")
 
     def __init__(self, ctx: ModeContext, vars, coeffs, guar: Guarantee):
-        self.ctx = ctx
-        self.vars = tuple(vars)
         N = ctx.trunc.n_modes
         D = ctx.trunc.d_deg
         clean: dict[tuple[int, ...], AlphaPoly] = {}
         for slot, poly in coeffs.items():
             slot = tuple(slot)
-            if len(slot) != len(self.vars):
-                raise ValueError("slot arity mismatch")
-            span = sum(abs(x) for x in slot)
+            span = sum(map(abs, slot))
             if span > N:
                 continue
             p = poly.pruned(N - span, D)
-            if p.terms:
+            if p:
                 clean[slot] = p
-        self.coeffs = clean
-        self.guar = guar
-        for slot, poly in clean.items():
+        self._fill(ctx, vars, clean, guar)
+
+    @classmethod
+    def capped(cls, ctx: ModeContext, vars, coeffs, guar: Guarantee) -> "AlphaSeries":
+        """A series from cells that already meet the pruning rule: tuple
+        slots within the window, no empty cell, every monomial within the
+        weight its slot leaves and the degree cap.  Only balance is
+        checked."""
+        self = cls.__new__(cls)
+        self._fill(ctx, vars, coeffs, guar)
+        return self
+
+    def _fill(self, ctx, vars, coeffs, guar):
+        self.ctx = ctx
+        self.vars = tuple(vars)
+        for slot, poly in coeffs.items():
+            if len(slot) != len(self.vars):
+                raise ValueError("slot arity mismatch")
             off = sum(slot)
-            for m in poly.terms:
+            for m in poly.nums:
                 if mono_sigma(m) != -off:
                     raise AssertionError(f"balance violated at slot {slot}: monomial {m}")
+        self.coeffs = coeffs
+        self.guar = guar
 
     # -- constructors --------------------------------------------------------
 
@@ -372,7 +403,8 @@ class AlphaSeries:
     # -- linear structure -------------------------------------------------------
 
     def _with(self, coeffs, guar=None):
-        return AlphaSeries(self.ctx, self.vars, coeffs, guar or self.guar)
+        """A linear image of self: its cells meet the pruning rule already."""
+        return AlphaSeries.capped(self.ctx, self.vars, coeffs, guar or self.guar)
 
     def _plus(self, other: "AlphaSeries", sub: bool) -> "AlphaSeries":
         """self + other, or self - other when sub, cell by cell in one pass."""
@@ -384,7 +416,7 @@ class AlphaSeries:
                 r = -p if sub else p
             else:
                 r = q - p if sub else q + p
-            if r.terms:
+            if r:
                 out[slot] = r
             else:
                 out.pop(slot, None)
@@ -409,10 +441,10 @@ class AlphaSeries:
         """Substitute the first variable v -> c * v: cell at slot k gains c**k."""
         if not self.vars:
             raise ValueError("no variables to rescale")
-        out = {}
-        for slot, p in self.coeffs.items():
-            out[slot] = p * (Fraction(c) ** slot[0])
-        return self._with(out)
+        c = Fraction(c)
+        if not c:
+            raise ValueError("rescaling needs a nonzero factor")
+        return self._with({slot: p * c ** slot[0] for slot, p in self.coeffs.items()})
 
     def slice_sign(self, sign: int) -> "AlphaSeries":
         """Keep only cells whose slot in the first variable has strict sign."""
@@ -464,9 +496,9 @@ class AlphaSeries:
         out = {}
         for slot, ts in terms.items():
             prod = sum_products(ts, N - sum(map(abs, slot)), D)
-            if prod.terms:
+            if prod:
                 out[slot] = prod
-        return AlphaSeries(self.ctx, rvars, out, guar)
+        return AlphaSeries.capped(self.ctx, rvars, out, guar)
 
     # -- one-sided analytic operations -------------------------------------------
 
@@ -479,7 +511,7 @@ class AlphaSeries:
         return signs.pop() if signs else 1
 
     def exp(self) -> "AlphaSeries":
-        if self.coeff((0,)).terms:
+        if self.coeff((0,)):
             raise ValueError("exp needs zero constant cell")
         self._direction("exp")
         N = self.ctx.trunc.n_modes
@@ -508,7 +540,7 @@ class AlphaSeries:
                 if d * j in frows and k - j in grows
             ]
             acc = sum_products(terms, N - k, D)
-            if acc.terms:
+            if acc:
                 out[(d * k,)] = acc
                 grows[k] = poly_rows(acc)
         return self._with(out)
@@ -588,9 +620,9 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
             if span > N:
                 continue
             acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
-            if acc.terms:
+            if acc:
                 out[sa + sb] = acc
-    return AlphaSeries(ctx, rvars, out, F.guar.after_bracket(G.guar))
+    return AlphaSeries.capped(ctx, rvars, out, F.guar.after_bracket(G.guar))
 
 
 def flow(H: AlphaSeries, F: AlphaSeries, side: str = "left") -> AlphaSeries:
@@ -676,9 +708,9 @@ def apply_ratio_kernel(
     out = {}
     for tgt, ts in by_tgt.items():
         poly = sum_products(ts, N - sum(map(abs, tgt)), D)
-        if poly.terms:
+        if poly:
             out[tgt] = poly
-    return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
+    return AlphaSeries.capped(F.ctx, F.vars, out, F.guar.kern_derate())
 
 
 def delta_mul(c: Scalar, G: AlphaSeries, new_var: str) -> AlphaSeries:
@@ -707,7 +739,8 @@ def _linear_series(ctx: ModeContext, var: str, rows) -> AlphaSeries:
     coeffs = {}
     for slot, n, c in rows:
         if c:
-            coeffs[(slot,)] = AlphaPoly({(n,): Fraction(c)})
+            c = Fraction(c)
+            coeffs[(slot,)] = AlphaPoly({(n,): c.numerator}, c.denominator)
     N = ctx.trunc.n_modes
     return AlphaSeries(ctx, (var,), coeffs, Guarantee(N, N, ctx.trunc.d_deg))
 

@@ -125,13 +125,14 @@ def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> Symbolic:
     n = params.n
     if beta is None:
         beta = params.q**n * params.eps
+    d = [d_factor(params, k, beta) for k in range(n)]
     tau = {}
     for r in range(n + 1):
         for subset in itertools.combinations(range(n), r):
             e = tuple(-1 if k in subset else 0 for k in range(n))
             c = interaction_coeff(params, subset)
             for k in subset:
-                c *= d_factor(params, k, beta)
+                c *= d[k]
             tau[-r, e] = c
     return tau
 

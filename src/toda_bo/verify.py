@@ -237,18 +237,17 @@ def _finish_windowed(pairs, zcap: int):
             if any(abs(x) > zcap for x in slot):
                 continue
             span = sum(abs(x) for x in slot)
-            for mono, c in poly.terms.items():
+            for mono in poly.nums:
                 if g.covers(span, mono_weight(mono), len(mono)):
                     violations += 1
-                    if abs(c) > worst:
-                        worst = abs(c)
+                    worst = max(worst, abs(poly.coeff(mono)))
                 else:
                     uncertified += 1
         for slot, poly in wit.coeffs.items():
             if any(abs(x) > zcap for x in slot):
                 continue
             span = sum(abs(x) for x in slot)
-            for mono in poly.terms:
+            for mono in poly.nums:
                 if g.covers(span, mono_weight(mono), len(mono)):
                     witness_cells += 1
     detail = {
@@ -304,9 +303,9 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
     out = {}
     for slot, ts in terms.items():
         p = sum_products(ts, N - abs(slot), D)
-        if p.terms:
+        if p:
             out[(slot,)] = p
-    return AlphaSeries(ctx, ("z",), out, e.guar.kern_derate())
+    return AlphaSeries.capped(ctx, ("z",), out, e.guar.kern_derate())
 
 
 _CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}

@@ -7,11 +7,14 @@ exponentials; the exponential builders of each field must agree cell by
 cell with the dressing-ratio route written out below, which cross-validates
 exp, inv and rescaling at once.  The integer product kernels are checked
 against the term-by-term Fraction loops they replaced, and one bracket's
-Fraction constructions are counted.
+Fraction constructions are counted.  The ring operations are checked
+against Fraction dicts, value and canonical form, and every result built
+without the pruning pass against its pruned rebuild.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -43,6 +46,8 @@ from toda_bo.modes import (
     poly_mul,
     xi_zero,
 )
+from toda_bo.scalar import numerators
+from toda_bo.verify import quad_kernel_series
 
 CTX = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 6))
 Q = CTX.q
@@ -53,9 +58,9 @@ def certified_cells(series):
     g = series.guar
     for slot, poly in series.coeffs.items():
         span = sum(map(abs, slot))
-        for m, c in poly.terms.items():
+        for m in poly.nums:
             if g.covers(span, mono_weight(m), len(m)):
-                yield slot, m, c
+                yield slot, m, poly.coeff(m)
 
 
 def assert_certified_zero(series):
@@ -63,9 +68,21 @@ def assert_certified_zero(series):
     assert not bad, f"nonzero certified cells: {bad[:3]}"
 
 
+def poly_of(coeffs: dict) -> AlphaPoly:
+    """A mode polynomial from {monomial: rational}; zero values are dropped."""
+    coeffs = {m: c for m, c in coeffs.items() if c}
+    nums, den = numerators(coeffs.values())
+    return AlphaPoly(dict(zip(coeffs, nums)), den)
+
+
+def terms(p: AlphaPoly) -> dict:
+    """p's coefficients as {monomial: Fraction}."""
+    return {m: p.coeff(m) for m in p.nums}
+
+
 def gen(n: int) -> AlphaPoly:
     """The mode alpha_n as a polynomial."""
-    return AlphaPoly({(n,): F(1)})
+    return AlphaPoly({(n,): 1}, 1)
 
 
 def deriv(p: AlphaPoly, n: int) -> AlphaPoly:
@@ -73,7 +90,7 @@ def deriv(p: AlphaPoly, n: int) -> AlphaPoly:
     if n not in (table := diff_rows(p)):
         return AlphaPoly.zero()
     rows, D = table[n]
-    return AlphaPoly({m: F(c, D) for m, _, _, c in rows})
+    return AlphaPoly({m: c for m, _, _, c in rows}, D)
 
 
 def poisson_poly(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
@@ -106,7 +123,7 @@ def alpha_polys():
         st.integers(-3, 3).filter(bool), min_size=0, max_size=3
     ).map(lambda xs: tuple(sorted(xs)))
     return st.dictionaries(monos, st.integers(-4, 4).filter(bool), max_size=4).map(
-        lambda d: AlphaPoly({m: F(c) for m, c in d.items()})
+        lambda d: AlphaPoly(d, 1)
     )
 
 
@@ -125,18 +142,18 @@ def test_poly_arithmetic_smalls():
 
 def test_poly_diff():
     # d/da1 of a1^2 a_-2 = 2 a1 a_-2; d/da2 kills it
-    p = AlphaPoly({(-2, 1, 1): F(3)})
-    assert deriv(p, 1) == AlphaPoly({(-2, 1): F(6)})
+    p = poly_of({(-2, 1, 1): F(3)})
+    assert deriv(p, 1) == poly_of({(-2, 1): F(6)})
     assert deriv(p, 2) == 0
-    assert deriv(p, -2) == AlphaPoly({(1, 1): F(3)})
+    assert deriv(p, -2) == poly_of({(1, 1): F(3)})
 
 
 def test_poly_mul_caps():
-    p = AlphaPoly({(1,): F(1), (2, 2): F(1)})
+    p = poly_of({(1,): F(1), (2, 2): F(1)})
     full = poly_mul(p, p)
-    assert (1, 2, 2) in full.terms and (2, 2, 2, 2) in full.terms
+    assert (1, 2, 2) in full.nums and (2, 2, 2, 2) in full.nums
     capped = poly_mul(p, p, max_weight=3, max_deg=2)
-    assert capped == AlphaPoly({(1, 1): F(1)})
+    assert capped == poly_of({(1, 1): F(1)})
 
 
 def test_mono_invariants():
@@ -190,11 +207,16 @@ def test_bracket_jacobi(f, g, h):
 
 
 def literal_poly_mul(a, b, max_weight=None, max_deg=None):
+    return poly_of(literal_mul_terms(terms(a), terms(b), max_weight, max_deg))
+
+
+def literal_mul_terms(ta, tb, max_weight, max_deg):
+    """The capped product of two {monomial: Fraction} dicts, term by term."""
     out = {}
     wcap = float("inf") if max_weight is None else max_weight
     dcap = float("inf") if max_deg is None else max_deg
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
             if mono_weight(m1) + mono_weight(m2) > wcap or len(m1) + len(m2) > dcap:
                 continue
             m = tuple(sorted(m1 + m2))
@@ -204,16 +226,16 @@ def literal_poly_mul(a, b, max_weight=None, max_deg=None):
                 out[m] = v
             else:
                 del out[m]
-    return AlphaPoly(out)
+    return out
 
 
 def literal_diff(p, n):
     out = {}
-    for m, c in p.terms.items():
+    for m, c in terms(p).items():
         if n in m:
             i = m.index(n)
             out[m[:i] + m[i + 1:]] = c * m.count(n)
-    return AlphaPoly(out)
+    return poly_of(out)
 
 
 def literal_pairing(f, g, ctx, max_weight, max_deg):
@@ -235,7 +257,7 @@ def literal_bracket(Fs, Gs):
             span = sum(map(abs, sa + sb))
             if span <= N:
                 acc = literal_pairing(pa, pb, ctx, N - span, D)
-                if acc.terms:
+                if acc:
                     out[sa + sb] = acc
     return AlphaSeries(ctx, Fs.vars + Gs.vars, out, Fs.guar.after_bracket(Gs.guar))
 
@@ -251,25 +273,25 @@ def literal_series_mul(A, B):
             if span <= N:
                 prod = literal_poly_mul(pa, pb, N - span, D)
                 r = out.get(slot, AlphaPoly.zero()) + prod
-                if r.terms:
+                if r:
                     out[slot] = r
                 else:
                     out.pop(slot, None)
     return out
 
 
-def literal_ratio_kernel(Fs, terms, pair):
+def literal_ratio_kernel(Fs, kernel, pair):
     ia, ib = pair
     N = Fs.ctx.trunc.n_modes
     out = {}
-    for slot, poly in Fs.coeffs.items():
-        for l, k in terms.items():
+    for slot, p in Fs.coeffs.items():
+        for l, k in kernel.items():
             tgt = list(slot)
             tgt[ia] -= l
             tgt[ib] += l
             if k and abs(tgt[ia]) <= N and abs(tgt[ib]) <= N:
-                r = out.get(tuple(tgt), AlphaPoly.zero()) + poly * k
-                if r.terms:
+                r = out.get(tuple(tgt), AlphaPoly.zero()) + p * k
+                if r:
                     out[tuple(tgt)] = r
                 else:
                     out.pop(tuple(tgt), None)
@@ -288,7 +310,7 @@ def mixed_polys(max_size=5):
     monos = st.lists(
         st.integers(-3, 3).filter(bool), min_size=0, max_size=3
     ).map(lambda xs: tuple(sorted(xs)))
-    return st.dictionaries(monos, scalars(), max_size=max_size).map(AlphaPoly)
+    return st.dictionaries(monos, scalars(), max_size=max_size).map(poly_of)
 
 
 def caps():
@@ -306,10 +328,10 @@ def balanced_series():
 
     def build(cells):
         coeffs = {}
-        for a, poly in cells:
-            for m, c in poly.terms.items():
+        for a, p in cells:
+            for m, c in terms(p).items():
                 slot = (a, -mono_sigma(m) - a)
-                coeffs[slot] = coeffs.get(slot, AlphaPoly.zero()) + AlphaPoly({m: c})
+                coeffs[slot] = coeffs.get(slot, AlphaPoly.zero()) + poly_of({m: c})
         return AlphaSeries(CTX, ("z", "w"), coeffs, Guarantee(6, 6, 6))
 
     return st.lists(cell, max_size=8).map(build)
@@ -319,32 +341,101 @@ def balanced_series():
 @settings(max_examples=60)
 def test_poly_mul_equals_fraction_loop(a, b, wcap, dcap):
     got = poly_mul(a, b, wcap, dcap)
-    assert got.terms == literal_poly_mul(a, b, wcap, dcap).terms
-    assert all(got.terms.values())
+    assert terms(got) == terms(literal_poly_mul(a, b, wcap, dcap))
+    assert all(terms(got).values())
 
 
 def test_poly_mul_cancelled_sums_are_not_stored():
     a, b = gen(1), gen(-2) * F(3, 4)
     got = poly_mul(a + b, a - b)
-    assert got.terms == {(1, 1): 1, (-2, -2): -F(9, 16)}
-    assert poly_mul(AlphaPoly({(1,): 2}), AlphaPoly({(-1,): 3, (2,): -1})) == (
-        AlphaPoly({(-1, 1): F(6), (1, 2): F(-2)})
+    assert terms(got) == {(1, 1): 1, (-2, -2): -F(9, 16)}
+    assert poly_mul(poly_of({(1,): 2}), poly_of({(-1,): 3, (2,): -1})) == (
+        poly_of({(-1, 1): F(6), (1, 2): F(-2)})
     )
+
+
+# #### canonical form against Fraction dicts ##################################
+#
+# A polynomial is nums over den, with den the lcm of the reduced coefficient
+# denominators and gcd(den, *nums) == 1; every operation must land there, so
+# that == on (nums, den) is == on values.
+
+
+def assert_canonical(p: AlphaPoly):
+    assert all(isinstance(v, int) and v for v in p.nums.values())
+    assert p.den == math.lcm(*(p.coeff(m).denominator for m in p.nums))
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+def fraction_sum(ta: dict, tb: dict, sign: int) -> dict:
+    out = dict(ta)
+    for m, c in tb.items():
+        v = out.get(m, 0) + sign * c
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
+@given(mixed_polys(), mixed_polys(), scalars(), *caps())
+@settings(max_examples=80)
+def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
+    ta, tb = terms(a), terms(b)
+    w = BIG if wcap is None else wcap
+    d = BIG if dcap is None else dcap
+    cases = [
+        (a, ta),
+        (a + b, fraction_sum(ta, tb, 1)),
+        (a - b, fraction_sum(ta, tb, -1)),
+        (-a, {m: -v for m, v in ta.items()}),
+        (a * c, {m: v * c for m, v in ta.items()}),
+        (c * a, {m: v * c for m, v in ta.items()}),
+        (a * 0, {}),
+        (poly_mul(a, b, wcap, dcap), literal_mul_terms(ta, tb, wcap, dcap)),
+        (a.pruned(w, d), {m: v for m, v in ta.items() if mono_weight(m) <= w and len(m) <= d}),
+        ((a + b) - b, ta),
+        ((a - b) + b, ta),
+        (a - a, {}),
+        (AlphaPoly.const(c), {(): F(c)}),
+        (AlphaPoly.const(0), {}),
+        (AlphaPoly.one(), {(): 1}),
+        (AlphaPoly.zero(), {}),
+    ]
+    for got, want in cases:
+        assert terms(got) == want
+        assert_canonical(got)
+    assert (a == b) == (ta == tb)
+    assert a + b == b + a and (a - a) == AlphaPoly.zero()
+    assert (a == c) == (ta == {(): F(c)})
+    assert AlphaPoly.const(c) == c and AlphaPoly.zero() == 0
+
+
+def test_poly_sums_reduce_to_lowest_terms():
+    # 1/6 + 1/3 = 1/2 and -1/6 + 1/6 = 0: the sum's den drops from 6 to 2
+    a = poly_of({(1,): F(1, 6), (2,): F(1, 6)})
+    b = poly_of({(1,): F(1, 3), (2,): F(-1, 6)})
+    s = a + b
+    assert (s.nums, s.den) == ({(1,): 1}, 2)
+    assert ((a - a).nums, (a - a).den) == ({}, 1)
+    assert (a * 6).den == 1 and (a * 6).nums == {(1,): 1, (2,): 1}
+    assert (a * F(3, 2)).den == 4
+    assert (s.pruned(0, 5).nums, s.pruned(0, 5).den) == ({}, 1)
 
 
 @given(mixed_polys(), mixed_polys(), st.sampled_from([BIG, 0, 2, 4]), st.integers(0, 4))
 @settings(max_examples=60)
 def test_pairing_equals_fraction_loop(f, g, wcap, dcap):
     got = poisson_pairing(diff_rows(f), diff_rows(g), CTX, wcap, dcap)
-    assert got.terms == literal_pairing(f, g, CTX, wcap, dcap).terms
-    assert all(got.terms.values())
+    assert terms(got) == terms(literal_pairing(f, g, CTX, wcap, dcap))
+    assert all(terms(got).values())
 
 
 def test_pairing_cancelled_sums_are_not_stored():
     # {f, f} = 0 term by term: the n and -n halves cancel in one accumulator
-    f = AlphaPoly({(-1, 1): F(2, 3), (-2, 2): -1})
-    assert poisson_poly(f, f).terms == {}
-    assert literal_pairing(f, f, CTX, BIG, BIG).terms == {}
+    f = poly_of({(-1, 1): F(2, 3), (-2, 2): -1})
+    assert terms(poisson_poly(f, f)) == {}
+    assert terms(literal_pairing(f, f, CTX, BIG, BIG)) == {}
 
 
 @given(
@@ -353,14 +444,14 @@ def test_pairing_cancelled_sums_are_not_stored():
     st.sampled_from([(0, 1), (1, 0)]),
 )
 @settings(max_examples=60)
-def test_ratio_kernel_equals_fraction_loop(Fs, terms, pair):
-    got = apply_ratio_kernel(Fs, terms, pair)
-    want = literal_ratio_kernel(Fs, terms, pair)
+def test_ratio_kernel_equals_fraction_loop(Fs, kernel, pair):
+    got = apply_ratio_kernel(Fs, kernel, pair)
+    want = literal_ratio_kernel(Fs, kernel, pair)
     assert got.coeffs == want.coeffs and got.guar == want.guar
 
 
 def test_ratio_kernel_cancelled_target_is_not_stored():
-    m = AlphaPoly({(-1, 1): F(1, 3)})
+    m = poly_of({(-1, 1): F(1, 3)})
     Fs = AlphaSeries(CTX, ("z", "w"), {(1, -1): m, (-1, 1): m}, Guarantee(6, 6, 6))
     got = apply_ratio_kernel(Fs, {1: F(2), -1: -2}, (0, 1))
     assert (0, 0) not in got.coeffs
@@ -385,11 +476,13 @@ def test_field_kernels_equal_fraction_loops(trunc):
     )
 
 
-def test_bracket_builds_one_fraction_per_output_monomial(monkeypatch):
-    # the Fraction loop built several Fractions per pair of terms (2576
-    # for 122 stored monomials here); the integer kernel builds one per
-    # stored monomial, plus a few per entry of the context's (1 - q**n) table
-    ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 6))
+def test_bracket_builds_no_fraction_beyond_the_pairing_table(monkeypatch):
+    # the Fraction loop built several Fractions per pair of terms (2576 for
+    # 122 stored monomials here), and the first integer kernel one per
+    # stored monomial; on numerators the bracket builds none beyond the
+    # context's (1 - q**n) table, a few per n.  The eps is this test's own,
+    # so the table is cold and the count is not zero.
+    ctx = ModeContext(F(1, 2), F(1, 7), ModeTrunc(6, 6))
     ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
     built = 0
     new = F.__new__
@@ -402,8 +495,9 @@ def test_bracket_builds_one_fraction_per_output_monomial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(F, "__new__", counting_new)
         out = bracket(ez, ew)
-    stored = sum(len(p.terms) for p in out.coeffs.values())
-    assert 0 < stored <= built <= stored + 5 * ctx.trunc.n_modes
+    stored = sum(len(p.nums) for p in out.coeffs.values())
+    assert stored == 122
+    assert 0 < built <= 5 * ctx.trunc.n_modes
 
 
 # #### guarantee calculus ######################################################
@@ -437,6 +531,52 @@ def test_series_pruning():
     assert sorted(s.coeffs) == [(1,)]
 
 
+@pytest.mark.parametrize("trunc", [ModeTrunc(7, 3), ModeTrunc(6, 2)])
+def test_capped_results_equal_their_pruned_rebuild(trunc):
+    # every site that skips the pruning pass: rebuilding its output through
+    # the pruning constructor must change no cell.  The truncations let a
+    # cap one too loose show: an odd n_modes for weight (slot span + weight
+    # is even on balanced cells), a small d_deg for degree
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
+    tp, tm = build_tau(ctx, "+", "z"), build_tau(ctx, "-", "z")
+    phi = build_phi(ctx, "+")
+    # 1 + phi: unlike tau_+, an exponential, its inverse has a degree-3 part
+    one_plus_phi = AlphaSeries(ctx, ("z",), {(0,): AlphaPoly.one()}, phi.guar) + phi
+    N = trunc.n_modes
+    kernel = {l: ctx.one_minus_q(abs(l)) * (l // abs(l)) for l in range(-N, N + 1) if l}
+    outputs = {
+        "tensor product": ez * ew,
+        "slotwise product": tp * tm,
+        "bracket": bracket(ez, ew),
+        "flow": flow(eta_zero(ctx), tm),
+        "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
+        "inv": tp.inv(),
+        "inv of 1 + phi": one_plus_phi.inv(),
+        "exp": build_phi(ctx, "-").exp(),
+        "sum": tp + tm,
+        "difference": tp - ez,
+        "negation": -tm,
+        "scale": ez.scale(F(-2, 3)),
+        "subs_scale": tm.subs_scale(1 / ctx.q),
+        "slice_sign": ez.slice_sign(-1),
+        "quad kernel": quad_kernel_series(ctx, "pm"),
+    }
+    for name, X in outputs.items():
+        assert X.coeffs, name
+        again = AlphaSeries(X.ctx, X.vars, X.coeffs, X.guar)
+        assert again.coeffs == X.coeffs, name
+
+
+def test_capped_path_checks_balance_and_guard_sees_overweight_cells():
+    # negative controls: the skip path still refuses an unbalanced cell, and
+    # a cell past the pruning rule handed to it is what the rebuild drops
+    with pytest.raises(AssertionError, match="balance"):
+        AlphaSeries.capped(CTX, ("z",), {(1,): gen(1)}, Guarantee(6, 6, 6))
+    heavy = AlphaSeries.capped(CTX, ("z",), {(4,): gen(-4)}, Guarantee(6, 6, 6))
+    assert heavy.coeffs and not AlphaSeries(CTX, ("z",), heavy.coeffs, heavy.guar).coeffs
+
+
 def test_series_difference_equals_sum_with_negation():
     # X - Y subtracts in one pass; it must give X + (-Y)'s cells and guarantee
     ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
@@ -452,7 +592,7 @@ def test_series_difference_equals_sum_with_negation():
     for slot, p in eta.coeffs.items():
         q = tp.coeff(slot)
         assert p - q == p + (-q)
-        assert not (p - p).terms
+        assert not (p - p).nums
 
 
 def test_multivar_same_var_product_certifies_nothing():
@@ -482,8 +622,8 @@ def test_tau_minus_mirrors_plus():
     tp = build_tau(CTX, "+")
     flip = {(-s[0],): p for s, p in tp.coeffs.items()}
     for slot, poly in tm.coeffs.items():
-        mirrored = AlphaPoly(
-            {tuple(sorted(-n for n in m)): c for m, c in flip[slot].terms.items()}
+        mirrored = poly_of(
+            {tuple(sorted(-n for n in m)): c for m, c in terms(flip[slot]).items()}
         )
         assert poly == mirrored
 
@@ -531,23 +671,23 @@ def test_xi_exponential_equals_dressing_ratio():
 def test_eta_zero_low_degrees():
     h = eta_zero(CTX).functional_value()
     eps = CTX.eps
-    deg2 = AlphaPoly({m: c for m, c in h.terms.items() if len(m) == 2})
-    assert deg2 == AlphaPoly({(-n, n): eps for n in (1, 2, 3)})
-    assert h.terms[()] == eps
-    assert h.terms[(-1, -1, 1, 1)] == eps / 4
+    deg2 = poly_of({m: c for m, c in terms(h).items() if len(m) == 2})
+    assert deg2 == poly_of({(-n, n): eps for n in (1, 2, 3)})
+    assert h.coeff(()) == eps
+    assert h.coeff((-1, -1, 1, 1)) == eps / 4
 
 
 def test_xi_zero_low_degrees():
     x = xi_zero(CTX).functional_value()
     s = CTX.s
-    deg2 = AlphaPoly({m: c for m, c in x.terms.items() if len(m) == 2})
-    assert deg2 == AlphaPoly({(-n, n): (1 / CTX.eps) * s ** (-2 * n) for n in (1, 2, 3)})
+    deg2 = poly_of({m: c for m, c in terms(x).items() if len(m) == 2})
+    assert deg2 == poly_of({(-n, n): (1 / CTX.eps) * s ** (-2 * n) for n in (1, 2, 3)})
 
 
 def test_eta_mode_indexing():
     e = build_eta(CTX)
     # coefficient of z**-n carries modes summing to +n
-    for m, c in e.mode(2).terms.items():
+    for m in e.mode(2).nums:
         assert mono_sigma(m) == 2
 
 
@@ -631,7 +771,7 @@ def test_hirota_affine_power_expansion():
     d2 = hirota([(h0, "left")] * 2, tm, tp)
     expect = d2 + (m1 * d1).scale(2) + m1 * m1 * d0
     diff = got - expect
-    assert all(not p.terms for p in diff.coeffs.values())
+    assert all(not p for p in diff.coeffs.values())
 
 
 # #### kernel and delta application ############################################
