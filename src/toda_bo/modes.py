@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .scalar import ONE, PoleError, Scalar
@@ -636,9 +636,6 @@ def flow(H: AlphaSeries, F: AlphaSeries, side: str = "left") -> AlphaSeries:
     raise ValueError("side must be 'left' or 'right'")
 
 
-FlowOp = tuple[AlphaSeries, str]
-
-
 def hirota(ops, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
     """Bilinear derivative: D f.g = (Df)g - f(Dg), iterated over ops.
 
@@ -653,25 +650,29 @@ def hirota(ops, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
     return hirota(rest, flow(H, f, side), g) - hirota(rest, f, flow(H, g, side))
 
 
-def hirota_affine_power(
-    op: FlowOp, M: AlphaSeries, p: int, f: AlphaSeries, g: AlphaSeries
-) -> AlphaSeries:
-    """(D + M)**p f.g expanded binomially; valid because the flow of M under
-    its own family vanishes (M is conserved along the op's flow)."""
-    if M.vars:
-        raise ValueError("M must be a functional")
-    total = None
-    mpow = AlphaSeries.functional(f.ctx, AlphaPoly.one(), M.guar)
-    powers = [mpow]
-    for _ in range(p):
-        mpow = mpow * M
-        powers.append(mpow)
-    for j in range(p + 1):
-        term = hirota([op] * j, f, g)
-        term = powers[p - j] * term
-        term = term.scale(comb(p, j))
-        total = term if total is None else total + term
-    return total
+def hirota_affine_power(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
+    """prod_i (D_i + M_i) f.g for factors [(op_i, M_i)], each op_i a hirota op
+    and M_i a functional: a repeated factor is a power, none the plain product.
+
+    Expanded as a polynomial in the D's with functional coefficients, one
+    hirota call per distinct monomial.  Moving an M past the D's needs it
+    conserved along every listed flow: along its own for a power, and a
+    mixed product also needs the M's mutually conserved (Poisson-commuting),
+    which no check shows yet; no TODA_EQUATIONS term is mixed.
+    """
+    ops = list(dict.fromkeys(op for op, _ in factors))
+    # D monomial (sorted op positions) -> its functional coefficient
+    poly = {(): AlphaSeries.functional(f.ctx, AlphaPoly.one(), f.guar)}
+    for op, M in factors:
+        if M.vars:
+            raise ValueError("M must be a functional")
+        nxt: dict[tuple[int, ...], AlphaSeries] = {}
+        for mono, c in poly.items():
+            for key, t in ((tuple(sorted(mono + (ops.index(op),))), c), (mono, c * M)):
+                nxt[key] = nxt[key] + t if key in nxt else t
+        poly = nxt
+    first, *rest = (c * hirota([ops[i] for i in m], f, g) for m, c in poly.items())
+    return sum(rest, first)
 
 
 # #### kernel application ######################################################

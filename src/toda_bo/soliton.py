@@ -195,12 +195,11 @@ def flow_eigenvalue(
 
 @dataclass(frozen=True)
 class BilinearOp:
-    """(D + shift)**power for the flow (kind, order), acting on a tau pair."""
+    """D + shift for the flow (kind, order) on a tau pair; repeat it for a power."""
 
     kind: str
     order: int
     shift: Scalar = Fraction(0)
-    power: int = 1
 
 
 def bilinear(params: ParamPoint, f: Symbolic, g: Symbolic, terms) -> Symbolic:
@@ -208,9 +207,10 @@ def bilinear(params: ParamPoint, f: Symbolic, g: Symbolic, terms) -> Symbolic:
     affine bilinear derivative operators, to f.g; terms holds (c_i, ops_i).
 
     Each term pair is a joint eigenvector: D contributes the eigenvalue
-    difference, so (D + shift)**power contributes an exact scalar factor and
-    the combination the weighted sum of its products.  The eigenvalues are
-    taken once per term and distinct op, the shift joined to f's side.  Each
+    difference, so each listed D + shift contributes an exact scalar factor
+    and the combination the weighted sum of its products.  The eigenvalues
+    are taken once per term and distinct op, however often it is listed, the
+    shift joined to f's side.  Each
     op's values share one denominator, and so do f's and g's coefficients,
     so the term pairs are walked once, on Python ints, and each output key
     is one Fraction.
@@ -235,15 +235,9 @@ def bilinear(params: ParamPoint, f: Symbolic, g: Symbolic, terms) -> Symbolic:
         [[x.numerator * (d // x.denominator) for x, d in zip(r, dens)] for r in rows]
         for rows in (lams, mus)
     )
-    # c prod((n_i / D_i)**p) as an integer over the products' common denominator
-    plan = [
-        (c, [(slot[op.kind, op.order, op.shift], op.power) for op in ops])
-        for c, ops in terms
-    ]
-    tdens = [
-        c.denominator * math.prod(dens[i] ** p for i, p in factors)
-        for c, factors in plan
-    ]
+    # c prod(n_i / D_i) as an integer over the products' common denominator
+    plan = [(c, [slot[op.kind, op.order, op.shift] for op in ops]) for c, ops in terms]
+    tdens = [c.denominator * math.prod(dens[i] for i in factors) for c, factors in plan]
     den = math.lcm(*tdens)
     plan = [(c.numerator * (den // t), factors) for (c, factors), t in zip(plan, tdens)]
     # the tau coefficients as integer numerators over one denominator a side
@@ -255,8 +249,8 @@ def bilinear(params: ParamPoint, f: Symbolic, g: Symbolic, terms) -> Symbolic:
             diff = [x - y for x, y in zip(lam, mu)]
             c = 0
             for w, factors in plan:
-                for i, power in factors:
-                    w *= diff[i] ** power
+                for i in factors:
+                    w *= diff[i]
                 c += w
             if not c:
                 continue

@@ -4,10 +4,11 @@ Every identity the library claims is registered here under a stable string
 id, in one table (_REGISTRY) that lists the four groups -- bracket,
 soliton-exact, iom-numeric, lemma-t3 -- each with its runner and its ids.
 IDENTITY_IDS, GROUPS and dispatch are all derived from that table.  The
-order-k Toda equations are a second table (TODA_EQUATIONS), read by both
-the exact to-k and the windowed prop-tk checks, and lemmas 3.2-3.5 a third
-(LEMMA_T3), whose coefficients one builder reads.  The runners use one of
-three finishers:
+order-k Toda equations are a second table (TODA_EQUATIONS) of Hirota
+products keyed by side and partition, read by both the exact to-k and the
+windowed prop-tk checks, and lemmas 3.2-3.5 a third (LEMMA_T3), each naming
+an order-3 product by its partition, whose coefficients one builder reads.
+The runners use one of three finishers:
 
   exact      n-soliton tau identities as row builders: lists of weighted
              bilinear rows at a point and explicit shifts, summed in the
@@ -118,34 +119,37 @@ T3_TRUNC_Z, T3_TRUNC_MODES, T3_TRUNC_DEG = 3, 6, 6
 # Kernel cutoff ladder of the convergent charge checks.
 IOM_CUTOFFS = (16, 32, 48)
 
-# The order-k bilinear equation of the Toda reduction, k: (lhs, rhs).  A term
-# (c, o, p) stands for c (D_o + o M_o)**p, D_o the Hirota derivative of the
-# order-o flow and M_o its charge; power 0 is the plain product.  The lhs
-# terms act on tau_-(z).tau_+(z), the rhs terms on eps tau_-(z/q).tau_+(qz).
-# The exact to-k and the windowed prop-tk checks both read this table.
+# The order-k bilinear equation of the Toda reduction, k: {(side, lam): c}.
+# A partition lam stands for prod_i (D_{lam_i} + lam_i M_{lam_i}), D_o the
+# Hirota derivative of the order-o flow and M_o its charge; () is the plain
+# product.  Side "L" acts on tau_-(z).tau_+(z), side "R" on
+# eps tau_-(z/q).tau_+(qz).  The exact to-k and the windowed prop-tk checks
+# both read this table.
 TODA_EQUATIONS = {
-    1: (((ONE, 1, 1),), ((ONE, 1, 0),)),
-    2: (((ONE, 2, 1),), ((ONE, 1, 1),)),
-    3: (
-        ((ONE, 3, 1), (Fraction(1, 8), 1, 3)),
-        ((Fraction(3, 4), 2, 1), (Fraction(3, 8), 1, 2)),
-    ),
+    1: {("L", (1,)): ONE, ("R", ()): ONE},
+    2: {("L", (2,)): ONE, ("R", (1,)): ONE},
+    3: {
+        ("L", (3,)): ONE,
+        ("L", (1, 1, 1)): Fraction(1, 8),
+        ("R", (2,)): Fraction(3, 4),
+        ("R", (1, 1)): Fraction(3, 8),
+    },
 }
 
 
 # Lemmas 3.2-3.5, the Hamiltonian-structure forms of four terms of the
-# order-3 equation, id: ((order, power, shifted), coefficients).  The lhs is
-# the TODA_EQUATIONS term (D_order + order M_order)**power on
-# tau_-(z).tau_+(z), or on tau_-(z/q).tau_+(qz) when shifted.  The rhs is that
+# order-3 equation, id: ((lam, shifted), coefficients).  The lhs is the
+# TODA_EQUATIONS product of the partition lam on tau_-(z).tau_+(z), or on
+# tau_-(z/q).tau_+(qz) when shifted (a side "R" term).  The rhs is that
 # product times inner, and also times eta(z) when unshifted; inner weighs the
 # basis (M_2, M_1**2, M_1 (e_+ + e_-), e_+ e_-, pp, pm, mp, mm) by the
 # coefficients: M_k the charges, e_+- one-sided field slices (_lemma_basis),
 # pp..mm the quad_kernel_series orientations.
 LEMMA_T3 = {
-    "lemma-3-2": ((3, 1, False), (1, Fraction(1, 2), 1, 1, 1, 0, 0, 1)),
-    "lemma-3-3": ((1, 3, False), (4, -1, 1, -2, 1, 3, 3, 1)),
-    "lemma-3-4": ((2, 1, True), (2, 0, 1, 0, 1, 1, 1, 1)),
-    "lemma-3-5": ((1, 2, True), (0, 1, 1, 2, 1, -1, -1, 1)),
+    "lemma-3-2": (((3,), False), (1, Fraction(1, 2), 1, 1, 1, 0, 0, 1)),
+    "lemma-3-3": (((1, 1, 1), False), (4, -1, 1, -2, 1, 3, 3, 1)),
+    "lemma-3-4": (((2,), True), (2, 0, 1, 0, 1, 1, 1, 1)),
+    "lemma-3-5": (((1, 1), True), (0, 1, 1, 2, 1, -1, -1, 1)),
 }
 
 
@@ -312,16 +316,16 @@ _CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}
 
 
 @lru_cache(maxsize=None)
-def _toda_term(ctx, order: int, power: int, shifted: bool):
-    """(D_order + order M_order)**power f.g, a TODA_EQUATIONS term on the mode
-    algebra, with D_order the Hirota derivative of M_order's flow; f.g is
+def _toda_term(ctx, lam: tuple[int, ...], shifted: bool):
+    """prod_i (D_{lam_i} + lam_i M_{lam_i}) f.g, a TODA_EQUATIONS term on the
+    mode algebra, with D_o the Hirota derivative of M_o's flow; f.g is
     tau_-(z).tau_+(z), or tau_-(z/q).tau_+(qz) when shifted.  Cached per
     context: the lhs of lemma-3-2..3-5 are four terms of prop-t3."""
     f, g = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
     if shifted:
         f, g = f.subs_scale(1 / ctx.q), g.subs_scale(ctx.q)
-    M = _CHARGE_FUNCTIONALS[order](ctx)
-    return hirota_affine_power((M, "left"), M.scale(order), power, f, g)
+    M = {o: _CHARGE_FUNCTIONALS[o](ctx) for o in lam}
+    return hirota_affine_power([((M[o], "left"), M[o].scale(o)) for o in lam], f, g)
 
 
 @lru_cache(maxsize=None)
@@ -447,8 +451,8 @@ def _win_toda_field(ctx):
 
 def _win_lemma(ctx, lemma_id: str):
     """The lemma of LEMMA_T3 named lemma_id; its lhs is the witness."""
-    (order, power, shifted), coeffs = LEMMA_T3[lemma_id]
-    lhs = _toda_term(ctx, order, power, shifted)
+    (lam, shifted), coeffs = LEMMA_T3[lemma_id]
+    lhs = _toda_term(ctx, lam, shifted)
     first, *rest = (b.scale(c) for b, c in zip(_lemma_basis(ctx), coeffs) if c)
     inner = sum(rest, first)
     tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
@@ -460,13 +464,11 @@ def _win_lemma(ctx, lemma_id: str):
 
 
 def _win_prop(ctx, k: int):
-    """The order-k equation of TODA_EQUATIONS; its first lhs term is the
-    witness."""
-    sides = (False, ONE), (True, -ctx.eps)
+    """The order-k equation of TODA_EQUATIONS; its first term is the witness."""
+    weight = {"L": ONE, "R": -ctx.eps}
     parts = [
-        (w * c, _toda_term(ctx, o, p, shifted))
-        for (shifted, w), terms in zip(sides, TODA_EQUATIONS[k])
-        for c, o, p in terms
+        (weight[side] * c, _toda_term(ctx, lam, side == "R"))
+        for (side, lam), c in TODA_EQUATIONS[k].items()
     ]
     (c0, wit), *rest = parts
     X = sum((T.scale(c) for c, T in rest), wit.scale(c0))
@@ -591,15 +593,14 @@ def _rows_to(params, k: int):
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     q = params.q
     equation = TODA_EQUATIONS[k]
-    orders = {o for terms in equation for _, o, _ in terms}
+    orders = {o for _, lam in equation for o in lam}
     shift = {o: o * closed_M(o, params) for o in orders}
-    sides = (tm, tp, ONE), (tau_subs(tm, 1 / q), tau_subs(tp, q), -params.eps)
-    return [
-        [
-            (f, g, [(w * c, [BilinearOp("t", o, shift[o], p)]) for c, o, p in terms])
-            for (f, g, w), terms in zip(sides, equation)
-        ]
-    ]
+    weight = {"L": ONE, "R": -params.eps}
+    rows = {"L": (tm, tp, []), "R": (tau_subs(tm, 1 / q), tau_subs(tp, q), [])}
+    for (side, lam), c in equation.items():
+        ops = [BilinearOp("t", o, shift[o]) for o in lam]
+        rows[side][2].append((weight[side] * c, ops))
+    return [list(rows.values())]
 
 
 def _residual_max(params: ParamPoint, residuals) -> Scalar:

@@ -9,7 +9,9 @@ exp, inv and rescaling at once.  The integer product kernels are checked
 against the term-by-term Fraction loops they replaced, and one bracket's
 Fraction constructions are counted.  The ring operations are checked
 against Fraction dicts, value and canonical form, and every result built
-without the pruning pass against its pruned rebuild.
+without the pruning pass against its pruned rebuild.  The affine Hirota
+product over a partition is checked against the binomial sum for a power
+and against the product written out for the mixed partition (2, 1).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toda_bo.iom import M2_functional
 from toda_bo.modes import (
     EMPTY_GUARANTEE,
     AlphaPoly,
@@ -765,13 +768,40 @@ def test_hirota_affine_power_expansion():
     m1 = AlphaSeries.functional(CTX, eta_zero(CTX).functional_value(), h0.guar)
     tm = build_tau(CTX, "-")
     tp = build_tau(CTX, "+")
-    got = hirota_affine_power((h0, "left"), m1, 2, tm, tp)
+    got = hirota_affine_power([((h0, "left"), m1)] * 2, tm, tp)
     d0 = hirota([], tm, tp)
     d1 = hirota([(h0, "left")], tm, tp)
     d2 = hirota([(h0, "left")] * 2, tm, tp)
     expect = d2 + (m1 * d1).scale(2) + m1 * m1 * d0
     diff = got - expect
     assert all(not p for p in diff.coeffs.values())
+
+
+@pytest.mark.parametrize("lam", [(), (1,), (1, 1), (1, 1, 1), (2, 1)])
+def test_hirota_affine_product_over_a_partition(lam):
+    # prod_i (D_{l_i} + l_i M_{l_i}) over a partition: a pure power is the
+    # binomial sum, the mixed (2, 1) the four-term product written out
+    M = {1: eta_zero(CTX), 2: M2_functional(CTX)}
+    tm = build_tau(CTX, "-")
+    tp = build_tau(CTX, "+")
+    factors = [((M[o], "left"), M[o].scale(o)) for o in lam]
+    got = hirota_affine_power(factors, tm, tp)
+    if lam == (2, 1):
+        d0 = hirota([], tm, tp)
+        d1, d2 = (hirota([(M[o], "left")], tm, tp) for o in (1, 2))
+        d21 = hirota([(M[2], "left"), (M[1], "left")], tm, tp)
+        m1, m2 = M[1], M[2].scale(2)
+        expect = d21 + m1 * d2 + m2 * d1 + (m2 * m1) * d0
+    else:  # sum_j C(p, j) M_1**(p - j) D_1**j
+        p = len(lam)
+        d = [hirota([(M[1], "left")] * j, tm, tp) for j in range(p + 1)]
+        expect = d[p]
+        for j in range(p):
+            mpow = math.prod([M[1]] * (p - j - 1), start=M[1])
+            expect = expect + (mpow * d[j]).scale(math.comb(p, j))
+    assert got.coeffs and got.coeffs.keys() == expect.coeffs.keys()
+    assert all(got.coeffs[k] == expect.coeffs[k] for k in got.coeffs)
+    assert got.guar == expect.guar
 
 
 # #### kernel and delta application ############################################

@@ -174,8 +174,8 @@ def test_bilinear_affine_power_expands():
     tp = make_tau_plus(P1)
     tm = make_tau_minus(P1)
     m = F(3, 7)
-    sq = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1, m, 2)])])
-    d2 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1, F(0), 2)])])
+    sq = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1, m)] * 2)])
+    d2 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1)] * 2)])
     d1 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1)])])
     d0 = bilinear(P1, tm, tp, [(F(1), [])])
     # sq - 2m d1 - m**2 d0 - d2
@@ -191,7 +191,7 @@ def literal_bilinear(params, f, g, ops):
             for op in ops:
                 lam = flow_eigenvalue(params, ef, op.kind, op.order)
                 mu = flow_eigenvalue(params, eg, op.kind, op.order)
-                c *= (lam - mu + op.shift) ** op.power
+                c *= lam - mu + op.shift
             key = (zf + zg, tuple(x + y for x, y in zip(ef, eg)))
             out[key] = out.get(key, F(0)) + c
     return {k: v for k, v in out.items() if v}
@@ -205,9 +205,8 @@ def literal_bilinear(params, f, g, ops):
             st.sampled_from(["t", "tbar"]),
             st.integers(1, 3),
             st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
-            st.integers(1, 3),
         ),
-        max_size=3,
+        max_size=4,
     ),
     shifted=st.booleans(),
 )
@@ -227,7 +226,6 @@ _OPS = st.builds(
     st.sampled_from(["t", "tbar"]),
     st.integers(1, 3),
     st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
-    st.integers(0, 3),
 )
 
 
@@ -236,7 +234,7 @@ _OPS = st.builds(
     terms=st.lists(
         st.tuples(
             st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
-            st.lists(_OPS, max_size=2),
+            st.lists(_OPS, max_size=4),
         ),
         max_size=3,
     ),
@@ -259,7 +257,7 @@ def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
     params = (P0, P1, P2, P3)[n]
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     assert len(tp) == len(tm) == 2**n
-    ops = [BilinearOp("t", 1, F(1, 3), 2), BilinearOp("tbar", 2)]
+    ops = [BilinearOp("t", 1, F(1, 3))] * 2 + [BilinearOp("tbar", 2)]
     expect = literal_bilinear(params, tm, tp, ops)
     calls = 0
 
@@ -270,11 +268,11 @@ def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
 
     monkeypatch.setattr(soliton, "flow_eigenvalue", counting)
     assert bilinear(params, tm, tp, [(F(1), ops)]) == expect
-    assert calls == 2 * 2**n * len(ops)
+    assert calls == 2 * 2**n * len(set(ops))
     # an op shared by two products of a combination is taken once too
     calls = 0
     bilinear(params, tm, tp, [(F(1), ops[:1]), (F(1, 8), ops)])
-    assert calls == 2 * 2**n * len(ops)
+    assert calls == 2 * 2**n * len(set(ops))
 
 
 def test_subs_scale_powers():

@@ -5,12 +5,13 @@ order-one charge against the bare coupling; the quadratic-kernel expansions
 are cross-checked through the mode-negation involution that swaps their
 orientation pairs; negative controls push a known-nonzero series and a
 deliberately wrong kernel through the windowed finisher, which must report
-violations instead of passing, one wrong coefficient in the order-3 Toda
-equation table must fail both the exact and the windowed check that read it,
-one wrong coefficient in the lemma table must fail its windowed check, and
-one row weight of each Miwa identity scaled by 7/6 must fail its exact
-check.  The Miwa row builders are also run at explicit shifts far outside
-the sampler's range.
+violations instead of passing, one wrong coefficient or one wrong partition
+in the order-3 Toda equation table must fail both the exact and the windowed
+check that read it, one wrong coefficient in the lemma table must fail its
+windowed check, and one row weight of each Miwa identity scaled by 7/6 must
+fail its exact check.  The Miwa row builders are also run at explicit shifts far outside
+the sampler's range, and each side of the partition-keyed Toda rows is
+compared with the earlier (c, order, power) table, read as powers.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
 reports of the exact and lemma-t3 groups, of the bracket group, of the
 m2/m3-consistency checks and of conj-iom are pinned to their sha256.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from zlib import crc32
@@ -38,7 +40,14 @@ from toda_bo.modes import (
     bracket,
     build_eta,
 )
-from toda_bo.scalar import ParamPoint
+from toda_bo.scalar import ParamPoint, sample_param_point
+from toda_bo.soliton import (
+    BilinearOp,
+    bilinear,
+    make_tau_minus,
+    make_tau_plus,
+    tau_subs,
+)
 from toda_bo.verify import (
     CONVERGENT_TOL,
     EPS,
@@ -347,12 +356,8 @@ def test_order_one_equation_holds_on_the_mode_algebra():
     assert detail["witness_certified_terms"] > 0
 
 
-def test_one_wrong_table_coefficient_fails_both_layers(monkeypatch):
-    assert run_check("to-3", SOL).passed and run_check("prop-t3").passed
-    lhs, rhs = verify.TODA_EQUATIONS[3]
-    wrong = tuple((F(3, 7) if c == F(3, 8) else c, o, p) for c, o, p in rhs)
-    assert wrong != rhs
-    monkeypatch.setitem(verify.TODA_EQUATIONS, 3, (lhs, wrong))
+def assert_order_three_fails_both_layers(monkeypatch, wrong):
+    monkeypatch.setitem(verify.TODA_EQUATIONS, 3, wrong)
     exact = run_check("to-3", SOL)
     assert not exact.passed and exact.mode == "exact"
     assert not exact.residual["is_exact_zero"]
@@ -360,6 +365,66 @@ def test_one_wrong_table_coefficient_fails_both_layers(monkeypatch):
     windowed = run_check("prop-t3")
     assert not windowed.passed and windowed.mode == "windowed"
     assert windowed.detail["violations"] > 0
+
+
+def test_one_wrong_table_coefficient_fails_both_layers(monkeypatch):
+    assert run_check("to-3", SOL).passed and run_check("prop-t3").passed
+    assert verify.TODA_EQUATIONS[3][("R", (1, 1))] == F(3, 8)
+    wrong = {**verify.TODA_EQUATIONS[3], ("R", (1, 1)): F(3, 7)}
+    assert_order_three_fails_both_layers(monkeypatch, wrong)
+
+
+def test_one_wrong_table_partition_fails_both_layers(monkeypatch):
+    # L(1,1,1) -> L(2,1) at the same coefficient 1/8: both layers read the
+    # partition, not only its coefficient
+    wrong = {
+        (("L", (2, 1)) if key == ("L", (1, 1, 1)) else key): c
+        for key, c in verify.TODA_EQUATIONS[3].items()
+    }
+    assert wrong[("L", (2, 1))] == F(1, 8) and len(wrong) == 4
+    assert_order_three_fails_both_layers(monkeypatch, wrong)
+
+
+def test_toda_tables_are_well_formed():
+    # side "L" carries partitions of k, side "R" of k - 1, each non-increasing
+    # with positive parts; each lemma names a term of the order-3 equation,
+    # on side "R" exactly when it is shifted
+    for k, equation in verify.TODA_EQUATIONS.items():
+        for side, lam in equation:
+            assert sum(lam) == {"L": k, "R": k - 1}[side], (k, side, lam)
+            assert all(x > 0 for x in lam) and list(lam) == sorted(lam, reverse=True)
+    for (lam, shifted), _ in verify.LEMMA_T3.values():
+        assert ("R" if shifted else "L", lam) in verify.TODA_EQUATIONS[3]
+
+
+# The order-k table in its earlier (c, order, power) form, k: (lhs, rhs), a
+# term standing for c (D_order + order M_order)**power.
+_TRIPLE_TODA = {
+    1: (((F(1), 1, 1),), ((F(1), 1, 0),)),
+    2: (((F(1), 2, 1),), ((F(1), 1, 1),)),
+    3: (((F(1), 3, 1), (F(1, 8), 1, 3)), ((F(3, 4), 2, 1), (F(3, 8), 1, 2))),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_partition_rows_equal_the_triple_table(k):
+    # each side of _rows_to, summed, equals the triple table's side with
+    # (order, power) read as the partition (order,) * power
+    rng = random.Random(k)
+    for n in (0, 1, 2, 3):
+        for _ in range(2):
+            params = sample_param_point(rng, n, s=S)
+            shift = {o: o * closed_M(o, params) for o in (1, 2, 3)}
+            tp, tm, q = make_tau_plus(params), make_tau_minus(params), params.q
+            pairs = (tm, tp, F(1)), (tau_subs(tm, 1 / q), tau_subs(tp, q), -params.eps)
+            (rows,) = verify._rows_to(params, k)
+            assert len(rows) == 2
+            for (f, g, terms), (f0, g0, w), side in zip(rows, pairs, _TRIPLE_TODA[k]):
+                old = [
+                    (w * c, [BilinearOp("t", o, shift[o])] * p) for c, o, p in side
+                ]
+                got = bilinear(params, f, g, terms)
+                assert got and got == bilinear(params, f0, g0, old), (k, n)
 
 
 def test_one_wrong_lemma_coefficient_fails(monkeypatch):
