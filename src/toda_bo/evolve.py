@@ -106,11 +106,11 @@ def bo_rhs(s: State) -> np.ndarray:
 
 def rk4_step(s: State, dt: float) -> State:
     k1 = bo_rhs(s)
-    half = State(s.N, s.modes + (dt / 2) * k1, s.t, s.q)
+    half = State(s.N, s.modes + (dt / 2) * k1, s.t + dt / 2, s.q)
     k2 = bo_rhs(half)
-    half = State(s.N, s.modes + (dt / 2) * k2, s.t, s.q)
+    half = State(s.N, s.modes + (dt / 2) * k2, s.t + dt / 2, s.q)
     k3 = bo_rhs(half)
-    full = State(s.N, s.modes + dt * k3, s.t, s.q)
+    full = State(s.N, s.modes + dt * k3, s.t + dt, s.q)
     k4 = bo_rhs(full)
     y = s.modes + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return State(s.N, y, s.t + dt, s.q)

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -625,54 +626,54 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
     return AlphaSeries.capped(ctx, rvars, out, F.guar.after_bracket(G.guar))
 
 
-def flow(H: AlphaSeries, F: AlphaSeries, side: str = "left") -> AlphaSeries:
-    """Hamiltonian derivative of F: {H, F} for side='left', {F, H} for 'right'."""
-    if H.vars:
-        raise ValueError("flow Hamiltonian must be a functional")
-    if side == "left":
-        return bracket(H, F)
-    if side == "right":
-        return bracket(F, H)
-    raise ValueError("side must be 'left' or 'right'")
+def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
+    """prod_i (D_i + M_i) f.g for factors [(H_i, M_i)], D_i the Hirota
+    derivative along the flow {H_i, .} of a functional H_i and M_i a
+    functional, or None for a bare D_i: a repeated factor is a power, none
+    the plain product.  f and g share one variable.  Since {F, H} = -{H, F},
+    the t-bar derivative {., xi_0} is the flow of -xi_0.
 
-
-def hirota(ops, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
-    """Bilinear derivative: D f.g = (Df)g - f(Dg), iterated over ops.
-
-    Each op is (Hamiltonian functional, side); f and g share one variable,
-    and the result is their slotwise product after differentiation.
+    Expanded as a polynomial in the D's with functional coefficients, each
+    D monomial by Leibniz: the sum over its subsequences S, T the rest, of
+    (-1)**|T| (d_S f)(d_T g), d_S applying the flows in factor order; each
+    d_S f and d_S g is one bracket from d of S's prefix, kept for the call.
+    Moving an M past the D's needs it conserved along every listed flow,
+    and a mixed product also needs the M's to Poisson-commute, which no
+    check shows yet; no TODA_EQUATIONS term is mixed.
     """
-    ops = list(ops)
-    if not ops:
-        return f * g
-    H, side = ops[0]
-    rest = ops[1:]
-    return hirota(rest, flow(H, f, side), g) - hirota(rest, f, flow(H, g, side))
-
-
-def hirota_affine_power(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
-    """prod_i (D_i + M_i) f.g for factors [(op_i, M_i)], each op_i a hirota op
-    and M_i a functional: a repeated factor is a power, none the plain product.
-
-    Expanded as a polynomial in the D's with functional coefficients, one
-    hirota call per distinct monomial.  Moving an M past the D's needs it
-    conserved along every listed flow: along its own for a power, and a
-    mixed product also needs the M's mutually conserved (Poisson-commuting),
-    which no check shows yet; no TODA_EQUATIONS term is mixed.
-    """
-    ops = list(dict.fromkeys(op for op, _ in factors))
-    # D monomial (sorted op positions) -> its functional coefficient
-    poly = {(): AlphaSeries.functional(f.ctx, AlphaPoly.one(), f.guar)}
-    for op, M in factors:
-        if M.vars:
-            raise ValueError("M must be a functional")
-        nxt: dict[tuple[int, ...], AlphaSeries] = {}
+    Hs = list(dict.fromkeys(H for H, _ in factors))
+    # D monomial (sorted positions in Hs) -> its coefficient, None for 1
+    poly: dict[tuple[int, ...], AlphaSeries | None] = {(): None}
+    for H, M in factors:
+        if H.vars or (M is not None and M.vars):
+            raise ValueError("H and M must be functionals")
+        nxt: dict[tuple[int, ...], AlphaSeries | None] = {}
         for mono, c in poly.items():
-            for key, t in ((tuple(sorted(mono + (ops.index(op),))), c), (mono, c * M)):
+            terms = [(tuple(sorted(mono + (Hs.index(H),))), c)]
+            if M is not None:
+                terms.append((mono, M if c is None else c * M))
+            for key, t in terms:
                 nxt[key] = nxt[key] + t if key in nxt else t
         poly = nxt
-    first, *rest = (c * hirota([ops[i] for i in m], f, g) for m, c in poly.items())
-    return sum(rest, first)
+    table = {}  # (0 for f or 1 for g, S) -> d_S of it
+    def d(k: int, S: tuple[int, ...]) -> AlphaSeries:
+        if (k, S) not in table:
+            table[k, S] = bracket(Hs[S[-1]], d(k, S[:-1])) if S else (f, g)[k]
+        return table[k, S]
+    out = None
+    for mono, c in poly.items():
+        pairs = {}  # (S, T) -> summed sign; the first mask is all S, sign +1
+        for mask in product((1, 0), repeat=len(mono)):
+            S, T = (tuple(o for o, b in zip(mono, mask) if b == x) for x in (1, 0))
+            pairs[S, T] = pairs.get((S, T), 0) + (-1) ** len(T)
+        acc = None
+        for (S, T), n in pairs.items():
+            P = d(0, S) * d(1, T)
+            P = P.scale(abs(n)) if abs(n) > 1 else P
+            acc = P if acc is None else acc._plus(P, n < 0)
+        term = acc if c is None else c * acc
+        out = term if out is None else out + term
+    return out
 
 
 # #### kernel application ######################################################

@@ -67,9 +67,7 @@ from .modes import (
     build_xi,
     delta_mul,
     eta_zero,
-    flow,
     hirota,
-    hirota_affine_power,
     mono_weight,
     poly_rows,
     sum_products,
@@ -325,7 +323,7 @@ def _toda_term(ctx, lam: tuple[int, ...], shifted: bool):
     if shifted:
         f, g = f.subs_scale(1 / ctx.q), g.subs_scale(ctx.q)
     M = {o: _CHARGE_FUNCTIONALS[o](ctx) for o in lam}
-    return hirota_affine_power([((M[o], "left"), M[o].scale(o)) for o in lam], f, g)
+    return hirota([(M[o], M[o].scale(o)) for o in lam], f, g)
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +405,7 @@ def _win_hirota_t(ctx):
     tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
     h0 = eta_zero(ctx)
     q = ctx.q
-    lhs = hirota([(h0, "left")], tm, tp)
+    lhs = hirota([(h0, None)], tm, tp)
     rhs = (tm.subs_scale(1 / q) * tp.subs_scale(q)).scale(ctx.eps) - h0 * (tm * tp)
     return [(lhs - rhs, lhs)]
 
@@ -417,7 +415,7 @@ def _win_hirota_tb(ctx):
     x0 = xi_zero(ctx)
     s = ctx.s
     f, g = tm.subs_scale(1 / s), tp.subs_scale(s)
-    lhs = hirota([(x0, "right")], f, g)
+    lhs = hirota([(-x0, None)], f, g)
     rhs = (tm.subs_scale(s) * tp.subs_scale(1 / s)).scale(1 / ctx.eps) - x0 * (f * g)
     return [(lhs - rhs, lhs)]
 
@@ -428,7 +426,7 @@ def _win_toda(ctx):
     pairs = []
     for sign in ("+", "-"):
         t = build_tau(ctx, sign, "z")
-        lhs = hirota([(h0, "left"), (x0, "right")], t, t).scale(Fraction(1, 2))
+        lhs = hirota([(h0, None), (-x0, None)], t, t).scale(Fraction(1, 2))
         shifted = t.subs_scale(q) * t.subs_scale(1 / q)
         X = lhs + shifted - t * t
         pairs.append((X, shifted))
@@ -441,7 +439,7 @@ def _win_toda_field(ctx):
     pairs = []
     for sign in ("+", "-"):
         phi = build_phi(ctx, sign, "z")
-        ll = flow(h0, flow(x0, phi, "right"), "left")
+        ll = bracket(h0, bracket(phi, x0))
         e_dn = (phi - phi.subs_scale(1 / q)).exp()
         e_up = (phi.subs_scale(q) - phi).exp()
         X = ll - e_dn + e_up

@@ -306,6 +306,15 @@ def test_evolve_blow_up_exits_1(capsys):
     assert "toda-bo:" in err
 
 
+def test_evolve_blow_up_names_the_stage_time(capsys):
+    # the modes at t = 0 are finite: the first non-finite state is an RK4
+    # stage, which sits at t + dt/2 or t + dt, never at the step's start
+    rc, _, err = run_main(capsys, ["evolve", "--dt", "1e308", "--steps", "2"])
+    assert rc == 1
+    _, sep, t = err.strip().partition("non-finite mode at t=")
+    assert sep and float(t) > 0, err
+
+
 # #### soliton subcommand ######################################################
 
 

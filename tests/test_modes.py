@@ -9,9 +9,11 @@ exp, inv and rescaling at once.  The integer product kernels are checked
 against the term-by-term Fraction loops they replaced, and one bracket's
 Fraction constructions are counted.  The ring operations are checked
 against Fraction dicts, value and canonical form, and every result built
-without the pruning pass against its pruned rebuild.  The affine Hirota
-product over a partition is checked against the binomial sum for a power
-and against the product written out for the mixed partition (2, 1).
+without the pruning pass against its pruned rebuild.  hirota is checked
+against literal_hirota, the recursion D f.g = (Df)g - f(Dg) with explicit
+left and right brackets: for bare D's directly, and for the affine product
+over a partition through the binomial sum for a power and the product
+written out for the mixed partition (2, 1).
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from toda_bo.modes import (
     delta_mul,
     diff_rows,
     eta_zero,
-    flow,
     hirota,
-    hirota_affine_power,
     mono_sigma,
     mono_weight,
     poisson_pairing,
@@ -552,7 +552,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
         "tensor product": ez * ew,
         "slotwise product": tp * tm,
         "bracket": bracket(ez, ew),
-        "flow": flow(eta_zero(ctx), tm),
+        "flow bracket": bracket(eta_zero(ctx), tm),
         "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
         "inv": tp.inv(),
         "inv of 1 + phi": one_plus_phi.inv(),
@@ -701,7 +701,7 @@ def test_flow_tau_minus_is_negative_slice_times_tau():
     h0 = eta_zero(CTX)
     tm = build_tau(CTX, "-")
     eta = build_eta(CTX)
-    lhs = flow(h0, tm)
+    lhs = bracket(h0, tm)
     rhs = eta.slice_sign(-1) * tm
     assert_certified_zero(lhs - rhs)
 
@@ -710,7 +710,7 @@ def test_flow_tau_plus_is_minus_positive_slice_times_tau():
     h0 = eta_zero(CTX)
     tp = build_tau(CTX, "+")
     eta = build_eta(CTX)
-    lhs = flow(h0, tp)
+    lhs = bracket(h0, tp)
     rhs = (eta.slice_sign(1) * tp).scale(-1)
     assert_certified_zero(lhs - rhs)
 
@@ -719,7 +719,7 @@ def test_first_flow_of_eta_closes_in_eta():
     # d/dt eta = eta * (eta_up - eta_up(zq) - eta_dn + eta_dn(z/q))
     h0 = eta_zero(CTX)
     eta = build_eta(CTX)
-    lhs = flow(h0, eta)
+    lhs = bracket(h0, eta)
     up = eta.slice_sign(1)
     dn = eta.slice_sign(-1)
     rhs = eta * (up - up.subs_scale(Q) - dn + dn.subs_scale(1 / Q))
@@ -729,7 +729,7 @@ def test_first_flow_of_eta_closes_in_eta():
 def test_second_flow_of_eta_is_dressing_difference():
     xi0 = xi_zero(CTX)
     eta = build_eta(CTX)
-    lhs = flow(xi0, eta, side="right")
+    lhs = bracket(eta, xi0)
     tp = build_tau(CTX, "+")
     tm = build_tau(CTX, "-")
     gp = tp.subs_scale(Q) * tp.subs_scale(1 / Q) * tp.inv() * tp.inv()
@@ -743,23 +743,65 @@ def test_flow_hamiltonians_commute():
     assert_certified_zero(bracket(h0, xi0))
 
 
-def test_flow_requires_functional():
-    with pytest.raises(ValueError):
-        flow(build_eta(CTX), build_tau(CTX, "+"))
+def test_hirota_requires_functionals():
+    h0, eta = eta_zero(CTX), build_eta(CTX)
+    tm, tp = build_tau(CTX, "-"), build_tau(CTX, "+")
+    for factors in ([(eta, None)], [(h0, eta)], [(h0, None), (eta, h0)]):
+        with pytest.raises(ValueError, match="functionals"):
+            hirota(factors, tm, tp)
+
+
+def side_flow(H, side: str, F):
+    """{H, F} for side "left", {F, H} for side "right"."""
+    return bracket(H, F) if side == "left" else bracket(F, H)
+
+
+def literal_hirota(ops, f, g):
+    """D f.g = (Df)g - f(Dg), iterated over ops [(H, side)] by recursion,
+    every flow recomputed on every branch: the reference for hirota."""
+    if not ops:
+        return f * g
+    (H, side), rest = ops[0], ops[1:]
+    left = literal_hirota(rest, side_flow(H, side, f), g)
+    return left - literal_hirota(rest, f, side_flow(H, side, g))
+
+
+def assert_same_series(got, want):
+    assert got.coeffs and got.coeffs == want.coeffs
+    assert got.guar == want.guar
+
+
+@pytest.mark.parametrize("case", ["D1", "Dbar1", "D1 Dbar1"])
+def test_hirota_equals_the_literal_recursion(case):
+    # the t-bar flow {., xi_0} enters hirota as the flow of -xi_0; D1 Dbar1
+    # on (tau, tau) is the toda lhs, flows applied in factor order
+    h0, x0 = eta_zero(CTX), xi_zero(CTX)
+    tm, tp = build_tau(CTX, "-"), build_tau(CTX, "+")
+    factors, ops, pairs = {
+        "D1": ([(h0, None)], [(h0, "left")], [(tm, tp)]),
+        "Dbar1": ([(-x0, None)], [(x0, "right")], [(tm, tp)]),
+        "D1 Dbar1": (
+            [(h0, None), (-x0, None)],
+            [(h0, "left"), (x0, "right")],
+            [(tp, tp), (tm, tm)],
+        ),
+    }[case]
+    for f, g in pairs:
+        assert_same_series(hirota(factors, f, g), literal_hirota(ops, f, g))
 
 
 def test_hirota_single_on_equal_pair_vanishes():
     h0 = eta_zero(CTX)
     tm = build_tau(CTX, "-")
-    assert hirota([(h0, "left")], tm, tm).is_zero()
+    assert hirota([(h0, None)], tm, tm).is_zero()
 
 
 def test_hirota_antisymmetric_in_pair_swap():
     h0 = eta_zero(CTX)
     tm = build_tau(CTX, "-")
     tp = build_tau(CTX, "+")
-    a = hirota([(h0, "left")], tm, tp)
-    b = hirota([(h0, "left")], tp, tm)
+    a = hirota([(h0, None)], tm, tp)
+    b = hirota([(h0, None)], tp, tm)
     assert (a + b).is_zero()
 
 
@@ -768,10 +810,10 @@ def test_hirota_affine_power_expansion():
     m1 = AlphaSeries.functional(CTX, eta_zero(CTX).functional_value(), h0.guar)
     tm = build_tau(CTX, "-")
     tp = build_tau(CTX, "+")
-    got = hirota_affine_power([((h0, "left"), m1)] * 2, tm, tp)
-    d0 = hirota([], tm, tp)
-    d1 = hirota([(h0, "left")], tm, tp)
-    d2 = hirota([(h0, "left")] * 2, tm, tp)
+    got = hirota([(h0, m1)] * 2, tm, tp)
+    d0 = literal_hirota([], tm, tp)
+    d1 = literal_hirota([(h0, "left")], tm, tp)
+    d2 = literal_hirota([(h0, "left")] * 2, tm, tp)
     expect = d2 + (m1 * d1).scale(2) + m1 * m1 * d0
     diff = got - expect
     assert all(not p for p in diff.coeffs.values())
@@ -784,24 +826,21 @@ def test_hirota_affine_product_over_a_partition(lam):
     M = {1: eta_zero(CTX), 2: M2_functional(CTX)}
     tm = build_tau(CTX, "-")
     tp = build_tau(CTX, "+")
-    factors = [((M[o], "left"), M[o].scale(o)) for o in lam]
-    got = hirota_affine_power(factors, tm, tp)
+    got = hirota([(M[o], M[o].scale(o)) for o in lam], tm, tp)
     if lam == (2, 1):
-        d0 = hirota([], tm, tp)
-        d1, d2 = (hirota([(M[o], "left")], tm, tp) for o in (1, 2))
-        d21 = hirota([(M[2], "left"), (M[1], "left")], tm, tp)
+        d0 = literal_hirota([], tm, tp)
+        d1, d2 = (literal_hirota([(M[o], "left")], tm, tp) for o in (1, 2))
+        d21 = literal_hirota([(M[2], "left"), (M[1], "left")], tm, tp)
         m1, m2 = M[1], M[2].scale(2)
         expect = d21 + m1 * d2 + m2 * d1 + (m2 * m1) * d0
     else:  # sum_j C(p, j) M_1**(p - j) D_1**j
         p = len(lam)
-        d = [hirota([(M[1], "left")] * j, tm, tp) for j in range(p + 1)]
+        d = [literal_hirota([(M[1], "left")] * j, tm, tp) for j in range(p + 1)]
         expect = d[p]
         for j in range(p):
             mpow = math.prod([M[1]] * (p - j - 1), start=M[1])
             expect = expect + (mpow * d[j]).scale(math.comb(p, j))
-    assert got.coeffs and got.coeffs.keys() == expect.coeffs.keys()
-    assert all(got.coeffs[k] == expect.coeffs[k] for k in got.coeffs)
-    assert got.guar == expect.guar
+    assert_same_series(got, expect)
 
 
 # #### kernel and delta application ############################################

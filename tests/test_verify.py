@@ -8,8 +8,10 @@ deliberately wrong kernel through the windowed finisher, which must report
 violations instead of passing, one wrong coefficient or one wrong partition
 in the order-3 Toda equation table must fail both the exact and the windowed
 check that read it, one wrong coefficient in the lemma table must fail its
-windowed check, and one row weight of each Miwa identity scaled by 7/6 must
-fail its exact check.  The Miwa row builders are also run at explicit shifts far outside
+windowed check, one row weight of each Miwa identity scaled by 7/6 must
+fail its exact check, and +xi_0 in place of -xi_0 as the t-bar flow must
+fail hirota-tb and toda.  The brackets one hirota call makes are counted.
+The Miwa row builders are also run at explicit shifts far outside
 the sampler's range, and each side of the partition-keyed Toda rows is
 compared with the earlier (c, order, power) table, read as powers.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
@@ -29,7 +31,7 @@ from zlib import crc32
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toda_bo import iom, verify
+from toda_bo import iom, modes, verify
 from toda_bo.cli import main
 from toda_bo.iom import closed_M
 from toda_bo.modes import (
@@ -39,6 +41,10 @@ from toda_bo.modes import (
     apply_ratio_kernel,
     bracket,
     build_eta,
+    build_tau,
+    eta_zero,
+    hirota,
+    xi_zero,
 )
 from toda_bo.scalar import ParamPoint, sample_param_point
 from toda_bo.soliton import (
@@ -69,8 +75,10 @@ from toda_bo.verify import (
     _run_windowed,
     _sgn,
     _win_eta_eta,
+    _win_hirota_tb,
     _win_lemma,
     _win_prop,
+    _win_toda,
 )
 
 # small enough to keep every run here well under a second
@@ -354,6 +362,50 @@ def test_order_one_equation_holds_on_the_mode_algebra():
     worst, passed, detail = _finish_windowed(_win_prop(_ctx_t3(), 1), T3_TRUNC_Z)
     assert passed and worst == 0
     assert detail["witness_certified_terms"] > 0
+
+
+def test_hirota_brackets_each_flow_once_per_call(monkeypatch):
+    # Leibniz over a per-call flow table: D_1**3 and (D_1 + M_1)**3 bracket
+    # d f, d^2 f, d^3 f and the same of g once each (the recursion made 14
+    # and 22); cold prop-t2 and prop-t3 make 4 + 14 (the recursion 38)
+    calls = []
+
+    def counting(F, G):
+        calls.append(1)
+        return bracket(F, G)
+
+    monkeypatch.setattr(modes, "bracket", counting)
+    ctx = _ctx_t3()
+    h0 = eta_zero(ctx)
+    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    counts = []
+    for factors in ([(h0, None)] * 3, [(h0, h0)] * 3):
+        calls.clear()
+        hirota(factors, tm, tp)
+        counts.append(len(calls))
+    calls.clear()
+    verify._toda_term.cache_clear()
+    _win_prop(ctx, 2), _win_prop(ctx, 3)
+    counts.append(len(calls))
+    assert counts == [6, 6, 18]
+
+
+def test_tbar_flow_is_the_flow_of_minus_xi0(monkeypatch):
+    # {F, xi_0} = {-xi_0, F}: hirota-tb and toda hold with the t-bar flow
+    # given as -xi_0, and fail with +xi_0 in its place
+    ctx = _ctx_bracket(WIN)
+    x0 = xi_zero(ctx)
+
+    def plus_xi0(factors, f, g):
+        flip = [(x0 if (-H).coeffs == x0.coeffs else H, M) for H, M in factors]
+        return hirota(flip, f, g)
+
+    for build in (_win_hirota_tb, _win_toda):
+        assert _finish_windowed(build(ctx), WIN.trunc_z)[1]
+    monkeypatch.setattr(verify, "hirota", plus_xi0)
+    for build in (_win_hirota_tb, _win_toda):
+        _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
+        assert not passed and detail["violations"] > 0, build.__name__
 
 
 def assert_order_three_fails_both_layers(monkeypatch, wrong):
