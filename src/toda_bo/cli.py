@@ -21,6 +21,7 @@ import sys
 
 from .evolve import BlowUpError, RandomInit, RunConfig, SolitonInit, q_from_gamma, run
 from .iom import I_k_def, ModeVector, closed_I, soliton_decay
+from .modes import MAX_WEIGHT
 from .scalar import (
     ZERO,
     BudgetError,
@@ -233,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=positive, default=5, help="draws per wave count")
     v.add_argument("--seed", type=nonneg, default=7)
     v.add_argument("--trunc-z", type=nonneg, default=6, help="checked power window")
-    v.add_argument("--trunc-modes", type=positive, default=12, help="mode cutoff")
+    n_modes = _bounded_int(1, MAX_WEIGHT)
+    v.add_argument("--trunc-modes", type=n_modes, default=12, help="mode cutoff")
     v.add_argument("--trunc-deg", type=positive, default=6, help="monomial degree cap")
     v.add_argument("--timings", action="store_true", help="add wall-clock fields")
     v.add_argument("--out", default=None, help="report path (default stdout)")

@@ -21,20 +21,33 @@ region of its inputs.  Brackets cost one degree and cap the budget at the
 operands' certified weight; kernel and delta expansions halve the certified
 weight; products and linear maps preserve everything.
 
-The algebra runs on Python ints.  A mode polynomial is integer numerators
-over one denominator, the lcm of its reduced coefficient denominators.
-Each operand cell becomes rows (monomial, weight, degree, numerator) over
-that denominator, sorted by weight so a weight cap ends a scan early.
-sum_products adds c * a * b over its terms into one integer per result
-monomial, every term scaled to the lcm of the terms' denominators, and
-reduces the result by one gcd.  poly_mul, the bracket's pairing over all
-n, each result slot of a series product and each target slot of a kernel
-application are one sum_products each; sums, negation, scalar multiples
-and pruning work on the numerators too.  No Fraction is built until a
-coefficient is read (AlphaPoly.coeff), which the windowed finisher does
-for a violating cell only.  Integer sums are exact and the reduced form is
-unique, so the coefficients are the rationals the term-by-term Fraction
-sum gives, and a sum that cancels to zero is not stored.
+The algebra runs on Python ints.  A monomial is one int of 8-bit fields,
+from the low end: its degree, its positive weight (the sum of its positive
+mode indices), its negative weight (the sum of |n| over its negative
+ones), then the exponent of every mode in the order alpha_1, alpha_-1,
+alpha_2, alpha_-2, ...; the constant monomial is 0.  Multiplying two
+monomials adds every field, so the product is m1 + m2, and weight, degree
+and balance sigma are read off the header fields.  No field exceeds the
+monomial's weight (each exponent is at most the degree, and the degree at
+most the weight, as every |n| >= 1), so while the weight stays <= 255
+(MAX_WEIGHT) no field can carry into the next: ModeTrunc caps n_modes
+there, every capped product stays inside n_modes, and the uncapped
+poly_mul refuses a product that could pass it.
+
+A mode polynomial is integer numerators over one denominator, the lcm of
+its reduced coefficient denominators.  Each operand cell becomes rows
+(packed monomial, weight, degree, numerator) over that denominator,
+sorted by weight so a weight cap ends a scan early.  sum_products adds
+c * a * b over its terms into one integer per result monomial, every term
+scaled to the lcm of the terms' denominators, and reduces the result by
+one gcd.  poly_mul, the bracket's pairing over all n, each result slot of
+a series product and each target slot of a kernel application are one
+sum_products each; sums, negation, scalar multiples and pruning work on
+the numerators too.  No Fraction is built until a coefficient is read
+(AlphaPoly.coeff), which the windowed finisher does for a violating cell
+only.  Integer sums are exact and the reduced form is unique, so the
+coefficients are the rationals the term-by-term Fraction sum gives, and a
+sum that cancels to zero is not stored.
 
 Returned series share structure: treat them as immutable.
 """
@@ -50,15 +63,38 @@ from operator import itemgetter
 
 from .scalar import ONE, PoleError, Scalar
 
-Monomial = tuple[int, ...]  # sorted mode indices, each nonzero
+Monomial = int  # packed fields: degree, +weight, -weight, mode exponents
+MAX_WEIGHT = 255  # the largest value of an 8-bit field
+_EXPONENTS = 24  # the bit where the first mode's exponent field starts
+
+
+def unit(n: int) -> Monomial:
+    """The monomial alpha_n, n nonzero: degree 1, weight |n| on n's side,
+    and exponent 1 in field 2|n| - 2 (n > 0) or 2|n| - 1 (n < 0)."""
+    a = abs(n)
+    if n > 0:
+        return 1 | a << 8 | 1 << (_EXPONENTS + 8 * (2 * a - 2))
+    return 1 | a << 16 | 1 << (_EXPONENTS + 8 * (2 * a - 1))
+
+
+def mono_degree(m: Monomial) -> int:
+    return m & 255
 
 
 def mono_weight(m: Monomial) -> int:
-    return sum(map(abs, m))
+    return (m >> 8 & 255) + (m >> 16 & 255)
 
 
 def mono_sigma(m: Monomial) -> int:
-    return sum(m)
+    return (m >> 8 & 255) - (m >> 16 & 255)
+
+
+def mono_powers(m: Monomial) -> list[tuple[int, int]]:
+    """(n, exponent of alpha_n) for every mode in m, in field order
+    1, -1, 2, -2, ...: field i holds mode (i // 2 + 1) * (-1)**i."""
+    x = m >> _EXPONENTS
+    fields = enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+    return [((i // 2 + 1) * (-1) ** i, e) for i, e in fields if e]
 
 
 # #### mode polynomials ########################################################
@@ -68,9 +104,9 @@ class AlphaPoly:
     """Polynomial in the modes with rational coefficients, held as integer
     numerators over one denominator.
 
-    nums maps sorted tuples of nonzero mode indices to nonzero ints; den > 0
-    is the lcm of the reduced coefficient denominators, so the coefficient
-    of m is nums[m] / den.  The constructor divides out gcd(den, *nums),
+    nums maps packed monomials to nonzero ints; den > 0 is the lcm of the
+    reduced coefficient denominators, so the coefficient of m is
+    nums[m] / den.  The constructor divides out gcd(den, *nums),
     which leaves exactly that lcm (lcm_i den / gcd(den, n_i) equals
     den / gcd(den, n_1, ..., n_k)): the form is canonical and == compares
     values.  Zero coefficients are never stored.
@@ -93,11 +129,11 @@ class AlphaPoly:
     @classmethod
     def const(cls, c: Scalar) -> "AlphaPoly":
         c = Fraction(c)
-        return cls({(): c.numerator} if c else {}, c.denominator)
+        return cls({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls) -> "AlphaPoly":
-        return cls({(): 1}, 1)
+        return cls({0: 1}, 1)
 
     def coeff(self, m: Monomial) -> Fraction:
         """The coefficient of monomial m, as a Fraction."""
@@ -161,16 +197,20 @@ class AlphaPoly:
         out = {
             m: v
             for m, v in self.nums.items()
-            if len(m) <= max_deg and mono_weight(m) <= max_weight
+            if mono_degree(m) <= max_deg and mono_weight(m) <= max_weight
         }
         return AlphaPoly(out, self.den) if len(out) != len(self.nums) else self
 
     def __repr__(self) -> str:
         if not self.nums:
             return "0"
+        named = [
+            (sorted(n for n, e in mono_powers(m) for _ in range(e)), m)
+            for m in self.nums
+        ]
         bits = []
-        for m in sorted(self.nums):
-            mono = "*".join(f"a[{n}]" for n in m) or "1"
+        for modes, m in sorted(named):
+            mono = "*".join(f"a[{n}]" for n in modes) or "1"
             bits.append(f"({self.coeff(m)})*{mono}")
         return " + ".join(bits)
 
@@ -181,7 +221,7 @@ Rows = tuple[list[tuple[Monomial, int, int, int]], int]
 def poly_rows(p: AlphaPoly) -> Rows:
     """p as (rows, den): one row (monomial, weight, degree, numerator over
     den) per term, sorted by weight."""
-    rows = [(m, mono_weight(m), len(m), v) for m, v in p.nums.items()]
+    rows = [(m, mono_weight(m), mono_degree(m), v) for m, v in p.nums.items()]
     rows.sort(key=itemgetter(1))
     return rows, p.den
 
@@ -215,7 +255,7 @@ def sum_products(
                     break
                 if d2 > drem:
                     continue
-                m = tuple(sorted(m1 + m2))
+                m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
     return AlphaPoly({m: v for m, v in acc.items() if v}, den)
 
@@ -226,10 +266,17 @@ def poly_mul(
     max_weight: int | None = None,
     max_deg: int | None = None,
 ) -> AlphaPoly:
-    """Product with optional weight/degree caps applied to result monomials."""
+    """Product with optional weight/degree caps applied to result monomials.
+
+    Raises ValueError when a product monomial could pass MAX_WEIGHT, where
+    the packed fields would carry."""
     wcap = float("inf") if max_weight is None else max_weight
     dcap = float("inf") if max_deg is None else max_deg
-    return sum_products([(1, poly_rows(a), poly_rows(b))], wcap, dcap)
+    ra, rb = poly_rows(a), poly_rows(b)
+    # rows are sorted by weight, so each operand's last row is its heaviest
+    if ra[0] and rb[0] and min(wcap, ra[0][-1][1] + rb[0][-1][1]) > MAX_WEIGHT:
+        raise ValueError(f"a product monomial could pass weight {MAX_WEIGHT}")
+    return sum_products([(1, ra, rb)], wcap, dcap)
 
 
 # #### context and guarantees ##################################################
@@ -243,6 +290,10 @@ class ModeTrunc:
     def __post_init__(self):
         if self.n_modes < 1 or self.d_deg < 1:
             raise ValueError("truncation must allow at least one mode and degree")
+        if self.n_modes > MAX_WEIGHT:
+            raise ValueError(
+                f"n_modes must be at most {MAX_WEIGHT}, the largest monomial weight"
+            )
 
 
 @dataclass(frozen=True)
@@ -364,7 +415,9 @@ class AlphaSeries:
             off = sum(slot)
             for m in poly.nums:
                 if mono_sigma(m) != -off:
-                    raise AssertionError(f"balance violated at slot {slot}: monomial {m}")
+                    raise AssertionError(
+                        f"balance violated at slot {slot}: powers {mono_powers(m)}"
+                    )
         self.coeffs = coeffs
         self.guar = guar
 
@@ -554,14 +607,14 @@ def diff_rows(p: AlphaPoly) -> dict[int, Rows]:
     """Partial derivatives of p by every mode present, {n: d/d alpha_n},
     as rows over p's own lcm: the operand form of poisson_pairing.
 
-    d/d alpha_n takes each monomial holding n to one distinct monomial, so
-    no two terms meet, and lowering every weight by |n| keeps the order."""
+    d/d alpha_n takes each monomial m holding n to m - unit(n) times n's
+    exponent, one distinct monomial each, so no two terms meet, and
+    lowering every weight by |n| keeps the order."""
     rows, D = poly_rows(p)
     table: dict[int, list] = {}
     for m, w, d, c in rows:
-        for n in set(m):
-            i = m.index(n)
-            row = (m[:i] + m[i + 1:], w - abs(n), d - 1, c * m.count(n))
+        for n, e in mono_powers(m):
+            row = (m - unit(n), w - abs(n), d - 1, c * e)
             table.setdefault(n, []).append(row)
     return {n: (r, D) for n, r in table.items()}
 
@@ -742,7 +795,7 @@ def _linear_series(ctx: ModeContext, var: str, rows) -> AlphaSeries:
     for slot, n, c in rows:
         if c:
             c = Fraction(c)
-            coeffs[(slot,)] = AlphaPoly({(n,): c.numerator}, c.denominator)
+            coeffs[(slot,)] = AlphaPoly({unit(n): c.numerator}, c.denominator)
     N = ctx.trunc.n_modes
     return AlphaSeries(ctx, (var,), coeffs, Guarantee(N, N, ctx.trunc.d_deg))
 

@@ -68,6 +68,7 @@ from .modes import (
     delta_mul,
     eta_zero,
     hirota,
+    mono_degree,
     mono_weight,
     poly_rows,
     sum_products,
@@ -240,7 +241,7 @@ def _finish_windowed(pairs, zcap: int):
                 continue
             span = sum(abs(x) for x in slot)
             for mono in poly.nums:
-                if g.covers(span, mono_weight(mono), len(mono)):
+                if g.covers(span, mono_weight(mono), mono_degree(mono)):
                     violations += 1
                     worst = max(worst, abs(poly.coeff(mono)))
                 else:
@@ -250,7 +251,7 @@ def _finish_windowed(pairs, zcap: int):
                 continue
             span = sum(abs(x) for x in slot)
             for mono in poly.nums:
-                if g.covers(span, mono_weight(mono), len(mono)):
+                if g.covers(span, mono_weight(mono), mono_degree(mono)):
                     witness_cells += 1
     detail = {
         "witness_certified_terms": witness_cells,

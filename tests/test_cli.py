@@ -68,6 +68,7 @@ def test_unknown_flag_exits_2(capsys):
         ["evolve", "--modes", "0"],
         ["evolve", "--modes", "257"],
         ["verify", "--trunc-modes", "0"],
+        ["verify", "--trunc-modes", "256"],
         ["verify", "--trunc-deg", "0"],
         ["verify", "--trunc-z", "-1"],
         ["verify", "--samples", "0"],
@@ -486,5 +487,7 @@ def test_parser_defaults_match_acceptance_runs():
     args = build_parser().parse_args(["verify"])
     assert (args.seed, args.samples, args.solitons) == (7, 5, 3)
     assert (args.trunc_z, args.trunc_modes, args.trunc_deg) == (6, 12, 6)
+    args = build_parser().parse_args(["verify", "--trunc-modes", "255"])
+    assert args.trunc_modes == 255  # the largest window a packed monomial holds
     args = build_parser().parse_args(["evolve"])
     assert (args.modes, args.dt, args.steps) == (64, 1e-3, 1000)

@@ -13,12 +13,15 @@ without the pruning pass against its pruned rebuild.  hirota is checked
 against literal_hirota, the recursion D f.g = (Df)g - f(Dg) with explicit
 left and right brackets: for bare D's directly, and for the affine product
 over a partition through the binomial sum for a power and the product
-written out for the mixed partition (2, 1).
+written out for the mixed partition (2, 1).  Packed monomials are checked
+against the multiset of their modes: a product decodes to the union, and
+weight, degree and sigma equal the tuple formulas, up to weight 255.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from toda_bo.iom import M2_functional
 from toda_bo.modes import (
     EMPTY_GUARANTEE,
+    MAX_WEIGHT,
     AlphaPoly,
     AlphaSeries,
     Guarantee,
@@ -43,10 +47,13 @@ from toda_bo.modes import (
     diff_rows,
     eta_zero,
     hirota,
+    mono_degree,
+    mono_powers,
     mono_sigma,
     mono_weight,
     poisson_pairing,
     poly_mul,
+    unit,
     xi_zero,
 )
 from toda_bo.scalar import numerators
@@ -62,13 +69,24 @@ def certified_cells(series):
     for slot, poly in series.coeffs.items():
         span = sum(map(abs, slot))
         for m in poly.nums:
-            if g.covers(span, mono_weight(m), len(m)):
+            if g.covers(span, mono_weight(m), mono_degree(m)):
                 yield slot, m, poly.coeff(m)
 
 
 def assert_certified_zero(series):
     bad = list(certified_cells(series))
     assert not bad, f"nonzero certified cells: {bad[:3]}"
+
+
+def mono(*modes: int) -> int:
+    """The packed monomial alpha_{n_1} ... alpha_{n_k}: a product of modes,
+    so the sum of their units."""
+    return sum(map(unit, modes))
+
+
+def modes_of(m: int) -> tuple[int, ...]:
+    """The sorted mode indices of a packed monomial, one per factor."""
+    return tuple(sorted(n for n, e in mono_powers(m) for _ in range(e)))
 
 
 def poly_of(coeffs: dict) -> AlphaPoly:
@@ -85,7 +103,7 @@ def terms(p: AlphaPoly) -> dict:
 
 def gen(n: int) -> AlphaPoly:
     """The mode alpha_n as a polynomial."""
-    return AlphaPoly({(n,): 1}, 1)
+    return AlphaPoly({mono(n): 1}, 1)
 
 
 def deriv(p: AlphaPoly, n: int) -> AlphaPoly:
@@ -124,7 +142,7 @@ def build_xi_ratio(ctx: ModeContext, var: str = "z") -> AlphaSeries:
 def alpha_polys():
     monos = st.lists(
         st.integers(-3, 3).filter(bool), min_size=0, max_size=3
-    ).map(lambda xs: tuple(sorted(xs)))
+    ).map(lambda xs: mono(*xs))
     return st.dictionaries(monos, st.integers(-4, 4).filter(bool), max_size=4).map(
         lambda d: AlphaPoly(d, 1)
     )
@@ -145,23 +163,86 @@ def test_poly_arithmetic_smalls():
 
 def test_poly_diff():
     # d/da1 of a1^2 a_-2 = 2 a1 a_-2; d/da2 kills it
-    p = poly_of({(-2, 1, 1): F(3)})
-    assert deriv(p, 1) == poly_of({(-2, 1): F(6)})
+    p = poly_of({mono(-2, 1, 1): F(3)})
+    assert deriv(p, 1) == poly_of({mono(-2, 1): F(6)})
     assert deriv(p, 2) == 0
-    assert deriv(p, -2) == poly_of({(1, 1): F(3)})
+    assert deriv(p, -2) == poly_of({mono(1, 1): F(3)})
 
 
 def test_poly_mul_caps():
-    p = poly_of({(1,): F(1), (2, 2): F(1)})
+    p = poly_of({mono(1): F(1), mono(2, 2): F(1)})
     full = poly_mul(p, p)
-    assert (1, 2, 2) in full.nums and (2, 2, 2, 2) in full.nums
+    assert mono(1, 2, 2) in full.nums and mono(2, 2, 2, 2) in full.nums
     capped = poly_mul(p, p, max_weight=3, max_deg=2)
-    assert capped == poly_of({(1, 1): F(1)})
+    assert capped == poly_of({mono(1, 1): F(1)})
 
 
 def test_mono_invariants():
-    assert mono_weight((-3, 1, 2)) == 6
-    assert mono_sigma((-3, 1, 2)) == 0
+    assert mono_weight(mono(-3, 1, 2)) == 6
+    assert mono_sigma(mono(-3, 1, 2)) == 0
+
+
+# #### packed monomials #######################################################
+#
+# A monomial is one int of 8-bit fields, so a product is one add; the
+# fields cannot carry while the weight stays <= MAX_WEIGHT.
+
+
+@st.composite
+def mode_multisets(draw):
+    """Nonzero modes of total weight <= MAX_WEIGHT, in random order; long
+    runs of one mode (exponents up to 255) included."""
+    budget, modes = MAX_WEIGHT, []
+    runs = st.tuples(
+        st.integers(-MAX_WEIGHT, MAX_WEIGHT).filter(bool), st.integers(1, MAX_WEIGHT)
+    )
+    for n, e in draw(st.lists(runs, max_size=6)):
+        e = min(e, budget // abs(n))
+        modes += [n] * e
+        budget -= e * abs(n)
+    return draw(st.permutations(modes))
+
+
+@given(mode_multisets(), st.data())
+@settings(max_examples=200)
+def test_packed_product_is_the_multiset_union(modes, data):
+    k = data.draw(st.integers(0, len(modes)))
+    a, b = mono(*modes[:k]), mono(*modes[k:])
+    assert Counter(dict(mono_powers(a + b))) == Counter(modes)
+    assert modes_of(a + b) == tuple(sorted(modes))
+    assert poly_mul(AlphaPoly({a: 1}, 1), AlphaPoly({b: 1}, 1)).nums == {a + b: 1}
+
+
+@given(mode_multisets())
+@settings(max_examples=200)
+def test_packed_fields_equal_the_tuple_formulas(modes):
+    m = mono(*modes)
+    assert mono_weight(m) == sum(map(abs, modes))
+    assert mono_degree(m) == len(modes)
+    assert mono_sigma(m) == sum(modes)
+
+
+def test_weight_limit_is_checked_at_the_edges():
+    with pytest.raises(ValueError, match="at most 255"):
+        ModeTrunc(MAX_WEIGHT + 1, 4)
+    assert ModeTrunc(MAX_WEIGHT, 4).n_modes == 255
+    # alpha_1**255 built by products is exact; one more factor would carry
+    p = gen(1)
+    for _ in range(254):
+        p = poly_mul(p, gen(1))
+    (m,) = p.nums
+    assert p.nums == {mono(*[1] * 255): 1}
+    assert (mono_weight(m), mono_degree(m), mono_powers(m)) == (255, 255, [(1, 255)])
+    for n in (1, -1):
+        with pytest.raises(ValueError, match="weight 255"):
+            poly_mul(p, gen(n))
+    # a cap inside the limit keeps the product safe: nothing survives it
+    assert poly_mul(p, gen(-1), max_weight=MAX_WEIGHT) == 0
+
+
+def test_repr_lists_sorted_modes():
+    p = poly_of({mono(2, -1, 2): F(1, 2), mono(): 3, mono(-3): -1})
+    assert repr(p) == "(3)*1 + (-1)*a[-3] + (1/2)*a[-1]*a[2]*a[2]"
 
 
 # #### bracket axioms ##########################################################
@@ -220,9 +301,12 @@ def literal_mul_terms(ta, tb, max_weight, max_deg):
     dcap = float("inf") if max_deg is None else max_deg
     for m1, c1 in ta.items():
         for m2, c2 in tb.items():
-            if mono_weight(m1) + mono_weight(m2) > wcap or len(m1) + len(m2) > dcap:
+            if (
+                mono_weight(m1) + mono_weight(m2) > wcap
+                or mono_degree(m1) + mono_degree(m2) > dcap
+            ):
                 continue
-            m = tuple(sorted(m1 + m2))
+            m = mono(*modes_of(m1), *modes_of(m2))
             v = out.get(m)
             v = c1 * c2 if v is None else v + c1 * c2
             if v:
@@ -235,9 +319,10 @@ def literal_mul_terms(ta, tb, max_weight, max_deg):
 def literal_diff(p, n):
     out = {}
     for m, c in terms(p).items():
+        m = modes_of(m)
         if n in m:
             i = m.index(n)
-            out[m[:i] + m[i + 1:]] = c * m.count(n)
+            out[mono(*m[:i], *m[i + 1:])] = c * m.count(n)
     return poly_of(out)
 
 
@@ -312,7 +397,7 @@ def scalars():
 def mixed_polys(max_size=5):
     monos = st.lists(
         st.integers(-3, 3).filter(bool), min_size=0, max_size=3
-    ).map(lambda xs: tuple(sorted(xs)))
+    ).map(lambda xs: mono(*xs))
     return st.dictionaries(monos, scalars(), max_size=max_size).map(poly_of)
 
 
@@ -351,9 +436,9 @@ def test_poly_mul_equals_fraction_loop(a, b, wcap, dcap):
 def test_poly_mul_cancelled_sums_are_not_stored():
     a, b = gen(1), gen(-2) * F(3, 4)
     got = poly_mul(a + b, a - b)
-    assert terms(got) == {(1, 1): 1, (-2, -2): -F(9, 16)}
-    assert poly_mul(poly_of({(1,): 2}), poly_of({(-1,): 3, (2,): -1})) == (
-        poly_of({(-1, 1): F(6), (1, 2): F(-2)})
+    assert terms(got) == {mono(1, 1): 1, mono(-2, -2): -F(9, 16)}
+    assert poly_mul(poly_of({mono(1): 2}), poly_of({mono(-1): 3, mono(2): -1})) == (
+        poly_of({mono(-1, 1): F(6), mono(1, 2): F(-2)})
     )
 
 
@@ -396,13 +481,20 @@ def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
         (c * a, {m: v * c for m, v in ta.items()}),
         (a * 0, {}),
         (poly_mul(a, b, wcap, dcap), literal_mul_terms(ta, tb, wcap, dcap)),
-        (a.pruned(w, d), {m: v for m, v in ta.items() if mono_weight(m) <= w and len(m) <= d}),
+        (
+            a.pruned(w, d),
+            {
+                m: v
+                for m, v in ta.items()
+                if mono_weight(m) <= w and mono_degree(m) <= d
+            },
+        ),
         ((a + b) - b, ta),
         ((a - b) + b, ta),
         (a - a, {}),
-        (AlphaPoly.const(c), {(): F(c)}),
+        (AlphaPoly.const(c), {mono(): F(c)}),
         (AlphaPoly.const(0), {}),
-        (AlphaPoly.one(), {(): 1}),
+        (AlphaPoly.one(), {mono(): 1}),
         (AlphaPoly.zero(), {}),
     ]
     for got, want in cases:
@@ -410,18 +502,18 @@ def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
         assert_canonical(got)
     assert (a == b) == (ta == tb)
     assert a + b == b + a and (a - a) == AlphaPoly.zero()
-    assert (a == c) == (ta == {(): F(c)})
+    assert (a == c) == (ta == {mono(): F(c)})
     assert AlphaPoly.const(c) == c and AlphaPoly.zero() == 0
 
 
 def test_poly_sums_reduce_to_lowest_terms():
     # 1/6 + 1/3 = 1/2 and -1/6 + 1/6 = 0: the sum's den drops from 6 to 2
-    a = poly_of({(1,): F(1, 6), (2,): F(1, 6)})
-    b = poly_of({(1,): F(1, 3), (2,): F(-1, 6)})
+    a = poly_of({mono(1): F(1, 6), mono(2): F(1, 6)})
+    b = poly_of({mono(1): F(1, 3), mono(2): F(-1, 6)})
     s = a + b
-    assert (s.nums, s.den) == ({(1,): 1}, 2)
+    assert (s.nums, s.den) == ({mono(1): 1}, 2)
     assert ((a - a).nums, (a - a).den) == ({}, 1)
-    assert (a * 6).den == 1 and (a * 6).nums == {(1,): 1, (2,): 1}
+    assert (a * 6).den == 1 and (a * 6).nums == {mono(1): 1, mono(2): 1}
     assert (a * F(3, 2)).den == 4
     assert (s.pruned(0, 5).nums, s.pruned(0, 5).den) == ({}, 1)
 
@@ -436,7 +528,7 @@ def test_pairing_equals_fraction_loop(f, g, wcap, dcap):
 
 def test_pairing_cancelled_sums_are_not_stored():
     # {f, f} = 0 term by term: the n and -n halves cancel in one accumulator
-    f = poly_of({(-1, 1): F(2, 3), (-2, 2): -1})
+    f = poly_of({mono(-1, 1): F(2, 3), mono(-2, 2): -1})
     assert terms(poisson_poly(f, f)) == {}
     assert terms(literal_pairing(f, f, CTX, BIG, BIG)) == {}
 
@@ -454,7 +546,7 @@ def test_ratio_kernel_equals_fraction_loop(Fs, kernel, pair):
 
 
 def test_ratio_kernel_cancelled_target_is_not_stored():
-    m = poly_of({(-1, 1): F(1, 3)})
+    m = poly_of({mono(-1, 1): F(1, 3)})
     Fs = AlphaSeries(CTX, ("z", "w"), {(1, -1): m, (-1, 1): m}, Guarantee(6, 6, 6))
     got = apply_ratio_kernel(Fs, {1: F(2), -1: -2}, (0, 1))
     assert (0, 0) not in got.coeffs
@@ -626,7 +718,7 @@ def test_tau_minus_mirrors_plus():
     flip = {(-s[0],): p for s, p in tp.coeffs.items()}
     for slot, poly in tm.coeffs.items():
         mirrored = poly_of(
-            {tuple(sorted(-n for n in m)): c for m, c in terms(flip[slot]).items()}
+            {mono(*(-n for n in modes_of(m))): c for m, c in terms(flip[slot]).items()}
         )
         assert poly == mirrored
 
@@ -674,17 +766,18 @@ def test_xi_exponential_equals_dressing_ratio():
 def test_eta_zero_low_degrees():
     h = eta_zero(CTX).functional_value()
     eps = CTX.eps
-    deg2 = poly_of({m: c for m, c in terms(h).items() if len(m) == 2})
-    assert deg2 == poly_of({(-n, n): eps for n in (1, 2, 3)})
-    assert h.coeff(()) == eps
-    assert h.coeff((-1, -1, 1, 1)) == eps / 4
+    deg2 = poly_of({m: c for m, c in terms(h).items() if mono_degree(m) == 2})
+    assert deg2 == poly_of({mono(-n, n): eps for n in (1, 2, 3)})
+    assert h.coeff(mono()) == eps
+    assert h.coeff(mono(-1, -1, 1, 1)) == eps / 4
 
 
 def test_xi_zero_low_degrees():
     x = xi_zero(CTX).functional_value()
     s = CTX.s
-    deg2 = poly_of({m: c for m, c in terms(x).items() if len(m) == 2})
-    assert deg2 == poly_of({(-n, n): (1 / CTX.eps) * s ** (-2 * n) for n in (1, 2, 3)})
+    deg2 = poly_of({m: c for m, c in terms(x).items() if mono_degree(m) == 2})
+    want = {mono(-n, n): (1 / CTX.eps) * s ** (-2 * n) for n in (1, 2, 3)}
+    assert deg2 == poly_of(want)
 
 
 def test_eta_mode_indexing():

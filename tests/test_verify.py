@@ -44,6 +44,8 @@ from toda_bo.modes import (
     build_tau,
     eta_zero,
     hirota,
+    mono_powers,
+    unit,
     xi_zero,
 )
 from toda_bo.scalar import ParamPoint, sample_param_point
@@ -242,8 +244,12 @@ def test_perturbed_kernel_fails():
 
 
 def _negated(poly):
-    # mirroring every index keeps the numerators and their denominator
-    return AlphaPoly({tuple(sorted(-i for i in m)): v for m, v in poly.nums.items()}, poly.den)
+    # mirroring every index keeps the numerators and their denominator; the
+    # mirrored monomial is the product of alpha_-n ** e over m's (n, e)
+    return AlphaPoly(
+        {sum(e * unit(-n) for n, e in mono_powers(m)): v for m, v in poly.nums.items()},
+        poly.den,
+    )
 
 
 def test_field_modes_obey_negation_involution():
@@ -621,11 +627,21 @@ def test_conj_iom_report_bytes_are_pinned(capsys):
     )
 
 
-def test_bracket_group_report_bytes_are_pinned(capsys):
-    # the twelve bracket-family records, through the mode-algebra kernels
-    rc = main(["verify", "--identity", "bracket", "--seed", "7"])
+@pytest.mark.parametrize(
+    "window, digest",
+    [
+        ([], "d0ead7731063299ff1e4952534cb4a26c7464b9eb711bb42d733bcd0dad08861"),
+        (
+            ["--trunc-modes", "14", "--trunc-deg", "7"],
+            "09a14b4f8cebb5ce4494103b74a872705a077b99937b425c4d52b90814352953",
+        ),
+    ],
+    ids=["default", "modes14-deg7"],
+)
+def test_bracket_group_report_bytes_are_pinned(capsys, window, digest):
+    # the twelve bracket-family records, through the mode-algebra kernels;
+    # the wider window fills 28 packed exponent fields, the default 24
+    rc = main(["verify", "--identity", "bracket", "--seed", "7", *window])
     out = capsys.readouterr().out
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d0ead7731063299ff1e4952534cb4a26c7464b9eb711bb42d733bcd0dad08861"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
