@@ -21,6 +21,10 @@ region of its inputs.  Brackets cost one degree and cap the budget at the
 operands' certified weight; kernel and delta expansions halve the certified
 weight; products and linear maps preserve everything.
 
+Every series is built inside its window (slot l1-norm + weight <= n_modes,
+degree <= d_deg): each producer trims its own cells, and the one
+AlphaSeries constructor asserts that rule and balance on every monomial.
+
 The algebra runs on Python ints.  A monomial is one int of 8-bit fields,
 from the low end: its degree, its positive weight (the sum of its positive
 mode indices), its negative weight (the sum of |n| over its negative
@@ -56,10 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import count, islice, product, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .scalar import ONE, PoleError, Scalar
 
@@ -371,52 +375,33 @@ EMPTY_GUARANTEE = Guarantee(-1, -1, -1)
 class AlphaSeries:
     """Laurent data in zero or more formal variables with AlphaPoly cells.
 
-    coeffs maps slot vectors (one integer exponent per variable, each within
-    +-n_modes) to mode polynomials.  Cells violating the global pruning rule
-    (slot l1-norm + weight > n_modes, or degree > d_deg) are discarded on
-    construction; the Guarantee says which surviving cells are certified.
-    Results of the algebra below already meet the rule and are built by
-    capped, which skips the pruning pass; both paths check balance on every
-    stored monomial.
+    coeffs maps slot vectors (tuples, one integer exponent per variable) to
+    nonzero mode polynomials; the Guarantee says which cells are certified.
+    This one constructor stores the cells it is given, which must already
+    meet the window rule (slot l1-norm + weight <= n_modes, degree <=
+    d_deg) and balance: an AssertionError names a monomial that breaks one.
     """
 
     __slots__ = ("ctx", "vars", "coeffs", "guar")
 
     def __init__(self, ctx: ModeContext, vars, coeffs, guar: Guarantee):
-        N = ctx.trunc.n_modes
-        D = ctx.trunc.d_deg
-        clean: dict[tuple[int, ...], AlphaPoly] = {}
-        for slot, poly in coeffs.items():
-            slot = tuple(slot)
-            span = sum(map(abs, slot))
-            if span > N:
-                continue
-            p = poly.pruned(N - span, D)
-            if p:
-                clean[slot] = p
-        self._fill(ctx, vars, clean, guar)
-
-    @classmethod
-    def capped(cls, ctx: ModeContext, vars, coeffs, guar: Guarantee) -> "AlphaSeries":
-        """A series from cells that already meet the pruning rule: tuple
-        slots within the window, no empty cell, every monomial within the
-        weight its slot leaves and the degree cap.  Only balance is
-        checked."""
-        self = cls.__new__(cls)
-        self._fill(ctx, vars, coeffs, guar)
-        return self
-
-    def _fill(self, ctx, vars, coeffs, guar):
         self.ctx = ctx
         self.vars = tuple(vars)
+        N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
         for slot, poly in coeffs.items():
             if len(slot) != len(self.vars):
                 raise ValueError("slot arity mismatch")
-            off = sum(slot)
+            if not poly:
+                raise AssertionError(f"empty cell at slot {slot}")
+            off, room = sum(slot), N - sum(map(abs, slot))
             for m in poly.nums:
                 if mono_sigma(m) != -off:
                     raise AssertionError(
                         f"balance violated at slot {slot}: powers {mono_powers(m)}"
+                    )
+                if mono_weight(m) > room or mono_degree(m) > D:
+                    raise AssertionError(
+                        f"window rule violated at slot {slot}: powers {mono_powers(m)}"
                     )
         self.coeffs = coeffs
         self.guar = guar
@@ -427,7 +412,7 @@ class AlphaSeries:
     def functional(cls, ctx, poly: AlphaPoly, guar: Guarantee | None = None):
         if guar is None:
             guar = Guarantee(ctx.trunc.n_modes, ctx.trunc.n_modes, ctx.trunc.d_deg)
-        return cls(ctx, (), {(): poly}, guar)
+        return cls(ctx, (), {(): poly} if poly else {}, guar)
 
     # -- access ----------------------------------------------------------------
 
@@ -457,8 +442,8 @@ class AlphaSeries:
     # -- linear structure -------------------------------------------------------
 
     def _with(self, coeffs, guar=None):
-        """A linear image of self: its cells meet the pruning rule already."""
-        return AlphaSeries.capped(self.ctx, self.vars, coeffs, guar or self.guar)
+        """A linear image of self: its cells meet the window rule already."""
+        return AlphaSeries(self.ctx, self.vars, coeffs, guar or self.guar)
 
     def _plus(self, other: "AlphaSeries", sub: bool) -> "AlphaSeries":
         """self + other, or self - other when sub, cell by cell in one pass."""
@@ -487,6 +472,8 @@ class AlphaSeries:
 
     def scale(self, c: Scalar) -> "AlphaSeries":
         c = Fraction(c)
+        if c == 1:
+            return self
         if not c:
             return self._with({})
         return self._with({s: p * c for s, p in self.coeffs.items()})
@@ -552,7 +539,7 @@ class AlphaSeries:
             prod = sum_products(ts, N - sum(map(abs, slot)), D)
             if prod:
                 out[slot] = prod
-        return AlphaSeries.capped(self.ctx, rvars, out, guar)
+        return AlphaSeries(self.ctx, rvars, out, guar)
 
     # -- one-sided analytic operations -------------------------------------------
 
@@ -676,7 +663,7 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
             acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
             if acc:
                 out[sa + sb] = acc
-    return AlphaSeries.capped(ctx, rvars, out, F.guar.after_bracket(G.guar))
+    return AlphaSeries(ctx, rvars, out, F.guar.after_bracket(G.guar))
 
 
 def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
@@ -721,8 +708,7 @@ def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
             pairs[S, T] = pairs.get((S, T), 0) + (-1) ** len(T)
         acc = None
         for (S, T), n in pairs.items():
-            P = d(0, S) * d(1, T)
-            P = P.scale(abs(n)) if abs(n) > 1 else P
+            P = (d(0, S) * d(1, T)).scale(abs(n))
             acc = P if acc is None else acc._plus(P, n < 0)
         term = acc if c is None else c * acc
         out = term if out is None else out + term
@@ -765,106 +751,100 @@ def apply_ratio_kernel(
         poly = sum_products(ts, N - sum(map(abs, tgt)), D)
         if poly:
             out[tgt] = poly
-    return AlphaSeries.capped(F.ctx, F.vars, out, F.guar.kern_derate())
+    return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
 
 
 def delta_mul(c: Scalar, G: AlphaSeries, new_var: str) -> AlphaSeries:
     """Expand delta(c * w / z) * G(z) into a two-variable series in (z, w).
 
     delta(x) = sum over all integers of x**n; the cell at (a, b) receives
-    c**b * G[a + b].  G must be a one-variable build so balance pins its
-    support within the window.
+    c**b * G[a + b], cut to the weight n_modes - |a| - |b| its span leaves.
+    G must be a one-variable build so balance pins its support within the
+    window.
     """
     if len(G.vars) != 1:
         raise ValueError("delta_mul needs a one-variable series")
     N = G.ctx.trunc.n_modes
+    D = G.ctx.trunc.d_deg
     c = Fraction(c)
     out: dict[tuple[int, int], AlphaPoly] = {}
     for (g,), poly in G.coeffs.items():
         # the cell (a, b) has the one source g = a + b
         for b in range(max(-N, g - N), min(N, g + N) + 1):
-            out[(g - b, b)] = poly * c**b
+            p = poly.pruned(N - abs(g - b) - abs(b), D)
+            if p:
+                out[(g - b, b)] = p * c**b
     return AlphaSeries(G.ctx, (G.vars[0], new_var), out, G.guar.kern_derate())
 
 
 # #### field builders ##########################################################
 
 
-def _linear_series(ctx: ModeContext, var: str, rows) -> AlphaSeries:
-    coeffs = {}
-    for slot, n, c in rows:
+def _linear_form(ctx: ModeContext, var: str, coeffs, side: str) -> AlphaSeries:
+    """sum_k c_k alpha_-k var**k on side "+", or sum_k c_k alpha_k var**-k on
+    side "-", for coeffs c_1, c_2, ... and the k with 2k <= n_modes: the
+    cell at slot +-k holds weight k, so those are the cells the window rule
+    keeps."""
+    if side not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    d = 1 if side == "+" else -1
+    N = ctx.trunc.n_modes
+    cells = {}
+    for k, c in zip(range(1, N // 2 + 1), coeffs):
         if c:
             c = Fraction(c)
-            coeffs[(slot,)] = AlphaPoly({unit(n): c.numerator}, c.denominator)
-    N = ctx.trunc.n_modes
-    return AlphaSeries(ctx, (var,), coeffs, Guarantee(N, N, ctx.trunc.d_deg))
+            cells[(d * k,)] = AlphaPoly({unit(-d * k): c.numerator}, c.denominator)
+    return AlphaSeries(ctx, (var,), cells, Guarantee(N, N, ctx.trunc.d_deg))
+
+
+def _exp_field(ctx: ModeContext, var: str, c: Scalar, coeffs, sides) -> AlphaSeries:
+    """c * exp(sum_{n != 0} c_|n| alpha_n var**-n) over the sides listed:
+    the product of one exponential per side, which is the exponential of
+    the sum since the summands commute."""
+    coeffs = tuple(islice(coeffs, ctx.trunc.n_modes // 2))
+    exps = [_linear_form(ctx, var, coeffs, side).exp() for side in sides]
+    return reduce(mul, exps).scale(c)
 
 
 @lru_cache(maxsize=None)
-def build_tau(ctx: ModeContext, sign: str, var: str = "z") -> AlphaSeries:
-    """Dressing series tau_+ / tau_-: exponentials of one-sided mode sums.
+def build_tau(ctx: ModeContext, sign: str) -> AlphaSeries:
+    """Dressing series tau_+ / tau_- in z: exponentials of one-sided mode sums.
 
     tau_+ = exp(-sum_{n>0} alpha_{-n} z**n  / (1 - q**n))
     tau_- = exp(-sum_{n>0} alpha_{n}  z**-n / (1 - q**n))
     """
-    N = ctx.trunc.n_modes
-    if sign == "+":
-        rows = [(n, -n, -1 / ctx.one_minus_q(n)) for n in range(1, N + 1)]
-    elif sign == "-":
-        rows = [(-n, n, -1 / ctx.one_minus_q(n)) for n in range(1, N + 1)]
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    return _linear_series(ctx, var, rows).exp()
+    coeffs = (-1 / ctx.one_minus_q(n) for n in count(1))
+    return _exp_field(ctx, "z", ONE, coeffs, (sign,))
 
 
 @lru_cache(maxsize=None)
-def build_phi(ctx: ModeContext, sign: str, var: str = "z") -> AlphaSeries:
+def build_phi(ctx: ModeContext, sign: str) -> AlphaSeries:
     """Log-potentials: phi_+ = sum_{n>0} alpha_{-n} z**n, phi_- = -sum alpha_n z**-n."""
-    N = ctx.trunc.n_modes
-    if sign == "+":
-        rows = [(n, -n, ONE) for n in range(1, N + 1)]
-    elif sign == "-":
-        rows = [(-n, n, -ONE) for n in range(1, N + 1)]
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    return _linear_series(ctx, var, rows)
+    return _linear_form(ctx, "z", repeat(ONE if sign == "+" else -ONE), sign)
 
 
 @lru_cache(maxsize=None)
-def build_eta(ctx: ModeContext, var: str = "z") -> AlphaSeries:
-    """Exponential field eps * exp(sum_{n != 0} alpha_n z**-n).
-
-    Split into up/down one-sided exponentials and multiplied, which equals
-    the two-sided exponential since the summands commute.
-    """
-    N = ctx.trunc.n_modes
-    up = _linear_series(ctx, var, [(n, -n, ONE) for n in range(1, N + 1)])
-    dn = _linear_series(ctx, var, [(-n, n, ONE) for n in range(1, N + 1)])
-    return (up.exp() * dn.exp()).scale(ctx.eps)
+def build_eta(ctx: ModeContext, var: str) -> AlphaSeries:
+    """Exponential field eps * exp(sum_{n != 0} alpha_n var**-n)."""
+    return _exp_field(ctx, var, ctx.eps, repeat(ONE), ("+", "-"))
 
 
 @lru_cache(maxsize=None)
-def build_xi(ctx: ModeContext, var: str = "z") -> AlphaSeries:
-    """Dual exponential field: (1/eps) * exp(-sum_{n != 0} alpha_n s**-|n| z**-n)."""
-    N = ctx.trunc.n_modes
-    up = _linear_series(
-        ctx, var, [(n, -n, -(ONE / ctx.s**n)) for n in range(1, N + 1)]
-    )
-    dn = _linear_series(
-        ctx, var, [(-n, n, -(ONE / ctx.s**n)) for n in range(1, N + 1)]
-    )
-    return (up.exp() * dn.exp()).scale(1 / ctx.eps)
+def build_xi(ctx: ModeContext, var: str) -> AlphaSeries:
+    """Dual exponential field: (1/eps) * exp(-sum_{n != 0} alpha_n s**-|n| var**-n)."""
+    coeffs = (-1 / ctx.s**n for n in count(1))
+    return _exp_field(ctx, var, 1 / ctx.eps, coeffs, ("+", "-"))
 
 
 @lru_cache(maxsize=None)
 def eta_zero(ctx: ModeContext) -> AlphaSeries:
     """Zero mode of the exponential field, as a flow Hamiltonian."""
-    e = build_eta(ctx)
+    e = build_eta(ctx, "z")
     return AlphaSeries.functional(ctx, e.mode(0), e.guar)
 
 
 @lru_cache(maxsize=None)
 def xi_zero(ctx: ModeContext) -> AlphaSeries:
     """Zero mode of the dual field, generating the second flow direction."""
-    x = build_xi(ctx)
+    x = build_xi(ctx, "z")
     return AlphaSeries.functional(ctx, x.mode(0), x.guar)

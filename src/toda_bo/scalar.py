@@ -11,6 +11,8 @@ from __future__ import annotations
 import decimal
 import math
 import random
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,8 +48,13 @@ def scalar_str(x: Scalar) -> str:
 def parse_scalar(text: str) -> Scalar:
     """Inverse of scalar_str; also accepts plain integers like '3'.
 
+    The grammar is an optional sign, digits and an optional '/digits';
+    anything else raises ValueError, an exponent such as '1e5000' included
+    (Fraction would expand it to all its digits before any size check).
     Reads untrusted spec text, so the interpreter's int-to-str digit limit,
     where the interpreter has one, stays in force: past it, ValueError."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"{reprlib.repr(text)} is not an integer or a fraction p/q")
     return Fraction(text)
 
 

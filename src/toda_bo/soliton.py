@@ -450,7 +450,7 @@ def _spec_entry(x) -> Scalar:
     if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise ValueError(f"soliton spec entry {x!r} is not a string or an integer")
     try:
-        return parse_scalar(x)
+        return parse_scalar(x) if isinstance(x, str) else Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"soliton spec entry {x!r} has a zero denominator") from None
 

@@ -228,6 +228,17 @@ def _finish_windowed(pairs, zcap: int):
     certified witness content at all means the window proved nothing and the
     check fails as inconclusive instead of passing vacuously.
     """
+
+    def scan(X, g):
+        """(poly, monomial, whether g covers it) for every stored term of X
+        whose slots all lie within zcap."""
+        for slot, poly in X.coeffs.items():
+            if any(abs(x) > zcap for x in slot):
+                continue
+            span = sum(abs(x) for x in slot)
+            for mono in poly.nums:
+                yield poly, mono, g.covers(span, mono_weight(mono), mono_degree(mono))
+
     worst = ZERO
     violations = 0
     uncertified = 0
@@ -236,23 +247,13 @@ def _finish_windowed(pairs, zcap: int):
     for X, wit in pairs:
         g = X.guar
         guars.append([g.budget, g.weight, g.degree])
-        for slot, poly in X.coeffs.items():
-            if any(abs(x) > zcap for x in slot):
-                continue
-            span = sum(abs(x) for x in slot)
-            for mono in poly.nums:
-                if g.covers(span, mono_weight(mono), mono_degree(mono)):
-                    violations += 1
-                    worst = max(worst, abs(poly.coeff(mono)))
-                else:
-                    uncertified += 1
-        for slot, poly in wit.coeffs.items():
-            if any(abs(x) > zcap for x in slot):
-                continue
-            span = sum(abs(x) for x in slot)
-            for mono in poly.nums:
-                if g.covers(span, mono_weight(mono), mono_degree(mono)):
-                    witness_cells += 1
+        for poly, mono, covered in scan(X, g):
+            if covered:
+                violations += 1
+                worst = max(worst, abs(poly.coeff(mono)))
+            else:
+                uncertified += 1
+        witness_cells += sum(covered for _, _, covered in scan(wit, g))
     detail = {
         "witness_certified_terms": witness_cells,
         "violations": violations,
@@ -269,7 +270,8 @@ def _finish_windowed(pairs, zcap: int):
 
 def _as_var(F: AlphaSeries, var: str) -> AlphaSeries:
     """Embed a functional as the constant Laurent cell of a one-variable series."""
-    return AlphaSeries(F.ctx, (var,), {(0,): F.functional_value()}, F.guar)
+    p = F.functional_value()
+    return AlphaSeries(F.ctx, (var,), {(0,): p} if p else {}, F.guar)
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +310,7 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
         p = sum_products(ts, N - abs(slot), D)
         if p:
             out[(slot,)] = p
-    return AlphaSeries.capped(ctx, ("z",), out, e.guar.kern_derate())
+    return AlphaSeries(ctx, ("z",), out, e.guar.kern_derate())
 
 
 _CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}
@@ -320,7 +322,7 @@ def _toda_term(ctx, lam: tuple[int, ...], shifted: bool):
     mode algebra, with D_o the Hirota derivative of M_o's flow; f.g is
     tau_-(z).tau_+(z), or tau_-(z/q).tau_+(qz) when shifted.  Cached per
     context: the lhs of lemma-3-2..3-5 are four terms of prop-t3."""
-    f, g = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    f, g = build_tau(ctx, "-"), build_tau(ctx, "+")
     if shifted:
         f, g = f.subs_scale(1 / ctx.q), g.subs_scale(ctx.q)
     M = {o: _CHARGE_FUNCTIONALS[o](ctx) for o in lam}
@@ -374,7 +376,7 @@ def _win_eta_xi(ctx):
     q, s = ctx.q, ctx.s
     parts = []
     for sign in ("+", "-"):
-        t = build_tau(ctx, sign, "z")
+        t = build_tau(ctx, sign)
         parts.append(t.subs_scale(q) * t.subs_scale(1 / q) * t.inv() * t.inv())
     gp, gm = parts
     rhs = delta_mul(s, gp, "w") - delta_mul(1 / s, gm, "w")
@@ -383,7 +385,7 @@ def _win_eta_xi(ctx):
 
 def _win_field_tau(ctx, field: str, sign: str):
     src = build_eta(ctx, "w") if field == "eta" else build_xi(ctx, "w")
-    tau = build_tau(ctx, sign, "z")
+    tau = build_tau(ctx, sign)
     lhs = bracket(src, tau)
     N = ctx.trunc.n_modes
     # kernel in (w/z)**n for tau_-, (z/w)**n for tau_+, n > 0: weight 1 for
@@ -403,7 +405,7 @@ def _win_eta0_xi0(ctx):
 
 
 def _win_hirota_t(ctx):
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    tm, tp = build_tau(ctx, "-"), build_tau(ctx, "+")
     h0 = eta_zero(ctx)
     q = ctx.q
     lhs = hirota([(h0, None)], tm, tp)
@@ -412,7 +414,7 @@ def _win_hirota_t(ctx):
 
 
 def _win_hirota_tb(ctx):
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    tm, tp = build_tau(ctx, "-"), build_tau(ctx, "+")
     x0 = xi_zero(ctx)
     s = ctx.s
     f, g = tm.subs_scale(1 / s), tp.subs_scale(s)
@@ -426,7 +428,7 @@ def _win_toda(ctx):
     q = ctx.q
     pairs = []
     for sign in ("+", "-"):
-        t = build_tau(ctx, sign, "z")
+        t = build_tau(ctx, sign)
         lhs = hirota([(h0, None), (-x0, None)], t, t).scale(Fraction(1, 2))
         shifted = t.subs_scale(q) * t.subs_scale(1 / q)
         X = lhs + shifted - t * t
@@ -439,7 +441,7 @@ def _win_toda_field(ctx):
     q = ctx.q
     pairs = []
     for sign in ("+", "-"):
-        phi = build_phi(ctx, sign, "z")
+        phi = build_phi(ctx, sign)
         ll = bracket(h0, bracket(phi, x0))
         e_dn = (phi - phi.subs_scale(1 / q)).exp()
         e_up = (phi.subs_scale(q) - phi).exp()
@@ -454,7 +456,7 @@ def _win_lemma(ctx, lemma_id: str):
     lhs = _toda_term(ctx, lam, shifted)
     first, *rest = (b.scale(c) for b, c in zip(_lemma_basis(ctx), coeffs) if c)
     inner = sum(rest, first)
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    tm, tp = build_tau(ctx, "-"), build_tau(ctx, "+")
     if shifted:
         rhs = inner * (tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q))
     else:

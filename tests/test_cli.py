@@ -372,8 +372,14 @@ _WAVE = {"s": "1/2", "eps": "1/8", "a": ["5/36"], "b": ["1/2"]}
         {**_WAVE, "a": ["1/0"]},
         {**_WAVE, "b": [True]},
         {**_WAVE, "eps": 0.125},
+        # an exponent is refused before Fraction expands it to 5000 digits
+        {**_WAVE, "eps": "1e5000"},
+        {**_WAVE, "eps": "0.5"},
     ],
-    ids=["list", "string", "null-s", "int-a", "zero-denominator", "bool-b", "float-eps"],
+    ids=[
+        "list", "string", "null-s", "int-a", "zero-denominator", "bool-b",
+        "float-eps", "exponent-eps", "decimal-eps",
+    ],
 )
 def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "wave.json"

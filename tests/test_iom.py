@@ -69,7 +69,7 @@ def eta_modes(params, b, window) -> ModeVector:
 
 def xi_table(ctx: ModeContext) -> ModeVector:
     """Mode polynomials of the xi field for |m| <= n_modes."""
-    field, N = build_xi(ctx), ctx.trunc.n_modes
+    field, N = build_xi(ctx, "z"), ctx.trunc.n_modes
     return ModeVector(N, {m: field.mode(m) for m in range(-N, N + 1)})
 
 
@@ -411,9 +411,15 @@ def certified_zero(series: AlphaSeries) -> bool:
 
 
 def test_charges_commute_on_certified_window():
-    N, q = CTX.trunc.n_modes, CTX.q
-    i2 = AlphaSeries.functional(CTX, I_k_def(mode_table(CTX), 2, N, q).value)
-    i2bar = AlphaSeries.functional(CTX, I_k_def(xi_table(CTX), 2, N, 1 / q).value)
+    # the uncapped charges are cut to the window rule before they become
+    # functionals: weight <= n_modes and degree <= d_deg at slot span 0
+    N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
+    i2 = AlphaSeries.functional(
+        CTX, I_k_def(mode_table(CTX), 2, N, q).value.pruned(N, D)
+    )
+    i2bar = AlphaSeries.functional(
+        CTX, I_k_def(xi_table(CTX), 2, N, 1 / q).value.pruned(N, D)
+    )
     pairs = [
         (eta_zero(CTX), i2),
         (xi_zero(CTX), i2bar),
@@ -424,7 +430,18 @@ def test_charges_commute_on_certified_window():
     for f, g in pairs:
         res = bracket(f, g)
         assert certified_zero(res)
-    assert not certified_zero(bracket(eta_zero(CTX), build_eta(CTX)))
+    assert not certified_zero(bracket(eta_zero(CTX), build_eta(CTX, "z")))
+
+
+def test_eta_is_built_once_per_context():
+    # eta_zero, mode_table and a caller that names the variable all read
+    # one cached build: a second cache key for the same field would rebuild
+    ctx = ModeContext(F(1, 2), F(1, 13), ModeTrunc(4, 4))
+    before = build_eta.cache_info().misses
+    eta_zero(ctx)
+    mode_table(ctx)
+    build_eta(ctx, "z")
+    assert build_eta.cache_info().misses - before == 1
 
 
 def test_m2_m3_functionals_stable_under_window_growth():

@@ -87,8 +87,9 @@ def _is_dataclass(node: ast.AST) -> bool:
 
 
 def _defaulted(tree: ast.Module):
-    """(call name, parameter, positional index or None, def) for every
-    defaulted parameter of a def and every defaulted dataclass field.
+    """(call name, parameter, positional index or None, default source, def)
+    for every defaulted parameter of a def and every defaulted dataclass
+    field.
 
     A method is called through an attribute of that name, __init__ and a
     dataclass through the class name; the positional index leaves out
@@ -108,16 +109,16 @@ def _defaulted(tree: ast.Module):
             skip = 1 if cls and not static else 0
             args = node.args.posonlyargs + node.args.args
             first = len(args) - len(node.args.defaults)
-            for index in range(first, len(args)):
-                yield call, args[index].arg, index - skip, node
+            for index, default in enumerate(node.args.defaults, first):
+                yield call, args[index].arg, index - skip, ast.unparse(default), node
             for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
                 if default is not None:
-                    yield call, arg.arg, None, node
+                    yield call, arg.arg, None, ast.unparse(default), node
         elif _is_dataclass(node):
             fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
             for index, f in enumerate(fields):
                 if f.value is not None:
-                    yield node.name, f.target.id, index, f
+                    yield node.name, f.target.id, index, ast.unparse(f.value), f
 
 
 def _entry_points() -> set[tuple[str, str]]:
@@ -136,8 +137,9 @@ def _entry_points() -> set[tuple[str, str]]:
 
 def test_every_defaulted_parameter_is_passed_by_a_caller_in_the_package():
     # a default that no call in the package overrides is a constant in
-    # disguise; the console-script entry point's parameters are its only
-    # outside callers
+    # disguise; a call that passes the default's own expression (the same
+    # source text) overrides nothing.  The console-script entry point's
+    # parameters are its only outside callers
     modules = parsed_modules()
     calls = []
     for tree in modules.values():
@@ -145,17 +147,25 @@ def test_every_defaulted_parameter_is_passed_by_a_caller_in_the_package():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.append((name, len(node.args), {k.arg for k in node.keywords}))
+                args = [ast.unparse(a) for a in node.args]
+                kws = {k.arg: ast.unparse(k.value) for k in node.keywords}
+                calls.append((name, args, kws))
+
+    def passed(args, kws, index, param):
+        if index is not None and len(args) > index:
+            return args[index]
+        return kws.get(param)
+
     entry = _entry_points()
     assert entry, "pyproject.toml names no console script"
     unset = [
-        f"{name}:{node.lineno} {call}({param})"
+        f"{name}:{node.lineno} {call}({param}={default})"
         for name, tree in modules.items()
-        for call, param, index, node in _defaulted(tree)
+        for call, param, index, default, node in _defaulted(tree)
         if (name, call) not in entry
         and not any(
-            c == call and ((index is not None and npos > index) or param in kws)
-            for c, npos, kws in calls
+            c == call and passed(args, kws, index, param) not in (None, default)
+            for c, args, kws in calls
         )
     ]
     assert unset == []

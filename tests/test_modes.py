@@ -8,8 +8,10 @@ cell with the dressing-ratio route written out below, which cross-validates
 exp, inv and rescaling at once.  The integer product kernels are checked
 against the term-by-term Fraction loops they replaced, and one bracket's
 Fraction constructions are counted.  The ring operations are checked
-against Fraction dicts, value and canonical form, and every result built
-without the pruning pass against its pruned rebuild.  hirota is checked
+against Fraction dicts, value and canonical form, and every result of the
+algebra, delta_mul and the field builders against a copy of its cells cut
+to the window rule (window_cells), an oracle for the constructor's own
+check.  hirota is checked
 against literal_hirota, the recursion D f.g = (Df)g - f(Dg) with explicit
 left and right brackets: for bare D's directly, and for the affine product
 over a partition through the binomial sum for a power and the product
@@ -120,20 +122,33 @@ def poisson_poly(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
     return poisson_pairing(diff_rows(f), diff_rows(g), CTX, BIG, BIG)
 
 
-def build_eta_ratio(ctx: ModeContext, var: str = "z") -> AlphaSeries:
+def window_cells(ctx: ModeContext, coeffs: dict) -> dict:
+    """A copy of coeffs cut to the window rule: each cell keeps the
+    monomials of weight <= n_modes - its slot span and degree <= d_deg, and
+    a cell left empty is dropped."""
+    N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
+    out = {}
+    for slot, p in coeffs.items():
+        p = p.pruned(N - sum(map(abs, slot)), D)
+        if p:
+            out[slot] = p
+    return out
+
+
+def build_eta_ratio(ctx: ModeContext) -> AlphaSeries:
     """The field of build_eta via the dressing-series ratio
     eps * tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z))."""
-    tp = build_tau(ctx, "+", var)
-    tm = build_tau(ctx, "-", var)
+    tp = build_tau(ctx, "+")
+    tm = build_tau(ctx, "-")
     num = tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q)
     return (num * tm.inv() * tp.inv()).scale(ctx.eps)
 
 
-def build_xi_ratio(ctx: ModeContext, var: str = "z") -> AlphaSeries:
+def build_xi_ratio(ctx: ModeContext) -> AlphaSeries:
     """The dual field of build_xi via the ratio
     (1/eps) tau_-(z s) tau_+(z/s) / (tau_-(z/s) tau_+(z s))."""
-    tp = build_tau(ctx, "+", var)
-    tm = build_tau(ctx, "-", var)
+    tp = build_tau(ctx, "+")
+    tm = build_tau(ctx, "-")
     num = tm.subs_scale(ctx.s) * tp.subs_scale(1 / ctx.s)
     den_inv = tm.subs_scale(1 / ctx.s).inv() * tp.subs_scale(ctx.s).inv()
     return (num * den_inv).scale(1 / ctx.eps)
@@ -383,6 +398,7 @@ def literal_ratio_kernel(Fs, kernel, pair):
                     out[tuple(tgt)] = r
                 else:
                     out.pop(tuple(tgt), None)
+    out = window_cells(Fs.ctx, out)
     return AlphaSeries(Fs.ctx, Fs.vars, out, Fs.guar.kern_derate())
 
 
@@ -411,7 +427,8 @@ def caps():
 
 def balanced_series():
     """Two-variable series on CTX: each term sits at a slot (a, b) with
-    a + b = -sigma(monomial), as balance requires."""
+    a + b = -sigma(monomial), as balance requires, and the cells are cut to
+    the window rule."""
     cell = st.tuples(st.integers(-2, 2), mixed_polys(1))
 
     def build(cells):
@@ -420,6 +437,7 @@ def balanced_series():
             for m, c in terms(p).items():
                 slot = (a, -mono_sigma(m) - a)
                 coeffs[slot] = coeffs.get(slot, AlphaPoly.zero()) + poly_of({m: c})
+        coeffs = window_cells(CTX, coeffs)
         return AlphaSeries(CTX, ("z", "w"), coeffs, Guarantee(6, 6, 6))
 
     return st.lists(cell, max_size=8).map(build)
@@ -615,37 +633,57 @@ def test_series_balance_enforced():
         AlphaSeries(CTX, ("z",), {(1,): gen(1)}, Guarantee(6, 6, 6))
 
 
-def test_series_pruning():
-    # weight 4 at slot 4 exceeds the budget 6 and is dropped on construction
-    s = AlphaSeries(
-        CTX,
-        ("z",),
-        {(4,): gen(-4), (1,): gen(-1)},
-        Guarantee(6, 6, 6),
-    )
-    assert sorted(s.coeffs) == [(1,)]
+def test_constructor_refuses_cells_outside_the_window():
+    # negative controls: the one constructor stores what it is given, so it
+    # refuses, rather than drops, an unbalanced cell, an overweight cell
+    # (weight 4 at slot 4 passes n_modes 6), an over-degree cell (degree 4
+    # past d_deg 2 at weight 4) and an empty cell
+    g = Guarantee(6, 6, 6)
+    low_degree = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 2))
+    over_degree = {(): poly_of({mono(1, -1, 1, -1): 1})}
+    with pytest.raises(AssertionError, match="balance"):
+        AlphaSeries(CTX, ("z",), {(1,): gen(1)}, g)
+    with pytest.raises(AssertionError, match="window rule"):
+        AlphaSeries(CTX, ("z",), {(4,): gen(-4), (1,): gen(-1)}, g)
+    with pytest.raises(AssertionError, match="window rule"):
+        AlphaSeries(low_degree, (), over_degree, g)
+    with pytest.raises(AssertionError, match="empty"):
+        AlphaSeries(CTX, ("z",), {(0,): AlphaPoly.zero()}, g)
+    # the same cells cut to the rule first are accepted
+    cut = window_cells(CTX, {(4,): gen(-4), (1,): gen(-1)})
+    assert sorted(AlphaSeries(CTX, ("z",), cut, g).coeffs) == [(1,)]
+    assert AlphaSeries(CTX, (), over_degree, g).coeffs == over_degree
+    assert window_cells(low_degree, over_degree) == {}
 
 
 @pytest.mark.parametrize("trunc", [ModeTrunc(7, 3), ModeTrunc(6, 2)])
 def test_capped_results_equal_their_pruned_rebuild(trunc):
-    # every site that skips the pruning pass: rebuilding its output through
-    # the pruning constructor must change no cell.  The truncations let a
-    # cap one too loose show: an odd n_modes for weight (slot span + weight
-    # is even on balanced cells), a small d_deg for degree
+    # every producer trims its own cells: cutting any output to the window
+    # rule, independently of the constructor's check, must change no cell.
+    # The truncations let a cap one too loose show: an odd n_modes for
+    # weight (slot span + weight is even on balanced cells), a small d_deg
+    # for degree
     ctx = ModeContext(F(1, 2), F(1, 8), trunc)
     ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
-    tp, tm = build_tau(ctx, "+", "z"), build_tau(ctx, "-", "z")
+    tp, tm = build_tau(ctx, "+"), build_tau(ctx, "-")
     phi = build_phi(ctx, "+")
     # 1 + phi: unlike tau_+, an exponential, its inverse has a degree-3 part
     one_plus_phi = AlphaSeries(ctx, ("z",), {(0,): AlphaPoly.one()}, phi.guar) + phi
     N = trunc.n_modes
     kernel = {l: ctx.one_minus_q(abs(l)) * (l // abs(l)) for l in range(-N, N + 1) if l}
     outputs = {
+        "eta": ez,
+        "xi": build_xi(ctx, "w"),
+        "tau+": tp,
+        "tau-": tm,
+        "phi+": phi,
+        "phi-": build_phi(ctx, "-"),
         "tensor product": ez * ew,
         "slotwise product": tp * tm,
         "bracket": bracket(ez, ew),
         "flow bracket": bracket(eta_zero(ctx), tm),
         "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
+        "delta_mul": delta_mul(F(1, 2), tp * tm.inv(), "w"),
         "inv": tp.inv(),
         "inv of 1 + phi": one_plus_phi.inv(),
         "exp": build_phi(ctx, "-").exp(),
@@ -659,23 +697,13 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
     }
     for name, X in outputs.items():
         assert X.coeffs, name
-        again = AlphaSeries(X.ctx, X.vars, X.coeffs, X.guar)
-        assert again.coeffs == X.coeffs, name
-
-
-def test_capped_path_checks_balance_and_guard_sees_overweight_cells():
-    # negative controls: the skip path still refuses an unbalanced cell, and
-    # a cell past the pruning rule handed to it is what the rebuild drops
-    with pytest.raises(AssertionError, match="balance"):
-        AlphaSeries.capped(CTX, ("z",), {(1,): gen(1)}, Guarantee(6, 6, 6))
-    heavy = AlphaSeries.capped(CTX, ("z",), {(4,): gen(-4)}, Guarantee(6, 6, 6))
-    assert heavy.coeffs and not AlphaSeries(CTX, ("z",), heavy.coeffs, heavy.guar).coeffs
+        assert window_cells(ctx, X.coeffs) == X.coeffs, name
 
 
 def test_series_difference_equals_sum_with_negation():
     # X - Y subtracts in one pass; it must give X + (-Y)'s cells and guarantee
     ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
-    eta, tp, tm = build_eta(ctx, "z"), build_tau(ctx, "+", "z"), build_tau(ctx, "-", "z")
+    eta, tp, tm = build_eta(ctx, "z"), build_tau(ctx, "+"), build_tau(ctx, "-")
     narrow = AlphaSeries(ctx, tp.vars, tp.coeffs, Guarantee(2, 2, 2))
     for x, y in ((eta, tp), (tp, eta), (tm, tp), (eta, narrow), (narrow, tm), (tp, tp * tm)):
         diff, want = x - y, x + (-y)
@@ -748,7 +776,7 @@ def test_phi_builders():
 
 
 def test_eta_exponential_equals_dressing_ratio():
-    a = build_eta(CTX)
+    a = build_eta(CTX, "z")
     b = build_eta_ratio(CTX)
     assert set(a.coeffs) == set(b.coeffs)
     for s in a.coeffs:
@@ -756,7 +784,7 @@ def test_eta_exponential_equals_dressing_ratio():
 
 
 def test_xi_exponential_equals_dressing_ratio():
-    a = build_xi(CTX)
+    a = build_xi(CTX, "z")
     b = build_xi_ratio(CTX)
     assert set(a.coeffs) == set(b.coeffs)
     for s in a.coeffs:
@@ -781,7 +809,7 @@ def test_xi_zero_low_degrees():
 
 
 def test_eta_mode_indexing():
-    e = build_eta(CTX)
+    e = build_eta(CTX, "z")
     # coefficient of z**-n carries modes summing to +n
     for m in e.mode(2).nums:
         assert mono_sigma(m) == 2
@@ -793,7 +821,7 @@ def test_eta_mode_indexing():
 def test_flow_tau_minus_is_negative_slice_times_tau():
     h0 = eta_zero(CTX)
     tm = build_tau(CTX, "-")
-    eta = build_eta(CTX)
+    eta = build_eta(CTX, "z")
     lhs = bracket(h0, tm)
     rhs = eta.slice_sign(-1) * tm
     assert_certified_zero(lhs - rhs)
@@ -802,7 +830,7 @@ def test_flow_tau_minus_is_negative_slice_times_tau():
 def test_flow_tau_plus_is_minus_positive_slice_times_tau():
     h0 = eta_zero(CTX)
     tp = build_tau(CTX, "+")
-    eta = build_eta(CTX)
+    eta = build_eta(CTX, "z")
     lhs = bracket(h0, tp)
     rhs = (eta.slice_sign(1) * tp).scale(-1)
     assert_certified_zero(lhs - rhs)
@@ -811,7 +839,7 @@ def test_flow_tau_plus_is_minus_positive_slice_times_tau():
 def test_first_flow_of_eta_closes_in_eta():
     # d/dt eta = eta * (eta_up - eta_up(zq) - eta_dn + eta_dn(z/q))
     h0 = eta_zero(CTX)
-    eta = build_eta(CTX)
+    eta = build_eta(CTX, "z")
     lhs = bracket(h0, eta)
     up = eta.slice_sign(1)
     dn = eta.slice_sign(-1)
@@ -821,7 +849,7 @@ def test_first_flow_of_eta_closes_in_eta():
 
 def test_second_flow_of_eta_is_dressing_difference():
     xi0 = xi_zero(CTX)
-    eta = build_eta(CTX)
+    eta = build_eta(CTX, "z")
     lhs = bracket(eta, xi0)
     tp = build_tau(CTX, "+")
     tm = build_tau(CTX, "-")
@@ -837,7 +865,7 @@ def test_flow_hamiltonians_commute():
 
 
 def test_hirota_requires_functionals():
-    h0, eta = eta_zero(CTX), build_eta(CTX)
+    h0, eta = eta_zero(CTX), build_eta(CTX, "z")
     tm, tp = build_tau(CTX, "-"), build_tau(CTX, "+")
     for factors in ([(eta, None)], [(h0, eta)], [(h0, None), (eta, h0)]):
         with pytest.raises(ValueError, match="functionals"):

@@ -383,7 +383,7 @@ def test_hirota_brackets_each_flow_once_per_call(monkeypatch):
     monkeypatch.setattr(modes, "bracket", counting)
     ctx = _ctx_t3()
     h0 = eta_zero(ctx)
-    tm, tp = build_tau(ctx, "-", "z"), build_tau(ctx, "+", "z")
+    tm, tp = build_tau(ctx, "-"), build_tau(ctx, "+")
     counts = []
     for factors in ([(h0, None)] * 3, [(h0, h0)] * 3):
         calls.clear()
