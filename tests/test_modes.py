@@ -633,7 +633,20 @@ def test_series_balance_enforced():
         AlphaSeries(CTX, ("z",), {(1,): gen(1)}, Guarantee(6, 6, 6))
 
 
-def test_constructor_refuses_cells_outside_the_window():
+def test_series_pruning():
+    # weight 4 at slot 4 exceeds the budget 6: the window rule drops it, and
+    # the constructor accepts the cut cells. A degree-4 cell past d_deg 2 is
+    # dropped the same way
+    g = Guarantee(6, 6, 6)
+    cut = window_cells(CTX, {(4,): gen(-4), (1,): gen(-1)})
+    assert sorted(AlphaSeries(CTX, ("z",), cut, g).coeffs) == [(1,)]
+    low_degree = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 2))
+    over_degree = {(): poly_of({mono(1, -1, 1, -1): 1})}
+    assert AlphaSeries(CTX, (), over_degree, g).coeffs == over_degree
+    assert window_cells(low_degree, over_degree) == {}
+
+
+def test_capped_path_checks_balance_and_guard_sees_overweight_cells():
     # negative controls: the one constructor stores what it is given, so it
     # refuses, rather than drops, an unbalanced cell, an overweight cell
     # (weight 4 at slot 4 passes n_modes 6), an over-degree cell (degree 4
@@ -649,11 +662,6 @@ def test_constructor_refuses_cells_outside_the_window():
         AlphaSeries(low_degree, (), over_degree, g)
     with pytest.raises(AssertionError, match="empty"):
         AlphaSeries(CTX, ("z",), {(0,): AlphaPoly.zero()}, g)
-    # the same cells cut to the rule first are accepted
-    cut = window_cells(CTX, {(4,): gen(-4), (1,): gen(-1)})
-    assert sorted(AlphaSeries(CTX, ("z",), cut, g).coeffs) == [(1,)]
-    assert AlphaSeries(CTX, (), over_degree, g).coeffs == over_degree
-    assert window_cells(low_degree, over_degree) == {}
 
 
 @pytest.mark.parametrize("trunc", [ModeTrunc(7, 3), ModeTrunc(6, 2)])
