@@ -441,7 +441,7 @@ def mode_table(ctx: ModeContext, span: int = 1) -> ModeVector:
     Modes past n_modes are identically zero in the truncated model (their
     true content is all heavier than the truncation), so a wider table just
     records zero polynomials; the cubic charge reads indices up to 2 N."""
-    field = build_eta(ctx, "z")
+    field = build_eta(ctx)
     W = span * ctx.trunc.n_modes
     return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
 

@@ -24,6 +24,8 @@ weight; products and linear maps preserve everything.
 Every series is built inside its window (slot l1-norm + weight <= n_modes,
 degree <= d_deg): each producer trims its own cells, and the one
 AlphaSeries constructor asserts that rule and balance on every monomial.
+Every field is built in z, once per context; a second variable w is the
+same cells under another name (AlphaSeries.renamed).
 
 The algebra runs on Python ints.  A monomial is one int of 8-bit fields,
 from the low end: its degree, its positive weight (the sum of its positive
@@ -433,6 +435,10 @@ class AlphaSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def renamed(self, *vars) -> "AlphaSeries":
+        """The same cells, shared, under other variable names."""
+        return AlphaSeries(self.ctx, vars, self.coeffs, self.guar)
+
     def __repr__(self):
         return (
             f"<alpha-series vars={self.vars} cells={len(self.coeffs)} "
@@ -754,7 +760,7 @@ def apply_ratio_kernel(
     return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
 
 
-def delta_mul(c: Scalar, G: AlphaSeries, new_var: str) -> AlphaSeries:
+def delta_mul(c: Scalar, G: AlphaSeries) -> AlphaSeries:
     """Expand delta(c * w / z) * G(z) into a two-variable series in (z, w).
 
     delta(x) = sum over all integers of x**n; the cell at (a, b) receives
@@ -774,14 +780,14 @@ def delta_mul(c: Scalar, G: AlphaSeries, new_var: str) -> AlphaSeries:
             p = poly.pruned(N - abs(g - b) - abs(b), D)
             if p:
                 out[(g - b, b)] = p * c**b
-    return AlphaSeries(G.ctx, (G.vars[0], new_var), out, G.guar.kern_derate())
+    return AlphaSeries(G.ctx, (G.vars[0], "w"), out, G.guar.kern_derate())
 
 
 # #### field builders ##########################################################
 
 
-def _linear_form(ctx: ModeContext, var: str, coeffs, side: str) -> AlphaSeries:
-    """sum_k c_k alpha_-k var**k on side "+", or sum_k c_k alpha_k var**-k on
+def _linear_form(ctx: ModeContext, coeffs, side: str) -> AlphaSeries:
+    """sum_k c_k alpha_-k z**k on side "+", or sum_k c_k alpha_k z**-k on
     side "-", for coeffs c_1, c_2, ... and the k with 2k <= n_modes: the
     cell at slot +-k holds weight k, so those are the cells the window rule
     keeps."""
@@ -794,15 +800,15 @@ def _linear_form(ctx: ModeContext, var: str, coeffs, side: str) -> AlphaSeries:
         if c:
             c = Fraction(c)
             cells[(d * k,)] = AlphaPoly({unit(-d * k): c.numerator}, c.denominator)
-    return AlphaSeries(ctx, (var,), cells, Guarantee(N, N, ctx.trunc.d_deg))
+    return AlphaSeries(ctx, ("z",), cells, Guarantee(N, N, ctx.trunc.d_deg))
 
 
-def _exp_field(ctx: ModeContext, var: str, c: Scalar, coeffs, sides) -> AlphaSeries:
-    """c * exp(sum_{n != 0} c_|n| alpha_n var**-n) over the sides listed:
+def _exp_field(ctx: ModeContext, c: Scalar, coeffs, sides) -> AlphaSeries:
+    """c * exp(sum_{n != 0} c_|n| alpha_n z**-n) over the sides listed:
     the product of one exponential per side, which is the exponential of
     the sum since the summands commute."""
     coeffs = tuple(islice(coeffs, ctx.trunc.n_modes // 2))
-    exps = [_linear_form(ctx, var, coeffs, side).exp() for side in sides]
+    exps = [_linear_form(ctx, coeffs, side).exp() for side in sides]
     return reduce(mul, exps).scale(c)
 
 
@@ -814,37 +820,37 @@ def build_tau(ctx: ModeContext, sign: str) -> AlphaSeries:
     tau_- = exp(-sum_{n>0} alpha_{n}  z**-n / (1 - q**n))
     """
     coeffs = (-1 / ctx.one_minus_q(n) for n in count(1))
-    return _exp_field(ctx, "z", ONE, coeffs, (sign,))
+    return _exp_field(ctx, ONE, coeffs, (sign,))
 
 
 @lru_cache(maxsize=None)
 def build_phi(ctx: ModeContext, sign: str) -> AlphaSeries:
     """Log-potentials: phi_+ = sum_{n>0} alpha_{-n} z**n, phi_- = -sum alpha_n z**-n."""
-    return _linear_form(ctx, "z", repeat(ONE if sign == "+" else -ONE), sign)
+    return _linear_form(ctx, repeat(ONE if sign == "+" else -ONE), sign)
 
 
 @lru_cache(maxsize=None)
-def build_eta(ctx: ModeContext, var: str) -> AlphaSeries:
-    """Exponential field eps * exp(sum_{n != 0} alpha_n var**-n)."""
-    return _exp_field(ctx, var, ctx.eps, repeat(ONE), ("+", "-"))
+def build_eta(ctx: ModeContext) -> AlphaSeries:
+    """Exponential field eps * exp(sum_{n != 0} alpha_n z**-n)."""
+    return _exp_field(ctx, ctx.eps, repeat(ONE), ("+", "-"))
 
 
 @lru_cache(maxsize=None)
-def build_xi(ctx: ModeContext, var: str) -> AlphaSeries:
-    """Dual exponential field: (1/eps) * exp(-sum_{n != 0} alpha_n s**-|n| var**-n)."""
+def build_xi(ctx: ModeContext) -> AlphaSeries:
+    """Dual exponential field: (1/eps) * exp(-sum_{n != 0} alpha_n s**-|n| z**-n)."""
     coeffs = (-1 / ctx.s**n for n in count(1))
-    return _exp_field(ctx, var, 1 / ctx.eps, coeffs, ("+", "-"))
+    return _exp_field(ctx, 1 / ctx.eps, coeffs, ("+", "-"))
 
 
 @lru_cache(maxsize=None)
 def eta_zero(ctx: ModeContext) -> AlphaSeries:
     """Zero mode of the exponential field, as a flow Hamiltonian."""
-    e = build_eta(ctx, "z")
+    e = build_eta(ctx)
     return AlphaSeries.functional(ctx, e.mode(0), e.guar)
 
 
 @lru_cache(maxsize=None)
 def xi_zero(ctx: ModeContext) -> AlphaSeries:
     """Zero mode of the dual field, generating the second flow direction."""
-    x = build_xi(ctx, "z")
+    x = build_xi(ctx)
     return AlphaSeries.functional(ctx, x.mode(0), x.guar)

@@ -1,7 +1,9 @@
 """Exact Laurent polynomials and the one division the tau ratio needs.
 
 A Laurent polynomial is a dict {degree: Fraction} of its nonzero
-coefficients, so it is zero off its keys.  series_mul is the exact product.
+coefficients, so it is zero off its keys.  series_mul is the exact product,
+and series_bezout the Bezout pair of two coprime polynomials, by Euclid's
+algorithm on the same dicts.
 
 Division runs on Python ints.  series_inv inverts a one-sided t with unit
 constant term: with L the lcm of t's denominators and T_j = t_j L, the
@@ -23,7 +25,7 @@ track.
 
 from __future__ import annotations
 
-from .scalar import ONE, Scalar, numerators
+from .scalar import ONE, ZERO, PoleError, Scalar, numerators
 
 Laurent = dict[int, Scalar]
 
@@ -37,6 +39,39 @@ def series_mul(f: Laurent, g: Laurent) -> Laurent:
             v = out.get(d)
             out[d] = c1 * c2 if v is None else v + c1 * c2
     return {d: c for d, c in out.items() if c}
+
+
+def _minus_product(p: Laurent, a: Laurent, b: Laurent) -> Laurent:
+    """p - a b."""
+    out = dict(p)
+    for d, c in series_mul(a, b).items():
+        out[d] = out.get(d, ZERO) - c
+    return {d: c for d, c in out.items() if c}
+
+
+def series_bezout(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
+    """Polynomials u, v with u f + v g == {0: 1}, for coprime polynomials
+    f, g (no negative degree), by the extended Euclid algorithm.
+
+    deg u < deg g and deg v < deg f, which makes the pair unique; when f and
+    g are both constants, u = 0 and v = 1 / g.  A shared root raises
+    PoleError.
+    """
+    # rows (r, s, t) with s f + t g == r; Euclid's step r0 = quo r1 + rem
+    # replaces the first row by the second and the second by the remainder's
+    rows = (f, {0: ONE}, {}), (g, {}, {0: ONE})
+    while rows[1][0]:
+        (r0, s0, t0), (r1, s1, t1) = rows
+        quo, rem = {}, r0
+        while rem and max(rem) >= max(r1):
+            step = {max(rem) - max(r1): rem[max(rem)] / r1[max(r1)]}
+            quo.update(step)
+            rem = _minus_product(rem, step, r1)
+        rows = rows[1], (rem, _minus_product(s0, quo, s1), _minus_product(t0, quo, t1))
+    (r, u, v), _ = rows
+    if set(r) != {0}:
+        raise PoleError("tau factors share a root; expansion annulus is empty")
+    return {d: x / r[0] for d, x in u.items()}, {d: x / r[0] for d, x in v.items()}
 
 
 def series_inv(t: Laurent, order: int):

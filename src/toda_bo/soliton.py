@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .scalar import (
     ONE,
-    ZERO,
     ParamError,
     ParamPoint,
     PoleError,
@@ -47,7 +46,7 @@ from .scalar import (
     sample_amplitudes,
     sample_param_point,
 )
-from .series import Laurent, series_div, series_mul
+from .series import Laurent, series_bezout, series_div, series_mul
 
 Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
 
@@ -317,51 +316,6 @@ def sample_decaying(
     raise ParamError("no geometrically decaying sample found")
 
 
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = a[:]
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        quo[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-        while a and a[-1] == 0:
-            a.pop()
-    return quo, a
-
-
-def _poly_bezout(f: list, g: list) -> tuple[list, list]:
-    """u, v over the rationals with u*f + v*g = 1; requires coprime inputs."""
-
-    def _comb(p0, p1, quo):
-        prod = [Fraction(0)] * (len(quo) + len(p1) - 1) if quo and p1 else []
-        for i, qi in enumerate(quo):
-            for j, pj in enumerate(p1):
-                prod[i + j] += qi * pj
-        out = [Fraction(0)] * max(len(p0), len(prod))
-        for i, x in enumerate(p0):
-            out[i] += x
-        for i, x in enumerate(prod):
-            out[i] -= x
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    r0, r1 = f[:], g[:]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        quo, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _comb(s0, s1, quo)
-        t0, t1 = t1, _comb(t0, t1, quo)
-    if len(r0) != 1:
-        raise PoleError("tau factors share a root; expansion annulus is empty")
-    c = r0[0]
-    return [x / c for x in s0], [x / c for x in t0]
-
-
 def _annulus_ratio(
     num: Laurent, tm: Laurent, tp: Laurent, window: int, make
 ) -> Laurent:
@@ -369,19 +323,16 @@ def _annulus_ratio(
     downward and tp upward.
 
     The two inverses cannot be convolved directly, so the reciprocal is
-    split as z**deg * u / tp + v / tm with u, v from the Bezout identity of
-    the (coprime) polynomial forms of the two factors.  One series_div sums
+    split as z**deg * u / tp + v / tm, with u, v the series_bezout pair of
+    the coprime polynomials z**deg * tm and tp.  One series_div sums
     the two parts, and each degree, a zero one too, is make(num, den) of its
     exact unreduced integer pair.
     """
     n_m = -min(tm)
-    f = [tm.get(i - n_m, ZERO) for i in range(n_m + 1)]
-    g = [tp.get(j, ZERO) for j in range(max(tp) + 1)]
-    u, v = _poly_bezout(f, g)
-    up = {i + n_m: c for i, c in enumerate(u) if c}
-    vp = {i: c for i, c in enumerate(v) if c}
+    u, v = series_bezout({d + n_m: c for d, c in tm.items()}, tp)
+    u = {d + n_m: c for d, c in u.items()}
     out = series_div(
-        [(series_mul(num, up), tp), (series_mul(num, vp), tm)], -window, window, make
+        [(series_mul(num, u), tp), (series_mul(num, v), tm)], -window, window, make
     )
     zero = make(0, 1)
     return {e: out.get(e, zero) for e in range(-window, window + 1)}
@@ -405,9 +356,6 @@ def _tau_ratio(
     (tau_-(z/down) tau_+(z down)), zeros included, each make(num, den);
     scale multiplies the numerator's few terms, not the 2 window + 1 output
     coefficients."""
-    if params.n == 0:
-        const, zero = make(scale.numerator, scale.denominator), make(0, 1)
-        return {d: const if d == 0 else zero for d in range(-window, window + 1)}
     tp = tau_series(make_tau_plus(params), b_values)
     tm = tau_series(make_tau_minus(params), b_values)
     num = series_mul(_subs(tm, 1 / up), _subs(tp, up))

@@ -18,9 +18,13 @@ The runners use one of three finishers:
              region of the truncation Guarantee; a nonzero certified cell is
              a genuine counterexample, an empty certified region is reported
              as an inconclusive failure rather than a pass.
-  convergent numeric charge evaluations compared against closed forms at a
-             ladder of kernel cutoffs; passing needs the residual below
-             tolerance and still decreasing when the cutoff grows.
+  convergent numeric charge evaluations on soliton modes.  conj-iom
+             compares charges with closed forms at a ladder of kernel
+             cutoffs and passes with the residual below tolerance and still
+             decreasing as the cutoff grows; m2-/m3-consistency pass when
+             three legs hold: the exact Newton route, the formal window,
+             and the numeric kernel-minus-Newton difference within
+             newton_error_bound + kernel_tail.
 
 Reports are plain dataclasses with JSON-safe fields.  run_suite resolves a
 selector (id, group name, comma list, or glob), runs the checks sorted in
@@ -268,10 +272,10 @@ def _finish_windowed(pairs, zcap: int):
     return worst, passed, detail
 
 
-def _as_var(F: AlphaSeries, var: str) -> AlphaSeries:
-    """Embed a functional as the constant Laurent cell of a one-variable series."""
+def _in_z(F: AlphaSeries) -> AlphaSeries:
+    """Embed a functional as the constant Laurent cell of a series in z."""
     p = F.functional_value()
-    return AlphaSeries(F.ctx, (var,), {(0,): p} if p else {}, F.guar)
+    return AlphaSeries(F.ctx, ("z",), {(0,): p} if p else {}, F.guar)
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +299,7 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
         raise ValueError("pick must be one of pp, pm, mp, mm")
     # with signs (sg, tg) from pick: eta_{sg r} eta_{tg s - sg r} at slot -tg s
     sg, tg = (1 if c == "p" else -1 for c in pick)
-    e = build_eta(ctx, "z")
+    e = build_eta(ctx)
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     q = ctx.q
     rows = {-k: poly_rows(p) for (k,), p in e.coeffs.items()}  # by mode index
@@ -334,14 +338,14 @@ def _lemma_basis(ctx: ModeContext) -> tuple[AlphaSeries, ...]:
     """The eight series LEMMA_T3's coefficients weigh, in its order.  e_+ is
     the positive-power part of eta at argument qz, e_- its negative-power
     part at z/q.  Cached per context: all four lemmas read it."""
-    e = build_eta(ctx, "z")
+    e = build_eta(ctx)
     ep = e.slice_sign(1).subs_scale(ctx.q)
     em = e.slice_sign(-1).subs_scale(1 / ctx.q)
     m1 = eta_zero(ctx)
     return (
-        _as_var(M2_functional(ctx), "z"),
-        _as_var(m1 * m1, "z"),
-        _as_var(m1, "z") * (ep + em),
+        _in_z(M2_functional(ctx)),
+        _in_z(m1 * m1),
+        _in_z(m1) * (ep + em),
         ep * em,
         *(quad_kernel_series(ctx, pick) for pick in ("pp", "pm", "mp", "mm")),
     )
@@ -351,7 +355,8 @@ def _lemma_basis(ctx: ModeContext) -> tuple[AlphaSeries, ...]:
 
 
 def _win_eta_eta(ctx):
-    ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
+    ez = build_eta(ctx)
+    ew = ez.renamed("w")
     lhs = bracket(ez, ew)
     N = ctx.trunc.n_modes
     terms = {l: _sgn(l) * ctx.one_minus_q(abs(l)) for l in range(-N, N + 1) if l}
@@ -360,7 +365,8 @@ def _win_eta_eta(ctx):
 
 
 def _win_xi_xi(ctx):
-    xz, xw = build_xi(ctx, "z"), build_xi(ctx, "w")
+    xz = build_xi(ctx)
+    xw = xz.renamed("w")
     lhs = bracket(xz, xw)
     N = ctx.trunc.n_modes
     q = ctx.q
@@ -372,19 +378,19 @@ def _win_xi_xi(ctx):
 
 
 def _win_eta_xi(ctx):
-    lhs = bracket(build_eta(ctx, "z"), build_xi(ctx, "w"))
+    lhs = bracket(build_eta(ctx), build_xi(ctx).renamed("w"))
     q, s = ctx.q, ctx.s
     parts = []
     for sign in ("+", "-"):
         t = build_tau(ctx, sign)
         parts.append(t.subs_scale(q) * t.subs_scale(1 / q) * t.inv() * t.inv())
     gp, gm = parts
-    rhs = delta_mul(s, gp, "w") - delta_mul(1 / s, gm, "w")
+    rhs = delta_mul(s, gp) - delta_mul(1 / s, gm)
     return [(lhs - rhs, lhs)]
 
 
 def _win_field_tau(ctx, field: str, sign: str):
-    src = build_eta(ctx, "w") if field == "eta" else build_xi(ctx, "w")
+    src = (build_eta if field == "eta" else build_xi)(ctx).renamed("w")
     tau = build_tau(ctx, sign)
     lhs = bracket(src, tau)
     N = ctx.trunc.n_modes
@@ -460,7 +466,7 @@ def _win_lemma(ctx, lemma_id: str):
     if shifted:
         rhs = inner * (tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q))
     else:
-        rhs = (build_eta(ctx, "z") * inner) * (tm * tp)
+        rhs = (build_eta(ctx) * inner) * (tm * tp)
     return [(lhs - rhs, lhs)]
 
 

@@ -69,7 +69,7 @@ def eta_modes(params, b, window) -> ModeVector:
 
 def xi_table(ctx: ModeContext) -> ModeVector:
     """Mode polynomials of the xi field for |m| <= n_modes."""
-    field, N = build_xi(ctx, "z"), ctx.trunc.n_modes
+    field, N = build_xi(ctx), ctx.trunc.n_modes
     return ModeVector(N, {m: field.mode(m) for m in range(-N, N + 1)})
 
 
@@ -430,17 +430,17 @@ def test_charges_commute_on_certified_window():
     for f, g in pairs:
         res = bracket(f, g)
         assert certified_zero(res)
-    assert not certified_zero(bracket(eta_zero(CTX), build_eta(CTX, "z")))
+    assert not certified_zero(bracket(eta_zero(CTX), build_eta(CTX)))
 
 
 def test_eta_is_built_once_per_context():
-    # eta_zero, mode_table and a caller that names the variable all read
-    # one cached build: a second cache key for the same field would rebuild
+    # eta_zero, mode_table and a direct call all read one cached build: a
+    # second cache key for the same field would rebuild
     ctx = ModeContext(F(1, 2), F(1, 13), ModeTrunc(4, 4))
     before = build_eta.cache_info().misses
     eta_zero(ctx)
     mode_table(ctx)
-    build_eta(ctx, "z")
+    build_eta(ctx)
     assert build_eta.cache_info().misses - before == 1
 
 

@@ -1,12 +1,13 @@
 """Source layout: no private imports across modules, no callerless code,
-no unused option, no unread field, no unused import, no lambda that drops
-an argument.
+no unused option, no constant passed as an argument, no unread field, no
+unused import, no lambda that drops an argument.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
 package has a caller in the package: code that only tests use lives in the
 tests.  Every default is overridden by some call in the package; one that
-no call overrides is a constant.  Every dataclass field is read somewhere
+no call overrides is a constant, and so is a required parameter that
+every call passes the same literal.  Every dataclass field is read somewhere
 in the package.  Every module uses what it imports.  Every lambda reads
 each of its parameters.  The rules are checked on the syntax tree of every
 package module.
@@ -169,6 +170,62 @@ def test_every_defaulted_parameter_is_passed_by_a_caller_in_the_package():
         )
     ]
     assert unset == []
+
+
+def test_no_required_parameter_is_always_passed_one_literal():
+    # a required parameter that every call in the package passes as the
+    # same literal (a string, a number, None) is a constant in disguise.
+    # Judged are the module-level functions the package only calls by name:
+    # a function handed on (to partial, a table) or reached through an
+    # attribute may be called with arguments the syntax tree does not show,
+    # and a method's calls go through objects whose class it does not show
+    modules = parsed_modules()
+    calls, handed_on = {}, set()
+    for tree in modules.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(node.func.id, []).append(node)
+                callees.add(id(node.func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in callees:
+                handed_on.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                handed_on.add(node.attr)
+
+    def passed(call, index, param):
+        # the literal's source, or None when the argument is not one literal
+        if any(k.arg is None for k in call.keywords):
+            return None
+        if index is not None and any(
+            isinstance(a, ast.Starred) for a in call.args[: index + 1]
+        ):
+            return None
+        if index is not None and len(call.args) > index:
+            value = call.args[index]
+        else:
+            value = next((k.value for k in call.keywords if k.arg == param), None)
+        return ast.unparse(value) if isinstance(value, ast.Constant) else None
+
+    constant = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name in handed_on:
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            required = list(enumerate(positional[: len(positional) - len(a.defaults)]))
+            required += [
+                (None, arg)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is None
+            ]
+            for index, arg in required:
+                values = {passed(c, index, arg.arg) for c in calls.get(node.name, [])}
+                if len(values) == 1 and None not in values:
+                    where = f"{name}:{node.lineno}"
+                    constant.append(f"{where} {node.name}({arg.arg}={values.pop()})")
+    assert constant == []
 
 
 def test_every_dataclass_field_is_read():

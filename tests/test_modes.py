@@ -574,10 +574,10 @@ def test_ratio_kernel_cancelled_target_is_not_stored():
 @pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 4)])
 def test_field_kernels_equal_fraction_loops(trunc):
     ctx = ModeContext(F(1, 2), F(1, 8), trunc)
-    ez, ew, xw = build_eta(ctx, "z"), build_eta(ctx, "w"), build_xi(ctx, "w")
+    ez, xz = build_eta(ctx), build_xi(ctx)
+    ew, xw = ez.renamed("w"), xz.renamed("w")
     for lhs, rhs in ((ez, ew), (ez, xw), (xw, ez)):
         assert bracket(lhs, rhs).coeffs == literal_bracket(lhs, rhs).coeffs
-    xz = build_xi(ctx, "z")
     assert (ez * xw).coeffs == literal_series_mul(ez, xw)
     assert (ez * xz).coeffs == literal_series_mul(ez, xz)
     N = trunc.n_modes
@@ -596,7 +596,8 @@ def test_bracket_builds_no_fraction_beyond_the_pairing_table(monkeypatch):
     # context's (1 - q**n) table, a few per n.  The eps is this test's own,
     # so the table is cold and the count is not zero.
     ctx = ModeContext(F(1, 2), F(1, 7), ModeTrunc(6, 6))
-    ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
+    ez = build_eta(ctx)
+    ew = ez.renamed("w")
     built = 0
     new = F.__new__
 
@@ -672,7 +673,8 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
     # weight (slot span + weight is even on balanced cells), a small d_deg
     # for degree
     ctx = ModeContext(F(1, 2), F(1, 8), trunc)
-    ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
+    ez = build_eta(ctx)
+    ew = ez.renamed("w")
     tp, tm = build_tau(ctx, "+"), build_tau(ctx, "-")
     phi = build_phi(ctx, "+")
     # 1 + phi: unlike tau_+, an exponential, its inverse has a degree-3 part
@@ -681,7 +683,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
     kernel = {l: ctx.one_minus_q(abs(l)) * (l // abs(l)) for l in range(-N, N + 1) if l}
     outputs = {
         "eta": ez,
-        "xi": build_xi(ctx, "w"),
+        "xi": build_xi(ctx).renamed("w"),
         "tau+": tp,
         "tau-": tm,
         "phi+": phi,
@@ -691,7 +693,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
         "bracket": bracket(ez, ew),
         "flow bracket": bracket(eta_zero(ctx), tm),
         "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
-        "delta_mul": delta_mul(F(1, 2), tp * tm.inv(), "w"),
+        "delta_mul": delta_mul(F(1, 2), tp * tm.inv()),
         "inv": tp.inv(),
         "inv of 1 + phi": one_plus_phi.inv(),
         "exp": build_phi(ctx, "-").exp(),
@@ -711,7 +713,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
 def test_series_difference_equals_sum_with_negation():
     # X - Y subtracts in one pass; it must give X + (-Y)'s cells and guarantee
     ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
-    eta, tp, tm = build_eta(ctx, "z"), build_tau(ctx, "+"), build_tau(ctx, "-")
+    eta, tp, tm = build_eta(ctx), build_tau(ctx, "+"), build_tau(ctx, "-")
     narrow = AlphaSeries(ctx, tp.vars, tp.coeffs, Guarantee(2, 2, 2))
     for x, y in ((eta, tp), (tp, eta), (tm, tp), (eta, narrow), (narrow, tm), (tp, tp * tm)):
         diff, want = x - y, x + (-y)
@@ -727,8 +729,8 @@ def test_series_difference_equals_sum_with_negation():
 
 
 def test_multivar_same_var_product_certifies_nothing():
-    e = build_eta(CTX, "z")
-    x = build_xi(CTX, "w")
+    e = build_eta(CTX)
+    x = build_xi(CTX).renamed("w")
     two = e * x
     prod = two * two
     assert prod.guar == EMPTY_GUARANTEE
@@ -784,7 +786,7 @@ def test_phi_builders():
 
 
 def test_eta_exponential_equals_dressing_ratio():
-    a = build_eta(CTX, "z")
+    a = build_eta(CTX)
     b = build_eta_ratio(CTX)
     assert set(a.coeffs) == set(b.coeffs)
     for s in a.coeffs:
@@ -792,7 +794,7 @@ def test_eta_exponential_equals_dressing_ratio():
 
 
 def test_xi_exponential_equals_dressing_ratio():
-    a = build_xi(CTX, "z")
+    a = build_xi(CTX)
     b = build_xi_ratio(CTX)
     assert set(a.coeffs) == set(b.coeffs)
     for s in a.coeffs:
@@ -817,7 +819,7 @@ def test_xi_zero_low_degrees():
 
 
 def test_eta_mode_indexing():
-    e = build_eta(CTX, "z")
+    e = build_eta(CTX)
     # coefficient of z**-n carries modes summing to +n
     for m in e.mode(2).nums:
         assert mono_sigma(m) == 2
@@ -829,7 +831,7 @@ def test_eta_mode_indexing():
 def test_flow_tau_minus_is_negative_slice_times_tau():
     h0 = eta_zero(CTX)
     tm = build_tau(CTX, "-")
-    eta = build_eta(CTX, "z")
+    eta = build_eta(CTX)
     lhs = bracket(h0, tm)
     rhs = eta.slice_sign(-1) * tm
     assert_certified_zero(lhs - rhs)
@@ -838,7 +840,7 @@ def test_flow_tau_minus_is_negative_slice_times_tau():
 def test_flow_tau_plus_is_minus_positive_slice_times_tau():
     h0 = eta_zero(CTX)
     tp = build_tau(CTX, "+")
-    eta = build_eta(CTX, "z")
+    eta = build_eta(CTX)
     lhs = bracket(h0, tp)
     rhs = (eta.slice_sign(1) * tp).scale(-1)
     assert_certified_zero(lhs - rhs)
@@ -847,7 +849,7 @@ def test_flow_tau_plus_is_minus_positive_slice_times_tau():
 def test_first_flow_of_eta_closes_in_eta():
     # d/dt eta = eta * (eta_up - eta_up(zq) - eta_dn + eta_dn(z/q))
     h0 = eta_zero(CTX)
-    eta = build_eta(CTX, "z")
+    eta = build_eta(CTX)
     lhs = bracket(h0, eta)
     up = eta.slice_sign(1)
     dn = eta.slice_sign(-1)
@@ -857,7 +859,7 @@ def test_first_flow_of_eta_closes_in_eta():
 
 def test_second_flow_of_eta_is_dressing_difference():
     xi0 = xi_zero(CTX)
-    eta = build_eta(CTX, "z")
+    eta = build_eta(CTX)
     lhs = bracket(eta, xi0)
     tp = build_tau(CTX, "+")
     tm = build_tau(CTX, "-")
@@ -873,7 +875,7 @@ def test_flow_hamiltonians_commute():
 
 
 def test_hirota_requires_functionals():
-    h0, eta = eta_zero(CTX), build_eta(CTX, "z")
+    h0, eta = eta_zero(CTX), build_eta(CTX)
     tm, tp = build_tau(CTX, "-"), build_tau(CTX, "+")
     for factors in ([(eta, None)], [(h0, eta)], [(h0, None), (eta, h0)]):
         with pytest.raises(ValueError, match="functionals"):
@@ -976,8 +978,8 @@ def test_hirota_affine_product_over_a_partition(lam):
 
 
 def test_apply_ratio_kernel_shifts_slots():
-    e = build_eta(CTX, "z")
-    x = build_xi(CTX, "w")
+    e = build_eta(CTX)
+    x = build_xi(CTX).renamed("w")
     prod = e * x
     moved = apply_ratio_kernel(prod, {3: F(5)}, (0, 1))
     for (a, b), poly in prod.coeffs.items():
@@ -991,7 +993,7 @@ def test_apply_ratio_kernel_shifts_slots():
 
 def test_delta_mul_small():
     tm = build_tau(CTX, "-")
-    d = delta_mul(F(1, 2), tm, "w")
+    d = delta_mul(F(1, 2), tm)
     # cell (a, b) = (1/2)**b * tau[a + b]
     assert d.coeff((-3, 1)) == tm.coeff((-2,)) * F(1, 2)
     assert d.coeff((1, -2)) == tm.coeff((-1,)) * F(4)
@@ -999,7 +1001,7 @@ def test_delta_mul_small():
 
 
 def test_delta_mul_needs_one_var():
-    e = build_eta(CTX, "z")
-    x = build_xi(CTX, "w")
+    e = build_eta(CTX)
+    x = build_xi(CTX).renamed("w")
     with pytest.raises(ValueError):
-        delta_mul(F(1, 2), e * x, "u")
+        delta_mul(F(1, 2), e * x)

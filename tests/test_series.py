@@ -20,12 +20,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toda_bo.evolve import DEFAULT_POINT
-from toda_bo.scalar import ONE, ZERO
-from toda_bo.series import series_div, series_inv, series_mul
+from toda_bo.scalar import (
+    ONE,
+    ZERO,
+    PoleError,
+    sample_amplitudes,
+    sample_param_point,
+)
+from toda_bo.series import series_bezout, series_div, series_inv, series_mul
 from toda_bo.soliton import make_tau_minus, make_tau_plus, tau_series
 
 
@@ -288,3 +294,80 @@ def test_int_true_division_rounds_near_ties_like_the_fraction(d, k, r):
     # quotients k + r/d straddle the 53-bit mantissa, and r = d/2 is a tie
     n = k * d + (d // 2 if r % 3 == 0 else r % d)
     assert repr(n / d) == repr(float(F(n, d)))
+
+
+# #### Bezout pairs ############################################################
+
+
+def deg(p: dict) -> int:
+    return max(p, default=-1)
+
+
+def resultant(f: dict, g: dict) -> F:
+    """Determinant of the Sylvester matrix of nonzero polynomials f, g, by
+    Gaussian elimination: zero exactly when they share a root."""
+    m, n = deg(f), deg(g)
+    fc = [f.get(m - k, ZERO) for k in range(m + 1)]
+    gc = [g.get(n - k, ZERO) for k in range(n + 1)]
+    rows = [[ZERO] * i + fc + [ZERO] * (n - 1 - i) for i in range(n)]
+    rows += [[ZERO] * i + gc + [ZERO] * (m - 1 - i) for i in range(m)]
+    det = ONE
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if rows[r][col]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, m + n):
+            ratio = rows[r][col] / rows[col][col]
+            rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+@st.composite
+def polynomials(draw, lowest_degree=0):
+    """A polynomial of degree lowest_degree..4, nonzero leading coefficient."""
+    top = draw(st.integers(lowest_degree, 4))
+    p = poly({d: draw(rationals) for d in range(top)})
+    p[top] = draw(rationals.filter(bool))
+    return p
+
+
+def assert_bezout_pair(f, g):
+    u, v = series_bezout(f, g)
+    assert add(series_mul(u, f), series_mul(v, g)) == {0: ONE}
+    if deg(f) == deg(g) == 0:
+        assert (u, v) == ({}, {0: 1 / g[0]})
+    else:
+        # the bounds make the pair unique, so any route to it gives its bytes
+        assert deg(u) < deg(g) and deg(v) < deg(f)
+
+
+@given(polynomials(), polynomials())
+@settings(max_examples=200, deadline=None)
+def test_bezout_pair_of_coprime_polynomials(f, g):
+    assume(resultant(f, g) != 0)
+    assert_bezout_pair(f, g)
+
+
+@given(st.integers(1, 3), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_bezout_pair_of_sampled_tau_factors(n, seed):
+    # the pair the tau ratio splits: z**n tau_-(z) and tau_+(z)
+    rng = random.Random(seed)
+    params = sample_param_point(rng, n)
+    b = sample_amplitudes(rng, n)
+    tm = tau_series(make_tau_minus(params), b)
+    tp = tau_series(make_tau_plus(params), b)
+    f = {d - min(tm): c for d, c in tm.items()}
+    assume(resultant(f, tp) != 0)
+    assert_bezout_pair(f, tp)
+
+
+@given(polynomials(), polynomials(), polynomials(lowest_degree=1))
+@settings(max_examples=100, deadline=None)
+def test_bezout_rejects_a_shared_root(f, g, common):
+    with pytest.raises(PoleError, match="share a root"):
+        series_bezout(series_mul(f, common), series_mul(g, common))

@@ -10,7 +10,8 @@ in the order-3 Toda equation table must fail both the exact and the windowed
 check that read it, one wrong coefficient in the lemma table must fail its
 windowed check, one row weight of each Miwa identity scaled by 7/6 must
 fail its exact check, and +xi_0 in place of -xi_0 as the t-bar flow must
-fail hirota-tb and toda.  The brackets one hirota call makes are counted.
+fail hirota-tb and toda.  The brackets one hirota call makes are counted,
+and so are the field builds of the bracket group: one each of eta and xi.
 The Miwa row builders are also run at explicit shifts far outside
 the sampler's range, and each side of the partition-keyed Toda rows is
 compared with the earlier (c, order, power) table, read as powers.
@@ -42,6 +43,7 @@ from toda_bo.modes import (
     bracket,
     build_eta,
     build_tau,
+    build_xi,
     eta_zero,
     hirota,
     mono_powers,
@@ -228,7 +230,8 @@ def test_nonzero_series_fails_as_violations():
 
 def test_perturbed_kernel_fails():
     ctx = _ctx_bracket(WIN)
-    ez, ew = build_eta(ctx, "z"), build_eta(ctx, "w")
+    ez = build_eta(ctx)
+    ew = ez.renamed("w")
     lhs = bracket(ez, ew)
     N = ctx.trunc.n_modes
     terms = {
@@ -238,6 +241,20 @@ def test_perturbed_kernel_fails():
     worst, passed, detail = _finish_windowed([(lhs - rhs, lhs)], WIN.trunc_z)
     assert not passed
     assert detail["violations"] > 0
+
+
+def test_bracket_group_builds_each_field_once():
+    # the second variable w is the z build renamed, sharing its cells, so the
+    # bracket group misses each field's cache once; a w build of its own
+    # would be a second miss.  The cached builders are called positionally:
+    # a keyword call is another cache key, so it would rebuild
+    build_eta.cache_clear()
+    build_xi.cache_clear()
+    assert all(r.passed for r in run_suite("bracket", WIN))
+    assert build_eta.cache_info().misses == build_xi.cache_info().misses == 1
+    ctx = _ctx_bracket(WIN)
+    assert build_eta(ctx).renamed("w").coeffs is build_eta(ctx).coeffs
+    assert build_xi(ctx).renamed("w").vars == ("w",)
 
 
 # #### quadratic kernel series #################################################
@@ -255,7 +272,7 @@ def _negated(poly):
 def test_field_modes_obey_negation_involution():
     # swapping every mode index for its negative mirrors the field in z
     ctx = _ctx_bracket(WIN)
-    e = build_eta(ctx, "z")
+    e = build_eta(ctx)
     for n in range(-WIN.trunc_modes, WIN.trunc_modes + 1):
         assert _negated(e.mode(n)) == e.mode(-n)
 
@@ -280,7 +297,7 @@ def test_quad_kernel_orientations_swap_under_negation():
 
 def test_quad_kernel_guarantee_and_bad_pick():
     ctx = _ctx_bracket(WIN)
-    e = build_eta(ctx, "z")
+    e = build_eta(ctx)
     assert quad_kernel_series(ctx, "pp").guar == e.guar.kern_derate()
     with pytest.raises(ValueError):
         quad_kernel_series(ctx, "xx")
