@@ -99,9 +99,11 @@ def bo_rhs(s: State) -> np.ndarray:
     """d/dt eta_m = sum_l sgn(l)(1-q**|l|) eta_{-l} eta_{m+l}, window-truncated.
 
     Substituting i = -l turns the sum into the convolution of (-g * eta)
-    with eta at lag m; modes outside the window count as zero."""
+    with eta at lag m; modes outside the window count as zero.  The "same"
+    mode keeps the 2N+1 lags |m| <= N of the full convolution, each the
+    same dot product, and skips the 2N it would throw away."""
     w = -kernel(s.N, s.q) * s.modes
-    return np.convolve(w, s.modes)[s.N : 3 * s.N + 1]
+    return np.convolve(w, s.modes, "same")
 
 
 def rk4_step(s: State, dt: float) -> State:
@@ -215,7 +217,7 @@ class RunConfig:
 def _record(s: State, i1: complex, i2: complex) -> dict:
     return {
         "t": s.t,
-        "modes": [[float(z.real), float(z.imag)] for z in s.modes],
+        "modes": s.modes.view(np.float64).reshape(-1, 2).tolist(),
         "I1": [i1.real, i1.imag],
         "I2": [i2.real, i2.imag],
     }

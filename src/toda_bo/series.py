@@ -5,22 +5,27 @@ coefficients, so it is zero off its keys.  series_mul is the exact product,
 and series_bezout the Bezout pair of two coprime polynomials, by Euclid's
 algorithm on the same dicts.
 
-Division runs on Python ints.  series_inv inverts a one-sided t with unit
-constant term: with L the lcm of t's denominators and T_j = t_j L, the
-recurrence C_0 = 1, C_k = -sum_j T_j L**(j-1) C_{k-j} is integral and
-[w**k] 1/t = C_k / L**k, the Fraction recurrence c_k = -sum_j t_j c_{k-j}
-multiplied through by L**k.  series_div(parts, lo, hi) returns degrees
-lo..hi of a sum of quotients h / t.  In each quotient, with H the lcm of h's
-denominators, degree e is one integer numerator over H L**top, top the
-largest inverse index its sum reaches; the quotients' numerators at e are
-summed over the product of their denominators, and that unreduced pair
-(num, den) is handed to the caller's constructor once: Fraction(num, den)
-keeps the coefficient exact, and num / den rounds it straight to the
-nearest double (CPython's int true division is correctly rounded, so it is
-float(Fraction(num, den)) without the gcd).  Each inverse is taken as far
-as an asked degree reaches from h's far end, so each returned coefficient
-is the whole finite sum of its contributions: exact, with no window to
-track.
+Division runs on Python ints, one long division per quotient h / t, t
+one-sided with unit constant term and 1/t expanded on t's side (d = +1
+upward, -1 downward).  Let e0 be h's lowest degree when d = +1 and its
+highest when d = -1: the quotient vanishes beyond e0 on the other side.
+With H the lcm of h's denominators, L that of the terms of t the asked
+degrees reach, hn_e = h_e H and T_j = t_{d j} L, degree e is Q_e over
+H L**|e - e0|, where
+
+    Q_e = hn_e L**|e - e0| - sum_j T_j L**(j-1) Q_{e - d j},
+
+the Fraction recurrence q_e = h_e - sum_j t_{d j} q_{e - d j} multiplied
+through by H L**|e - e0|: integral, and one small-by-big product per term
+of t.  series_inv(h, t, lo, hi) runs it from e0 to the asked degree
+farthest from e0, so each returned coefficient is the whole finite sum of
+its contributions: exact, with no window to track.  series_div(parts, lo,
+hi) adds the quotients' pairs at each degree over the product of their
+denominators and hands that unreduced pair (num, den) to the caller's
+constructor once: Fraction(num, den) keeps the coefficient exact, and
+num / den rounds it straight to the nearest double (CPython's int true
+division is correctly rounded, so it is float(Fraction(num, den)) without
+the gcd).
 """
 
 from __future__ import annotations
@@ -74,11 +79,13 @@ def series_bezout(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
     return {d: x / r[0] for d, x in u.items()}, {d: x / r[0] for d, x in v.items()}
 
 
-def series_inv(t: Laurent, order: int):
-    """Inverse of a one-sided t with unit constant term, to `order`, on
-    Python ints: (d, C, P) with [var**(d k)] 1/t = C[k] / P[k], P[k] = L**k.
+def series_inv(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
+    """Degrees lo..hi of h times the inverse of t, 1/t expanded on t's side,
+    as unreduced integer pairs {e: (Q_e, H L**|e - e0|)}; zeros left out.
 
-    d is +1 when t is a polynomial in var and -1 when it is one in 1/var.
+    t is one-sided with unit constant term; e0 is h's lowest degree when t
+    is a polynomial in var (d = +1) and its highest when t is one in 1/var
+    (d = -1).  The recurrence is in the module docstring.
     """
     if t.get(0) != ONE:
         raise ValueError("constant term must be one (normalize first)")
@@ -88,58 +95,41 @@ def series_inv(t: Laurent, order: int):
         d = -1
     else:
         raise ValueError("series_inv needs one-sided support touching degree 0")
-    # C[0] = 1 and C[k] = -sum_j T_j L**(j-1) C[k-j], where T_j = t_j L
-    tj = [(j, t[d * j]) for j in range(1, order + 1) if d * j in t]
-    nums, L = numerators([c for _, c in tj])
-    lpow = [1]
-    for _ in range(order):
-        lpow.append(lpow[-1] * L)
-    steps = [(j, n * lpow[j - 1]) for (j, _), n in zip(tj, nums)]
-    inv = [1]
-    for k in range(1, order + 1):
-        inv.append(-sum(p * inv[k - j] for j, p in steps if j <= k))
-    return d, inv, lpow
-
-
-def _quotient(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
-    """Degrees lo..hi of h / t, 1/t expanded on t's side, as unreduced
-    integer pairs (numerator, denominator); zeros left out."""
-    # the largest inverse index any asked degree reaches from a degree of h
-    if min(t, default=0) >= 0:
-        order = hi - min(h, default=hi)
-    else:
-        order = max(h, default=lo) - lo
-    d, inv, lpow = series_inv(t, order)
-    # [var**e] h/t = sum over d1 of h_{d1} [var**(e-d1)] 1/t, on the common
-    # denominator H L**top, top the largest inverse index the sum reaches
+    if not h:
+        return {}
+    e0 = min(h) if d == 1 else max(h)
+    # the farthest index |e - e0| an asked degree reaches
+    reach = hi - e0 if d == 1 else e0 - lo
+    tj = [(j, t[d * j]) for j in range(1, reach + 1) if d * j in t]
+    tnums, L = numerators([c for _, c in tj])
+    steps = [(j, n * L ** (j - 1)) for (j, _), n in zip(tj, tnums)]
     hnums, H = numerators(h.values())
-    hn = list(zip(h, hnums))
+    hn = dict(zip(h, hnums))
+    # Q[k] is the numerator at degree e0 + d k, over den = H L**k
+    Q: list[int] = []
     out = {}
-    for e in range(lo, hi + 1):
-        terms = [(n, d * (e - d1)) for d1, n in hn if 0 <= d * (e - d1) <= order]
-        if not terms:
-            continue
-        top = max(k for _, k in terms)
-        num = sum(n * inv[k] * lpow[top - k] for n, k in terms)
-        if num:
-            out[e] = (num, H * lpow[top])
+    den = H
+    for k in range(reach + 1):
+        e = e0 + d * k
+        q = -sum(s * Q[k - j] for j, s in steps if j <= k)
+        if e in hn:
+            q += hn[e] * L**k
+        Q.append(q)
+        if q and lo <= e <= hi:
+            out[e] = (q, den)
+        den *= L
     return out
 
 
 def series_div(parts, lo: int, hi: int, make=Scalar) -> Laurent:
     """The nonzero [var**e] of the sum of h / t over parts (h, t), for
-    lo <= e <= hi, each 1/t expanded on its t's side; on Python ints, one
-    make(num, den) per output degree from its unreduced integer pair
-    (module docstring).
+    lo <= e <= hi, each 1/t expanded on its t's side: the quotients' pairs
+    from series_inv added over the product of their denominators, then one
+    make(num, den) per output degree (module docstring).
     """
-    quotients = [_quotient(h, t, lo, hi) for h, t in parts]
-    out: Laurent = {}
-    for e in range(lo, hi + 1):
-        num, den = 0, 1
-        for q in quotients:
-            if e in q:
-                n, d = q[e]
-                num, den = num * d + n * den, den * d
-        if num:
-            out[e] = make(num, den)
-    return out
+    sums: dict[int, tuple[int, int]] = {}
+    for h, t in parts:
+        for e, (qn, qd) in series_inv(h, t, lo, hi).items():
+            num, den = sums.get(e, (0, 1))
+            sums[e] = num * qd + qn * den, den * qd
+    return {e: make(num, den) for e, (num, den) in sums.items() if num}

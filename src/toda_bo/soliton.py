@@ -287,15 +287,18 @@ def decay_report(params: ParamPoint, b_values) -> dict:
 def sample_decaying(
     s: Scalar, rng: random.Random, n: int
 ) -> tuple[ParamPoint, tuple[Scalar, ...]]:
-    """Draw (point, amplitudes) with n <= 2 waves whose modes decay geometrically.
+    """Draw (point, amplitudes) with n <= 2 waves that pass decay_report's
+    per-wave margins, |b_k| < 1 and |d_k / b_k| < 1.
 
-    The charge enumerations sum mode products against kernel weights, which
-    only converges when the tau-root annulus contains the unit circle; a
-    draw whose reflection factors outgrow its amplitudes is degenerate for
-    this purpose and is rejected.  At two waves the cross terms of the
-    reflection factors defeat unconstrained draws essentially always, so the
-    wave numbers are drawn with matched signs and magnitudes separated past
-    the q-orbit, which keeps the cross terms below one."""
+    A draw whose reflection factors outgrow its amplitudes fails them and is
+    rejected.  At two waves the cross terms of the reflection factors defeat
+    unconstrained draws essentially always, so the wave numbers are drawn
+    with matched signs and magnitudes separated past the q-orbit, which
+    keeps the cross terms below one.  The margins are tested one wave at a
+    time, so they do not place the tau roots: at one wave they keep them
+    off the unit circle, but at two the interaction term moves them, and
+    most two-wave draws put a root of tau_- outside |z| = 1, so their modes
+    need not decay on the unit circle."""
     if not 0 <= n <= 2:
         raise ValueError("decaying samples are drawn for 0, 1 or 2 waves")
     for _ in range(500):

@@ -1,7 +1,8 @@
 """Mode-flow integrator: kernel, right-hand side, stepper, trajectory driver.
 
 Oracles: the right-hand side is compared against a literal double loop over
-the kernel sum; the zero-mode derivative is cancelled algebraically by the
+the kernel sum, and bit for bit against the kept lags of numpy's full
+convolution; the zero-mode derivative is cancelled algebraically by the
 l <-> -l pairing, which the kernel table preserves exactly in floats; data
 supported on one side closes into a triangular system whose first two modes
 integrate in closed form (exponential and a two-exponential difference), and
@@ -131,6 +132,19 @@ def test_rhs_matches_double_loop(seed, N):
     want = brute_rhs(s)
     scale = max(np.abs(want).max(), 1.0)
     assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64, 256])
+def test_rhs_is_the_kept_lags_of_the_full_convolution(N):
+    # bo_rhs's "same" convolution must sum each kept lag exactly as the full
+    # one does: the pinned evolve bytes rest on it, so a numpy that sums
+    # "same" differently fails here first
+    s = random_state(N, N)
+    w = -kernel(N, s.q) * s.modes
+    assert bo_rhs(s).tobytes() == np.convolve(w, s.modes)[N : 3 * N + 1].tobytes()
+    if N <= 7:
+        want = brute_rhs(s)
+        assert np.abs(bo_rhs(s) - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
 def test_rhs_three_mode_example():

@@ -3,12 +3,13 @@
 Oracle notes: product coefficients are checked against a naive convolution
 written inline; inverse coefficients against closed forms (geometric series)
 and by multiplying back on the degrees where every contribution is known;
-the integer inverse `series_inv` against `literal_inv`, the Fraction
-recurrence written out term by term, and the integer division `series_div`
-against `literal_div`, the product with that inverse taken to an order from
-a generous bound of its own (the asked degrees' and h's largest moduli),
-not from the order series_div derives; a sum of quotients against the sum
-of their literal divisions.  The doubles series_div builds by true division
+the integer long division `series_inv` with h = 1 against `literal_inv`,
+the Fraction recurrence written out term by term; with any h, like the sum
+`series_div`, against `literal_div`, the product with that inverse taken to
+an order from a generous bound of its own (the asked degrees' and h's
+largest moduli), not from the reach series_inv derives, and its pairs'
+denominators against the long division's H L**|e - e0|; a sum of quotients
+against the sum of their literal divisions.  The doubles series_div builds by true division
 of its unreduced pairs are checked against float() of the Fraction.
 """
 
@@ -186,19 +187,42 @@ def division_cases(draw):
     return h, t, lo, hi
 
 
+def side(t: dict) -> int:
+    return 1 if min(t) >= 0 else -1
+
+
 @given(division_cases())
 @settings(max_examples=100, deadline=None)
 def test_inv_integer_form_equals_literal_inverse(case):
-    # series_inv's C[k] / L**k are the literal inverse's coefficients
+    # with h = 1, series_inv's pairs are the literal inverse's coefficients,
+    # on t's side of degree 0 and no farther than asked
     _, t, lo, hi = case
     order = hi - lo + 1
-    d, inv, lpow = series_inv(t, order)
-    assert d == (1 if min(t) >= 0 else -1)
-    assert len(inv) == len(lpow) == order + 1
-    assert all(type(c) is int and type(p) is int for c, p in zip(inv, lpow))
-    assert {d * k: F(c, p) for k, (c, p) in enumerate(zip(inv, lpow)) if c} == (
-        literal_inv(t, order)
-    )
+    d = side(t)
+    out = series_inv(ONE_SERIES, t, min(0, d * order), max(0, d * order))
+    assert all(0 <= d * e <= order for e in out)
+    assert all(type(n) is int and type(m) is int for n, m in out.values())
+    assert {e: F(n, m) for e, (n, m) in out.items()} == literal_inv(t, order)
+
+
+@given(division_cases())
+@settings(max_examples=100, deadline=None)
+def test_inv_pairs_are_the_literal_division_over_the_long_division_denominator(case):
+    # degree e is one (int, int) pair over H L**|e - e0|: H the lcm of h's
+    # denominators, L that of t's terms the asked degrees reach, e0 h's end
+    # against t's side
+    h, t, lo, hi = case
+    out = series_inv(h, t, lo, hi)
+    assert {e: F(n, m) for e, (n, m) in out.items()} == literal_div(h, t, lo, hi)
+    assert all(type(n) is int and type(m) is int for n, m in out.values())
+    if not out:
+        return
+    d = side(t)
+    e0 = min(h) if d == 1 else max(h)
+    reach = hi - e0 if d == 1 else e0 - lo
+    H = math.lcm(*(c.denominator for c in h.values()))
+    L = math.lcm(*(t.get(d * j, ONE).denominator for j in range(1, reach + 1)))
+    assert all(m == H * L ** abs(e - e0) for e, (_, m) in out.items())
 
 
 @given(division_cases())
