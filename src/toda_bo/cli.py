@@ -16,8 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+
+# numpy's bundled OpenBLAS starts an idle worker pool when it loads; the one
+# BLAS call here, a short dot in np.convolve, runs on one thread regardless.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .evolve import BlowUpError, RandomInit, RunConfig, SolitonInit, q_from_gamma, run
 from .iom import I_k_def, ModeVector, closed_I, soliton_decay

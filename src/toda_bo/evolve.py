@@ -16,12 +16,18 @@ import operator
 import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .scalar import ParamPoint
-from .soliton import eta_series_from_taus, modes_from_series
+from .soliton import (
+    Symbolic,
+    eta_series_from_taus,
+    make_tau_minus,
+    make_tau_plus,
+    modes_from_series,
+)
 
 
 class BlowUpError(RuntimeError):
@@ -141,6 +147,12 @@ class SolitonInit:
     def q(self) -> complex:
         return complex(float(DEFAULT_POINT.q))
 
+    @cached_property
+    def taus(self) -> tuple[Symbolic, Symbolic]:
+        """The point's amplitude-free tau pair, built on first use: the
+        initial modes and every reference sample of a run evaluate it."""
+        return make_tau_plus(DEFAULT_POINT), make_tau_minus(DEFAULT_POINT)
+
 
 @dataclass(frozen=True)
 class RandomInit:
@@ -150,17 +162,20 @@ class RandomInit:
     q: complex
 
 
-def _exact_modes(point: ParamPoint, b, N: int) -> np.ndarray:
-    """The field's exact modes for |m| <= N, each rounded once to the nearest
-    double straight from its exact integer pair (num / den is correctly
-    rounded, so it equals float(Fraction(num, den)) without the gcd)."""
-    table = modes_from_series(eta_series_from_taus(point, b, N, operator.truediv))
+def _exact_modes(init: SolitonInit, b, N: int) -> np.ndarray:
+    """The field's exact modes at amplitudes b for |m| <= N, each rounded
+    once to the nearest double straight from its exact integer pair
+    (num / den is correctly rounded, so it equals float(Fraction(num, den))
+    without the gcd)."""
+    table = modes_from_series(
+        eta_series_from_taus(DEFAULT_POINT, b, N, operator.truediv, init.taus)
+    )
     return np.array([table[m] for m in range(-N, N + 1)], dtype=np.complex128)
 
 
 def initial_state(init, N: int) -> State:
     if isinstance(init, SolitonInit):
-        modes = _exact_modes(DEFAULT_POINT, DEFAULT_AMPLITUDES, N)
+        modes = _exact_modes(init, DEFAULT_AMPLITUDES, N)
         return State(N, modes, 0.0, init.q)
     if isinstance(init, RandomInit):
         rng = _random.Random(init.seed)
@@ -177,21 +192,20 @@ def initial_state(init, N: int) -> State:
     raise TypeError(f"unknown initial data spec: {init!r}")
 
 
-def analytic_soliton_modes(
-    point: ParamPoint, b0, t: float, N: int
-) -> np.ndarray:
-    """Reference trajectory: amplitudes advance as b_k(t) = b_k(0)e^{(1-q)a_k t}.
+def analytic_soliton_modes(init: SolitonInit, t: float, N: int) -> np.ndarray:
+    """Reference trajectory of the wave data: amplitudes advance as
+    b_k(t) = b_k(0)e^{(1-q)a_k t}.
 
     The advanced amplitudes are floats; they are lifted back to exact
     rationals (binary floats are rational) so the exact tau pipeline can
     produce the modes.  The modes are exact up to the one rounding of each
     to the nearest double, taken from its unreduced integer pair."""
-    q = float(point.q)
+    q = float(DEFAULT_POINT.q)
     bt = tuple(
         Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
-        for a, b in zip(point.a, b0)
+        for a, b in zip(DEFAULT_POINT.a, DEFAULT_AMPLITUDES)
     )
-    return _exact_modes(point, bt, N)
+    return _exact_modes(init, bt, N)
 
 
 # #### trajectory driver #######################################################
@@ -250,9 +264,7 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
                 eta0_drift = max(eta0_drift, abs(i1 - i1_0))
                 i2_drift = max(i2_drift, abs(i2 - i2_0) / i2_scale)
                 if soliton:
-                    ref = analytic_soliton_modes(
-                        DEFAULT_POINT, DEFAULT_AMPLITUDES, state.t, config.n_modes
-                    )
+                    ref = analytic_soliton_modes(config.init, state.t, config.n_modes)
                     mode_err = max(mode_err, float(np.abs(state.modes - ref).max()))
     summary = {
         "n_modes": config.n_modes,

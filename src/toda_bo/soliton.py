@@ -347,7 +347,7 @@ def _subs(p: Laurent, c: Scalar) -> Laurent:
 
 
 def _tau_ratio(
-    params: ParamPoint,
+    taus: tuple[Symbolic, Symbolic],
     b_values,
     window: int,
     up: Scalar,
@@ -357,33 +357,37 @@ def _tau_ratio(
 ) -> Laurent:
     """Degrees -window..window of scale tau_-(z/up) tau_+(z up) /
     (tau_-(z/down) tau_+(z down)), zeros included, each make(num, den);
-    scale multiplies the numerator's few terms, not the 2 window + 1 output
-    coefficients."""
-    tp = tau_series(make_tau_plus(params), b_values)
-    tm = tau_series(make_tau_minus(params), b_values)
+    taus is the amplitude-free pair (tau_+, tau_-), and scale multiplies the
+    numerator's few terms, not the 2 window + 1 output coefficients."""
+    tp, tm = (tau_series(tau, b_values) for tau in taus)
     num = series_mul(_subs(tm, 1 / up), _subs(tp, up))
     num = {d: c * scale for d, c in num.items()}
     return _annulus_ratio(num, _subs(tm, 1 / down), _subs(tp, down), window, make)
 
 
 def eta_series_from_taus(
-    params: ParamPoint, b_values, window: int, make=Scalar
+    params: ParamPoint, b_values, window: int, make=Scalar, taus=None
 ) -> Laurent:
     """Degrees -window..window of eps tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z)).
 
     The coefficients of the rational function, each make(num, den) of its
     exact unreduced integer pair: exact Fractions by default, correctly
     rounded doubles with operator.truediv.  They are the field's modes
-    whenever the decay margins are below one.
+    whenever the decay margins are below one.  A caller that evaluates one
+    point at many amplitudes passes its amplitude-free pair
+    taus = (make_tau_plus(params), make_tau_minus(params)), built once.
     """
-    return _tau_ratio(params, b_values, window, params.q, ONE, params.eps, make)
+    if taus is None:
+        taus = make_tau_plus(params), make_tau_minus(params)
+    return _tau_ratio(taus, b_values, window, params.q, ONE, params.eps, make)
 
 
 def xi_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
     """Degrees -window..window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs)),
     exact."""
+    taus = make_tau_plus(params), make_tau_minus(params)
     return _tau_ratio(
-        params, b_values, window, 1 / params.s, params.s, 1 / params.eps, Scalar
+        taus, b_values, window, 1 / params.s, params.s, 1 / params.eps, Scalar
     )
 
 

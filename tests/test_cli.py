@@ -440,6 +440,57 @@ def test_evolve_blow_up_process_prints_one_line(tmp_path):
         assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+# #### start-up thread setting ################################################
+
+# prints the thread setting after the import, then the native thread count
+# (-1 where /proc/self/task is missing)
+STARTUP_PROBE = """
+import os
+import toda_bo.cli
+task = "/proc/self/task"
+print(os.environ["OPENBLAS_NUM_THREADS"])
+print(len(os.listdir(task)) if os.path.isdir(task) else -1)
+"""
+
+
+def _env_with_threads(value: str | None) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    return env
+
+
+def _startup(value: str | None) -> tuple[str, int]:
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        env=_env_with_threads(value), capture_output=True, text=True, check=True,
+    )
+    setting, threads = proc.stdout.split()
+    return setting, int(threads)
+
+
+def test_cli_import_starts_openblas_single_threaded():
+    setting, threads = _startup(None)
+    assert setting == "1"
+    assert threads in (-1, 1)
+
+
+def test_cli_import_keeps_a_thread_setting_already_made():
+    assert _startup("3")[0] == "3"
+
+
+def test_thread_setting_moves_no_evolve_byte():
+    argv = [sys.executable, "-m", "toda_bo.cli", "evolve", "--modes", "16", "--steps", "50"]
+    outputs = [
+        subprocess.run(
+            argv, env=_env_with_threads(value), capture_output=True, check=True
+        ).stdout
+        for value in (None, "2")
+    ]
+    assert outputs[0].startswith(b'{"schema": "toda-bo-evolve/1"')
+    assert outputs[0] == outputs[1]
+
+
 # #### pinned tau-ratio outputs ################################################
 
 # iom --k K --solitons N --modes 48 --seed 7, by (K, N)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toda_bo import evolve
+from toda_bo import evolve, soliton
 from toda_bo.evolve import (
     BlowUpError,
     DEFAULT_AMPLITUDES,
@@ -255,7 +255,7 @@ def test_rk4_is_fourth_order():
 
 def test_soliton_state_matches_exact_pipeline_at_t0():
     s = initial_state(SolitonInit(), 16)
-    ref = analytic_soliton_modes(DEFAULT_POINT, DEFAULT_AMPLITUDES, 0.0, 16)
+    ref = analytic_soliton_modes(SolitonInit(), 0.0, 16)
     assert np.array_equal(s.modes, ref)
     assert s.q == complex(float(DEFAULT_POINT.q))
 
@@ -265,7 +265,7 @@ def test_reference_modes_are_the_exact_modes_rounded_once(t):
     # the reference rounds each mode straight from its unreduced integer
     # pair; it must be complex() of the exact Fraction mode, bit for bit
     N = 64
-    ref = analytic_soliton_modes(DEFAULT_POINT, DEFAULT_AMPLITUDES, t, N)
+    ref = analytic_soliton_modes(SolitonInit(), t, N)
     q = float(DEFAULT_POINT.q)
     bt = tuple(
         Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
@@ -276,6 +276,30 @@ def test_reference_modes_are_the_exact_modes_rounded_once(t):
     want = np.array([complex(exact[m]) for m in range(-N, N + 1)])
     assert np.array_equal(ref, want)
     assert ref.tobytes() == want.tobytes()
+
+
+def test_wave_run_builds_the_tau_pair_once(monkeypatch):
+    # the initial modes and every reference sample evaluate one
+    # amplitude-free tau pair; the builders are counted wherever bound
+    built = {"plus": 0, "minus": 0}
+
+    def counted(key, build):
+        def wrapper(*args):
+            built[key] += 1
+            return build(*args)
+
+        return wrapper
+
+    for key, name in (("plus", "make_tau_plus"), ("minus", "make_tau_minus")):
+        wrapper = counted(key, getattr(soliton, name))
+        monkeypatch.setattr(soliton, name, wrapper)
+        monkeypatch.setattr(evolve, name, wrapper)
+    _, summary = run(RunConfig(n_modes=8, steps=30, check_interval=10))
+    assert summary["samples"] == 4 and summary["max_mode_error"] > 0
+    assert built == {"plus": 1, "minus": 1}
+    _, again = run(RunConfig(n_modes=8, steps=30, check_interval=10))
+    assert again == summary
+    assert built == {"plus": 2, "minus": 2}
 
 
 def test_random_state_is_seeded_and_decaying():

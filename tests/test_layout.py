@@ -1,6 +1,7 @@
 """Source layout: no private imports across modules, no callerless code,
 no unused option, no constant passed as an argument, no unread field, no
-unused import, no lambda that drops an argument.
+unused import, no lambda that drops an argument, no process environment
+outside the entry point.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
@@ -9,8 +10,9 @@ tests.  Every default is overridden by some call in the package; one that
 no call overrides is a constant, and so is a required parameter that
 every call passes the same literal.  Every dataclass field is read somewhere
 in the package.  Every module uses what it imports.  Every lambda reads
-each of its parameters.  The rules are checked on the syntax tree of every
-package module.
+each of its parameters.  Only the command-line module reads or writes the
+process environment: importing the library changes nothing process-wide.
+The rules are checked on the syntax tree of every package module.
 """
 
 from __future__ import annotations
@@ -291,3 +293,29 @@ def test_no_lambda_discards_a_parameter():
                 f"{name}:{node.lineno} {p.arg}" for p in params if p.arg not in read
             ]
     assert discarded == []
+
+
+def test_only_the_entry_point_touches_the_environment():
+    # os.environ and its accessors, reached as os.<name> or imported from os
+    names = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    entry = {module for module, _ in _entry_points()}
+    assert entry == {"cli.py"}
+    touches = []
+    for name, tree in parsed_modules().items():
+        if name in entry:
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                touches.append(f"{name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                touches += [
+                    f"{name}:{node.lineno} from os import {alias.name}"
+                    for alias in node.names
+                    if alias.name in names
+                ]
+    assert touches == []
