@@ -185,7 +185,8 @@ def _cmd_soliton(args) -> int:
         }
         if args.eval:
             rep = decay_report(params, b)
-            table = modes_from_series(eta_series_from_taus(params, b, args.window))
+            eta = eta_series_from_taus(params, b, args.window, taus=(tp, tm))
+            table = modes_from_series(eta)
             doc["tau_plus_values"] = _tau_values(tp, b)
             doc["tau_minus_values"] = _tau_values(tm, b)
             doc["eta_modes"] = {

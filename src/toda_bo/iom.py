@@ -469,16 +469,6 @@ def M3_functional(ctx: ModeContext) -> AlphaSeries:
 # #### closed forms ############################################################
 
 
-def _e_sym(values, k: int) -> Scalar:
-    if k < 0:
-        return ZERO
-    coeffs = [ONE] + [ZERO] * k
-    for x in values:
-        for i in range(min(len(coeffs) - 1, k), 0, -1):
-            coeffs[i] += coeffs[i - 1] * x
-    return coeffs[k]
-
-
 def closed_I(k: int, p: ParamPoint) -> Scalar:
     """Closed charge value at a soliton point.
 
@@ -493,9 +483,13 @@ def closed_I(k: int, p: ParamPoint) -> Scalar:
     q = p.q
     pref = q ** (-k * (k - 1) // 2) * q_pochhammer(q, k)
     x0 = q**p.n * p.eps
+    e = [ONE] + [ZERO] * k  # e[j]: j-th elementary symmetric value of p.a
+    for x in p.a:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * x
     total = ZERO
     for j in range(k + 1):
-        total += _e_sym(p.a, k - j) * e_geometric_tail(x0, q, j)
+        total += e[k - j] * e_geometric_tail(x0, q, j)
     return pref * total
 
 
@@ -510,10 +504,12 @@ def closed_M(i: int, p: ParamPoint) -> Scalar:
 # #### Newton map ##############################################################
 
 
-def newton_normalizers(q: Scalar, k: int) -> list[Scalar]:
+@lru_cache(maxsize=None)
+def newton_normalizers(q: Scalar, k: int) -> tuple[Scalar, ...]:
     """Triangular prefactors q**(j(j-1)/2) / prod_{i<=j}(1 - q**i), j = 1..k,
-    that turn the j-th charge into elementary symmetric data."""
-    return [q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1)]
+    that turn the j-th charge into elementary symmetric data.  Cached: a
+    run asks for them at a few (q, k) many times."""
+    return tuple(q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1))
 
 
 def M_from_I(i_values: list, p: ParamPoint):

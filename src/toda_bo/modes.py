@@ -95,12 +95,23 @@ def mono_sigma(m: Monomial) -> int:
     return (m >> 8 & 255) - (m >> 16 & 255)
 
 
+def _exponent_bytes(m: Monomial) -> bytes:
+    """m's exponent fields, one byte each, up to its last nonzero one."""
+    x = m >> _EXPONENTS
+    return x.to_bytes((x.bit_length() + 7) // 8, "little")
+
+
 def mono_powers(m: Monomial) -> list[tuple[int, int]]:
     """(n, exponent of alpha_n) for every mode in m, in field order
     1, -1, 2, -2, ...: field i holds mode (i // 2 + 1) * (-1)**i."""
-    x = m >> _EXPONENTS
-    fields = enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little"))
-    return [((i // 2 + 1) * (-1) ** i, e) for i, e in fields if e]
+    return [(_FIELDS[i][0], e) for i, e in enumerate(_exponent_bytes(m)) if e]
+
+
+# (n, unit(n), |n|) for exponent field i, the mode (i // 2 + 1) * (-1)**i
+_FIELDS = [
+    (n, unit(n), abs(n))
+    for n in ((i // 2 + 1) * (-1) ** i for i in range(2 * MAX_WEIGHT))
+]
 
 
 # #### mode polynomials ########################################################
@@ -227,7 +238,9 @@ Rows = tuple[list[tuple[Monomial, int, int, int]], int]
 def poly_rows(p: AlphaPoly) -> Rows:
     """p as (rows, den): one row (monomial, weight, degree, numerator over
     den) per term, sorted by weight."""
-    rows = [(m, mono_weight(m), mono_degree(m), v) for m, v in p.nums.items()]
+    rows = [
+        (m, (m >> 8 & 255) + (m >> 16 & 255), m & 255, v) for m, v in p.nums.items()
+    ]
     rows.sort(key=itemgetter(1))
     return rows, p.den
 
@@ -397,13 +410,11 @@ class AlphaSeries:
                 raise AssertionError(f"empty cell at slot {slot}")
             off, room = sum(slot), N - sum(map(abs, slot))
             for m in poly.nums:
-                if mono_sigma(m) != -off:
+                pos, neg = m >> 8 & 255, m >> 16 & 255
+                if pos - neg + off or pos + neg > room or m & 255 > D:
+                    rule = "balance" if mono_sigma(m) != -off else "window rule"
                     raise AssertionError(
-                        f"balance violated at slot {slot}: powers {mono_powers(m)}"
-                    )
-                if mono_weight(m) > room or mono_degree(m) > D:
-                    raise AssertionError(
-                        f"window rule violated at slot {slot}: powers {mono_powers(m)}"
+                        f"{rule} violated at slot {slot}: powers {mono_powers(m)}"
                     )
         self.coeffs = coeffs
         self.guar = guar
@@ -606,9 +617,10 @@ def diff_rows(p: AlphaPoly) -> dict[int, Rows]:
     rows, D = poly_rows(p)
     table: dict[int, list] = {}
     for m, w, d, c in rows:
-        for n, e in mono_powers(m):
-            row = (m - unit(n), w - abs(n), d - 1, c * e)
-            table.setdefault(n, []).append(row)
+        for (n, u, a), e in zip(_FIELDS, _exponent_bytes(m)):
+            if e:
+                row = (m - u, w - a, d - 1, c * e)
+                table.setdefault(n, []).append(row)
     return {n: (r, D) for n, r in table.items()}
 
 
@@ -645,7 +657,10 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
     """Slotwise Poisson bracket; result variables are F's then G's.
 
     Shared variable names are not allowed: bracket both sides in distinct
-    formal variables, then specialize.
+    formal variables, then specialize.  A field bracketed with itself under
+    another name (G sharing F's cells) is computed once per unordered pair
+    of cells: the pairing is antisymmetric and the cap depends on the span
+    alone, so cell (b, a) is -(cell (a, b)) and a diagonal cell is zero.
     """
     if set(F.vars) & set(G.vars):
         raise ValueError("bracket operands must use distinct variables")
@@ -655,16 +670,25 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
     rvars = F.vars + G.vars
 
     # G's derivative rows once per cell, F's per outer cell (holding both
-    # sides' rows at once costs memory); each slot pair (sa, sb) is its own
-    # result slot sa + sb
+    # sides' rows at once costs memory) unless they are G's own; each slot
+    # pair (sa, sb) is its own result slot sa + sb
     gcells = [(sb, sum(map(abs, sb)), diff_rows(pb)) for sb, pb in G.coeffs.items()]
+    shared = F.coeffs is G.coeffs
+    fcells = (
+        gcells
+        if shared
+        else ((sa, sum(map(abs, sa)), diff_rows(pa)) for sa, pa in F.coeffs.items())
+    )
     out: dict[tuple[int, ...], AlphaPoly] = {}
-    for sa, pa in F.coeffs.items():
-        span_a = sum(map(abs, sa))
-        dfs = diff_rows(pa)
-        for sb, span_b, dgs in gcells:
+    for i, (sa, span_a, dfs) in enumerate(fcells):
+        for j, (sb, span_b, dgs) in enumerate(gcells):
             span = span_a + span_b
             if span > N:
+                continue
+            if shared and j <= i:
+                mirror = out.get(sb + sa) if j < i else None
+                if mirror:
+                    out[sa + sb] = -mirror
                 continue
             acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
             if acc:
@@ -682,8 +706,8 @@ def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
     Expanded as a polynomial in the D's with functional coefficients, each
     D monomial by Leibniz: the sum over its subsequences S, T the rest, of
     (-1)**|T| (d_S f)(d_T g), d_S applying the flows in factor order; each
-    d_S f and d_S g is one bracket from d of S's prefix, kept for the call.
-    Moving an M past the D's needs it conserved along every listed flow,
+    d_S f and d_S g is one bracket from d of S's prefix, kept for the call,
+    and when g is f the two are one.  Moving an M past the D's needs it conserved along every listed flow,
     and a mixed product also needs the M's to Poisson-commute, which no
     check shows yet; no TODA_EQUATIONS term is mixed.
     """
@@ -701,8 +725,9 @@ def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
             for key, t in terms:
                 nxt[key] = nxt[key] + t if key in nxt else t
         poly = nxt
-    table = {}  # (0 for f or 1 for g, S) -> d_S of it
+    table = {}  # (0 for f or 1 for g, S) -> d_S of it; g is f is side 0
     def d(k: int, S: tuple[int, ...]) -> AlphaSeries:
+        k = 0 if g is f else k
         if (k, S) not in table:
             table[k, S] = bracket(Hs[S[-1]], d(k, S[:-1])) if S else (f, g)[k]
         return table[k, S]
@@ -749,7 +774,7 @@ def apply_ratio_kernel(
             tgt = list(slot)
             tgt[ia] -= l
             tgt[ib] += l
-            if abs(tgt[ia]) > N or abs(tgt[ib]) > N:
+            if sum(map(abs, tgt)) > N:  # no weight left: the sum is empty
                 continue
             by_tgt.setdefault(tuple(tgt), []).append((k, rows, unit))
     out = {}
@@ -777,7 +802,10 @@ def delta_mul(c: Scalar, G: AlphaSeries) -> AlphaSeries:
     for (g,), poly in G.coeffs.items():
         # the cell (a, b) has the one source g = a + b
         for b in range(max(-N, g - N), min(N, g + N) + 1):
-            p = poly.pruned(N - abs(g - b) - abs(b), D)
+            room = N - abs(g - b) - abs(b)
+            if room < 0:  # prunes to nothing
+                continue
+            p = poly.pruned(room, D)
             if p:
                 out[(g - b, b)] = p * c**b
     return AlphaSeries(G.ctx, (G.vars[0], "w"), out, G.guar.kern_derate())

@@ -15,6 +15,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 Scalar = Fraction
 
@@ -93,8 +94,10 @@ def newton_p_from_e(e: list):
     return p[-1]
 
 
+@lru_cache(maxsize=None)
 def q_pochhammer(q: Scalar, k: int) -> Scalar:
-    """prod_{i=1..k}(1 - q**i); raises PoleError when a factor vanishes."""
+    """prod_{i=1..k}(1 - q**i); raises PoleError when a factor vanishes.
+    Cached: a run asks for it at a few (q, k) many times."""
     out = ONE
     for i in range(1, k + 1):
         f = ONE - q**i
@@ -116,6 +119,12 @@ def e_geometric_tail(x0: Scalar, q: Scalar, k: int) -> Scalar:
     return x0**k * q ** (k * (k - 1) // 2) / q_pochhammer(q, k)
 
 
+@lru_cache(maxsize=None)
+def _guard_powers(q: Scalar) -> frozenset:
+    """q**m for |m| <= GUARD_RANGE, once per q."""
+    return frozenset(q**m for m in range(-GUARD_RANGE, GUARD_RANGE + 1))
+
+
 @dataclass(frozen=True)
 class ParamPoint:
     """A sampled parameter assignment (s, eps, a_1..a_n) with q = s**2.
@@ -134,7 +143,7 @@ class ParamPoint:
         s, eps = self.s, self.eps
         if s in (0, 1, -1):
             raise ParamError("s must avoid {0, 1, -1}")
-        q = s * s
+        q = self.q
         if eps == 0:
             raise ParamError("eps must be nonzero")
         a = self.a
@@ -145,14 +154,15 @@ class ParamPoint:
                 aj = a[j]
                 if ai == aj or ai == q * aj or aj == q * ai:
                     raise ParamError("a entries hit an interaction pole")
-        qm_eps = eps / q**GUARD_RANGE  # q**m * eps for m = -GUARD_RANGE, ...
-        for _ in range(2 * GUARD_RANGE + 1):
-            if qm_eps in a:
-                raise ParamError("q**m * eps hits an a entry")
-            qm_eps *= q
+        # a_k == q**m * eps exactly when a_k / eps is one of those powers
+        powers = _guard_powers(q)
+        if any(ai / eps in powers for ai in a):
+            raise ParamError("q**m * eps hits an a entry")
 
-    @property
+    @cached_property
     def q(self) -> Scalar:
+        """s**2, taken once per point; not a field, so equality, hashing
+        and to_json see s, eps and a only."""
         return self.s * self.s
 
     @property

@@ -34,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .scalar import (
     ONE,
@@ -173,23 +174,15 @@ def miwa_shift(
     return out
 
 
-def flow_eigenvalue(
-    params: ParamPoint, b_exp: tuple[int, ...], kind: str, order: int
-) -> Scalar:
-    """Logarithmic derivative of the term with amplitude exponents b_exp
-    along the flow of the given order."""
+def flow_rates(params: ParamPoint, kind: str, order: int) -> list[Scalar]:
+    """Per-wave rates of the flow of the given order: the term with
+    amplitude exponents e has logarithmic derivative sum_k e_k r_k."""
     q = params.q
-    total = Fraction(0)
-    for a, e in zip(params.a, b_exp):
-        if not e:
-            continue
-        if kind == "t":
-            total += e * (1 - q**order) * a**order
-        elif kind == "tbar":
-            total += e * (1 - q**-order) * a**-order
-        else:
-            raise ValueError("kind must be 't' or 'tbar'")
-    return total
+    if kind == "t":
+        return [(1 - q**order) * a**order for a in params.a]
+    if kind == "tbar":
+        return [(1 - q**-order) * a**-order for a in params.a]
+    raise ValueError("kind must be 't' or 'tbar'")
 
 
 @dataclass(frozen=True)
@@ -201,61 +194,59 @@ class BilinearOp:
     shift: Scalar = Fraction(0)
 
 
-def bilinear(params: ParamPoint, f: Symbolic, g: Symbolic, terms) -> Symbolic:
-    """Apply sum_i c_i prod(ops_i), a linear combination of products of
-    affine bilinear derivative operators, to f.g; terms holds (c_i, ops_i).
+def bilinear(params: ParamPoint, rows) -> Symbolic:
+    """The sum over rows (f, g, terms) of sum_i c_i prod(ops_i) applied to
+    f.g: each row's terms (c_i, ops_i) are a linear combination of products
+    of affine bilinear derivative operators.
 
     Each term pair is a joint eigenvector: D contributes the eigenvalue
     difference, so each listed D + shift contributes an exact scalar factor
-    and the combination the weighted sum of its products.  The eigenvalues
-    are taken once per term and distinct op, however often it is listed, the
-    shift joined to f's side.  Each
-    op's values share one denominator, and so do f's and g's coefficients,
-    so the term pairs are walked once, on Python ints, and each output key
-    is one Fraction.
+    and the combination the weighted sum of its products.  A term's
+    eigenvalue is the dot product of its amplitude exponents with the op's
+    flow_rates, the shift joined to f's side; each distinct op's rates and
+    shift are taken once per call, as integer numerators over one
+    denominator.  The rows run on Python ints over the lcm of their
+    denominators, so each output key is one integer, and one Fraction only
+    when it is nonzero: an identity that holds builds none.
     """
-    keys = list(
-        dict.fromkeys((op.kind, op.order, op.shift) for _, ops in terms for op in ops)
-    )
-    slot = {key: i for i, key in enumerate(keys)}
-    lams = [
-        [flow_eigenvalue(params, e, kind, order) + sh for kind, order, sh in keys]
-        for _, e in f
-    ]
-    mus = [
-        [flow_eigenvalue(params, e, kind, order) for kind, order, _ in keys]
-        for _, e in g
-    ]
-    # op i's eigenvalues as integer numerators over one denominator D_i
-    dens = [
-        math.lcm(*(row[i].denominator for row in lams + mus)) for i in range(len(keys))
-    ]
-    lams, mus = (
-        [[x.numerator * (d // x.denominator) for x, d in zip(r, dens)] for r in rows]
-        for rows in (lams, mus)
-    )
-    # c prod(n_i / D_i) as an integer over the products' common denominator
-    plan = [(c, [slot[op.kind, op.order, op.shift] for op in ops]) for c, ops in terms]
-    tdens = [c.denominator * math.prod(dens[i] for i in factors) for c, factors in plan]
-    den = math.lcm(*tdens)
-    plan = [(c.numerator * (den // t), factors) for (c, factors), t in zip(plan, tdens)]
-    # the tau coefficients as integer numerators over one denominator a side
-    fnums, cf = numerators(f.values())
-    gnums, cg = numerators(g.values())
+    ops = list(dict.fromkeys(op for _, _, terms in rows for _, o in terms for op in o))
+    index = {op: i for i, op in enumerate(ops)}
+    rates = []  # per op: (rate numerators, shift numerator) over dens[i]
+    dens = []
+    for op in ops:
+        (*r, sh), D = numerators([*flow_rates(params, op.kind, op.order), op.shift])
+        rates.append((r, sh))
+        dens.append(D)
+    # each row's terms as c prod(n_i / D_i), an integer over the row's lcm,
+    # and its tau coefficients as integer numerators over one denominator a side
+    prepared = []
+    for f, g, terms in rows:
+        plan = [(c, [index[op] for op in o]) for c, o in terms]
+        tdens = [c.denominator * math.prod(dens[i] for i in js) for c, js in plan]
+        L = math.lcm(*tdens)
+        plan = [(c.numerator * (L // t), js) for (c, js), t in zip(plan, tdens)]
+        fnums, cf = numerators(f.values())
+        gnums, cg = numerators(g.values())
+        prepared.append((f, g, fnums, gnums, plan, L * cf * cg))
+    den = math.lcm(*(p[-1] for p in prepared))
     acc: dict = {}
-    for (zf, ef), nf, lam in zip(f, fnums, lams):
-        for (zg, eg), ng, mu in zip(g, gnums, mus):
-            diff = [x - y for x, y in zip(lam, mu)]
-            c = 0
-            for w, factors in plan:
-                for i in factors:
-                    w *= diff[i]
-                c += w
-            if not c:
-                continue
-            key = (zf + zg, tuple(x + y for x, y in zip(ef, eg)))
-            acc[key] = acc.get(key, 0) + c * nf * ng
-    den *= cf * cg
+    for f, g, fnums, gnums, plan, row_den in prepared:
+        scale = den // row_den
+        plan = [(w * scale, js) for w, js in plan]
+        lams = [[sum(map(mul, e, r)) + sh for r, sh in rates] for _, e in f]
+        mus = [[sum(map(mul, e, r)) for r, _ in rates] for _, e in g]
+        for (zf, ef), nf, lam in zip(f, fnums, lams):
+            for (zg, eg), ng, mu in zip(g, gnums, mus):
+                diff = [x - y for x, y in zip(lam, mu)]
+                c = 0
+                for w, js in plan:
+                    for i in js:
+                        w *= diff[i]
+                    c += w
+                if not c:
+                    continue
+                key = (zf + zg, tuple(x + y for x, y in zip(ef, eg)))
+                acc[key] = acc.get(key, 0) + c * nf * ng
     return {key: Scalar(n, den) for key, n in acc.items() if n}
 
 

@@ -72,8 +72,6 @@ from .modes import (
     delta_mul,
     eta_zero,
     hirota,
-    mono_degree,
-    mono_weight,
     poly_rows,
     sum_products,
     xi_zero,
@@ -93,7 +91,6 @@ from .scalar import (
 )
 from .soliton import (
     BilinearOp,
-    Symbolic,
     bilinear,
     d_factor,
     decay_report,
@@ -240,8 +237,8 @@ def _finish_windowed(pairs, zcap: int):
             if any(abs(x) > zcap for x in slot):
                 continue
             span = sum(abs(x) for x in slot)
-            for mono in poly.nums:
-                yield poly, mono, g.covers(span, mono_weight(mono), mono_degree(mono))
+            for mono, w, d, _ in poly_rows(poly)[0]:
+                yield poly, mono, g.covers(span, w, d)
 
     worst = ZERO
     violations = 0
@@ -383,7 +380,8 @@ def _win_eta_xi(ctx):
     parts = []
     for sign in ("+", "-"):
         t = build_tau(ctx, sign)
-        parts.append(t.subs_scale(q) * t.subs_scale(1 / q) * t.inv() * t.inv())
+        ti = t.inv()
+        parts.append(t.subs_scale(q) * t.subs_scale(1 / q) * ti * ti)
     gp, gm = parts
     rhs = delta_mul(s, gp) - delta_mul(1 / s, gm)
     return [(lhs - rhs, lhs)]
@@ -525,9 +523,9 @@ def _draw_shift(rng, params: ParamPoint, kind: str, tally: list) -> Scalar:
 
 
 # Row builders of the exact identities.  builder(params, *shifts) returns a
-# list of residuals, each a list of rows (f, g, terms) whose sum of
-# bilinear(params, f, g, terms) vanishes identically; a plain product has
-# terms [(c, [])].
+# list of residuals, each a list of rows (f, g, terms) whose sum,
+# bilinear(params, rows), vanishes identically; a plain product has terms
+# [(c, [])].
 
 
 def _rows_tau_shift_lemma(params, beta):
@@ -614,11 +612,7 @@ def _residual_max(params: ParamPoint, residuals) -> Scalar:
     """The largest |coefficient| of any residual, each the sum of its rows."""
     worst = ZERO
     for rows in residuals:
-        total: Symbolic = {}
-        for f, g, terms in rows:
-            for key, c in bilinear(params, f, g, terms).items():
-                total[key] = total.get(key, ZERO) + c
-        worst = max([worst, *map(abs, total.values())])
+        worst = max([worst, *map(abs, bilinear(params, rows).values())])
     return worst
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toda_bo import cli
+from toda_bo import cli, soliton
 from toda_bo.cli import build_parser, emit_report, main
 from toda_bo.scalar import ParamPoint
 from toda_bo.soliton import (
@@ -387,6 +387,33 @@ def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, doc):
     rc, out, err = run_main(capsys, ["soliton", "--spec", str(path)])
     assert (rc, out) == (2, "")
     assert err.startswith("toda-bo: bad wave spec: ") and err.count("\n") == 1, err
+
+
+def test_soliton_eval_builds_the_tau_pair_once(tmp_path, capsys, monkeypatch):
+    # the rendered taus are the ones --eval divides: one build of each,
+    # counted wherever the builders are bound, and the same bytes
+    built = {"plus": 0, "minus": 0}
+
+    def counted(key, build):
+        def wrapper(*args):
+            built[key] += 1
+            return build(*args)
+
+        return wrapper
+
+    for key, name in (("plus", "make_tau_plus"), ("minus", "make_tau_minus")):
+        wrapper = counted(key, getattr(soliton, name))
+        monkeypatch.setattr(soliton, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(_WAVE))
+    argv = ["soliton", "--spec", str(path), "--eval", "--window", "64"]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert built == {"plus": 1, "minus": 1}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8c0a5a0a5f15e650926957c027ba048783cc04f237033044def4912778e2ffb3"
+    )
 
 
 def test_soliton_renders_values_past_the_digit_limit(tmp_path, capsys):

@@ -53,7 +53,7 @@ from toda_bo.modes import (
     mono_weight,
     xi_zero,
 )
-from toda_bo.scalar import BudgetError, ParamError, ParamPoint
+from toda_bo.scalar import BudgetError, ParamError, ParamPoint, sample_param_point
 from toda_bo.soliton import eta_series_from_taus, sample_decaying, xi_series_from_taus
 
 CTX = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 6))
@@ -335,6 +335,41 @@ def test_closed_small_k_literals(params):
         + q ** (2 * n) * eps**2
     )
     assert closed_I(2, params) == expect2
+
+
+def literal_closed_I(k, params):
+    """closed_I written out: q**(-k(k-1)/2) (q; q)_k times the k-th
+    elementary symmetric value of the wave numbers joined with the tail
+    x0, q x0, q**2 x0, ... (x0 = q**n eps), each finite e_j a sum over
+    j-subsets and each tail e_j its product formula."""
+    q, a = params.q, params.a
+    x0 = q ** len(a) * params.eps
+
+    def poch(j):
+        return math.prod((1 - q**i for i in range(1, j + 1)), start=F(1))
+
+    def e_finite(j):
+        return sum((math.prod(c, start=F(1)) for c in itertools.combinations(a, j)), F(0))
+
+    def e_tail(j):
+        return x0**j * q ** (j * (j - 1) // 2) / poch(j)
+
+    total = sum((e_finite(k - j) * e_tail(j) for j in range(k + 1)), F(0))
+    return q ** (-k * (k - 1) // 2) * poch(k) * total
+
+
+@given(
+    n=st.integers(0, 3),
+    s=st.sampled_from([F(1, 2), F(-1, 3), F(2, 3), F(3, 2)]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_charges_equal_the_literal_formula(n, s, seed):
+    # at the point and at its mirror, k = 0..4
+    params = sample_param_point(random.Random(seed), n, s=s)
+    for pt in (params, params.inverted()):
+        for k in range(5):
+            assert closed_I(k, pt) == literal_closed_I(k, pt), (k, pt)
 
 
 def test_closed_matches_constant_field_at_empty_point():

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toda_bo import modes
 from toda_bo.iom import M2_functional
 from toda_bo.modes import (
     EMPTY_GUARANTEE,
@@ -665,6 +666,38 @@ def test_capped_path_checks_balance_and_guard_sees_overweight_cells():
         AlphaSeries(CTX, ("z",), {(0,): AlphaPoly.zero()}, g)
 
 
+def test_failed_construction_names_the_monomial():
+    # the checks run inline; the message that names the first offending
+    # monomial, balance before the window rule, is built on failure only
+    g = Guarantee(6, 6, 6)
+    low_degree = ModeContext(F(1, 2), F(1, 8), ModeTrunc(6, 2))
+    cases = [
+        (CTX, ("z",), {(1,): gen(1)}, "balance violated at slot (1,): powers [(1, 1)]"),
+        (
+            CTX,
+            ("z",),
+            {(-1,): gen(1), (2,): poly_of({mono(-2): 1, mono(-4, 1, 1): 2})},
+            "window rule violated at slot (2,): powers [(1, 2), (-4, 1)]",
+        ),
+        (  # unbalanced and overweight: named for balance
+            CTX,
+            ("z",),
+            {(4,): poly_of({mono(5): 1})},
+            "balance violated at slot (4,): powers [(5, 1)]",
+        ),
+        (
+            low_degree,
+            (),
+            {(): poly_of({mono(1, -1): 1, mono(1, -1, 1, -1): 1})},
+            "window rule violated at slot (): powers [(1, 2), (-1, 2)]",
+        ),
+    ]
+    for ctx, vars, cells, message in cases:
+        with pytest.raises(AssertionError) as info:
+            AlphaSeries(ctx, vars, cells, g)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("trunc", [ModeTrunc(7, 3), ModeTrunc(6, 2)])
 def test_capped_results_equal_their_pruned_rebuild(trunc):
     # every producer trims its own cells: cutting any output to the window
@@ -972,6 +1005,91 @@ def test_hirota_affine_product_over_a_partition(lam):
             mpow = math.prod([M[1]] * (p - j - 1), start=M[1])
             expect = expect + (mpow * d[j]).scale(math.comb(p, j))
     assert_same_series(got, expect)
+
+
+# #### one computation per shared quantity ###################################
+
+
+def unshared(series: AlphaSeries, *vars) -> AlphaSeries:
+    """The same cells in a dict of their own, under vars (or the same)."""
+    return AlphaSeries(series.ctx, vars or series.vars, dict(series.coeffs), series.guar)
+
+
+@pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 4), ModeTrunc(7, 3)])
+@pytest.mark.parametrize("field", ["eta", "xi", "tau+", "tau-"])
+def test_self_bracket_equals_the_bracket_of_unshared_cells(monkeypatch, trunc, field):
+    # {F(z), F(w)} with w sharing z's cells pairs each unordered pair of
+    # cells once and negates it for the other; an unshared copy pairs all
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    builds = {"eta": build_eta, "xi": build_xi}
+    Fz = builds[field](ctx) if field in builds else build_tau(ctx, field[-1])
+    pairings = []
+
+    def counting(*args):
+        pairings.append(1)
+        return poisson_pairing(*args)
+
+    monkeypatch.setattr(modes, "poisson_pairing", counting)
+    got = bracket(Fz, Fz.renamed("w"))
+    shared = len(pairings)
+    want = bracket(Fz, unshared(Fz, "w"))
+    assert got.coeffs == want.coeffs and got.guar == want.guar
+    assert list(got.coeffs) == list(want.coeffs)  # the same cell order too
+    assert got.coeffs == literal_bracket(Fz, unshared(Fz, "w")).coeffs
+    if field in builds:
+        assert got.coeffs
+        assert 2 * shared < len(pairings) - shared
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_hirota_on_one_series_equals_hirota_on_a_copy(monkeypatch, sign):
+    # with g is f every d_S f is bracketed once, not once per side
+    h0, x0 = eta_zero(CTX), xi_zero(CTX)
+    t = build_tau(CTX, sign)
+    copy = unshared(t)
+    brackets = []
+
+    def counting(F, G):
+        brackets.append(1)
+        return bracket(F, G)
+
+    monkeypatch.setattr(modes, "bracket", counting)
+    cases = ([(h0, None), (-x0, None)], [(h0, h0)] * 2, [(h0, None)] * 3)
+    for factors, flows in zip(cases, (3, 2, 3)):
+        brackets.clear()
+        got = hirota(factors, t, t)
+        assert len(brackets) == flows
+        brackets.clear()
+        want = hirota(factors, t, copy)
+        assert len(brackets) == 2 * flows
+        assert got.coeffs == want.coeffs and got.guar == want.guar
+
+
+@pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 3)])
+def test_kernels_equal_the_literal_per_target_sum(trunc):
+    # every target of slot span <= N, the span-N ones included: a target
+    # past N is skipped before its (empty) sum is formed
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    N = trunc.n_modes
+    ez = build_eta(ctx)
+    prod = ez * ez.renamed("w")
+    kernel = {l: F(l, 3) for l in range(-N, N + 1) if l}
+    got = apply_ratio_kernel(prod, kernel, (0, 1))
+    want = literal_ratio_kernel(prod, kernel, (0, 1))
+    assert got.coeffs == want.coeffs and got.guar == want.guar
+    assert N in {sum(map(abs, slot)) for slot in got.coeffs}
+    # delta_mul: cell (a, b) is c**b G[a + b], cut to the window
+    c = F(2, 3)
+    for G in (ez, build_xi(ctx), build_tau(ctx, "-"), build_tau(ctx, "+")):
+        literal = {}
+        for a in range(-N, N + 1):
+            for b in range(-N, N + 1):
+                p = G.coeff((a + b,)) * c**b
+                if p:
+                    literal[a, b] = p
+        got = delta_mul(c, G)
+        assert got.coeffs == window_cells(ctx, literal)
+        assert N in {sum(map(abs, slot)) for slot in got.coeffs}
 
 
 # #### kernel and delta application ############################################

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from toda_bo.scalar import (
     ZERO,
     e_geometric_tail,
     newton_p_from_e,
+    q_pochhammer,
     parse_scalar,
     power_sum_extended,
     sample_amplitudes,
@@ -351,6 +354,37 @@ def test_param_point_inverted_round_trip():
     inv = pt.inverted()
     assert inv.q == 4
     assert inv.inverted() == pt
+
+
+def test_param_point_q_is_taken_once_and_is_not_a_field():
+    # equality, hashing and JSON see s, eps and a; q is read, not stored as
+    # a field, and is the same object on every read
+    pt = ParamPoint(s=F(-2, 3), eps=F(1, 8), a=(F(1, 5),))
+    assert pt.q == F(4, 9) and pt.q is pt.q
+    twin = ParamPoint(s=F(-2, 3), eps=F(1, 8), a=(F(1, 5),))
+    assert twin == pt and hash(twin) == hash(pt)
+    assert [f.name for f in dataclasses.fields(pt)] == ["s", "eps", "a"]
+    assert pt.to_json() == {"s": "-2/3", "eps": "1/8", "a": ["1/5"]}
+    assert ParamPoint(s=F(2, 3), eps=F(1, 8), a=(F(1, 5),)) != pt
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(
+        lambda q: q not in (0, 1, -1)
+    ),
+    st.integers(0, 6),
+)
+def test_q_pochhammer_is_the_literal_product(q, k):
+    # memoized on (q, k); a hit returns the product a fresh loop gives
+    want = math.prod((1 - q**i for i in range(1, k + 1)), start=F(1))
+    assert q_pochhammer(q, k) == want
+    assert q_pochhammer(F(q.numerator, q.denominator), k) == want
+
+
+def test_q_pochhammer_pole_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            q_pochhammer(F(-1), 2)
 
 
 def test_param_point_json():

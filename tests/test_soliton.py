@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from toda_bo import soliton
 from toda_bo.evolve import DEFAULT_AMPLITUDES, DEFAULT_POINT
-from toda_bo.scalar import ParamPoint, PoleError
+from toda_bo.scalar import ParamPoint, PoleError, sample_param_point
 from toda_bo.series import series_mul
 from toda_bo.soliton import (
     BilinearOp,
@@ -28,7 +28,7 @@ from toda_bo.soliton import (
     d_factor,
     decay_report,
     eta_series_from_taus,
-    flow_eigenvalue,
+    flow_rates,
     interaction_coeff,
     make_tau_minus,
     make_tau_plus,
@@ -147,37 +147,63 @@ def test_default_beta_matches_shift_identity():
 # #### bilinear flows ##########################################################
 
 
+def flow_eigenvalue(params, b_exp, kind, order):
+    """The logarithmic derivative of the term with amplitude exponents b_exp
+    along the flow (kind, order), summed wave by wave."""
+    q = params.q
+    total = F(0)
+    for a, e in zip(params.a, b_exp):
+        if kind == "t":
+            total += e * (1 - q**order) * a**order
+        else:
+            total += e * (1 - q**-order) * a**-order
+    return total
+
+
 def test_flow_eigenvalue_values():
     q = P2.q
     a0, a1 = P2.a
     e = (1, -2)
     assert flow_eigenvalue(P2, e, "t", 2) == (1 - q**2) * (a0**2 - 2 * a1**2)
     assert flow_eigenvalue(P2, e, "tbar", 1) == (1 - 1 / q) * (1 / a0 - 2 / a1)
+    # bilinear takes a term's eigenvalue as its exponents' dot product with
+    # the per-wave rates
+    for kind, order in (("t", 2), ("tbar", 1), ("t", 3)):
+        rates = flow_rates(P2, kind, order)
+        assert sum(x * r for x, r in zip(e, rates)) == flow_eigenvalue(P2, e, kind, order)
+    with pytest.raises(ValueError):
+        flow_rates(P2, "u", 1)
 
 
 def test_bilinear_no_ops_is_product():
     tp = make_tau_plus(P2)
     tm = make_tau_minus(P2)
-    assert bilinear(P2, tm, tp, [(F(1), [])]) == sym_mul(tm, tp)
+    assert bilinear(P2, [(tm, tp, [(F(1), [])])]) == sym_mul(tm, tp)
 
 
 def test_bilinear_single_derivative_antisymmetric():
     tp = make_tau_plus(P2)
     tm = make_tau_minus(P2)
     op = BilinearOp("t", 1)
-    a = bilinear(P2, tm, tp, [(F(1), [op])])
-    b = bilinear(P2, tp, tm, [(F(1), [op])])
+    a = bilinear(P2, [(tm, tp, [(F(1), [op])])])
+    b = bilinear(P2, [(tp, tm, [(F(1), [op])])])
     assert sym_lin((1, a), (1, b)) == {}
+    # as two rows of one residual the sum cancels without a Fraction built
+    assert bilinear(P2, [(tm, tp, [(F(1), [op])]), (tp, tm, [(F(1), [op])])]) == {}
 
 
 def test_bilinear_affine_power_expands():
     tp = make_tau_plus(P1)
     tm = make_tau_minus(P1)
     m = F(3, 7)
-    sq = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1, m)] * 2)])
-    d2 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1)] * 2)])
-    d1 = bilinear(P1, tm, tp, [(F(1), [BilinearOp("t", 1)])])
-    d0 = bilinear(P1, tm, tp, [(F(1), [])])
+
+    def one(ops):
+        return bilinear(P1, [(tm, tp, [(F(1), ops)])])
+
+    sq = one([BilinearOp("t", 1, m)] * 2)
+    d2 = one([BilinearOp("t", 1)] * 2)
+    d1 = one([BilinearOp("t", 1)])
+    d0 = one([])
     # sq - 2m d1 - m**2 d0 - d2
     assert sym_lin((1, sq), (-2 * m, d1), (-m * m, d0), (-1, d2)) == {}
 
@@ -218,7 +244,7 @@ def test_bilinear_equals_the_per_pair_loop(n, ops, shifted):
         tm, tp = tau_subs(tm, 1 / params.q), tau_subs(tp, params.q)
     for f, g in ((tm, tp), (tp, tm)):
         want = literal_bilinear(params, f, g, ops)
-        assert bilinear(params, f, g, [(F(1), ops)]) == want
+        assert bilinear(params, [(f, g, [(F(1), ops)])]) == want
 
 
 _OPS = st.builds(
@@ -228,18 +254,16 @@ _OPS = st.builds(
     st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
 )
 
-
-@given(
-    n=st.integers(0, 2),
-    terms=st.lists(
-        st.tuples(
-            st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
-            st.lists(_OPS, max_size=4),
-        ),
-        max_size=3,
+_TERMS = st.lists(
+    st.tuples(
+        st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
+        st.lists(_OPS, max_size=4),
     ),
-    shifted=st.booleans(),
+    max_size=3,
 )
+
+
+@given(n=st.integers(0, 2), terms=_TERMS, shifted=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_bilinear_combination_is_the_weighted_sum_of_its_products(n, terms, shifted):
     # one walk over the term pairs equals one literal walk per product
@@ -248,12 +272,41 @@ def test_bilinear_combination_is_the_weighted_sum_of_its_products(n, terms, shif
     if shifted:
         tm, tp = tau_subs(tm, 1 / params.q), tau_subs(tp, params.q)
     expect = sym_lin(*((c, literal_bilinear(params, tm, tp, ops)) for c, ops in terms))
-    assert bilinear(params, tm, tp, terms) == expect
+    assert bilinear(params, [(tm, tp, terms)]) == expect
+
+
+@given(
+    n=st.integers(0, 2),
+    rows=st.lists(
+        st.tuples(st.sampled_from(["-+", "+-", "shifted", "miwa"]), _TERMS),
+        max_size=3,
+    ),
+    s=st.sampled_from([F(1, 2), F(-1, 3), F(2, 3)]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_bilinear_of_rows_is_the_sum_of_their_literal_values(n, rows, s, seed):
+    # a residual's rows over different tau pairs, on Hypothesis-drawn points
+    params = sample_param_point(random.Random(seed), n, s=s)
+    tp, tm, q = make_tau_plus(params), make_tau_minus(params), params.q
+    pairs = {
+        "-+": (tm, tp),
+        "+-": (tp, tm),
+        "shifted": (tau_subs(tm, 1 / q), tau_subs(tp, q)),
+        "miwa": (miwa_shift(params, tm, "t", F(1, 11)), tp),
+    }
+    built = [(*pairs[kind], terms) for kind, terms in rows]
+    expect = sym_lin(
+        *((c, literal_bilinear(params, f, g, ops)) for f, g, terms in built for c, ops in terms)
+    )
+    assert bilinear(params, built) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
-    # 2**n terms on each side: 2 * 2**n eigenvalues per op, not 2 * 4**n
+    # a term's eigenvalue is a dot product with its op's rates, and the
+    # rates are taken once per distinct op and call: not 2 * 2**n times per
+    # op (once per term), nor 2 * 4**n (once per term pair)
     params = (P0, P1, P2, P3)[n]
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     assert len(tp) == len(tm) == 2**n
@@ -264,15 +317,18 @@ def test_bilinear_takes_each_eigenvalue_once_per_term(monkeypatch, n):
     def counting(*args):
         nonlocal calls
         calls += 1
-        return flow_eigenvalue(*args)
+        return flow_rates(*args)
 
-    monkeypatch.setattr(soliton, "flow_eigenvalue", counting)
-    assert bilinear(params, tm, tp, [(F(1), ops)]) == expect
-    assert calls == 2 * 2**n * len(set(ops))
-    # an op shared by two products of a combination is taken once too
+    monkeypatch.setattr(soliton, "flow_rates", counting)
+    assert bilinear(params, [(tm, tp, [(F(1), ops)])]) == expect
+    assert calls == len(set(ops)) == 2
+    # an op shared by two products, or by two rows, is taken once too
     calls = 0
-    bilinear(params, tm, tp, [(F(1), ops[:1]), (F(1, 8), ops)])
-    assert calls == 2 * 2**n * len(set(ops))
+    bilinear(params, [(tm, tp, [(F(1), ops[:1]), (F(1, 8), ops)])])
+    assert calls == len(set(ops))
+    calls = 0
+    bilinear(params, [(tm, tp, [(F(1), ops)]), (tp, tm, [(F(1, 8), ops[1:])])])
+    assert calls == len(set(ops))
 
 
 def test_subs_scale_powers():

@@ -17,7 +17,8 @@ the sampler's range, and each side of the partition-keyed Toda rows is
 compared with the earlier (c, order, power) table, read as powers.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
 reports of the exact and lemma-t3 groups, of the bracket group, of the
-m2/m3-consistency checks and of conj-iom are pinned to their sha256.
+m2/m3-consistency checks, of conj-iom, of the whole suite and of the
+benchmark's verify selection are pinned to their sha256.
 """
 
 from __future__ import annotations
@@ -498,8 +499,8 @@ def test_partition_rows_equal_the_triple_table(k):
                 old = [
                     (w * c, [BilinearOp("t", o, shift[o])] * p) for c, o, p in side
                 ]
-                got = bilinear(params, f, g, terms)
-                assert got and got == bilinear(params, f0, g0, old), (k, n)
+                got = bilinear(params, [(f, g, terms)])
+                assert got and got == bilinear(params, [(f0, g0, old)]), (k, n)
 
 
 def test_one_wrong_lemma_coefficient_fails(monkeypatch):
@@ -642,6 +643,30 @@ def test_conj_iom_report_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b01630257376375209cba57c8ec865c5262136e9a33a254ff57cb5f007630cea"
     )
+
+
+@pytest.mark.parametrize(
+    "selection, digest",
+    [
+        (
+            "all",
+            "3760cde0a7e7b9ff7b7abf6d32be76664513d225218cc0d9f7c737bab7edd1ea",
+        ),
+        (
+            "soliton-exact,m2-consistency,m3-consistency,bracket,lemma-t3",
+            "e36df965d59b9324f1e54a05db5933603d867acc1f67f408636ee266525a9704",
+        ),
+    ],
+    ids=["all", "benchmark-selection"],
+)
+def test_suite_report_bytes_are_pinned(capsys, selection, digest):
+    # the full suite at the anchor seed, and the benchmark's verify
+    # workload (every check but conj-iom): each record is pinned here
+    # besides its group's own pin
+    rc = main(["verify", "--identity", selection, "--seed", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
