@@ -685,10 +685,9 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
             span = span_a + span_b
             if span > N:
                 continue
-            if shared and j <= i:
-                mirror = out.get(sb + sa) if j < i else None
-                if mirror:
-                    out[sa + sb] = -mirror
+            if shared and j <= i:  # a diagonal cell is zero
+                if j < i and sb + sa in out:
+                    out[sa + sb] = -out[sb + sa]
                 continue
             acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
             if acc:
@@ -707,9 +706,10 @@ def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
     D monomial by Leibniz: the sum over its subsequences S, T the rest, of
     (-1)**|T| (d_S f)(d_T g), d_S applying the flows in factor order; each
     d_S f and d_S g is one bracket from d of S's prefix, kept for the call,
-    and when g is f the two are one.  Moving an M past the D's needs it conserved along every listed flow,
-    and a mixed product also needs the M's to Poisson-commute, which no
-    check shows yet; no TODA_EQUATIONS term is mixed.
+    and when g is f the two are one.  Moving an M past the D's needs it
+    conserved along every listed flow, and a mixed product also needs the
+    M's to Poisson-commute, which no check shows yet; no TODA_EQUATIONS
+    term is mixed.
     """
     Hs = list(dict.fromkeys(H for H, _ in factors))
     # D monomial (sorted positions in Hs) -> its coefficient, None for 1
