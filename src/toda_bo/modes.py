@@ -107,9 +107,11 @@ def mono_powers(m: Monomial) -> list[tuple[int, int]]:
     return [(_FIELDS[i][0], e) for i, e in enumerate(_exponent_bytes(m)) if e]
 
 
-# (n, unit(n), |n|) for exponent field i, the mode (i // 2 + 1) * (-1)**i
+# (n, unit(n) less its exponent bit 1 << (_EXPONENTS + 8 i), |n|) for
+# exponent field i, the mode (i // 2 + 1) * (-1)**i; the bit is left out so
+# the table holds small ints only
 _FIELDS = [
-    (n, unit(n), abs(n))
+    (n, unit(n) & (1 << _EXPONENTS) - 1, abs(n))
     for n in ((i // 2 + 1) * (-1) ** i for i in range(2 * MAX_WEIGHT))
 ]
 
@@ -617,9 +619,10 @@ def diff_rows(p: AlphaPoly) -> dict[int, Rows]:
     rows, D = poly_rows(p)
     table: dict[int, list] = {}
     for m, w, d, c in rows:
-        for (n, u, a), e in zip(_FIELDS, _exponent_bytes(m)):
+        for i, e in enumerate(_exponent_bytes(m)):
             if e:
-                row = (m - u, w - a, d - 1, c * e)
+                n, h, a = _FIELDS[i]
+                row = (m - h - (1 << (_EXPONENTS + 8 * i)), w - a, d - 1, c * e)
                 table.setdefault(n, []).append(row)
     return {n: (r, D) for n, r in table.items()}
 
