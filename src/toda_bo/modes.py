@@ -413,7 +413,7 @@ class AlphaSeries:
             off, room = sum(slot), N - sum(map(abs, slot))
             for m in poly.nums:
                 pos, neg = m >> 8 & 255, m >> 16 & 255
-                if pos - neg + off or pos + neg > room or m & 255 > D:
+                if pos - neg != -off or pos + neg > room or m & 255 > D:
                     rule = "balance" if mono_sigma(m) != -off else "window rule"
                     raise AssertionError(
                         f"{rule} violated at slot {slot}: powers {mono_powers(m)}"

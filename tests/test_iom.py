@@ -3,9 +3,10 @@
 Oracles: the charge is compared with the literal enumeration of every pair
 exponent vector (`literal_charge`), and quadratic/cubic sums are written out
 literally; closed forms at k=1,2 are transcribed as independent
-expressions; the n=0 point pins the geometric-tail normalization against the
-constant-field value; Newton consistency is checked both on exact closed
-values and on mode polynomials.
+expressions, and at k <= 4 checked against a subset-sum transcription; the
+n=0 point pins the geometric-tail normalization against the constant-field
+value; Newton consistency is checked both on exact closed values and on
+mode polynomials.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ left and right brackets: for bare D's directly, and for the affine product
 over a partition through the binomial sum for a power and the product
 written out for the mixed partition (2, 1).  Packed monomials are checked
 against the multiset of their modes: a product decodes to the union, and
-weight, degree and sigma equal the tuple formulas, up to weight 255.
+weight, degree and sigma equal the tuple formulas, up to weight 255.  A
+field bracketed with its own renamed cells, and hirota on one series, are
+checked against the same call on an unshared copy of the cells, with the
+pairings and brackets they save counted.
 """
 
 from __future__ import annotations
