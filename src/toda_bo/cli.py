@@ -98,7 +98,7 @@ def _cmd_iom(args) -> int:
     mv = ModeVector.from_series(eta_series_from_taus(params, b, window))
     decay = soliton_decay(params, b, mv)
     res = I_k_def(mv, args.k, args.modes, params.q, decay=decay)
-    closed = closed_I(args.k, params)
+    closed = closed_I(args.k, params)[-1]
     diff = abs(res.value - closed)
     doc = {
         "schema": "toda-bo-iom/1",

@@ -74,9 +74,8 @@ class State:
             raise ValueError("window must keep at least one side mode")
         if modes.shape != (2 * self.N + 1,):
             raise ValueError(f"modes must have shape ({2 * self.N + 1},)")
-        if not np.isfinite(modes).all():
-            raise BlowUpError(f"non-finite mode at t={self.t}")
-        if not (np.isfinite(self.t) and cmath.isfinite(self.q)):
+        _finite(modes, self.t)
+        if not cmath.isfinite(self.q):
             raise ValueError("time and deformation parameter must be finite")
         if abs(self.q) > 1 + _Q_TOL:
             raise ValueError("|q| <= 1 required (Im(gamma) >= 0)")
@@ -85,6 +84,16 @@ class State:
 
     def mode(self, m: int) -> complex:
         return complex(self.modes[m + self.N])
+
+
+def _finite(modes: np.ndarray, t: float) -> np.ndarray:
+    """State's checks on modes at time t: a non-finite mode is a blow-up,
+    then a non-finite time a ValueError."""
+    if not np.isfinite(modes).all():
+        raise BlowUpError(f"non-finite mode at t={t}")
+    if not np.isfinite(t):
+        raise ValueError("time and deformation parameter must be finite")
+    return modes
 
 
 @lru_cache(maxsize=32)
@@ -101,27 +110,26 @@ def kernel(N: int, q: complex) -> np.ndarray:
     return g
 
 
-def bo_rhs(s: State) -> np.ndarray:
-    """d/dt eta_m = sum_l sgn(l)(1-q**|l|) eta_{-l} eta_{m+l}, window-truncated.
+def bo_rhs(g: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """d/dt eta_m = sum_l sgn(l)(1-q**|l|) eta_{-l} eta_{m+l}, window-truncated,
+    with g = -kernel(N, q).
 
-    Substituting i = -l turns the sum into the convolution of (-g * eta)
+    Substituting i = -l turns the sum into the convolution of (g * eta)
     with eta at lag m; modes outside the window count as zero.  The "same"
     mode keeps the 2N+1 lags |m| <= N of the full convolution, each the
     same dot product, and skips the 2N it would throw away."""
-    w = -kernel(s.N, s.q) * s.modes
-    return np.convolve(w, s.modes, "same")
+    return np.convolve(g * modes, modes, "same")
 
 
 def rk4_step(s: State, dt: float) -> State:
-    k1 = bo_rhs(s)
-    half = State(s.N, s.modes + (dt / 2) * k1, s.t + dt / 2, s.q)
-    k2 = bo_rhs(half)
-    half = State(s.N, s.modes + (dt / 2) * k2, s.t + dt / 2, s.q)
-    k3 = bo_rhs(half)
-    full = State(s.N, s.modes + dt * k3, s.t + dt, s.q)
-    k4 = bo_rhs(full)
-    y = s.modes + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return State(s.N, y, s.t + dt, s.q)
+    """One classical RK4 step.  The stages are arrays given State's checks
+    at their own times; the step's end is the one State built."""
+    g, y, t = -kernel(s.N, s.q), s.modes, s.t
+    k1 = bo_rhs(g, y)
+    k2 = bo_rhs(g, _finite(y + (dt / 2) * k1, t + dt / 2))
+    k3 = bo_rhs(g, _finite(y + (dt / 2) * k2, t + dt / 2))
+    k4 = bo_rhs(g, _finite(y + dt * k3, t + dt))
+    return State(s.N, y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), t + dt, s.q)
 
 
 def conserved_pair(s: State) -> tuple[complex, complex]:

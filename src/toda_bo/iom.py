@@ -78,10 +78,8 @@ from .scalar import (
     ParamError,
     ParamPoint,
     Scalar,
-    e_geometric_tail,
     newton_p_from_e,
     numerators,
-    power_sum_extended,
     q_pochhammer,
 )
 from .modes import AlphaSeries, ModeContext, build_eta, poly_mul
@@ -99,8 +97,7 @@ class ModeVector:
     scalar.
 
     The window is complete: values holds exactly the indices -N..N.  Modes
-    outside it are unknown, not zero; consumers either refuse them or charge
-    them to a decay-model tail bound.
+    outside it are unknown, not zero, and consumers refuse them.
     """
 
     N: int
@@ -155,8 +152,8 @@ class IomResult:
     """A truncated charge value plus an upper bound on what truncation lost.
 
     tail is None when no decay model was supplied (or none yields a
-    convergent bound); when present it bounds the dropped kernel shells and
-    any modes outside the supplied window, assuming |mode m| <= H rho**|m|.
+    convergent bound); when present it bounds the dropped kernel shells,
+    assuming |mode m| <= H rho**|m|.
     """
 
     value: object
@@ -238,19 +235,17 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
     zero = field[0] * 0
     S = {}
     for s in range(2 * L + 1):
-        A = max(0, s - L)
-        B = s - A
+        lo, hi = max(0, s - L), min(s, L)
+        # the diagonal's products field[i] field[s - i], i = lo - N..hi, each
+        # formed once: the term that leaves T at A was the product at A - N
+        ab = [mul(field[i], field[s - i]) for i in range(lo - N, hi + 1)]
         T = zero
         for m in range(1, N + 1):
-            T = T + mul(field[A - m], field[B + m]) * ktab[m]
-        while True:
-            ab = mul(field[A], field[B])
-            S[A, B] = ab * ktab[0] + T
-            if A == min(s, L):
-                break
-            dropped = mul(field[A - N], field[B + N]) * ktab[N]
-            T = ab * ktab[1] + _times(T - dropped, r)
-            A, B = A + 1, B - 1
+            T = T + ab[N - m] * ktab[m]
+        for A in range(lo, hi + 1):
+            S[A, s - A] = ab[A - lo + N] * ktab[0] + T
+            if A < hi:
+                T = ab[A - lo + N] * ktab[1] + _times(T - ab[A - lo] * ktab[N], r)
     # vectors with the same flows into the first k - 2 positions share
     # their mode product, so each distinct outer flow costs k - 2 products
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -323,15 +318,15 @@ def I_k_def(
     position; a k >= 2 charge reaches |flow| <= (k-1) N.  The last pair is
     summed from an anti-diagonal table (module docstring), so the work is
     (N+1)**(p-1) vectors plus O((k-1)**2 N**2) table products for p pairs.
-    Modes outside the window raise unless a decay model (H, rho) is given;
-    then they count as zero in the value and are charged to the tail bound.
+    A mode past the window raises; with a decay model (H, rho) the tail
+    bounds the dropped kernel shells.
 
-    A field of Fractions, and the tail's bound fields, are summed on
-    Python ints: the field scaled by D and the kernel table by E (the lcms
-    of their denominators) make the charge one Fraction, total / (D**k
-    E**p).  The table's step by r = q is then an exact division, since the
-    T it yields is again a sum of integer products; a remainder raises.
-    mul multiplies mode values that are not Fractions (mode polynomials).
+    A field of Fractions is summed on Python ints: the field scaled by D
+    and the kernel table by E (the lcms of their denominators) make the
+    charge one Fraction, total / (D**k E**p).  The table's step by r = q is
+    then an exact division, since the T it yields is again a sum of integer
+    products; a remainder raises.  mul multiplies mode values that are not
+    Fractions (mode polynomials).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -344,39 +339,17 @@ def I_k_def(
             raise ValueError("decay ratio must lie in (0, 1)")
     if p == 0:
         return IomResult(eta[0], ZERO)
-    W, reach = eta.N, (k - 1) * N
-    if reach > W and decay is None:
-        raise ValueError(
-            f"mode {-reach} outside window {W}; "
-            "supply a decay model or widen the modes"
-        )
-    zero = eta[0] * ZERO
-    field = {e: eta[e] if abs(e) <= W else zero for e in range(-reach, reach + 1)}
+    reach = (k - 1) * N
+    if reach > eta.N:
+        raise ValueError(f"mode {-reach} outside window {eta.N}; widen the modes")
+    field = {e: eta[e] for e in range(-reach, reach + 1)}
     ktab = [_kernel_coeff(q, m) for m in range(N + 1)]
 
-    def charge(field, ktab, r, mul):
-        def kernel(f, t, mul):
-            return _kernel_sum(f, k, t, r, mul)
+    def kernel(f, t, mul):
+        return _kernel_sum(f, k, t, q, mul)
 
-        return _exact_sum(kernel, field, ktab, k, p, mul)
-
-    total = charge(field, ktab, q, mul)
-    if decay is None:
-        return IomResult(total, None)
-    # Modes outside the window: the same sum with |K| over the bound field
-    # H rho**|e|, taken over every index minus taken over the window only,
-    # is the sum of |coeff| H**k rho**(sum |flow|) over the vectors that
-    # leave the window.
-    tail = ZERO
-    if reach > W:
-        bound = {e: h * rho ** abs(e) for e in range(-reach, reach + 1)}
-        inside = {e: v if abs(e) <= W else ZERO for e, v in bound.items()}
-        atab = [abs(x) for x in ktab]
-        tail = charge(bound, atab, abs(q), operator.mul) - charge(
-            inside, atab, abs(q), operator.mul
-        )
-    shells = _shell_tail(k, N, q, h, rho)
-    return IomResult(total, None if shells is None else tail + shells)
+    total = _exact_sum(kernel, field, ktab, k, p, mul)
+    return IomResult(total, None if decay is None else _shell_tail(k, N, q, h, rho))
 
 
 # #### quadratic and cubic kernel formulas #####################################
@@ -469,36 +442,46 @@ def M3_functional(ctx: ModeContext) -> AlphaSeries:
 # #### closed forms ############################################################
 
 
-def closed_I(k: int, p: ParamPoint) -> Scalar:
-    """Closed charge value at a soliton point.
+def closed_I(k: int, p: ParamPoint) -> list[Scalar]:
+    """Closed charge values I_1..I_k at a soliton point.
 
-    Prefactor times the k-th elementary symmetric value of the finite wave
-    numbers joined with the geometric spectral tail; the mixed elementary
-    value is the convolution of the finite part with the closed tail.
+    I_j is the j-th elementary symmetric value of the finite wave numbers
+    joined with the geometric spectral tail x0, q x0, q**2 x0, ... (x0 =
+    q**n eps), over w_j, the j-th Newton normalizer.  That value is the
+    convolution of the finite values with the tail's, whose i-th is
+    x0**i w_i.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return ONE
-    q = p.q
-    pref = q ** (-k * (k - 1) // 2) * q_pochhammer(q, k)
-    x0 = q**p.n * p.eps
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    w = (ONE, *newton_normalizers(p.q, k))
+    x0 = p.q**p.n * p.eps
     e = [ONE] + [ZERO] * k  # e[j]: j-th elementary symmetric value of p.a
     for x in p.a:
         for j in range(k, 0, -1):
             e[j] += e[j - 1] * x
-    total = ZERO
-    for j in range(k + 1):
-        total += e[k - j] * e_geometric_tail(x0, q, j)
-    return pref * total
+    tail, power = [], ONE
+    for wi in w:
+        tail.append(power * wi)
+        power *= x0
+    return [
+        sum(e[j - i] * tail[i] for i in range(j + 1)) / w[j] for j in range(1, k + 1)
+    ]
 
 
-def closed_M(i: int, p: ParamPoint) -> Scalar:
-    """Power-sum-route closed value (1 - q**i)/i times the extended power
-    sum; the mirror value is the same at p.inverted()."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return (ONE - p.q**i) * Fraction(1, i) * power_sum_extended(i, p)
+def closed_M(k: int, p: ParamPoint) -> list[Scalar]:
+    """Power-sum-route closed values M_1..M_k: M_i is (1 - q**i)/i times
+    the i-th power sum of the wave numbers joined with the spectral tail,
+    in which the tail's x0**i / (1 - q**i) leaves x0**i / i.  The mirror
+    values are the same at p.inverted()."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    q, x0 = p.q, p.q**p.n * p.eps
+    out, powers, qi, x0i = [], list(p.a), q, x0
+    for i in range(1, k + 1):
+        out.append(((ONE - qi) * sum(powers, ZERO) + x0i) / i)
+        powers = [y * x for y, x in zip(powers, p.a)]
+        qi, x0i = qi * q, x0i * x0
+    return out
 
 
 # #### Newton map ##############################################################
@@ -512,21 +495,20 @@ def newton_normalizers(q: Scalar, k: int) -> tuple[Scalar, ...]:
     return tuple(q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1))
 
 
-def M_from_I(i_values: list, p: ParamPoint):
-    """Newton's-identities combination of the first k charges.
+def M_from_I(i_values: list, p: ParamPoint) -> list:
+    """Newton's-identities combinations M_1..M_k of the first k charges.
 
     Normalizes each charge by its triangular prefactor, feeds the list as
-    elementary symmetric data to Newton's identities for the power sum, and
-    rescales.  Generic over the value ring: Fractions or mode polynomials.
-    The mirror charges combine at p.inverted().
+    elementary symmetric data to Newton's identities for the power sums,
+    and rescales each.  Generic over the value ring: Fractions or mode
+    polynomials.  The mirror charges combine at p.inverted().
     """
-    k = len(i_values)
-    if k == 0:
-        raise ValueError("need at least one charge value")
     q = p.q
-    e = [v * w for v, w in zip(i_values, newton_normalizers(q, k))]
-    p_k = newton_p_from_e(e)
-    return p_k * ((ONE - q**k) * Fraction(1, k))
+    e = [v * w for v, w in zip(i_values, newton_normalizers(q, len(i_values)))]
+    return [
+        pj * ((ONE - q**j) * Fraction(1, j))
+        for j, pj in enumerate(newton_p_from_e(e), 1)
+    ]
 
 
 def newton_error_bound(results: list[IomResult], p: ParamPoint) -> Scalar:

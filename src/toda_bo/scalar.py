@@ -74,8 +74,8 @@ def numerators(values) -> tuple[list[int], int]:
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
-def newton_p_from_e(e: list):
-    """Power sum p_k from elementary symmetric values e_1..e_k.
+def newton_p_from_e(e: list) -> list:
+    """Power sums p_1..p_k from elementary symmetric values e_1..e_k.
 
     Newton's identities p_m = sum_{i<m} (-1)**(i-1) e_i p_{m-i}
     + (-1)**(m-1) m e_m, for m = 1..k.  Division-free and free of ring
@@ -91,7 +91,7 @@ def newton_p_from_e(e: list):
             t = e[i - 1] * p[m - i - 1]
             acc = acc + t if i % 2 else acc - t
         p.append(acc)
-    return p[-1]
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -105,18 +105,6 @@ def q_pochhammer(q: Scalar, k: int) -> Scalar:
             raise PoleError(f"q**{i} == 1")
         out *= f
     return out
-
-
-def e_geometric_tail(x0: Scalar, q: Scalar, k: int) -> Scalar:
-    """k-th elementary symmetric value of the alphabet (x0, q*x0, q**2*x0, ...).
-
-    Closed form x0**k * q**(k(k-1)/2) / prod_{i=1..k}(1 - q**i).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return ONE
-    return x0**k * q ** (k * (k - 1) // 2) / q_pochhammer(q, k)
 
 
 @lru_cache(maxsize=None)
@@ -183,21 +171,6 @@ class ParamPoint:
             "eps": scalar_str(self.eps),
             "a": [scalar_str(x) for x in self.a],
         }
-
-
-def power_sum_extended(i: int, p: ParamPoint) -> Scalar:
-    """Power sum of the alphabet (a_1..a_n, q**n eps, q**(n+1) eps, ...).
-
-    The geometric tail is summed in closed form: q**(n*i) eps**i / (1 - q**i).
-    Mirrored values are obtained by calling with p.inverted().
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    q = p.q
-    if q**i == 1:
-        raise PoleError(f"q**{i} == 1")
-    tail = q ** (p.n * i) * p.eps**i / (ONE - q**i)
-    return sum((ak**i for ak in p.a), start=ZERO) + tail
 
 
 def sample_param_point(

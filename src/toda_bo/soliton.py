@@ -75,45 +75,49 @@ def tau_series(tau: Symbolic, b_values) -> Laurent:
 # #### construction ############################################################
 
 
-def interaction_coeff(params: ParamPoint, subset) -> Scalar:
-    """Pairwise interaction product over an index subset."""
-    q = params.q
-    a = params.a
-    c = ONE
-    for i, j in itertools.combinations(sorted(subset), 2):
-        num = (a[i] - a[j]) ** 2
-        den = (a[i] - q * a[j]) * (a[i] - a[j] / q)
-        if den == 0:
-            raise PoleError("degenerate wave numbers")
-        c *= num / den
-    return c
+def _pair_factor(q: Scalar, x: Scalar, y: Scalar) -> Scalar:
+    """Interaction factor of waves with wave numbers x and y, symmetric in
+    them; ParamPoint keeps its denominator nonzero."""
+    return (x - y) ** 2 / ((x - q * y) * (x - y / q))
 
 
 def d_factor(params: ParamPoint, k: int, beta: Scalar) -> Scalar:
     """Reflection factor attached to wave number k at spectral point beta."""
-    q = params.q
-    a = params.a
+    q, a = params.q, params.a
     if a[k] == beta or q * a[k] == beta:
         raise PoleError("beta collides with a wave number")
     val = (1 - beta / (q * a[k])) / (1 - beta / a[k])
     for j in range(params.n):
-        if j == k:
-            continue
-        num = (a[k] - q * a[j]) * (a[k] - a[j] / q)
-        den = (a[k] - a[j]) ** 2
-        val *= num / den
+        if j != k:
+            val /= _pair_factor(q, a[k], a[j])
     return val
 
 
-def make_tau_plus(params: ParamPoint) -> Symbolic:
-    """Upper tau: sum over subsets I of z**|I| C_I prod_{k in I} b_k."""
-    n = params.n
+def _subset_terms(params: ParamPoint, sign: int, weights) -> Symbolic:
+    """Sum over the subsets I of the waves, by size and then in
+    lexicographic order, of z**(sign |I|) prod_{k in I} weights[k] b_k**sign
+    times the pair factors within I.  The factors are taken once, and a
+    subset's coefficient extends the one without its largest member."""
+    q, a, n = params.q, params.a, params.n
+    pairs = itertools.combinations(range(n), 2)
+    c = {(i, j): _pair_factor(q, a[i], a[j]) for i, j in pairs}
+    coeff = {(): ONE}
     tau = {}
     for r in range(n + 1):
         for subset in itertools.combinations(range(n), r):
-            e = tuple(1 if k in subset else 0 for k in range(n))
-            tau[r, e] = interaction_coeff(params, subset)
+            if subset:
+                *rest, k = subset
+                v = coeff[tuple(rest)] * weights[k]
+                coeff[subset] = math.prod((c[i, k] for i in rest), start=v)
+            e = tuple(sign if j in subset else 0 for j in range(n))
+            tau[sign * r, e] = coeff[subset]
     return tau
+
+
+def make_tau_plus(params: ParamPoint) -> Symbolic:
+    """Upper tau: sum over subsets I of z**|I| C_I prod_{k in I} b_k, C_I
+    the product of the pair factors within I."""
+    return _subset_terms(params, 1, [ONE] * params.n)
 
 
 def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> Symbolic:
@@ -122,19 +126,10 @@ def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> Symbolic:
     beta defaults to q**n * eps; other values arise from finite shifts of the
     upper tau (see the shift identity in the verification suite).
     """
-    n = params.n
     if beta is None:
-        beta = params.q**n * params.eps
-    d = [d_factor(params, k, beta) for k in range(n)]
-    tau = {}
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            e = tuple(-1 if k in subset else 0 for k in range(n))
-            c = interaction_coeff(params, subset)
-            for k in subset:
-                c *= d[k]
-            tau[-r, e] = c
-    return tau
+        beta = params.q**params.n * params.eps
+    d = [d_factor(params, k, beta) for k in range(params.n)]
+    return _subset_terms(params, -1, d)
 
 
 # #### finite shifts and flows #################################################

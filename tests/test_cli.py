@@ -520,6 +520,15 @@ def test_thread_setting_moves_no_evolve_byte():
 
 # #### pinned tau-ratio outputs ################################################
 
+# three waves with mixed signs: the pin of tau coefficients built from
+# several pair factors, and of their key order
+_THREE_WAVES = {
+    "s": "1/2",
+    "eps": "1/8",
+    "a": ["5/36", "-1/7", "2/11"],
+    "b": ["1/2", "1/3", "-1/4"],
+}
+
 # iom --k K --solitons N --modes 48 --seed 7, by (K, N)
 _WAVES = {"1": "one-wave", "2": "two-waves"}
 _IOM_DIGESTS = {
@@ -536,12 +545,21 @@ _IOM_DIGESTS = {
     "argv, digest",
     [
         (
-            ["soliton", "--spec", "SPEC", "--eval", "--window", "64"],
+            ["soliton", "--spec", _WAVE, "--eval", "--window", "64"],
             "8c0a5a0a5f15e650926957c027ba048783cc04f237033044def4912778e2ffb3",
+        ),
+        (
+            ["soliton", "--spec", _THREE_WAVES, "--eval", "--window", "16"],
+            "f2645e57ca3fe09130249b13a39928c027c60c480cce9a9c6034263fbcf94b5f",
         ),
         (
             ["evolve"],
             "b2521ec4c2ffd682d63780058da00d0ce223fd64a9c46c62a2cda0a2708f7f52",
+        ),
+        (
+            ["evolve", "--init", "random", "--seed", "3", "--modes", "32"]
+            + ["--steps", "200"],
+            "269e68449e6184266fb8e24f4d7196a3bb85cfcb9f98ca70f7bd5882a043d749",
         ),
     ]
     + [
@@ -551,17 +569,22 @@ _IOM_DIGESTS = {
         )
         for (k, n), digest in _IOM_DIGESTS.items()
     ],
-    ids=["soliton-eval-w64", "evolve-default"]
+    ids=["soliton-eval-w64", "soliton-eval-three-waves-w16", "evolve-default"]
+    + ["evolve-random-m32"]
     + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
 )
 def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # all read the tau ratio; SPEC is README's one-wave spec; the default
-    # evolve run renders its reference modes to doubles and reports the
-    # worst error against them; the iom runs carry the charge value and its
-    # tail bound
+    # a dict in argv is a spec, written to a file first: _WAVE is README's
+    # one-wave spec.  The soliton and iom runs read the tau ratio; the
+    # default evolve run renders its reference modes to doubles and reports
+    # the worst error against them; the random evolve run is the one
+    # trajectory pinned without a reference; the iom runs carry the charge
+    # value and its tail bound
     path = tmp_path / "wave.json"
-    path.write_text(json.dumps(_WAVE))
-    argv = [str(path) if a == "SPEC" else a for a in argv]
+    for a in argv:
+        if isinstance(a, dict):
+            path.write_text(json.dumps(a))
+    argv = [str(path) if isinstance(a, dict) else a for a in argv]
     rc, out, err = run_main(capsys, argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

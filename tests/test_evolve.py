@@ -52,6 +52,11 @@ def random_state(seed: int, N: int, q: complex = Q_COMPLEX, scale: float = 0.3):
     return State(N, modes, 0.0, q)
 
 
+def rhs(s: State) -> np.ndarray:
+    """bo_rhs at a state's modes and kernel."""
+    return bo_rhs(-kernel(s.N, s.q), s.modes)
+
+
 def brute_rhs(s: State) -> np.ndarray:
     out = np.zeros(2 * s.N + 1, dtype=np.complex128)
     for m in range(-s.N, s.N + 1):
@@ -109,7 +114,7 @@ def test_kernel_is_exactly_antisymmetric():
 def test_rhs_of_constant_state_vanishes():
     s = State(8, np.zeros(17, dtype=complex), 0.0, 0.25)
     s = State(8, s.modes + np.eye(17)[8] * 0.7, 0.0, 0.25)
-    assert np.all(bo_rhs(s) == 0)
+    assert np.all(rhs(s) == 0)
 
 
 def test_zero_mode_derivative_cancels():
@@ -121,14 +126,14 @@ def test_zero_mode_derivative_cancels():
         neg = g[s.N - l] * (s.mode(l) * s.mode(-l))
         assert pos + neg == 0
     norm = np.abs(s.modes).sum()
-    assert abs(bo_rhs(s)[s.N]) <= 1e-14 * norm * norm
+    assert abs(rhs(s)[s.N]) <= 1e-14 * norm * norm
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([4, 9, 16]))
 def test_rhs_matches_double_loop(seed, N):
     s = random_state(seed, N)
-    got = bo_rhs(s)
+    got = rhs(s)
     want = brute_rhs(s)
     scale = max(np.abs(want).max(), 1.0)
     assert np.abs(got - want).max() <= 1e-13 * scale
@@ -141,10 +146,10 @@ def test_rhs_is_the_kept_lags_of_the_full_convolution(N):
     # "same" differently fails here first
     s = random_state(N, N)
     w = -kernel(N, s.q) * s.modes
-    assert bo_rhs(s).tobytes() == np.convolve(w, s.modes)[N : 3 * N + 1].tobytes()
+    assert rhs(s).tobytes() == np.convolve(w, s.modes)[N : 3 * N + 1].tobytes()
     if N <= 7:
         want = brute_rhs(s)
-        assert np.abs(bo_rhs(s) - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+        assert np.abs(rhs(s) - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
 def test_rhs_three_mode_example():
@@ -155,13 +160,13 @@ def test_rhs_three_mode_example():
     modes[4] = c
     modes[5] = d_minus  # eta_1 (stored by mode index, -N..N)
     modes[3] = d_plus  # eta_{-1}
-    rhs = bo_rhs(State(4, modes, 0.0, q))
+    out = rhs(State(4, modes, 0.0, q))
     # pairing cancellation up to product rounding: (g*a)*b vs (g*b)*a
-    assert abs(rhs[4]) <= 1e-16
-    assert rhs[5] == pytest.approx(-(1 - q) * c * d_minus, rel=1e-15)
-    assert rhs[3] == pytest.approx((1 - q) * c * d_plus, rel=1e-15)
-    assert rhs[6] == pytest.approx(-(1 - q) * d_minus**2, rel=1e-15)
-    assert rhs[2] == pytest.approx((1 - q) * d_plus**2, rel=1e-15)
+    assert abs(out[4]) <= 1e-16
+    assert out[5] == pytest.approx(-(1 - q) * c * d_minus, rel=1e-15)
+    assert out[3] == pytest.approx((1 - q) * c * d_plus, rel=1e-15)
+    assert out[6] == pytest.approx(-(1 - q) * d_minus**2, rel=1e-15)
+    assert out[2] == pytest.approx((1 - q) * d_plus**2, rel=1e-15)
 
 
 def test_one_sided_support_is_invariant():
@@ -172,8 +177,8 @@ def test_one_sided_support_is_invariant():
     modes[N + 1] = 0.2 + 0.1j
     modes[N + 2] = -0.05
     s = State(N, modes, 0.0, 0.25)
-    assert np.all(bo_rhs(s)[:N] == 0)
-    assert bo_rhs(s)[N] == 0
+    assert np.all(rhs(s)[:N] == 0)
+    assert rhs(s)[N] == 0
     for _ in range(20):
         s = rk4_step(s, 0.05)
     assert np.all(s.modes[:N] == 0)
@@ -190,6 +195,19 @@ def test_rk4_leaves_equilibrium_alone():
     out = rk4_step(s, 0.1)
     assert np.array_equal(out.modes, s.modes)
     assert out.t == pytest.approx(1.6)
+
+
+def test_rk4_stages_are_checked_like_states():
+    # a stage checks its modes first, at its own time, then that time; as
+    # in run, an overflowing step is caught by the checks, not a warning
+    modes = np.zeros(9, dtype=complex)
+    modes[4] = 0.3
+    with pytest.raises(ValueError, match="time and deformation parameter"):
+        rk4_step(State(4, modes, 1.7e308, 0.25), 1e308)
+    modes[5] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError, match=r"non-finite mode at t=5e\+307"):
+            rk4_step(State(4, modes, 0.0, 0.25), 1e308)
 
 
 def test_zero_state_stays_zero():

@@ -127,27 +127,21 @@ def test_second_charge_literal_sum():
     assert I_k_def(mv, 2, N, Q).value == expect
 
 
-def literal_charge(eta, k, N, q, decay=None, mul=operator.mul):
-    """The charge by enumerating every pair exponent vector: the value over
-    the vectors inside the window and, with a decay model (H, rho), the sum
-    of |coeff| H**k rho**(sum |flow|) over the vectors that leave it."""
+def literal_charge(eta, k, N, q, mul=operator.mul):
+    """The charge by enumerating every pair exponent vector."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    value, outside = None, F(0)
+    value = None
     for ms in itertools.product(range(N + 1), repeat=len(pairs)):
         coeff, flow = F(1), [0] * k
         for (i, j), m in zip(pairs, ms):
             coeff *= 1 if m == 0 else (1 - 1 / q) * q**m
             flow[i] -= m
             flow[j] += m
-        if all(abs(e) <= eta.N for e in flow):
-            term = eta[flow[0]]
-            for e in flow[1:]:
-                term = mul(term, eta[e])
-            value = term * coeff if value is None else value + term * coeff
-        else:
-            h, rho = decay
-            outside += abs(coeff) * h**k * rho ** sum(abs(e) for e in flow)
-    return value, outside
+        term = eta[flow[0]]
+        for e in flow[1:]:
+            term = mul(term, eta[e])
+        value = term * coeff if value is None else value + term * coeff
+    return value
 
 
 CTX_SMALL = ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 4))
@@ -157,9 +151,10 @@ CTX_SMALL = ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 4))
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 @pytest.mark.parametrize("case", ["covering", "narrow-decay", "capped-poly"])
 def test_charge_matches_literal_enumeration(k, kind, case):
-    # value and tail are the same exact element as the literal sum over all
-    # (N+1)**(k(k-1)/2) vectors: Fractions on soliton modes, with and without
-    # modes outside the window, and mode polynomials under the capped product
+    # the value is the same exact element as the literal sum over all
+    # (N+1)**(k(k-1)/2) vectors: Fractions on soliton modes, and mode
+    # polynomials under the capped product; a window short of the reach
+    # raises, a decay model or not
     qq = Q if kind == "plus" else 1 / Q
     modes = eta_modes if kind == "plus" else xi_modes
     decay, mul = None, operator.mul
@@ -172,16 +167,16 @@ def test_charge_matches_literal_enumeration(k, kind, case):
         mv = modes(P1, (F(1, 2),), (k - 1) * N if case == "covering" else N - 1)
         if case == "narrow-decay":
             decay = fit_decay(mv, F(1, 10))
+    if (k - 1) * N > mv.N:
+        with pytest.raises(ValueError, match=f"outside window {mv.N}"):
+            I_k_def(mv, k, N, qq, decay=decay, mul=mul)
+        return
     res = I_k_def(mv, k, N, qq, decay=decay, mul=mul)
-    value, outside = literal_charge(mv, k, N, qq, decay, mul)
-    assert res.value == value
+    assert res.value == literal_charge(mv, k, N, qq, mul)
     if k == 1:
         assert res.tail == 0
-    elif decay is None:
-        assert res.tail is None
     else:
-        assert outside > 0
-        assert res.tail == outside + _shell_tail(k, N, qq, *decay)
+        assert res.tail is None
 
 
 def test_third_charge_work_is_quadratic_in_the_cutoff(monkeypatch):
@@ -206,7 +201,9 @@ def test_third_charge_work_is_quadratic_in_the_cutoff(monkeypatch):
     expect = I_k_def(mv, 3, N, Q).value
     monkeypatch.setattr(iom, "_kernel_sum", counting_sum)
     assert I_k_def(mv, 3, N, Q).value == expect
-    assert 0 < calls <= 6 * (N + 1) ** 2
+    # the table forms each anti-diagonal product once, (N+1)**2 + N (2N+1)
+    # in all, and each of the 2N + 1 outer flows costs one more
+    assert calls == (N + 1) ** 2 + (N + 1) * (2 * N + 1)
 
 
 def test_anti_diagonal_step_on_integers_is_exact_or_raises():
@@ -221,7 +218,7 @@ def test_anti_diagonal_step_on_integers_is_exact_or_raises():
 def rational_fields(draw):
     """(modes, k, N, kernel parameter, decay): modes with unrelated
     denominators on a window that covers the charge's reach, or, with a
-    decay model, one that may not."""
+    decay model, one that may fall short of it."""
     k = draw(st.integers(2, 4))
     N = draw(st.integers(1, 3 if k < 4 else 2))
     reach = (k - 1) * N
@@ -242,16 +239,16 @@ def rational_fields(draw):
 @given(rational_fields())
 @settings(max_examples=80, deadline=None)
 def test_integer_charge_equals_literal_enumeration(case):
-    # the integer sum at q and at 1/q, value and tail, is the literal sum
+    # the integer sum at q and at 1/q is the literal sum, and its tail the
+    # shell bound; a window short of the reach raises, a decay model or not
     mv, k, N, q, decay = case
+    if (k - 1) * N > mv.N:
+        with pytest.raises(ValueError, match=f"outside window {mv.N}"):
+            I_k_def(mv, k, N, q, decay=decay)
+        return
     res = I_k_def(mv, k, N, q, decay=decay)
-    value, outside = literal_charge(mv, k, N, q, decay)
-    assert res.value == value
-    if decay is None:
-        assert res.tail is None
-    else:
-        shells = _shell_tail(k, N, q, *decay)
-        assert res.tail == (None if shells is None else outside + shells)
+    assert res.value == literal_charge(mv, k, N, q)
+    assert res.tail == (None if decay is None else _shell_tail(k, N, q, *decay))
 
 
 def test_out_of_window_mode_is_named_without_decay():
@@ -329,13 +326,13 @@ def test_closed_small_k_literals(params):
     n = len(a)
     e1 = sum(a, F(0))
     e2 = sum(a[i] * a[j] for i in range(n) for j in range(i + 1, n))
-    assert closed_I(1, params) == (1 - q) * e1 + q**n * eps
+    expect1 = (1 - q) * e1 + q**n * eps
     expect2 = (
         (1 - q) * (1 - q**2) / q * e2
         + q ** (n - 1) * (1 - q**2) * e1 * eps
         + q ** (2 * n) * eps**2
     )
-    assert closed_I(2, params) == expect2
+    assert closed_I(2, params) == [expect1, expect2]
 
 
 def literal_closed_I(k, params):
@@ -366,32 +363,63 @@ def literal_closed_I(k, params):
 )
 @settings(max_examples=40, deadline=None)
 def test_closed_charges_equal_the_literal_formula(n, s, seed):
-    # at the point and at its mirror, k = 0..4
+    # at the point and at its mirror, the prefix I_1..I_4 term by term
     params = sample_param_point(random.Random(seed), n, s=s)
     for pt in (params, params.inverted()):
-        for k in range(5):
-            assert closed_I(k, pt) == literal_closed_I(k, pt), (k, pt)
+        want = [literal_closed_I(k, pt) for k in range(1, 5)]
+        assert closed_I(4, pt) == want, pt
+
+
+def literal_closed_M(k, params):
+    """closed_M written out: (1 - q**k)/k times the k-th power sum of the
+    wave numbers and of the tail x0, q x0, ..., the tail's summed as a
+    geometric series."""
+    q = params.q
+    x0 = q ** len(params.a) * params.eps
+    power_sum = sum((a**k for a in params.a), F(0)) + x0**k / (1 - q**k)
+    return (1 - q**k) / k * power_sum
+
+
+@given(
+    n=st.integers(0, 3),
+    s=st.sampled_from([F(1, 2), F(-1, 3), F(2, 3), F(3, 2)]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_prefix_lists_equal_the_per_k_forms(n, s, seed):
+    # at the point and at its mirror: closed_M's list is the literal M_k for
+    # each k, and every list's first k entries are what a call at k returns
+    params = sample_param_point(random.Random(seed), n, s=s)
+    for pt in (params, params.inverted()):
+        i_vals, m_vals = closed_I(4, pt), closed_M(4, pt)
+        assert m_vals == [literal_closed_M(k, pt) for k in range(1, 5)]
+        newton = M_from_I(i_vals, pt)
+        for k in range(1, 5):
+            assert closed_I(k, pt) == i_vals[:k]
+            assert closed_M(k, pt) == m_vals[:k]
+            assert M_from_I(i_vals[:k], pt) == newton[:k]
 
 
 def test_closed_matches_constant_field_at_empty_point():
-    for k in (1, 2, 3, 4):
-        assert closed_I(k, P0) == P0.eps**k
-        assert closed_I(k, P0.inverted()) == (1 / P0.eps) ** k
+    assert closed_I(4, P0) == [P0.eps**k for k in (1, 2, 3, 4)]
+    assert closed_I(4, P0.inverted()) == [(1 / P0.eps) ** k for k in (1, 2, 3, 4)]
 
 
 def test_closed_M_base_cases():
     for params in (P0, P1, P2):
         assert closed_M(1, params) == closed_I(1, params)
         assert closed_M(1, params.inverted()) == closed_I(1, params.inverted())
+    with pytest.raises(ValueError):
+        closed_M(0, P1)
+    with pytest.raises(ValueError):
+        closed_I(0, P1)
 
 
 def test_newton_closed_consistency():
     # the mirror charges combine at the inverted point
     for params in (P0, P1, P2):
         for pt in (params, params.inverted()):
-            vals = [closed_I(j, pt) for j in range(1, 5)]
-            for k in (1, 2, 3, 4):
-                assert M_from_I(vals[:k], pt) == closed_M(k, pt)
+            assert M_from_I(closed_I(4, pt), pt) == closed_M(4, pt)
 
 
 # #### functional route ########################################################
@@ -410,7 +438,7 @@ def test_m2_from_newton_matches_kernel_formula_exactly():
     N, q = CTX.trunc.n_modes, CTX.q
     i1 = I_k_def(mv, 1, N, q).value
     i2 = I_k_def(mv, 2, N, q).value
-    newton = M_from_I([i1, i2], P1)
+    newton = M_from_I([i1, i2], P1)[-1]
     assert newton == M2_kernel(mv, N, q)
 
 
@@ -422,7 +450,7 @@ def test_m3_from_newton_matches_kernel_formula_on_window():
     mv = mode_table(CTX, span=2)
     N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
     vals = [I_k_def(mv, k, N, q).value for k in (1, 2, 3)]
-    newton = M_from_I(vals, P1)
+    newton = M_from_I(vals, P1)[-1]
     assert newton.pruned(N, D) == M3_kernel(mv, N, q).pruned(N, D)
 
 
@@ -431,7 +459,7 @@ def test_mbar_newton_matches_kernel_on_window():
     N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
     qbar = 1 / CTX.q
     vals = [I_k_def(mv, k, N, qbar).value for k in (1, 2)]
-    newton = M_from_I(vals, P1.inverted())
+    newton = M_from_I(vals, P1.inverted())[-1]
     assert newton.pruned(N, D) == M2_kernel(mv, N, qbar).pruned(N, D)
 
 
@@ -573,7 +601,7 @@ def test_tail_bounds_truncation_error():
     large = I_k_def(mv, 2, 30, Q, decay=decay)
     assert small.tail is not None
     assert abs(small.value - large.value) <= small.tail
-    assert abs(large.value - closed_I(2, P1)) <= large.tail
+    assert abs(large.value - closed_I(2, P1)[-1]) <= large.tail
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -601,14 +629,14 @@ def test_tail_bounds_refuse_what_they_cannot_bound():
 
 
 def test_tail_covers_out_of_window_modes():
+    # the tail bounds the dropped kernel shells only: a mode past the
+    # window is refused with and without a decay model
     b = (F(1, 2),)
     narrow = eta_modes(P1, b, 12)
     decay = soliton_decay(P1, b, narrow)
-    res = I_k_def(narrow, 3, 10, Q, decay=decay)
-    wide = I_k_def(eta_modes(P1, b, 24), 3, 10, Q)
-    assert abs(res.value - wide.value) <= res.tail
-    with pytest.raises(ValueError):
-        I_k_def(narrow, 3, 10, Q)
+    for model in (decay, None):
+        with pytest.raises(ValueError, match="mode -20 outside window 12"):
+            I_k_def(narrow, 3, 10, Q, decay=model)
 
 
 @pytest.mark.xfail(
@@ -621,17 +649,17 @@ def test_third_charge_tail_bounds_truncation_error():
     b = (F(1, 2),)
     mv = eta_modes(P1, b, 32)
     res = I_k_def(mv, 3, 16, Q, decay=soliton_decay(P1, b, mv))
-    assert abs(res.value - closed_I(3, P1)) <= res.tail
+    assert abs(res.value - closed_I(3, P1)[-1]) <= res.tail
 
 
 def test_convergence_toward_closed_value():
     b = (F(1, 2),)
     mv = eta_modes(P1, b, 40)
-    resid = [abs(I_k_def(mv, 2, N, Q).value - closed_I(2, P1)) for N in (8, 16)]
+    resid = [abs(I_k_def(mv, 2, N, Q).value - closed_I(2, P1)[-1]) for N in (8, 16)]
     assert resid[1] < resid[0] / 4
     mvx = xi_modes(P1, b, 40)
     residbar = [
-        abs(I_k_def(mvx, 2, N, 1 / Q).value - closed_I(2, P1.inverted()))
+        abs(I_k_def(mvx, 2, N, 1 / Q).value - closed_I(2, P1.inverted())[-1])
         for N in (8, 16)
     ]
     assert residbar[1] < residbar[0] / 4

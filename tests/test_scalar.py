@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toda_bo.iom import I_k_def, mode_table
+from toda_bo.iom import I_k_def, closed_I, closed_M, mode_table
 from toda_bo.modes import AlphaPoly, ModeContext, ModeTrunc
 from toda_bo.scalar import (
     GUARD_RANGE,
@@ -19,11 +19,9 @@ from toda_bo.scalar import (
     ParamPoint,
     PoleError,
     ZERO,
-    e_geometric_tail,
     newton_p_from_e,
     q_pochhammer,
     parse_scalar,
-    power_sum_extended,
     sample_amplitudes,
     sample_param_point,
     sample_shift_amount,
@@ -169,7 +167,9 @@ def test_det_cofactor_small():
 
 @given(st.lists(rationals, min_size=1, max_size=6))
 def test_newton_p_from_e_equals_determinant(e):
-    assert newton_p_from_e(e) == newton_det(e, ONE, ZERO)
+    # the whole prefix p_1..p_k, each against its own determinant
+    want = [newton_det(e[:j], ONE, ZERO) for j in range(1, len(e) + 1)]
+    assert newton_p_from_e(e) == want
 
 
 def test_newton_p_from_e_on_mode_polynomials_equals_determinant():
@@ -178,8 +178,9 @@ def test_newton_p_from_e_on_mode_polynomials_equals_determinant():
     mv = mode_table(ctx, span=2)
     e = [I_k_def(mv, k, 4, ctx.q).value for k in (1, 2, 3)]
     assert all(len(x.nums) > 1 for x in e)
-    for j in range(1, 4):
-        p = newton_p_from_e(e[:j])
+    ps = newton_p_from_e(e)
+    assert len(ps) == 3
+    for j, p in enumerate(ps, 1):
         assert p == newton_det(e[:j], AlphaPoly.one(), AlphaPoly.zero())
         assert p
 
@@ -205,7 +206,7 @@ def _elementary_from_roots(roots):
     ],
 )
 def test_newton_p_from_e_examples(e, expect):
-    assert newton_p_from_e(e) == expect
+    assert newton_p_from_e(e)[-1] == expect
 
 
 def test_newton_p_from_e_root_oracle():
@@ -214,9 +215,8 @@ def test_newton_p_from_e_root_oracle():
         k = rng.randint(1, 6)
         roots = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(k)]
         es = _elementary_from_roots(roots)
-        for j in range(1, k + 1):
-            power_sum = sum(r**j for r in roots)
-            assert newton_p_from_e(es[:j]) == power_sum
+        power_sums = [sum(r**j for r in roots) for j in range(1, k + 1)]
+        assert newton_p_from_e(es) == power_sums
 
 
 def e_from_p(p: list) -> list:
@@ -239,7 +239,7 @@ def test_newton_round_trip_with_inverse_relation():
         k = rng.randint(1, 6)
         ps = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)]
         es = e_from_p(ps)
-        assert [newton_p_from_e(es[: j + 1]) for j in range(k)] == ps
+        assert newton_p_from_e(es) == ps
 
 
 def test_newton_p_from_e_rejects_empty():
@@ -248,31 +248,49 @@ def test_newton_p_from_e_rejects_empty():
 
 
 # #########################################################################
-# geometric-alphabet elementary values and extended power sums
+# the spectral tail x0, q x0, q**2 x0, ... (x0 = q**n eps): its elementary
+# values, read through closed_I at the zero-wave point (I_k is the prefactor
+# q**(-k(k-1)/2) (q; q)_k times the tail's e_k), and the extended power
+# sums, read through closed_M (M_i is (1 - q**i)/i times the i-th)
 # #########################################################################
 
-def test_e_geometric_tail_trivial():
-    assert e_geometric_tail(F(3, 7), F(1, 5), 0) == 1
+
+def tail_e(k: int, params: ParamPoint):
+    """The tail's e_k at a zero-wave point, from closed_I."""
+    q = params.q
+    assert params.n == 0
+    return closed_I(k, params)[k - 1] * q ** (k * (k - 1) // 2) / q_pochhammer(q, k)
+
+
+def power_sum_ext(i: int, params: ParamPoint):
+    """The i-th power sum of the wave numbers joined with the tail, from
+    closed_M."""
+    return closed_M(i, params)[i - 1] * i / (1 - params.q**i)
 
 
 def test_e_geometric_tail_k1_is_geometric_sum():
-    x0, q = F(1, 2), F(1, 3)
-    assert e_geometric_tail(x0, q, 1) == F(3, 4)
+    x0, s = F(1, 2), F(1, 2)
+    q = s * s
+    pt = ParamPoint(s=s, eps=x0)
+    assert tail_e(1, pt) == F(2, 3)
     # truncated sums approach it with remainder exactly x0*q**M/(1-q)
     for M in (10, 20, 40, 60):
         partial = sum(x0 * q**m for m in range(M))
-        assert e_geometric_tail(x0, q, 1) - partial == x0 * q**M / (1 - q)
+        assert tail_e(1, pt) - partial == x0 * q**M / (1 - q)
 
 
 def test_e_geometric_tail_k2_example():
-    assert e_geometric_tail(ONE, F(1, 2), 2) == F(4, 3)
+    # x0**2 q / ((1 - q)(1 - q**2)) at x0 = 1, q = 1/4
+    assert tail_e(2, ParamPoint(s=F(1, 2), eps=ONE)) == F(16, 45)
 
 
 def test_e_geometric_tail_product_oracle():
     # coefficient of y**k in prod_{m<M}(1 + q**m x0 y), error shrinks like q**M
-    x0, q = F(2, 5), F(1, 3)
+    x0, s = F(2, 5), F(1, 2)
+    q = s * s
+    pt = ParamPoint(s=s, eps=x0)
     for k in (1, 2, 3):
-        closed = e_geometric_tail(x0, q, k)
+        closed = tail_e(k, pt)
         prev_err = None
         for M in (20, 30, 40):
             coeffs = [ONE] + [ZERO] * k
@@ -286,20 +304,13 @@ def test_e_geometric_tail_product_oracle():
             prev_err = err
 
 
-def test_e_geometric_tail_pole():
-    with pytest.raises(PoleError):
-        e_geometric_tail(ONE, ONE, 2)
-
-
 def test_power_sum_extended_examples():
-    p0 = ParamPoint(s=F(1, 2), eps=F(1, 2))
-    assert p0.q == F(1, 4)
     # n = 0 tail only: eps/(1-q) style values
     p_third = ParamPoint(s=F(1, 3), eps=F(1, 2))  # q = 1/9
-    assert power_sum_extended(1, p_third) == F(1, 2) / (1 - F(1, 9))
+    assert power_sum_ext(1, p_third) == F(1, 2) / (1 - F(1, 9))
 
     pt = ParamPoint(s=F(1, 2), eps=F(1, 7), a=(F(1, 5),))
-    got = power_sum_extended(1, pt)
+    got = power_sum_ext(1, pt)
     assert got == F(1, 5) + F(1, 4) * F(1, 7) / (1 - F(1, 4))
 
 
@@ -307,7 +318,7 @@ def test_power_sum_extended_partial_sum_oracle():
     pt = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5), F(-1, 6)))
     q = pt.q
     for i in (1, 2, 3):
-        closed = power_sum_extended(i, pt)
+        closed = power_sum_ext(i, pt)
         partial = sum(ak**i for ak in pt.a) + sum(
             (q ** (pt.n + m) * pt.eps) ** i for m in range(200)
         )

@@ -10,6 +10,7 @@ pipeline run with the literal Fraction division.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -29,7 +30,6 @@ from toda_bo.soliton import (
     decay_report,
     eta_series_from_taus,
     flow_rates,
-    interaction_coeff,
     make_tau_minus,
     make_tau_plus,
     miwa_factor,
@@ -92,8 +92,46 @@ def test_two_wave_interaction():
     assert sym[(0, (0, 0))] == 1
     assert sym[(1, (1, 0))] == 1 and sym[(1, (0, 1))] == 1
     assert sym[(2, (1, 1))] == c
-    assert interaction_coeff(P2, (0, 1)) == c
-    assert interaction_coeff(P2, (1, 0)) == c
+    # the pair factor does not depend on the order of the waves
+    swapped = ParamPoint(s=P2.s, eps=P2.eps, a=(a1, a0))
+    assert make_tau_plus(swapped)[(2, (1, 1))] == c
+
+
+def literal_taus(params: ParamPoint, beta):
+    """Both taus and the reflection factors at beta written out: each
+    subset's coefficient is its own product over pairs, d_k its own product
+    over the other waves."""
+    q, a, n = params.q, params.a, params.n
+    d = []
+    for k in range(n):
+        v = (1 - beta / (q * a[k])) / (1 - beta / a[k])
+        for j in range(n):
+            if j != k:
+                v *= (a[k] - q * a[j]) * (a[k] - a[j] / q) / (a[k] - a[j]) ** 2
+        d.append(v)
+    plus, minus = {}, {}
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            c = F(1)
+            for i, j in itertools.combinations(subset, 2):
+                c *= (a[i] - a[j]) ** 2 / ((a[i] - q * a[j]) * (a[i] - a[j] / q))
+            e = tuple(int(k in subset) for k in range(n))
+            plus[r, e] = c
+            minus[-r, tuple(-x for x in e)] = c * math.prod(d[k] for k in subset)
+    return plus, minus, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_taus_and_reflection_factors_equal_literal_products(n, seed, shifted):
+    params = sample_param_point(random.Random(seed), n)
+    # q**m eps stays clear of every a_k and q a_k at these m (ParamPoint)
+    beta = params.q ** (n + shifted) * params.eps
+    plus, minus, d = literal_taus(params, beta)
+    # key order too: the subsets run by size, then lexicographically
+    assert list(make_tau_plus(params).items()) == list(plus.items())
+    assert list(make_tau_minus(params, beta).items()) == list(minus.items())
+    assert [d_factor(params, k, beta) for k in range(n)] == d
 
 
 def test_d_factor_poles():
@@ -125,7 +163,7 @@ def shift_identity_residual(params: ParamPoint, beta):
     """Shifted upper tau vs reflection-factor expansion; zero iff they agree."""
     n = params.n
     lhs = miwa_shift(params, make_tau_plus(params), "tbar", beta, -1)
-    pref = interaction_coeff(params, tuple(range(n)))
+    pref = make_tau_plus(params)[n, (1,) * n]
     for k in range(n):
         pref *= 1 / miwa_factor(params, k, "tbar", beta)
     rhs = sym_mul({(n, (1,) * n): pref}, make_tau_minus(params, beta))

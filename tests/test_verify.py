@@ -309,8 +309,8 @@ def test_quad_kernel_guarantee_and_bad_pick():
 
 def test_vacuum_order_one_charge_is_bare_coupling():
     for eps in (F(1, 8), F(-3, 7), F(2, 5)):
-        assert closed_M(1, ParamPoint(F(1, 2), eps, ())) == eps
-        assert closed_M(1, ParamPoint(F(1, 3), eps, ())) == eps
+        assert closed_M(1, ParamPoint(F(1, 2), eps, ())) == [eps]
+        assert closed_M(1, ParamPoint(F(1, 3), eps, ())) == [eps]
 
 
 def test_vacuum_flow_identity_runs_exactly():
@@ -490,7 +490,7 @@ def test_partition_rows_equal_the_triple_table(k):
     for n in (0, 1, 2, 3):
         for _ in range(2):
             params = sample_param_point(rng, n, s=S)
-            shift = {o: o * closed_M(o, params) for o in (1, 2, 3)}
+            shift = {o: o * m for o, m in enumerate(closed_M(3, params), 1)}
             tp, tm, q = make_tau_plus(params), make_tau_minus(params), params.q
             pairs = (tm, tp, F(1)), (tau_subs(tm, 1 / q), tau_subs(tp, q), -params.eps)
             (rows,) = verify._rows_to(params, k)
