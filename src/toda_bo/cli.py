@@ -9,7 +9,7 @@ the only exception is `--timings`, which adds wall-clock fields.
 
 Exit codes: 0 everything passed, 1 a check or run failed (an unexpected
 exception prints one `internal error` line), 2 usage trouble (unknown flag,
-unknown identity, unreadable input file).
+unknown identity or a selector that matches none, unreadable input file).
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ def _cmd_verify(args) -> int:
         timings=args.timings,
     )
     reports = run_suite(args.identity, cfg)
+    if not reports:
+        raise UnknownIdentity(f"no identity matches {args.identity!r}")
     emit_report(reports, args.out)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -180,8 +180,9 @@ def sample_param_point(
 ) -> ParamPoint:
     """Draw a valid point with |a_k| in [1/8, 1/4] and |eps| in [1/16, 1/8].
 
-    Small magnitudes keep the unit-circle Laurent expansions of the tau
-    ratios geometrically decaying, which the convergent checks rely on.
+    The exact checks draw here.  The bounds do not make the tau ratio's
+    modes decay, so the convergent checks draw with soliton.sample_decaying,
+    which also tests the amplitudes against decay_report's margins.
     """
     for _ in range(1000):
         a = []

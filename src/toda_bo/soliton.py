@@ -53,8 +53,20 @@ Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
 
 
 def tau_subs(tau: Symbolic, c: Scalar) -> Symbolic:
-    """Substitute z -> c * z."""
-    return {(z, e): v * c**z for (z, e), v in tau.items()}
+    """Substitute z -> c * z; a z**0 term keeps its coefficient."""
+    return {(z, e): v * c**z if z else v for (z, e), v in tau.items()}
+
+
+def _scale_amplitudes(tau: Symbolic, factors) -> Symbolic:
+    """Substitute b_k -> factors[k] * b_k; a term without b_k keeps its
+    coefficient."""
+    out = {}
+    for (z, e), v in tau.items():
+        for f, x in zip(factors, e):
+            if x:
+                v *= f**x
+        out[z, e] = v
+    return out
 
 
 def tau_series(tau: Symbolic, b_values) -> Laurent:
@@ -65,9 +77,7 @@ def tau_series(tau: Symbolic, b_values) -> Laurent:
     if any(b == 0 for b in b_values):
         raise ValueError("amplitudes must be nonzero")
     coeffs: dict[int, Scalar] = {}
-    for (z, e), v in tau.items():
-        for b, x in zip(b_values, e):
-            v *= b**x
+    for (z, _), v in _scale_amplitudes(tau, b_values).items():
         coeffs[z] = coeffs.get(z, Fraction(0)) + v
     return {d: c for d, c in coeffs.items() if c}
 
@@ -75,32 +85,31 @@ def tau_series(tau: Symbolic, b_values) -> Laurent:
 # #### construction ############################################################
 
 
-def _pair_factor(q: Scalar, x: Scalar, y: Scalar) -> Scalar:
-    """Interaction factor of waves with wave numbers x and y, symmetric in
-    them; ParamPoint keeps its denominator nonzero."""
-    return (x - y) ** 2 / ((x - q * y) * (x - y / q))
-
-
-def d_factor(params: ParamPoint, k: int, beta: Scalar) -> Scalar:
-    """Reflection factor attached to wave number k at spectral point beta."""
+def _pair_table(params: ParamPoint) -> dict[tuple[int, int], Scalar]:
+    """Interaction factor (a_i - a_j)**2 / ((a_i - q a_j)(a_i - a_j / q)) of
+    each pair i < j of waves; ParamPoint keeps every one finite and
+    nonzero."""
     q, a = params.q, params.a
-    if a[k] == beta or q * a[k] == beta:
-        raise PoleError("beta collides with a wave number")
-    val = (1 - beta / (q * a[k])) / (1 - beta / a[k])
-    for j in range(params.n):
-        if j != k:
-            val /= _pair_factor(q, a[k], a[j])
-    return val
+    return {
+        (i, j): (a[i] - a[j]) ** 2 / ((a[i] - q * a[j]) * (a[i] - a[j] / q))
+        for i, j in itertools.combinations(range(params.n), 2)
+    }
 
 
-def _subset_terms(params: ParamPoint, sign: int, weights) -> Symbolic:
-    """Sum over the subsets I of the waves, by size and then in
+def _reflection_factors(params: ParamPoint, pairs, beta: Scalar) -> list[Scalar]:
+    """d_k at spectral point beta: the tbar Miwa factor of wave k at beta
+    over the pair factors (the point's table pairs) that involve k."""
+    return [
+        f / math.prod(c for ij, c in pairs.items() if k in ij)
+        for k, f in enumerate(miwa_factors(params, "tbar", beta))
+    ]
+
+
+def _subset_terms(n: int, pairs, sign: int, weights) -> Symbolic:
+    """Sum over the subsets I of the n waves, by size and then in
     lexicographic order, of z**(sign |I|) prod_{k in I} weights[k] b_k**sign
-    times the pair factors within I.  The factors are taken once, and a
+    times the pair factors within I, read from the point's table pairs.  A
     subset's coefficient extends the one without its largest member."""
-    q, a, n = params.q, params.a, params.n
-    pairs = itertools.combinations(range(n), 2)
-    c = {(i, j): _pair_factor(q, a[i], a[j]) for i, j in pairs}
     coeff = {(): ONE}
     tau = {}
     for r in range(n + 1):
@@ -108,7 +117,7 @@ def _subset_terms(params: ParamPoint, sign: int, weights) -> Symbolic:
             if subset:
                 *rest, k = subset
                 v = coeff[tuple(rest)] * weights[k]
-                coeff[subset] = math.prod((c[i, k] for i in rest), start=v)
+                coeff[subset] = math.prod((pairs[i, k] for i in rest), start=v)
             e = tuple(sign if j in subset else 0 for j in range(n))
             tau[sign * r, e] = coeff[subset]
     return tau
@@ -117,7 +126,7 @@ def _subset_terms(params: ParamPoint, sign: int, weights) -> Symbolic:
 def make_tau_plus(params: ParamPoint) -> Symbolic:
     """Upper tau: sum over subsets I of z**|I| C_I prod_{k in I} b_k, C_I
     the product of the pair factors within I."""
-    return _subset_terms(params, 1, [ONE] * params.n)
+    return _subset_terms(params.n, _pair_table(params), 1, [ONE] * params.n)
 
 
 def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> Symbolic:
@@ -128,30 +137,30 @@ def make_tau_minus(params: ParamPoint, beta: Scalar | None = None) -> Symbolic:
     """
     if beta is None:
         beta = params.q**params.n * params.eps
-    d = [d_factor(params, k, beta) for k in range(params.n)]
-    return _subset_terms(params, -1, d)
+    pairs = _pair_table(params)
+    d = _reflection_factors(params, pairs, beta)
+    return _subset_terms(params.n, pairs, -1, d)
 
 
 # #### finite shifts and flows #################################################
 
 
-def miwa_factor(params: ParamPoint, k: int, kind: str, amount: Scalar) -> Scalar:
-    """Per-amplitude factor of a finite shift of the time variables.
+def miwa_factors(params: ParamPoint, kind: str, amount: Scalar) -> list[Scalar]:
+    """Per-amplitude factors of a finite shift of the time variables.
 
     kind 't':    b_k *= (1 - q a_k amount) / (1 - a_k amount)
     kind 'tbar': b_k *= (1 - amount / (q a_k)) / (1 - amount / a_k)
     """
     q = params.q
-    a = params.a[k]
     if kind == "t":
-        num, den = 1 - q * a * amount, 1 - a * amount
+        fracs = [(1 - q * a * amount, 1 - a * amount) for a in params.a]
     elif kind == "tbar":
-        num, den = 1 - amount / (q * a), 1 - amount / a
+        fracs = [(1 - amount / (q * a), 1 - amount / a) for a in params.a]
     else:
         raise ValueError("kind must be 't' or 'tbar'")
-    if den == 0 or num == 0:
+    if any(num == 0 or den == 0 for num, den in fracs):
         raise PoleError("shift amount hits a pole of the amplitude factor")
-    return num / den
+    return [num / den for num, den in fracs]
 
 
 def miwa_shift(
@@ -160,13 +169,8 @@ def miwa_shift(
     """Finite shift of the time sequence by +-[amount]."""
     if direction not in (1, -1):
         raise ValueError("direction must be +-1")
-    facs = [miwa_factor(params, k, kind, amount) ** direction for k in range(params.n)]
-    out = {}
-    for (z, e), c in tau.items():
-        for f, x in zip(facs, e):
-            c *= f**x
-        out[z, e] = c
-    return out
+    facs = [f**direction for f in miwa_factors(params, kind, amount)]
+    return _scale_amplitudes(tau, facs)
 
 
 def flow_rates(params: ParamPoint, kind: str, order: int) -> list[Scalar]:
@@ -249,15 +253,18 @@ def bilinear(params: ParamPoint, rows) -> Symbolic:
 
 
 def decay_report(params: ParamPoint, b_values) -> dict:
-    """Margins governing the Laurent expansion of the field on |z| = 1.
+    """Per-wave margins max |b_k| and max |d_k / b_k| of the field's
+    expansion on |z| = 1, with the reflection factors d_k at q**n eps.
 
-    The upper tau vanishes near |z| ~ 1/|b_k| and the lower near
-    |z| ~ |d_k / b_k|; both stay off the unit circle when every |b_k| < 1
-    and |d_k| < |b_k|.  Returns the factors for callers to test.
+    At one wave the upper tau vanishes at |z| = 1/|b_1| and the lower at
+    |z| = |d_1 / b_1|, so margins below one keep both roots off the unit
+    circle.  At two or more waves the interaction terms move the roots and
+    the margins do not place them: most two-wave points that pass have a
+    root of tau_- outside |z| = 1.  Returns the factors for callers to test.
     """
     b_values = tuple(Fraction(x) for x in b_values)
     beta = params.q**params.n * params.eps
-    d = [d_factor(params, k, beta) for k in range(params.n)]
+    d = _reflection_factors(params, _pair_table(params), beta)
     outer = max((abs(x) for x in b_values), default=Fraction(0))
     inner = max(
         (abs(dk / bk) for dk, bk in zip(d, b_values)), default=Fraction(0)
@@ -327,11 +334,6 @@ def _annulus_ratio(
     return {e: out.get(e, zero) for e in range(-window, window + 1)}
 
 
-def _subs(p: Laurent, c: Scalar) -> Laurent:
-    """p(c z): the coefficient at degree d picks up c**d."""
-    return {d: v * c**d for d, v in p.items()}
-
-
 def _tau_ratio(
     taus: tuple[Symbolic, Symbolic],
     b_values,
@@ -345,10 +347,13 @@ def _tau_ratio(
     (tau_-(z/down) tau_+(z down)), zeros included, each make(num, den);
     taus is the amplitude-free pair (tau_+, tau_-), and scale multiplies the
     numerator's few terms, not the 2 window + 1 output coefficients."""
-    tp, tm = (tau_series(tau, b_values) for tau in taus)
-    num = series_mul(_subs(tm, 1 / up), _subs(tp, up))
-    num = {d: c * scale for d, c in num.items()}
-    return _annulus_ratio(num, _subs(tm, 1 / down), _subs(tp, down), window, make)
+    tp, tm = taus
+    tm_up, tp_up, tm_down, tp_down = (
+        tau_series(tau_subs(tau, c), b_values)
+        for tau, c in ((tm, 1 / up), (tp, up), (tm, 1 / down), (tp, down))
+    )
+    num = {d: c * scale for d, c in series_mul(tm_up, tp_up).items()}
+    return _annulus_ratio(num, tm_down, tp_down, window, make)
 
 
 def eta_series_from_taus(
@@ -358,8 +363,10 @@ def eta_series_from_taus(
 
     The coefficients of the rational function, each make(num, den) of its
     exact unreduced integer pair: exact Fractions by default, correctly
-    rounded doubles with operator.truediv.  They are the field's modes
-    whenever the decay margins are below one.  A caller that evaluates one
+    rounded doubles with operator.truediv.  They are the expansion between
+    the roots of tau_- and those of tau_+, and the field's modes on |z| = 1
+    when the unit circle lies between them, which decay_report's margins
+    ensure at one wave but not at two.  A caller that evaluates one
     point at many amplitudes passes its amplitude-free pair
     taus = (make_tau_plus(params), make_tau_minus(params)), built once.
     """

@@ -35,6 +35,7 @@ shift anyone's samples.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import zlib
@@ -92,12 +93,11 @@ from .scalar import (
 from .soliton import (
     BilinearOp,
     bilinear,
-    d_factor,
     decay_report,
     eta_series_from_taus,
     make_tau_minus,
     make_tau_plus,
-    miwa_factor,
+    miwa_factors,
     miwa_shift,
     sample_decaying,
     tau_subs,
@@ -350,26 +350,15 @@ def _lemma_basis(ctx: ModeContext) -> tuple[AlphaSeries, ...]:
 # per-identity windowed builders; each returns a list of (residual, witness)
 
 
-def _win_eta_eta(ctx):
-    ez = build_eta(ctx)
-    ew = ez.renamed("w")
-    lhs = bracket(ez, ew)
+def _win_self_bracket(ctx, build, kernel):
+    """{F(z), F(w)} = K(w/z) F(z) F(w), K(x) = sum_{l != 0} sgn(l)
+    kernel(|l|) x**l, for the field F = build(ctx)."""
+    fz = build(ctx)
+    fw = fz.renamed("w")
+    lhs = bracket(fz, fw)
     N = ctx.trunc.n_modes
-    terms = {l: _sgn(l) * ctx.one_minus_q(abs(l)) for l in range(-N, N + 1) if l}
-    rhs = apply_ratio_kernel(ez * ew, terms, (0, 1))
-    return [(lhs - rhs, lhs)]
-
-
-def _win_xi_xi(ctx):
-    xz = build_xi(ctx)
-    xw = xz.renamed("w")
-    lhs = bracket(xz, xw)
-    N = ctx.trunc.n_modes
-    q = ctx.q
-    terms = {
-        l: _sgn(l) * (q ** -abs(l) - 1) for l in range(-N, N + 1) if l
-    }
-    rhs = apply_ratio_kernel(xz * xw, terms, (0, 1))
+    terms = {l: _sgn(l) * kernel(abs(l)) for l in range(-N, N + 1) if l}
+    rhs = apply_ratio_kernel(fz * fw, terms, (0, 1))
     return [(lhs - rhs, lhs)]
 
 
@@ -505,15 +494,13 @@ def _run_t3_family(build, cfg: CheckConfig, rng: random.Random):
 
 
 def _draw_shift(rng, params: ParamPoint, kind: str, tally: list) -> Scalar:
-    """A shift amount off every pole of the kind's Miwa factors, and for tbar
-    of the reflection factors too; tally[0] counts the rejected draws."""
+    """A shift amount off every pole of the kind's Miwa factors (for tbar
+    those are the reflection factors' poles too); tally[0] counts the
+    rejected draws."""
     for _ in range(100):
         x = sample_shift_amount(rng)
         try:
-            for k in range(params.n):
-                miwa_factor(params, k, kind, x)
-                if kind == "tbar":
-                    d_factor(params, k, x)
+            miwa_factors(params, kind, x)
         except PoleError:
             tally[0] += 1
             continue
@@ -531,9 +518,7 @@ def _rows_tau_shift_lemma(params, beta):
     n = params.n
     tp = make_tau_plus(params)
     lhs = miwa_shift(params, tp, "tbar", beta, -1)
-    pref = tp[n, (1,) * n]
-    for k in range(n):
-        pref *= 1 / miwa_factor(params, k, "tbar", beta)
+    pref = tp[n, (1,) * n] / math.prod(miwa_factors(params, "tbar", beta))
     return [
         [
             (lhs, {(0, (0,) * n): ONE}, [(ONE, [])]),
@@ -546,9 +531,7 @@ def _rows_hm_pm_1(params, alpha):
     q, eps, n = params.q, params.eps, params.n
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     tm_a = miwa_shift(params, tm, "t", alpha)
-    c = 1 - alpha * q**n * eps
-    for k in range(n):
-        c /= miwa_factor(params, k, "t", alpha)
+    c = (1 - alpha * q**n * eps) / math.prod(miwa_factors(params, "t", alpha))
     return [
         [
             (tm_a, tp, [(ONE, [])]),
@@ -562,9 +545,7 @@ def _rows_hm_pm_2(params, beta):
     q, eps, n = params.q, params.eps, params.n
     tp, tm = make_tau_plus(params), make_tau_minus(params)
     tm_b = miwa_shift(params, tm, "tbar", beta)
-    c = 1 - beta / (q**n * eps)
-    for k in range(n):
-        c /= miwa_factor(params, k, "tbar", beta)
+    c = (1 - beta / (q**n * eps)) / math.prod(miwa_factors(params, "tbar", beta))
     return [
         [
             (tau_subs(tm_b, 1 / q), tp, [(ONE, [])]),
@@ -826,8 +807,10 @@ _REGISTRY = (
         "bracket",
         _run_bracket_family,
         {
-            "eta-eta": _win_eta_eta,
-            "xi-xi": _win_xi_xi,
+            "eta-eta": lambda ctx: _win_self_bracket(ctx, build_eta, ctx.one_minus_q),
+            "xi-xi": lambda ctx: _win_self_bracket(
+                ctx, build_xi, lambda n: ctx.q**-n - 1
+            ),
             "eta-xi": _win_eta_xi,
             "eta-tau-": lambda ctx: _win_field_tau(ctx, "eta", "-"),
             "eta-tau+": lambda ctx: _win_field_tau(ctx, "eta", "+"),

@@ -54,6 +54,21 @@ def test_unknown_identity_exits_2(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "selector", ["zz-*", ",", " , "], ids=["glob", "comma", "spaced-comma"]
+)
+def test_selector_matching_nothing_exits_2(capsys, tmp_path, selector):
+    # an empty selection is usage trouble, not a passing run of no checks
+    out = tmp_path / "report.json"
+    rc, stdout, err = run_main(
+        capsys, ["verify", "--identity", selector, "--out", str(out)]
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert not out.exists()
+    assert err == f"toda-bo: no identity matches {selector!r}\n"
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["verify", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2
@@ -209,12 +224,6 @@ def test_empty_report_bytes(tmp_path):
     path = tmp_path / "report.json"
     emit_report([], str(path))
     assert path.read_text() == '{"schema":"toda-bo-report/1","checks":[]}\n'
-
-
-def test_empty_filter_emits_empty_report(capsys):
-    rc, out, _ = run_main(capsys, ["verify", "--identity", "zz-*"])
-    assert rc == 0
-    assert out == '{"schema":"toda-bo-report/1","checks":[]}\n'
 
 
 def test_timings_flag_adds_wall_clock(capsys):
@@ -451,8 +460,8 @@ def test_entry_point_process_exit_codes(tmp_path):
     proc = subprocess.run(
         cmd + ["verify", "--identity", "zz-*"], capture_output=True, text=True
     )
-    assert proc.returncode == 0
-    assert proc.stdout == '{"schema":"toda-bo-report/1","checks":[]}\n'
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "toda-bo: no identity matches 'zz-*'\n"
 
 
 def test_evolve_blow_up_process_prints_one_line(tmp_path):

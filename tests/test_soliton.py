@@ -26,13 +26,12 @@ from toda_bo.series import series_mul
 from toda_bo.soliton import (
     BilinearOp,
     bilinear,
-    d_factor,
     decay_report,
     eta_series_from_taus,
     flow_rates,
     make_tau_minus,
     make_tau_plus,
-    miwa_factor,
+    miwa_factors,
     miwa_shift,
     modes_from_series,
     parse_soliton_spec,
@@ -131,13 +130,25 @@ def test_taus_and_reflection_factors_equal_literal_products(n, seed, shifted):
     # key order too: the subsets run by size, then lexicographically
     assert list(make_tau_plus(params).items()) == list(plus.items())
     assert list(make_tau_minus(params, beta).items()) == list(minus.items())
-    assert [d_factor(params, k, beta) for k in range(n)] == d
+    assert reflection_factors(params, beta) == d
 
 
-def test_d_factor_poles():
-    bad = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
-    with pytest.raises(PoleError):
-        d_factor(bad, 0, F(1, 5))
+def reflection_factors(params: ParamPoint, beta):
+    return soliton._reflection_factors(params, soliton._pair_table(params), beta)
+
+
+@pytest.mark.parametrize("times_q", [False, True], ids=["beta=a_k", "beta=q*a_k"])
+def test_d_factor_poles(times_q):
+    # the reflection factors and the tbar Miwa factors share both poles,
+    # beta = a_k and beta = q a_k, at every wave k
+    for a in P3.a:
+        beta = P3.q * a if times_q else a
+        with pytest.raises(PoleError):
+            reflection_factors(P3, beta)
+        with pytest.raises(PoleError):
+            miwa_factors(P3, "tbar", beta)
+        with pytest.raises(PoleError):
+            make_tau_minus(P3, beta)
 
 
 # #### finite shifts ############################################################
@@ -146,10 +157,14 @@ def test_d_factor_poles():
 def test_miwa_factors():
     q, a = P1.q, P1.a[0]
     al = F(1, 11)
-    assert miwa_factor(P1, 0, "t", al) == (1 - q * a * al) / (1 - a * al)
-    assert miwa_factor(P1, 0, "tbar", al) == (1 - al / (q * a)) / (1 - al / a)
+    assert miwa_factors(P1, "t", al) == [(1 - q * a * al) / (1 - a * al)]
+    assert miwa_factors(P1, "tbar", al) == [(1 - al / (q * a)) / (1 - al / a)]
+    for kind in ("t", "tbar"):
+        assert miwa_factors(P3, kind, al) == [
+            miwa_factors(ParamPoint(P3.s, P3.eps, (x,)), kind, al)[0] for x in P3.a
+        ]
     with pytest.raises(ValueError):
-        miwa_factor(P1, 0, "u", al)
+        miwa_factors(P1, "u", al)
 
 
 def test_miwa_shift_composes_to_identity():
@@ -164,8 +179,8 @@ def shift_identity_residual(params: ParamPoint, beta):
     n = params.n
     lhs = miwa_shift(params, make_tau_plus(params), "tbar", beta, -1)
     pref = make_tau_plus(params)[n, (1,) * n]
-    for k in range(n):
-        pref *= 1 / miwa_factor(params, k, "tbar", beta)
+    for f in miwa_factors(params, "tbar", beta):
+        pref *= 1 / f
     rhs = sym_mul({(n, (1,) * n): pref}, make_tau_minus(params, beta))
     return sym_lin((1, lhs), (-1, rhs))
 

@@ -79,7 +79,7 @@ from toda_bo.verify import (
     _residual_max,
     _run_windowed,
     _sgn,
-    _win_eta_eta,
+    _win_self_bracket,
     _win_hirota_tb,
     _win_lemma,
     _win_prop,
@@ -222,7 +222,7 @@ def test_window_too_small_is_inconclusive_failure():
 
 def test_nonzero_series_fails_as_violations():
     ctx = _ctx_bracket(WIN)
-    ((_, wit),) = _win_eta_eta(ctx)
+    ((_, wit),) = _win_self_bracket(ctx, build_eta, ctx.one_minus_q)
     worst, passed, detail = _finish_windowed([(wit, wit)], WIN.trunc_z)
     assert not passed
     assert detail["violations"] > 0
