@@ -19,12 +19,22 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 # numpy's bundled OpenBLAS starts an idle worker pool when it loads; the one
 # BLAS call here, a short dot in np.convolve, runs on one thread regardless.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .evolve import BlowUpError, RandomInit, RunConfig, SolitonInit, q_from_gamma, run
+from .evolve import (
+    BlowUpError,
+    RandomInit,
+    RunConfig,
+    SolitonInit,
+    q_from_gamma,
+    record_line,
+    run,
+)
 from .iom import I_k_def, ModeVector, closed_I, soliton_decay
 from .modes import MAX_WEIGHT
 from .scalar import (
@@ -56,12 +66,14 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(lines: Iterable[str], path: str | None) -> None:
+    """Write the lines in order, to the file at path or to stdout; a lazy
+    iterable is rendered one line at a time as it is written."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(lines)
 
 
 def emit_report(reports: list[CheckReport], path: str | None = None) -> None:
@@ -70,7 +82,7 @@ def emit_report(reports: list[CheckReport], path: str | None = None) -> None:
     Compact separators: the report is a machine artifact and its bytes are
     part of the reproducibility contract."""
     doc = {"schema": REPORT_SCHEMA, "checks": [r.to_json() for r in reports]}
-    _write(json.dumps(doc, separators=(",", ":")) + "\n", path)
+    _write([json.dumps(doc, separators=(",", ":")) + "\n"], path)
 
 
 # #### subcommand handlers #####################################################
@@ -116,7 +128,7 @@ def _cmd_iom(args) -> int:
         "abs_diff_decimal": scalar_decimal(diff),
         "tail_bound_decimal": None if res.tail is None else scalar_decimal(res.tail),
     }
-    _write(_dumps(doc), args.out)
+    _write([_dumps(doc)], args.out)
     return 0
 
 
@@ -151,10 +163,12 @@ def _cmd_evolve(args) -> int:
             "q": [init.q.real, init.q.imag],
         },
     }
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(r) for r in records)
-    lines.append(json.dumps({"summary": summary}))
-    _write("\n".join(lines) + "\n", args.out)
+    lines = chain(
+        [json.dumps(header) + "\n"],
+        map(record_line, records),
+        [json.dumps({"summary": summary}) + "\n"],
+    )
+    _write(lines, args.out)
     return 0
 
 
@@ -204,7 +218,7 @@ def _cmd_soliton(args) -> int:
     except PoleError as exc:
         print(f"toda-bo: degenerate wave spec: {exc}", file=sys.stderr)
         return 2
-    _write(_dumps(doc), args.out)
+    _write([_dumps(doc)], args.out)
     return 0
 
 

@@ -12,6 +12,7 @@ diagnostic instead of being absorbed by adaptivity.
 from __future__ import annotations
 
 import cmath
+import json
 import operator
 import random as _random
 from dataclasses import dataclass, field
@@ -239,19 +240,30 @@ class RunConfig:
 def _record(s: State, i1: complex, i2: complex) -> dict:
     return {
         "t": s.t,
-        "modes": s.modes.view(np.float64).reshape(-1, 2).tolist(),
+        "modes": s.modes,
         "I1": [i1.real, i1.imag],
         "I2": [i2.real, i2.imag],
     }
 
 
+def record_line(record: dict) -> str:
+    """A run record as its JSONL line, each mode as its [re, im] pair.
+
+    Only this line's floats are built, so a run written one line at a time
+    holds one line's text on top of its mode arrays."""
+    line = dict(record)
+    line["modes"] = record["modes"].view(np.float64).reshape(-1, 2).tolist()
+    return json.dumps(line) + "\n"
+
+
 def run(config: RunConfig) -> tuple[list[dict], dict]:
     """Integrate, sampling every check_interval steps (plus the endpoints).
 
-    Returns (records, summary): records are JSON-ready snapshots
-    {t, modes, I1, I2}; the summary carries the conservation drifts and,
-    for wave initial data, the worst mode error against the analytic
-    trajectory."""
+    Returns (records, summary): records are snapshots {t, modes, I1, I2},
+    each holding its State's own mode array (never mutated, not copied) and
+    rendered to JSON by record_line; the summary carries the conservation
+    drifts and, for wave initial data, the worst mode error against the
+    analytic trajectory."""
     state = initial_state(config.init, config.n_modes)
     soliton = isinstance(config.init, SolitonInit)
     i1_0, i2_0 = conserved_pair(state)

@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -308,12 +309,17 @@ def test_evolve_bad_gamma_or_dt_exits_2(capsys):
     assert main(["evolve", "--dt", "inf", "--steps", "2", "--modes", "4"]) == 2
 
 
-def test_evolve_blow_up_exits_1(capsys):
-    rc, _, err = run_main(
-        capsys, ["evolve", "--modes", "8", "--dt", "50", "--steps", "10"]
-    )
-    assert rc == 1
-    assert "toda-bo:" in err
+def test_evolve_blow_up_exits_1(capsys, tmp_path):
+    # output is written only after the run returns, so a blow-up writes
+    # nothing: no line on stdout and no file at --out
+    path = tmp_path / "blow.jsonl"
+    argv = ["evolve", "--modes", "8", "--dt", "50", "--steps", "10"]
+    for extra in ([], ["--out", str(path)]):
+        rc, out, err = run_main(capsys, argv + extra)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("toda-bo:") and err.count("\n") == 1
+        assert not path.exists()
 
 
 def test_evolve_blow_up_names_the_stage_time(capsys):
@@ -323,6 +329,27 @@ def test_evolve_blow_up_names_the_stage_time(capsys):
     assert rc == 1
     _, sep, t = err.strip().partition("non-finite mode at t=")
     assert sep and float(t) > 0, err
+
+
+def test_evolve_memory_grows_by_one_mode_array_per_sample(tmp_path):
+    # each sample holds its 129-mode complex array (2 KB of data) until the
+    # run returns; its floats, its line and the whole document are built one
+    # line at a time while writing, not held per sample (29 KB a sample
+    # when they were)
+    out = str(tmp_path / "run.jsonl")
+
+    def peak(steps: int) -> int:
+        tracemalloc.start()
+        try:
+            argv = ["evolve", "--modes", "64", "--steps", str(steps), "--out", out]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm-up: kernel table, imports
+    per_sample = (peak(400) - peak(200)) / 20  # 41 samples against 21
+    assert per_sample <= 4096, per_sample
 
 
 # #### soliton subcommand ######################################################

@@ -36,6 +36,7 @@ from toda_bo.evolve import (
     initial_state,
     kernel,
     q_from_gamma,
+    record_line,
     rk4_step,
     run,
 )
@@ -349,7 +350,12 @@ def test_run_samples_and_conserves():
     assert [sorted(r) for r in records] == [["I1", "I2", "modes", "t"]] * 5
     assert records[0]["t"] == 0.0
     assert len(records[0]["modes"]) == 33
-    json.dumps(records)  # JSON-ready snapshots
+    for r in records:  # each record renders to one JSON line of its values
+        line = record_line(r)
+        assert line.endswith("\n") and line.count("\n") == 1
+        doc = json.loads(line)
+        assert (doc["t"], doc["I1"], doc["I2"]) == (r["t"], r["I1"], r["I2"])
+        assert doc["modes"] == [[z.real, z.imag] for z in r["modes"]]
     assert summary["eta0_drift"] <= 1e-14
     assert summary["i2_rel_drift"] <= 1e-12
     assert summary["max_mode_error"] is not None
