@@ -333,9 +333,9 @@ def test_evolve_blow_up_names_the_stage_time(capsys):
 
 def test_evolve_memory_grows_by_one_mode_array_per_sample(tmp_path):
     # each sample holds its 129-mode complex array (2 KB of data) until the
-    # run returns; its floats, its line and the whole document are built one
-    # line at a time while writing, not held per sample (29 KB a sample
-    # when they were)
+    # run returns; its floats and its line are built while writing, one line
+    # at a time (holding them per sample, plus a joined document, costs
+    # 29 KB a sample)
     out = str(tmp_path / "run.jsonl")
 
     def peak(steps: int) -> int:
