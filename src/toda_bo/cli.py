@@ -35,7 +35,7 @@ from .evolve import (
     record_line,
     run,
 )
-from .iom import I_k_def, ModeVector, closed_I, soliton_decay
+from .iom import I_k_def, ModeVector, closed_I, shell_tail, soliton_decay
 from .modes import MAX_WEIGHT
 from .scalar import (
     ZERO,
@@ -110,10 +110,10 @@ def _cmd_iom(args) -> int:
     params, b = sample_decaying(S, rng, args.solitons)
     window = 2 * args.modes
     mv = ModeVector.from_series(eta_series_from_taus(params, b, window))
-    decay = soliton_decay(params, b, mv)
-    res = I_k_def(mv, args.k, args.modes, params.q, decay=decay)
+    value = I_k_def(mv, args.k, args.modes, params.q)
+    tail = shell_tail(args.k, args.modes, params.q, soliton_decay(params, b, mv))
     closed = closed_I(args.k, params)[-1]
-    diff = abs(res.value - closed)
+    diff = abs(value - closed)
     doc = {
         "schema": "toda-bo-iom/1",
         "k": args.k,
@@ -121,12 +121,12 @@ def _cmd_iom(args) -> int:
         "seed": args.seed,
         "point": params.to_json(),
         "amplitudes": [scalar_str(x) for x in b],
-        "value": scalar_str(res.value),
-        "value_decimal": scalar_decimal(res.value),
+        "value": scalar_str(value),
+        "value_decimal": scalar_decimal(value),
         "closed": scalar_str(closed),
         "closed_decimal": scalar_decimal(closed),
         "abs_diff_decimal": scalar_decimal(diff),
-        "tail_bound_decimal": None if res.tail is None else scalar_decimal(res.tail),
+        "tail_bound_decimal": scalar_decimal(tail),
     }
     _write([_dumps(doc)], args.out)
     return 0

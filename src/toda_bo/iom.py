@@ -50,10 +50,12 @@ closed forms and the quadratic/cubic kernel formulas live here so callers
 can cross-check the independent routes.
 
 Truncation bounds live beside what they bound, for modes under a decay
-model |mode m| <= H rho**|m|: _shell_tail bounds the kernel shells that
+model |mode m| <= H rho**|m|: shell_tail bounds the kernel shells that
 I_k_def drops past its cutoff, kernel_tail what M2_kernel and M3_kernel
 drop, and newton_error_bound how far M_from_I moves when each charge moves
-by its tail bound.
+by its tail bound.  Each sum returns its value; shell_tail and kernel_tail
+are calls of their own, and raise ParamError where the decay model gives no
+bound.
 
 Soundness of the functional (mode-polynomial) builders at full claimed
 weight: a weight-w output monomial factors as mu_1..mu_j with each factor
@@ -145,19 +147,6 @@ def power_geometric_tail(j: int, r: Scalar, N: int) -> Scalar:
 
 
 # #### k-point kernel charges ##################################################
-
-
-@dataclass(frozen=True)
-class IomResult:
-    """A truncated charge value plus an upper bound on what truncation lost.
-
-    tail is None when no decay model was supplied (or none yields a
-    convergent bound); when present it bounds the dropped kernel shells,
-    assuming |mode m| <= H rho**|m|.
-    """
-
-    value: object
-    tail: Scalar | None
 
 
 def _kernel_coeff(qq: Scalar, m: int) -> Scalar:
@@ -263,12 +252,16 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
     return total
 
 
-def _exact_sum(kernel, field: dict, table: list, k: int, p: int, mul):
-    """kernel(field, table, mul), on Python ints when the field holds
-    Fractions: kernel, a sum of terms of degree k in the field and p in the
-    table, runs on the field scaled by D and the table by E (the lcms of
-    their denominators), and its total over D**k E**p is the value.  Any
-    other field (mode polynomials) runs kernel as given."""
+def _exact_sum(kernel, eta: ModeVector, reach: int, table: list, k: int, p: int, mul):
+    """kernel(field, table, mul) over the field eta[-reach..reach], on
+    Python ints when the field holds Fractions: kernel, a sum of terms of
+    degree k in the field and p in the table, runs on the field scaled by D
+    and the table by E (the lcms of their denominators), and its total over
+    D**k E**p is the value.  Any other field (mode polynomials) runs kernel
+    as given.  A reach past eta's window raises."""
+    if reach > eta.N:
+        raise ValueError(f"mode {-reach} outside window {eta.N}; widen the modes")
+    field = {e: eta[e] for e in range(-reach, reach + 1)}
     if not all(isinstance(v, Fraction) for v in field.values()):
         return kernel(field, table, mul)
     values, D = numerators(field.values())
@@ -277,16 +270,21 @@ def _exact_sum(kernel, field: dict, table: list, k: int, p: int, mul):
     return Fraction(total, D**k * E**p)
 
 
-def _shell_tail(k: int, N: int, q: Scalar, h: Scalar, rho: Scalar) -> Scalar | None:
-    """Bound on the dropped kernel shells: every vector with some exponent
-    M > N, for k >= 2 and modes bounded by H rho**|m|; None when neither
-    shell ratio converges.
+def shell_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scalar:
+    """Bound on what I_k_def drops past N: every vector with some exponent
+    M > N, for modes bounded by H rho**|m|.  Zero at k = 1, which drops
+    nothing; raises ParamError when neither shell ratio converges.
 
     Within a shell the coefficient product carries |q|**(sum m) and the mode
     product is bounded by H**k rho**(sum |flow|); the cut-flow argument
     gives sum |flow| >= 2M and sum m <= (k-1) * max cut flow, hence the two
     candidate shell ratios below.  Shell M holds at most p (M+1)**(p-1)
     vectors."""
+    h, rho = decay
+    if not 0 < rho < 1:
+        raise ValueError("decay ratio must lie in (0, 1)")
+    if k == 1:
+        return ZERO
     p = k * (k - 1) // 2
     kappa = max(ONE, abs(ONE - 1 / q))
     candidates = []
@@ -296,20 +294,12 @@ def _shell_tail(k: int, N: int, q: Scalar, h: Scalar, rho: Scalar) -> Scalar | N
     if rescue < 1:
         candidates.append(rescue)
     if not candidates:
-        return None
+        raise ParamError("charge tail bound unavailable at this decay rate")
     r = min(candidates)
     return kappa**p * h**k * p * power_geometric_tail(p - 1, r, N)
 
 
-def I_k_def(
-    eta: ModeVector,
-    k: int,
-    N: int,
-    q: Scalar,
-    *,
-    decay: tuple[Scalar, Scalar] | None = None,
-    mul=operator.mul,
-) -> IomResult:
+def I_k_def(eta: ModeVector, k: int, N: int, q: Scalar, mul=operator.mul):
     """Constant term of k field copies against pair kernels, truncated at N.
 
     The pair kernel is (1 - w)/(1 - q w); the mirror orientation is the
@@ -318,8 +308,8 @@ def I_k_def(
     position; a k >= 2 charge reaches |flow| <= (k-1) N.  The last pair is
     summed from an anti-diagonal table (module docstring), so the work is
     (N+1)**(p-1) vectors plus O((k-1)**2 N**2) table products for p pairs.
-    A mode past the window raises; with a decay model (H, rho) the tail
-    bounds the dropped kernel shells.
+    A mode past the window raises; shell_tail bounds the dropped kernel
+    shells under a decay model.
 
     A field of Fractions is summed on Python ints: the field scaled by D
     and the kernel table by E (the lcms of their denominators) make the
@@ -333,23 +323,14 @@ def I_k_def(
     p = k * (k - 1) // 2
     if (N + 1) ** p > ENUM_BUDGET:
         raise BudgetError(f"(N+1)**{p} exponent vectors exceed the budget")
-    if decay is not None:
-        h, rho = decay
-        if not 0 < rho < 1:
-            raise ValueError("decay ratio must lie in (0, 1)")
     if p == 0:
-        return IomResult(eta[0], ZERO)
-    reach = (k - 1) * N
-    if reach > eta.N:
-        raise ValueError(f"mode {-reach} outside window {eta.N}; widen the modes")
-    field = {e: eta[e] for e in range(-reach, reach + 1)}
+        return eta[0]
     ktab = [_kernel_coeff(q, m) for m in range(N + 1)]
 
     def kernel(f, t, mul):
         return _kernel_sum(f, k, t, q, mul)
 
-    total = _exact_sum(kernel, field, ktab, k, p, mul)
-    return IomResult(total, None if decay is None else _shell_tail(k, N, q, h, rho))
+    return _exact_sum(kernel, eta, (k - 1) * N, ktab, k, p, mul)
 
 
 # #### quadratic and cubic kernel formulas #####################################
@@ -358,8 +339,6 @@ def I_k_def(
 def M2_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
     """Half the squared zero mode plus the geometric off-diagonal sum, over
     a table of q's powers; on integer numerators for a Fraction field."""
-    if eta.N < N:
-        raise ValueError("mode window too small")
 
     def kernel(f, qtab, mul):
         cross = f[0] * 0
@@ -367,15 +346,12 @@ def M2_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
             cross = cross + qtab[m] * mul(f[-m], f[m])
         return Fraction(1, 2) * qtab[0] * mul(f[0], f[0]) + cross
 
-    field = {m: eta[m] for m in range(-N, N + 1)}
-    return _exact_sum(kernel, field, [q**m for m in range(N + 1)], 2, 1, mul)
+    return _exact_sum(kernel, eta, N, [q**m for m in range(N + 1)], 2, 1, mul)
 
 
 def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
     """Cubic charge: third of the zero-mode cube plus the double kernel sum,
     over a table of q's powers; on integer numerators for a Fraction field."""
-    if eta.N < N:
-        raise ValueError("mode window too small")
 
     def kernel(f, qtab, mul):
         cross = f[0] * 0
@@ -384,8 +360,7 @@ def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
                 cross = cross + qtab[r + s] * mul(mul(f[-r], f[r - s]), f[s])
         return Fraction(1, 3) * qtab[0] * mul(mul(f[0], f[0]), f[0]) + cross
 
-    field = {m: eta[m] for m in range(-N, N + 1)}
-    return _exact_sum(kernel, field, [q**j for j in range(2 * N + 1)], 3, 1, mul)
+    return _exact_sum(kernel, eta, N, [q**j for j in range(2 * N + 1)], 3, 1, mul)
 
 
 def kernel_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scalar:
@@ -511,17 +486,14 @@ def M_from_I(i_values: list, p: ParamPoint) -> list:
     ]
 
 
-def newton_error_bound(results: list[IomResult], p: ParamPoint) -> Scalar:
-    """Worst-case shift of M_from_I over k = len(results) in {2, 3} charges
-    when each moves by its tail bound, on explicit monomial bounds; a result
-    without a tail bound raises ParamError."""
-    if any(r.tail is None for r in results):
-        raise ParamError("charge tail bound unavailable at this decay rate")
-    k = len(results)
+def newton_error_bound(values: list, tails: list, p: ParamPoint) -> Scalar:
+    """Worst-case shift of M_from_I over k = len(values) in {2, 3} charges
+    when each moves by its tail bound, on explicit monomial bounds."""
+    k = len(values)
     q = p.q
     w = newton_normalizers(q, k)
-    e = [abs(r.value) * abs(wj) for r, wj in zip(results, w)]
-    d = [r.tail * abs(wj) for r, wj in zip(results, w)]
+    e = [abs(v) * abs(wj) for v, wj in zip(values, w)]
+    d = [t * abs(wj) for t, wj in zip(tails, w)]
     if k == 2:
         c = abs(1 - q**2) / 2
         return c * (2 * (e[0] + d[0]) * d[0] + 2 * d[1])

@@ -58,6 +58,7 @@ from .iom import (
     kernel_tail,
     mode_table,
     newton_error_bound,
+    shell_tail,
     soliton_decay,
 )
 from .modes import (
@@ -666,7 +667,7 @@ _MIRROR_POINTS = (
 
 def _ladder(mv: ModeVector, k: int, cutoffs, q: Scalar, closed: Scalar):
     """The charge I_k of mv at each cutoff, and their distances to closed."""
-    vals = [I_k_def(mv, k, N, q).value for N in cutoffs]
+    vals = [I_k_def(mv, k, N, q) for N in cutoffs]
     return vals, [abs(v - closed) for v in vals]
 
 
@@ -690,7 +691,7 @@ def _run_conj_iom(cfg: CheckConfig, rng: random.Random):
         closed = closed_I(3, params)
         for k in (1, 2, 3):
             vals, ladder = _ladder(mv, k, IOM_CUTOFFS, params.q, closed[k - 1])
-            amp_diff = abs(I_k_def(mv_alt, k, top, params.q).value - vals[-1])
+            amp_diff = abs(I_k_def(mv_alt, k, top, params.q) - vals[-1])
             worst = max(worst, ladder[-1], amp_diff)
             cases.append(
                 {
@@ -740,7 +741,7 @@ def _formal_newton_vs_kernel(k: int) -> bool:
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     mv = mode_table(ctx, 2 if k == 3 else 1)
     capped = capped_mul(ctx)
-    vals = [I_k_def(mv, i, N, ctx.q, mul=capped).value for i in range(1, k + 1)]
+    vals = [I_k_def(mv, i, N, ctx.q, mul=capped) for i in range(1, k + 1)]
     newton = M_from_I(vals, ParamPoint(S, EPS))[-1]
     return newton.pruned(N, D) == _CHARGE_FUNCTIONALS[k](ctx).functional_value()
 
@@ -767,10 +768,11 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     mv = ModeVector.from_series(eta_series_from_taus(params, b, window))
     decay = soliton_decay(params, b, mv)
     q = params.q
-    i_res = [I_k_def(mv, i, N, q, decay=decay) for i in range(1, k + 1)]
-    newton_val = M_from_I([r.value for r in i_res], params)[-1]
+    i_vals = [I_k_def(mv, i, N, q) for i in range(1, k + 1)]
+    tails = [shell_tail(i, N, q, decay) for i in range(1, k + 1)]
+    newton_val = M_from_I(i_vals, params)[-1]
     kern_val = M2_kernel(mv, N, q) if k == 2 else M3_kernel(mv, N, q)
-    tol = newton_error_bound(i_res, params) + kernel_tail(k, N, q, decay)
+    tol = newton_error_bound(i_vals, tails, params) + kernel_tail(k, N, q, decay)
     diff = abs(kern_val - newton_val)
     numeric_ok = diff <= tol
 

@@ -597,6 +597,10 @@ _IOM_DIGESTS = {
             + ["--steps", "200"],
             "269e68449e6184266fb8e24f4d7196a3bb85cfcb9f98ca70f7bd5882a043d749",
         ),
+        (
+            ["iom", "--k", "3", "--solitons", "2", "--modes", "16", "--seed", "3"],
+            "4ddb8a1d038b84d55b38d5537a0005efc7929feec21c16be6c24f86188df6bbd",
+        ),
     ]
     + [
         (
@@ -606,7 +610,7 @@ _IOM_DIGESTS = {
         for (k, n), digest in _IOM_DIGESTS.items()
     ],
     ids=["soliton-eval-w64", "soliton-eval-three-waves-w16", "evolve-default"]
-    + ["evolve-random-m32"]
+    + ["evolve-random-m32", "iom-k3-two-waves-m16-seed3"]
     + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
 )
 def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):

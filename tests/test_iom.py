@@ -32,14 +32,13 @@ from toda_bo.iom import (
     closed_I,
     closed_M,
     _kernel_coeff,
-    _shell_tail,
     _times,
     capped_mul,
     fit_decay,
     kernel_tail,
     mode_table,
-    newton_error_bound,
     power_geometric_tail,
+    shell_tail,
     soliton_decay,
 )
 from toda_bo.modes import (
@@ -113,9 +112,8 @@ def test_kernel_coeff_multiplies_back(kind):
 
 def test_first_charge_is_zero_mode():
     mv = eta_modes(P1, (F(1, 2),), 8)
-    res = I_k_def(mv, 1, 8, Q)
-    assert res.value == mv[0]
-    assert res.tail == 0
+    assert I_k_def(mv, 1, 8, Q) == mv[0]
+    assert shell_tail(1, 8, Q, fit_decay(mv, F(1, 2))) == 0
 
 
 def test_second_charge_literal_sum():
@@ -124,7 +122,7 @@ def test_second_charge_literal_sum():
     expect = mv[0] * mv[0]
     for m in range(1, N + 1):
         expect += (1 - 1 / Q) * Q**m * mv[-m] * mv[m]
-    assert I_k_def(mv, 2, N, Q).value == expect
+    assert I_k_def(mv, 2, N, Q) == expect
 
 
 def literal_charge(eta, k, N, q, mul=operator.mul):
@@ -154,7 +152,7 @@ def test_charge_matches_literal_enumeration(k, kind, case):
     # the value is the same exact element as the literal sum over all
     # (N+1)**(k(k-1)/2) vectors: Fractions on soliton modes, and mode
     # polynomials under the capped product; a window short of the reach
-    # raises, a decay model or not
+    # raises, though a decay model bounds the modes past it
     qq = Q if kind == "plus" else 1 / Q
     modes = eta_modes if kind == "plus" else xi_modes
     decay, mul = None, operator.mul
@@ -169,14 +167,11 @@ def test_charge_matches_literal_enumeration(k, kind, case):
             decay = fit_decay(mv, F(1, 10))
     if (k - 1) * N > mv.N:
         with pytest.raises(ValueError, match=f"outside window {mv.N}"):
-            I_k_def(mv, k, N, qq, decay=decay, mul=mul)
+            I_k_def(mv, k, N, qq, mul=mul)
         return
-    res = I_k_def(mv, k, N, qq, decay=decay, mul=mul)
-    assert res.value == literal_charge(mv, k, N, qq, mul)
-    if k == 1:
-        assert res.tail == 0
-    else:
-        assert res.tail is None
+    assert I_k_def(mv, k, N, qq, mul=mul) == literal_charge(mv, k, N, qq, mul)
+    if decay is not None:
+        assert shell_tail(k, N, qq, decay) == 0
 
 
 def test_third_charge_work_is_quadratic_in_the_cutoff(monkeypatch):
@@ -198,9 +193,9 @@ def test_third_charge_work_is_quadratic_in_the_cutoff(monkeypatch):
 
     N = 24
     mv = eta_modes(P1, (F(1, 2),), 2 * N)
-    expect = I_k_def(mv, 3, N, Q).value
+    expect = I_k_def(mv, 3, N, Q)
     monkeypatch.setattr(iom, "_kernel_sum", counting_sum)
-    assert I_k_def(mv, 3, N, Q).value == expect
+    assert I_k_def(mv, 3, N, Q) == expect
     # the table forms each anti-diagonal product once, (N+1)**2 + N (2N+1)
     # in all, and each of the 2N + 1 outer flows costs one more
     assert calls == (N + 1) ** 2 + (N + 1) * (2 * N + 1)
@@ -239,30 +234,43 @@ def rational_fields(draw):
 @given(rational_fields())
 @settings(max_examples=80, deadline=None)
 def test_integer_charge_equals_literal_enumeration(case):
-    # the integer sum at q and at 1/q is the literal sum, and its tail the
-    # shell bound; a window short of the reach raises, a decay model or not
+    # the integer sum at q and at 1/q is the literal sum; a window short of
+    # the reach raises.  The shell bound exists when a shell ratio, |q| or
+    # |q|**(k-1) rho**2, lies below 1, and raises otherwise
     mv, k, N, q, decay = case
+    if decay is not None:
+        rho = decay[1]
+        if min(abs(q), abs(q) ** (k - 1) * rho**2) < 1:
+            assert shell_tail(k, N, q, decay) > 0
+        else:
+            with pytest.raises(ParamError, match="charge tail bound unavailable"):
+                shell_tail(k, N, q, decay)
     if (k - 1) * N > mv.N:
         with pytest.raises(ValueError, match=f"outside window {mv.N}"):
-            I_k_def(mv, k, N, q, decay=decay)
+            I_k_def(mv, k, N, q)
         return
-    res = I_k_def(mv, k, N, q, decay=decay)
-    assert res.value == literal_charge(mv, k, N, q)
-    assert res.tail == (None if decay is None else _shell_tail(k, N, q, *decay))
+    assert I_k_def(mv, k, N, q) == literal_charge(mv, k, N, q)
 
 
 def test_out_of_window_mode_is_named_without_decay():
-    # I_3 reaches |flow| <= 2N: N = 4 fits the window 8, N = 5 does not
+    # I_3 reaches |flow| <= 2N: N = 4 fits the window 8, N = 5 does not;
+    # the quadratic and cubic kernel formulas reach |m| <= N
     mv = eta_modes(P1, (F(1, 2),), 8)
-    I_k_def(mv, 3, 4, Q)
-    with pytest.raises(ValueError, match="mode -10 outside window 8"):
-        I_k_def(mv, 3, 5, Q)
+    cases = [
+        (lambda N: I_k_def(mv, 3, N, Q), 4, 10),
+        (lambda N: M2_kernel(mv, N, Q), 8, 9),
+        (lambda N: M3_kernel(mv, N, Q), 8, 9),
+    ]
+    for charge, N, reach in cases:
+        charge(N)
+        with pytest.raises(ValueError, match=f"mode -{reach} outside window 8;"):
+            charge(N + 1)
 
 
 def test_constant_field_powers():
     mv = constant_modes(F(1, 8), 16)
     for k in (1, 2, 3):
-        assert I_k_def(mv, k, 8, Q).value == F(1, 8) ** k
+        assert I_k_def(mv, k, 8, Q) == F(1, 8) ** k
     assert M2_kernel(mv, 8, Q) == F(1, 8) ** 2 / 2
     assert M3_kernel(mv, 8, Q) == F(1, 8) ** 3 / 3
 
@@ -427,8 +435,7 @@ def test_newton_closed_consistency():
 
 def test_functional_first_charge_equals_zero_mode():
     mv = mode_table(CTX)
-    res = I_k_def(mv, 1, CTX.trunc.n_modes, CTX.q)
-    assert res.value == eta_zero(CTX).functional_value()
+    assert I_k_def(mv, 1, CTX.trunc.n_modes, CTX.q) == eta_zero(CTX).functional_value()
 
 
 def test_m2_from_newton_matches_kernel_formula_exactly():
@@ -436,8 +443,8 @@ def test_m2_from_newton_matches_kernel_formula_exactly():
     # exponent, so truncating both routes at the same N keeps exact equality
     mv = mode_table(CTX)
     N, q = CTX.trunc.n_modes, CTX.q
-    i1 = I_k_def(mv, 1, N, q).value
-    i2 = I_k_def(mv, 2, N, q).value
+    i1 = I_k_def(mv, 1, N, q)
+    i2 = I_k_def(mv, 2, N, q)
     newton = M_from_I([i1, i2], P1)[-1]
     assert newton == M2_kernel(mv, N, q)
 
@@ -449,7 +456,7 @@ def test_m3_from_newton_matches_kernel_formula_on_window():
     # agree exactly
     mv = mode_table(CTX, span=2)
     N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
-    vals = [I_k_def(mv, k, N, q).value for k in (1, 2, 3)]
+    vals = [I_k_def(mv, k, N, q) for k in (1, 2, 3)]
     newton = M_from_I(vals, P1)[-1]
     assert newton.pruned(N, D) == M3_kernel(mv, N, q).pruned(N, D)
 
@@ -458,7 +465,7 @@ def test_mbar_newton_matches_kernel_on_window():
     mv = xi_table(CTX)
     N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
     qbar = 1 / CTX.q
-    vals = [I_k_def(mv, k, N, qbar).value for k in (1, 2)]
+    vals = [I_k_def(mv, k, N, qbar) for k in (1, 2)]
     newton = M_from_I(vals, P1.inverted())[-1]
     assert newton.pruned(N, D) == M2_kernel(mv, N, qbar).pruned(N, D)
 
@@ -479,10 +486,10 @@ def test_charges_commute_on_certified_window():
     # functionals: weight <= n_modes and degree <= d_deg at slot span 0
     N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
     i2 = AlphaSeries.functional(
-        CTX, I_k_def(mode_table(CTX), 2, N, q).value.pruned(N, D)
+        CTX, I_k_def(mode_table(CTX), 2, N, q).pruned(N, D)
     )
     i2bar = AlphaSeries.functional(
-        CTX, I_k_def(xi_table(CTX), 2, N, 1 / q).value.pruned(N, D)
+        CTX, I_k_def(xi_table(CTX), 2, N, 1 / q).pruned(N, D)
     )
     pairs = [
         (eta_zero(CTX), i2),
@@ -597,11 +604,10 @@ def test_tail_bounds_truncation_error():
     b = (F(1, 2),)
     mv = eta_modes(P1, b, 40)
     decay = soliton_decay(P1, b, mv)
-    small = I_k_def(mv, 2, 10, Q, decay=decay)
-    large = I_k_def(mv, 2, 30, Q, decay=decay)
-    assert small.tail is not None
-    assert abs(small.value - large.value) <= small.tail
-    assert abs(large.value - closed_I(2, P1)[-1]) <= large.tail
+    small = I_k_def(mv, 2, 10, Q)
+    large = I_k_def(mv, 2, 30, Q)
+    assert abs(small - large) <= shell_tail(2, 10, Q, decay)
+    assert abs(large - closed_I(2, P1)[-1]) <= shell_tail(2, 30, Q, decay)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -620,9 +626,10 @@ def test_kernel_tails_bound_truncation_error(seed, n):
 
 
 def test_tail_bounds_refuse_what_they_cannot_bound():
-    mv = eta_modes(P1, (F(1, 2),), 16)
+    # at q = 4 and rho = 9/10 neither shell ratio, q nor q**2 rho**2, is
+    # below 1
     with pytest.raises(ParamError, match="charge tail bound unavailable"):
-        newton_error_bound([I_k_def(mv, k, 8, Q) for k in (1, 2)], P1)
+        shell_tail(3, 8, F(4), (F(1), F(9, 10)))
     for k, rho in ((2, F(2)), (2, F(3)), (3, F(4)), (3, F(5))):
         with pytest.raises(ParamError, match="unit interval"):
             kernel_tail(k, 8, Q, (F(1), rho))
@@ -630,13 +637,12 @@ def test_tail_bounds_refuse_what_they_cannot_bound():
 
 def test_tail_covers_out_of_window_modes():
     # the tail bounds the dropped kernel shells only: a mode past the
-    # window is refused with and without a decay model
+    # window is refused, though a decay model bounds it
     b = (F(1, 2),)
     narrow = eta_modes(P1, b, 12)
-    decay = soliton_decay(P1, b, narrow)
-    for model in (decay, None):
-        with pytest.raises(ValueError, match="mode -20 outside window 12"):
-            I_k_def(narrow, 3, 10, Q, decay=model)
+    assert shell_tail(3, 10, Q, soliton_decay(P1, b, narrow)) > 0
+    with pytest.raises(ValueError, match="mode -20 outside window 12"):
+        I_k_def(narrow, 3, 10, Q)
 
 
 @pytest.mark.xfail(
@@ -648,18 +654,18 @@ def test_third_charge_tail_bounds_truncation_error():
     # so the dropped shells decay no faster than |q| rho**2 per step
     b = (F(1, 2),)
     mv = eta_modes(P1, b, 32)
-    res = I_k_def(mv, 3, 16, Q, decay=soliton_decay(P1, b, mv))
-    assert abs(res.value - closed_I(3, P1)[-1]) <= res.tail
+    tail = shell_tail(3, 16, Q, soliton_decay(P1, b, mv))
+    assert abs(I_k_def(mv, 3, 16, Q) - closed_I(3, P1)[-1]) <= tail
 
 
 def test_convergence_toward_closed_value():
     b = (F(1, 2),)
     mv = eta_modes(P1, b, 40)
-    resid = [abs(I_k_def(mv, 2, N, Q).value - closed_I(2, P1)[-1]) for N in (8, 16)]
+    resid = [abs(I_k_def(mv, 2, N, Q) - closed_I(2, P1)[-1]) for N in (8, 16)]
     assert resid[1] < resid[0] / 4
     mvx = xi_modes(P1, b, 40)
     residbar = [
-        abs(I_k_def(mvx, 2, N, 1 / Q).value - closed_I(2, P1.inverted())[-1])
+        abs(I_k_def(mvx, 2, N, 1 / Q) - closed_I(2, P1.inverted())[-1])
         for N in (8, 16)
     ]
     assert residbar[1] < residbar[0] / 4
