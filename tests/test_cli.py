@@ -598,6 +598,14 @@ _IOM_DIGESTS = {
             "269e68449e6184266fb8e24f4d7196a3bb85cfcb9f98ca70f7bd5882a043d749",
         ),
         (
+            ["evolve", "--modes", "32", "--dt", "0.01", "--steps", "1000"],
+            "c4f8ed8fd4b0a2407b87f2ad405754e6da637c96797d46d9f8e755972d5ec354",
+        ),
+        (
+            ["evolve", "--modes", "256", "--steps", "100"],
+            "7585c37c9a0ed0dc0aa9803546458e2fe871a4f134ab175c754bd2ae3b02b7f6",
+        ),
+        (
             ["iom", "--k", "3", "--solitons", "2", "--modes", "16", "--seed", "3"],
             "4ddb8a1d038b84d55b38d5537a0005efc7929feec21c16be6c24f86188df6bbd",
         ),
@@ -610,7 +618,8 @@ _IOM_DIGESTS = {
         for (k, n), digest in _IOM_DIGESTS.items()
     ],
     ids=["soliton-eval-w64", "soliton-eval-three-waves-w16", "evolve-default"]
-    + ["evolve-random-m32", "iom-k3-two-waves-m16-seed3"]
+    + ["evolve-random-m32", "evolve-wave-m32-t10", "evolve-wave-m256"]
+    + ["iom-k3-two-waves-m16-seed3"]
     + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
 )
 def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
