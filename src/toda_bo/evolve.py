@@ -6,24 +6,23 @@ sgn(l)(1-q**|l|).  Everything here is floating point; the exact modules
 supply initial data and reference trajectories.  The right-hand side is a
 direct O(N^2) convolution with no dealiasing, and the stepper is fixed-step
 classical fourth-order Runge-Kutta, so conservation drift stays a clean
-diagnostic instead of being absorbed by adaptivity.
+diagnostic instead of being absorbed by adaptivity.  A wave run divides the
+tau ratio once: its one-wave reference is a travelling wave, rescaled exactly.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import operator
 import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .scalar import ParamPoint
 from .soliton import (
-    Symbolic,
     eta_series_from_taus,
     make_tau_minus,
     make_tau_plus,
@@ -156,12 +155,6 @@ class SolitonInit:
     def q(self) -> complex:
         return complex(float(DEFAULT_POINT.q))
 
-    @cached_property
-    def taus(self) -> tuple[Symbolic, Symbolic]:
-        """The point's amplitude-free tau pair, built on first use: the
-        initial modes and every reference sample of a run evaluate it."""
-        return make_tau_plus(DEFAULT_POINT), make_tau_minus(DEFAULT_POINT)
-
 
 @dataclass(frozen=True)
 class RandomInit:
@@ -171,21 +164,17 @@ class RandomInit:
     q: complex
 
 
-def _exact_modes(init: SolitonInit, b, N: int) -> np.ndarray:
-    """The field's exact modes at amplitudes b for |m| <= N, each rounded
-    once to the nearest double straight from its exact integer pair
-    (num / den is correctly rounded, so it equals float(Fraction(num, den))
-    without the gcd)."""
-    table = modes_from_series(
-        eta_series_from_taus(DEFAULT_POINT, b, N, operator.truediv, init.taus)
-    )
-    return np.array([table[m] for m in range(-N, N + 1)], dtype=np.complex128)
+def wave_modes(N: int) -> dict[int, Fraction]:
+    """The wave data's exact modes {m: eta_m} at t = 0 for |m| <= N: the
+    one tau pair and tau-ratio division of a wave run."""
+    taus = make_tau_plus(DEFAULT_POINT), make_tau_minus(DEFAULT_POINT)
+    f = eta_series_from_taus(DEFAULT_POINT, DEFAULT_AMPLITUDES, N, taus)
+    return modes_from_series(f)
 
 
 def initial_state(init, N: int) -> State:
     if isinstance(init, SolitonInit):
-        modes = _exact_modes(init, DEFAULT_AMPLITUDES, N)
-        return State(N, modes, 0.0, init.q)
+        return State(N, analytic_soliton_modes(wave_modes(N), 0.0), 0.0, init.q)
     if isinstance(init, RandomInit):
         rng = _random.Random(init.seed)
         modes = np.array(
@@ -201,20 +190,27 @@ def initial_state(init, N: int) -> State:
     raise TypeError(f"unknown initial data spec: {init!r}")
 
 
-def analytic_soliton_modes(init: SolitonInit, t: float, N: int) -> np.ndarray:
-    """Reference trajectory of the wave data: amplitudes advance as
-    b_k(t) = b_k(0)e^{(1-q)a_k t}.
+def analytic_soliton_modes(exact: dict[int, Fraction], t: float) -> np.ndarray:
+    """Reference trajectory from the exact t = 0 modes (wave_modes): the
+    amplitude b(t) = b e^{(1-q)a t} is a float lifted back to a rational.
 
-    The advanced amplitudes are floats; they are lifted back to exact
-    rationals (binary floats are rational) so the exact tau pipeline can
-    produce the modes.  The modes are exact up to the one rounding of each
-    to the nearest double, taken from its unreduced integer pair."""
+    A tau term's z-degree is its amplitude exponent, so b -> lambda b is
+    z -> lambda z and eta_m(b_t) = r**m eta_m(b) for r = b / b_t: one wave
+    is a travelling wave (the unpacking refuses more; they move apart).
+    Each mode is one correctly rounded int / int division, over powers of
+    r's numerator and denominator built up one step at a time."""
+    (a,), (b,) = DEFAULT_POINT.a, DEFAULT_AMPLITUDES
     q = float(DEFAULT_POINT.q)
-    bt = tuple(
-        Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
-        for a, b in zip(DEFAULT_POINT.a, DEFAULT_AMPLITUDES)
-    )
-    return _exact_modes(init, bt, N)
+    r = b / Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
+    N = max(exact)
+    out = np.empty(2 * N + 1, dtype=np.complex128)
+    up = down = 1  # r.numerator**k, r.denominator**k
+    for k in range(N + 1):
+        hi, lo = exact[k], exact[-k]
+        out[N + k] = hi.numerator * up / (hi.denominator * down)
+        out[N - k] = lo.numerator * down / (lo.denominator * up)
+        up, down = up * r.numerator, down * r.denominator
+    return out
 
 
 # #### trajectory driver #######################################################
@@ -264,8 +260,12 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
     rendered to JSON by record_line; the summary carries the conservation
     drifts and, for wave initial data, the worst mode error against the
     analytic trajectory."""
-    state = initial_state(config.init, config.n_modes)
-    soliton = isinstance(config.init, SolitonInit)
+    N, soliton = config.n_modes, isinstance(config.init, SolitonInit)
+    if soliton:
+        exact = wave_modes(N)
+        state = State(N, analytic_soliton_modes(exact, 0.0), 0.0, config.init.q)
+    else:
+        state = initial_state(config.init, N)
     i1_0, i2_0 = conserved_pair(state)
     i2_scale = max(abs(i2_0), 1e-300)
     records = [_record(state, i1_0, i2_0)]
@@ -284,7 +284,7 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
                 eta0_drift = max(eta0_drift, abs(i1 - i1_0))
                 i2_drift = max(i2_drift, abs(i2 - i2_0) / i2_scale)
                 if soliton:
-                    ref = analytic_soliton_modes(config.init, state.t, config.n_modes)
+                    ref = analytic_soliton_modes(exact, state.t)
                     mode_err = max(mode_err, float(np.abs(state.modes - ref).max()))
     summary = {
         "n_modes": config.n_modes,

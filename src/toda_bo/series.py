@@ -21,11 +21,7 @@ of t.  series_inv(h, t, lo, hi) runs it from e0 to the asked degree
 farthest from e0, so each returned coefficient is the whole finite sum of
 its contributions: exact, with no window to track.  series_div(parts, lo,
 hi) adds the quotients' pairs at each degree over the product of their
-denominators and hands that unreduced pair (num, den) to the caller's
-constructor once: Fraction(num, den) keeps the coefficient exact, and
-num / den rounds it straight to the nearest double (CPython's int true
-division is correctly rounded, so it is float(Fraction(num, den)) without
-the gcd).
+denominators and reduces that pair (num, den) to one Fraction.
 """
 
 from __future__ import annotations
@@ -121,15 +117,15 @@ def series_inv(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
     return out
 
 
-def series_div(parts, lo: int, hi: int, make=Scalar) -> Laurent:
+def series_div(parts, lo: int, hi: int) -> Laurent:
     """The nonzero [var**e] of the sum of h / t over parts (h, t), for
     lo <= e <= hi, each 1/t expanded on its t's side: the quotients' pairs
     from series_inv added over the product of their denominators, then one
-    make(num, den) per output degree (module docstring).
+    Fraction(num, den) per output degree (module docstring).
     """
     sums: dict[int, tuple[int, int]] = {}
     for h, t in parts:
         for e, (qn, qd) in series_inv(h, t, lo, hi).items():
             num, den = sums.get(e, (0, 1))
             sums[e] = num * qd + qn * den, den * qd
-    return {e: make(num, den) for e, (num, den) in sums.items() if num}
+    return {e: Scalar(num, den) for e, (num, den) in sums.items() if num}

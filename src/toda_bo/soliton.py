@@ -21,9 +21,7 @@ and its dual are expanded on the unit circle: a Bezout split of the
 reciprocal gives one quotient per tau factor, and one series_div sums the
 two over degrees -window..window.  The result holds every such degree,
 zeros included; a mode read past the window raises.  Each coefficient is
-built once from its unreduced integer pair (num, den) by the caller's
-constructor: Fraction keeps it exact, and true division rounds it once to
-the nearest double, which is what the float reference in evolve needs.
+one exact Fraction, reduced once from its integer pair (num, den).
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .scalar import (
     ParamPoint,
     PoleError,
     Scalar,
+    ZERO,
     numerators,
     parse_scalar,
     sample_amplitudes,
@@ -312,26 +311,22 @@ def sample_decaying(
     raise ParamError("no geometrically decaying sample found")
 
 
-def _annulus_ratio(
-    num: Laurent, tm: Laurent, tp: Laurent, window: int, make
-) -> Laurent:
+def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laurent:
     """Degrees -window..window of num / (tm * tp), expanded where tm inverts
     downward and tp upward.
 
     The two inverses cannot be convolved directly, so the reciprocal is
     split as z**deg * u / tp + v / tm, with u, v the series_bezout pair of
     the coprime polynomials z**deg * tm and tp.  One series_div sums
-    the two parts, and each degree, a zero one too, is make(num, den) of its
-    exact unreduced integer pair.
+    the two parts, and the degrees it leaves out are the zero ones.
     """
     n_m = -min(tm)
     u, v = series_bezout({d + n_m: c for d, c in tm.items()}, tp)
     u = {d + n_m: c for d, c in u.items()}
     out = series_div(
-        [(series_mul(num, u), tp), (series_mul(num, v), tm)], -window, window, make
+        [(series_mul(num, u), tp), (series_mul(num, v), tm)], -window, window
     )
-    zero = make(0, 1)
-    return {e: out.get(e, zero) for e in range(-window, window + 1)}
+    return {e: out.get(e, ZERO) for e in range(-window, window + 1)}
 
 
 def _tau_ratio(
@@ -341,47 +336,42 @@ def _tau_ratio(
     up: Scalar,
     down: Scalar,
     scale: Scalar,
-    make,
 ) -> Laurent:
     """Degrees -window..window of scale tau_-(z/up) tau_+(z up) /
-    (tau_-(z/down) tau_+(z down)), zeros included, each make(num, den);
-    taus is the amplitude-free pair (tau_+, tau_-), and scale multiplies the
-    numerator's few terms, not the 2 window + 1 output coefficients."""
+    (tau_-(z/down) tau_+(z down)), zeros included, exact; taus is the
+    amplitude-free pair (tau_+, tau_-), and scale multiplies the numerator's
+    few terms, not the 2 window + 1 output coefficients."""
     tp, tm = taus
     tm_up, tp_up, tm_down, tp_down = (
         tau_series(tau_subs(tau, c), b_values)
         for tau, c in ((tm, 1 / up), (tp, up), (tm, 1 / down), (tp, down))
     )
     num = {d: c * scale for d, c in series_mul(tm_up, tp_up).items()}
-    return _annulus_ratio(num, tm_down, tp_down, window, make)
+    return _annulus_ratio(num, tm_down, tp_down, window)
 
 
 def eta_series_from_taus(
-    params: ParamPoint, b_values, window: int, make=Scalar, taus=None
+    params: ParamPoint, b_values, window: int, taus=None
 ) -> Laurent:
     """Degrees -window..window of eps tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z)).
 
-    The coefficients of the rational function, each make(num, den) of its
-    exact unreduced integer pair: exact Fractions by default, correctly
-    rounded doubles with operator.truediv.  They are the expansion between
+    The exact coefficients of the rational function: the expansion between
     the roots of tau_- and those of tau_+, and the field's modes on |z| = 1
     when the unit circle lies between them, which decay_report's margins
-    ensure at one wave but not at two.  A caller that evaluates one
-    point at many amplitudes passes its amplitude-free pair
-    taus = (make_tau_plus(params), make_tau_minus(params)), built once.
+    ensure at one wave but not at two.  A caller that already holds the
+    point's amplitude-free pair (make_tau_plus(params),
+    make_tau_minus(params)) passes it as taus.
     """
     if taus is None:
         taus = make_tau_plus(params), make_tau_minus(params)
-    return _tau_ratio(taus, b_values, window, params.q, ONE, params.eps, make)
+    return _tau_ratio(taus, b_values, window, params.q, ONE, params.eps)
 
 
 def xi_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
     """Degrees -window..window of tau_-(zs) tau_+(z/s) / (eps tau_-(z/s) tau_+(zs)),
     exact."""
     taus = make_tau_plus(params), make_tau_minus(params)
-    return _tau_ratio(
-        taus, b_values, window, 1 / params.s, params.s, 1 / params.eps, Scalar
-    )
+    return _tau_ratio(taus, b_values, window, 1 / params.s, params.s, 1 / params.eps)
 
 
 def modes_from_series(f: Laurent) -> dict[int, Scalar]:

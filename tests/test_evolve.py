@@ -7,8 +7,9 @@ l <-> -l pairing, which the kernel table preserves exactly in floats; data
 supported on one side closes into a triangular system whose first two modes
 integrate in closed form (exponential and a two-exponential difference), and
 the numeric trajectory must match both; the order of the stepper comes out
-of step-halving; wave initial data is compared against the exact tau
-pipeline with time-advanced amplitudes.
+of step-halving; wave initial data and the rescaled reference samples are
+compared bit for bit against the full exact tau pipeline at the
+time-advanced amplitude.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from toda_bo.evolve import (
     record_line,
     rk4_step,
     run,
+    wave_modes,
 )
 from toda_bo.soliton import eta_series_from_taus, modes_from_series
 
@@ -272,19 +274,9 @@ def test_rk4_is_fourth_order():
 # #### initial data and trajectory driver ######################################
 
 
-def test_soliton_state_matches_exact_pipeline_at_t0():
-    s = initial_state(SolitonInit(), 16)
-    ref = analytic_soliton_modes(SolitonInit(), 0.0, 16)
-    assert np.array_equal(s.modes, ref)
-    assert s.q == complex(float(DEFAULT_POINT.q))
-
-
-@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-def test_reference_modes_are_the_exact_modes_rounded_once(t):
-    # the reference rounds each mode straight from its unreduced integer
-    # pair; it must be complex() of the exact Fraction mode, bit for bit
-    N = 64
-    ref = analytic_soliton_modes(SolitonInit(), t, N)
+def pipeline_modes(t: float, N: int) -> np.ndarray:
+    """complex() of each exact mode of the full tau pipeline at the amplitude
+    advanced to t, lifted from its double as the reference lifts it."""
     q = float(DEFAULT_POINT.q)
     bt = tuple(
         Fraction(float(b) * cmath.exp((1 - q) * float(a) * t).real)
@@ -292,9 +284,64 @@ def test_reference_modes_are_the_exact_modes_rounded_once(t):
     )
     exact = modes_from_series(eta_series_from_taus(DEFAULT_POINT, bt, N))
     assert all(type(c) is Fraction for c in exact.values())
-    want = np.array([complex(exact[m]) for m in range(-N, N + 1)])
-    assert np.array_equal(ref, want)
-    assert ref.tobytes() == want.tobytes()
+    return np.array([complex(exact[m]) for m in range(-N, N + 1)])
+
+
+def run_sample_times(config: RunConfig) -> list[float]:
+    """The times at which run samples, reached as run reaches them: by
+    repeated + dt, not as k * dt."""
+    t, times = 0.0, []
+    for k in range(1, config.steps + 1):
+        t += config.dt
+        if k % config.check_interval == 0 or k == config.steps:
+            times.append(t)
+    return times
+
+
+def test_soliton_state_matches_exact_pipeline_at_t0():
+    s = initial_state(SolitonInit(), 16)
+    assert s.modes.tobytes() == pipeline_modes(0.0, 16).tobytes()
+    assert s.q == complex(float(DEFAULT_POINT.q))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0, 10.0, "run"])
+def test_reference_modes_are_the_exact_modes_rounded_once(t):
+    # the reference rescales the exact t = 0 modes; each sample must be
+    # complex() of the full pipeline's Fraction mode at the advanced
+    # amplitude, bit for bit.  "run" is every sample time of a default-step
+    # run at the default window; by t = 10 the amplitude has passed 1
+    if t == "run":
+        times, windows = run_sample_times(RunConfig()), (RunConfig().n_modes,)
+        assert len(times) == 100 and times[-1] != 1.0
+    else:
+        times, windows = (t,), (8, 64)
+    for N in windows:
+        exact = wave_modes(N)
+        for t in times:
+            ref = analytic_soliton_modes(exact, t)
+            assert ref.tobytes() == pipeline_modes(t, N).tobytes()
+
+
+def test_wave_run_divides_the_tau_ratio_once(monkeypatch):
+    # the initial modes are the one tau-ratio division of a run; every
+    # reference sample rescales them.  Before the rescaling, this run made
+    # 4 divisions (the initial modes and each of its 3 samples), and the
+    # default run 101
+    calls = 0
+    divide = soliton.eta_series_from_taus
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return divide(*args)
+
+    monkeypatch.setattr(soliton, "eta_series_from_taus", counted)
+    monkeypatch.setattr(evolve, "eta_series_from_taus", counted)
+    _, summary = run(RunConfig(n_modes=8, steps=30, check_interval=10))
+    assert summary["samples"] == 4 and summary["max_mode_error"] > 0
+    assert calls == 1
+    run(RunConfig(n_modes=8, steps=30, check_interval=10))
+    assert calls == 2
 
 
 def test_wave_run_builds_the_tau_pair_once(monkeypatch):

@@ -9,14 +9,14 @@ the Fraction recurrence written out term by term; with any h, like the sum
 an order from a generous bound of its own (the asked degrees' and h's
 largest moduli), not from the reach series_inv derives, and its pairs'
 denominators against the long division's H L**|e - e0|; a sum of quotients
-against the sum of their literal divisions.  The doubles series_div builds by true division
-of its unreduced pairs are checked against float() of the Fraction.
+against the sum of their literal divisions.  CPython's int / int, with which
+the evolve reference rounds each mode, is checked against float() of the
+Fraction.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction as F
 
@@ -258,15 +258,11 @@ def test_div_rejects_what_the_literal_inverse_rejects(t):
         series_div([(h, t)], -4, 4)
 
 
-@pytest.mark.parametrize(
-    "make, most", [(F, 129), (operator.truediv, 0)], ids=["fraction", "truediv"]
-)
-def test_div_builds_one_fraction_per_output_degree(monkeypatch, make, most):
-    # the evolve reference's traffic at W = 64: the numerator of one wave
-    # over its upper and over its lower tau, with a float-lifted amplitude
-    # (49-bit denominator); the literal product builds several Fractions per
-    # term of each degree, and adding the two quotients one more.  Rounded
-    # by true division, a degree builds no Fraction at all
+def test_div_builds_one_fraction_per_output_degree(monkeypatch):
+    # one wave's tau ratio at W = 64: the numerator over its upper and over
+    # its lower tau, with a float-lifted amplitude (49-bit denominator); the
+    # literal product builds several Fractions per term of each degree, and
+    # adding the two quotients one more
     b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
     q = DEFAULT_POINT.q
     tp = tau_series(make_tau_plus(DEFAULT_POINT), b)
@@ -282,11 +278,10 @@ def test_div_builds_one_fraction_per_output_degree(monkeypatch, make, most):
 
     with monkeypatch.context() as m:
         m.setattr(F, "__new__", counting_new)
-        out = series_div([(h, tp), (h, tm)], -64, 64, make)
-    want = add(literal_div(h, tp, -64, 64), literal_div(h, tm, -64, 64))
-    assert out == {e: make(c.numerator, c.denominator) for e, c in want.items()}
-    assert all(type(c) is type(make(1, 2)) for c in out.values())
-    assert (0 < built if most else built == 0) and built <= most
+        out = series_div([(h, tp), (h, tm)], -64, 64)
+    assert out == add(literal_div(h, tp, -64, 64), literal_div(h, tm, -64, 64))
+    assert all(type(c) is F for c in out.values())
+    assert 0 < built <= 129
 
 
 @given(

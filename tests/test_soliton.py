@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 
 from toda_bo import soliton
 from toda_bo.evolve import DEFAULT_AMPLITUDES, DEFAULT_POINT
-from toda_bo.scalar import ParamPoint, PoleError, sample_param_point
+from toda_bo.scalar import (
+    ParamPoint,
+    PoleError,
+    sample_amplitudes,
+    sample_param_point,
+)
 from toda_bo.series import series_mul
 from toda_bo.soliton import (
     BilinearOp,
@@ -444,11 +449,11 @@ def test_xi_window_cross_multiplies_exactly():
         assert lhs == on_range({d: c / params.eps for d, c in rhs.items()}, lhs)
 
 
-def literal_div_sum(parts, lo, hi, make):
+def literal_div_sum(parts, lo, hi):
     out = {}
     for h, t in parts:
         out = add(out, literal_div(h, t, lo, hi))
-    return {e: make(c.numerator, c.denominator) for e, c in out.items()}
+    return out
 
 
 @pytest.fixture
@@ -485,6 +490,34 @@ def test_evolve_reference_equals_the_literal_pipeline(literal_pipeline):
     for build in (eta_series_from_taus, xi_series_from_taus):
         fast, literal = literal_pipeline(build, DEFAULT_POINT, b, 64)
         assert fast == literal
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)).filter(
+        lambda lam: lam != 1
+    ),
+)
+def test_scaling_every_amplitude_scales_mode_m_by_its_inverse_power(n, seed, lam):
+    # every term of tau_+- has z-degree equal to its total amplitude
+    # exponent, so b -> lam b is z -> lam z and eta_m(lam b) =
+    # lam**-m eta_m(b): at one wave the flow is such a scaling, which the
+    # evolve reference rescales by.  Controls: the exponent -(m+1) fails, and
+    # so does scaling one amplitude of a point with more than one wave
+    rng = random.Random(seed)
+    params, b = sample_param_point(rng, n), sample_amplitudes(rng, n)
+
+    def modes(amplitudes):
+        return modes_from_series(eta_series_from_taus(params, amplitudes, 8))
+
+    eta, scaled = modes(b), modes(tuple(lam * x for x in b))
+    assert scaled == {m: lam**-m * c for m, c in eta.items()}
+    assert scaled != {m: lam ** -(m + 1) * c for m, c in eta.items()}
+    if n > 1:
+        one = modes((lam * b[0],) + b[1:])
+        assert one != {m: lam**-m * c for m, c in eta.items()}
 
 
 def test_zero_mode_is_amplitude_independent():
