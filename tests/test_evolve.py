@@ -311,15 +311,17 @@ def test_reference_modes_are_the_exact_modes_rounded_once(t):
     # amplitude, bit for bit.  "run" is every sample time of a default-step
     # run at the default window; by t = 10 the amplitude has passed 1
     if t == "run":
+        short = RunConfig(n_modes=8, steps=35)
+        assert [r["t"] for r in run(short)[0][1:]] == run_sample_times(short)
         times, windows = run_sample_times(RunConfig()), (RunConfig().n_modes,)
         assert len(times) == 100 and times[-1] != 1.0
     else:
         times, windows = (t,), (8, 64)
     for N in windows:
         exact = wave_modes(N)
-        for t in times:
-            ref = analytic_soliton_modes(exact, t)
-            assert ref.tobytes() == pipeline_modes(t, N).tobytes()
+        for sample in times:
+            ref = analytic_soliton_modes(exact, sample)
+            assert ref.tobytes() == pipeline_modes(sample, N).tobytes()
 
 
 def test_wave_run_divides_the_tau_ratio_once(monkeypatch):
