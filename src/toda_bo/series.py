@@ -1,9 +1,10 @@
-"""Exact Laurent polynomials and the one division the tau ratio needs.
+"""Exact Laurent polynomials and the one split the tau ratio needs.
 
 A Laurent polynomial is a dict {degree: Fraction} of its nonzero
 coefficients, so it is zero off its keys.  series_mul is the exact product,
-and series_bezout the Bezout pair of two coprime polynomials, by Euclid's
-algorithm on the same dicts.
+series_bezout the Bezout pair of two coprime polynomials, by Euclid's
+algorithm on the same dicts, and series_split the split of a tau ratio into
+one part over each tau factor.
 
 Division runs on Python ints, one long division per quotient h / t, t
 one-sided with unit constant term and 1/t expanded on t's side (d = +1
@@ -19,9 +20,7 @@ the Fraction recurrence q_e = h_e - sum_j t_{d j} q_{e - d j} multiplied
 through by H L**|e - e0|: integral, and one small-by-big product per term
 of t.  series_inv(h, t, lo, hi) runs it from e0 to the asked degree
 farthest from e0, so each returned coefficient is the whole finite sum of
-its contributions: exact, with no window to track.  series_div(parts, lo,
-hi) adds the quotients' pairs at each degree over the product of their
-denominators and reduces that pair (num, den) to one Fraction.
+its contributions: exact, with no window to track.
 """
 
 from __future__ import annotations
@@ -50,6 +49,16 @@ def _minus_product(p: Laurent, a: Laurent, b: Laurent) -> Laurent:
     return {d: c for d, c in out.items() if c}
 
 
+def _divmod(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
+    """Euclid's step: quo, rem with f == quo g + rem and max(rem) < max(g)."""
+    quo, rem = {}, f
+    while rem and max(rem) >= max(g):
+        step = {max(rem) - max(g): rem[max(rem)] / g[max(g)]}
+        quo.update(step)
+        rem = _minus_product(rem, step, g)
+    return quo, rem
+
+
 def series_bezout(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
     """Polynomials u, v with u f + v g == {0: 1}, for coprime polynomials
     f, g (no negative degree), by the extended Euclid algorithm.
@@ -63,16 +72,28 @@ def series_bezout(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
     rows = (f, {0: ONE}, {}), (g, {}, {0: ONE})
     while rows[1][0]:
         (r0, s0, t0), (r1, s1, t1) = rows
-        quo, rem = {}, r0
-        while rem and max(rem) >= max(r1):
-            step = {max(rem) - max(r1): rem[max(rem)] / r1[max(r1)]}
-            quo.update(step)
-            rem = _minus_product(rem, step, r1)
+        quo, rem = _divmod(r0, r1)
         rows = rows[1], (rem, _minus_product(s0, quo, s1), _minus_product(t0, quo, t1))
     (r, u, v), _ = rows
     if set(r) != {0}:
         raise PoleError("tau factors share a root; expansion annulus is empty")
     return {d: x / r[0] for d, x in u.items()}, {d: x / r[0] for d, x in v.items()}
+
+
+def series_split(num: Laurent, tm: Laurent, tp: Laurent) -> tuple[Laurent, Laurent]:
+    """hm, hp with num == hm tp + hp tm and max(hm) < 0 <= min(hp), for
+    coprime tm, a polynomial in 1/var, and tp, one in var: hm is num v
+    reduced mod tm (top degree 0), v from the series_bezout pair of
+    var**-min(tm) tm and tp, and hp the quotient (num - hm tp) / tm, exact.
+    A num reaching below min(tm) raises ArithmeticError, and a root tm and
+    tp share PoleError.
+    """
+    if min(num, default=0) < min(tm):
+        raise ArithmeticError("numerator reaches below the lower tau's lowest degree")
+    _, v = series_bezout({d - min(tm): c for d, c in tm.items()}, tp)
+    _, hm = _divmod(series_mul(num, v), tm)
+    hp, _ = _divmod(_minus_product(num, hm, tp), tm)
+    return hm, hp
 
 
 def series_inv(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
@@ -115,17 +136,3 @@ def series_inv(h: Laurent, t: Laurent, lo: int, hi: int) -> dict[int, tuple]:
             out[e] = (q, den)
         den *= L
     return out
-
-
-def series_div(parts, lo: int, hi: int) -> Laurent:
-    """The nonzero [var**e] of the sum of h / t over parts (h, t), for
-    lo <= e <= hi, each 1/t expanded on its t's side: the quotients' pairs
-    from series_inv added over the product of their denominators, then one
-    Fraction(num, den) per output degree (module docstring).
-    """
-    sums: dict[int, tuple[int, int]] = {}
-    for h, t in parts:
-        for e, (qn, qd) in series_inv(h, t, lo, hi).items():
-            num, den = sums.get(e, (0, 1))
-            sums[e] = num * qd + qn * den, den * qd
-    return {e: Scalar(num, den) for e, (num, den) in sums.items() if num}

@@ -17,11 +17,11 @@ operations multiply each b_k by an explicit rational factor.
 
 With its amplitudes filled in, a tau is an exact Laurent polynomial
 in z (see series).  The field eps tau_-(z/q) tau_+(qz) / (tau_-(z) tau_+(z))
-and its dual are expanded on the unit circle: a Bezout split of the
-reciprocal gives one quotient per tau factor, and one series_div sums the
-two over degrees -window..window.  The result holds every such degree,
-zeros included; a mode read past the window raises.  Each coefficient is
-one exact Fraction, reduced once from its integer pair (num, den).
+and its dual are expanded on the unit circle over degrees -window..window,
+zeros included: the part series_split puts over tau_- gives the degrees
+below 0 and the part over tau_+ the rest; a mode read past the window
+raises.  Each coefficient is one exact Fraction, reduced once from its
+integer pair (num, den).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .scalar import (
     sample_amplitudes,
     sample_param_point,
 )
-from .series import Laurent, series_bezout, series_div, series_mul
+from .series import Laurent, series_inv, series_mul, series_split
 
 Symbolic = dict[tuple[int, tuple[int, ...]], Scalar]
 
@@ -313,20 +313,13 @@ def sample_decaying(
 
 def _annulus_ratio(num: Laurent, tm: Laurent, tp: Laurent, window: int) -> Laurent:
     """Degrees -window..window of num / (tm * tp), expanded where tm inverts
-    downward and tp upward.
-
-    The two inverses cannot be convolved directly, so the reciprocal is
-    split as z**deg * u / tp + v / tm, with u, v the series_bezout pair of
-    the coprime polynomials z**deg * tm and tp.  One series_div sums
-    the two parts, and the degrees it leaves out are the zero ones.
+    downward and tp upward: series_split's hm / tm gives the degrees below 0
+    and hp / tp the rest, each one series_inv pair reduced to one Fraction.
     """
-    n_m = -min(tm)
-    u, v = series_bezout({d + n_m: c for d, c in tm.items()}, tp)
-    u = {d + n_m: c for d, c in u.items()}
-    out = series_div(
-        [(series_mul(num, u), tp), (series_mul(num, v), tm)], -window, window
-    )
-    return {e: out.get(e, ZERO) for e in range(-window, window + 1)}
+    hm, hp = series_split(num, tm, tp)
+    pairs = {**series_inv(hm, tm, -window, -1), **series_inv(hp, tp, 0, window)}
+    fracs = {e: Scalar(n, d) for e, (n, d) in pairs.items()}
+    return {e: fracs.get(e, ZERO) for e in range(-window, window + 1)}
 
 
 def _tau_ratio(

@@ -565,6 +565,40 @@ _THREE_WAVES = {
     "b": ["1/2", "1/3", "-1/4"],
 }
 
+# soliton --eval at --window 0 and 64 on three points off the sampled ones:
+# one wave whose amplitude fails the decay margins, README's wave at s = 2
+# (|q| > 1), and three waves with negative s and eps
+_SPLIT_SPECS = {
+    "margin-failing": {"s": "1/2", "eps": "1/8", "a": ["5/36"], "b": ["3"]},
+    "s2": {**_WAVE, "s": "2"},
+    "three-waves-negative": {
+        "s": "-2/3",
+        "eps": "-1/5",
+        "a": ["1/7", "-2/9", "3/11"],
+        "b": ["1/3", "2/5", "-1/4"],
+    },
+}
+_SPLIT_DIGESTS = {
+    ("margin-failing", "0"): (
+        "ef737e4c4d3c1a8fb8ae7b3cb9ebfe7b8cf4d5325a17f04ef88181d037f3431b"
+    ),
+    ("margin-failing", "64"): (
+        "c69c625cb28dd1ba60d58cbbd8c8805a70f68314342b51ed901500d44c1a32c3"
+    ),
+    ("s2", "0"): (
+        "fe2ab059a620d42ba6977703cfc58915bbf9c330cf13370a7339811e58a0744b"
+    ),
+    ("s2", "64"): (
+        "b170c02d47750923f3b8e9f4547a43da245150d7495a5ab9c5e74afb821de269"
+    ),
+    ("three-waves-negative", "0"): (
+        "181146ce80ce623c897666489b1290240a23cdd3ef7430d318d58339087e694b"
+    ),
+    ("three-waves-negative", "64"): (
+        "47879dbc5a8229feb8c72cfd82afe6f78cb3cca0172c661303b7eba1521bf122"
+    ),
+}
+
 # iom --k K --solitons N --modes 48 --seed 7, by (K, N)
 _WAVES = {"1": "one-wave", "2": "two-waves"}
 _IOM_DIGESTS = {
@@ -616,11 +650,16 @@ _IOM_DIGESTS = {
             digest,
         )
         for (k, n), digest in _IOM_DIGESTS.items()
+    ]
+    + [
+        (["soliton", "--spec", _SPLIT_SPECS[name], "--eval", "--window", w], digest)
+        for (name, w), digest in _SPLIT_DIGESTS.items()
     ],
     ids=["soliton-eval-w64", "soliton-eval-three-waves-w16", "evolve-default"]
     + ["evolve-random-m32", "evolve-wave-m32-t10", "evolve-wave-m256"]
     + ["iom-k3-two-waves-m16-seed3"]
-    + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS],
+    + [f"iom-k{k}-{_WAVES[n]}" for k, n in _IOM_DIGESTS]
+    + [f"soliton-eval-{name}-w{w}" for name, w in _SPLIT_DIGESTS],
 )
 def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     # a dict in argv is a spec, written to a file first: _WAVE is README's

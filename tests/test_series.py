@@ -1,17 +1,17 @@
-"""Exact Laurent polynomials and the tau-ratio division.
+"""Exact Laurent polynomials, the tau-ratio division and Bezout pairs.
 
 Oracle notes: product coefficients are checked against a naive convolution
 written inline; inverse coefficients against closed forms (geometric series)
 and by multiplying back on the degrees where every contribution is known;
 the integer long division `series_inv` with h = 1 against `literal_inv`,
-the Fraction recurrence written out term by term; with any h, like the sum
-`series_div`, against `literal_div`, the product with that inverse taken to
-an order from a generous bound of its own (the asked degrees' and h's
-largest moduli), not from the reach series_inv derives, and its pairs'
-denominators against the long division's H L**|e - e0|; a sum of quotients
-against the sum of their literal divisions.  CPython's int / int, with which
-the evolve reference rounds each mode, is checked against float() of the
-Fraction.
+the Fraction recurrence written out term by term; with any h, each pair
+reduced to one Fraction, against `literal_div`, the product with that
+inverse taken to an order from a generous bound of its own (the asked
+degrees' and h's largest moduli), not from the reach series_inv derives,
+and its pairs' denominators against the long division's H L**|e - e0|.
+CPython's int / int, with which the evolve reference rounds each mode, is
+checked against float() of the Fraction.  The split of the tau ratio into
+one part per tau factor is checked in test_soliton.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toda_bo.evolve import DEFAULT_POINT
 from toda_bo.scalar import (
     ONE,
     ZERO,
@@ -32,7 +31,7 @@ from toda_bo.scalar import (
     sample_amplitudes,
     sample_param_point,
 )
-from toda_bo.series import series_bezout, series_div, series_inv, series_mul
+from toda_bo.series import series_bezout, series_inv, series_mul
 from toda_bo.soliton import make_tau_minus, make_tau_plus, tau_series
 
 
@@ -131,15 +130,20 @@ def literal_div(h: dict, t: dict, lo: int, hi: int) -> dict:
     return {e: c for e, c in prod.items() if lo <= e <= hi}
 
 
+def inv(h: dict, t: dict, lo: int, hi: int) -> dict:
+    """series_inv with each pair reduced to one Fraction."""
+    return {e: F(n, m) for e, (n, m) in series_inv(h, t, lo, hi).items()}
+
+
 ONE_SERIES = poly({0: 1})
 
 
 def test_inv_geometric_series():
     f = poly({0: 1, 1: -1})
-    assert series_div([(ONE_SERIES, f)], 0, 16) == {k: ONE for k in range(17)}
+    assert inv(ONE_SERIES, f, 0, 16) == {k: ONE for k in range(17)}
     # an upward inverse has no degree below h's lowest
-    assert series_div([(ONE_SERIES, f)], -5, 3) == {k: ONE for k in range(4)}
-    assert series_div([(poly({2: 1}), f)], -5, 1) == {}
+    assert inv(ONE_SERIES, f, -5, 3) == {k: ONE for k in range(4)}
+    assert inv(poly({2: 1}), f, -5, 1) == {}
 
 
 def test_inv_multiply_back_is_one():
@@ -147,14 +151,14 @@ def test_inv_multiply_back_is_one():
     rng = random.Random(7)
     for _ in range(10):
         f = {0: ONE, **poly({d: rng.randint(-4, 4) for d in range(1, 5)})}
-        g = series_div([(ONE_SERIES, f)], 0, 16)
+        g = inv(ONE_SERIES, f, 0, 16)
         prod = series_mul(f, g)
         assert {e: c for e, c in prod.items() if e <= 16} == {0: ONE}
 
 
 def test_inv_downward_orientation():
     f = poly({0: 1, -1: F(1, 2)})
-    g = series_div([(ONE_SERIES, f)], -12, 0)
+    g = inv(ONE_SERIES, f, -12, 0)
     assert g == {-k: F(-1, 2) ** k for k in range(13)}
     assert g[-3] == F(-1, 8)
     prod = series_mul(f, g)
@@ -163,9 +167,9 @@ def test_inv_downward_orientation():
 
 def test_inv_requires_unit_constant():
     with pytest.raises(ValueError):
-        series_div([(ONE_SERIES, poly({0: 2}))], 0, 0)
+        series_inv(ONE_SERIES, poly({0: 2}), 0, 0)
     with pytest.raises(ValueError):
-        series_div([(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}))], -4, 4)
+        series_inv(ONE_SERIES, poly({-1: 1, 0: 1, 1: 1}), -4, 4)
 
 
 rationals = st.builds(
@@ -230,18 +234,8 @@ def test_inv_pairs_are_the_literal_division_over_the_long_division_denominator(c
 def test_div_equals_literal_product_with_inverse(case):
     # every asked degree, exactly, and nothing outside lo..hi or zero
     h, t, lo, hi = case
-    out = series_div([(h, t)], lo, hi)
+    out = inv(h, t, lo, hi)
     assert out == literal_div(h, t, lo, hi)
-    assert all(lo <= e <= hi and c for e, c in out.items())
-
-
-@given(division_cases(), division_cases())
-@settings(max_examples=100, deadline=None)
-def test_div_of_two_parts_equals_the_sum_of_literal_divisions(one, two):
-    # both parts on the first case's degrees, in either orientation each
-    (h1, t1, lo, hi), (h2, t2, _, _) = one, two
-    out = series_div([(h1, t1), (h2, t2)], lo, hi)
-    assert out == add(literal_div(h1, t1, lo, hi), literal_div(h2, t2, lo, hi))
     assert all(lo <= e <= hi and c for e, c in out.items())
 
 
@@ -255,33 +249,7 @@ def test_div_rejects_what_the_literal_inverse_rejects(t):
     with pytest.raises(ValueError):
         literal_inv(t, 4)
     with pytest.raises(ValueError):
-        series_div([(h, t)], -4, 4)
-
-
-def test_div_builds_one_fraction_per_output_degree(monkeypatch):
-    # one wave's tau ratio at W = 64: the numerator over its upper and over
-    # its lower tau, with a float-lifted amplitude (49-bit denominator); the
-    # literal product builds several Fractions per term of each degree, and
-    # adding the two quotients one more
-    b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
-    q = DEFAULT_POINT.q
-    tp = tau_series(make_tau_plus(DEFAULT_POINT), b)
-    tm = tau_series(make_tau_minus(DEFAULT_POINT), b)
-    h = series_mul(subs(tm, 1 / q), subs(tp, q))
-    built = 0
-    new = F.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return new(cls, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(F, "__new__", counting_new)
-        out = series_div([(h, tp), (h, tm)], -64, 64)
-    assert out == add(literal_div(h, tp, -64, 64), literal_div(h, tm, -64, 64))
-    assert all(type(c) is F for c in out.values())
-    assert 0 < built <= 129
+        series_inv(h, t, -4, 4)
 
 
 @given(

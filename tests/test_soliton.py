@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 from toda_bo import soliton
 from toda_bo.evolve import DEFAULT_AMPLITUDES, DEFAULT_POINT
 from toda_bo.scalar import (
+    ONE,
     ParamPoint,
     PoleError,
     sample_amplitudes,
     sample_param_point,
 )
-from toda_bo.series import series_mul
+from toda_bo.series import series_mul, series_split
 from toda_bo.soliton import (
     BilinearOp,
     bilinear,
@@ -449,23 +450,22 @@ def test_xi_window_cross_multiplies_exactly():
         assert lhs == on_range({d: c / params.eps for d, c in rhs.items()}, lhs)
 
 
-def literal_div_sum(parts, lo, hi):
-    out = {}
-    for h, t in parts:
-        out = add(out, literal_div(h, t, lo, hi))
-    return out
+def literal_inv_pairs(h, t, lo, hi):
+    out = literal_div(h, t, lo, hi)
+    return {e: (c.numerator, c.denominator) for e, c in out.items()}
 
 
 @pytest.fixture
 def literal_pipeline(monkeypatch):
-    """Run a tau-ratio builder once as shipped and once with every division
-    done as the literal product with the Fraction-recurrence inverse; both
-    build exact Fractions, the literal side from the reduced pair."""
+    """Run a tau-ratio builder once as shipped and once with each part of the
+    split expanded as the literal product with the Fraction-recurrence
+    inverse; both build exact Fractions, the literal side from the reduced
+    pair."""
 
     def both(build, *args):
         fast = build(*args)
         with monkeypatch.context() as m:
-            m.setattr(soliton, "series_div", literal_div_sum)
+            m.setattr(soliton, "series_inv", literal_inv_pairs)
             return fast, build(*args)
 
     return both
@@ -490,6 +490,107 @@ def test_evolve_reference_equals_the_literal_pipeline(literal_pipeline):
     for build in (eta_series_from_taus, xi_series_from_taus):
         fast, literal = literal_pipeline(build, DEFAULT_POINT, b, 64)
         assert fast == literal
+
+
+# #### the split of the tau ratio ##############################################
+
+
+def recorded_split(build, *args):
+    """build(*args) and the one (num, tm, tp, hm, hp) its series_split saw."""
+    calls = []
+
+    def recording(num, tm, tp):
+        parts = series_split(num, tm, tp)
+        calls.append((num, tm, tp, *parts))
+        return parts
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(soliton, "series_split", recording)
+        out = build(*args)
+    (call,) = calls
+    return out, call
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 64),
+    st.sampled_from([eta_series_from_taus, xi_series_from_taus]),
+)
+def test_split_parts_are_the_ratio_on_each_side(n, seed, window, build):
+    # num == hm tp + hp tm exactly, hm below degree 0 and no lower than tm,
+    # hp from 0 up, and each part's literal expansion is the ratio on its side
+    rng = random.Random(seed)
+    params = sample_param_point(rng, n)
+    b = sample_amplitudes(rng, n)
+    ratio, (num, tm, tp, hm, hp) = recorded_split(build, params, b, window)
+    assert add(series_mul(hm, tp), series_mul(hp, tm)) == num
+    assert all(min(tm) <= e < 0 for e in hm) and all(e >= 0 for e in hp)
+    below = {e: c for e, c in ratio.items() if e < 0 and c}
+    above = {e: c for e, c in ratio.items() if e >= 0 and c}
+    assert literal_div(hm, tm, -window, -1) == below
+    assert literal_div(hp, tp, 0, window) == above
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+    st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+)
+def test_split_refuses_a_shared_root_and_a_numerator_below_the_lower_tau(n, seed, w):
+    rng = random.Random(seed)
+    params = sample_param_point(rng, n)
+    b = sample_amplitudes(rng, n)
+    tp = tau_series(make_tau_plus(params), b)
+    tm = tau_series(make_tau_minus(params), b)
+    num = series_mul(subs(tm, 1 / params.q), subs(tp, params.q))
+    series_split(num, tm, tp)
+    # both taus times a factor vanishing at z = w
+    tm_w, tp_w = series_mul(tm, {-1: -w, 0: ONE}), series_mul(tp, {0: ONE, 1: -1 / w})
+    with pytest.raises(PoleError, match="share a root"):
+        series_split(num, tm_w, tp_w)
+    with pytest.raises(ArithmeticError, match="below the lower tau"):
+        series_split({**num, min(tm) - 1: ONE}, tm, tp)
+
+
+def test_tau_ratio_builds_one_fraction_per_output_degree(monkeypatch):
+    # one wave's tau ratio with a float-lifted amplitude (49-bit
+    # denominator): the expansion reduces one integer pair per nonzero
+    # output degree, and the split builds as many Fractions at W = 16 as at
+    # W = 64
+    b = (F(0.5 * math.exp(0.75 * 5 / 36 * 0.37)),)
+    q = DEFAULT_POINT.q
+    tp = tau_series(make_tau_plus(DEFAULT_POINT), b)
+    tm = tau_series(make_tau_minus(DEFAULT_POINT), b)
+    num = series_mul(subs(tm, 1 / q), subs(tp, q))
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    in_split = []
+
+    def counting_split(*args):
+        before = built
+        parts = series_split(*args)
+        in_split.append(built - before)
+        return parts
+
+    for window in (16, 64):
+        built = 0
+        with monkeypatch.context() as m:
+            m.setattr(F, "__new__", counting_new)
+            m.setattr(soliton, "series_split", counting_split)
+            out = soliton._annulus_ratio(num, tm, tp, window)
+        assert list(out) == list(range(-window, window + 1))
+        assert all(type(c) is F for c in out.values())
+        assert 0 < built - in_split[-1] <= 2 * window + 1
+    assert in_split[0] == in_split[1] > 0
 
 
 @settings(max_examples=40, deadline=None)
