@@ -701,3 +701,27 @@ def test_bracket_group_report_bytes_are_pinned(capsys, window, digest):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "window, digest",
+    [
+        (
+            ["--trunc-modes", "16", "--trunc-deg", "8"],
+            "61cea6d52e3c6602fd9bf9a6b55f78f3aeae98ba73a0394390f8447498a467b9",
+        ),
+        (
+            ["--trunc-modes", "13", "--trunc-deg", "5", "--trunc-z", "5"],
+            "8ed356eee3011dc277305205f2c11cec72d2ddf350cffffb375b25180319aa8d",
+        ),
+    ],
+    ids=["modes16-deg8", "modes13-deg5-z5"],
+)
+def test_eta_xi_report_bytes_are_pinned(capsys, window, digest):
+    # eta-xi alone, through its delta products, at two windows past the
+    # bracket pins': an even and an odd n_modes, the latter with a zcap
+    # below it
+    rc = main(["verify", "--identity", "eta-xi", "--seed", "7", *window])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
