@@ -173,8 +173,7 @@ def wave_modes(N: int) -> dict[int, Fraction]:
 
 
 def initial_state(init, N: int) -> State:
-    if isinstance(init, SolitonInit):
-        return State(N, analytic_soliton_modes(wave_modes(N), 0.0), 0.0, init.q)
+    """The t = 0 state of random initial data; run() starts a wave itself."""
     if isinstance(init, RandomInit):
         rng = _random.Random(init.seed)
         modes = np.array(

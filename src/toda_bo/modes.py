@@ -18,8 +18,8 @@ certified-weight bound (see Guarantee).  The soundness argument rests on the
 balance invariant sigma(mu) = -sum(s) (mode-index sum opposite the slot
 sum), which pins every contributor of a certified cell inside the certified
 region of its inputs.  Brackets cost one degree and cap the budget at the
-operands' certified weight; kernel and delta expansions halve the certified
-weight; products and linear maps preserve everything.
+operands' certified weight; a kernel application (a delta product is one)
+halves the certified weight; products and linear maps preserve everything.
 
 Every series is built inside its window (slot l1-norm + weight <= n_modes,
 degree <= d_deg): each producer trims its own cells, and the one
@@ -353,8 +353,8 @@ class Guarantee:
     Products and linear maps meet componentwise.  A bracket caps its budget
     by both operands' weight field (a contributor monomial can absorb the
     whole target weight plus slot span on one side) and costs one degree.
-    Kernel and delta expansions halve the certified weight: their
-    contributing cells sit at slot span up to the full monomial weight.
+    A kernel application (a delta product is one) halves the certified
+    weight: its contributing cells sit at slot span up to the monomial's weight.
     """
 
     budget: int
@@ -786,32 +786,6 @@ def apply_ratio_kernel(
         if poly:
             out[tgt] = poly
     return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
-
-
-def delta_mul(c: Scalar, G: AlphaSeries) -> AlphaSeries:
-    """Expand delta(c * w / z) * G(z) into a two-variable series in (z, w).
-
-    delta(x) = sum over all integers of x**n; the cell at (a, b) receives
-    c**b * G[a + b], cut to the weight n_modes - |a| - |b| its span leaves.
-    G must be a one-variable build so balance pins its support within the
-    window.
-    """
-    if len(G.vars) != 1:
-        raise ValueError("delta_mul needs a one-variable series")
-    N = G.ctx.trunc.n_modes
-    D = G.ctx.trunc.d_deg
-    c = Fraction(c)
-    out: dict[tuple[int, int], AlphaPoly] = {}
-    for (g,), poly in G.coeffs.items():
-        # the cell (a, b) has the one source g = a + b
-        for b in range(max(-N, g - N), min(N, g + N) + 1):
-            room = N - abs(g - b) - abs(b)
-            if room < 0:  # prunes to nothing
-                continue
-            p = poly.pruned(room, D)
-            if p:
-                out[(g - b, b)] = p * c**b
-    return AlphaSeries(G.ctx, (G.vars[0], "w"), out, G.guar.kern_derate())
 
 
 # #### field builders ##########################################################

@@ -71,7 +71,6 @@ from .modes import (
     build_phi,
     build_tau,
     build_xi,
-    delta_mul,
     eta_zero,
     hirota,
     poly_rows,
@@ -364,16 +363,21 @@ def _win_self_bracket(ctx, build, kernel):
 
 
 def _win_eta_xi(ctx):
+    """{eta(z), xi(w)} = delta(s w/z) G_+(z) - delta(w/(s z)) G_-(z), with
+    G_+- = tau_+-(qz) tau_+-(z/q) / tau_+-(z)**2.  Each delta(c w/z) G(z)
+    is the kernel sum_l c**l (w/z)**l applied to G placed at w**0."""
     lhs = bracket(build_eta(ctx), build_xi(ctx).renamed("w"))
-    q, s = ctx.q, ctx.s
+    q, N = ctx.q, ctx.trunc.n_modes
     parts = []
-    for sign in ("+", "-"):
+    for sign, c in (("+", ctx.s), ("-", 1 / ctx.s)):
         t = build_tau(ctx, sign)
         ti = t.inv()
-        parts.append(t.subs_scale(q) * t.subs_scale(1 / q) * ti * ti)
-    gp, gm = parts
-    rhs = delta_mul(s, gp) - delta_mul(1 / s, gm)
-    return [(lhs - rhs, lhs)]
+        G = t.subs_scale(q) * t.subs_scale(1 / q) * ti * ti
+        at_w0 = {(k, 0): poly for (k,), poly in G.coeffs.items()}
+        G = AlphaSeries(ctx, ("z", "w"), at_w0, G.guar)
+        parts.append(apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}, (0, 1)))
+    dp, dm = parts
+    return [(lhs - (dp - dm), lhs)]
 
 
 def _win_field_tau(ctx, field: str, sign: str):

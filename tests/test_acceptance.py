@@ -17,10 +17,10 @@ import time
 from fractions import Fraction
 
 from toda_bo.cli import main
-from toda_bo.evolve import RunConfig, SolitonInit, initial_state, run
+from toda_bo.evolve import RunConfig, run
 from toda_bo.verify import CheckConfig, run_check, run_suite
 
-from test_evolve import order_ratio
+from test_evolve import order_ratio, wave_state
 
 TOL = Fraction(1, 10**10)
 
@@ -107,7 +107,7 @@ def test_criterion_5_charge_consistency():
 
 def test_criterion_6_integrator_error_and_conservation():
     records, summary = run(RunConfig())  # one wave, N=64, dt=1e-3, t in [0,1]
-    ratio = order_ratio(initial_state(SolitonInit(), 32), 0.25, 8)
+    ratio = order_ratio(wave_state(32), 0.25, 8)
     ok = (
         summary["max_mode_error"] < 1e-6
         and summary["eta0_drift"] < 1e-12

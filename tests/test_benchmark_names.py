@@ -24,6 +24,7 @@ STRANDED = {
     "series.series_log",
     "modes.build_eta_ratio",
     "modes.build_xi_ratio",
+    "modes.delta_mul",
     "modes.flow",
     "modes.hirota_affine_power",
     "iom.Ibar_k_def",

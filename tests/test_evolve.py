@@ -265,8 +265,13 @@ def order_ratio(s: State, dt: float, steps: int) -> float:
     return float(np.abs(y1 - y2).max()) / e24
 
 
+def wave_state(N: int) -> State:
+    """The wave's t = 0 state, built as run() builds it."""
+    return State(N, analytic_soliton_modes(wave_modes(N), 0.0), 0.0, SolitonInit().q)
+
+
 def test_rk4_is_fourth_order():
-    s = initial_state(SolitonInit(), 32)
+    s = wave_state(32)
     ratio = order_ratio(s, 0.25, 8)
     assert 12 <= ratio <= 20
 
@@ -299,8 +304,11 @@ def run_sample_times(config: RunConfig) -> list[float]:
 
 
 def test_soliton_state_matches_exact_pipeline_at_t0():
-    s = initial_state(SolitonInit(), 16)
-    assert s.modes.tobytes() == pipeline_modes(0.0, 16).tobytes()
+    # run()'s first record is its start state, which wave_state rebuilds
+    (start, *_), _ = run(RunConfig(n_modes=16, steps=1))
+    s = wave_state(16)
+    assert start["modes"].tobytes() == pipeline_modes(0.0, 16).tobytes()
+    assert s.modes.tobytes() == start["modes"].tobytes()
     assert s.q == complex(float(DEFAULT_POINT.q))
 
 

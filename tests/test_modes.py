@@ -9,9 +9,11 @@ exp, inv and rescaling at once.  The integer product kernels are checked
 against the term-by-term Fraction loops they replaced, and one bracket's
 Fraction constructions are counted.  The ring operations are checked
 against Fraction dicts, value and canonical form, and every result of the
-algebra, delta_mul and the field builders against a copy of its cells cut
-to the window rule (window_cells), an oracle for the constructor's own
-check.  hirota is checked
+algebra, the delta products and the field builders against a copy of its
+cells cut to the window rule (window_cells), an oracle for the
+constructor's own check.  A delta product is the ratio kernel applied to
+a one-variable series placed at w**0, as eta-xi builds it, and is checked
+cell by cell against the literal per-cell sum.  hirota is checked
 against literal_hirota, the recursion D f.g = (Df)g - f(Dg) with explicit
 left and right brackets: for bare D's directly, and for the affine product
 over a partition through the binomial sum for a power and the product
@@ -49,7 +51,6 @@ from toda_bo.modes import (
     build_phi,
     build_tau,
     build_xi,
-    delta_mul,
     diff_rows,
     eta_zero,
     hirota,
@@ -730,7 +731,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
         "bracket": bracket(ez, ew),
         "flow bracket": bracket(eta_zero(ctx), tm),
         "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
-        "delta_mul": delta_mul(F(1, 2), tp * tm.inv()),
+        "delta product": delta_product(F(1, 2), tp * tm.inv()),
         "inv": tp.inv(),
         "inv of 1 + phi": one_plus_phi.inv(),
         "exp": build_phi(ctx, "-").exp(),
@@ -1069,11 +1070,23 @@ def test_hirota_on_one_series_equals_hirota_on_a_copy(monkeypatch, sign):
         assert got.coeffs == want.coeffs and got.guar == want.guar
 
 
+# #### kernel application #####################################################
+
+
+def delta_product(c, G: AlphaSeries) -> AlphaSeries:
+    """delta(c w/z) G(z) as eta-xi builds it: the kernel sum_l c**l (w/z)**l
+    applied to the one-variable G placed at w**0."""
+    N = G.ctx.trunc.n_modes
+    at_w0 = {(k, 0): p for (k,), p in G.coeffs.items()}
+    G = AlphaSeries(G.ctx, ("z", "w"), at_w0, G.guar)
+    return apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}, (0, 1))
+
+
 @pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 3)])
 def test_delta_mul_equals_the_literal_per_cell_sum(trunc):
     # cell (a, b) is c**b G[a + b], cut to the window, for every cell of
-    # slot span <= N, the span-N ones included: a cell past N is skipped
-    # before its (empty) pruning
+    # slot span <= N, the span-N ones included; the guarantee is G's,
+    # derated as by any kernel application
     ctx = ModeContext(F(1, 2), F(1, 8), trunc)
     N = trunc.n_modes
     c = F(2, 3)
@@ -1084,12 +1097,10 @@ def test_delta_mul_equals_the_literal_per_cell_sum(trunc):
                 p = G.coeff((a + b,)) * c**b
                 if p:
                     literal[a, b] = p
-        got = delta_mul(c, G)
+        got = delta_product(c, G)
         assert got.coeffs == window_cells(ctx, literal)
+        assert got.guar == G.guar.kern_derate()
         assert N in {sum(map(abs, slot)) for slot in got.coeffs}
-
-
-# #### kernel and delta application ############################################
 
 
 def test_apply_ratio_kernel_shifts_slots():
@@ -1104,19 +1115,3 @@ def test_apply_ratio_kernel_shifts_slots():
             want = (poly * F(5)).pruned(6 - abs(ta) - abs(tb), 6)
             assert got == want
     assert moved.guar == prod.guar.kern_derate()
-
-
-def test_delta_mul_small():
-    tm = build_tau(CTX, "-")
-    d = delta_mul(F(1, 2), tm)
-    # cell (a, b) = (1/2)**b * tau[a + b]
-    assert d.coeff((-3, 1)) == tm.coeff((-2,)) * F(1, 2)
-    assert d.coeff((1, -2)) == tm.coeff((-1,)) * F(4)
-    assert d.guar == tm.guar.kern_derate()
-
-
-def test_delta_mul_needs_one_var():
-    e = build_eta(CTX)
-    x = build_xi(CTX).renamed("w")
-    with pytest.raises(ValueError):
-        delta_mul(F(1, 2), e * x)

@@ -5,7 +5,10 @@ the finite-shift route and the reflection-factor route must reproduce each
 other through the shift identity (two independent code paths); numeric field
 windows are validated by exact cross-multiplication on the degrees the
 window fully determines, never by tolerance, and must equal the same
-pipeline run with the literal Fraction division.
+pipeline run with the literal Fraction division.  The property tests that
+build a tau ratio at a sampled point reject a point whose taus share a root
+(the resultant says which), where the ratio has no annulus and the split
+must refuse.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from toda_bo import soliton
@@ -48,7 +51,7 @@ from toda_bo.soliton import (
     xi_series_from_taus,
 )
 
-from test_series import add, literal_div, subs
+from test_series import add, literal_div, resultant, subs
 
 P0 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=())
 P1 = ParamPoint(s=F(1, 2), eps=F(1, 8), a=(F(1, 5),))
@@ -495,18 +498,33 @@ def test_evolve_reference_equals_the_literal_pipeline(literal_pipeline):
 # #### the split of the tau ratio ##############################################
 
 
+def coprime_taus(tm, tp) -> bool:
+    """Whether z**n tm (n = -min(tm)) and tp share no root: the tau ratio
+    has an annulus to expand in.  A sampled point can put a root of one
+    tau on the other."""
+    return resultant({d - min(tm): c for d, c in tm.items()}, tp) != 0
+
+
 def recorded_split(build, *args):
-    """build(*args) and the one (num, tm, tp, hm, hp) its series_split saw."""
+    """build(*args) and the one (num, tm, tp, hm, hp) its series_split saw.
+    A draw whose taus share a root, which the split must refuse, is
+    rejected."""
     calls = []
 
     def recording(num, tm, tp):
+        calls.append((num, tm, tp))
         parts = series_split(num, tm, tp)
-        calls.append((num, tm, tp, *parts))
+        calls[-1] += parts
         return parts
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(soliton, "series_split", recording)
-        out = build(*args)
+        try:
+            out = build(*args)
+        except PoleError:
+            ((_, tm, tp),) = calls
+            assert not coprime_taus(tm, tp)
+            reject()
     (call,) = calls
     return out, call
 
@@ -546,6 +564,7 @@ def test_split_refuses_a_shared_root_and_a_numerator_below_the_lower_tau(n, seed
     tp = tau_series(make_tau_plus(params), b)
     tm = tau_series(make_tau_minus(params), b)
     num = series_mul(subs(tm, 1 / params.q), subs(tp, params.q))
+    assume(coprime_taus(tm, tp))
     series_split(num, tm, tp)
     # both taus times a factor vanishing at z = w
     tm_w, tp_w = series_mul(tm, {-1: -w, 0: ONE}), series_mul(tp, {0: ONE, 1: -1 / w})
@@ -609,6 +628,12 @@ def test_scaling_every_amplitude_scales_mode_m_by_its_inverse_power(n, seed, lam
     # so does scaling one amplitude of a point with more than one wave
     rng = random.Random(seed)
     params, b = sample_param_point(rng, n), sample_amplitudes(rng, n)
+    one = (lam * b[0],) + b[1:]
+    # amplitudes whose taus share a root have no tau ratio; scaling every
+    # amplitude moves the roots of both taus alike
+    for amplitudes in (b, one):
+        tm = tau_series(make_tau_minus(params), amplitudes)
+        assume(coprime_taus(tm, tau_series(make_tau_plus(params), amplitudes)))
 
     def modes(amplitudes):
         return modes_from_series(eta_series_from_taus(params, amplitudes, 8))
@@ -617,8 +642,7 @@ def test_scaling_every_amplitude_scales_mode_m_by_its_inverse_power(n, seed, lam
     assert scaled == {m: lam**-m * c for m, c in eta.items()}
     assert scaled != {m: lam ** -(m + 1) * c for m, c in eta.items()}
     if n > 1:
-        one = modes((lam * b[0],) + b[1:])
-        assert one != {m: lam**-m * c for m, c in eta.items()}
+        assert modes(one) != {m: lam**-m * c for m, c in eta.items()}
 
 
 def test_zero_mode_is_amplitude_independent():

@@ -8,17 +8,19 @@ deliberately wrong kernel through the windowed finisher, which must report
 violations instead of passing, one wrong coefficient or one wrong partition
 in the order-3 Toda equation table must fail both the exact and the windowed
 check that read it, one wrong coefficient in the lemma table must fail its
-windowed check, one row weight of each Miwa identity scaled by 7/6 must
-fail its exact check, and +xi_0 in place of -xi_0 as the t-bar flow must
-fail hirota-tb and toda.  The brackets one hirota call makes are counted,
-and so are the field builds of the bracket group: one each of eta and xi.
-The Miwa row builders are also run at explicit shifts far outside
-the sampler's range, and each side of the partition-keyed Toda rows is
-compared with the earlier (c, order, power) table, read as powers.
+windowed check, one row weight of each Miwa identity scaled by 7/6 must fail
+its exact check, +xi_0 in place of -xi_0 as the t-bar flow must fail
+hirota-tb and toda, and eta-xi with its two delta arguments swapped or their
+relative sign flipped must report violations.  The brackets one hirota call
+makes are counted, and so are the field builds of the bracket group: one
+each of eta and xi.  The Miwa row builders are also run at explicit shifts
+far outside the sampler's range, and each side of the partition-keyed Toda
+rows is compared with the earlier (c, order, power) table, read as powers.
 Determinism is asserted on serialized bytes of repeated runs, and the CLI
-reports of the exact and lemma-t3 groups, of the bracket group, of the
-m2/m3-consistency checks, of conj-iom, of the whole suite and of the
-benchmark's verify selection are pinned to their sha256.
+reports of the exact and lemma-t3 groups, of the bracket group, of eta-xi
+alone at two wider windows, of the m2/m3-consistency checks, of conj-iom, of
+the whole suite and of the benchmark's verify selection are pinned to their
+sha256.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from toda_bo.verify import (
     _run_windowed,
     _sgn,
     _win_self_bracket,
+    _win_eta_xi,
     _win_hirota_tb,
     _win_lemma,
     _win_prop,
@@ -430,6 +433,31 @@ def test_tbar_flow_is_the_flow_of_minus_xi0(monkeypatch):
     for build in (_win_hirota_tb, _win_toda):
         _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
         assert not passed and detail["violations"] > 0, build.__name__
+
+
+@pytest.mark.parametrize("wrong, violations", [("swap", 426), ("flip", 248)])
+def test_eta_xi_fails_with_swapped_deltas_or_flipped_sign(
+    monkeypatch, wrong, violations
+):
+    # at the default bracket window the right side with s and 1/s swapped
+    # between the two deltas, or with their relative sign flipped (dp + dm),
+    # leaves certified residual terms; the true one leaves none
+    cfg = CheckConfig()
+    ctx = _ctx_bracket(cfg)
+    _, passed, detail = _finish_windowed(_win_eta_xi(ctx), cfg.trunc_z)
+    assert passed and detail["witness_certified_terms"] == 482
+
+    def wrong_kernel(F, terms, pair):
+        if wrong == "swap":  # c**-l in place of c**l: c -> 1/c
+            return apply_ratio_kernel(F, {-l: k for l, k in terms.items()}, pair)
+        out = apply_ratio_kernel(F, terms, pair)
+        return -out if terms[1] == 1 / ctx.s else out  # negate delta(w/(s z)) G_-
+
+    monkeypatch.setattr(verify, "apply_ratio_kernel", wrong_kernel)
+    _, passed, detail = _finish_windowed(_win_eta_xi(ctx), cfg.trunc_z)
+    assert not passed
+    assert detail["violations"] == violations
+    assert detail["witness_certified_terms"] == 482
 
 
 def assert_order_three_fails_both_layers(monkeypatch, wrong):
