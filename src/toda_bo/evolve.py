@@ -46,13 +46,15 @@ _Q_TOL = 1e-9
 def q_from_gamma(gamma: complex) -> complex:
     """Deformation parameter from the lattice spacing, q = e^(2*pi*i*gamma).
 
-    The upper half plane (including the real axis) keeps |q| <= 1; the flow
-    also divides by q, so q must not underflow."""
+    The upper half plane (including the real axis) keeps |q| <= 1, tested
+    as State tests it, |q| <= 1 + _Q_TOL; the flow also divides by q, so q
+    must not underflow."""
     if not cmath.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    if gamma.imag < -_Q_TOL:
+    # Im(gamma) clamped at -1 keeps exp finite, and |q| = e^(2 pi) fails the test
+    q = cmath.exp(2j * cmath.pi * complex(gamma.real, max(gamma.imag, -1.0)))
+    if abs(q) > 1 + _Q_TOL:
         raise ValueError("gamma must satisfy Im(gamma) >= 0")
-    q = cmath.exp(2j * cmath.pi * gamma)
     if q == 0 or not cmath.isfinite(1 / q):
         raise ValueError("Im(gamma) too large: q underflows to zero")
     return q

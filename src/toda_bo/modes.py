@@ -25,7 +25,10 @@ Every series is built inside its window (slot l1-norm + weight <= n_modes,
 degree <= d_deg): each producer trims its own cells, and the one
 AlphaSeries constructor asserts that rule and balance on every monomial.
 Every field is built in z, once per context; a second variable w is the
-same cells under another name (AlphaSeries.renamed).
+same cells under another name (AlphaSeries.renamed).  Every field is the
+exponential of a linear mode form (tau_+- of tau_log, eta and xi of
+two-sided sums), and so is every product of shifted taus and their
+inverses: 1 / tau is exp(-tau_log), so the algebra has no series inverse.
 
 The algebra runs on Python ints.  A monomial is one int of 8-bit fields,
 from the low end: its degree, its positive weight (the sum of its positive
@@ -43,13 +46,15 @@ poly_mul refuses a product that could pass it.
 A mode polynomial is integer numerators over one denominator, the lcm of
 its reduced coefficient denominators.  Each operand cell becomes rows
 (packed monomial, weight, degree, numerator) over that denominator,
-sorted by weight so a weight cap ends a scan early.  sum_products adds
+sorted by weight so a weight cap ends a scan early.  _sum_products adds
 c * a * b over its terms into one integer per result monomial, every term
 scaled to the lcm of the terms' denominators, and reduces the result by
 one gcd.  poly_mul, the bracket's pairing over all n, each result slot of
 a series product and each target slot of a kernel application are one
-sum_products each; sums, negation, scalar multiples and pruning work on
-the numerators too.  No Fraction is built until a coefficient is read
+_sum_products each; sums, negation, scalar multiples and pruning work on
+the numerators too.  The rows are private to this module: other modules
+build through AlphaPoly and AlphaSeries and read a monomial with the
+mono_* accessors.  No Fraction is built until a coefficient is read
 (AlphaPoly.coeff), which the windowed finisher does for a violating cell
 only.  Integer sums are exact and the reduced form is unique, so the
 coefficients are the rationals the term-by-term Fraction sum gives, and a
@@ -62,10 +67,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .scalar import ONE, PoleError, Scalar
 
@@ -237,7 +242,7 @@ class AlphaPoly:
 Rows = tuple[list[tuple[Monomial, int, int, int]], int]
 
 
-def poly_rows(p: AlphaPoly) -> Rows:
+def _poly_rows(p: AlphaPoly) -> Rows:
     """p as (rows, den): one row (monomial, weight, degree, numerator over
     den) per term, sorted by weight."""
     rows = [
@@ -247,10 +252,10 @@ def poly_rows(p: AlphaPoly) -> Rows:
     return rows, p.den
 
 
-def sum_products(
+def _sum_products(
     terms: list[tuple[Scalar, Rows, Rows]], max_weight: float, max_deg: float
 ) -> AlphaPoly:
-    """Sum of c * a * b over terms (c, a, b), a and b as poly_rows, keeping
+    """Sum of c * a * b over terms (c, a, b), a and b as _poly_rows, keeping
     result monomials of weight <= max_weight and degree <= max_deg.
 
     The integer product kernel: every term is brought to the lcm of the
@@ -293,11 +298,11 @@ def poly_mul(
     the packed fields would carry."""
     wcap = float("inf") if max_weight is None else max_weight
     dcap = float("inf") if max_deg is None else max_deg
-    ra, rb = poly_rows(a), poly_rows(b)
+    ra, rb = _poly_rows(a), _poly_rows(b)
     # rows are sorted by weight, so each operand's last row is its heaviest
     if ra[0] and rb[0] and min(wcap, ra[0][-1][1] + rb[0][-1][1]) > MAX_WEIGHT:
         raise ValueError(f"a product monomial could pass weight {MAX_WEIGHT}")
-    return sum_products([(1, ra, rb)], wcap, dcap)
+    return _sum_products([(1, ra, rb)], wcap, dcap)
 
 
 # #### context and guarantees ##################################################
@@ -545,35 +550,30 @@ class AlphaSeries:
             raise ValueError("overlapping but unequal variables")
         N = self.ctx.trunc.n_modes
         D = self.ctx.trunc.d_deg
-        brows = [(sb, poly_rows(pb)) for sb, pb in other.coeffs.items()]
+        brows = [(sb, _poly_rows(pb)) for sb, pb in other.coeffs.items()]
         terms: dict[tuple[int, ...], list] = {}
         for sa, pa in self.coeffs.items():
-            ra = poly_rows(pa)
+            ra = _poly_rows(pa)
             for sb, rb in brows:
                 slot = combine(sa, sb)
                 if sum(map(abs, slot)) <= N:
                     terms.setdefault(slot, []).append((1, ra, rb))
         out = {}
         for slot, ts in terms.items():
-            prod = sum_products(ts, N - sum(map(abs, slot)), D)
+            prod = _sum_products(ts, N - sum(map(abs, slot)), D)
             if prod:
                 out[slot] = prod
         return AlphaSeries(self.ctx, rvars, out, guar)
 
     # -- one-sided analytic operations -------------------------------------------
 
-    def _direction(self, what: str) -> int:
-        if len(self.vars) != 1:
-            raise ValueError(f"{what} needs exactly one variable")
-        signs = {1 if s[0] > 0 else -1 for s in self.coeffs if s[0] != 0}
-        if len(signs) > 1:
-            raise ValueError(f"{what} needs one-sided support")
-        return signs.pop() if signs else 1
-
     def exp(self) -> "AlphaSeries":
+        if len(self.vars) != 1:
+            raise ValueError("exp needs exactly one variable")
         if self.coeff((0,)):
             raise ValueError("exp needs zero constant cell")
-        self._direction("exp")
+        if len({s > 0 for (s,) in self.coeffs}) > 1:
+            raise ValueError("exp needs one-sided support")
         N = self.ctx.trunc.n_modes
         one = AlphaSeries(self.ctx, self.vars, {(0,): AlphaPoly.one()}, self.guar)
         result, term = one, one
@@ -583,27 +583,6 @@ class AlphaSeries:
                 break
             result = result + term
         return result._with(result.coeffs, self.guar)
-
-    def inv(self) -> "AlphaSeries":
-        if self.coeff((0,)) != AlphaPoly.one():
-            raise ValueError("inv needs unit constant cell")
-        d = self._direction("inv")
-        N = self.ctx.trunc.n_modes
-        D = self.ctx.trunc.d_deg
-        frows = {s[0]: poly_rows(p) for s, p in self.coeffs.items()}
-        out = {(0,): AlphaPoly.one()}
-        grows = {0: poly_rows(out[(0,)])}
-        for k in range(1, N + 1):
-            terms = [
-                (-1, frows[d * j], grows[k - j])
-                for j in range(1, k + 1)
-                if d * j in frows and k - j in grows
-            ]
-            acc = sum_products(terms, N - k, D)
-            if acc:
-                out[(d * k,)] = acc
-                grows[k] = poly_rows(acc)
-        return self._with(out)
 
 
 # #### bracket and flows #######################################################
@@ -616,7 +595,7 @@ def diff_rows(p: AlphaPoly) -> dict[int, Rows]:
     d/d alpha_n takes each monomial m holding n to m - unit(n) times n's
     exponent, one distinct monomial each, so no two terms meet, and
     lowering every weight by |n| keeps the order."""
-    rows, D = poly_rows(p)
+    rows, D = _poly_rows(p)
     table: dict[int, list] = {}
     for m, w, d, c in rows:
         for i, e in enumerate(_exponent_bytes(m)):
@@ -645,7 +624,7 @@ def poisson_pairing(
 
     dfs and dgs are diff_rows(f) and diff_rows(g); the deformed pairing
     sums (1 - q**n) (f_n g_{-n} - f_{-n} g_n) over n = 1..n_modes in one
-    sum_products, with every product capped at max_weight and max_deg.
+    _sum_products, with every product capped at max_weight and max_deg.
     """
     terms = []
     for n, c, minus_c in _pairing_scales(ctx):
@@ -653,7 +632,7 @@ def poisson_pairing(
             terms.append((c, dfs[n], dgs[-n]))
         if -n in dfs and n in dgs:
             terms.append((minus_c, dfs[-n], dgs[n]))
-    return sum_products(terms, max_weight, max_deg)
+    return _sum_products(terms, max_weight, max_deg)
 
 
 def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
@@ -767,10 +746,10 @@ def apply_ratio_kernel(
     D = F.ctx.trunc.d_deg
     # target-major: each target slot sums k * cell (times the unit row) over
     # its own lcm, capped at the weight its span leaves
-    unit = poly_rows(AlphaPoly.one())
+    unit = _poly_rows(AlphaPoly.one())
     by_tgt: dict[tuple[int, ...], list] = {}
     for slot, poly in F.coeffs.items():
-        rows = poly_rows(poly)
+        rows = _poly_rows(poly)
         for l, k in terms.items():
             if not k:
                 continue
@@ -782,7 +761,7 @@ def apply_ratio_kernel(
             by_tgt.setdefault(tuple(tgt), []).append((k, rows, unit))
     out = {}
     for tgt, ts in by_tgt.items():
-        poly = sum_products(ts, N - sum(map(abs, tgt)), D)
+        poly = _sum_products(ts, N - sum(map(abs, tgt)), D)
         if poly:
             out[tgt] = poly
     return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
@@ -808,24 +787,28 @@ def _linear_form(ctx: ModeContext, coeffs, side: str) -> AlphaSeries:
     return AlphaSeries(ctx, ("z",), cells, Guarantee(N, N, ctx.trunc.d_deg))
 
 
-def _exp_field(ctx: ModeContext, c: Scalar, coeffs, sides) -> AlphaSeries:
-    """c * exp(sum_{n != 0} c_|n| alpha_n z**-n) over the sides listed:
-    the product of one exponential per side, which is the exponential of
-    the sum since the summands commute."""
+def _exp_field(ctx: ModeContext, c: Scalar, coeffs) -> AlphaSeries:
+    """c * exp(sum_{n != 0} c_|n| alpha_n z**-n): the product of one
+    exponential per side, which is the exponential of the sum since the
+    summands commute."""
     coeffs = tuple(islice(coeffs, ctx.trunc.n_modes // 2))
-    exps = [_linear_form(ctx, coeffs, side).exp() for side in sides]
-    return reduce(mul, exps).scale(c)
+    plus, minus = (_linear_form(ctx, coeffs, side).exp() for side in ("+", "-"))
+    return (plus * minus).scale(c)
+
+
+def tau_log(ctx: ModeContext, sign: str) -> AlphaSeries:
+    """log tau_+ / log tau_- in z, one-sided linear forms:
+
+    log tau_+ = -sum_{n>0} alpha_{-n} z**n  / (1 - q**n)
+    log tau_- = -sum_{n>0} alpha_{n}  z**-n / (1 - q**n)
+    """
+    return _linear_form(ctx, (-1 / ctx.one_minus_q(n) for n in count(1)), sign)
 
 
 @lru_cache(maxsize=None)
 def build_tau(ctx: ModeContext, sign: str) -> AlphaSeries:
-    """Dressing series tau_+ / tau_- in z: exponentials of one-sided mode sums.
-
-    tau_+ = exp(-sum_{n>0} alpha_{-n} z**n  / (1 - q**n))
-    tau_- = exp(-sum_{n>0} alpha_{n}  z**-n / (1 - q**n))
-    """
-    coeffs = (-1 / ctx.one_minus_q(n) for n in count(1))
-    return _exp_field(ctx, ONE, coeffs, (sign,))
+    """Dressing series tau_+ / tau_- in z: the exponential of tau_log."""
+    return tau_log(ctx, sign).exp()
 
 
 @lru_cache(maxsize=None)
@@ -837,14 +820,14 @@ def build_phi(ctx: ModeContext, sign: str) -> AlphaSeries:
 @lru_cache(maxsize=None)
 def build_eta(ctx: ModeContext) -> AlphaSeries:
     """Exponential field eps * exp(sum_{n != 0} alpha_n z**-n)."""
-    return _exp_field(ctx, ctx.eps, repeat(ONE), ("+", "-"))
+    return _exp_field(ctx, ctx.eps, repeat(ONE))
 
 
 @lru_cache(maxsize=None)
 def build_xi(ctx: ModeContext) -> AlphaSeries:
     """Dual exponential field: (1/eps) * exp(-sum_{n != 0} alpha_n s**-|n| z**-n)."""
     coeffs = (-1 / ctx.s**n for n in count(1))
-    return _exp_field(ctx, 1 / ctx.eps, coeffs, ("+", "-"))
+    return _exp_field(ctx, 1 / ctx.eps, coeffs)
 
 
 @lru_cache(maxsize=None)

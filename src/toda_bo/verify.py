@@ -73,8 +73,9 @@ from .modes import (
     build_xi,
     eta_zero,
     hirota,
-    poly_rows,
-    sum_products,
+    mono_degree,
+    mono_weight,
+    tau_log,
     xi_zero,
 )
 from .scalar import (
@@ -236,8 +237,8 @@ def _finish_windowed(pairs, zcap: int):
             if any(abs(x) > zcap for x in slot):
                 continue
             span = sum(abs(x) for x in slot)
-            for mono, w, d, _ in poly_rows(poly)[0]:
-                yield poly, mono, g.covers(span, w, d)
+            for mono in poly.nums:
+                yield poly, mono, g.covers(span, mono_weight(mono), mono_degree(mono))
 
     worst = ZERO
     violations = 0
@@ -287,30 +288,22 @@ def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
       mp: sum_{r,s>=1} q**(r+s) eta_{-r} eta_{r+s}  at slot -s
       mm: sum_{r,s>=1} q**(r+s) eta_{-r} eta_{r-s}  at slot +s
 
-    Certification matches a kernel application: budget survives, certified
-    weight halves (a contributing mode pair sits at slot span up to the
-    output monomial weight).
+    With signs (sg, tg) from pick, the sum is q**(r+s) eta_{sg r}
+    eta_{tg s - sg r} at slot -tg s: one product in z, of eta's slots of
+    sign -sg at z q**-(sg+tg) and eta at z q**-tg, whose factors give each
+    pair q**((1 + sg tg) r) q**(s - sg tg r), cut to the slots of sign
+    -tg.  Certification matches a kernel application: budget survives,
+    certified weight halves (a contributing mode pair sits at slot span up
+    to the output monomial weight).
     """
     if pick not in ("pp", "pm", "mp", "mm"):
         raise ValueError("pick must be one of pp, pm, mp, mm")
-    # with signs (sg, tg) from pick: eta_{sg r} eta_{tg s - sg r} at slot -tg s
     sg, tg = (1 if c == "p" else -1 for c in pick)
     e = build_eta(ctx)
-    N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     q = ctx.q
-    rows = {-k: poly_rows(p) for (k,), p in e.coeffs.items()}  # by mode index
-    terms: dict[int, list] = {}
-    for r in range(1, N + 1):
-        for s in range(1, N + 1):
-            m1, m2 = sg * r, tg * s - sg * r
-            if m1 in rows and m2 in rows:
-                terms.setdefault(-tg * s, []).append((q ** (r + s), rows[m1], rows[m2]))
-    out = {}
-    for slot, ts in terms.items():
-        p = sum_products(ts, N - abs(slot), D)
-        if p:
-            out[(slot,)] = p
-    return AlphaSeries(ctx, ("z",), out, e.guar.kern_derate())
+    side = e.slice_sign(-sg).subs_scale(q ** -(sg + tg))
+    prod = (side * e.subs_scale(q**-tg)).slice_sign(-tg)
+    return AlphaSeries(ctx, ("z",), prod.coeffs, e.guar.kern_derate())
 
 
 _CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}
@@ -364,15 +357,16 @@ def _win_self_bracket(ctx, build, kernel):
 
 def _win_eta_xi(ctx):
     """{eta(z), xi(w)} = delta(s w/z) G_+(z) - delta(w/(s z)) G_-(z), with
-    G_+- = tau_+-(qz) tau_+-(z/q) / tau_+-(z)**2.  Each delta(c w/z) G(z)
-    is the kernel sum_l c**l (w/z)**l applied to G placed at w**0."""
+    G_+- = tau_+-(qz) tau_+-(z/q) / tau_+-(z)**2, the exponential of
+    L(qz) + L(z/q) - 2 L(z) for L = log tau_+- (tau_log), so no tau is
+    inverted.  Each delta(c w/z) G(z) is the kernel sum_l c**l (w/z)**l
+    applied to G placed at w**0."""
     lhs = bracket(build_eta(ctx), build_xi(ctx).renamed("w"))
     q, N = ctx.q, ctx.trunc.n_modes
     parts = []
     for sign, c in (("+", ctx.s), ("-", 1 / ctx.s)):
-        t = build_tau(ctx, sign)
-        ti = t.inv()
-        G = t.subs_scale(q) * t.subs_scale(1 / q) * ti * ti
+        L = tau_log(ctx, sign)
+        G = (L.subs_scale(q) + L.subs_scale(1 / q) - L.scale(2)).exp()
         at_w0 = {(k, 0): poly for (k,), poly in G.coeffs.items()}
         G = AlphaSeries(ctx, ("z", "w"), at_w0, G.guar)
         parts.append(apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}, (0, 1)))

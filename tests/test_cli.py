@@ -122,7 +122,12 @@ def _flag(name, values):
     return st.sampled_from(values).map(lambda v: [name, str(v)])
 
 
-_GAMMA = ["0.1", "0", "0.05", "-0.2", "120", "1e308", "nan", "inf", "-inf"]
+# argparse reads "-5e-10" as an option, so the two just below the real axis
+# are spelled without an exponent: -5e-10 is refused, -1e-12 runs
+_GAMMA = [
+    "0.1", "0", "0.05", "-0.2", "120", "1e308", "nan", "inf", "-inf",
+    "-0.0000000005", "-0.000000000001",
+]
 _EVOLVE = st.tuples(
     st.just(["evolve"]),
     _flag("--modes", range(0, 9)),
@@ -177,6 +182,7 @@ _STRAY = st.sampled_from([[], [], [], ["--bogus"], ["7"], ["--k"], ["--eval"], [
 )
 @example(["evolve", "--init", "random", "--gamma-re", "nan", "--steps", "2"], [], [])
 @example(["evolve", "--init", "random", "--gamma-im", "inf", "--steps", "2"], [], [])
+@example(["evolve", "--init", "random", "--gamma-im=-5e-10", "--steps", "2"], [], [])
 @example(["soliton", "--spec", "SPEC"], [], {"s": "1/2", "eps": "1/8", "a": ["1/0"], "b": []})
 @settings(max_examples=100, deadline=None)
 def test_any_flag_combination_exits_cleanly(argv, stray, spec):
@@ -305,6 +311,9 @@ def test_evolve_random_init_uses_gamma(tmp_path):
 def test_evolve_bad_gamma_or_dt_exits_2(capsys):
     argv = ["evolve", "--init", "random", "--gamma-im", "-0.2", "--steps", "2"]
     assert main(argv + ["--modes", "4"]) == 2
+    capsys.readouterr()
+    assert main(["evolve", "--init", "random", "--gamma-im=-5e-10", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == "toda-bo: gamma must satisfy Im(gamma) >= 0\n"
     assert main(["evolve", "--dt", "-0.1", "--steps", "2", "--modes", "4"]) == 2
     assert main(["evolve", "--dt", "inf", "--steps", "2", "--modes", "4"]) == 2
 

@@ -85,6 +85,12 @@ def test_q_from_gamma_half_plane():
     for gamma in (0.1 - 0.2j, complex(math.nan, 0.05), complex(0.1, math.inf), 0.1 + 120j):
         with pytest.raises(ValueError):
             q_from_gamma(gamma)
+    # one tolerance: |q| <= 1 + 1e-9 is what State accepts, so a slightly
+    # negative Im(gamma) is refused here or builds a State, never in between
+    with pytest.raises(ValueError, match="Im"):
+        q_from_gamma(0.1 - 5e-10j)
+    q = q_from_gamma(0.1 - 1e-12j)
+    assert State(2, np.zeros(5), 0.0, q).q == q
 
 
 def test_state_validation():

@@ -5,9 +5,11 @@ Jacobi/Leibniz/antisymmetry run as property tests with uncapped products;
 builder coefficients are checked against hand expansions of the generating
 exponentials; the exponential builders of each field must agree cell by
 cell with the dressing-ratio route written out below, which cross-validates
-exp, inv and rescaling at once.  The integer product kernels are checked
-against the term-by-term Fraction loops they replaced, and one bracket's
-Fraction constructions are counted.  The ring operations are checked
+exp and rescaling at once; its tau inverses are the Neumann series
+neumann_inv, a route independent of the package's exp(-tau_log), and
+eta-xi's tau ratios as exponentials of tau logs are checked against it.
+The integer product kernels are checked against the term-by-term Fraction
+loops they replaced, and one bracket's Fraction constructions are counted.  The ring operations are checked
 against Fraction dicts, value and canonical form, and every result of the
 algebra, the delta products and the field builders against a copy of its
 cells cut to the window rule (window_cells), an oracle for the
@@ -60,6 +62,7 @@ from toda_bo.modes import (
     mono_weight,
     poisson_pairing,
     poly_mul,
+    tau_log,
     unit,
     xi_zero,
 )
@@ -140,13 +143,26 @@ def window_cells(ctx: ModeContext, coeffs: dict) -> dict:
     return out
 
 
+def neumann_inv(t: AlphaSeries) -> AlphaSeries:
+    """1 / t for a one-sided t with unit constant cell, as the Neumann series
+    sum_k (1 - t)**k: 1 - t has no constant cell, so its k-th power starts
+    at slot span k and the window ends the sum."""
+    one = AlphaSeries(t.ctx, t.vars, {(0,): AlphaPoly.one()}, t.guar)
+    u = one - t
+    out = term = one
+    while not term.is_zero():
+        term = term * u
+        out = out + term
+    return out
+
+
 def build_eta_ratio(ctx: ModeContext) -> AlphaSeries:
     """The field of build_eta via the dressing-series ratio
     eps * tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z))."""
     tp = build_tau(ctx, "+")
     tm = build_tau(ctx, "-")
     num = tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q)
-    return (num * tm.inv() * tp.inv()).scale(ctx.eps)
+    return (num * neumann_inv(tm) * neumann_inv(tp)).scale(ctx.eps)
 
 
 def build_xi_ratio(ctx: ModeContext) -> AlphaSeries:
@@ -155,7 +171,7 @@ def build_xi_ratio(ctx: ModeContext) -> AlphaSeries:
     tp = build_tau(ctx, "+")
     tm = build_tau(ctx, "-")
     num = tm.subs_scale(ctx.s) * tp.subs_scale(1 / ctx.s)
-    den_inv = tm.subs_scale(1 / ctx.s).inv() * tp.subs_scale(ctx.s).inv()
+    den_inv = neumann_inv(tm.subs_scale(1 / ctx.s)) * neumann_inv(tp.subs_scale(ctx.s))
     return (num * den_inv).scale(1 / ctx.eps)
 
 
@@ -715,8 +731,6 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
     ew = ez.renamed("w")
     tp, tm = build_tau(ctx, "+"), build_tau(ctx, "-")
     phi = build_phi(ctx, "+")
-    # 1 + phi: unlike tau_+, an exponential, its inverse has a degree-3 part
-    one_plus_phi = AlphaSeries(ctx, ("z",), {(0,): AlphaPoly.one()}, phi.guar) + phi
     N = trunc.n_modes
     kernel = {l: ctx.one_minus_q(abs(l)) * (l // abs(l)) for l in range(-N, N + 1) if l}
     outputs = {
@@ -731,9 +745,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
         "bracket": bracket(ez, ew),
         "flow bracket": bracket(eta_zero(ctx), tm),
         "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
-        "delta product": delta_product(F(1, 2), tp * tm.inv()),
-        "inv": tp.inv(),
-        "inv of 1 + phi": one_plus_phi.inv(),
+        "delta product": delta_product(F(1, 2), tp * neumann_inv(tm)),
         "exp": build_phi(ctx, "-").exp(),
         "sum": tp + tm,
         "difference": tp - ez,
@@ -901,9 +913,25 @@ def test_second_flow_of_eta_is_dressing_difference():
     lhs = bracket(eta, xi0)
     tp = build_tau(CTX, "+")
     tm = build_tau(CTX, "-")
-    gp = tp.subs_scale(Q) * tp.subs_scale(1 / Q) * tp.inv() * tp.inv()
-    gm = tm.subs_scale(Q) * tm.subs_scale(1 / Q) * tm.inv() * tm.inv()
+    gp = tp.subs_scale(Q) * tp.subs_scale(1 / Q) * neumann_inv(tp) * neumann_inv(tp)
+    gm = tm.subs_scale(Q) * tm.subs_scale(1 / Q) * neumann_inv(tm) * neumann_inv(tm)
     assert_certified_zero(lhs - (gp - gm))
+
+
+@pytest.mark.parametrize("trunc", [ModeTrunc(12, 6), ModeTrunc(14, 7)])
+def test_tau_ratios_as_exponentials_equal_the_inverse_route(trunc):
+    # tau is exp(tau_log), and eta-xi's G = tau(qz) tau(z/q) / tau(z)**2 is
+    # exp(L(qz) + L(z/q) - 2 L(z)): the same cells and guarantee as the
+    # product with the Neumann inverse
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    q = ctx.q
+    for sign in ("+", "-"):
+        L, t = tau_log(ctx, sign), build_tau(ctx, sign)
+        assert_same_series(L.exp(), t)
+        ti = neumann_inv(t)
+        want = t.subs_scale(q) * t.subs_scale(1 / q) * ti * ti
+        got = (L.subs_scale(q) + L.subs_scale(1 / q) - L.scale(2)).exp()
+        assert_same_series(got, want)
 
 
 def test_flow_hamiltonians_commute():

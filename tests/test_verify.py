@@ -2,7 +2,8 @@
 
 Oracles: the vacuum reduction of the first affine flow identity pins the
 order-one charge against the bare coupling; the quadratic-kernel expansions
-are cross-checked through the mode-negation involution that swaps their
+are checked cell by cell against their literal double sum over (r, s), and
+cross-checked through the mode-negation involution that swaps their
 orientation pairs; negative controls push a known-nonzero series and a
 deliberately wrong kernel through the windowed finisher, which must report
 violations instead of passing, one wrong coefficient or one wrong partition
@@ -50,6 +51,7 @@ from toda_bo.modes import (
     eta_zero,
     hirota,
     mono_powers,
+    poly_mul,
     unit,
     xi_zero,
 )
@@ -297,6 +299,32 @@ def test_quad_kernel_orientations_swap_under_negation():
         assert set(lo.coeffs) == {(-s[0],) for s in hi.coeffs}
         for slot, poly in lo.coeffs.items():
             assert _negated(poly) == hi.coeffs[(-slot[0],)]
+
+
+def literal_quad_kernel(ctx, pick):
+    """quad_kernel_series written as its docstring's double sum: cell -tg s
+    is sum_{r,s>=1} q**(r+s) eta_{sg r} eta_{tg s - sg r}, cut to the
+    window, with eta's guarantee derated as by a kernel application."""
+    sg, tg = (1 if c == "p" else -1 for c in pick)
+    e = build_eta(ctx)
+    N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
+    cells = {}
+    for r in range(1, N + 1):
+        for s in range(1, N + 1):
+            p = poly_mul(e.mode(sg * r), e.mode(tg * s - sg * r), N - s, D)
+            slot = (-tg * s,)
+            cells[slot] = cells.get(slot, AlphaPoly.zero()) + p * ctx.q ** (r + s)
+    return {slot: p for slot, p in cells.items() if p}, e.guar.kern_derate()
+
+
+@pytest.mark.parametrize("s", [F(1, 2), F(2, 3), F(-1, 3)])
+@pytest.mark.parametrize("trunc", [ModeTrunc(6, 6), ModeTrunc(12, 6), ModeTrunc(14, 7)])
+def test_quad_kernel_equals_the_literal_double_sum(trunc, s):
+    ctx = ModeContext(s, EPS, trunc)
+    for pick in ("pp", "pm", "mp", "mm"):
+        got = quad_kernel_series(ctx, pick)
+        assert got.coeffs, pick
+        assert (got.coeffs, got.guar) == literal_quad_kernel(ctx, pick), pick
 
 
 def test_quad_kernel_guarantee_and_bad_pick():
