@@ -27,10 +27,10 @@ from itertools import chain
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .evolve import (
+    WAVE_Q,
     BlowUpError,
     RandomInit,
     RunConfig,
-    SolitonInit,
     q_from_gamma,
     record_line,
     run,
@@ -135,7 +135,7 @@ def _cmd_iom(args) -> int:
 def _cmd_evolve(args) -> int:
     try:
         if args.init == "soliton":
-            init: SolitonInit | RandomInit = SolitonInit()  # gamma flags are moot
+            init, q = None, WAVE_Q  # gamma flags are moot
         else:
             q = q_from_gamma(complex(args.gamma_re, args.gamma_im))
             init = RandomInit(args.seed, q)
@@ -160,7 +160,7 @@ def _cmd_evolve(args) -> int:
             "init": args.init,
             "seed": args.seed if args.init == "random" else None,
             "gamma": [args.gamma_re, args.gamma_im] if args.init == "random" else None,
-            "q": [init.q.real, init.q.imag],
+            "q": [q.real, q.imag],
         },
     }
     lines = chain(
@@ -301,8 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # a float flag takes the next argument as its value, as "--dt=-1e-3"
+    # does: argparse alone reads "-1e-3" as a flag
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--dt", "--gamma-re", "--gamma-im"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

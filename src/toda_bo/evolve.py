@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +38,7 @@ class BlowUpError(RuntimeError):
 # with tau roots away from the unit circle on both sides
 DEFAULT_POINT = ParamPoint(Fraction(1, 2), Fraction(1, 8), (Fraction(5, 36),))
 DEFAULT_AMPLITUDES = (Fraction(1, 2),)
+WAVE_Q = complex(float(DEFAULT_POINT.q))  # the wave flows at its point's q
 BLOWUP = 1e6
 
 _Q_TOL = 1e-9
@@ -48,9 +49,11 @@ def q_from_gamma(gamma: complex) -> complex:
 
     The upper half plane (including the real axis) keeps |q| <= 1, tested
     as State tests it, |q| <= 1 + _Q_TOL; the flow also divides by q, so q
-    must not underflow."""
+    must not underflow, and the phase must not overflow."""
     if not cmath.isfinite(gamma):
         raise ValueError("gamma must be finite")
+    if not cmath.isfinite(2 * cmath.pi * gamma.real):
+        raise ValueError("gamma's phase 2*pi*Re(gamma) must be finite")
     # Im(gamma) clamped at -1 keeps exp finite, and |q| = e^(2 pi) fails the test
     q = cmath.exp(2j * cmath.pi * complex(gamma.real, max(gamma.imag, -1.0)))
     if abs(q) > 1 + _Q_TOL:
@@ -150,15 +153,6 @@ def conserved_pair(s: State) -> tuple[complex, complex]:
 
 
 @dataclass(frozen=True)
-class SolitonInit:
-    """The default wave data rendered to doubles; q is taken from the point."""
-
-    @property
-    def q(self) -> complex:
-        return complex(float(DEFAULT_POINT.q))
-
-
-@dataclass(frozen=True)
 class RandomInit:
     """Seeded complex modes with |eta_m| ~ 0.25 * 0.5**|m|, flowing at q."""
 
@@ -174,21 +168,17 @@ def wave_modes(N: int) -> dict[int, Fraction]:
     return modes_from_series(f)
 
 
-def initial_state(init, N: int) -> State:
+def initial_state(init: RandomInit, N: int) -> State:
     """The t = 0 state of random initial data; run() starts a wave itself."""
-    if isinstance(init, RandomInit):
-        rng = _random.Random(init.seed)
-        modes = np.array(
-            [
-                0.25
-                * 0.5 ** abs(m)
-                * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for m in range(-N, N + 1)
-            ],
-            dtype=np.complex128,
-        )
-        return State(N, modes, 0.0, init.q)
-    raise TypeError(f"unknown initial data spec: {init!r}")
+    rng = _random.Random(init.seed)
+    modes = np.array(
+        [
+            0.25 * 0.5 ** abs(m) * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for m in range(-N, N + 1)
+        ],
+        dtype=np.complex128,
+    )
+    return State(N, modes, 0.0, init.q)
 
 
 def analytic_soliton_modes(exact: dict[int, Fraction], t: float) -> np.ndarray:
@@ -223,7 +213,7 @@ class RunConfig:
     dt: float = 1e-3
     steps: int = 1000
     check_interval: int = 10
-    init: SolitonInit | RandomInit = field(default_factory=SolitonInit)
+    init: RandomInit | None = None  # None: the wave data
 
     def __post_init__(self):
         if not 0 < self.dt < float("inf"):
@@ -261,10 +251,10 @@ def run(config: RunConfig) -> tuple[list[dict], dict]:
     rendered to JSON by record_line; the summary carries the conservation
     drifts and, for wave initial data, the worst mode error against the
     analytic trajectory."""
-    N, soliton = config.n_modes, isinstance(config.init, SolitonInit)
+    N, soliton = config.n_modes, config.init is None
     if soliton:
         exact = wave_modes(N)
-        state = State(N, analytic_soliton_modes(exact, 0.0), 0.0, config.init.q)
+        state = State(N, analytic_soliton_modes(exact, 0.0), 0.0, WAVE_Q)
     else:
         state = initial_state(config.init, N)
     i1_0, i2_0 = conserved_pair(state)

@@ -388,9 +388,6 @@ class Guarantee:
         )
 
 
-EMPTY_GUARANTEE = Guarantee(-1, -1, -1)
-
-
 # #### slotted series over the mode algebra ###################################
 
 
@@ -529,25 +526,22 @@ class AlphaSeries:
     # -- multiplicative structure ------------------------------------------------
 
     def __mul__(self, other: "AlphaSeries") -> "AlphaSeries":
-        """Product: same variables convolve slotwise; disjoint variables tensor.
+        """Product: one shared variable convolves slotwise; disjoint
+        variables (a functional has none) tensor.
 
-        Convolving in two or more shared variables certifies nothing: the
-        contributor-pinning argument needs per-variable balance, which only
-        one-variable operands and tensor products guarantee.
+        Any other overlap is refused: the contributor-pinning argument needs
+        per-variable balance, which only these two kinds guarantee.
         """
         if not isinstance(other, AlphaSeries):
             return NotImplemented
-        guar = self.guar.meet(other.guar)
-        if self.vars == other.vars:
+        if len(self.vars) == 1 and self.vars == other.vars:
             rvars = self.vars
-            combine = lambda a, b: tuple(x + y for x, y in zip(a, b))
-            if len(self.vars) >= 2:
-                guar = EMPTY_GUARANTEE
+            combine = lambda a, b: (a[0] + b[0],)
         elif not set(self.vars) & set(other.vars):
             rvars = self.vars + other.vars
             combine = lambda a, b: a + b
         else:
-            raise ValueError("overlapping but unequal variables")
+            raise ValueError("a product shares one variable or none")
         N = self.ctx.trunc.n_modes
         D = self.ctx.trunc.d_deg
         brows = [(sb, _poly_rows(pb)) for sb, pb in other.coeffs.items()]
@@ -563,7 +557,7 @@ class AlphaSeries:
             prod = _sum_products(ts, N - sum(map(abs, slot)), D)
             if prod:
                 out[slot] = prod
-        return AlphaSeries(self.ctx, rvars, out, guar)
+        return AlphaSeries(self.ctx, rvars, out, self.guar.meet(other.guar))
 
     # -- one-sided analytic operations -------------------------------------------
 

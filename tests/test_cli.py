@@ -21,11 +21,13 @@ import tempfile
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import toda_bo
 from toda_bo import cli, soliton
 from toda_bo.cli import build_parser, emit_report, main
 from toda_bo.scalar import ParamPoint
@@ -122,17 +124,16 @@ def _flag(name, values):
     return st.sampled_from(values).map(lambda v: [name, str(v)])
 
 
-# argparse reads "-5e-10" as an option, so the two just below the real axis
-# are spelled without an exponent: -5e-10 is refused, -1e-12 runs
+# just below the real axis, in both spellings: -5e-10 is refused, -1e-12 runs
 _GAMMA = [
     "0.1", "0", "0.05", "-0.2", "120", "1e308", "nan", "inf", "-inf",
-    "-0.0000000005", "-0.000000000001",
+    "-0.0000000005", "-0.000000000001", "-5e-10", "-1e-12", "-1e-3",
 ]
 _EVOLVE = st.tuples(
     st.just(["evolve"]),
     _flag("--modes", range(0, 9)),
     _flag("--steps", range(0, 21)),
-    _flag("--dt", ["0.001", "0.01", "0.5", "50", "0", "-0.1", "nan", "inf"]),
+    _flag("--dt", ["0.001", "0.01", "0.5", "50", "0", "-0.1", "-1e-3", "nan", "inf"]),
     _flag("--gamma-re", _GAMMA),
     _flag("--gamma-im", _GAMMA),
     _flag("--init", ["random", "soliton"]),
@@ -306,16 +307,33 @@ def test_evolve_random_init_uses_gamma(tmp_path):
     head = json.loads(out.read_text().splitlines()[0])
     assert head["config"]["gamma"] == [0.1, 0.05]
     assert abs(complex(*head["config"]["q"])) < 1
+    # a negative value in exponent notation, spaced or joined by "="
+    assert main(argv + ["--gamma-re", "-1e-3", "--out", str(out)]) == 0
+    spaced = out.read_text()
+    assert json.loads(spaced.splitlines()[0])["config"]["gamma"] == [-1e-3, 0.05]
+    assert main(argv + ["--gamma-re=-1e-3", "--out", str(out)]) == 0
+    assert out.read_text() == spaced
 
 
 def test_evolve_bad_gamma_or_dt_exits_2(capsys):
     argv = ["evolve", "--init", "random", "--gamma-im", "-0.2", "--steps", "2"]
     assert main(argv + ["--modes", "4"]) == 2
     capsys.readouterr()
+    half_plane = "toda-bo: gamma must satisfy Im(gamma) >= 0\n"
     assert main(["evolve", "--init", "random", "--gamma-im=-5e-10", "--steps", "2"]) == 2
-    assert capsys.readouterr().err == "toda-bo: gamma must satisfy Im(gamma) >= 0\n"
-    assert main(["evolve", "--dt", "-0.1", "--steps", "2", "--modes", "4"]) == 2
-    assert main(["evolve", "--dt", "inf", "--steps", "2", "--modes", "4"]) == 2
+    assert capsys.readouterr().err == half_plane
+    # exponent notation, spaced: the value is read, and refused for its sign
+    assert main(["evolve", "--init", "random", "--gamma-im", "-1e-3", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == half_plane
+    # 2*pi*Re(gamma) overflows to inf, and no phase is taken
+    assert main(["evolve", "--init", "random", "--gamma-re", "1e308", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == "toda-bo: gamma's phase 2*pi*Re(gamma) must be finite\n"
+    for dt in ("-0.1", "-1e-3", "inf"):
+        assert main(["evolve", "--dt", dt, "--steps", "2", "--modes", "4"]) == 2
+        assert capsys.readouterr().err == "toda-bo: dt must be positive and finite\n"
+    # a float flag takes the next argument as its value, whatever it is
+    assert main(["evolve", "--dt", "--steps", "2"]) == 2
+    assert "argument --dt: invalid float value: '--steps'" in capsys.readouterr().err
 
 
 def test_evolve_blow_up_exits_1(capsys, tmp_path):
@@ -484,17 +502,30 @@ def test_soliton_renders_values_past_the_digit_limit(tmp_path, capsys):
 
 # #### installed entry point ###################################################
 
+# pytest's pythonpath setting reaches its own process only: a child process
+# finds this checkout's package first on its PYTHONPATH, ahead of any other
+# installed copy
+SRC = str(Path(toda_bo.__file__).resolve().parents[1])
+
+
+def child_env() -> dict:
+    """This process's environment, with SRC first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, path] if path else [SRC])}
+
 
 def test_entry_point_process_exit_codes(tmp_path):
     script = shutil.which("toda-bo")
     cmd = [script] if script else [sys.executable, "-m", "toda_bo.cli"]
     proc = subprocess.run(
-        cmd + ["verify", "--identity", "bogus"], capture_output=True, text=True
+        cmd + ["verify", "--identity", "bogus"],
+        env=child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 2
     assert "bogus" in proc.stderr
     proc = subprocess.run(
-        cmd + ["verify", "--identity", "zz-*"], capture_output=True, text=True
+        cmd + ["verify", "--identity", "zz-*"],
+        env=child_env(), capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "toda-bo: no identity matches 'zz-*'\n"
@@ -506,7 +537,7 @@ def test_evolve_blow_up_process_prints_one_line(tmp_path):
     cmd = [script] if script else [sys.executable, "-m", "toda_bo.cli"]
     for dt, rc in (("1e200", 1), ("inf", 2)):
         argv = ["evolve", "--modes", "8", "--dt", dt, "--steps", "10"]
-        proc = subprocess.run(cmd + argv, capture_output=True, text=True)
+        proc = subprocess.run(cmd + argv, env=child_env(), capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (rc, ""), proc.stderr
         assert proc.stderr.startswith("toda-bo: "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
@@ -526,7 +557,7 @@ print(len(os.listdir(task)) if os.path.isdir(task) else -1)
 
 
 def _env_with_threads(value: str | None) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
     if value is not None:
         env["OPENBLAS_NUM_THREADS"] = value
     return env

@@ -30,8 +30,8 @@ from toda_bo.evolve import (
     DEFAULT_POINT,
     RandomInit,
     RunConfig,
-    SolitonInit,
     State,
+    WAVE_Q,
     analytic_soliton_modes,
     bo_rhs,
     initial_state,
@@ -85,6 +85,13 @@ def test_q_from_gamma_half_plane():
     for gamma in (0.1 - 0.2j, complex(math.nan, 0.05), complex(0.1, math.inf), 0.1 + 120j):
         with pytest.raises(ValueError):
             q_from_gamma(gamma)
+    # a finite gamma whose phase 2*pi*Re(gamma) overflows
+    for gamma in (complex(1e308, 0.05), complex(-1e308, 0.0)):
+        with pytest.raises(ValueError, match="gamma's phase"):
+            q_from_gamma(gamma)
+    assert q_from_gamma(complex(2.8e307, 0.05)) == cmath.exp(
+        2j * cmath.pi * complex(2.8e307, 0.05)
+    )
     # one tolerance: |q| <= 1 + 1e-9 is what State accepts, so a slightly
     # negative Im(gamma) is refused here or builds a State, never in between
     with pytest.raises(ValueError, match="Im"):
@@ -273,7 +280,7 @@ def order_ratio(s: State, dt: float, steps: int) -> float:
 
 def wave_state(N: int) -> State:
     """The wave's t = 0 state, built as run() builds it."""
-    return State(N, analytic_soliton_modes(wave_modes(N), 0.0), 0.0, SolitonInit().q)
+    return State(N, analytic_soliton_modes(wave_modes(N), 0.0), 0.0, WAVE_Q)
 
 
 def test_rk4_is_fourth_order():
@@ -393,8 +400,6 @@ def test_random_state_is_seeded_and_decaying():
     for m in range(-12, 13):
         assert abs(a.mode(m)) <= 0.25 * 0.5 ** abs(m) * math.sqrt(2) + 1e-15
     assert a.q == Q_COMPLEX
-    with pytest.raises(TypeError):
-        initial_state(object(), 12)
 
 
 def test_run_config_validation():

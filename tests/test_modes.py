@@ -40,7 +40,6 @@ from hypothesis import strategies as st
 from toda_bo import modes
 from toda_bo.iom import M2_functional
 from toda_bo.modes import (
-    EMPTY_GUARANTEE,
     MAX_WEIGHT,
     AlphaPoly,
     AlphaSeries,
@@ -648,7 +647,7 @@ def test_guarantee_rules():
     assert Guarantee(12, 12, 6).kern_derate() == Guarantee(12, 6, 6)
     assert a.covers(6, 6, 6) and not a.covers(7, 6, 6)
     assert not b.covers(0, 6, 1)
-    assert not EMPTY_GUARANTEE.covers(0, 0, 0)
+    assert not Guarantee(-1, -1, -1).covers(0, 0, 0)  # the empty region
 
 
 def test_series_balance_enforced():
@@ -779,11 +778,13 @@ def test_series_difference_equals_sum_with_negation():
 
 
 def test_multivar_same_var_product_certifies_nothing():
+    # convolving in two shared variables would certify no cell, so it is refused
     e = build_eta(CTX)
     x = build_xi(CTX).renamed("w")
     two = e * x
-    prod = two * two
-    assert prod.guar == EMPTY_GUARANTEE
+    for other in (two, e):
+        with pytest.raises(ValueError, match="one variable or none"):
+            two * other
 
 
 # #### field builders ##########################################################
