@@ -301,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # a float flag takes the next argument as its value, as "--dt=-1e-3"
-    # does: argparse alone reads "-1e-3" as a flag
+    # a float flag, or an abbreviation of only that one, takes the next
+    # argument as its value, as "--dt=-1e-3" does: argparse alone reads
+    # "-1e-3" as a flag
+    floats = ("--dt", "--gamma-re", "--gamma-im")
     joined: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in ("--dt", "--gamma-re", "--gamma-im"):
+        if joined and sum(f.startswith(joined[-1]) for f in floats) == 1:
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

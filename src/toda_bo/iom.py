@@ -29,9 +29,9 @@ k - 2 mode products.  The charge I_k thus costs (N+1)**(p-1) vectors plus
 O((k-1)**2 N**2) table products, so I_3 is O(N**2) instead of O(N**3).  The
 identity uses only ring operations, so the result is the same element as
 the literal sum over all (N+1)**p vectors: the same Fraction, and the same
-mode polynomial under a capped product (pruning by weight and degree drops
-an ideal, because both add under multiplication, so pruned products and
-sums commute with it).
+mode polynomial under modes.capped_mul (the window cut of a functional
+drops an ideal, weight and degree adding under multiplication, so cut
+products and sums commute with it).
 
 Over Fractions every term of such a sum shares one known denominator, so
 the sums run on Python ints.  With the field scaled by D, the lcm of its
@@ -84,7 +84,7 @@ from .scalar import (
     numerators,
     q_pochhammer,
 )
-from .modes import AlphaSeries, ModeContext, build_eta, poly_mul
+from .modes import AlphaSeries, ModeContext, build_eta, capped_mul
 from .soliton import decay_report, modes_from_series
 
 ENUM_BUDGET = 5_000_000
@@ -316,7 +316,7 @@ def I_k_def(eta: ModeVector, k: int, N: int, q: Scalar, mul=operator.mul):
     charge one Fraction, total / (D**k E**p).  The table's step by r = q is
     then an exact division, since the T it yields is again a sum of integer
     products; a remainder raises.  mul multiplies mode values that are not
-    Fractions (mode polynomials).
+    Fractions: mode polynomials, by capped_mul(ctx) for a functional.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -392,12 +392,6 @@ def mode_table(ctx: ModeContext, span: int = 1) -> ModeVector:
     field = build_eta(ctx)
     W = span * ctx.trunc.n_modes
     return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
-
-
-def capped_mul(ctx: ModeContext):
-    """Mode-polynomial product pruned to the context's weight and degree caps."""
-    N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
-    return lambda a, b: poly_mul(a, b, max_weight=N, max_deg=D)
 
 
 @lru_cache(maxsize=None)

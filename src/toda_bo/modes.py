@@ -49,16 +49,18 @@ its reduced coefficient denominators.  Each operand cell becomes rows
 sorted by weight so a weight cap ends a scan early.  _sum_products adds
 c * a * b over its terms into one integer per result monomial, every term
 scaled to the lcm of the terms' denominators, and reduces the result by
-one gcd.  poly_mul, the bracket's pairing over all n, each result slot of
-a series product and each target slot of a kernel application are one
-_sum_products each; sums, negation, scalar multiples and pruning work on
-the numerators too.  The rows are private to this module: other modules
-build through AlphaPoly and AlphaSeries and read a monomial with the
-mono_* accessors.  No Fraction is built until a coefficient is read
-(AlphaPoly.coeff), which the windowed finisher does for a violating cell
-only.  Integer sums are exact and the reduced form is unique, so the
-coefficients are the rationals the term-by-term Fraction sum gives, and a
-sum that cancels to zero is not stored.
+one gcd.  poly_mul is one uncapped _sum_products.  Every capped cell is
+one _window_cell, which sums a slot's terms under the window rule: each
+result slot of a series product, each target slot of a kernel
+application, each bracket cell (the pairing over all n) and capped_mul,
+a functional's product at slot ().  Sums, negation, scalar multiples and
+pruning work on the numerators too.  The rows are private to this
+module: other modules build through AlphaPoly and AlphaSeries and read a
+monomial with the mono_* accessors.  No Fraction is built until a
+coefficient is read (AlphaPoly.coeff), which the windowed finisher does
+for a violating cell only.  Integer sums are exact and the reduced form
+is unique, so the coefficients are the rationals the term-by-term
+Fraction sum gives, and a sum that cancels to zero is not stored.
 
 Returned series share structure: treat them as immutable.
 """
@@ -286,23 +288,17 @@ def _sum_products(
     return AlphaPoly({m: v for m, v in acc.items() if v}, den)
 
 
-def poly_mul(
-    a: AlphaPoly,
-    b: AlphaPoly,
-    max_weight: int | None = None,
-    max_deg: int | None = None,
-) -> AlphaPoly:
-    """Product with optional weight/degree caps applied to result monomials.
+def poly_mul(a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
+    """The uncapped product.
 
     Raises ValueError when a product monomial could pass MAX_WEIGHT, where
     the packed fields would carry."""
-    wcap = float("inf") if max_weight is None else max_weight
-    dcap = float("inf") if max_deg is None else max_deg
     ra, rb = _poly_rows(a), _poly_rows(b)
     # rows are sorted by weight, so each operand's last row is its heaviest
-    if ra[0] and rb[0] and min(wcap, ra[0][-1][1] + rb[0][-1][1]) > MAX_WEIGHT:
+    if ra[0] and rb[0] and ra[0][-1][1] + rb[0][-1][1] > MAX_WEIGHT:
         raise ValueError(f"a product monomial could pass weight {MAX_WEIGHT}")
-    return _sum_products([(1, ra, rb)], wcap, dcap)
+    inf = float("inf")
+    return _sum_products([(1, ra, rb)], inf, inf)
 
 
 # #### context and guarantees ##################################################
@@ -345,6 +341,19 @@ class ModeContext:
         if v == 0:
             raise PoleError(f"1 - q**{n} vanishes")
         return v
+
+
+def _window_cell(ctx: ModeContext, slot: tuple[int, ...], terms) -> AlphaPoly:
+    """The cell at slot of the sum of c * a * b over _sum_products terms,
+    under the window rule: the monomials of weight <= n_modes - |slot|_1
+    and degree <= d_deg, so an empty cell past n_modes."""
+    room = ctx.trunc.n_modes - sum(map(abs, slot))
+    return _sum_products(terms, room, ctx.trunc.d_deg)
+
+
+def capped_mul(ctx: ModeContext):
+    """Mode-polynomial product cut to the window of a functional, slot ()."""
+    return lambda a, b: _window_cell(ctx, (), [(1, _poly_rows(a), _poly_rows(b))])
 
 
 @dataclass(frozen=True)
@@ -542,21 +551,13 @@ class AlphaSeries:
             combine = lambda a, b: a + b
         else:
             raise ValueError("a product shares one variable or none")
-        N = self.ctx.trunc.n_modes
-        D = self.ctx.trunc.d_deg
         brows = [(sb, _poly_rows(pb)) for sb, pb in other.coeffs.items()]
         terms: dict[tuple[int, ...], list] = {}
         for sa, pa in self.coeffs.items():
             ra = _poly_rows(pa)
             for sb, rb in brows:
-                slot = combine(sa, sb)
-                if sum(map(abs, slot)) <= N:
-                    terms.setdefault(slot, []).append((1, ra, rb))
-        out = {}
-        for slot, ts in terms.items():
-            prod = _sum_products(ts, N - sum(map(abs, slot)), D)
-            if prod:
-                out[slot] = prod
+                terms.setdefault(combine(sa, sb), []).append((1, ra, rb))
+        out = {s: p for s, ts in terms.items() if (p := _window_cell(self.ctx, s, ts))}
         return AlphaSeries(self.ctx, rvars, out, self.guar.meet(other.guar))
 
     # -- one-sided analytic operations -------------------------------------------
@@ -607,18 +608,12 @@ def _pairing_scales(ctx: ModeContext) -> list[tuple[int, Scalar, Scalar]]:
     return [(n, c, -c) for n, c in scales]
 
 
-def poisson_pairing(
-    dfs: dict[int, Rows],
-    dgs: dict[int, Rows],
-    ctx: ModeContext,
-    max_weight: int,
-    max_deg: int,
-) -> AlphaPoly:
-    """Bracket {f, g} of two mode polynomials from their derivative rows.
+def poisson_pairing(dfs: dict[int, Rows], dgs: dict[int, Rows], ctx: ModeContext):
+    """The _sum_products terms of the bracket {f, g} of two mode
+    polynomials, from their derivative rows.
 
     dfs and dgs are diff_rows(f) and diff_rows(g); the deformed pairing
-    sums (1 - q**n) (f_n g_{-n} - f_{-n} g_n) over n = 1..n_modes in one
-    _sum_products, with every product capped at max_weight and max_deg.
+    sums (1 - q**n) (f_n g_{-n} - f_{-n} g_n) over n = 1..n_modes.
     """
     terms = []
     for n, c, minus_c in _pairing_scales(ctx):
@@ -626,7 +621,7 @@ def poisson_pairing(
             terms.append((c, dfs[n], dgs[-n]))
         if -n in dfs and n in dgs:
             terms.append((minus_c, dfs[-n], dgs[n]))
-    return _sum_products(terms, max_weight, max_deg)
+    return terms
 
 
 def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
@@ -641,31 +636,22 @@ def bracket(F: AlphaSeries, G: AlphaSeries) -> AlphaSeries:
     if set(F.vars) & set(G.vars):
         raise ValueError("bracket operands must use distinct variables")
     ctx = F.ctx
-    N = ctx.trunc.n_modes
-    D = ctx.trunc.d_deg
     rvars = F.vars + G.vars
 
     # G's derivative rows once per cell, F's per outer cell (holding both
     # sides' rows at once costs memory) unless they are G's own; each slot
     # pair (sa, sb) is its own result slot sa + sb
-    gcells = [(sb, sum(map(abs, sb)), diff_rows(pb)) for sb, pb in G.coeffs.items()]
+    gcells = [(sb, diff_rows(pb)) for sb, pb in G.coeffs.items()]
     shared = F.coeffs is G.coeffs
-    fcells = (
-        gcells
-        if shared
-        else ((sa, sum(map(abs, sa)), diff_rows(pa)) for sa, pa in F.coeffs.items())
-    )
+    fcells = gcells if shared else ((sa, diff_rows(pa)) for sa, pa in F.coeffs.items())
     out: dict[tuple[int, ...], AlphaPoly] = {}
-    for i, (sa, span_a, dfs) in enumerate(fcells):
-        for j, (sb, span_b, dgs) in enumerate(gcells):
-            span = span_a + span_b
-            if span > N:
-                continue
+    for i, (sa, dfs) in enumerate(fcells):
+        for j, (sb, dgs) in enumerate(gcells):
             if shared and j <= i:  # a diagonal cell is zero
                 if j < i and sb + sa in out:
                     out[sa + sb] = -out[sb + sa]
                 continue
-            acc = poisson_pairing(dfs, dgs, ctx, N - span, D)
+            acc = _window_cell(ctx, sa + sb, poisson_pairing(dfs, dgs, ctx))
             if acc:
                 out[sa + sb] = acc
     return AlphaSeries(ctx, rvars, out, F.guar.after_bracket(G.guar))
@@ -736,28 +722,19 @@ def apply_ratio_kernel(
     precondition, and the kernel terms must extend at least that far.
     """
     ia, ib = pair
-    N = F.ctx.trunc.n_modes
-    D = F.ctx.trunc.d_deg
-    # target-major: each target slot sums k * cell (times the unit row) over
-    # its own lcm, capped at the weight its span leaves
+    # target-major: each target slot sums k * cell (times the unit row) into
+    # one window cell
     unit = _poly_rows(AlphaPoly.one())
     by_tgt: dict[tuple[int, ...], list] = {}
     for slot, poly in F.coeffs.items():
         rows = _poly_rows(poly)
         for l, k in terms.items():
-            if not k:
-                continue
-            tgt = list(slot)
-            tgt[ia] -= l
-            tgt[ib] += l
-            if sum(map(abs, tgt)) > N:  # no weight left: the sum is empty
-                continue
-            by_tgt.setdefault(tuple(tgt), []).append((k, rows, unit))
-    out = {}
-    for tgt, ts in by_tgt.items():
-        poly = _sum_products(ts, N - sum(map(abs, tgt)), D)
-        if poly:
-            out[tgt] = poly
+            if k:
+                tgt = list(slot)
+                tgt[ia] -= l
+                tgt[ib] += l
+                by_tgt.setdefault(tuple(tgt), []).append((k, rows, unit))
+    out = {t: p for t, ts in by_tgt.items() if (p := _window_cell(F.ctx, t, ts))}
     return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
 
 

@@ -52,7 +52,6 @@ from .iom import (
     M3_kernel,
     M_from_I,
     ModeVector,
-    capped_mul,
     closed_I,
     closed_M,
     kernel_tail,
@@ -71,6 +70,7 @@ from .modes import (
     build_phi,
     build_tau,
     build_xi,
+    capped_mul,
     eta_zero,
     hirota,
     mono_degree,

@@ -313,6 +313,9 @@ def test_evolve_random_init_uses_gamma(tmp_path):
     assert json.loads(spaced.splitlines()[0])["config"]["gamma"] == [-1e-3, 0.05]
     assert main(argv + ["--gamma-re=-1e-3", "--out", str(out)]) == 0
     assert out.read_text() == spaced
+    # so does an abbreviation argparse resolves to the flag
+    assert main(argv + ["--gamma-r", "-1e-3", "--out", str(out)]) == 0
+    assert out.read_text() == spaced
 
 
 def test_evolve_bad_gamma_or_dt_exits_2(capsys):
@@ -334,6 +337,21 @@ def test_evolve_bad_gamma_or_dt_exits_2(capsys):
     # a float flag takes the next argument as its value, whatever it is
     assert main(["evolve", "--dt", "--steps", "2"]) == 2
     assert "argument --dt: invalid float value: '--steps'" in capsys.readouterr().err
+    # an abbreviation reads the same bytes as the "=" spelling of its flag
+    dt_sign = "toda-bo: dt must be positive and finite\n"
+    for flag, abbrev, err in (
+        ("--gamma-im", "--gamma-i", half_plane),
+        ("--dt", "--d", dt_sign),
+    ):
+        base = ["evolve", "--init", "random", "--steps", "2", "--modes", "4"]
+        joined = run_main(capsys, base + [f"{flag}=-1e-3"])
+        assert joined == (2, "", err)
+        assert run_main(capsys, base + [abbrev, "-1e-3"]) == joined
+    # a prefix of both gamma flags, and "--", are refused as before
+    for stray in (["--gamma", "-1e-3"], ["--g", "-1e-3"], ["--", "-1e-3"]):
+        rc, out, err = run_main(capsys, ["evolve", "--steps", "2"] + stray)
+        assert (rc, out) == (2, "")
+        assert ("ambiguous option" in err) == (stray[0] != "--")
 
 
 def test_evolve_blow_up_exits_1(capsys, tmp_path):

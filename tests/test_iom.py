@@ -33,7 +33,6 @@ from toda_bo.iom import (
     closed_M,
     _kernel_coeff,
     _times,
-    capped_mul,
     fit_decay,
     kernel_tail,
     mode_table,
@@ -48,6 +47,7 @@ from toda_bo.modes import (
     bracket,
     build_eta,
     build_xi,
+    capped_mul,
     eta_zero,
     mono_degree,
     mono_weight,

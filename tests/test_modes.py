@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,7 @@ from toda_bo.modes import (
     build_phi,
     build_tau,
     build_xi,
+    capped_mul,
     diff_rows,
     eta_zero,
     hirota,
@@ -123,10 +125,27 @@ def deriv(p: AlphaPoly, n: int) -> AlphaPoly:
     return AlphaPoly({m: c for m, _, _, c in rows}, D)
 
 
+def window_cut(terms_: list, wcap, dcap) -> AlphaPoly:
+    """The sum of _sum_products terms cut by the window routine to weight
+    wcap and degree dcap, None for no cap: the cell at slot () of a window
+    with those caps.  The window is a stand-in for a context, because
+    ModeTrunc refuses the caps of 0 drawn here."""
+    inf = float("inf")
+    trunc = SimpleNamespace(
+        n_modes=inf if wcap is None else wcap, d_deg=inf if dcap is None else dcap
+    )
+    return modes._window_cell(SimpleNamespace(trunc=trunc), (), terms_)
+
+
+def window_mul(a: AlphaPoly, b: AlphaPoly, wcap, dcap) -> AlphaPoly:
+    """a * b cut to weight wcap and degree dcap by the window routine."""
+    return window_cut([(1, modes._poly_rows(a), modes._poly_rows(b))], wcap, dcap)
+
+
 def poisson_poly(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
-    """Uncapped bracket of two mode polynomials, through the pairing that
-    bracket() applies cell by cell."""
-    return poisson_pairing(diff_rows(f), diff_rows(g), CTX, BIG, BIG)
+    """Uncapped bracket of two mode polynomials, through the pairing and
+    the window routine that bracket() applies cell by cell."""
+    return window_cut(poisson_pairing(diff_rows(f), diff_rows(g), CTX), BIG, BIG)
 
 
 def window_cells(ctx: ModeContext, coeffs: dict) -> dict:
@@ -208,7 +227,7 @@ def test_poly_mul_caps():
     p = poly_of({mono(1): F(1), mono(2, 2): F(1)})
     full = poly_mul(p, p)
     assert mono(1, 2, 2) in full.nums and mono(2, 2, 2, 2) in full.nums
-    capped = poly_mul(p, p, max_weight=3, max_deg=2)
+    capped = capped_mul(ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 2)))(p, p)
     assert capped == poly_of({mono(1, 1): F(1)})
 
 
@@ -272,7 +291,8 @@ def test_weight_limit_is_checked_at_the_edges():
         with pytest.raises(ValueError, match="weight 255"):
             poly_mul(p, gen(n))
     # a cap inside the limit keeps the product safe: nothing survives it
-    assert poly_mul(p, gen(-1), max_weight=MAX_WEIGHT) == 0
+    edge = ModeContext(F(1, 2), F(1, 8), ModeTrunc(MAX_WEIGHT, 2 * MAX_WEIGHT))
+    assert capped_mul(edge)(p, gen(-1)) == 0
 
 
 def test_repr_lists_sorted_modes():
@@ -322,7 +342,8 @@ def test_bracket_jacobi(f, g, h):
 # The literal_* functions are the term-by-term Fraction loops that poly_mul,
 # poisson_pairing, bracket, AlphaSeries.__mul__ and apply_ratio_kernel ran
 # before they moved onto integer numerators; the kernels must equal them
-# exactly, zero sums included (never stored).
+# exactly, zero sums included (never stored).  A capped product or pairing
+# is checked through the window routine that cuts every capped cell.
 
 
 def literal_poly_mul(a, b, max_weight=None, max_deg=None):
@@ -463,12 +484,22 @@ def balanced_series():
     return st.lists(cell, max_size=8).map(build)
 
 
-@given(mixed_polys(), mixed_polys(), *caps())
+@given(
+    mixed_polys(),
+    mixed_polys(),
+    *caps(),
+    st.builds(ModeTrunc, st.integers(1, 12), st.integers(1, 6)),
+)
 @settings(max_examples=60)
-def test_poly_mul_equals_fraction_loop(a, b, wcap, dcap):
-    got = poly_mul(a, b, wcap, dcap)
+def test_poly_mul_equals_fraction_loop(a, b, wcap, dcap, trunc):
+    assert terms(poly_mul(a, b)) == terms(literal_poly_mul(a, b))
+    got = window_mul(a, b, wcap, dcap)
     assert terms(got) == terms(literal_poly_mul(a, b, wcap, dcap))
     assert all(terms(got).values())
+    # a functional's window cut is the uncapped product pruned to the window;
+    # products reach weight 18 and degree 6: about half the draws drop some
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    assert capped_mul(ctx)(a, b) == (a * b).pruned(trunc.n_modes, trunc.d_deg)
 
 
 def test_poly_mul_cancelled_sums_are_not_stored():
@@ -518,7 +549,7 @@ def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
         (a * c, {m: v * c for m, v in ta.items()}),
         (c * a, {m: v * c for m, v in ta.items()}),
         (a * 0, {}),
-        (poly_mul(a, b, wcap, dcap), literal_mul_terms(ta, tb, wcap, dcap)),
+        (window_mul(a, b, wcap, dcap), literal_mul_terms(ta, tb, wcap, dcap)),
         (
             a.pruned(w, d),
             {
@@ -559,7 +590,7 @@ def test_poly_sums_reduce_to_lowest_terms():
 @given(mixed_polys(), mixed_polys(), st.sampled_from([BIG, 0, 2, 4]), st.integers(0, 4))
 @settings(max_examples=60)
 def test_pairing_equals_fraction_loop(f, g, wcap, dcap):
-    got = poisson_pairing(diff_rows(f), diff_rows(g), CTX, wcap, dcap)
+    got = window_cut(poisson_pairing(diff_rows(f), diff_rows(g), CTX), wcap, dcap)
     assert terms(got) == terms(literal_pairing(f, g, CTX, wcap, dcap))
     assert all(terms(got).values())
 

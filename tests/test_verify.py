@@ -51,7 +51,6 @@ from toda_bo.modes import (
     eta_zero,
     hirota,
     mono_powers,
-    poly_mul,
     unit,
     xi_zero,
 )
@@ -311,7 +310,7 @@ def literal_quad_kernel(ctx, pick):
     cells = {}
     for r in range(1, N + 1):
         for s in range(1, N + 1):
-            p = poly_mul(e.mode(sg * r), e.mode(tg * s - sg * r), N - s, D)
+            p = (e.mode(sg * r) * e.mode(tg * s - sg * r)).pruned(N - s, D)
             slot = (-tg * s,)
             cells[slot] = cells.get(slot, AlphaPoly.zero()) + p * ctx.q ** (r + s)
     return {slot: p for slot, p in cells.items() if p}, e.guar.kern_derate()
