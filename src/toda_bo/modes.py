@@ -782,7 +782,6 @@ def build_tau(ctx: ModeContext, sign: str) -> AlphaSeries:
     return tau_log(ctx, sign).exp()
 
 
-@lru_cache(maxsize=None)
 def build_phi(ctx: ModeContext, sign: str) -> AlphaSeries:
     """Log-potentials: phi_+ = sum_{n>0} alpha_{-n} z**n, phi_- = -sum alpha_n z**-n."""
     return _linear_form(ctx, repeat(ONE if sign == "+" else -ONE), sign)

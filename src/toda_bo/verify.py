@@ -8,6 +8,8 @@ order-k Toda equations are a second table (TODA_EQUATIONS) of Hirota
 products keyed by side and partition, read by both the exact to-k and the
 windowed prop-tk checks, and lemmas 3.2-3.5 a third (LEMMA_T3), each naming
 an order-3 product by its partition, whose coefficients one builder reads.
+The six kernel brackets {F(z), G(w)} = K(w/z) F(z) G(w) share one builder
+too; each registry entry names its two fields and writes its kernel out.
 The runners use one of three finishers:
 
   exact      n-soliton tau identities as row builders: lists of weighted
@@ -275,35 +277,35 @@ def _in_z(F: AlphaSeries) -> AlphaSeries:
     return AlphaSeries(F.ctx, ("z",), {(0,): p} if p else {}, F.guar)
 
 
-@lru_cache(maxsize=None)
-def quad_kernel_series(ctx: ModeContext, pick: str) -> AlphaSeries:
-    """Constant term (in the inner variable) of a geometric-kernel-dressed
-    field bilinear, as a one-variable series.
-
-    pick selects the orientation pair: "pp" and "mm" are the diagonal
-    combinations, "pm" and "mp" the crossed ones.  Mode content:
+def quad_kernel_series(ctx: ModeContext) -> tuple[AlphaSeries, ...]:
+    """The four orientations (pp, pm, mp, mm) of the constant term (in the
+    inner variable) of a geometric-kernel-dressed field bilinear, as
+    one-variable series; pp and mm are the diagonal ones.  Mode content:
 
       pp: sum_{r,s>=1} q**(r+s) eta_r    eta_{s-r}  at slot -s
       pm: sum_{r,s>=1} q**(r+s) eta_r    eta_{-r-s} at slot +s
       mp: sum_{r,s>=1} q**(r+s) eta_{-r} eta_{r+s}  at slot -s
       mm: sum_{r,s>=1} q**(r+s) eta_{-r} eta_{r-s}  at slot +s
 
-    With signs (sg, tg) from pick, the sum is q**(r+s) eta_{sg r}
-    eta_{tg s - sg r} at slot -tg s: one product in z, of eta's slots of
-    sign -sg at z q**-(sg+tg) and eta at z q**-tg, whose factors give each
-    pair q**((1 + sg tg) r) q**(s - sg tg r), cut to the slots of sign
-    -tg.  Certification matches a kernel application: budget survives,
-    certified weight halves (a contributing mode pair sits at slot span up
-    to the output monomial weight).
+    With signs (sg, tg), the sum is q**(r+s) eta_{sg r} eta_{tg s - sg r}
+    at slot -tg s: P_sg, the product of eta's slots of sign -sg at z q**-sg
+    with eta, at z q**-tg, whose factors give each pair q**((1 + sg tg) r)
+    q**(s - sg tg r), cut to the slots of sign -tg; a rescaling commutes
+    with a product, so two products serve all four.  Certification matches
+    a kernel application: budget survives, certified weight halves (a
+    contributing mode pair sits at slot span up to the output monomial
+    weight).
     """
-    if pick not in ("pp", "pm", "mp", "mm"):
-        raise ValueError("pick must be one of pp, pm, mp, mm")
-    sg, tg = (1 if c == "p" else -1 for c in pick)
     e = build_eta(ctx)
     q = ctx.q
-    side = e.slice_sign(-sg).subs_scale(q ** -(sg + tg))
-    prod = (side * e.subs_scale(q**-tg)).slice_sign(-tg)
-    return AlphaSeries(ctx, ("z",), prod.coeffs, e.guar.kern_derate())
+    guar = e.guar.kern_derate()
+    out = []
+    for sg in (1, -1):
+        P = e.slice_sign(-sg).subs_scale(q**-sg) * e
+        for tg in (1, -1):
+            cut = P.slice_sign(-tg).subs_scale(q**-tg)
+            out.append(AlphaSeries(ctx, ("z",), cut.coeffs, guar))
+    return tuple(out)
 
 
 _CHARGE_FUNCTIONALS = {1: eta_zero, 2: M2_functional, 3: M3_functional}
@@ -314,7 +316,8 @@ def _toda_term(ctx, lam: tuple[int, ...], shifted: bool):
     """prod_i (D_{lam_i} + lam_i M_{lam_i}) f.g, a TODA_EQUATIONS term on the
     mode algebra, with D_o the Hirota derivative of M_o's flow; f.g is
     tau_-(z).tau_+(z), or tau_-(z/q).tau_+(qz) when shifted.  Cached per
-    context: the lhs of lemma-3-2..3-5 are four terms of prop-t3."""
+    context: the lhs of lemma-3-2..3-5 are four terms of prop-t3, and the
+    empty partition, the plain product, is their rhs's tau pair."""
     f, g = build_tau(ctx, "-"), build_tau(ctx, "+")
     if shifted:
         f, g = f.subs_scale(1 / ctx.q), g.subs_scale(ctx.q)
@@ -336,23 +339,21 @@ def _lemma_basis(ctx: ModeContext) -> tuple[AlphaSeries, ...]:
         _in_z(m1 * m1),
         _in_z(m1) * (ep + em),
         ep * em,
-        *(quad_kernel_series(ctx, pick) for pick in ("pp", "pm", "mp", "mm")),
+        *quad_kernel_series(ctx),
     )
 
 
 # per-identity windowed builders; each returns a list of (residual, witness)
 
 
-def _win_self_bracket(ctx, build, kernel):
-    """{F(z), F(w)} = K(w/z) F(z) F(w), K(x) = sum_{l != 0} sgn(l)
-    kernel(|l|) x**l, for the field F = build(ctx)."""
-    fz = build(ctx)
-    fw = fz.renamed("w")
-    lhs = bracket(fz, fw)
-    N = ctx.trunc.n_modes
-    terms = {l: _sgn(l) * kernel(abs(l)) for l in range(-N, N + 1) if l}
-    rhs = apply_ratio_kernel(fz * fw, terms, (0, 1))
-    return [(lhs - rhs, lhs)]
+def _win_kernel(F, G, kernel):
+    """{F(z), G(w)} = K(w/z) F(z) G(w), K(x) = sum_l kernel(l) x**l over
+    0 < |l| <= n_modes, for one-variable series F and G in z."""
+    Gw = G.renamed("w")
+    N = F.ctx.trunc.n_modes
+    terms = {l: kernel(l) for l in range(-N, N + 1) if l}
+    lhs = bracket(F, Gw)
+    return [(lhs - apply_ratio_kernel(F * Gw, terms, (0, 1)), lhs)]
 
 
 def _win_eta_xi(ctx):
@@ -372,21 +373,6 @@ def _win_eta_xi(ctx):
         parts.append(apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}, (0, 1)))
     dp, dm = parts
     return [(lhs - (dp - dm), lhs)]
-
-
-def _win_field_tau(ctx, field: str, sign: str):
-    src = (build_eta if field == "eta" else build_xi)(ctx).renamed("w")
-    tau = build_tau(ctx, sign)
-    lhs = bracket(src, tau)
-    N = ctx.trunc.n_modes
-    # kernel in (w/z)**n for tau_-, (z/w)**n for tau_+, n > 0: weight 1 for
-    # eta and s**-n for xi, negated for xi and for tau_+
-    r = ONE if field == "eta" else 1 / ctx.s
-    sgn = (1 if field == "eta" else -1) * (1 if sign == "-" else -1)
-    terms = {n: sgn * r**n for n in range(1, N + 1)}
-    pair = (1, 0) if sign == "-" else (0, 1)
-    rhs = apply_ratio_kernel(src * tau, terms, pair)
-    return [(lhs - rhs, lhs)]
 
 
 def _win_eta0_xi0(ctx):
@@ -447,11 +433,9 @@ def _win_lemma(ctx, lemma_id: str):
     lhs = _toda_term(ctx, lam, shifted)
     first, *rest = (b.scale(c) for b, c in zip(_lemma_basis(ctx), coeffs) if c)
     inner = sum(rest, first)
-    tm, tp = build_tau(ctx, "-"), build_tau(ctx, "+")
-    if shifted:
-        rhs = inner * (tm.subs_scale(1 / ctx.q) * tp.subs_scale(ctx.q))
-    else:
-        rhs = (build_eta(ctx) * inner) * (tm * tp)
+    if not shifted:
+        inner = build_eta(ctx) * inner
+    rhs = inner * _toda_term(ctx, (), shifted)
     return [(lhs - rhs, lhs)]
 
 
@@ -807,15 +791,27 @@ _REGISTRY = (
         "bracket",
         _run_bracket_family,
         {
-            "eta-eta": lambda ctx: _win_self_bracket(ctx, build_eta, ctx.one_minus_q),
-            "xi-xi": lambda ctx: _win_self_bracket(
-                ctx, build_xi, lambda n: ctx.q**-n - 1
+            "eta-eta": lambda ctx: _win_kernel(
+                build_eta(ctx),
+                build_eta(ctx),
+                lambda l: _sgn(l) * ctx.one_minus_q(abs(l)),
+            ),
+            "xi-xi": lambda ctx: _win_kernel(
+                build_xi(ctx), build_xi(ctx), lambda l: _sgn(l) * (ctx.q ** -abs(l) - 1)
             ),
             "eta-xi": _win_eta_xi,
-            "eta-tau-": lambda ctx: _win_field_tau(ctx, "eta", "-"),
-            "eta-tau+": lambda ctx: _win_field_tau(ctx, "eta", "+"),
-            "xi-tau-": lambda ctx: _win_field_tau(ctx, "xi", "-"),
-            "xi-tau+": lambda ctx: _win_field_tau(ctx, "xi", "+"),
+            "eta-tau-": lambda ctx: _win_kernel(
+                build_eta(ctx), build_tau(ctx, "-"), lambda l: 1 if l < 0 else 0
+            ),
+            "eta-tau+": lambda ctx: _win_kernel(
+                build_eta(ctx), build_tau(ctx, "+"), lambda l: -1 if l > 0 else 0
+            ),
+            "xi-tau-": lambda ctx: _win_kernel(
+                build_xi(ctx), build_tau(ctx, "-"), lambda l: -ctx.s**l if l < 0 else 0
+            ),
+            "xi-tau+": lambda ctx: _win_kernel(
+                build_xi(ctx), build_tau(ctx, "+"), lambda l: ctx.s**-l if l > 0 else 0
+            ),
             "hirota-t": _win_hirota_t,
             "hirota-tb": _win_hirota_tb,
             "toda": _win_toda,
@@ -867,7 +863,7 @@ GROUPS: dict[str, tuple[str, ...]] = {
 
 
 def sub_seed(check_id: str, seed: int) -> int:
-    return zlib.crc32(check_id.encode()) ^ (seed & 0xFFFFFFFF)
+    return zlib.crc32(check_id.encode()) ^ seed
 
 
 def run_check(check_id: str, config: CheckConfig | None = None) -> CheckReport:

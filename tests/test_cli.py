@@ -4,7 +4,8 @@ Oracles: the empty report is pinned to its exact byte string; exit codes are
 driven through real flag combinations (an unknown identity, an unknown flag,
 a window too small to certify anything, a step size large enough to blow
 up); determinism is asserted on whole output files from repeated
-invocations with identical flags and seed.
+invocations with identical flags and seed, and a seed past 2**32 draws
+points other than the seed that shares its low 32 bits.
 """
 
 from __future__ import annotations
@@ -223,6 +224,21 @@ def test_passing_run_exits_0(capsys):
     assert check["pass"] is True
     assert check["residual"]["max_abs"] == "0/1"
     assert check["elapsed_ms"] is None
+
+
+def test_large_verify_seeds_do_not_repeat_small_ones(capsys):
+    # 2**32 + 7 shares seed 7's low 32 bits, and draws points of its own
+    params = []
+    for seed in (7, 2**32 + 7):
+        argv = ["verify", "--identity", "hm-pm-1", "--samples", "2"]
+        rc, out, _ = run_main(capsys, argv + ["--seed", str(seed)])
+        assert rc == 0
+        (check,) = json.loads(out)["checks"]
+        params.append(check["params"])
+    small, large = params
+    assert large["seed"] == 2**32 + 7
+    assert large["subseed"] == small["subseed"] ^ 2**32
+    assert large["points"] != small["points"]
 
 
 # #### report emission #########################################################

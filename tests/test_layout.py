@@ -1,7 +1,7 @@
 """Source layout: no private imports across modules, no callerless code,
 no unused option, no constant passed as an argument, no unread field, no
-unused import, no lambda that drops an argument, no process environment
-outside the entry point.
+unused import, no lambda that drops an argument, no keyword argument to a
+cached function, no process environment outside the entry point.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
@@ -10,7 +10,7 @@ tests.  Every default is overridden by some call in the package; one that
 no call overrides is a constant, and so is a required parameter that
 every call passes the same literal.  Every dataclass field is read somewhere
 in the package.  Every module uses what it imports.  Every lambda reads
-each of its parameters.  Only the command-line module reads or writes the
+each of its parameters.  A cached function is called positionally.  Only the command-line module reads or writes the
 process environment: importing the library changes nothing process-wide.
 The rules are checked on the syntax tree of every package module.
 """
@@ -293,6 +293,39 @@ def test_no_lambda_discards_a_parameter():
                 f"{name}:{node.lineno} {p.arg}" for p in params if p.arg not in read
             ]
     assert discarded == []
+
+
+def _callee(func: ast.expr) -> str | None:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_no_cached_function_gets_a_keyword_argument():
+    # an lru_cache key holds the arguments as passed, so f(ctx, "-") and
+    # f(ctx, sign="-") are two keys and the second call builds the value
+    # again; so is a functools.partial that binds a keyword of f
+    modules = parsed_modules()
+    cached = {
+        node.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] in ("lru_cache", "cache")
+            for d in node.decorator_list
+        )
+    }
+    assert cached
+    offenders = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.keywords:
+                continue
+            func = node.func
+            if _callee(func) == "partial" and node.args:
+                func = node.args[0]
+            if _callee(func) in cached:
+                offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
 
 
 def test_only_the_entry_point_touches_the_environment():

@@ -783,8 +783,9 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
         "scale": ez.scale(F(-2, 3)),
         "subs_scale": tm.subs_scale(1 / ctx.q),
         "slice_sign": ez.slice_sign(-1),
-        "quad kernel": quad_kernel_series(ctx, "pm"),
     }
+    for pick, X in zip(("pp", "pm", "mp", "mm"), quad_kernel_series(ctx)):
+        outputs[f"quad kernel {pick}"] = X
     for name, X in outputs.items():
         assert X.coeffs, name
         assert window_cells(ctx, X.coeffs) == X.coeffs, name

@@ -4,24 +4,28 @@ Oracles: the vacuum reduction of the first affine flow identity pins the
 order-one charge against the bare coupling; the quadratic-kernel expansions
 are checked cell by cell against their literal double sum over (r, s), and
 cross-checked through the mode-negation involution that swaps their
-orientation pairs; negative controls push a known-nonzero series and a
-deliberately wrong kernel through the windowed finisher, which must report
-violations instead of passing, one wrong coefficient or one wrong partition
-in the order-3 Toda equation table must fail both the exact and the windowed
-check that read it, one wrong coefficient in the lemma table must fail its
-windowed check, one row weight of each Miwa identity scaled by 7/6 must fail
-its exact check, +xi_0 in place of -xi_0 as the t-bar flow must fail
-hirota-tb and toda, and eta-xi with its two delta arguments swapped or their
-relative sign flipped must report violations.  The brackets one hirota call
-makes are counted, and so are the field builds of the bracket group: one
-each of eta and xi.  The Miwa row builders are also run at explicit shifts
-far outside the sampler's range, and each side of the partition-keyed Toda
-rows is compared with the earlier (c, order, power) table, read as powers.
-Determinism is asserted on serialized bytes of repeated runs, and the CLI
-reports of the exact and lemma-t3 groups, of the bracket group, of eta-xi
-alone at two wider windows, of the m2/m3-consistency checks, of conj-iom, of
-the whole suite and of the benchmark's verify selection are pinned to their
-sha256.
+orientation pairs.  The certificate: every windowed check is built at a
+narrower and a wider window, and each residual and witness cell the narrower
+one certifies must match the wider one's; a bracket rule that keeps its
+degree and a kernel rule that keeps its weight must fail that.  Negative
+controls push a known-nonzero series, and each of the six kernel checks with
+its kernel scaled by 8/7 or reflected l -> -l, through the windowed finisher,
+which must report violations instead of passing; one wrong coefficient or one
+wrong partition in the order-3 Toda equation table must fail both the exact
+and the windowed check that read it, one wrong coefficient in the lemma table
+must fail its windowed check, one row weight of each Miwa identity scaled by
+7/6 must fail its exact check, +xi_0 in place of -xi_0 as the t-bar flow must
+fail hirota-tb and toda, and eta-xi with its two delta arguments swapped or
+their relative sign flipped must report violations.  The brackets one hirota
+call makes are counted, and so are the field builds of the bracket group (one
+each of eta and xi) and the series products of the quadratic kernels (two for
+four).  The Miwa row builders are also run at explicit shifts far outside the
+sampler's range, and each side of the partition-keyed Toda rows is compared
+with the earlier (c, order, power) table, read as powers.  Determinism is
+asserted on serialized bytes of repeated runs, and the CLI reports of the
+exact and lemma-t3 groups, of the bracket group, of eta-xi alone at two wider
+windows, of the m2/m3-consistency checks, of conj-iom, of the whole suite and
+of the benchmark's verify selection are pinned to their sha256.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from toda_bo.cli import main
 from toda_bo.iom import closed_M
 from toda_bo.modes import (
     AlphaPoly,
+    Guarantee,
     ModeContext,
     ModeTrunc,
     apply_ratio_kernel,
@@ -50,7 +55,9 @@ from toda_bo.modes import (
     build_xi,
     eta_zero,
     hirota,
+    mono_degree,
     mono_powers,
+    mono_weight,
     unit,
     xi_zero,
 )
@@ -81,9 +88,8 @@ from toda_bo.verify import (
     _ladder_ok,
     _residual_max,
     _run_windowed,
-    _sgn,
-    _win_self_bracket,
     _win_eta_xi,
+    _win_kernel,
     _win_hirota_tb,
     _win_lemma,
     _win_prop,
@@ -166,12 +172,13 @@ def test_sub_seeds_are_spread_across_ids():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**40))
-def test_sub_seed_is_crc_xor_mask(seed):
+@given(st.integers(min_value=0, max_value=2**40), st.integers(1, 2**40))
+def test_sub_seed_is_crc_xor_mask(seed, step):
+    # the whole seed enters, so a seed past 2**32 draws other points than the
+    # seed below it that shares its low 32 bits
     for check_id in ("toda", "hm-3"):
-        assert sub_seed(check_id, seed) == crc32(check_id.encode()) ^ (
-            seed & 0xFFFFFFFF
-        )
+        assert sub_seed(check_id, seed) == crc32(check_id.encode()) ^ seed
+        assert sub_seed(check_id, seed) != sub_seed(check_id, seed + step)
 
 
 # #### report shape ############################################################
@@ -225,27 +232,39 @@ def test_window_too_small_is_inconclusive_failure():
 
 
 def test_nonzero_series_fails_as_violations():
-    ctx = _ctx_bracket(WIN)
-    ((_, wit),) = _win_self_bracket(ctx, build_eta, ctx.one_minus_q)
+    ((_, wit),) = verify._CHECKS["eta-eta"][1](_ctx_bracket(WIN))
     worst, passed, detail = _finish_windowed([(wit, wit)], WIN.trunc_z)
     assert not passed
     assert detail["violations"] > 0
     assert worst > 0
 
 
-def test_perturbed_kernel_fails():
+@pytest.mark.parametrize(
+    "check_id", ["eta-eta", "xi-xi", "eta-tau-", "eta-tau+", "xi-tau-", "xi-tau+"]
+)
+@pytest.mark.parametrize(
+    "wrong, tau_violations",
+    [
+        (lambda kernel: lambda l: kernel(l) * F(8, 7), 81),
+        (lambda kernel: lambda l: kernel(-l), 184),
+    ],
+    ids=["scaled", "reflected"],
+)
+def test_perturbed_kernel_fails(monkeypatch, check_id, wrong, tau_violations):
+    # each kernel check through _win_kernel with its kernel scaled by 8/7 or
+    # reflected l -> -l leaves certified residual terms; the true one none.
+    # Either wrong kernel leaves 174 on a self bracket
+    violations = 174 if check_id in ("eta-eta", "xi-xi") else tau_violations
+    build = verify._CHECKS[check_id][1]
     ctx = _ctx_bracket(WIN)
-    ez = build_eta(ctx)
-    ew = ez.renamed("w")
-    lhs = bracket(ez, ew)
-    N = ctx.trunc.n_modes
-    terms = {
-        l: _sgn(l) * (1 - ctx.q ** (abs(l) + 1)) for l in range(-N, N + 1) if l
-    }
-    rhs = apply_ratio_kernel(ez * ew, terms, (0, 1))
-    worst, passed, detail = _finish_windowed([(lhs - rhs, lhs)], WIN.trunc_z)
+    _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
+    assert passed and detail["witness_certified_terms"] > 0
+    monkeypatch.setattr(
+        verify, "_win_kernel", lambda F, G, kernel: _win_kernel(F, G, wrong(kernel))
+    )
+    _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
     assert not passed
-    assert detail["violations"] > 0
+    assert detail["violations"] == violations
 
 
 def test_bracket_group_builds_each_field_once():
@@ -260,6 +279,85 @@ def test_bracket_group_builds_each_field_once():
     ctx = _ctx_bracket(WIN)
     assert build_eta(ctx).renamed("w").coeffs is build_eta(ctx).coeffs
     assert build_xi(ctx).renamed("w").vars == ("w",)
+
+
+# #### the certificate ########################################################
+
+# (smaller, larger) truncation pairs, as (n_modes, d_deg), of each windowed
+# group; every check of a listed group is built at both ends of each pair
+_REFINEMENTS = {
+    "bracket": (((8, 4), (12, 6)), ((12, 6), (14, 8))),
+    "lemma-t3": (((4, 4), (6, 6)), ((6, 6), (7, 7))),
+}
+
+
+def _clear_builder_caches():
+    # the cached series carry the guarantees they were built under
+    for module in (modes, iom, verify):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def certificate_mismatches():
+    """(mismatches, certified cells) over every check of every windowed
+    group: each residual and witness cell the smaller truncation certifies,
+    against the larger truncation's cell (zero where either stores none)."""
+    mismatches = certified = 0
+    for group, _, builds in verify._REGISTRY:
+        for pair in _REFINEMENTS.get(group, ()):
+            lo_ctx, hi_ctx = (ModeContext(S, EPS, ModeTrunc(*t)) for t in pair)
+            for build in builds.values():
+                for lo_pair, hi_pair in zip(build(lo_ctx), build(hi_ctx)):
+                    for lo, hi in zip(lo_pair, hi_pair):
+                        cells = {
+                            (slot, m)
+                            for X in (lo, hi)
+                            for slot, poly in X.coeffs.items()
+                            for m in poly.nums
+                        }
+                        for slot, m in cells:
+                            span = sum(map(abs, slot))
+                            if lo.guar.covers(span, mono_weight(m), mono_degree(m)):
+                                certified += 1
+                                a, b = lo.coeff(slot).coeff(m), hi.coeff(slot).coeff(m)
+                                mismatches += a != b
+    return mismatches, certified
+
+
+def test_every_certified_cell_survives_a_wider_window():
+    # the windowed groups are the ones listed; a new group must be placed
+    windowed = set(GROUPS) - {"all", "soliton-exact", "iom-numeric"}
+    assert windowed == set(_REFINEMENTS)
+    _clear_builder_caches()
+    assert certificate_mismatches() == (0, 12066)
+
+
+@pytest.mark.parametrize(
+    "rule, loosen, mismatches",
+    [
+        (
+            "after_bracket",
+            lambda rule: lambda g, h: replace(rule(g, h), degree=g.meet(h).degree),
+            3556,
+        ),
+        ("kern_derate", lambda rule: lambda g: replace(rule(g), weight=g.weight), 2416),
+    ],
+    ids=["bracket-keeps-degree", "kernel-keeps-weight"],
+)
+def test_a_loosened_guarantee_rule_fails_the_certificate(
+    monkeypatch, rule, loosen, mismatches
+):
+    # a rule that certifies more than the truncation keeps exact shows as
+    # cells the wider window contradicts
+    monkeypatch.setattr(Guarantee, rule, loosen(getattr(Guarantee, rule)))
+    _clear_builder_caches()
+    try:
+        got, _ = certificate_mismatches()
+    finally:
+        monkeypatch.undo()
+        _clear_builder_caches()
+    assert got == mismatches
 
 
 # #### quadratic kernel series #################################################
@@ -282,19 +380,19 @@ def test_field_modes_obey_negation_involution():
         assert _negated(e.mode(n)) == e.mode(-n)
 
 
+_PICKS = ("pp", "pm", "mp", "mm")  # the order quad_kernel_series returns
+
+
 def test_quad_kernel_slot_signs():
     ctx = _ctx_bracket(WIN)
-    for pick, sgn in (("pp", -1), ("mm", 1), ("pm", 1), ("mp", -1)):
-        series = quad_kernel_series(ctx, pick)
+    for pick, series, sgn in zip(_PICKS, quad_kernel_series(ctx), (-1, 1, -1, 1)):
         assert series.coeffs, pick
         assert all(sgn * slot[0] > 0 for slot in series.coeffs), pick
 
 
 def test_quad_kernel_orientations_swap_under_negation():
-    ctx = _ctx_bracket(WIN)
-    for a, b in (("pp", "mm"), ("pm", "mp")):
-        lo = quad_kernel_series(ctx, a)
-        hi = quad_kernel_series(ctx, b)
+    pp, pm, mp, mm = quad_kernel_series(_ctx_bracket(WIN))
+    for lo, hi in ((pp, mm), (pm, mp)):
         assert set(lo.coeffs) == {(-s[0],) for s in hi.coeffs}
         for slot, poly in lo.coeffs.items():
             assert _negated(poly) == hi.coeffs[(-slot[0],)]
@@ -320,18 +418,27 @@ def literal_quad_kernel(ctx, pick):
 @pytest.mark.parametrize("trunc", [ModeTrunc(6, 6), ModeTrunc(12, 6), ModeTrunc(14, 7)])
 def test_quad_kernel_equals_the_literal_double_sum(trunc, s):
     ctx = ModeContext(s, EPS, trunc)
-    for pick in ("pp", "pm", "mp", "mm"):
-        got = quad_kernel_series(ctx, pick)
+    for pick, got in zip(_PICKS, quad_kernel_series(ctx)):
         assert got.coeffs, pick
         assert (got.coeffs, got.guar) == literal_quad_kernel(ctx, pick), pick
 
 
-def test_quad_kernel_guarantee_and_bad_pick():
+def test_quad_kernel_guarantee_and_two_products(monkeypatch):
+    # the four orientations share two products, one per sign of eta's first
+    # factor, and carry eta's guarantee derated as by a kernel application
     ctx = _ctx_bracket(WIN)
     e = build_eta(ctx)
-    assert quad_kernel_series(ctx, "pp").guar == e.guar.kern_derate()
-    with pytest.raises(ValueError):
-        quad_kernel_series(ctx, "xx")
+    products = []
+    mul = modes.AlphaSeries.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(modes.AlphaSeries, "__mul__", counting)
+    series = quad_kernel_series(ctx)
+    assert len(series) == 4 and len(products) == 2
+    assert all(X.guar == e.guar.kern_derate() for X in series)
 
 
 # #### exact soliton finisher ##################################################
