@@ -93,7 +93,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         samples=args.samples,
         solitons=args.solitons,
-        trunc_z=args.trunc_z,
         trunc_modes=args.trunc_modes,
         trunc_deg=args.trunc_deg,
         timings=args.timings,
@@ -201,7 +200,7 @@ def _cmd_soliton(args) -> int:
         }
         if args.eval:
             rep = decay_report(params, b)
-            eta = eta_series_from_taus(params, b, args.window, taus=(tp, tm))
+            eta = eta_series_from_taus(params, b, args.window)
             table = modes_from_series(eta)
             doc["tau_plus_values"] = _tau_values(tp, b)
             doc["tau_minus_values"] = _tau_values(tm, b)
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--solitons", type=nonneg, default=3, help="max wave count")
     v.add_argument("--samples", type=positive, default=5, help="draws per wave count")
     v.add_argument("--seed", type=nonneg, default=7)
-    v.add_argument("--trunc-z", type=nonneg, default=6, help="checked power window")
     n_modes = _bounded_int(1, MAX_WEIGHT)
     v.add_argument("--trunc-modes", type=n_modes, default=12, help="mode cutoff")
     v.add_argument("--trunc-deg", type=positive, default=6, help="monomial degree cap")

@@ -22,12 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalar import ParamPoint
-from .soliton import (
-    eta_series_from_taus,
-    make_tau_minus,
-    make_tau_plus,
-    modes_from_series,
-)
+from .soliton import eta_series_from_taus, modes_from_series
 
 
 class BlowUpError(RuntimeError):
@@ -163,9 +158,7 @@ class RandomInit:
 def wave_modes(N: int) -> dict[int, Fraction]:
     """The wave data's exact modes {m: eta_m} at t = 0 for |m| <= N: the
     one tau pair and tau-ratio division of a wave run."""
-    taus = make_tau_plus(DEFAULT_POINT), make_tau_minus(DEFAULT_POINT)
-    f = eta_series_from_taus(DEFAULT_POINT, DEFAULT_AMPLITUDES, N, taus)
-    return modes_from_series(f)
+    return modes_from_series(eta_series_from_taus(DEFAULT_POINT, DEFAULT_AMPLITUDES, N))
 
 
 def initial_state(init: RandomInit, N: int) -> State:

@@ -383,14 +383,15 @@ def kernel_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scal
 
 
 @lru_cache(maxsize=None)
-def mode_table(ctx: ModeContext, span: int = 1) -> ModeVector:
-    """Mode polynomials of the eta field for |m| <= span * n_modes.
+def mode_table(ctx: ModeContext) -> ModeVector:
+    """Mode polynomials of the eta field for |m| <= 2 n_modes.
 
     Modes past n_modes are identically zero in the truncated model (their
-    true content is all heavier than the truncation), so a wider table just
-    records zero polynomials; the cubic charge reads indices up to 2 N."""
+    true content is all heavier than the truncation), so the table's far
+    half records zero polynomials; it reaches the widest index a package
+    charge reads: I_3 reads up to 2 N, M_2 and M_3 up to N."""
     field = build_eta(ctx)
-    W = span * ctx.trunc.n_modes
+    W = 2 * ctx.trunc.n_modes
     return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
 
 

@@ -711,29 +711,24 @@ def hirota(factors, f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
 # #### kernel application ######################################################
 
 
-def apply_ratio_kernel(
-    F: AlphaSeries, terms: dict[int, Scalar], pair: tuple[int, int]
-) -> AlphaSeries:
-    """Multiply F by a Laurent kernel sum_l k_l (v_b / v_a)**l.
+def apply_ratio_kernel(F: AlphaSeries, terms: dict[int, Scalar]) -> AlphaSeries:
+    """Multiply a (z, w) series F by a Laurent kernel sum_l k_l (w/z)**l: the
+    cell at slot (a, b) moves to (a - l, b + l).
 
-    pair gives the variable positions (a, b).  Completeness of the result's
-    certified cells requires F to be a product of one-variable builds, whose
-    balance pins the contributing l to |l| <= budget; callers own that
-    precondition, and the kernel terms must extend at least that far.
+    Completeness of the result's certified cells requires F to be a product
+    of one-variable builds, whose balance pins the contributing l to |l| <=
+    budget; callers own that precondition, and the kernel terms must extend
+    at least that far.
     """
-    ia, ib = pair
     # target-major: each target slot sums k * cell (times the unit row) into
     # one window cell
     unit = _poly_rows(AlphaPoly.one())
     by_tgt: dict[tuple[int, ...], list] = {}
-    for slot, poly in F.coeffs.items():
+    for (a, b), poly in F.coeffs.items():
         rows = _poly_rows(poly)
         for l, k in terms.items():
             if k:
-                tgt = list(slot)
-                tgt[ia] -= l
-                tgt[ib] += l
-                by_tgt.setdefault(tuple(tgt), []).append((k, rows, unit))
+                by_tgt.setdefault((a - l, b + l), []).append((k, rows, unit))
     out = {t: p for t, ts in by_tgt.items() if (p := _window_cell(F.ctx, t, ts))}
     return AlphaSeries(F.ctx, F.vars, out, F.guar.kern_derate())
 

@@ -343,20 +343,15 @@ def _tau_ratio(
     return _annulus_ratio(num, tm_down, tp_down, window)
 
 
-def eta_series_from_taus(
-    params: ParamPoint, b_values, window: int, taus=None
-) -> Laurent:
+def eta_series_from_taus(params: ParamPoint, b_values, window: int) -> Laurent:
     """Degrees -window..window of eps tau_-(z/q) tau_+(zq) / (tau_-(z) tau_+(z)).
 
     The exact coefficients of the rational function: the expansion between
     the roots of tau_- and those of tau_+, and the field's modes on |z| = 1
     when the unit circle lies between them, which decay_report's margins
-    ensure at one wave but not at two.  A caller that already holds the
-    point's amplitude-free pair (make_tau_plus(params),
-    make_tau_minus(params)) passes it as taus.
+    ensure at one wave but not at two.
     """
-    if taus is None:
-        taus = make_tau_plus(params), make_tau_minus(params)
+    taus = make_tau_plus(params), make_tau_minus(params)
     return _tau_ratio(taus, b_values, window, params.q, ONE, params.eps)
 
 

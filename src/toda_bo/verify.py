@@ -16,10 +16,11 @@ The runners use one of three finishers:
              bilinear rows at a point and explicit shifts, summed in the
              symbolic (z-power, amplitude-exponent) basis; each sum must
              vanish identically.
-  windowed   mode-algebra identities compared cell-by-cell on the certified
-             region of the truncation Guarantee; a nonzero certified cell is
-             a genuine counterexample, an empty certified region is reported
-             as an inconclusive failure rather than a pass.
+  windowed   mode-algebra identities at a (modes, degree) truncation,
+             every stored cell compared on the certified region of the
+             truncation Guarantee; a nonzero certified cell is a genuine
+             counterexample, an empty certified region is reported as an
+             inconclusive failure rather than a pass.
   convergent numeric charge evaluations on soliton modes.  conj-iom
              compares charges with closed forms at a ladder of kernel
              cutoffs and passes with the residual below tolerance and still
@@ -114,9 +115,9 @@ CONVERGENT_TOL = Fraction(1, 10**10)
 S = Fraction(1, 2)
 EPS = Fraction(1, 8)
 
-# The quadratic-kernel lemmas run at their own, smaller truncation triple
-# (z window, modes, degree): their flows cost a cubic charge bracket per cell.
-T3_TRUNC_Z, T3_TRUNC_MODES, T3_TRUNC_DEG = 3, 6, 6
+# The quadratic-kernel lemmas run at their own, smaller truncation pair
+# (modes, degree): their flows cost a cubic charge bracket per cell.
+T3_TRUNC_MODES, T3_TRUNC_DEG = 6, 6
 
 # Kernel cutoff ladder of the convergent charge checks.
 IOM_CUTOFFS = (16, 32, 48)
@@ -163,14 +164,13 @@ class UnknownIdentity(KeyError):
 class CheckConfig:
     """The command-line knobs shared by every check.
 
-    The truncation triple governs the bracket-family checks; solitons bounds
+    The truncation pair governs the bracket-family checks; solitons bounds
     the wave count of the exact soliton checks and of conj-iom.
     """
 
     seed: int = 7
     samples: int = 5
     solitons: int = 3
-    trunc_z: int = 6
     trunc_modes: int = 12
     trunc_deg: int = 6
     timings: bool = False
@@ -222,22 +222,21 @@ def _ctx_t3() -> ModeContext:
     return ModeContext(S, EPS, ModeTrunc(T3_TRUNC_MODES, T3_TRUNC_DEG))
 
 
-def _finish_windowed(pairs, zcap: int):
+def _finish_windowed(pairs):
     """Compare residual series on their certified windows.
 
-    pairs is a list of (residual, witness); the witness is a series whose
-    certified content measures how much the comparison actually saw.  A
-    stored residual cell inside the certified region is a violation; no
-    certified witness content at all means the window proved nothing and the
-    check fails as inconclusive instead of passing vacuously.
+    pairs is a non-empty list of (residual, witness) in one context; the
+    witness is a series whose certified content measures how much the
+    comparison actually saw.  A stored residual cell inside the certified
+    region is a violation; no certified witness content at all means the
+    window proved nothing and the check fails as inconclusive instead of
+    passing vacuously.  zcap reports the slot reach n_modes // 2, which
+    balance and the window rule keep every stored slot within.
     """
 
     def scan(X, g):
-        """(poly, monomial, whether g covers it) for every stored term of X
-        whose slots all lie within zcap."""
+        """(poly, monomial, whether g covers it) for every stored term of X."""
         for slot, poly in X.coeffs.items():
-            if any(abs(x) > zcap for x in slot):
-                continue
             span = sum(abs(x) for x in slot)
             for mono in poly.nums:
                 yield poly, mono, g.covers(span, mono_weight(mono), mono_degree(mono))
@@ -261,7 +260,7 @@ def _finish_windowed(pairs, zcap: int):
         "witness_certified_terms": witness_cells,
         "violations": violations,
         "uncertified_residual_terms": uncertified,
-        "zcap": zcap,
+        "zcap": pairs[0][0].ctx.trunc.n_modes // 2,
         "guarantee": guars,
     }
     inconclusive = witness_cells == 0
@@ -353,7 +352,7 @@ def _win_kernel(F, G, kernel):
     N = F.ctx.trunc.n_modes
     terms = {l: kernel(l) for l in range(-N, N + 1) if l}
     lhs = bracket(F, Gw)
-    return [(lhs - apply_ratio_kernel(F * Gw, terms, (0, 1)), lhs)]
+    return [(lhs - apply_ratio_kernel(F * Gw, terms), lhs)]
 
 
 def _win_eta_xi(ctx):
@@ -370,7 +369,7 @@ def _win_eta_xi(ctx):
         G = (L.subs_scale(q) + L.subs_scale(1 / q) - L.scale(2)).exp()
         at_w0 = {(k, 0): poly for (k,), poly in G.coeffs.items()}
         G = AlphaSeries(ctx, ("z", "w"), at_w0, G.guar)
-        parts.append(apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}, (0, 1)))
+        parts.append(apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}))
     dp, dm = parts
     return [(lhs - (dp - dm), lhs)]
 
@@ -451,13 +450,13 @@ def _win_prop(ctx, k: int):
     return [(X, wit)]
 
 
-def _run_windowed(build, ctx: ModeContext, zcap: int):
-    worst, passed, detail = _finish_windowed(build(ctx), zcap)
+def _run_windowed(build, ctx: ModeContext):
+    worst, passed, detail = _finish_windowed(build(ctx))
     params = {
         "s": scalar_str(ctx.s),
         "eps": scalar_str(ctx.eps),
         "trunc": {
-            "z": zcap,
+            "z": detail["zcap"],
             "modes": ctx.trunc.n_modes,
             "deg": ctx.trunc.d_deg,
         },
@@ -466,11 +465,11 @@ def _run_windowed(build, ctx: ModeContext, zcap: int):
 
 
 def _run_bracket_family(build, cfg: CheckConfig, rng: random.Random):
-    return _run_windowed(build, _ctx_bracket(cfg), cfg.trunc_z)
+    return _run_windowed(build, _ctx_bracket(cfg))
 
 
 def _run_t3_family(build, cfg: CheckConfig, rng: random.Random):
-    return _run_windowed(build, _ctx_t3(), T3_TRUNC_Z)
+    return _run_windowed(build, _ctx_t3())
 
 
 # #### exact soliton finisher ##################################################
@@ -721,7 +720,7 @@ def _formal_newton_vs_kernel(k: int) -> bool:
     """Newton route against the cached kernel functional, on the pruned window."""
     ctx = _ctx_t3()
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
-    mv = mode_table(ctx, 2 if k == 3 else 1)
+    mv = mode_table(ctx)
     capped = capped_mul(ctx)
     vals = [I_k_def(mv, i, N, ctx.q, mul=capped) for i in range(1, k + 1)]
     newton = M_from_I(vals, ParamPoint(S, EPS))[-1]

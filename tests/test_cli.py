@@ -40,7 +40,7 @@ from toda_bo.soliton import (
 )
 from toda_bo.verify import GROUPS
 
-SMALL_WIN = ["--trunc-z", "4", "--trunc-modes", "8", "--trunc-deg", "4"]
+SMALL_WIN = ["--trunc-modes", "8", "--trunc-deg", "4"]
 
 
 def run_main(capsys, argv):
@@ -89,7 +89,6 @@ def test_unknown_flag_exits_2(capsys):
         ["verify", "--trunc-modes", "0"],
         ["verify", "--trunc-modes", "256"],
         ["verify", "--trunc-deg", "0"],
-        ["verify", "--trunc-z", "-1"],
         ["verify", "--samples", "0"],
         ["verify", "--solitons", "-1"],
         ["verify", "--seed", "-1"],
@@ -106,6 +105,14 @@ def test_out_of_range_integer_flags_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"toda-bo {argv[0]}: error: argument")
+
+
+def test_retired_z_window_flag_exits_2(capsys):
+    # the window rule and balance fix every stored slot within n_modes // 2,
+    # so there is no z window to set
+    rc, out, err = run_main(capsys, ["verify", "--trunc-z", "6"])
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == "toda-bo: error: unrecognized arguments: --trunc-z 6"
 
 
 def test_internal_error_exits_1_with_one_line(capsys, monkeypatch):
@@ -206,8 +213,7 @@ def test_any_flag_combination_exits_cleanly(argv, stray, spec):
 
 def test_check_failure_exits_1(capsys):
     # a one-mode window certifies nothing, which is a failing (inconclusive) check
-    argv = ["verify", "--identity", "eta-eta", "--trunc-z", "2"]
-    argv += ["--trunc-modes", "1", "--trunc-deg", "1"]
+    argv = ["verify", "--identity", "eta-eta", "--trunc-modes", "1", "--trunc-deg", "1"]
     rc, out, _ = run_main(capsys, argv)
     assert rc == 1
     doc = json.loads(out)
@@ -486,9 +492,10 @@ def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, doc):
     assert err.startswith("toda-bo: bad wave spec: ") and err.count("\n") == 1, err
 
 
-def test_soliton_eval_builds_the_tau_pair_once(tmp_path, capsys, monkeypatch):
-    # the rendered taus are the ones --eval divides: one build of each,
-    # counted wherever the builders are bound, and the same bytes
+def test_soliton_eval_divides_its_own_tau_pair(tmp_path, capsys, monkeypatch):
+    # the rendered taus are one build of each, and --eval's division builds
+    # the pair once more from the same point (eta_series_from_taus takes no
+    # prebuilt pair); counted wherever the builders are bound, same bytes
     built = {"plus": 0, "minus": 0}
 
     def counted(key, build):
@@ -504,10 +511,13 @@ def test_soliton_eval_builds_the_tau_pair_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, name, wrapper)
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(_WAVE))
+    rc, _, err = run_main(capsys, ["soliton", "--spec", str(path)])
+    assert (rc, err) == (0, "")
+    assert built == {"plus": 1, "minus": 1}
     argv = ["soliton", "--spec", str(path), "--eval", "--window", "64"]
     rc, out, err = run_main(capsys, argv)
     assert (rc, err) == (0, "")
-    assert built == {"plus": 1, "minus": 1}
+    assert built == {"plus": 3, "minus": 3}
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8c0a5a0a5f15e650926957c027ba048783cc04f237033044def4912778e2ffb3"
     )
@@ -755,7 +765,7 @@ def test_tau_ratio_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
 def test_parser_defaults_match_acceptance_runs():
     args = build_parser().parse_args(["verify"])
     assert (args.seed, args.samples, args.solitons) == (7, 5, 3)
-    assert (args.trunc_z, args.trunc_modes, args.trunc_deg) == (6, 12, 6)
+    assert (args.trunc_modes, args.trunc_deg) == (12, 6)
     args = build_parser().parse_args(["verify", "--trunc-modes", "255"])
     assert args.trunc_modes == 255  # the largest window a packed monomial holds
     args = build_parser().parse_args(["evolve"])

@@ -369,7 +369,8 @@ def test_wave_run_divides_the_tau_ratio_once(monkeypatch):
 
 def test_wave_run_builds_the_tau_pair_once(monkeypatch):
     # the initial modes and every reference sample evaluate one
-    # amplitude-free tau pair; the builders are counted wherever bound
+    # amplitude-free tau pair, which the division builds; evolve binds no
+    # tau builder of its own
     built = {"plus": 0, "minus": 0}
 
     def counted(key, build):
@@ -382,7 +383,7 @@ def test_wave_run_builds_the_tau_pair_once(monkeypatch):
     for key, name in (("plus", "make_tau_plus"), ("minus", "make_tau_minus")):
         wrapper = counted(key, getattr(soliton, name))
         monkeypatch.setattr(soliton, name, wrapper)
-        monkeypatch.setattr(evolve, name, wrapper)
+        assert not hasattr(evolve, name)
     _, summary = run(RunConfig(n_modes=8, steps=30, check_interval=10))
     assert summary["samples"] == 4 and summary["max_mode_error"] > 0
     assert built == {"plus": 1, "minus": 1}

@@ -67,6 +67,13 @@ def eta_modes(params, b, window) -> ModeVector:
     return ModeVector.from_series(eta_series_from_taus(params, b, window))
 
 
+def eta_table(ctx: ModeContext, W: int) -> ModeVector:
+    """Mode polynomials of the eta field for |m| <= W: mode_table's reach is
+    2 n_modes, what a package charge reads, so a wider charge builds its own."""
+    field = build_eta(ctx)
+    return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
+
+
 def xi_table(ctx: ModeContext) -> ModeVector:
     """Mode polynomials of the xi field for |m| <= n_modes."""
     field, N = build_xi(ctx), ctx.trunc.n_modes
@@ -158,7 +165,7 @@ def test_charge_matches_literal_enumeration(k, kind, case):
     decay, mul = None, operator.mul
     if case == "capped-poly":
         N = CTX_SMALL.trunc.n_modes
-        mv = mode_table(CTX_SMALL, span=max(1, k - 1))
+        mv = mode_table(CTX_SMALL) if k < 4 else eta_table(CTX_SMALL, 3 * N)
         mul = capped_mul(CTX_SMALL)
     else:
         N = 3 if k < 4 else 2
@@ -454,7 +461,7 @@ def test_m3_from_newton_matches_kernel_formula_on_window():
     # boundaries are shaped differently), but any monomial of weight <= N
     # needs kernel exponents <= N/2 on every route, so the pruned polynomials
     # agree exactly
-    mv = mode_table(CTX, span=2)
+    mv = mode_table(CTX)
     N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
     vals = [I_k_def(mv, k, N, q) for k in (1, 2, 3)]
     newton = M_from_I(vals, P1)[-1]
@@ -506,13 +513,18 @@ def test_charges_commute_on_certified_window():
 
 def test_eta_is_built_once_per_context():
     # eta_zero, mode_table and a direct call all read one cached build: a
-    # second cache key for the same field would rebuild
+    # second cache key for the same field would rebuild.  Both charge
+    # functionals read one table, which reaches I_3's 2 n_modes
     ctx = ModeContext(F(1, 2), F(1, 13), ModeTrunc(4, 4))
     before = build_eta.cache_info().misses
+    tables = mode_table.cache_info().misses
     eta_zero(ctx)
     mode_table(ctx)
     build_eta(ctx)
+    M2_functional(ctx), M3_functional(ctx)
     assert build_eta.cache_info().misses - before == 1
+    assert mode_table.cache_info().misses - tables == 1
+    assert mode_table(ctx).N == 2 * ctx.trunc.n_modes
 
 
 def test_m2_m3_functionals_stable_under_window_growth():

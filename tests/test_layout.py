@@ -1,18 +1,21 @@
 """Source layout: no private imports across modules, no callerless code,
 no unused option, no constant passed as an argument, no unread field, no
 unused import, no lambda that drops an argument, no keyword argument to a
-cached function, no process environment outside the entry point.
+cached function and no default on one, no process environment outside the
+entry point.
 
 Shared helpers get a public name in the module that owns them; a leading
 underscore means "used only in this module".  Every definition in the
 package has a caller in the package: code that only tests use lives in the
 tests.  Every default is overridden by some call in the package; one that
 no call overrides is a constant, and so is a required parameter that
-every call passes the same literal.  Every dataclass field is read somewhere
-in the package.  Every module uses what it imports.  Every lambda reads
-each of its parameters.  A cached function is called positionally.  Only the command-line module reads or writes the
-process environment: importing the library changes nothing process-wide.
-The rules are checked on the syntax tree of every package module.
+every call passes the same literal or tuple of literals.  Every dataclass
+field is read somewhere in the package.  Every module uses what it imports.
+Every lambda reads each of its parameters.  A cached function has no
+defaults and is called positionally.  Only the command-line module reads or
+writes the process environment: importing the library changes nothing
+process-wide.  The rules are checked on the syntax tree of every package
+module.
 """
 
 from __future__ import annotations
@@ -174,9 +177,17 @@ def test_every_defaulted_parameter_is_passed_by_a_caller_in_the_package():
     assert unset == []
 
 
+def _is_literal(node: ast.expr | None) -> bool:
+    """A constant (a string, a number, None) or a tuple of constants."""
+    if isinstance(node, ast.Tuple):
+        return all(isinstance(e, ast.Constant) for e in node.elts)
+    return isinstance(node, ast.Constant)
+
+
 def test_no_required_parameter_is_always_passed_one_literal():
     # a required parameter that every call in the package passes as the
-    # same literal (a string, a number, None) is a constant in disguise.
+    # same literal (a string, a number, None, or a tuple of those) is a
+    # constant in disguise.
     # Judged are the module-level functions the package only calls by name:
     # a function handed on (to partial, a table) or reached through an
     # attribute may be called with arguments the syntax tree does not show,
@@ -207,7 +218,7 @@ def test_no_required_parameter_is_always_passed_one_literal():
             value = call.args[index]
         else:
             value = next((k.value for k in call.keywords if k.arg == param), None)
-        return ast.unparse(value) if isinstance(value, ast.Constant) else None
+        return ast.unparse(value) if _is_literal(value) else None
 
     constant = []
     for name, tree in modules.items():
@@ -299,21 +310,26 @@ def _callee(func: ast.expr) -> str | None:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_no_cached_function_gets_a_keyword_argument():
-    # an lru_cache key holds the arguments as passed, so f(ctx, "-") and
-    # f(ctx, sign="-") are two keys and the second call builds the value
-    # again; so is a functools.partial that binds a keyword of f
-    modules = parsed_modules()
-    cached = {
-        node.name
-        for tree in modules.values()
+def _cached_functions(modules) -> list[tuple[str, ast.FunctionDef]]:
+    """(module, def) for every lru_cache'd or cache'd function."""
+    return [
+        (name, node)
+        for name, tree in modules.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         and any(
             ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] in ("lru_cache", "cache")
             for d in node.decorator_list
         )
-    }
+    ]
+
+
+def test_no_cached_function_gets_a_keyword_argument():
+    # an lru_cache key holds the arguments as passed, so f(ctx, "-") and
+    # f(ctx, sign="-") are two keys and the second call builds the value
+    # again; so is a functools.partial that binds a keyword of f
+    modules = parsed_modules()
+    cached = {node.name for _, node in _cached_functions(modules)}
     assert cached
     offenders = []
     for name, tree in modules.items():
@@ -326,6 +342,17 @@ def test_no_cached_function_gets_a_keyword_argument():
             if _callee(func) in cached:
                 offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
+
+
+def test_no_cached_function_has_a_default():
+    # f(ctx) and f(ctx, 1) are two lru_cache keys for one value, so a
+    # defaulted parameter of a cached function builds that value twice
+    defaulted = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in _cached_functions(parsed_modules())
+        if node.args.defaults or any(d is not None for d in node.args.kw_defaults)
+    ]
+    assert defaulted == []
 
 
 def test_only_the_entry_point_touches_the_environment():

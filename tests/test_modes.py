@@ -35,7 +35,7 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toda_bo import modes
@@ -424,21 +424,19 @@ def literal_series_mul(A, B):
     return out
 
 
-def literal_ratio_kernel(Fs, kernel, pair):
-    ia, ib = pair
+def literal_ratio_kernel(Fs, kernel):
+    # the kernel sum_l k_l (w/z)**l moves the cell at (a, b) to (a - l, b + l)
     N = Fs.ctx.trunc.n_modes
     out = {}
-    for slot, p in Fs.coeffs.items():
+    for (a, b), p in Fs.coeffs.items():
         for l, k in kernel.items():
-            tgt = list(slot)
-            tgt[ia] -= l
-            tgt[ib] += l
-            if k and abs(tgt[ia]) <= N and abs(tgt[ib]) <= N:
-                r = out.get(tuple(tgt), AlphaPoly.zero()) + p * k
+            tgt = (a - l, b + l)
+            if k and abs(tgt[0]) <= N and abs(tgt[1]) <= N:
+                r = out.get(tgt, AlphaPoly.zero()) + p * k
                 if r:
-                    out[tuple(tgt)] = r
+                    out[tgt] = r
                 else:
-                    out.pop(tuple(tgt), None)
+                    out.pop(tgt, None)
     out = window_cells(Fs.ctx, out)
     return AlphaSeries(Fs.ctx, Fs.vars, out, Fs.guar.kern_derate())
 
@@ -605,21 +603,20 @@ def test_pairing_cancelled_sums_are_not_stored():
 @given(
     balanced_series(),
     st.dictionaries(st.integers(-4, 4), scalars() | st.just(0), max_size=4),
-    st.sampled_from([(0, 1), (1, 0)]),
 )
 @settings(max_examples=60)
-def test_ratio_kernel_equals_fraction_loop(Fs, kernel, pair):
-    got = apply_ratio_kernel(Fs, kernel, pair)
-    want = literal_ratio_kernel(Fs, kernel, pair)
+def test_ratio_kernel_equals_fraction_loop(Fs, kernel):
+    got = apply_ratio_kernel(Fs, kernel)
+    want = literal_ratio_kernel(Fs, kernel)
     assert got.coeffs == want.coeffs and got.guar == want.guar
 
 
 def test_ratio_kernel_cancelled_target_is_not_stored():
     m = poly_of({mono(-1, 1): F(1, 3)})
     Fs = AlphaSeries(CTX, ("z", "w"), {(1, -1): m, (-1, 1): m}, Guarantee(6, 6, 6))
-    got = apply_ratio_kernel(Fs, {1: F(2), -1: -2}, (0, 1))
+    got = apply_ratio_kernel(Fs, {1: F(2), -1: -2})
     assert (0, 0) not in got.coeffs
-    assert got.coeffs == literal_ratio_kernel(Fs, {1: F(2), -1: -2}, (0, 1)).coeffs
+    assert got.coeffs == literal_ratio_kernel(Fs, {1: F(2), -1: -2}).coeffs
 
 
 @pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 4)])
@@ -635,8 +632,8 @@ def test_field_kernels_equal_fraction_loops(trunc):
     # eta-eta's kernel: sgn(l) (1 - q**|l|)
     kernel = {l: ctx.one_minus_q(abs(l)) * (l // abs(l)) for l in range(-N, N + 1) if l}
     prod = ez * ew
-    got = apply_ratio_kernel(prod, kernel, (0, 1))
-    assert got.coeffs == literal_ratio_kernel(prod, kernel, (0, 1)).coeffs
+    got = apply_ratio_kernel(prod, kernel)
+    assert got.coeffs == literal_ratio_kernel(prod, kernel).coeffs
     # targets of span N are kept, those past N skipped
     assert N in {sum(map(abs, slot)) for slot in got.coeffs}
 
@@ -717,6 +714,31 @@ def test_capped_path_checks_balance_and_guard_sees_overweight_cells():
         AlphaSeries(CTX, ("z",), {(0,): AlphaPoly.zero()}, g)
 
 
+@given(st.lists(st.integers(-7, 7), min_size=1, max_size=3), st.integers(1, 12))
+@example([4], 6)
+@example([4, -1], 6)
+@example([4, -2, 1], 6)
+@example([3], 6)
+@example([3, -3], 6)
+@settings(max_examples=200)
+def test_a_stored_slot_reaches_at_most_half_the_modes(slot, n_modes):
+    # the lightest balanced cell at a slot is alpha_{-sum(slot)}, or the
+    # constant at sum 0; the constructor stores it only within the window
+    # rule, sum |s_i| + |sum s_i| <= n_modes, which bounds 2 max |s_i| in any
+    # number of variables: no stored slot reaches past n_modes // 2
+    ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(n_modes, 2))
+    off = sum(slot)
+    cells = {tuple(slot): poly_of({mono(-off) if off else mono(): 1})}
+    vars = ("z", "w", "u")[: len(slot)]
+    g = Guarantee(n_modes, n_modes, 2)
+    if sum(map(abs, slot)) + abs(off) <= n_modes:
+        assert AlphaSeries(ctx, vars, cells, g).coeffs == cells
+        assert 2 * max(map(abs, slot)) <= n_modes
+    else:
+        with pytest.raises(AssertionError, match="window rule"):
+            AlphaSeries(ctx, vars, cells, g)
+
+
 def test_failed_construction_names_the_monomial():
     # the checks run inline; the message that names the first offending
     # monomial, balance before the window rule, is built on failure only
@@ -774,7 +796,7 @@ def test_capped_results_equal_their_pruned_rebuild(trunc):
         "slotwise product": tp * tm,
         "bracket": bracket(ez, ew),
         "flow bracket": bracket(eta_zero(ctx), tm),
-        "ratio kernel": apply_ratio_kernel(ez * ew, kernel, (0, 1)),
+        "ratio kernel": apply_ratio_kernel(ez * ew, kernel),
         "delta product": delta_product(F(1, 2), tp * neumann_inv(tm)),
         "exp": build_phi(ctx, "-").exp(),
         "sum": tp + tm,
@@ -1140,7 +1162,7 @@ def delta_product(c, G: AlphaSeries) -> AlphaSeries:
     N = G.ctx.trunc.n_modes
     at_w0 = {(k, 0): p for (k,), p in G.coeffs.items()}
     G = AlphaSeries(G.ctx, ("z", "w"), at_w0, G.guar)
-    return apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)}, (0, 1))
+    return apply_ratio_kernel(G, {l: c**l for l in range(-N, N + 1)})
 
 
 @pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 3)])
@@ -1168,7 +1190,7 @@ def test_apply_ratio_kernel_shifts_slots():
     e = build_eta(CTX)
     x = build_xi(CTX).renamed("w")
     prod = e * x
-    moved = apply_ratio_kernel(prod, {3: F(5)}, (0, 1))
+    moved = apply_ratio_kernel(prod, {3: F(5)})
     for (a, b), poly in prod.coeffs.items():
         ta, tb = a - 3, b + 3
         if abs(ta) <= 6 and abs(tb) <= 6 and abs(ta) + abs(tb) <= 6:

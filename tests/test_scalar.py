@@ -175,7 +175,7 @@ def test_newton_p_from_e_equals_determinant(e):
 def test_newton_p_from_e_on_mode_polynomials_equals_determinant():
     # charges I_1..I_3 of a mode table: the recurrence needs no ring constants
     ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
-    mv = mode_table(ctx, span=2)
+    mv = mode_table(ctx)
     e = [I_k_def(mv, k, 4, ctx.q) for k in (1, 2, 3)]
     assert all(len(x.nums) > 1 for x in e)
     ps = newton_p_from_e(e)

@@ -7,10 +7,12 @@ cross-checked through the mode-negation involution that swaps their
 orientation pairs.  The certificate: every windowed check is built at a
 narrower and a wider window, and each residual and witness cell the narrower
 one certifies must match the wider one's; a bracket rule that keeps its
-degree and a kernel rule that keeps its weight must fail that.  Negative
+degree and a kernel rule that keeps its weight must fail that.  Every stored
+slot lies within n_modes // 2, the reach the report records as z.  Negative
 controls push a known-nonzero series, and each of the six kernel checks with
 its kernel scaled by 8/7 or reflected l -> -l, through the windowed finisher,
-which must report violations instead of passing; one wrong coefficient or one
+which must report violations instead of passing, as must eta-tau- without
+the one kernel term at the slot reach; one wrong coefficient or one
 wrong partition in the order-3 Toda equation table must fail both the exact
 and the windowed check that read it, one wrong coefficient in the lemma table
 must fail its windowed check, one row weight of each Miwa identity scaled by
@@ -18,8 +20,8 @@ must fail its windowed check, one row weight of each Miwa identity scaled by
 fail hirota-tb and toda, and eta-xi with its two delta arguments swapped or
 their relative sign flipped must report violations.  The brackets one hirota
 call makes are counted, and so are the field builds of the bracket group (one
-each of eta and xi) and the series products of the quadratic kernels (two for
-four).  The Miwa row builders are also run at explicit shifts far outside the
+each of eta and xi), the mode tables of the charge checks (one) and the series
+products of the quadratic kernels (two for four).  The Miwa row builders are also run at explicit shifts far outside the
 sampler's range, and each side of the partition-keyed Toda rows is compared
 with the earlier (c, order, power) table, read as powers.  Determinism is
 asserted on serialized bytes of repeated runs, and the CLI reports of the
@@ -75,7 +77,6 @@ from toda_bo.verify import (
     GROUPS,
     IDENTITY_IDS,
     S,
-    T3_TRUNC_Z,
     CheckConfig,
     quad_kernel_series,
     resolve_selector,
@@ -97,7 +98,7 @@ from toda_bo.verify import (
 )
 
 # small enough to keep every run here well under a second
-WIN = CheckConfig(trunc_z=4, trunc_modes=8, trunc_deg=4)
+WIN = CheckConfig(trunc_modes=8, trunc_deg=4)
 SOL = CheckConfig(samples=1, solitons=2)
 
 
@@ -224,7 +225,7 @@ def test_windowed_identities_hold_with_evidence(check_id):
 
 def test_window_too_small_is_inconclusive_failure():
     # one mode certifies nothing: every bracket cell spans two slots
-    r = run_check("eta-eta", CheckConfig(trunc_z=2, trunc_modes=1, trunc_deg=1))
+    r = run_check("eta-eta", CheckConfig(trunc_modes=1, trunc_deg=1))
     assert not r.passed
     assert r.detail["inconclusive"] is True
     assert r.detail["witness_certified_terms"] == 0
@@ -233,7 +234,7 @@ def test_window_too_small_is_inconclusive_failure():
 
 def test_nonzero_series_fails_as_violations():
     ((_, wit),) = verify._CHECKS["eta-eta"][1](_ctx_bracket(WIN))
-    worst, passed, detail = _finish_windowed([(wit, wit)], WIN.trunc_z)
+    worst, passed, detail = _finish_windowed([(wit, wit)])
     assert not passed
     assert detail["violations"] > 0
     assert worst > 0
@@ -257,12 +258,12 @@ def test_perturbed_kernel_fails(monkeypatch, check_id, wrong, tau_violations):
     violations = 174 if check_id in ("eta-eta", "xi-xi") else tau_violations
     build = verify._CHECKS[check_id][1]
     ctx = _ctx_bracket(WIN)
-    _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
+    _, passed, detail = _finish_windowed(build(ctx))
     assert passed and detail["witness_certified_terms"] > 0
     monkeypatch.setattr(
         verify, "_win_kernel", lambda F, G, kernel: _win_kernel(F, G, wrong(kernel))
     )
-    _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
+    _, passed, detail = _finish_windowed(build(ctx))
     assert not passed
     assert detail["violations"] == violations
 
@@ -279,6 +280,15 @@ def test_bracket_group_builds_each_field_once():
     ctx = _ctx_bracket(WIN)
     assert build_eta(ctx).renamed("w").coeffs is build_eta(ctx).coeffs
     assert build_xi(ctx).renamed("w").vars == ("w",)
+
+
+def test_charge_checks_read_one_mode_table():
+    # lemma-t3's charge functionals and the m2/m3 formal legs share one
+    # context and read one mode table; a wider table for I_3 under a second
+    # cache key would build it again
+    _clear_builder_caches()
+    assert all(r.passed for r in run_suite("m2-consistency,m3-consistency,lemma-t3"))
+    assert iom.mode_table.cache_info().misses == 1
 
 
 # #### the certificate ########################################################
@@ -331,6 +341,54 @@ def test_every_certified_cell_survives_a_wider_window():
     assert windowed == set(_REFINEMENTS)
     _clear_builder_caches()
     assert certificate_mismatches() == (0, 12066)
+
+
+# (n_modes, d_deg) windows of each windowed group whose stored slots are read
+_REACH_WINDOWS = {
+    "bracket": ((8, 4), (9, 3), (12, 6)),
+    "lemma-t3": ((verify.T3_TRUNC_MODES, verify.T3_TRUNC_DEG),),
+}
+
+
+def test_every_stored_slot_lies_within_half_the_modes():
+    # balance and the window rule keep every slot of every stored residual
+    # and witness cell within n_modes // 2, the z the report records, so no
+    # slot lies past it for a z window to hide; each window reaches it
+    windowed = set(GROUPS) - {"all", "soliton-exact", "iom-numeric"}
+    assert windowed == set(_REACH_WINDOWS)
+    reach = {}
+    for group, _, builds in verify._REGISTRY:
+        for n, d in _REACH_WINDOWS.get(group, ()):
+            ctx = ModeContext(S, EPS, ModeTrunc(n, d))
+            reach[group, n] = max(
+                abs(x)
+                for build in builds.values()
+                for pair in build(ctx)
+                for X in pair
+                for slot in X.coeffs
+                for x in slot
+            )
+    assert reach == {
+        ("bracket", 8): 4,
+        ("bracket", 9): 4,
+        ("bracket", 12): 6,
+        ("lemma-t3", 6): 3,
+    }
+
+
+def test_eta_tau_minus_without_one_kernel_term_fails(monkeypatch):
+    # eta-tau-'s kernel without its l = -6 term leaves certified residual
+    # cells at the default window, each with a slot at the reach 6, so a
+    # check that skipped slots past 5 would miss all of them
+    monkeypatch.setattr(
+        verify,
+        "_win_kernel",
+        lambda F, G, kernel: _win_kernel(F, G, lambda l: 0 if l == -6 else kernel(l)),
+    )
+    r = run_check("eta-tau-", CheckConfig())
+    assert not r.passed
+    assert (r.detail["violations"], r.detail["witness_certified_terms"]) == (29, 467)
+    assert r.detail["zcap"] == r.params["trunc"]["z"] == 6
 
 
 @pytest.mark.parametrize(
@@ -520,7 +578,7 @@ def test_miwa_builders_vanish_at_explicit_far_shifts(n):
 def test_order_one_equation_holds_on_the_mode_algebra():
     # no windowed check reads order 1 (hirota-t states it with another
     # witness), but the table's order 1 holds there as well
-    worst, passed, detail = _finish_windowed(_win_prop(_ctx_t3(), 1), T3_TRUNC_Z)
+    worst, passed, detail = _finish_windowed(_win_prop(_ctx_t3(), 1))
     assert passed and worst == 0
     assert detail["witness_certified_terms"] > 0
 
@@ -562,10 +620,10 @@ def test_tbar_flow_is_the_flow_of_minus_xi0(monkeypatch):
         return hirota(flip, f, g)
 
     for build in (_win_hirota_tb, _win_toda):
-        assert _finish_windowed(build(ctx), WIN.trunc_z)[1]
+        assert _finish_windowed(build(ctx))[1]
     monkeypatch.setattr(verify, "hirota", plus_xi0)
     for build in (_win_hirota_tb, _win_toda):
-        _, passed, detail = _finish_windowed(build(ctx), WIN.trunc_z)
+        _, passed, detail = _finish_windowed(build(ctx))
         assert not passed and detail["violations"] > 0, build.__name__
 
 
@@ -578,17 +636,17 @@ def test_eta_xi_fails_with_swapped_deltas_or_flipped_sign(
     # leaves certified residual terms; the true one leaves none
     cfg = CheckConfig()
     ctx = _ctx_bracket(cfg)
-    _, passed, detail = _finish_windowed(_win_eta_xi(ctx), cfg.trunc_z)
+    _, passed, detail = _finish_windowed(_win_eta_xi(ctx))
     assert passed and detail["witness_certified_terms"] == 482
 
-    def wrong_kernel(F, terms, pair):
+    def wrong_kernel(F, terms):
         if wrong == "swap":  # c**-l in place of c**l: c -> 1/c
-            return apply_ratio_kernel(F, {-l: k for l, k in terms.items()}, pair)
-        out = apply_ratio_kernel(F, terms, pair)
+            return apply_ratio_kernel(F, {-l: k for l, k in terms.items()})
+        out = apply_ratio_kernel(F, terms)
         return -out if terms[1] == 1 / ctx.s else out  # negate delta(w/(s z)) G_-
 
     monkeypatch.setattr(verify, "apply_ratio_kernel", wrong_kernel)
-    _, passed, detail = _finish_windowed(_win_eta_xi(ctx), cfg.trunc_z)
+    _, passed, detail = _finish_windowed(_win_eta_xi(ctx))
     assert not passed
     assert detail["violations"] == violations
     assert detail["witness_certified_terms"] == 482
@@ -761,7 +819,7 @@ def lemma_3_4_at(trunc: ModeTrunc):
     (passed, params, detail)."""
     ctx = ModeContext(S, EPS, trunc)
     _, params, _, passed, detail = _run_windowed(
-        lambda c: _win_lemma(c, "lemma-3-4"), ctx, min(T3_TRUNC_Z, trunc.n_modes)
+        lambda c: _win_lemma(c, "lemma-3-4"), ctx
     )
     return passed, params, detail
 
@@ -769,7 +827,7 @@ def lemma_3_4_at(trunc: ModeTrunc):
 def test_t3_family_truncation_override():
     passed, params, _ = lemma_3_4_at(ModeTrunc(4, 4))
     assert passed
-    assert params["trunc"] == {"z": 3, "modes": 4, "deg": 4}
+    assert params["trunc"] == {"z": 2, "modes": 4, "deg": 4}
     # the certified window shrinks to the constant sector but stays nonempty
     passed, _, detail = lemma_3_4_at(ModeTrunc(1, 1))
     assert passed
@@ -851,7 +909,7 @@ def test_suite_report_bytes_are_pinned(capsys, selection, seed, digest):
         ([], "d0ead7731063299ff1e4952534cb4a26c7464b9eb711bb42d733bcd0dad08861"),
         (
             ["--trunc-modes", "14", "--trunc-deg", "7"],
-            "09a14b4f8cebb5ce4494103b74a872705a077b99937b425c4d52b90814352953",
+            "af82bc560eb1eeeaaefdea846eb86d5eb131f105bb7937830d7eba96a7084743",
         ),
     ],
     ids=["default", "modes14-deg7"],
@@ -870,19 +928,18 @@ def test_bracket_group_report_bytes_are_pinned(capsys, window, digest):
     [
         (
             ["--trunc-modes", "16", "--trunc-deg", "8"],
-            "61cea6d52e3c6602fd9bf9a6b55f78f3aeae98ba73a0394390f8447498a467b9",
+            "b510f1510beabb5d9c1887d1b8bcaace40c041ef6c82d7c282c77c96a2beadaf",
         ),
         (
-            ["--trunc-modes", "13", "--trunc-deg", "5", "--trunc-z", "5"],
-            "8ed356eee3011dc277305205f2c11cec72d2ddf350cffffb375b25180319aa8d",
+            ["--trunc-modes", "13", "--trunc-deg", "5"],
+            "a7a068955b7003dc7221373c6a73600d2b1df6f0bda090e4aa3203900b7d2ffb",
         ),
     ],
-    ids=["modes16-deg8", "modes13-deg5-z5"],
+    ids=["modes16-deg8", "modes13-deg5"],
 )
 def test_eta_xi_report_bytes_are_pinned(capsys, window, digest):
     # eta-xi alone, through its delta products, at two windows past the
-    # bracket pins': an even and an odd n_modes, the latter with a zcap
-    # below it
+    # bracket pins': an even and an odd n_modes
     rc = main(["verify", "--identity", "eta-xi", "--seed", "7", *window])
     out = capsys.readouterr().out
     assert rc == 0
