@@ -29,9 +29,9 @@ k - 2 mode products.  The charge I_k thus costs (N+1)**(p-1) vectors plus
 O((k-1)**2 N**2) table products, so I_3 is O(N**2) instead of O(N**3).  The
 identity uses only ring operations, so the result is the same element as
 the literal sum over all (N+1)**p vectors: the same Fraction, and the same
-mode polynomial under modes.capped_mul (the window cut of a functional
-drops an ideal, weight and degree adding under multiplication, so cut
-products and sums commute with it).
+slot-0 cell for a field of mode slices (the window cut drops an ideal,
+weight and degree adding under multiplication, so cut products and sums
+commute with it).
 
 Over Fractions every term of such a sum shares one known denominator, so
 the sums run on Python ints.  With the field scaled by D, the lcm of its
@@ -57,18 +57,23 @@ by its tail bound.  Each sum returns its value; shell_tail and kernel_tail
 are calls of their own, and raise ParamError where the decay model gives no
 bound.
 
-Soundness of the functional (mode-polynomial) builders at full claimed
-weight: a weight-w output monomial factors as mu_1..mu_j with each factor
-weight at least the absolute mode index it came from, so every contributing
-kernel exponent is at most w and every required mode cell lies inside the
-primitive certified region (index + factor weight <= budget).  Hence the
-quadratic and cubic builders inherit the primitive guarantee unchanged.
+A charge functional is a constant term: the charge sum over mode_table,
+whose mode eta_m is the one-cell z-series at slot -m of the eta field,
+multiplies with AlphaSeries.__mul__, and the functional is the slot-0
+cell of the result (AlphaSeries.constant_term).  Each partial product at
+slot s is cut to weight n_modes - |s|, which loses nothing: by balance it
+reaches slot 0 only through factors of weight >= |s|.  Soundness at full
+claimed weight: a weight-w output monomial factors as mu_1..mu_j with
+each factor weight at least the absolute mode index it came from, so
+every contributing kernel exponent is at most w and every required mode
+cell lies inside the primitive certified region (index + factor weight
+<= budget).  Hence the quadratic and cubic builders inherit the
+primitive guarantee unchanged.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,7 +89,7 @@ from .scalar import (
     numerators,
     q_pochhammer,
 )
-from .modes import AlphaSeries, ModeContext, build_eta, capped_mul
+from .modes import AlphaSeries, ModeContext, build_eta
 from .soliton import decay_report, modes_from_series
 
 ENUM_BUDGET = 5_000_000
@@ -96,7 +101,7 @@ ENUM_BUDGET = 5_000_000
 @dataclass(frozen=True)
 class ModeVector:
     """Fourier modes values[m] for every |m| <= N; entries may be any ring
-    scalar.
+    element: Fractions, or the one-cell series of mode_table.
 
     The window is complete: values holds exactly the indices -N..N.  Modes
     outside it are unknown, not zero, and consumers refuse them.
@@ -210,7 +215,7 @@ def _times(x, r: Fraction):
     return y
 
 
-def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
+def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction):
     """Sum over all pair exponents m_ij in 0..N of prod ktab[m_ij] *
     prod field[flow_i], for k >= 2 and a geometric kernel: ktab[m+1] =
     r ktab[m] for m >= 1.
@@ -227,7 +232,7 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
         lo, hi = max(0, s - L), min(s, L)
         # the diagonal's products field[i] field[s - i], i = lo - N..hi, each
         # formed once: the term that leaves T at A was the product at A - N
-        ab = [mul(field[i], field[s - i]) for i in range(lo - N, hi + 1)]
+        ab = [field[i] * field[s - i] for i in range(lo - N, hi + 1)]
         T = zero
         for m in range(1, N + 1):
             T = T + ab[N - m] * ktab[m]
@@ -247,26 +252,27 @@ def _kernel_sum(field: dict, k: int, ktab: list, r: Fraction, mul):
     total = zero
     for outer, term in inner.items():
         for e in outer:
-            term = mul(field[e], term)
+            term = field[e] * term
         total = total + term
     return total
 
 
-def _exact_sum(kernel, eta: ModeVector, reach: int, table: list, k: int, p: int, mul):
-    """kernel(field, table, mul) over the field eta[-reach..reach], on
-    Python ints when the field holds Fractions: kernel, a sum of terms of
-    degree k in the field and p in the table, runs on the field scaled by D
-    and the table by E (the lcms of their denominators), and its total over
-    D**k E**p is the value.  Any other field (mode polynomials) runs kernel
-    as given.  A reach past eta's window raises."""
+def _exact_sum(kernel, eta: ModeVector, reach: int, table: list, k: int, p: int):
+    """kernel(field, table) over the field eta[-reach..reach], on Python
+    ints when the field holds Fractions: kernel, a sum of terms of degree k
+    in the field and p in the table, runs on the field scaled by D and the
+    table by E (the lcms of their denominators), and its total over
+    D**k E**p is the value.  Any other field (mode_table's one-cell series)
+    runs kernel as given, each product under the window rule.  A reach past
+    eta's window raises."""
     if reach > eta.N:
         raise ValueError(f"mode {-reach} outside window {eta.N}; widen the modes")
     field = {e: eta[e] for e in range(-reach, reach + 1)}
     if not all(isinstance(v, Fraction) for v in field.values()):
-        return kernel(field, table, mul)
+        return kernel(field, table)
     values, D = numerators(field.values())
     tab, E = numerators(table)
-    total = kernel(dict(zip(field, values)), tab, operator.mul)
+    total = kernel(dict(zip(field, values)), tab)
     return Fraction(total, D**k * E**p)
 
 
@@ -299,7 +305,7 @@ def shell_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scala
     return kappa**p * h**k * p * power_geometric_tail(p - 1, r, N)
 
 
-def I_k_def(eta: ModeVector, k: int, N: int, q: Scalar, mul=operator.mul):
+def I_k_def(eta: ModeVector, k: int, N: int, q: Scalar):
     """Constant term of k field copies against pair kernels, truncated at N.
 
     The pair kernel is (1 - w)/(1 - q w); the mirror orientation is the
@@ -315,8 +321,8 @@ def I_k_def(eta: ModeVector, k: int, N: int, q: Scalar, mul=operator.mul):
     and the kernel table by E (the lcms of their denominators) make the
     charge one Fraction, total / (D**k E**p).  The table's step by r = q is
     then an exact division, since the T it yields is again a sum of integer
-    products; a remainder raises.  mul multiplies mode values that are not
-    Fractions: mode polynomials, by capped_mul(ctx) for a functional.
+    products; a remainder raises.  On mode_table(ctx) the charge is a
+    z-series whose slot-0 cell is the functional (its constant_term).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -327,40 +333,40 @@ def I_k_def(eta: ModeVector, k: int, N: int, q: Scalar, mul=operator.mul):
         return eta[0]
     ktab = [_kernel_coeff(q, m) for m in range(N + 1)]
 
-    def kernel(f, t, mul):
-        return _kernel_sum(f, k, t, q, mul)
+    def kernel(f, t):
+        return _kernel_sum(f, k, t, q)
 
-    return _exact_sum(kernel, eta, (k - 1) * N, ktab, k, p, mul)
+    return _exact_sum(kernel, eta, (k - 1) * N, ktab, k, p)
 
 
 # #### quadratic and cubic kernel formulas #####################################
 
 
-def M2_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
+def M2_kernel(eta: ModeVector, N: int, q: Scalar):
     """Half the squared zero mode plus the geometric off-diagonal sum, over
     a table of q's powers; on integer numerators for a Fraction field."""
 
-    def kernel(f, qtab, mul):
+    def kernel(f, qtab):
         cross = f[0] * 0
         for m in range(1, N + 1):
-            cross = cross + qtab[m] * mul(f[-m], f[m])
-        return Fraction(1, 2) * qtab[0] * mul(f[0], f[0]) + cross
+            cross = cross + qtab[m] * (f[-m] * f[m])
+        return Fraction(1, 2) * qtab[0] * (f[0] * f[0]) + cross
 
-    return _exact_sum(kernel, eta, N, [q**m for m in range(N + 1)], 2, 1, mul)
+    return _exact_sum(kernel, eta, N, [q**m for m in range(N + 1)], 2, 1)
 
 
-def M3_kernel(eta: ModeVector, N: int, q: Scalar, mul=operator.mul):
+def M3_kernel(eta: ModeVector, N: int, q: Scalar):
     """Cubic charge: third of the zero-mode cube plus the double kernel sum,
     over a table of q's powers; on integer numerators for a Fraction field."""
 
-    def kernel(f, qtab, mul):
+    def kernel(f, qtab):
         cross = f[0] * 0
         for r in range(0, N + 1):
             for s in range(1, N + 1):
-                cross = cross + qtab[r + s] * mul(mul(f[-r], f[r - s]), f[s])
-        return Fraction(1, 3) * qtab[0] * mul(mul(f[0], f[0]), f[0]) + cross
+                cross = cross + qtab[r + s] * (f[-r] * f[r - s] * f[s])
+        return Fraction(1, 3) * qtab[0] * (f[0] * f[0] * f[0]) + cross
 
-    return _exact_sum(kernel, eta, N, [q**j for j in range(2 * N + 1)], 3, 1, mul)
+    return _exact_sum(kernel, eta, N, [q**j for j in range(2 * N + 1)], 3, 1)
 
 
 def kernel_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scalar:
@@ -384,29 +390,35 @@ def kernel_tail(k: int, N: int, q: Scalar, decay: tuple[Scalar, Scalar]) -> Scal
 
 @lru_cache(maxsize=None)
 def mode_table(ctx: ModeContext) -> ModeVector:
-    """Mode polynomials of the eta field for |m| <= 2 n_modes.
+    """The eta field's modes for |m| <= 2 n_modes, each eta_m the one-cell
+    z-series at slot -m of build_eta(ctx), with eta's guarantee: its place
+    in eta, so a product of modes is a series product under the window rule
+    and a charge's functional is its slot-0 cell.
 
     Modes past n_modes are identically zero in the truncated model (their
     true content is all heavier than the truncation), so the table's far
-    half records zero polynomials; it reaches the widest index a package
+    half records empty series; it reaches the widest index a package
     charge reads: I_3 reads up to 2 N, M_2 and M_3 up to N."""
-    field = build_eta(ctx)
+    e = build_eta(ctx)
     W = 2 * ctx.trunc.n_modes
-    return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
+    cells = {m: {(-m,): p} if (p := e.mode(m)) else {} for m in range(-W, W + 1)}
+    return ModeVector(
+        W, {m: AlphaSeries(ctx, e.vars, c, e.guar) for m, c in cells.items()}
+    )
 
 
 @lru_cache(maxsize=None)
 def M2_functional(ctx: ModeContext) -> AlphaSeries:
-    """Quadratic charge as a mode-polynomial functional (full guarantee)."""
-    poly = M2_kernel(mode_table(ctx), ctx.trunc.n_modes, ctx.q, capped_mul(ctx))
-    return AlphaSeries.functional(ctx, poly)
+    """Quadratic charge as a functional: the constant term of M2_kernel
+    over mode_table, with eta's guarantee."""
+    return M2_kernel(mode_table(ctx), ctx.trunc.n_modes, ctx.q).constant_term()
 
 
 @lru_cache(maxsize=None)
 def M3_functional(ctx: ModeContext) -> AlphaSeries:
-    """Cubic charge as a mode-polynomial functional (full guarantee)."""
-    poly = M3_kernel(mode_table(ctx), ctx.trunc.n_modes, ctx.q, capped_mul(ctx))
-    return AlphaSeries.functional(ctx, poly)
+    """Cubic charge as a functional: the constant term of M3_kernel over
+    mode_table, with eta's guarantee."""
+    return M3_kernel(mode_table(ctx), ctx.trunc.n_modes, ctx.q).constant_term()
 
 
 # #### closed forms ############################################################
@@ -470,8 +482,9 @@ def M_from_I(i_values: list, p: ParamPoint) -> list:
 
     Normalizes each charge by its triangular prefactor, feeds the list as
     elementary symmetric data to Newton's identities for the power sums,
-    and rescales each.  Generic over the value ring: Fractions or mode
-    polynomials.  The mirror charges combine at p.inverted().
+    and rescales each.  Generic over the value ring: Fractions, or the
+    series that charges over mode_table return.  The mirror charges
+    combine at p.inverted().
     """
     q = p.q
     e = [v * w for v, w in zip(i_values, newton_normalizers(q, len(i_values)))]

@@ -40,8 +40,7 @@ and balance sigma are read off the header fields.  No field exceeds the
 monomial's weight (each exponent is at most the degree, and the degree at
 most the weight, as every |n| >= 1), so while the weight stays <= 255
 (MAX_WEIGHT) no field can carry into the next: ModeTrunc caps n_modes
-there, every capped product stays inside n_modes, and the uncapped
-poly_mul refuses a product that could pass it.
+there, and every product is cut to the window, inside n_modes.
 
 A mode polynomial is integer numerators over one denominator, the lcm of
 its reduced coefficient denominators.  Each operand cell becomes rows
@@ -49,18 +48,19 @@ its reduced coefficient denominators.  Each operand cell becomes rows
 sorted by weight so a weight cap ends a scan early.  _sum_products adds
 c * a * b over its terms into one integer per result monomial, every term
 scaled to the lcm of the terms' denominators, and reduces the result by
-one gcd.  poly_mul is one uncapped _sum_products.  Every capped cell is
-one _window_cell, which sums a slot's terms under the window rule: each
-result slot of a series product, each target slot of a kernel
-application, each bracket cell (the pairing over all n) and capped_mul,
-a functional's product at slot ().  Sums, negation, scalar multiples and
-pruning work on the numerators too.  The rows are private to this
-module: other modules build through AlphaPoly and AlphaSeries and read a
-monomial with the mono_* accessors.  No Fraction is built until a
-coefficient is read (AlphaPoly.coeff), which the windowed finisher does
-for a violating cell only.  Integer sums are exact and the reduced form
-is unique, so the coefficients are the rationals the term-by-term
-Fraction sum gives, and a sum that cancels to zero is not stored.
+one gcd.  Every product is one _window_cell, which sums a slot's terms
+under the window rule: each result slot of a series product (a charge
+functional is the slot-0 cell of a product of mode slices, read by
+AlphaSeries.constant_term), each target slot of a kernel application and
+each bracket cell (the pairing over all n).  Two mode polynomials have
+no product of their own.  Sums, negation and scalar multiples work on
+the numerators too.  The rows are private to this module: other modules
+build through AlphaPoly and AlphaSeries and read a monomial with the
+mono_* accessors.  No Fraction is built until a coefficient is read
+(AlphaPoly.coeff), which the windowed finisher does for a violating cell
+only.  Integer sums are exact and the reduced form is unique, so the
+coefficients are the rationals the term-by-term Fraction sum gives, and
+a sum that cancels to zero is not stored.
 
 Returned series share structure: treat them as immutable.
 """
@@ -153,11 +153,6 @@ class AlphaPoly:
         return cls({}, 1)
 
     @classmethod
-    def const(cls, c: Scalar) -> "AlphaPoly":
-        c = Fraction(c)
-        return cls({0: c.numerator} if c else {}, c.denominator)
-
-    @classmethod
     def one(cls) -> "AlphaPoly":
         return cls({0: 1}, 1)
 
@@ -169,8 +164,6 @@ class AlphaPoly:
         return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = AlphaPoly.const(other)
         if isinstance(other, AlphaPoly):
             return self.den == other.den and self.nums == other.nums
         return NotImplemented
@@ -205,27 +198,19 @@ class AlphaPoly:
     def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
         return self._plus(other, True)
 
-    def __mul__(self, other):
-        if isinstance(other, AlphaPoly):
-            return poly_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return AlphaPoly.zero()
-            c = other.numerator
-            return AlphaPoly(
-                {m: v * c for m, v in self.nums.items()}, self.den * other.denominator
-            )
-        return NotImplemented
+    def __mul__(self, other: Scalar) -> "AlphaPoly":
+        """A scalar multiple: two mode polynomials multiply only as cells
+        of series (AlphaSeries.__mul__), under the window rule."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return AlphaPoly.zero()
+        c = other.numerator
+        return AlphaPoly(
+            {m: v * c for m, v in self.nums.items()}, self.den * other.denominator
+        )
 
     __rmul__ = __mul__
-
-    def pruned(self, max_weight: int, max_deg: int) -> "AlphaPoly":
-        out = {
-            m: v
-            for m, v in self.nums.items()
-            if mono_degree(m) <= max_deg and mono_weight(m) <= max_weight
-        }
-        return AlphaPoly(out, self.den) if len(out) != len(self.nums) else self
 
     def __repr__(self) -> str:
         if not self.nums:
@@ -288,19 +273,6 @@ def _sum_products(
     return AlphaPoly({m: v for m, v in acc.items() if v}, den)
 
 
-def poly_mul(a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
-    """The uncapped product.
-
-    Raises ValueError when a product monomial could pass MAX_WEIGHT, where
-    the packed fields would carry."""
-    ra, rb = _poly_rows(a), _poly_rows(b)
-    # rows are sorted by weight, so each operand's last row is its heaviest
-    if ra[0] and rb[0] and ra[0][-1][1] + rb[0][-1][1] > MAX_WEIGHT:
-        raise ValueError(f"a product monomial could pass weight {MAX_WEIGHT}")
-    inf = float("inf")
-    return _sum_products([(1, ra, rb)], inf, inf)
-
-
 # #### context and guarantees ##################################################
 
 
@@ -349,11 +321,6 @@ def _window_cell(ctx: ModeContext, slot: tuple[int, ...], terms) -> AlphaPoly:
     and degree <= d_deg, so an empty cell past n_modes."""
     room = ctx.trunc.n_modes - sum(map(abs, slot))
     return _sum_products(terms, room, ctx.trunc.d_deg)
-
-
-def capped_mul(ctx: ModeContext):
-    """Mode-polynomial product cut to the window of a functional, slot ()."""
-    return lambda a, b: _window_cell(ctx, (), [(1, _poly_rows(a), _poly_rows(b))])
 
 
 @dataclass(frozen=True)
@@ -432,14 +399,6 @@ class AlphaSeries:
         self.coeffs = coeffs
         self.guar = guar
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def functional(cls, ctx, poly: AlphaPoly, guar: Guarantee | None = None):
-        if guar is None:
-            guar = Guarantee(ctx.trunc.n_modes, ctx.trunc.n_modes, ctx.trunc.d_deg)
-        return cls(ctx, (), {(): poly} if poly else {}, guar)
-
     # -- access ----------------------------------------------------------------
 
     def coeff(self, slot) -> AlphaPoly:
@@ -450,6 +409,12 @@ class AlphaSeries:
         if len(self.vars) != 1:
             raise ValueError("mode() needs exactly one variable")
         return self.coeff((-n,))
+
+    def constant_term(self) -> "AlphaSeries":
+        """For a one-variable series: its slot-0 cell as a functional, with
+        the series' guarantee."""
+        p = self.mode(0)
+        return AlphaSeries(self.ctx, (), {(): p} if p else {}, self.guar)
 
     def functional_value(self) -> AlphaPoly:
         if self.vars:
@@ -534,13 +499,16 @@ class AlphaSeries:
 
     # -- multiplicative structure ------------------------------------------------
 
-    def __mul__(self, other: "AlphaSeries") -> "AlphaSeries":
+    def __mul__(self, other) -> "AlphaSeries":
         """Product: one shared variable convolves slotwise; disjoint
-        variables (a functional has none) tensor.
+        variables (a functional has none) tensor; an int or a Fraction, on
+        either side, scales.
 
         Any other overlap is refused: the contributor-pinning argument needs
         per-variable balance, which only these two kinds guarantee.
         """
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         if not isinstance(other, AlphaSeries):
             return NotImplemented
         if len(self.vars) == 1 and self.vars == other.vars:
@@ -559,6 +527,8 @@ class AlphaSeries:
                 terms.setdefault(combine(sa, sb), []).append((1, ra, rb))
         out = {s: p for s, ts in terms.items() if (p := _window_cell(self.ctx, s, ts))}
         return AlphaSeries(self.ctx, rvars, out, self.guar.meet(other.guar))
+
+    __rmul__ = __mul__
 
     # -- one-sided analytic operations -------------------------------------------
 
@@ -798,12 +768,10 @@ def build_xi(ctx: ModeContext) -> AlphaSeries:
 @lru_cache(maxsize=None)
 def eta_zero(ctx: ModeContext) -> AlphaSeries:
     """Zero mode of the exponential field, as a flow Hamiltonian."""
-    e = build_eta(ctx)
-    return AlphaSeries.functional(ctx, e.mode(0), e.guar)
+    return build_eta(ctx).constant_term()
 
 
 @lru_cache(maxsize=None)
 def xi_zero(ctx: ModeContext) -> AlphaSeries:
     """Zero mode of the dual field, generating the second flow direction."""
-    x = build_xi(ctx)
-    return AlphaSeries.functional(ctx, x.mode(0), x.guar)
+    return build_xi(ctx).constant_term()

@@ -79,8 +79,9 @@ def newton_p_from_e(e: list) -> list:
 
     Newton's identities p_m = sum_{i<m} (-1)**(i-1) e_i p_{m-i}
     + (-1)**(m-1) m e_m, for m = 1..k.  Division-free and free of ring
-    constants, so any commutative ring with +, - and * works, mode
-    polynomials included.
+    constants, so any commutative ring with +, - and * (an int on the
+    right) works: the slot-0 mode series of iom's charges included, whose
+    window-cut products equal the cut of the uncut ones.
     """
     if not e:
         raise ValueError("need at least e_1")

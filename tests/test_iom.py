@@ -6,14 +6,17 @@ literally; closed forms at k=1,2 are transcribed as independent
 expressions, and at k <= 4 checked against a subset-sum transcription; the
 n=0 point pins the geometric-tail normalization against the constant-field
 value; Newton consistency is checked both on exact closed values and on
-mode polynomials.
+mode series.  On the mode table, whose modes are one-cell z-series, every
+partial product is cut to the window rule; the charges and functionals
+there equal literal Fraction loops run uncut and cut only at the end
+(`Terms`), and a window wide enough to cut nothing (`WIDE`) keeps the
+uncut identities checkable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction as F
 
@@ -41,13 +44,13 @@ from toda_bo.iom import (
     soliton_decay,
 )
 from toda_bo.modes import (
+    MAX_WEIGHT,
     AlphaSeries,
     ModeContext,
     ModeTrunc,
     bracket,
     build_eta,
     build_xi,
-    capped_mul,
     eta_zero,
     mono_degree,
     mono_weight,
@@ -67,17 +70,28 @@ def eta_modes(params, b, window) -> ModeVector:
     return ModeVector.from_series(eta_series_from_taus(params, b, window))
 
 
-def eta_table(ctx: ModeContext, W: int) -> ModeVector:
-    """Mode polynomials of the eta field for |m| <= W: mode_table's reach is
-    2 n_modes, what a package charge reads, so a wider charge builds its own."""
-    field = build_eta(ctx)
-    return ModeVector(W, {m: field.mode(m) for m in range(-W, W + 1)})
+# a window that cuts no product of CTX's modes: weights stay far below 255
+WIDE = ModeContext(CTX.s, CTX.eps, ModeTrunc(MAX_WEIGHT, MAX_WEIGHT))
+
+
+def slices(field: AlphaSeries, W: int, ctx: ModeContext) -> ModeVector:
+    """The modes of a one-variable field for |m| <= W, each the one-cell
+    series at slot -m with the field's guarantee, as mode_table holds eta's,
+    in ctx: the field's own, or WIDE for uncut products."""
+    cells = {m: {(-m,): p} if (p := field.mode(m)) else {} for m in range(-W, W + 1)}
+    return ModeVector(
+        W, {m: AlphaSeries(ctx, field.vars, c, field.guar) for m, c in cells.items()}
+    )
 
 
 def xi_table(ctx: ModeContext) -> ModeVector:
-    """Mode polynomials of the xi field for |m| <= n_modes."""
-    field, N = build_xi(ctx), ctx.trunc.n_modes
-    return ModeVector(N, {m: field.mode(m) for m in range(-N, N + 1)})
+    """The xi field's modes for |m| <= n_modes, as one-cell series."""
+    return slices(build_xi(ctx), ctx.trunc.n_modes, ctx)
+
+
+def value(x):
+    """A charge for comparison: a series' cells, or the Fraction itself."""
+    return x.coeffs if isinstance(x, AlphaSeries) else x
 
 
 def xi_modes(params, b, window) -> ModeVector:
@@ -132,7 +146,7 @@ def test_second_charge_literal_sum():
     assert I_k_def(mv, 2, N, Q) == expect
 
 
-def literal_charge(eta, k, N, q, mul=operator.mul):
+def literal_charge(eta, k, N, q):
     """The charge by enumerating every pair exponent vector."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     value = None
@@ -144,7 +158,7 @@ def literal_charge(eta, k, N, q, mul=operator.mul):
             flow[j] += m
         term = eta[flow[0]]
         for e in flow[1:]:
-            term = mul(term, eta[e])
+            term = term * eta[e]
         value = term * coeff if value is None else value + term * coeff
     return value
 
@@ -158,15 +172,17 @@ CTX_SMALL = ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 4))
 def test_charge_matches_literal_enumeration(k, kind, case):
     # the value is the same exact element as the literal sum over all
     # (N+1)**(k(k-1)/2) vectors: Fractions on soliton modes, and mode
-    # polynomials under the capped product; a window short of the reach
-    # raises, though a decay model bounds the modes past it
+    # series under the window rule; a window short of the reach raises,
+    # though a decay model bounds the modes past it.  mode_table reaches
+    # 2 n_modes, what a package charge reads, so k = 4 builds its own
     qq = Q if kind == "plus" else 1 / Q
     modes = eta_modes if kind == "plus" else xi_modes
-    decay, mul = None, operator.mul
+    decay = None
     if case == "capped-poly":
         N = CTX_SMALL.trunc.n_modes
-        mv = mode_table(CTX_SMALL) if k < 4 else eta_table(CTX_SMALL, 3 * N)
-        mul = capped_mul(CTX_SMALL)
+        mv = mode_table(CTX_SMALL)
+        if k == 4:
+            mv = slices(build_eta(CTX_SMALL), 3 * N, CTX_SMALL)
     else:
         N = 3 if k < 4 else 2
         mv = modes(P1, (F(1, 2),), (k - 1) * N if case == "covering" else N - 1)
@@ -174,9 +190,9 @@ def test_charge_matches_literal_enumeration(k, kind, case):
             decay = fit_decay(mv, F(1, 10))
     if (k - 1) * N > mv.N:
         with pytest.raises(ValueError, match=f"outside window {mv.N}"):
-            I_k_def(mv, k, N, qq, mul=mul)
+            I_k_def(mv, k, N, qq)
         return
-    assert I_k_def(mv, k, N, qq, mul=mul) == literal_charge(mv, k, N, qq, mul)
+    assert value(I_k_def(mv, k, N, qq)) == value(literal_charge(mv, k, N, qq))
     if decay is not None:
         assert shell_tail(k, N, qq, decay) == 0
 
@@ -184,19 +200,21 @@ def test_charge_matches_literal_enumeration(k, kind, case):
 def test_third_charge_work_is_quadratic_in_the_cutoff(monkeypatch):
     # the literal enumeration makes 2 products per vector, 2 (N+1)**3 in all;
     # a Fraction field is summed on its integer numerators, so the count is
-    # of the mode products the one kernel sum makes on that path
+    # of the mode products the one kernel sum makes on that path: each mode
+    # numerator counts the products it is the left factor of, all but the
+    # product by 0 that makes the sum's zero
     calls = 0
     kernel_sum = iom._kernel_sum
 
-    def counting_sum(field, k, ktab, r, mul):
-        assert all(type(v) is int for v in field.values())
-
-        def counting_mul(a, b):
+    class Mode(int):
+        def __mul__(self, other):
             nonlocal calls
-            calls += 1
-            return mul(a, b)
+            calls += isinstance(other, Mode) or other != 0
+            return int(self) * int(other)
 
-        return kernel_sum(field, k, ktab, r, counting_mul)
+    def counting_sum(field, k, ktab, r):
+        assert all(type(v) is int for v in field.values())
+        return kernel_sum({e: Mode(v) for e, v in field.items()}, k, ktab, r)
 
     N = 24
     mv = eta_modes(P1, (F(1, 2),), 2 * N)
@@ -282,20 +300,20 @@ def test_constant_field_powers():
     assert M3_kernel(mv, 8, Q) == F(1, 8) ** 3 / 3
 
 
-def literal_m2(eta, N, q, mul=operator.mul):
+def literal_m2(eta, N, q):
     """The quadratic kernel charge one term at a time, q**m per term."""
-    total = F(1, 2) * mul(eta[0], eta[0])
+    total = F(1, 2) * (eta[0] * eta[0])
     for m in range(1, N + 1):
-        total = total + q**m * mul(eta[-m], eta[m])
+        total = total + q**m * (eta[-m] * eta[m])
     return total
 
 
-def literal_m3(eta, N, q, mul=operator.mul):
+def literal_m3(eta, N, q):
     """The cubic kernel charge one term at a time, q**(r+s) per term."""
-    total = F(1, 3) * mul(mul(eta[0], eta[0]), eta[0])
+    total = F(1, 3) * (eta[0] * eta[0] * eta[0])
     for r in range(0, N + 1):
         for s in range(1, N + 1):
-            total = total + q ** (r + s) * mul(mul(eta[-r], eta[r - s]), eta[s])
+            total = total + q ** (r + s) * (eta[-r] * eta[r - s] * eta[s])
     return total
 
 
@@ -317,13 +335,12 @@ def test_m2_m3_kernels_equal_the_term_by_term_sums(N, extra, q, data):
 
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_m2_m3_kernels_on_mode_polynomials_equal_the_term_by_term_sums(kind):
-    # the functional path: mode polynomials, capped and uncapped products
+    # the functional path: mode series, cut to the window and uncut
     N = CTX_SMALL.trunc.n_modes
-    mv = mode_table(CTX_SMALL)
     qq = CTX_SMALL.q if kind == "plus" else 1 / CTX_SMALL.q
-    for mul in (capped_mul(CTX_SMALL), operator.mul):
-        assert M2_kernel(mv, N, qq, mul) == literal_m2(mv, N, qq, mul)
-        assert M3_kernel(mv, N, qq, mul) == literal_m3(mv, N, qq, mul)
+    for mv in (mode_table(CTX_SMALL), slices(build_eta(CTX_SMALL), N, WIDE)):
+        assert M2_kernel(mv, N, qq).coeffs == literal_m2(mv, N, qq).coeffs
+        assert M3_kernel(mv, N, qq).coeffs == literal_m3(mv, N, qq).coeffs
 
 
 def test_budget_guard():
@@ -442,39 +459,41 @@ def test_newton_closed_consistency():
 
 def test_functional_first_charge_equals_zero_mode():
     mv = mode_table(CTX)
-    assert I_k_def(mv, 1, CTX.trunc.n_modes, CTX.q) == eta_zero(CTX).functional_value()
+    got = I_k_def(mv, 1, CTX.trunc.n_modes, CTX.q).constant_term()
+    assert (got.coeffs, got.guar) == (eta_zero(CTX).coeffs, eta_zero(CTX).guar)
 
 
 def test_m2_from_newton_matches_kernel_formula_exactly():
     # the quadratic Newton combination telescopes term-by-term in the kernel
-    # exponent, so truncating both routes at the same N keeps exact equality
-    mv = mode_table(CTX)
+    # exponent, so truncating both routes at the same N keeps exact equality,
+    # uncut and on the window alike
     N, q = CTX.trunc.n_modes, CTX.q
-    i1 = I_k_def(mv, 1, N, q)
-    i2 = I_k_def(mv, 2, N, q)
-    newton = M_from_I([i1, i2], P1)[-1]
-    assert newton == M2_kernel(mv, N, q)
+    for mv in (slices(build_eta(CTX), 2 * N, WIDE), mode_table(CTX)):
+        i1 = I_k_def(mv, 1, N, q)
+        i2 = I_k_def(mv, 2, N, q)
+        newton = M_from_I([i1, i2], P1)[-1]
+        assert newton.coeffs == M2_kernel(mv, N, q).coeffs
 
 
 def test_m3_from_newton_matches_kernel_formula_on_window():
     # the cubic routes differ beyond the weight window (their truncation
     # boundaries are shaped differently), but any monomial of weight <= N
-    # needs kernel exponents <= N/2 on every route, so the pruned polynomials
-    # agree exactly
+    # needs kernel exponents <= N/2 on every route, so the slot-0 cells cut
+    # to the window agree exactly
     mv = mode_table(CTX)
-    N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
+    N, q = CTX.trunc.n_modes, CTX.q
     vals = [I_k_def(mv, k, N, q) for k in (1, 2, 3)]
     newton = M_from_I(vals, P1)[-1]
-    assert newton.pruned(N, D) == M3_kernel(mv, N, q).pruned(N, D)
+    assert newton.coeffs == M3_kernel(mv, N, q).coeffs
 
 
 def test_mbar_newton_matches_kernel_on_window():
     mv = xi_table(CTX)
-    N, D = CTX.trunc.n_modes, CTX.trunc.d_deg
+    N = CTX.trunc.n_modes
     qbar = 1 / CTX.q
     vals = [I_k_def(mv, k, N, qbar) for k in (1, 2)]
     newton = M_from_I(vals, P1.inverted())[-1]
-    assert newton.pruned(N, D) == M2_kernel(mv, N, qbar).pruned(N, D)
+    assert newton.coeffs == M2_kernel(mv, N, qbar).coeffs
 
 
 def certified_zero(series: AlphaSeries) -> bool:
@@ -489,15 +508,11 @@ def certified_zero(series: AlphaSeries) -> bool:
 
 
 def test_charges_commute_on_certified_window():
-    # the uncapped charges are cut to the window rule before they become
-    # functionals: weight <= n_modes and degree <= d_deg at slot span 0
-    N, D, q = CTX.trunc.n_modes, CTX.trunc.d_deg, CTX.q
-    i2 = AlphaSeries.functional(
-        CTX, I_k_def(mode_table(CTX), 2, N, q).pruned(N, D)
-    )
-    i2bar = AlphaSeries.functional(
-        CTX, I_k_def(xi_table(CTX), 2, N, 1 / q).pruned(N, D)
-    )
+    # each charge is the constant term of its series on the window: weight
+    # <= n_modes and degree <= d_deg at slot span 0
+    N, q = CTX.trunc.n_modes, CTX.q
+    i2 = I_k_def(mode_table(CTX), 2, N, q).constant_term()
+    i2bar = I_k_def(xi_table(CTX), 2, N, 1 / q).constant_term()
     pairs = [
         (eta_zero(CTX), i2),
         (xi_zero(CTX), i2bar),
@@ -525,6 +540,70 @@ def test_eta_is_built_once_per_context():
     assert build_eta.cache_info().misses - before == 1
     assert mode_table.cache_info().misses - tables == 1
     assert mode_table(ctx).N == 2 * ctx.trunc.n_modes
+
+
+class Terms(dict):
+    """A mode polynomial as {packed monomial: Fraction}, multiplied term by
+    term with no cut: the oracle ring of the lossless-cut test."""
+
+    def __add__(self, other):
+        out = Terms(self)
+        for m, c in other.items():
+            v = out.get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return out
+
+    def __mul__(self, other):
+        if not isinstance(other, Terms):
+            return Terms({m: c * other for m, c in self.items()} if other else {})
+        out = {}
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+        return Terms({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def cut(self, ctx: ModeContext) -> dict:
+        N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
+        return {
+            m: c
+            for m, c in self.items()
+            if mono_weight(m) <= N and mono_degree(m) <= D
+        }
+
+
+def fraction_terms(poly) -> dict:
+    return {m: poly.coeff(m) for m in poly.nums}
+
+
+@pytest.mark.parametrize("trunc", [ModeTrunc(4, 4), ModeTrunc(6, 6), ModeTrunc(8, 5)])
+def test_window_cut_partial_products_lose_nothing(trunc):
+    # mode_table's products cut each partial product at slot s to weight
+    # n_modes - |s|; the literal Fraction loops multiply eta's cells uncut and
+    # cut to the window only at the end, and every charge and functional
+    # agrees.  The cut is not vacuous: the uncut I_2, I_3, M_2 and M_3 reach
+    # past the window
+    ctx = ModeContext(F(1, 2), F(1, 8), trunc)
+    N, q = trunc.n_modes, ctx.q
+    e = build_eta(ctx)
+    W = 2 * N
+    oracle = {m: Terms(fraction_terms(e.mode(m))) for m in range(-W, W + 1)}
+    oracle = ModeVector(W, oracle)
+    mv = mode_table(ctx)
+    cases = [(I_k_def(mv, k, N, q), literal_charge(oracle, k, N, q)) for k in (1, 2, 3)]
+    cases += [
+        (M2_functional(ctx), literal_m2(oracle, N, q)),
+        (M3_functional(ctx), literal_m3(oracle, N, q)),
+    ]
+    for i, (got, uncut) in enumerate(cases):
+        assert set(got.coeffs) <= {(), (0,)}
+        cell = got.functional_value() if not got.vars else got.mode(0)
+        assert fraction_terms(cell) == uncut.cut(ctx)
+        assert i == 0 or len(uncut) > len(uncut.cut(ctx))
 
 
 def test_m2_m3_functionals_stable_under_window_growth():

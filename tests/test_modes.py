@@ -24,14 +24,19 @@ against the multiset of their modes: a product decodes to the union, and
 weight, degree and sigma equal the tuple formulas, up to weight 255.  A
 field bracketed with its own renamed cells, and hirota on one series, are
 checked against the same call on an unshared copy of the cells, with the
-pairings and brackets they save counted.
+pairings and brackets they save counted.  Two mode polynomials have no
+product of their own: AlphaPoly * AlphaPoly raises, and the integer
+kernel _sum_products has one caller in the package, the window routine,
+which the tests reach through window_mul (None for no cap).
 """
 
 from __future__ import annotations
 
+import ast
 import math
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -53,7 +58,6 @@ from toda_bo.modes import (
     build_phi,
     build_tau,
     build_xi,
-    capped_mul,
     diff_rows,
     eta_zero,
     hirota,
@@ -62,7 +66,6 @@ from toda_bo.modes import (
     mono_sigma,
     mono_weight,
     poisson_pairing,
-    poly_mul,
     tau_log,
     unit,
     xi_zero,
@@ -138,8 +141,31 @@ def window_cut(terms_: list, wcap, dcap) -> AlphaPoly:
 
 
 def window_mul(a: AlphaPoly, b: AlphaPoly, wcap, dcap) -> AlphaPoly:
-    """a * b cut to weight wcap and degree dcap by the window routine."""
+    """a * b cut to weight wcap and degree dcap by the window routine, None
+    for no cap: the only product of two mode polynomials."""
     return window_cut([(1, modes._poly_rows(a), modes._poly_rows(b))], wcap, dcap)
+
+
+def ctx_mul(ctx: ModeContext, a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
+    """a * b cut to ctx's window at slot (), as a product of functionals."""
+    return modes._window_cell(ctx, (), [(1, modes._poly_rows(a), modes._poly_rows(b))])
+
+
+def cut(p: AlphaPoly, max_weight, max_deg) -> AlphaPoly:
+    """p's terms of weight <= max_weight and degree <= max_deg."""
+    return AlphaPoly(
+        {
+            m: v
+            for m, v in p.nums.items()
+            if mono_weight(m) <= max_weight and mono_degree(m) <= max_deg
+        },
+        p.den,
+    )
+
+
+def const(c) -> AlphaPoly:
+    """The constant polynomial c."""
+    return poly_of({mono(): F(c)})
 
 
 def poisson_poly(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
@@ -155,7 +181,7 @@ def window_cells(ctx: ModeContext, coeffs: dict) -> dict:
     N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
     out = {}
     for slot, p in coeffs.items():
-        p = p.pruned(N - sum(map(abs, slot)), D)
+        p = cut(p, N - sum(map(abs, slot)), D)
         if p:
             out[slot] = p
     return out
@@ -208,27 +234,65 @@ def alpha_polys():
 def test_poly_arithmetic_smalls():
     a = gen(1)
     b = gen(-2)
-    p = (a + b) * (a - b)
-    assert p == poly_mul(a, a) - poly_mul(b, b)
-    assert a - a == 0
-    assert AlphaPoly.const(0) == AlphaPoly.zero()
-    assert a * 2 - a - a == 0
+    p = window_mul(a + b, a - b, None, None)
+    assert p == window_mul(a, a, None, None) - window_mul(b, b, None, None)
+    assert a - a == AlphaPoly.zero()
+    assert const(0) == AlphaPoly.zero()
+    assert not a * 2 - a - a
 
 
 def test_poly_diff():
     # d/da1 of a1^2 a_-2 = 2 a1 a_-2; d/da2 kills it
     p = poly_of({mono(-2, 1, 1): F(3)})
     assert deriv(p, 1) == poly_of({mono(-2, 1): F(6)})
-    assert deriv(p, 2) == 0
+    assert deriv(p, 2) == AlphaPoly.zero()
     assert deriv(p, -2) == poly_of({mono(1, 1): F(3)})
 
 
 def test_poly_mul_caps():
     p = poly_of({mono(1): F(1), mono(2, 2): F(1)})
-    full = poly_mul(p, p)
+    full = window_mul(p, p, None, None)
     assert mono(1, 2, 2) in full.nums and mono(2, 2, 2, 2) in full.nums
-    capped = capped_mul(ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 2)))(p, p)
+    capped = ctx_mul(ModeContext(F(1, 2), F(1, 8), ModeTrunc(3, 2)), p, p)
     assert capped == poly_of({mono(1, 1): F(1)})
+
+
+def test_two_mode_polynomials_have_no_product_of_their_own():
+    # a product of mode polynomials is a cell of a series product, under the
+    # window rule: AlphaPoly * AlphaPoly is refused, scalars still scale, and
+    # the integer kernel _sum_products has one reference in the package, in
+    # _window_cell (each found by its innermost enclosing def)
+    with pytest.raises(TypeError):
+        gen(1) * gen(-1)
+    assert gen(1) * 2 == 2 * gen(1) == gen(1) + gen(1)
+    found = []
+    for path in sorted(Path(modes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "_sum_products":
+                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                inner = min(around, key=lambda d: d.end_lineno - d.lineno, default=None)
+                found.append((path.name, inner and inner.name))
+    assert found == [("modes.py", "_window_cell")]
+
+
+def test_series_scale_by_a_scalar_on_either_side():
+    e = build_eta(CTX)
+    for c in (2, F(-1, 3), 1, 0):
+        for got in (e * c, c * e):
+            assert (got.coeffs, got.guar) == (e.scale(c).coeffs, e.guar)
+
+
+def test_constant_term_is_the_slot_zero_functional():
+    e = build_eta(CTX)
+    h = e.constant_term()
+    assert h.vars == () and h.guar == e.guar
+    assert h.coeffs == {(): e.coeff((0,))}
+    assert h.coeffs == eta_zero(CTX).coeffs
+    with pytest.raises(ValueError, match="one variable"):
+        (e * e.renamed("w")).constant_term()
 
 
 def test_mono_invariants():
@@ -264,7 +328,8 @@ def test_packed_product_is_the_multiset_union(modes, data):
     a, b = mono(*modes[:k]), mono(*modes[k:])
     assert Counter(dict(mono_powers(a + b))) == Counter(modes)
     assert modes_of(a + b) == tuple(sorted(modes))
-    assert poly_mul(AlphaPoly({a: 1}, 1), AlphaPoly({b: 1}, 1)).nums == {a + b: 1}
+    product = window_mul(AlphaPoly({a: 1}, 1), AlphaPoly({b: 1}, 1), None, None)
+    assert product.nums == {a + b: 1}
 
 
 @given(mode_multisets())
@@ -280,19 +345,16 @@ def test_weight_limit_is_checked_at_the_edges():
     with pytest.raises(ValueError, match="at most 255"):
         ModeTrunc(MAX_WEIGHT + 1, 4)
     assert ModeTrunc(MAX_WEIGHT, 4).n_modes == 255
-    # alpha_1**255 built by products is exact; one more factor would carry
+    # alpha_1**255 built by products in the window routine is exact
     p = gen(1)
     for _ in range(254):
-        p = poly_mul(p, gen(1))
+        p = window_mul(p, gen(1), MAX_WEIGHT, None)
     (m,) = p.nums
     assert p.nums == {mono(*[1] * 255): 1}
     assert (mono_weight(m), mono_degree(m), mono_powers(m)) == (255, 255, [(1, 255)])
-    for n in (1, -1):
-        with pytest.raises(ValueError, match="weight 255"):
-            poly_mul(p, gen(n))
     # a cap inside the limit keeps the product safe: nothing survives it
     edge = ModeContext(F(1, 2), F(1, 8), ModeTrunc(MAX_WEIGHT, 2 * MAX_WEIGHT))
-    assert capped_mul(edge)(p, gen(-1)) == 0
+    assert ctx_mul(edge, p, gen(-1)) == AlphaPoly.zero()
 
 
 def test_repr_lists_sorted_modes():
@@ -306,11 +368,11 @@ def test_repr_lists_sorted_modes():
 def test_bracket_defining_pairs():
     for n in (1, 2, 3):
         got = poisson_poly(gen(n), gen(-n))
-        assert got == AlphaPoly.const(1 - Q**n)
+        assert got == const(1 - Q**n)
         got = poisson_poly(gen(-n), gen(n))
-        assert got == AlphaPoly.const(-(1 - Q**n))
-    assert poisson_poly(gen(1), gen(2)) == 0
-    assert poisson_poly(gen(1), gen(1)) == 0
+        assert got == const(-(1 - Q**n))
+    assert poisson_poly(gen(1), gen(2)) == AlphaPoly.zero()
+    assert poisson_poly(gen(1), gen(1)) == AlphaPoly.zero()
 
 
 @given(alpha_polys(), alpha_polys())
@@ -324,8 +386,9 @@ def test_bracket_antisymmetry(f, g):
 @given(alpha_polys(), alpha_polys(), alpha_polys())
 @settings(max_examples=30)
 def test_bracket_leibniz(f, g, h):
-    lhs = poisson_poly(f, poly_mul(g, h))
-    rhs = poly_mul(poisson_poly(f, g), h) + poly_mul(g, poisson_poly(f, h))
+    mul = lambda a, b: window_mul(a, b, None, None)
+    lhs = poisson_poly(f, mul(g, h))
+    rhs = mul(poisson_poly(f, g), h) + mul(g, poisson_poly(f, h))
     assert lhs == rhs
 
 
@@ -334,13 +397,14 @@ def test_bracket_leibniz(f, g, h):
 def test_bracket_jacobi(f, g, h):
     pb = poisson_poly
     total = pb(f, pb(g, h)) + pb(g, pb(h, f)) + pb(h, pb(f, g))
-    assert total == 0
+    assert total == AlphaPoly.zero()
 
 
 # #### integer kernels against the Fraction loops ###########################
 #
-# The literal_* functions are the term-by-term Fraction loops that poly_mul,
-# poisson_pairing, bracket, AlphaSeries.__mul__ and apply_ratio_kernel ran
+# The literal_* functions are the term-by-term Fraction loops that the
+# polynomial product (now the window routine, uncapped), poisson_pairing,
+# bracket, AlphaSeries.__mul__ and apply_ratio_kernel ran
 # before they moved onto integer numerators; the kernels must equal them
 # exactly, zero sums included (never stored).  A capped product or pairing
 # is checked through the window routine that cuts every capped cell.
@@ -490,23 +554,24 @@ def balanced_series():
 )
 @settings(max_examples=60)
 def test_poly_mul_equals_fraction_loop(a, b, wcap, dcap, trunc):
-    assert terms(poly_mul(a, b)) == terms(literal_poly_mul(a, b))
+    uncut = window_mul(a, b, None, None)
+    assert terms(uncut) == terms(literal_poly_mul(a, b))
     got = window_mul(a, b, wcap, dcap)
     assert terms(got) == terms(literal_poly_mul(a, b, wcap, dcap))
     assert all(terms(got).values())
-    # a functional's window cut is the uncapped product pruned to the window;
+    # a functional's window cut is the uncapped product cut to the window;
     # products reach weight 18 and degree 6: about half the draws drop some
     ctx = ModeContext(F(1, 2), F(1, 8), trunc)
-    assert capped_mul(ctx)(a, b) == (a * b).pruned(trunc.n_modes, trunc.d_deg)
+    assert ctx_mul(ctx, a, b) == cut(uncut, trunc.n_modes, trunc.d_deg)
 
 
 def test_poly_mul_cancelled_sums_are_not_stored():
     a, b = gen(1), gen(-2) * F(3, 4)
-    got = poly_mul(a + b, a - b)
+    got = window_mul(a + b, a - b, None, None)
     assert terms(got) == {mono(1, 1): 1, mono(-2, -2): -F(9, 16)}
-    assert poly_mul(poly_of({mono(1): 2}), poly_of({mono(-1): 3, mono(2): -1})) == (
-        poly_of({mono(-1, 1): F(6), mono(1, 2): F(-2)})
-    )
+    a, b = poly_of({mono(1): 2}), poly_of({mono(-1): 3, mono(2): -1})
+    got = window_mul(a, b, None, None)
+    assert got == poly_of({mono(-1, 1): F(6), mono(1, 2): F(-2)})
 
 
 # #### canonical form against Fraction dicts ##################################
@@ -549,7 +614,7 @@ def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
         (a * 0, {}),
         (window_mul(a, b, wcap, dcap), literal_mul_terms(ta, tb, wcap, dcap)),
         (
-            a.pruned(w, d),
+            cut(a, w, d),
             {
                 m: v
                 for m, v in ta.items()
@@ -559,8 +624,8 @@ def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
         ((a + b) - b, ta),
         ((a - b) + b, ta),
         (a - a, {}),
-        (AlphaPoly.const(c), {mono(): F(c)}),
-        (AlphaPoly.const(0), {}),
+        (const(c), {mono(): F(c)}),
+        (const(0), {}),
         (AlphaPoly.one(), {mono(): 1}),
         (AlphaPoly.zero(), {}),
     ]
@@ -569,8 +634,9 @@ def test_poly_ring_is_canonical_and_equals_fraction_dicts(a, b, c, wcap, dcap):
         assert_canonical(got)
     assert (a == b) == (ta == tb)
     assert a + b == b + a and (a - a) == AlphaPoly.zero()
-    assert (a == c) == (ta == {mono(): F(c)})
-    assert AlphaPoly.const(c) == c and AlphaPoly.zero() == 0
+    assert (a == const(c)) == (ta == {mono(): F(c)})
+    # a polynomial is never equal to a scalar, the constant one included
+    assert const(c) != c and AlphaPoly.one() != 1 and AlphaPoly.zero() != 0
 
 
 def test_poly_sums_reduce_to_lowest_terms():
@@ -582,7 +648,7 @@ def test_poly_sums_reduce_to_lowest_terms():
     assert ((a - a).nums, (a - a).den) == ({}, 1)
     assert (a * 6).den == 1 and (a * 6).nums == {mono(1): 1, mono(2): 1}
     assert (a * F(3, 2)).den == 4
-    assert (s.pruned(0, 5).nums, s.pruned(0, 5).den) == ({}, 1)
+    assert (cut(s, 0, 5).nums, cut(s, 0, 5).den) == ({}, 1)
 
 
 @given(mixed_polys(), mixed_polys(), st.sampled_from([BIG, 0, 2, 4]), st.integers(0, 4))
@@ -848,7 +914,7 @@ def test_tau_plus_low_coefficients():
     tp = build_tau(CTX, "+")
     assert tp.coeff((0,)) == AlphaPoly.one()
     assert tp.coeff((1,)) == gen(-1) * (-1 / (1 - Q))
-    expect2 = gen(-2) * (-1 / (1 - Q**2)) + poly_mul(
+    expect2 = gen(-2) * (-1 / (1 - Q**2)) + literal_poly_mul(
         gen(-1), gen(-1)
     ) * (F(1, 2) / (1 - Q) ** 2)
     assert tp.coeff((2,)) == expect2
@@ -874,7 +940,7 @@ def test_log_tau_recovers_linear_form():
     for n in range(1, 4):
         acc = tp.coeff((n,)) * n
         for j in range(1, n):
-            acc = acc - poly_mul(lg[j], tp.coeff((n - j,))) * j
+            acc = acc - literal_poly_mul(lg[j], tp.coeff((n - j,))) * j
         lg[n] = acc * F(1, n)
         assert lg[n] == gen(-n) * (-1 / (1 - Q**n))
 
@@ -1059,7 +1125,8 @@ def test_hirota_antisymmetric_in_pair_swap():
 
 def test_hirota_affine_power_expansion():
     h0 = eta_zero(CTX)
-    m1 = AlphaSeries.functional(CTX, eta_zero(CTX).functional_value(), h0.guar)
+    m1 = build_eta(CTX).constant_term()  # equal to h0, another object
+    assert m1 is not h0 and m1.coeffs == h0.coeffs and m1.guar == h0.guar
     tm = build_tau(CTX, "-")
     tp = build_tau(CTX, "+")
     got = hirota([(h0, m1)] * 2, tm, tp)
@@ -1195,6 +1262,6 @@ def test_apply_ratio_kernel_shifts_slots():
         ta, tb = a - 3, b + 3
         if abs(ta) <= 6 and abs(tb) <= 6 and abs(ta) + abs(tb) <= 6:
             got = moved.coeff((ta, tb))
-            want = (poly * F(5)).pruned(6 - abs(ta) - abs(tb), 6)
+            want = cut(poly * F(5), 6 - abs(ta) - abs(tb), 6)
             assert got == want
     assert moved.guar == prod.guar.kern_derate()

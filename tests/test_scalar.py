@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toda_bo.iom import I_k_def, closed_I, closed_M, mode_table
-from toda_bo.modes import AlphaPoly, ModeContext, ModeTrunc
+from toda_bo.modes import AlphaPoly, AlphaSeries, ModeContext, ModeTrunc
 from toda_bo.scalar import (
     GUARD_RANGE,
     ONE,
@@ -173,16 +173,19 @@ def test_newton_p_from_e_equals_determinant(e):
 
 
 def test_newton_p_from_e_on_mode_polynomials_equals_determinant():
-    # charges I_1..I_3 of a mode table: the recurrence needs no ring constants
+    # charges I_1..I_3 of a mode table, one-cell series at slot 0 whose
+    # products are cut to the window: the recurrence needs no ring constants
     ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(4, 4))
     mv = mode_table(ctx)
     e = [I_k_def(mv, k, 4, ctx.q) for k in (1, 2, 3)]
-    assert all(len(x.nums) > 1 for x in e)
+    assert all(set(x.coeffs) == {(0,)} and len(x.mode(0).nums) > 1 for x in e)
+    one = AlphaSeries(ctx, ("z",), {(0,): AlphaPoly.one()}, e[0].guar)
+    zero = one * 0
     ps = newton_p_from_e(e)
     assert len(ps) == 3
     for j, p in enumerate(ps, 1):
-        assert p == newton_det(e[:j], AlphaPoly.one(), AlphaPoly.zero())
-        assert p
+        assert p.coeffs == newton_det(e[:j], one, zero).coeffs
+        assert p.coeffs
 
 
 def _elementary_from_roots(roots):

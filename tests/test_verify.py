@@ -47,6 +47,7 @@ from toda_bo.cli import main
 from toda_bo.iom import closed_M
 from toda_bo.modes import (
     AlphaPoly,
+    AlphaSeries,
     Guarantee,
     ModeContext,
     ModeTrunc,
@@ -459,15 +460,22 @@ def test_quad_kernel_orientations_swap_under_negation():
 def literal_quad_kernel(ctx, pick):
     """quad_kernel_series written as its docstring's double sum: cell -tg s
     is sum_{r,s>=1} q**(r+s) eta_{sg r} eta_{tg s - sg r}, cut to the
-    window, with eta's guarantee derated as by a kernel application."""
+    window, with eta's guarantee derated as by a kernel application.  Each
+    product is of the two modes' one-cell series, so the window rule cuts
+    it at slot -tg s to weight N - s."""
     sg, tg = (1 if c == "p" else -1 for c in pick)
     e = build_eta(ctx)
-    N, D = ctx.trunc.n_modes, ctx.trunc.d_deg
+    N = ctx.trunc.n_modes
+
+    def one_cell(m):
+        p = e.mode(m)
+        return AlphaSeries(ctx, e.vars, {(-m,): p} if p else {}, e.guar)
+
     cells = {}
     for r in range(1, N + 1):
         for s in range(1, N + 1):
-            p = (e.mode(sg * r) * e.mode(tg * s - sg * r)).pruned(N - s, D)
             slot = (-tg * s,)
+            p = (one_cell(sg * r) * one_cell(tg * s - sg * r)).coeff(slot)
             cells[slot] = cells.get(slot, AlphaPoly.zero()) + p * ctx.q ** (r + s)
     return {slot: p for slot, p in cells.items() if p}, e.guar.kern_derate()
 
