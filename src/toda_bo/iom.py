@@ -477,16 +477,15 @@ def newton_normalizers(q: Scalar, k: int) -> tuple[Scalar, ...]:
     return tuple(q ** (j * (j - 1) // 2) / q_pochhammer(q, j) for j in range(1, k + 1))
 
 
-def M_from_I(i_values: list, p: ParamPoint) -> list:
+def M_from_I(i_values: list, q: Scalar) -> list:
     """Newton's-identities combinations M_1..M_k of the first k charges.
 
     Normalizes each charge by its triangular prefactor, feeds the list as
     elementary symmetric data to Newton's identities for the power sums,
     and rescales each.  Generic over the value ring: Fractions, or the
     series that charges over mode_table return.  The mirror charges
-    combine at p.inverted().
+    combine at 1/q, the q of ParamPoint.inverted().
     """
-    q = p.q
     e = [v * w for v, w in zip(i_values, newton_normalizers(q, len(i_values)))]
     return [
         pj * ((ONE - q**j) * Fraction(1, j))
@@ -494,11 +493,10 @@ def M_from_I(i_values: list, p: ParamPoint) -> list:
     ]
 
 
-def newton_error_bound(values: list, tails: list, p: ParamPoint) -> Scalar:
+def newton_error_bound(values: list, tails: list, q: Scalar) -> Scalar:
     """Worst-case shift of M_from_I over k = len(values) in {2, 3} charges
     when each moves by its tail bound, on explicit monomial bounds."""
     k = len(values)
-    q = p.q
     w = newton_normalizers(q, k)
     e = [abs(v) * abs(wj) for v, wj in zip(values, w)]
     d = [t * abs(wj) for t, wj in zip(tails, w)]

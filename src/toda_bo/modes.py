@@ -52,9 +52,10 @@ one gcd.  Every product is one _window_cell, which sums a slot's terms
 under the window rule: each result slot of a series product (a charge
 functional is the slot-0 cell of a product of mode slices, read by
 AlphaSeries.constant_term), each target slot of a kernel application and
-each bracket cell (the pairing over all n).  Two mode polynomials have
-no product of their own.  Sums, negation and scalar multiples work on
-the numerators too.  The rows are private to this module: other modules
+each bracket cell (the pairing over all n); a cell whose terms' lightest
+rows are all past the window forms no product.  Two mode polynomials
+have no product of their own.  Sums, negation and scalar multiples work
+on the numerators too.  The rows are private to this module: other modules
 build through AlphaPoly and AlphaSeries and read a monomial with the
 mono_* accessors.  No Fraction is built until a coefficient is read
 (AlphaPoly.coeff), which the windowed finisher does for a violating cell
@@ -318,9 +319,16 @@ class ModeContext:
 def _window_cell(ctx: ModeContext, slot: tuple[int, ...], terms) -> AlphaPoly:
     """The cell at slot of the sum of c * a * b over _sum_products terms,
     under the window rule: the monomials of weight <= n_modes - |slot|_1
-    and degree <= d_deg, so an empty cell past n_modes."""
+    and degree <= d_deg.  A term with no rows, or whose lightest product
+    (the first rows) is past that weight, is dropped, and with none left no
+    product is formed: an empty cell past n_modes costs no _sum_products."""
     room = ctx.trunc.n_modes - sum(map(abs, slot))
-    return _sum_products(terms, room, ctx.trunc.d_deg)
+    terms = [
+        (c, a, b)
+        for c, a, b in terms
+        if a[0] and b[0] and a[0][0][1] + b[0][0][1] <= room
+    ]
+    return _sum_products(terms, room, ctx.trunc.d_deg) if terms else AlphaPoly.zero()
 
 
 @dataclass(frozen=True)
@@ -502,7 +510,8 @@ class AlphaSeries:
     def __mul__(self, other) -> "AlphaSeries":
         """Product: one shared variable convolves slotwise; disjoint
         variables (a functional has none) tensor; an int or a Fraction, on
-        either side, scales.
+        either side, scales.  An operand with no cells gives the empty
+        product at once.
 
         Any other overlap is refused: the contributor-pinning argument needs
         per-variable balance, which only these two kinds guarantee.
@@ -519,6 +528,9 @@ class AlphaSeries:
             combine = lambda a, b: a + b
         else:
             raise ValueError("a product shares one variable or none")
+        guar = self.guar.meet(other.guar)
+        if not (self.coeffs and other.coeffs):
+            return AlphaSeries(self.ctx, rvars, {}, guar)
         brows = [(sb, _poly_rows(pb)) for sb, pb in other.coeffs.items()]
         terms: dict[tuple[int, ...], list] = {}
         for sa, pa in self.coeffs.items():
@@ -526,7 +538,7 @@ class AlphaSeries:
             for sb, rb in brows:
                 terms.setdefault(combine(sa, sb), []).append((1, ra, rb))
         out = {s: p for s, ts in terms.items() if (p := _window_cell(self.ctx, s, ts))}
-        return AlphaSeries(self.ctx, rvars, out, self.guar.meet(other.guar))
+        return AlphaSeries(self.ctx, rvars, out, guar)
 
     __rmul__ = __mul__
 

@@ -29,11 +29,12 @@ The runners use one of three finishers:
              and the numeric kernel-minus-Newton difference within
              newton_error_bound + kernel_tail.
 
-Reports are plain dataclasses with JSON-safe fields.  run_suite resolves a
-selector (id, group name, comma list, or glob), runs the checks sorted in
-registry order, and is deterministic for a fixed seed: each check derives
-its private RNG from crc32(id) xor seed, so suite composition does not
-shift anyone's samples.
+A check's report is its JSON record, a plain dict of JSON values that
+run_check builds in one place and the CLI writes as it is.  run_suite
+resolves a selector (id, group name, comma list, or glob), runs the checks
+sorted in registry order, and is deterministic for a fixed seed: each check
+derives its private RNG from crc32(id) xor seed, so suite composition does
+not shift anyone's samples.
 """
 
 from __future__ import annotations
@@ -173,37 +174,6 @@ class CheckConfig:
     trunc_modes: int = 12
     trunc_deg: int = 6
     timings: bool = False
-
-
-@dataclass
-class CheckReport:
-    id: str
-    mode: str  # exact | windowed | convergent
-    params: dict
-    residual: dict
-    passed: bool
-    elapsed_ms: float | None
-    detail: dict
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "mode": self.mode,
-            "params": self.params,
-            "residual": self.residual,
-            "pass": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-            "detail": self.detail,
-        }
-
-
-def _residual_dict(max_abs: Scalar) -> dict:
-    max_abs = Fraction(max_abs)
-    return {
-        "is_exact_zero": max_abs == 0,
-        "max_abs": scalar_str(max_abs),
-        "max_abs_decimal": scalar_decimal(max_abs),
-    }
 
 
 def _sgn(n: int) -> int:
@@ -722,7 +692,7 @@ def _formal_newton_vs_kernel(k: int) -> bool:
     N = ctx.trunc.n_modes
     mv = mode_table(ctx)
     vals = [I_k_def(mv, i, N, ctx.q) for i in range(1, k + 1)]
-    newton = M_from_I(vals, ParamPoint(S, EPS))[-1]
+    newton = M_from_I(vals, ctx.q)[-1]
     return newton.mode(0) == _CHARGE_FUNCTIONALS[k](ctx).functional_value()
 
 
@@ -734,7 +704,7 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
         params = sample_param_point(rng, j % 3, s=S)
         # the mirror side is the plain side at the inverted point
         for pt in (params, params.inverted()):
-            if M_from_I(closed_I(4, pt), pt) != closed_M(4, pt):
+            if M_from_I(closed_I(4, pt), pt.q) != closed_M(4, pt):
                 exact_ok = False
         exact_pts += 1
 
@@ -750,9 +720,9 @@ def _run_m_consistency(cfg: CheckConfig, rng: random.Random, k: int):
     q = params.q
     i_vals = [I_k_def(mv, i, N, q) for i in range(1, k + 1)]
     tails = [shell_tail(i, N, q, decay) for i in range(1, k + 1)]
-    newton_val = M_from_I(i_vals, params)[-1]
+    newton_val = M_from_I(i_vals, q)[-1]
     kern_val = M2_kernel(mv, N, q) if k == 2 else M3_kernel(mv, N, q)
-    tol = newton_error_bound(i_vals, tails, params) + kernel_tail(k, N, q, decay)
+    tol = newton_error_bound(i_vals, tails, q) + kernel_tail(k, N, q, decay)
     diff = abs(kern_val - newton_val)
     numeric_ok = diff <= tol
 
@@ -864,43 +834,42 @@ def sub_seed(check_id: str, seed: int) -> int:
     return zlib.crc32(check_id.encode()) ^ seed
 
 
-def run_check(check_id: str, config: CheckConfig | None = None) -> CheckReport:
-    """Run one registered identity check and return its report.
+def run_check(check_id: str, config: CheckConfig | None = None) -> dict:
+    """Run one registered identity check and return its JSON record: id,
+    mode (exact, windowed, convergent, or error), params, residual, pass,
+    elapsed_ms (None unless cfg.timings) and detail, in that key order.
 
     Any exception inside the check (size budget exceeded, degenerate
     parameters that could not be resampled away, a broken invariant)
-    produces a failing report with the diagnostic in detail, never a silent
-    pass and never an aborted suite."""
+    produces a failing record of mode error, its params the seed alone and
+    the diagnostic in detail: never a silent pass and never an aborted
+    suite."""
     if check_id not in _CHECKS:
         raise UnknownIdentity(f"unknown identity id: {check_id}")
     runner, build = _CHECKS[check_id]
     cfg = config or CheckConfig()
-    rng = random.Random(sub_seed(check_id, cfg.seed))
+    subseed = sub_seed(check_id, cfg.seed)
     t0 = time.perf_counter()
     try:
-        mode, params, worst, passed, detail = runner(build, cfg, rng)
+        mode, params, worst, passed, detail = runner(build, cfg, random.Random(subseed))
+        params = {"seed": cfg.seed, "subseed": subseed, **params}
     except Exception as exc:
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return CheckReport(
-            check_id,
-            "error",
-            {"seed": cfg.seed},
-            _residual_dict(ONE),
-            False,
-            round(elapsed, 3) if cfg.timings else None,
-            {"error": f"{type(exc).__name__}: {exc}"},
-        )
+        mode, params, worst, passed = "error", {"seed": cfg.seed}, ONE, False
+        detail = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = (time.perf_counter() - t0) * 1000.0
-    params = {"seed": cfg.seed, "subseed": sub_seed(check_id, cfg.seed), **params}
-    return CheckReport(
-        check_id,
-        mode,
-        params,
-        _residual_dict(worst),
-        passed,
-        round(elapsed, 3) if cfg.timings else None,
-        detail,
-    )
+    return {
+        "id": check_id,
+        "mode": mode,
+        "params": params,
+        "residual": {
+            "is_exact_zero": worst == 0,
+            "max_abs": scalar_str(worst),
+            "max_abs_decimal": scalar_decimal(worst),
+        },
+        "pass": passed,
+        "elapsed_ms": round(elapsed, 3) if cfg.timings else None,
+        "detail": detail,
+    }
 
 
 def resolve_selector(selector: str | None) -> list[str]:
@@ -929,6 +898,7 @@ def resolve_selector(selector: str | None) -> list[str]:
 
 def run_suite(
     selector: str | None = None, config: CheckConfig | None = None
-) -> list[CheckReport]:
+) -> list[dict]:
+    """The records of the checks the selector names, in registry order."""
     cfg = config or CheckConfig()
     return [run_check(i, cfg) for i in resolve_selector(selector)]

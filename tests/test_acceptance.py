@@ -35,13 +35,13 @@ def test_criterion_1_soliton_exact_suite():
     elapsed = time.perf_counter() - t0
     ok = (
         len(reports) == 7
-        and all(r.passed for r in reports)
-        and all(r.residual["is_exact_zero"] for r in reports)
-        and all(r.detail["cases"] == 20 for r in reports)  # n=0..3, 5 draws each
+        and all(r["pass"] for r in reports)
+        and all(r["residual"]["is_exact_zero"] for r in reports)
+        and all(r["detail"]["cases"] == 20 for r in reports)  # n=0..3, 5 draws each
         and elapsed < 120
     )
     announce(1, "soliton-exact identically zero", ok)
-    assert ok, [r.to_json() for r in reports if not r.passed] + [elapsed]
+    assert ok, [r for r in reports if not r["pass"]] + [elapsed]
 
 
 def test_criterion_2_bracket_suite_exact_on_window():
@@ -50,16 +50,16 @@ def test_criterion_2_bracket_suite_exact_on_window():
     elapsed = time.perf_counter() - t0
     ok = (
         len(reports) == 12
-        and all(r.passed for r in reports)
-        and all(r.residual["is_exact_zero"] for r in reports)
-        and all(r.detail["witness_certified_terms"] > 0 for r in reports)
+        and all(r["pass"] for r in reports)
+        and all(r["residual"]["is_exact_zero"] for r in reports)
+        and all(r["detail"]["witness_certified_terms"] > 0 for r in reports)
         and all(
-            r.params["trunc"] == {"z": 6, "modes": 12, "deg": 6} for r in reports
+            r["params"]["trunc"] == {"z": 6, "modes": 12, "deg": 6} for r in reports
         )
         and elapsed < 300
     )
     announce(2, "bracket family exact at (12,6)", ok)
-    assert ok, [r.to_json() for r in reports if not r.passed] + [elapsed]
+    assert ok, [r for r in reports if not r["pass"]] + [elapsed]
 
 
 def test_criterion_3_kernel_lemma_suite_exact_on_window():
@@ -68,20 +68,20 @@ def test_criterion_3_kernel_lemma_suite_exact_on_window():
     elapsed = time.perf_counter() - t0
     ok = (
         len(reports) == 6
-        and all(r.passed for r in reports)
-        and all(r.residual["is_exact_zero"] for r in reports)
-        and all(r.detail["witness_certified_terms"] > 0 for r in reports)
-        and all(r.params["trunc"] == {"z": 3, "modes": 6, "deg": 6} for r in reports)
+        and all(r["pass"] for r in reports)
+        and all(r["residual"]["is_exact_zero"] for r in reports)
+        and all(r["detail"]["witness_certified_terms"] > 0 for r in reports)
+        and all(r["params"]["trunc"] == {"z": 3, "modes": 6, "deg": 6} for r in reports)
         and elapsed < 600
     )
     announce(3, "kernel lemmas exact at (6,6)", ok)
-    assert ok, [r.to_json() for r in reports if not r.passed] + [elapsed]
+    assert ok, [r for r in reports if not r["pass"]] + [elapsed]
 
 
 def test_criterion_4_charge_conjecture_ladders():
     report = run_check("conj-iom", CheckConfig())
-    plus = [c for c in report.detail["cases"] if c["kind"] == "plus"]
-    ok = report.passed and len(plus) == 6  # n in {1,2} x k in {1,2,3}
+    plus = [c for c in report["detail"]["cases"] if c["kind"] == "plus"]
+    ok = report["pass"] and len(plus) == 6  # n in {1,2} x k in {1,2,3}
     for case in plus:
         ladder = [Fraction(x.replace("E", "e")) for x in case["ladder"]]
         final, prev = ladder[-1], ladder[-2]
@@ -90,15 +90,15 @@ def test_criterion_4_charge_conjecture_ladders():
         amp = Fraction(case["amplitude_diff"].replace("E", "e"))
         ok = ok and amp <= TOL  # same charge for a second amplitude draw
     announce(4, "charge ladders converge to closed forms", ok)
-    assert ok, report.to_json()
+    assert ok, report
 
 
 def test_criterion_5_charge_consistency():
     ok = True
     for check_id in ("m2-consistency", "m3-consistency"):
         report = run_check(check_id, CheckConfig())
-        d = report.detail
-        ok = ok and report.passed
+        d = report["detail"]
+        ok = ok and report["pass"]
         ok = ok and d["exact_points"] == 20 and d["exact_pass"]
         ok = ok and d["formal_window_pass"] and d["numeric_pass"]
     announce(5, "closed charges consistent with kernel formulas", ok)

@@ -425,11 +425,11 @@ def test_prefix_lists_equal_the_per_k_forms(n, s, seed):
     for pt in (params, params.inverted()):
         i_vals, m_vals = closed_I(4, pt), closed_M(4, pt)
         assert m_vals == [literal_closed_M(k, pt) for k in range(1, 5)]
-        newton = M_from_I(i_vals, pt)
+        newton = M_from_I(i_vals, pt.q)
         for k in range(1, 5):
             assert closed_I(k, pt) == i_vals[:k]
             assert closed_M(k, pt) == m_vals[:k]
-            assert M_from_I(i_vals[:k], pt) == newton[:k]
+            assert M_from_I(i_vals[:k], pt.q) == newton[:k]
 
 
 def test_closed_matches_constant_field_at_empty_point():
@@ -451,7 +451,7 @@ def test_newton_closed_consistency():
     # the mirror charges combine at the inverted point
     for params in (P0, P1, P2):
         for pt in (params, params.inverted()):
-            assert M_from_I(closed_I(4, pt), pt) == closed_M(4, pt)
+            assert M_from_I(closed_I(4, pt), pt.q) == closed_M(4, pt)
 
 
 # #### functional route ########################################################
@@ -471,7 +471,7 @@ def test_m2_from_newton_matches_kernel_formula_exactly():
     for mv in (slices(build_eta(CTX), 2 * N, WIDE), mode_table(CTX)):
         i1 = I_k_def(mv, 1, N, q)
         i2 = I_k_def(mv, 2, N, q)
-        newton = M_from_I([i1, i2], P1)[-1]
+        newton = M_from_I([i1, i2], q)[-1]
         assert newton.coeffs == M2_kernel(mv, N, q).coeffs
 
 
@@ -483,7 +483,7 @@ def test_m3_from_newton_matches_kernel_formula_on_window():
     mv = mode_table(CTX)
     N, q = CTX.trunc.n_modes, CTX.q
     vals = [I_k_def(mv, k, N, q) for k in (1, 2, 3)]
-    newton = M_from_I(vals, P1)[-1]
+    newton = M_from_I(vals, q)[-1]
     assert newton.coeffs == M3_kernel(mv, N, q).coeffs
 
 
@@ -492,7 +492,7 @@ def test_mbar_newton_matches_kernel_on_window():
     N = CTX.trunc.n_modes
     qbar = 1 / CTX.q
     vals = [I_k_def(mv, k, N, qbar) for k in (1, 2)]
-    newton = M_from_I(vals, P1.inverted())[-1]
+    newton = M_from_I(vals, qbar)[-1]
     assert newton.coeffs == M2_kernel(mv, N, qbar).coeffs
 
 

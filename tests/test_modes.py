@@ -27,7 +27,8 @@ checked against the same call on an unshared copy of the cells, with the
 pairings and brackets they save counted.  Two mode polynomials have no
 product of their own: AlphaPoly * AlphaPoly raises, and the integer
 kernel _sum_products has one caller in the package, the window routine,
-which the tests reach through window_mul (None for no cap).
+which the tests reach through window_mul (None for no cap); it forms no
+product for a cell whose terms' lightest rows are all past the window.
 """
 
 from __future__ import annotations
@@ -276,6 +277,29 @@ def test_two_mode_polynomials_have_no_product_of_their_own():
                 inner = min(around, key=lambda d: d.end_lineno - d.lineno, default=None)
                 found.append((path.name, inner and inner.name))
     assert found == [("modes.py", "_window_cell")]
+
+
+def test_no_product_for_a_cell_the_window_empties(monkeypatch):
+    # every _sum_products call has a term whose lightest product (the first
+    # rows by weight) fits its weight cap, so a series product, a kernel
+    # application and a bracket form no product for a slot the window
+    # empties; a product with an operand of no cells makes no call at all
+    lightest = []
+    real = modes._sum_products
+
+    def counted(terms, max_weight, max_deg):
+        lightest.append(any(a[0][0][1] + b[0][0][1] <= max_weight for _, a, b in terms))
+        return real(terms, max_weight, max_deg)
+
+    monkeypatch.setattr(modes, "_sum_products", counted)
+    ctx = ModeContext(F(1, 2), F(1, 8), ModeTrunc(8, 4))
+    e, x = build_eta(ctx), build_xi(ctx)
+    apply_ratio_kernel(e * x.renamed("w"), {l: 1 for l in range(-8, 9) if l})
+    bracket(e, x.renamed("w"))
+    assert lightest and all(lightest)
+    calls, empty = len(lightest), AlphaSeries(ctx, ("z",), {}, e.guar)
+    assert (e * empty).is_zero() and (empty * e).is_zero()
+    assert len(lightest) == calls
 
 
 def test_series_scale_by_a_scalar_on_either_side():

@@ -23,11 +23,15 @@ call makes are counted, and so are the field builds of the bracket group (one
 each of eta and xi), the mode tables of the charge checks (one) and the series
 products of the quadratic kernels (two for four).  The Miwa row builders are also run at explicit shifts far outside the
 sampler's range, and each side of the partition-keyed Toda rows is compared
-with the earlier (c, order, power) table, read as powers.  Determinism is
-asserted on serialized bytes of repeated runs, and the CLI reports of the
-exact and lemma-t3 groups, of the bracket group, of eta-xi alone at two wider
-windows, of the m2/m3-consistency checks, of conj-iom, of the whole suite and
-of the benchmark's verify selection are pinned to their sha256.
+with the earlier (c, order, power) table, read as powers.  hirota-t is the
+order-1 row of that table: the same residual cells and guarantee, with a
+witness one certified term short.  A record has one key order for a pass,
+an inconclusive failure and an error, and survives a JSON round trip as it
+is.  Determinism is asserted on serialized bytes of repeated runs, and the
+CLI reports of the exact and lemma-t3 groups, of the bracket group, of
+eta-xi alone at two wider windows, of the m2/m3-consistency checks, of
+conj-iom, of the whole suite and of the benchmark's verify selection are
+pinned to their sha256.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ from toda_bo.verify import (
     _run_windowed,
     _win_eta_xi,
     _win_kernel,
+    _win_hirota_t,
     _win_hirota_tb,
     _win_lemma,
     _win_prop,
@@ -186,18 +191,22 @@ def test_sub_seed_is_crc_xor_mask(seed, step):
 # #### report shape ############################################################
 
 
+RECORD_KEYS = ["id", "mode", "params", "residual", "pass", "elapsed_ms", "detail"]
+
+
+def _break_eta0_xi0(monkeypatch):
+    """Swap eta0-xi0's builder for one that raises inside the check."""
+    runner, _ = verify._CHECKS["eta0-xi0"]
+
+    def broken(ctx):
+        raise AssertionError("balance violated")
+
+    monkeypatch.setitem(verify._CHECKS, "eta0-xi0", (runner, broken))
+
+
 def test_report_serialization_shape():
-    r = run_check("eta0-xi0", WIN)
-    d = r.to_json()
-    assert sorted(d) == [
-        "detail",
-        "elapsed_ms",
-        "id",
-        "mode",
-        "params",
-        "pass",
-        "residual",
-    ]
+    d = run_check("eta0-xi0", WIN)
+    assert list(d) == RECORD_KEYS
     assert sorted(d["residual"]) == ["is_exact_zero", "max_abs", "max_abs_decimal"]
     assert d["pass"] is True
     assert d["params"]["seed"] == WIN.seed
@@ -205,9 +214,33 @@ def test_report_serialization_shape():
     assert d["elapsed_ms"] is None
 
 
+def test_every_outcome_has_one_record_shape(monkeypatch):
+    passing = run_check("eta0-xi0", WIN)
+    inconclusive = run_check("eta-eta", CheckConfig(trunc_modes=1, trunc_deg=1))
+    _break_eta0_xi0(monkeypatch)
+    error = run_check("eta0-xi0", WIN)
+    assert passing["pass"] and inconclusive["detail"]["inconclusive"]
+    assert error["mode"] == "error" and not error["pass"]
+    for record in (passing, inconclusive, error):
+        assert list(record) == RECORD_KEYS, record["id"]
+    assert error["params"] == {"seed": WIN.seed}
+
+
 def test_elapsed_only_with_timings_flag():
-    r = run_check("eta0-xi0", replace(WIN, timings=True))
-    assert isinstance(r.elapsed_ms, float) and r.elapsed_ms >= 0
+    plain = run_check("eta0-xi0", WIN)
+    timed = run_check("eta0-xi0", replace(WIN, timings=True))
+    assert isinstance(timed["elapsed_ms"], float) and timed["elapsed_ms"] >= 0
+    assert list(timed) == RECORD_KEYS
+    assert {**timed, "elapsed_ms": None} == plain
+
+
+def test_records_survive_a_json_round_trip():
+    # nothing converts a record on its way out, so a tuple, a Fraction or a
+    # non-string key in one would change the report or break it
+    records = run_suite("all", CheckConfig(samples=1, solitons=1))
+    assert [r["id"] for r in records] == list(IDENTITY_IDS)
+    for record in records:
+        assert json.loads(json.dumps(record)) == record, record["id"]
 
 
 # #### windowed finisher #######################################################
@@ -216,21 +249,21 @@ def test_elapsed_only_with_timings_flag():
 @pytest.mark.parametrize("check_id", ["eta-eta", "hirota-t", "toda-field"])
 def test_windowed_identities_hold_with_evidence(check_id):
     r = run_check(check_id, WIN)
-    assert r.passed and r.mode == "windowed"
-    assert r.residual["is_exact_zero"]
-    assert r.residual["max_abs"] == "0/1"
-    assert r.detail["violations"] == 0
-    assert r.detail["witness_certified_terms"] > 0
-    assert r.params["trunc"] == {"z": 4, "modes": 8, "deg": 4}
+    assert r["pass"] and r["mode"] == "windowed"
+    assert r["residual"]["is_exact_zero"]
+    assert r["residual"]["max_abs"] == "0/1"
+    assert r["detail"]["violations"] == 0
+    assert r["detail"]["witness_certified_terms"] > 0
+    assert r["params"]["trunc"] == {"z": 4, "modes": 8, "deg": 4}
 
 
 def test_window_too_small_is_inconclusive_failure():
     # one mode certifies nothing: every bracket cell spans two slots
     r = run_check("eta-eta", CheckConfig(trunc_modes=1, trunc_deg=1))
-    assert not r.passed
-    assert r.detail["inconclusive"] is True
-    assert r.detail["witness_certified_terms"] == 0
-    assert r.detail["violations"] == 0
+    assert not r["pass"]
+    assert r["detail"]["inconclusive"] is True
+    assert r["detail"]["witness_certified_terms"] == 0
+    assert r["detail"]["violations"] == 0
 
 
 def test_nonzero_series_fails_as_violations():
@@ -276,7 +309,7 @@ def test_bracket_group_builds_each_field_once():
     # a keyword call is another cache key, so it would rebuild
     build_eta.cache_clear()
     build_xi.cache_clear()
-    assert all(r.passed for r in run_suite("bracket", WIN))
+    assert all(r["pass"] for r in run_suite("bracket", WIN))
     assert build_eta.cache_info().misses == build_xi.cache_info().misses == 1
     ctx = _ctx_bracket(WIN)
     assert build_eta(ctx).renamed("w").coeffs is build_eta(ctx).coeffs
@@ -288,7 +321,7 @@ def test_charge_checks_read_one_mode_table():
     # context and read one mode table; a wider table for I_3 under a second
     # cache key would build it again
     _clear_builder_caches()
-    assert all(r.passed for r in run_suite("m2-consistency,m3-consistency,lemma-t3"))
+    assert all(r["pass"] for r in run_suite("m2-consistency,m3-consistency,lemma-t3"))
     assert iom.mode_table.cache_info().misses == 1
 
 
@@ -387,9 +420,9 @@ def test_eta_tau_minus_without_one_kernel_term_fails(monkeypatch):
         lambda F, G, kernel: _win_kernel(F, G, lambda l: 0 if l == -6 else kernel(l)),
     )
     r = run_check("eta-tau-", CheckConfig())
-    assert not r.passed
-    assert (r.detail["violations"], r.detail["witness_certified_terms"]) == (29, 467)
-    assert r.detail["zcap"] == r.params["trunc"]["z"] == 6
+    assert not r["pass"]
+    assert (r["detail"]["violations"], r["detail"]["witness_certified_terms"]) == (29, 467)
+    assert r["detail"]["zcap"] == r["params"]["trunc"]["z"] == 6
 
 
 @pytest.mark.parametrize(
@@ -518,19 +551,19 @@ def test_vacuum_order_one_charge_is_bare_coupling():
 
 def test_vacuum_flow_identity_runs_exactly():
     r = run_check("to-1", CheckConfig(samples=2, solitons=0))
-    assert r.passed and r.mode == "exact"
-    assert r.residual["is_exact_zero"]
-    assert r.detail["cases"] == 2
+    assert r["pass"] and r["mode"] == "exact"
+    assert r["residual"]["is_exact_zero"]
+    assert r["detail"]["cases"] == 2
 
 
 @pytest.mark.parametrize("check_id", ["tau-shift-lemma", "hm-3", "to-2"])
 def test_exact_identities_vanish_identically(check_id):
     r = run_check(check_id, SOL)
-    assert r.passed and r.mode == "exact"
-    assert r.residual["max_abs"] == "0/1"
-    assert r.detail["cases"] == 3
-    assert r.detail["rejected_draws"] >= 0
-    assert len(r.params["points"]) == 3
+    assert r["pass"] and r["mode"] == "exact"
+    assert r["residual"]["max_abs"] == "0/1"
+    assert r["detail"]["cases"] == 3
+    assert r["detail"]["rejected_draws"] >= 0
+    assert len(r["params"]["points"]) == 3
 
 
 _MIWA_IDS = ("tau-shift-lemma", "hm-pm-1", "hm-pm-2", "hm-3")
@@ -550,15 +583,15 @@ def one_row_scaled(build):
 
 @pytest.mark.parametrize("check_id", _MIWA_IDS)
 def test_one_scaled_row_weight_fails_the_exact_check(monkeypatch, check_id):
-    assert run_check(check_id, SOL).passed
+    assert run_check(check_id, SOL)["pass"]
     runner, (kinds, build) = verify._CHECKS[check_id]
     monkeypatch.setitem(
         verify._CHECKS, check_id, (runner, (kinds, one_row_scaled(build)))
     )
     rep = run_check(check_id, SOL)
-    assert not rep.passed and rep.mode == "exact"
-    assert not rep.residual["is_exact_zero"]
-    assert F(rep.residual["max_abs"]) > 0
+    assert not rep["pass"] and rep["mode"] == "exact"
+    assert not rep["residual"]["is_exact_zero"]
+    assert F(rep["residual"]["max_abs"]) > 0
 
 
 _WAVES = (F(1, 5), F(-1, 7), F(2, 9))
@@ -589,6 +622,26 @@ def test_order_one_equation_holds_on_the_mode_algebra():
     worst, passed, detail = _finish_windowed(_win_prop(_ctx_t3(), 1))
     assert passed and worst == 0
     assert detail["witness_certified_terms"] > 0
+
+
+@pytest.mark.parametrize(
+    "trunc, witnesses", [((12, 6), (539, 540)), ((8, 4), (68, 69)), ((6, 6), (47, 48))]
+)
+def test_hirota_t_is_the_order_one_toda_row(monkeypatch, trunc, witnesses):
+    # hirota-t writes the order-1 row out by hand, D_1 tau_-.tau_+ = eps
+    # tau_-(z/q) tau_+(qz) - M_1 tau_-.tau_+; the same residual cells and
+    # guarantee, but its witness lacks the certified M_1 tau_-.tau_+ term
+    ctx = ModeContext(S, EPS, ModeTrunc(*trunc))
+    ((X, wit),) = _win_hirota_t(ctx)
+    ((Y, row_wit),) = _win_prop(ctx, 1)
+    assert X.coeffs == Y.coeffs and X.guar == Y.guar
+    counts = [_finish_windowed([pair])[2] for pair in ((X, wit), (Y, row_wit))]
+    assert tuple(c["witness_certified_terms"] for c in counts) == witnesses
+    # control: a wrong plain-product coefficient moves the row's residual
+    row = verify.TODA_EQUATIONS[1]
+    wrong = {**row, ("R", ()): row["R", ()] * F(7, 6)}
+    monkeypatch.setitem(verify.TODA_EQUATIONS, 1, wrong)
+    assert _win_prop(ctx, 1)[0][0].coeffs != X.coeffs
 
 
 def test_hirota_brackets_each_flow_once_per_call(monkeypatch):
@@ -663,16 +716,16 @@ def test_eta_xi_fails_with_swapped_deltas_or_flipped_sign(
 def assert_order_three_fails_both_layers(monkeypatch, wrong):
     monkeypatch.setitem(verify.TODA_EQUATIONS, 3, wrong)
     exact = run_check("to-3", SOL)
-    assert not exact.passed and exact.mode == "exact"
-    assert not exact.residual["is_exact_zero"]
-    assert F(exact.residual["max_abs"]) > 0
+    assert not exact["pass"] and exact["mode"] == "exact"
+    assert not exact["residual"]["is_exact_zero"]
+    assert F(exact["residual"]["max_abs"]) > 0
     windowed = run_check("prop-t3")
-    assert not windowed.passed and windowed.mode == "windowed"
-    assert windowed.detail["violations"] > 0
+    assert not windowed["pass"] and windowed["mode"] == "windowed"
+    assert windowed["detail"]["violations"] > 0
 
 
 def test_one_wrong_table_coefficient_fails_both_layers(monkeypatch):
-    assert run_check("to-3", SOL).passed and run_check("prop-t3").passed
+    assert run_check("to-3", SOL)["pass"] and run_check("prop-t3")["pass"]
     assert verify.TODA_EQUATIONS[3][("R", (1, 1))] == F(3, 8)
     wrong = {**verify.TODA_EQUATIONS[3], ("R", (1, 1)): F(3, 7)}
     assert_order_three_fails_both_layers(monkeypatch, wrong)
@@ -732,14 +785,14 @@ def test_partition_rows_equal_the_triple_table(k):
 
 
 def test_one_wrong_lemma_coefficient_fails(monkeypatch):
-    assert run_check("lemma-3-3").passed
+    assert run_check("lemma-3-3")["pass"]
     shape, coeffs = verify.LEMMA_T3["lemma-3-3"]
     wrong = coeffs[:5] + (2,) + coeffs[6:]  # pm: 3 -> 2
     assert wrong != coeffs
     monkeypatch.setitem(verify.LEMMA_T3, "lemma-3-3", (shape, wrong))
     rep = run_check("lemma-3-3")
-    assert not rep.passed and rep.mode == "windowed"
-    assert rep.detail["violations"] > 0
+    assert not rep["pass"] and rep["mode"] == "windowed"
+    assert rep["detail"]["violations"] > 0
 
 
 # #### convergent finisher #####################################################
@@ -761,19 +814,19 @@ def test_ladder_acceptance_rules():
 
 def test_m2_consistency_three_legs():
     r = run_check("m2-consistency")
-    assert r.passed and r.mode == "convergent"
-    assert r.detail["exact_pass"]
-    assert r.detail["formal_window_pass"]
-    assert r.detail["numeric_pass"]
+    assert r["pass"] and r["mode"] == "convergent"
+    assert r["detail"]["exact_pass"]
+    assert r["detail"]["formal_window_pass"]
+    assert r["detail"]["numeric_pass"]
 
 
 def test_enumeration_budget_overflow_reports_error(monkeypatch):
     # k = 3 at the lowest cutoff enumerates 17**3 vectors, over this budget
     monkeypatch.setattr(iom, "ENUM_BUDGET", 1000)
     r = run_check("conj-iom", CheckConfig())
-    assert not r.passed
-    assert r.mode == "error"
-    assert "BudgetError" in r.detail["error"]
+    assert not r["pass"]
+    assert r["mode"] == "error"
+    assert "BudgetError" in r["detail"]["error"]
 
 
 def test_conj_iom_without_solitons_runs_only_the_vacuum(monkeypatch):
@@ -781,26 +834,21 @@ def test_conj_iom_without_solitons_runs_only_the_vacuum(monkeypatch):
     # eps has charge eps**k at any cutoff
     monkeypatch.setattr(verify, "IOM_CUTOFFS", (4, 8))
     r = run_check("conj-iom", CheckConfig(solitons=0))
-    assert r.passed and r.mode == "convergent"
-    assert r.params["points"] and all(pt["a"] == [] for pt in r.params["points"])
-    assert [c["kind"] for c in r.detail["cases"]] == ["plus"] * 3
-    assert r.residual["is_exact_zero"]
+    assert r["pass"] and r["mode"] == "convergent"
+    assert r["params"]["points"] and all(pt["a"] == [] for pt in r["params"]["points"])
+    assert [c["kind"] for c in r["detail"]["cases"]] == ["plus"] * 3
+    assert r["residual"]["is_exact_zero"]
 
 
 def test_crashing_check_becomes_an_error_report(monkeypatch):
-    runner, _ = verify._CHECKS["eta0-xi0"]
-
-    def broken(ctx):
-        raise AssertionError("balance violated")
-
-    monkeypatch.setitem(verify._CHECKS, "eta0-xi0", (runner, broken))
+    _break_eta0_xi0(monkeypatch)
     cfg = replace(WIN, samples=1, solitons=0)
     reports = run_suite("eta-eta,eta0-xi0,to-1", cfg)
-    assert [r.id for r in reports] == ["eta-eta", "eta0-xi0", "to-1"]
-    by_id = {r.id: r for r in reports}
-    assert by_id["eta0-xi0"].mode == "error" and not by_id["eta0-xi0"].passed
-    assert by_id["eta0-xi0"].detail == {"error": "AssertionError: balance violated"}
-    assert by_id["eta-eta"].passed and by_id["to-1"].passed
+    assert [r["id"] for r in reports] == ["eta-eta", "eta0-xi0", "to-1"]
+    by_id = {r["id"]: r for r in reports}
+    assert by_id["eta0-xi0"]["mode"] == "error" and not by_id["eta0-xi0"]["pass"]
+    assert by_id["eta0-xi0"]["detail"] == {"error": "AssertionError: balance violated"}
+    assert by_id["eta-eta"]["pass"] and by_id["to-1"]["pass"]
 
 
 # #### suite and determinism ###################################################
@@ -815,9 +863,9 @@ def test_suite_bytes_are_reproducible():
     blobs = []
     for _ in range(2):
         reps = run_suite("lemma-t3", cfg)
-        blobs.append(json.dumps([r.to_json() for r in reps], sort_keys=True))
+        blobs.append(json.dumps(reps, sort_keys=True))
     assert blobs[0] == blobs[1]
-    assert [r.id for r in run_suite("lemma-t3", cfg)] == list(
+    assert [r["id"] for r in run_suite("lemma-t3", cfg)] == list(
         resolve_selector("lemma-t3")
     )
 
